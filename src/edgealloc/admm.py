@@ -1,19 +1,20 @@
-"""Parallel multi-block consensus loop.
+"""Multi-block consensus loop.
 
-One iteration: (a) per-task local blocks solved concurrently against a
-read-only snapshot (split branch via block-coordinate gradient projection,
-terminal and macro branches by exact binary comparison), (b) the global
-block solved per task by the interior-point machinery, (c) dual ascent on
-the consensus gaps, (d) trace bookkeeping.  Interference, relay congestion
-and resource shares are frozen once per iteration.  The engine owns its
-state exclusively; task chunks touch disjoint slices, so results are
-bitwise identical at any parallelism degree.
+One iteration: (a) the local blocks solved against a read-only snapshot
+(split branch via block-coordinate gradient projection, terminal and
+macro branches by exact binary comparison), (b) the global block solved
+by the interior-point machinery, (c) dual ascent on the consensus gaps,
+(d) trace bookkeeping.  Each task's local and global blocks are
+independent of the other tasks' blocks, so both are solved in one
+vectorized call over the task axis.  Interference, relay congestion and
+resource shares are frozen once per iteration.  The engine owns its
+state exclusively and is deterministic: the same scenario and config
+give byte-identical traces.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,6 @@ class SolverConfig:
     tol_primal: float = 1e-4
     tol_dual: float = 1e-4
     alpha: float = 0.5
-    parallelism: int = 1
-    seed: int = 0
     # corner-penalty weight of the split block, in normalized cost units;
     # besides pushing fractional assignments to corners it acts as flip
     # hysteresis against congestion-feedback jitter, so it must exceed the
@@ -52,8 +51,6 @@ class SolverConfig:
             raise ConfigurationError("tolerances must be positive")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigurationError("alpha must lie in [0, 1]")
-        if self.parallelism < 1:
-            raise ConfigurationError("parallelism must be at least 1")
 
 
 @dataclass
@@ -183,13 +180,6 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
     return float(cost + dual_term + penalty)
 
 
-def _task_chunks(n: int, parallelism: int) -> list:
-    k = max(1, min(parallelism, n))
-    bounds = np.linspace(0, n, k + 1).astype(int)
-    return [slice(bounds[i], bounds[i + 1]) for i in range(k)
-            if bounds[i + 1] > bounds[i]]
-
-
 def _relaxed_placement(state: ConsensusState) -> Placement:
     with np.errstate(divide="ignore"):
         h = np.where(state.r > 0, 1.0 / state.r, 1.0)
@@ -210,9 +200,6 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     state = init_state(scenario, config)
     cbgp_state = local_blocks.CbgpState.fresh(state.x_hat)
     trace = Trace()
-    chunks = _task_chunks(scenario.n_tasks, config.parallelism)
-    pool = (ThreadPoolExecutor(max_workers=config.parallelism)
-            if config.parallelism > 1 else None)
 
     # tolerances scale with the root of the consensus dimension; the
     # barrier keeps a small per-coordinate interior offset, so an absolute
@@ -224,131 +211,97 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     s = scenario.n_sbs
     converged = False
     cost_scale = None
-    try:
-        for _ in range(config.max_iter):
-            t0 = time.perf_counter() if config.record_timing else 0.0
+    for _ in range(config.max_iter):
+        t0 = time.perf_counter() if config.record_timing else 0.0
 
-            if s:
-                expected_load = np.clip(state.x.sum(axis=1), 1.0,
-                                        1.0 / scenario.config.h_min)
-                state.r = np.tile(expected_load[:, None], (1, scenario.n_tasks))
-            tables = costs.build_cost_tables(scenario, config.alpha, state.x,
-                                             state.c1, r=state.r)
-            if cost_scale is None:
-                # normalize once so per-task branch costs are O(1) against
-                # rho; the dual race between branches resolves cost order
-                # only at that scale
-                cost_scale = max(
-                    float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
-            lagrangian_before = augmented_lagrangian(state, tables, cost_scale)
+        if s:
+            expected_load = np.clip(state.x.sum(axis=1), 1.0,
+                                    1.0 / scenario.config.h_min)
+            state.r = np.tile(expected_load[:, None], (1, scenario.n_tasks))
+        tables = costs.build_cost_tables(scenario, config.alpha, state.x,
+                                         state.c1, r=state.r)
+        if cost_scale is None:
+            # normalize once so per-task branch costs are O(1) against
+            # rho; the dual race between branches resolves cost order
+            # only at that scale
+            cost_scale = max(
+                float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
+        lagrangian_before = augmented_lagrangian(state, tables, cost_scale)
 
-            cbgp_state.x_prev = state.x_hat.copy()
-            cbgp_state.sweep = 0
-            cbgp_state.step_scale = np.ones(scenario.n_tasks)
+        cbgp_state.x_prev = state.x_hat.copy()
+        cbgp_state.sweep = 0
+        cbgp_state.step_scale = np.ones(scenario.n_tasks)
+        if s:
+            problem = local_blocks.LocalProblem.from_tables(
+                tables, state.x, state.dual_x, config.rho, config.delta,
+                cost_scale=cost_scale)
+            vars = local_blocks.CbgpVars(
+                x_hat=state.x_hat, R=state.R, c0=state.c0, c1=state.c1,
+                ci=state.ci)
+            local_blocks.cbgp_solve(problem, vars, cbgp_state,
+                                    rounds=config.cbgp_rounds,
+                                    tol=config.cbgp_tol)
+            state.x_hat, state.R = vars.x_hat, vars.R
+            state.c0, state.c1, state.ci = vars.c0, vars.c1, vars.ci
 
-            def solve_local_chunk(cols):
-                problem = local_blocks.LocalProblem.from_tables(
-                    tables, state.x, state.dual_x, config.rho, config.delta,
-                    cols=cols, cost_scale=cost_scale)
-                vars = local_blocks.CbgpVars(
-                    x_hat=state.x_hat[:, cols].copy(), R=state.R[:, cols].copy(),
-                    c0=state.c0[:, cols].copy(), c1=state.c1[:, cols].copy(),
-                    ci=state.ci[:, cols].copy())
-                sub_state = local_blocks.CbgpState(
-                    mu_x_lo=cbgp_state.mu_x_lo[:, cols].copy(),
-                    mu_x_hi=cbgp_state.mu_x_hi[:, cols].copy(),
-                    mu_env_lo=cbgp_state.mu_env_lo[:, cols].copy(),
-                    mu_env_hi=cbgp_state.mu_env_hi[:, cols].copy(),
-                    mu_shift_hi=cbgp_state.mu_shift_hi[:, cols].copy(),
-                    mu_shift_lo=cbgp_state.mu_shift_lo[:, cols].copy(),
-                    step_scale=cbgp_state.step_scale[cols].copy(),
-                    x_prev=cbgp_state.x_prev[:, cols].copy(),
-                    sweep=cbgp_state.sweep)
-                local_blocks.cbgp_solve(problem, vars, sub_state,
-                                        rounds=config.cbgp_rounds,
-                                        tol=config.cbgp_tol)
-                return cols, vars, sub_state
+        state.z_hat = local_blocks.solve_local_branch(
+            tables.k_local / cost_scale, state.z, state.dual_z, config.rho,
+            feasible=tables.t_local <= tables.t_max)
+        state.y_hat = local_blocks.solve_mbs_branch(
+            tables.k_mbs / cost_scale, state.y, state.dual_y, config.rho,
+            feasible=tables.t_mbs <= tables.t_max)
 
-            if s:
-                results = (pool.map(solve_local_chunk, chunks) if pool
-                           else map(solve_local_chunk, chunks))
-                for cols, vars, sub_state in results:
-                    state.x_hat[:, cols] = vars.x_hat
-                    state.R[:, cols] = vars.R
-                    state.c0[:, cols] = vars.c0
-                    state.c1[:, cols] = vars.c1
-                    state.ci[:, cols] = vars.ci
-                    for name in ("mu_x_lo", "mu_x_hi", "mu_env_lo", "mu_env_hi",
-                                 "mu_shift_hi", "mu_shift_lo"):
-                        getattr(cbgp_state, name)[:, cols] = getattr(sub_state, name)
-
-            state.z_hat = local_blocks.solve_local_branch(
-                tables.k_local / cost_scale, state.z, state.dual_z, config.rho,
-                feasible=tables.t_local <= tables.t_max)
-            state.y_hat = local_blocks.solve_mbs_branch(
-                tables.k_mbs / cost_scale, state.y, state.dual_y, config.rho,
-                feasible=tables.t_mbs <= tables.t_max)
-
+        t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
+        # the split block is deadline-blind; carrying an overdue split
+        # into the coupled block would cap its assignment against a
+        # fictitious branch, so such splits are projected onto the
+        # deadline-feasible cost optimum at the frozen share
+        overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
+        for i, j in overdue:
+            split = _optimize_branch_split(tables, i, j,
+                                           1.0 / state.r[i, j])
+            if split is not None:
+                state.c0[i, j], state.c1[i, j] = split[0], split[1]
+                state.ci[i, j] = tables.c[j] - split[0] - split[1]
+        if len(overdue):
             t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
-            # the split block is deadline-blind; carrying an overdue split
-            # into the coupled block would cap its assignment against a
-            # fictitious branch, so such splits are projected onto the
-            # deadline-feasible cost optimum at the frozen share
-            overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
-            for i, j in overdue:
-                split = _optimize_branch_split(tables, i, j,
-                                               1.0 / state.r[i, j])
-                if split is not None:
-                    state.c0[i, j], state.c1[i, j] = split[0], split[1]
-                    state.ci[i, j] = tables.c[j] - split[0] - split[1]
-            if len(overdue):
-                t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
-            tcoef = np.concatenate(
-                [t3.T, tables.t_mbs[:, None], tables.t_local[:, None]], axis=1)
-            prox = np.concatenate(
-                [state.x_hat.T, state.y_hat[:, None], state.z_hat[:, None]], axis=1)
-            dual = np.concatenate(
-                [state.dual_x.T, state.dual_y[:, None], state.dual_z[:, None]],
-                axis=1)
-            warm = np.concatenate(
-                [state.x.T, state.y[:, None], state.z[:, None]], axis=1)
+        tcoef = np.concatenate(
+            [t3.T, tables.t_mbs[:, None], tables.t_local[:, None]], axis=1)
+        prox = np.concatenate(
+            [state.x_hat.T, state.y_hat[:, None], state.z_hat[:, None]], axis=1)
+        dual = np.concatenate(
+            [state.dual_x.T, state.dual_y[:, None], state.dual_z[:, None]],
+            axis=1)
+        warm = np.concatenate(
+            [state.x.T, state.y[:, None], state.z[:, None]], axis=1)
 
-            def solve_global_chunk(rows):
-                problem = global_block.GlobalProblem(
-                    prox=prox[rows], dual=dual[rows], tcoef=tcoef[rows],
-                    t_max=tables.t_max[rows], rho=config.rho)
-                v, m, info = global_block.solve_global(
-                    problem, warm_v=warm[rows], tol=config.newton_tol)
-                return rows, v
+        problem = global_block.GlobalProblem(
+            prox=prox, dual=dual, tcoef=tcoef, t_max=tables.t_max,
+            rho=config.rho)
+        state.prev_x = state.x.copy()
+        state.prev_y = state.y.copy()
+        state.prev_z = state.z.copy()
+        v, _, _ = global_block.solve_global(problem, warm_v=warm,
+                                            tol=config.newton_tol)
+        state.x[:] = v[:, :s].T
+        state.y[:] = v[:, s]
+        state.z[:] = v[:, s + 1]
 
-            state.prev_x = state.x.copy()
-            state.prev_y = state.y.copy()
-            state.prev_z = state.z.copy()
-            results = (pool.map(solve_global_chunk, chunks) if pool
-                       else map(solve_global_chunk, chunks))
-            for rows, v in results:
-                state.x[:, rows] = v[:, :s].T
-                state.y[rows] = v[:, s]
-                state.z[rows] = v[:, s + 1]
+        lagrangian_after = augmented_lagrangian(state, tables, cost_scale)
+        trace.aug_lagrangian.append(lagrangian_after)
+        trace.aug_lagrangian_rise.append(lagrangian_after - lagrangian_before)
+        dual_update(state)
 
-            lagrangian_after = augmented_lagrangian(state, tables, cost_scale)
-            trace.aug_lagrangian.append(lagrangian_after)
-            trace.aug_lagrangian_rise.append(lagrangian_after - lagrangian_before)
-            dual_update(state)
-
-            primal, dual_res = residuals(state)
-            util = costs.utility(_relaxed_placement(state), scenario, weights)
-            wall = ((time.perf_counter() - t0) * 1e3
-                    if config.record_timing else 0.0)
-            trace.append(TraceRecord(k=state.k, utility=util,
-                                     primal_res=primal, dual_res=dual_res,
-                                     wall_ms=wall))
-            if primal < eps_primal and dual_res < eps_dual:
-                converged = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        primal, dual_res = residuals(state)
+        util = costs.utility(_relaxed_placement(state), scenario, weights)
+        wall = ((time.perf_counter() - t0) * 1e3
+                if config.record_timing else 0.0)
+        trace.append(TraceRecord(k=state.k, utility=util,
+                                 primal_res=primal, dual_res=dual_res,
+                                 wall_ms=wall))
+        if primal < eps_primal and dual_res < eps_dual:
+            converged = True
+            break
 
     trace.converged = converged
     placement = round_to_feasible(state, scenario, config)
@@ -356,19 +309,6 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
 
 # -- rounding ----------------------------------------------------------------
-
-def _branch_delay_cost(tables: CostTables, i, j, c0, c1, r):
-    c = tables.c[j]
-    ci = c - c0 - c1
-    wired = tables.w2[i, j] * c1 * c1 + tables.w1[i, j] * c1 + tables.w0[i, j]
-    wired = wired if c1 > 0 else 0.0
-    delay = (tables.d_c0[j] * c0 + (c - c0) / tables.rate[i, j] + wired
-             + tables.u_over_fs[i, j] * r * ci + tables.d_mbs_exec[j] * c1)
-    energy = (tables.e_c0[j] * c0 + tables.e_up[i, j] * (c - c0)
-              + tables.e_sbs[i, j] * ci
-              + (tables.transfer_coef[i, j] + tables.e_mbs_exec[j]) * c1)
-    return delay, tables.alpha * delay + (1.0 - tables.alpha) * energy
-
 
 def _min_delay_split(tables: CostTables, i, j, r):
     """Fastest split of the branch, alternating the two analytic pieces."""
@@ -445,16 +385,16 @@ def _optimize_branch_split(tables: CostTables, i: int, j: int, h: float):
         pairs.append((float(np.clip(c0b, 0.0, c)), 0.0))
     pairs.append(_min_delay_split(tables, i, j, r))
 
-    best, best_cost = None, np.inf
-    tol = t_max * (1.0 + 1e-12) + 1e-15
-    for c0, c1 in pairs:
-        if c0 < 0 or c1 < 0 or c0 + c1 > c * (1.0 + 1e-12):
-            continue
-        c1 = min(c1, c - c0)
-        delay, cost = _branch_delay_cost(tables, i, j, c0, c1, r)
-        if delay <= tol and cost < best_cost:
-            best, best_cost = (c0, c1, delay), cost
-    return best
+    c0a, c1a = np.array(pairs).T
+    keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
+    c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
+    delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
+    feas = delay <= t_max * (1.0 + 1e-12) + 1e-15
+    if not feas.any():
+        return None
+    # argmin takes the first minimum, so ties go to the earlier candidate
+    k = int(np.argmin(np.where(feas, cost, np.inf)))
+    return float(c0a[k]), float(c1a[k]), float(delay[k])
 
 
 def _floored_proportions(raw: dict, floor: float) -> dict:
@@ -521,10 +461,7 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
                 for j in members[: len(members) - cap]:
                     choice[j] = s + 1
 
-    hard_x = np.zeros((s, n))
-    for j in range(n):
-        if 1 <= choice[j] <= s:
-            hard_x[choice[j] - 1, j] = 1.0
+    hard_x = costs.hard_assignment(choice, s)[0]
     tables = costs.build_cost_tables(scenario, config.alpha, hard_x, state.c1,
                                      r=state.r)
     t_max = scenario.t_max_array()
@@ -601,14 +538,5 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     if infeasible:
         raise InfeasibleTaskError(infeasible)
 
-    x = np.zeros((s, n))
-    y = np.zeros(n)
-    z = np.zeros(n)
-    for j in range(n):
-        if choice[j] == 0:
-            z[j] = 1.0
-        elif choice[j] == s + 1:
-            y[j] = 1.0
-        else:
-            x[choice[j] - 1, j] = 1.0
+    x, y, z = costs.hard_assignment(choice, s)
     return Placement(x=x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)

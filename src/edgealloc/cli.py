@@ -45,8 +45,7 @@ def _cmd_solve(args) -> int:
     scenario = Scenario.from_json(args.scenario)
     config = SolverConfig(rho=args.rho, max_iter=args.max_iter,
                           tol_primal=args.tol, tol_dual=args.tol,
-                          alpha=args.alpha, parallelism=args.parallelism,
-                          seed=args.seed, record_timing=not args.no_timing)
+                          alpha=args.alpha, record_timing=not args.no_timing)
     placement, trace = admm.run(scenario, config)
     util = costs.utility(placement, scenario, UtilityWeights(args.alpha))
 
@@ -116,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--no-timing", action="store_true",
                    help="zero the wall_ms column for reproducible traces")
     p.add_argument("--out", required=True)

