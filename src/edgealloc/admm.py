@@ -111,13 +111,16 @@ class Trace:
     `aug_lagrangian` holds the consensus objective after each iteration's
     primal sweep, and `aug_lagrangian_rise` the change produced by that
     sweep at the duals it was solved under (nonpositive when every block
-    truly descends).
+    truly descends).  `global_unconverged` counts the tasks whose global
+    block ended above its KKT tolerance in each iteration; like the
+    Lagrangian lists it is not part of the CSV.
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
     aug_lagrangian: list = field(default_factory=list)
     aug_lagrangian_rise: list = field(default_factory=list)
+    global_unconverged: list = field(default_factory=list)
 
     CSV_HEADER = "iter,utility,primal_res,dual_res,wall_ms"
 
@@ -281,8 +284,10 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         state.prev_x = state.x.copy()
         state.prev_y = state.y.copy()
         state.prev_z = state.z.copy()
-        v, _, _ = global_block.solve_global(problem, warm_v=warm,
-                                            tol=config.newton_tol)
+        v, _, info = global_block.solve_global(problem, warm_v=warm,
+                                               tol=config.newton_tol)
+        trace.global_unconverged.append(
+            int(np.count_nonzero(~info["converged"])))
         state.x[:] = v[:, :s].T
         state.y[:] = v[:, s]
         state.z[:] = v[:, s + 1]

@@ -1,10 +1,13 @@
 """Delay and energy pricing of allocations, and the weighted utility.
 
-Every function here is pure.  Scalar forms mirror the model term by term
-and accept explicit overrides (rate, wired delay, upload time) so each
-term can be exercised in isolation; the vectorized `CostTables` bundle is
-what the solvers consume, with congestion and interference frozen at the
-moment the tables are built.
+Scalar forms mirror the model term by term and accept explicit overrides
+(rate, wired delay, upload time) so each term can be exercised in
+isolation; the vectorized `CostTables` bundle is what the solvers consume,
+with congestion and interference frozen at the moment the tables are
+built.  What pricing needs from the scenario alone -- per-task vectors,
+SBS radio and compute constants and the relay incidence -- is the
+read-only `PricingConstants` bundle that each scenario builds once, on
+first use, as `Scenario.pricing`; every other function here is pure.
 """
 
 from __future__ import annotations
@@ -216,49 +219,161 @@ def three_tier_energy(task: Task, sbs: Station, split: SplitAllocation,
             + split.c1 * task.u * scenario.mbs.e_cycle)
 
 
+# -- scenario-constant pricing inputs ---------------------------------------
+
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class RelayIncidence:
+    """Which wired elements every (SBS, task) relay route crosses.
+
+    One slot per (route, crossed element), flattened in (SBS, task, path
+    position) order: `pair` is the route's flat (SBS, task) index, `element`
+    indexes `elements` (forwarding units, then links, in graph order) and
+    `unit` tells a forwarding unit from a link.  `o1`/`o2` are the unit
+    coefficients (0 at links) and `capacity` the link capacity (1 at units).
+    """
+
+    shape: tuple[int, int]
+    elements: tuple[str, ...]
+    pair: np.ndarray
+    element: np.ndarray
+    unit: np.ndarray
+    o1: np.ndarray
+    o2: np.ndarray
+    capacity: np.ndarray
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> "RelayIncidence":
+        graph = scenario.graph
+        elements = tuple(dict.fromkeys([*graph.forwarding_units, *graph.links]))
+        index = {eid: k for k, eid in enumerate(elements)}
+        slots = []
+        for i, sbs in enumerate(scenario.sbs_list):
+            for j in range(scenario.n_tasks):
+                pair = i * scenario.n_tasks + j
+                for kind, eid in graph.relay_path(j, sbs.id).elements:
+                    if kind == "unit":
+                        fu = graph.forwarding_units[eid]
+                        slots.append((pair, index[eid], True, fu.o1, fu.o2, 1.0))
+                    else:
+                        slots.append((pair, index[eid], False, 0.0, 0.0,
+                                      graph.links[eid].capacity))
+        cols = list(zip(*slots)) or [()] * 6
+        dtypes = (np.intp, np.intp, bool, float, float, float)
+        return cls((scenario.n_sbs, scenario.n_tasks), elements,
+                   *(_read_only(np.array(col, dtype=dt))
+                     for col, dt in zip(cols, dtypes)))
+
+    def element_loads(self, x: np.ndarray, c1: np.ndarray) -> np.ndarray:
+        """Total bits on each wired element (indexed like `elements`): the
+        x-weighted forwarded parts of every relay route that crosses it."""
+        return self._loads((x * c1).ravel()[self.pair])
+
+    def _loads(self, own: np.ndarray) -> np.ndarray:
+        # bincount adds the slots one by one in slot order
+        return np.bincount(self.element, weights=np.where(own <= 0, 0.0, own),
+                           minlength=len(self.elements))
+
+    def wired_coefficients(self, x: np.ndarray, c1: np.ndarray):
+        """(w2, w1, w0) of each route's wired delay, with every other
+        route's load frozen at x * c1.  `bincount` adds each route's element
+        terms from zero in path order, the order of a loop along the path,
+        so every coefficient is bit-identical to that loop's."""
+        own = (x * c1).ravel()[self.pair]
+        base = np.maximum(self._loads(own)[self.element] - own, 0.0)
+        xw = x.ravel()[self.pair]
+        o1, o2, cap = self.o1, self.o2, self.capacity
+        t2 = np.where(self.unit, xw * xw * o1, 0.0)
+        t1 = np.where(self.unit, xw * (2.0 * o1 * base + o2), xw / cap)
+        t0 = np.where(self.unit, (o1 * base + o2) * base, base / cap)
+        size = self.shape[0] * self.shape[1]
+        return tuple(np.bincount(self.pair, weights=t, minlength=size)
+                     .reshape(self.shape) for t in (t2, t1, t0))
+
+
+@dataclass(frozen=True, eq=False)
+class PricingConstants:
+    """Every pricing input that depends on the scenario alone.
+
+    Built once per scenario, on first use, as `Scenario.pricing`.  The
+    arrays are read-only because every `CostTables` built from the
+    scenario shares them.  Per-task vectors are (n,); SBS power and
+    bandwidth are (s, 1) columns; `gain_s`, `u_over_fs` and `e_sbs` are
+    (s, n).
+    """
+
+    c: np.ndarray
+    u: np.ndarray
+    t_max: np.ndarray
+    t_local: np.ndarray
+    e_local_task: np.ndarray
+    t_mbs: np.ndarray
+    e_mbs_task: np.ndarray
+    d_c0: np.ndarray
+    d_mbs_exec: np.ndarray
+    e_c0: np.ndarray
+    e_mbs_exec: np.ndarray
+    gain_s: np.ndarray
+    power: np.ndarray
+    bandwidth: np.ndarray
+    u_over_fs: np.ndarray
+    e_sbs: np.ndarray
+    relay: RelayIncidence
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> "PricingConstants":
+        c = scenario.c_array()
+        u = scenario.u_array()
+        dev = scenario.device
+        mbs = scenario.mbs
+        sbs = scenario.sbs_list
+
+        gain_m = scenario.channel.gain[0, :]
+        snr_m = mbs.tx_power_density * gain_m / scenario.channel.noise_power
+        rate_m = np.maximum(mbs.bandwidth * np.log2(1.0 + snr_m), _TINY_RATE)
+        uplink = c / rate_m
+
+        def column(attr):
+            return np.array([getattr(st, attr) for st in sbs]).reshape(-1, 1)
+
+        arrays = dict(
+            c=c, u=u, t_max=scenario.t_max_array(),
+            t_local=c * u / dev.f_local, e_local_task=c * u * dev.e_local,
+            t_mbs=uplink + c * u / mbs.f,
+            e_mbs_task=dev.tx_power * uplink + c * u * mbs.e_cycle,
+            d_c0=u / dev.f_local, d_mbs_exec=u / mbs.f,
+            e_c0=u * dev.e_local, e_mbs_exec=u * mbs.e_cycle,
+            gain_s=scenario.channel.gain[1:, :],
+            power=column("tx_power_density"), bandwidth=column("bandwidth"),
+            u_over_fs=u[None, :] / column("f"), e_sbs=u[None, :] * column("e_cycle"),
+        )
+        return cls(**{k: _read_only(v) for k, v in arrays.items()},
+                   relay=RelayIncidence.of(scenario))
+
+
 # -- vectorized pricing ------------------------------------------------------
 
 def interference_matrix(x: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Co-channel interference seen at each SBS for each task's upload,
     weighted by the current (possibly fractional) SBS assignments of the
     other tasks on the other cells."""
-    s, n = scenario.n_sbs, scenario.n_tasks
-    if s == 0:
-        return np.zeros((0, n))
-    gain_s = scenario.channel.gain[1:, :]
-    power = np.array([st.tx_power_density for st in scenario.sbs_list])[:, None]
+    pc = scenario.pricing
     other_cell_mass = x.sum(axis=0)[None, :] - x
-    w = gain_s * other_cell_mass
-    return power * (w.sum(axis=1, keepdims=True) - w)
+    w = pc.gain_s * other_cell_mass
+    return pc.power * (w.sum(axis=1, keepdims=True) - w)
 
 
 def sbs_rate_matrix(x: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Shannon rate of each (SBS, task) upload under frozen interference."""
-    s, n = scenario.n_sbs, scenario.n_tasks
-    if s == 0:
-        return np.zeros((0, n))
-    gain_s = scenario.channel.gain[1:, :]
-    power = np.array([st.tx_power_density for st in scenario.sbs_list])[:, None]
-    bw = np.array([st.bandwidth for st in scenario.sbs_list])[:, None]
+    pc = scenario.pricing
     interf = interference_matrix(x, scenario)
-    snr = power * gain_s / (scenario.channel.noise_power + interf)
-    return np.maximum(bw * np.log2(1.0 + snr), _TINY_RATE)
-
-
-def relay_element_loads(x: np.ndarray, c1: np.ndarray, scenario: Scenario) -> dict:
-    """Total bits on each wired element, aggregating x-weighted forwarded
-    parts over every relay route that crosses it."""
-    loads: dict[str, float] = {eid: 0.0 for eid in scenario.graph.forwarding_units}
-    loads.update({eid: 0.0 for eid in scenario.graph.links})
-    for i in range(scenario.n_sbs):
-        sid = scenario.sbs_list[i].id
-        for j in range(scenario.n_tasks):
-            contribution = x[i, j] * c1[i, j]
-            if contribution <= 0:
-                continue
-            for _, eid in scenario.graph.relay_path(j, sid).elements:
-                loads[eid] += contribution
-    return loads
+    snr = pc.power * pc.gain_s / (scenario.channel.noise_power + interf)
+    return np.maximum(pc.bandwidth * np.log2(1.0 + snr), _TINY_RATE)
 
 
 @dataclass
@@ -338,73 +453,31 @@ class CostTables:
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
                       c1_frozen: np.ndarray, r: np.ndarray | None = None) -> CostTables:
     """Price every branch with interference and relay congestion frozen at
-    the given fractional assignment and forwarded parts."""
-    s, n = scenario.n_sbs, scenario.n_tasks
-    c = scenario.c_array()
-    u = scenario.u_array()
-    t_max = scenario.t_max_array()
-    dev = scenario.device
-    mbs = scenario.mbs
-
-    t_local = c * u / dev.f_local
-    e_local_task = c * u * dev.e_local
-
-    gain_m = scenario.channel.gain[0, :]
-    snr_m = mbs.tx_power_density * gain_m / scenario.channel.noise_power
-    rate_m = np.maximum(mbs.bandwidth * np.log2(1.0 + snr_m), _TINY_RATE)
-    uplink = c / rate_m
-    t_mbs = uplink + c * u / mbs.f
-    e_mbs_task = dev.tx_power * uplink + c * u * mbs.e_cycle
-
-    k_local = alpha * t_local + (1.0 - alpha) * e_local_task
-    k_mbs = alpha * t_mbs + (1.0 - alpha) * e_mbs_task
-
+    the given fractional assignment and forwarded parts.  The scenario's
+    own constants come from `scenario.pricing` and are shared, not copied."""
+    pc = scenario.pricing
     rate = sbs_rate_matrix(x_weight, scenario)
     if r is None:
-        r = np.ones((s, n))
+        r = np.ones(rate.shape)
 
-    f_s = np.array([st.f for st in scenario.sbs_list])[:, None] if s else np.zeros((0, 1))
-    e_s = np.array([st.e_cycle for st in scenario.sbs_list])[:, None] if s else np.zeros((0, 1))
-
-    loads = relay_element_loads(x_weight, c1_frozen, scenario)
-    w2 = np.zeros((s, n))
-    w1 = np.zeros((s, n))
-    w0 = np.zeros((s, n))
-    for i in range(s):
-        sid = scenario.sbs_list[i].id
-        for j in range(n):
-            own = x_weight[i, j] * c1_frozen[i, j]
-            xw = x_weight[i, j]
-            for kind, eid in scenario.graph.relay_path(j, sid).elements:
-                base = max(loads[eid] - own, 0.0)
-                if kind == "unit":
-                    fu = scenario.graph.forwarding_units[eid]
-                    w2[i, j] += xw * xw * fu.o1
-                    w1[i, j] += xw * (2.0 * fu.o1 * base + fu.o2)
-                    w0[i, j] += (fu.o1 * base + fu.o2) * base
-                else:
-                    cap = scenario.graph.links[eid].capacity
-                    w1[i, j] += xw / cap
-                    w0[i, j] += base / cap
-
+    w2, w1, w0 = pc.relay.wired_coefficients(x_weight, c1_frozen)
     wired_frozen = np.where(c1_frozen > 0,
                             w2 * c1_frozen * c1_frozen + w1 * c1_frozen + w0, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         transfer_coef = np.where(
-            c[None, :] > 0,
-            scenario.channel.offload_power_sbs_mbs * wired_frozen / c[None, :], 0.0)
+            pc.c[None, :] > 0,
+            scenario.channel.offload_power_sbs_mbs * wired_frozen / pc.c[None, :], 0.0)
 
     return CostTables(
-        alpha=alpha, c=c, u=u, t_max=t_max,
-        t_local=t_local, e_local_task=e_local_task,
-        t_mbs=t_mbs, e_mbs_task=e_mbs_task,
-        k_local=k_local, k_mbs=k_mbs,
-        rate=rate, d_c0=u / dev.f_local, d_mbs_exec=u / mbs.f,
-        u_over_fs=(u[None, :] / f_s) if s else np.zeros((0, n)),
-        r=np.asarray(r, dtype=float),
-        e_c0=u * dev.e_local, e_up=dev.tx_power / rate,
-        e_sbs=(u[None, :] * e_s) if s else np.zeros((0, n)),
-        e_mbs_exec=u * mbs.e_cycle,
+        alpha=alpha, c=pc.c, u=pc.u, t_max=pc.t_max,
+        t_local=pc.t_local, e_local_task=pc.e_local_task,
+        t_mbs=pc.t_mbs, e_mbs_task=pc.e_mbs_task,
+        k_local=alpha * pc.t_local + (1.0 - alpha) * pc.e_local_task,
+        k_mbs=alpha * pc.t_mbs + (1.0 - alpha) * pc.e_mbs_task,
+        rate=rate, d_c0=pc.d_c0, d_mbs_exec=pc.d_mbs_exec,
+        u_over_fs=pc.u_over_fs, r=np.asarray(r, dtype=float),
+        e_c0=pc.e_c0, e_up=scenario.device.tx_power / rate,
+        e_sbs=pc.e_sbs, e_mbs_exec=pc.e_mbs_exec,
         w2=w2, w1=w1, w0=w0, transfer_coef=transfer_coef,
         h_min=scenario.config.h_min,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -236,6 +237,14 @@ class Scenario:
 
     def u_array(self) -> np.ndarray:
         return np.array([t.u for t in self.tasks])
+
+    @cached_property
+    def pricing(self):
+        """The read-only `costs.PricingConstants` of this scenario, built on
+        first use and kept for its life.  It is not a field, so `==`,
+        `to_dict` and generation never touch it."""
+        from .costs import PricingConstants
+        return PricingConstants.of(self)
 
     # -- JSON round trip ---------------------------------------------------
 

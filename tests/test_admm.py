@@ -188,6 +188,21 @@ def test_run_returns_feasible_placement_and_decreasing_utility(small_scenario):
     assert u[-1] <= u[0]
 
 
+def test_trace_counts_unconverged_global_solves():
+    # one count per iteration; zero throughout the 100-task reference, and
+    # not zero once tight deadlines leave global solves above tolerance
+    reference = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
+    _, trace = run(reference, SolverConfig(record_timing=False))
+    assert trace.global_unconverged == [0] * len(trace.records)
+    assert trace.to_csv().splitlines()[0] == Trace.CSV_HEADER
+
+    tight = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42,
+                                             t_max_range=(0.02, 0.08)))
+    _, trace = run(tight, SolverConfig(max_iter=3, record_timing=False))
+    assert len(trace.global_unconverged) == len(trace.records) == 3
+    assert max(trace.global_unconverged) > 0
+
+
 def test_primal_sweep_never_raises_lagrangian(small_scenario):
     _, trace = run(small_scenario, SolverConfig(max_iter=40, cbgp_rounds=30))
     assert max(trace.aug_lagrangian_rise) <= 1e-9

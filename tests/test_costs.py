@@ -7,7 +7,9 @@ from edgealloc.costs import (Placement, SplitAllocation, UtilityWeights,
                              mbs_energy, mbs_total_delay, mbs_uplink_time,
                              three_tier_delay, three_tier_energy, utility)
 from edgealloc.errors import ConfigurationError, InfeasibleRateError
-from edgealloc.scenario import ScenarioConfig, Task, generate_scenario
+from edgealloc.local_blocks import LocalProblem
+from edgealloc.scenario import (Scenario, ScenarioConfig, Task,
+                                forwarding_load, generate_scenario, link_load)
 
 
 def _scenario(**overrides):
@@ -233,3 +235,159 @@ def test_utility_weights_bounds():
         UtilityWeights(1.5)
     with pytest.raises(ConfigurationError):
         UtilityWeights(-0.1)
+
+
+# -- scenario-constant pricing bundle -----------------------------------------
+
+def _reference_tables(scen, alpha, x, c1):
+    """The per-element loops that priced a call before the relay incidence:
+    element loads by walking every (SBS, task, path element), then w2/w1/w0
+    by walking them again; rates, transfer and tier coefficients rebuilt
+    from the scenario objects."""
+    s, n = scen.n_sbs, scen.n_tasks
+    graph = scen.graph
+    loads = {eid: 0.0 for eid in graph.forwarding_units}
+    loads.update({eid: 0.0 for eid in graph.links})
+    for i in range(s):
+        for j in range(n):
+            contribution = x[i, j] * c1[i, j]
+            if contribution <= 0:
+                continue
+            for _, eid in graph.relay_path(j, scen.sbs_list[i].id).elements:
+                loads[eid] += contribution
+    w2, w1, w0 = np.zeros((s, n)), np.zeros((s, n)), np.zeros((s, n))
+    for i in range(s):
+        for j in range(n):
+            own = x[i, j] * c1[i, j]
+            xw = x[i, j]
+            for kind, eid in graph.relay_path(j, scen.sbs_list[i].id).elements:
+                base = max(loads[eid] - own, 0.0)
+                if kind == "unit":
+                    fu = graph.forwarding_units[eid]
+                    w2[i, j] += xw * xw * fu.o1
+                    w1[i, j] += xw * (2.0 * fu.o1 * base + fu.o2)
+                    w0[i, j] += (fu.o1 * base + fu.o2) * base
+                else:
+                    cap = graph.links[eid].capacity
+                    w1[i, j] += xw / cap
+                    w0[i, j] += base / cap
+
+    c = scen.c_array()
+    wired = np.where(c1 > 0, w2 * c1 * c1 + w1 * c1 + w0, 0.0)
+    transfer_coef = scen.channel.offload_power_sbs_mbs * wired / c[None, :]
+
+    rate = np.zeros((0, n))
+    if s:
+        gain_s = scen.channel.gain[1:, :]
+        power = np.array([st.tx_power_density for st in scen.sbs_list])[:, None]
+        bw = np.array([st.bandwidth for st in scen.sbs_list])[:, None]
+        w = gain_s * (x.sum(axis=0)[None, :] - x)
+        interf = power * (w.sum(axis=1, keepdims=True) - w)
+        snr = power * gain_s / (scen.channel.noise_power + interf)
+        rate = np.maximum(bw * np.log2(1.0 + snr), 1e-12)
+
+    dev, mbs = scen.device, scen.mbs
+    u = scen.u_array()
+    snr_m = mbs.tx_power_density * scen.channel.gain[0, :] / scen.channel.noise_power
+    uplink = c / np.maximum(mbs.bandwidth * np.log2(1.0 + snr_m), 1e-12)
+    k_local = alpha * (c * u / dev.f_local) + (1.0 - alpha) * (c * u * dev.e_local)
+    k_mbs = (alpha * (uplink + c * u / mbs.f)
+             + (1.0 - alpha) * (dev.tx_power * uplink + c * u * mbs.e_cycle))
+    return dict(w2=w2, w1=w1, w0=w0, transfer_coef=transfer_coef, rate=rate,
+                k_local=k_local, k_mbs=k_mbs)
+
+
+def _rewired(scen, rng):
+    """The same scenario with every relay route replaced by a random
+    sequence of the graph's elements: mixed kinds at each position, routes
+    of different lengths (some empty), elements shared across stations."""
+    doc = scen.to_dict()
+    pool = ([("unit", u["id"]) for u in doc["graph"]["forwarding_units"]]
+            + [("link", l["id"]) for l in doc["graph"]["links"]])
+    for path in doc["graph"]["paths"]:
+        if path["kind"] == "sbs_relay":
+            picks = rng.permutation(len(pool))[:int(rng.integers(0, 5))]
+            path["elements"] = [list(pool[k]) for k in picks]
+    return Scenario.from_dict(doc)
+
+
+def _random_state(scen, rng):
+    """Assignments with entries at exactly 0 and 1, forwarded parts with zeros."""
+    s, n = scen.n_sbs, scen.n_tasks
+    x = rng.uniform(0.0, 1.0, (s, n))
+    x[rng.uniform(size=(s, n)) < 0.25] = 0.0
+    x[rng.uniform(size=(s, n)) < 0.25] = 1.0
+    c1 = rng.uniform(0.0, 1.0, (s, n)) * scen.c_array()[None, :]
+    c1[rng.uniform(size=(s, n)) < 0.3] = 0.0
+    return x, c1
+
+
+def test_cost_tables_bit_identical_to_per_element_loop():
+    rng = np.random.default_rng(5)
+    cases = [(s, n) for s in range(4) for n in range(1, 7)] + [(5, 100)]
+    for s, n in cases:
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000))))
+        for variant in (scen, _rewired(scen, rng)):
+            for _ in range(2):
+                x, c1 = _random_state(variant, rng)
+                alpha = float(rng.choice([0.0, rng.uniform(), 1.0]))
+                tables = costs.build_cost_tables(variant, alpha, x, c1)
+                expected = _reference_tables(variant, alpha, x, c1)
+                for name, want in expected.items():
+                    assert np.array_equal(getattr(tables, name), want), (
+                        f"{name} differs at s={s}, n={n}")
+
+
+def test_relay_incidence_loads_match_graph_primitives():
+    rng = np.random.default_rng(6)
+    for s, n in [(1, 1), (2, 4), (3, 6), (5, 100)]:
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000))))
+        x = costs.hard_assignment(rng.integers(0, s + 2, n), s)[0]
+        c = scen.c_array()
+        c1 = rng.uniform(0.0, 1.0, (s, n)) * c[None, :]
+        c1[rng.uniform(size=(s, n)) < 0.3] = 0.0
+        relay = scen.pricing.relay
+        loads = relay.element_loads(x, c1)
+        # the primitives take path usage y and charge y * c on each element
+        usage = {scen.graph.relay_path(j, scen.sbs_list[i].id).id:
+                 x[i, j] * c1[i, j] / c[j] for i in range(s) for j in range(n)}
+        for k, eid in enumerate(relay.elements):
+            load = (forwarding_load if eid in scen.graph.forwarding_units
+                    else link_load)(usage, eid, scen)
+            assert abs(loads[k] - load) <= 1e-12 * max(abs(load), 1e-300), eid
+
+
+def test_shared_pricing_arrays_are_read_only():
+    scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=2, seed=3))
+    pricing = scen.pricing
+    shared = [v for v in vars(pricing).values() if isinstance(v, np.ndarray)]
+    shared += [v for v in vars(pricing.relay).values() if isinstance(v, np.ndarray)]
+    assert len(shared) == 22
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    x, c1 = np.full((2, 4), 0.3), np.tile(scen.c_array() / 3, (2, 1))
+    tables = costs.build_cost_tables(scen, 0.5, x, c1)
+    problem = LocalProblem.from_tables(tables, x, np.zeros((2, 4)), 1.0, 0.3)
+    for arr in (tables.c, tables.t_local, tables.u_over_fs, problem.c):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert np.array_equal(scen.pricing.c, scen.c_array())
+
+
+def test_pricing_is_lazy_and_survives_json_round_trip():
+    scen = generate_scenario(ScenarioConfig(n_tasks=6, n_sbs=3, seed=9))
+    assert "pricing" not in vars(scen)
+    doc = scen.to_json()
+    copy = Scenario.from_json(doc)
+    assert "pricing" not in vars(copy)
+
+    x, c1 = _random_state(scen, np.random.default_rng(10))
+    a = costs.build_cost_tables(scen, 0.4, x, c1)
+    b = costs.build_cost_tables(copy, 0.4, x, c1)
+    assert scen.pricing is scen.pricing
+    for name in costs.CostTables.__dataclass_fields__:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert scen.to_json() == doc
