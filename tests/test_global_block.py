@@ -172,7 +172,8 @@ def test_kkt_residual_zero_at_fitted_point():
     assert np.abs(res).max() < 1e-2  # grid-limited accuracy
     # polishing with the solver's own Newton step drives it below 1e-6
     for _ in range(6):
-        system = assemble_newton(v, m, nu, sig, prob, omega, xi)
+        res = kkt_residual(v, m, nu, sig, prob, omega, xi)
+        system = assemble_newton(v, m, res, prob, omega, xi)
         dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
         v, m, nu, sig = v + dv, m + dm, nu + dnu, sig + dsig
     res = kkt_residual(v, m, nu, sig, prob, omega, xi)
@@ -183,13 +184,14 @@ def test_assembled_system_matches_fd_hessian():
     prob = _toy_problem(seed=8)
     v = np.full((1, 4), 0.35)
     m = np.array([2.0])
-    system = assemble_newton(v, m, np.zeros(1), np.zeros(1), prob, 0.3, 0.1)
+    res = kkt_residual(v, m, np.zeros(1), np.zeros(1), prob, 0.3, 0.1)
+    system = assemble_newton(v, m, res, prob, 0.3, 0.1)
     hv, hm = hess_diag_smoothed(v, m, prob, 0.3, 0.1)
     assert np.allclose(system.hess_v, hv)
     assert np.allclose(system.hess_m, hm)
 
 
-# -- null-space conjugate gradient solver --------------------------------------
+# -- closed-form Newton solve ---------------------------------------------------
 
 def _dense_solve(system, task=0):
     """Independent dense assembly of one task's saddle system."""
@@ -255,6 +257,72 @@ def test_nullspace_regularizes_nonconvex_diagonals():
     dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
     assert info["regularized"][0]
     assert np.all(np.isfinite(dv))
+
+
+def test_newton_solve_forward_error_against_50_digit_reference():
+    # curvatures as wide as the barrier schedule makes them: box entries up
+    # to 1e12 near the walls at omega = 1e-6, slack curvature from 1e-9
+    # (large slack) to 1e9 (slack at the interior margin)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    n, p = 120, 7
+    system = gb.NewtonSystem(
+        hess_v=10.0 ** rng.uniform(-0.3, 12.0, (n, p)),
+        hess_m=10.0 ** rng.uniform(-9.0, 9.0, n),
+        tcoef=10.0 ** rng.uniform(-4.0, 1.0, (n, p)),
+        rhs_v=rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-3, 3, (n, 1)),
+        rhs_m=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n),
+        rhs_deadline=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n),
+        rhs_simplex=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n))
+    dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
+    assert not info["regularized"].any()
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in range(n):
+            A, b, _ = _dense_solve(system, task=k)
+            exact = mpmath.lu_solve(mpmath.matrix(A.tolist()),
+                                    mpmath.matrix(b.tolist()))
+            exact = np.array([float(x) for x in exact])
+            got = np.concatenate([dv[k], [dm[k], dnu[k], dsig[k]]])
+            worst = max(worst, np.linalg.norm(got - exact) / np.linalg.norm(exact))
+    assert worst < 1e-8
+
+
+def test_hessian_curvature_floor_keeps_repair_idle():
+    # inside solve_global xi never exceeds XI_CONVEXITY_FRACTION * rho, so
+    # the corner penalty cannot push a box curvature below
+    # (1 - 2 XI_CONVEXITY_FRACTION) rho and the Newton solve's curvature
+    # repair has nothing to repair
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # the line search keeps iterates this far inside the box
+    interior = st.floats(gb.INTERIOR_MARGIN, 1.0 - gb.INTERIOR_MARGIN)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.lists(interior, min_size=3, max_size=7),
+           m=st.floats(gb.INTERIOR_MARGIN, 1e3),
+           rho=st.floats(1e-3, 1e3),
+           omega=st.floats(gb.OMEGA_FLOOR, gb.OMEGA_INIT),
+           xi_share=st.floats(0.0, 1.0))
+    def check(v, m, rho, omega, xi_share):
+        p = len(v)
+        prob = GlobalProblem(prox=np.zeros((1, p)), dual=np.zeros((1, p)),
+                             tcoef=np.full((1, p), 0.01),
+                             t_max=np.array([10.0]), rho=rho)
+        xi = xi_share * gb.XI_CONVEXITY_FRACTION * rho
+        hv, hm = hess_diag_smoothed(np.array([v]), np.array([m]), prob,
+                                    omega, xi)
+        floor = (1.0 - 2.0 * gb.XI_CONVEXITY_FRACTION) * rho
+        assert hv.min() >= floor * (1.0 - 1e-12)
+        assert hm[0] > 0
+        system = gb.NewtonSystem(hess_v=hv, hess_m=hm, tcoef=prob.tcoef,
+                                 rhs_v=np.ones((1, p)), rhs_m=np.ones(1),
+                                 rhs_deadline=np.ones(1),
+                                 rhs_simplex=np.zeros(1))
+        assert not nullspace_cg_solve(system)[4]["regularized"][0]
+
+    check()
 
 
 # -- line search ---------------------------------------------------------------
@@ -329,6 +397,47 @@ def test_solve_global_matches_grid_search_objective():
     assert consensus_objective(v[0]) <= best + 1e-3
 
 
+def test_solve_global_matches_trust_constr():
+    # random binary-leaning copies as in the grid-search test, so the
+    # unsmoothed optimum sits next to a corner and the same smoothing-bias
+    # gap applies; every other problem gets a deadline that the copy's
+    # corner meets but that cuts off all slower corners
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(18)
+    for trial in range(30):
+        p = int(rng.integers(3, 8))
+        prox = np.zeros(p)
+        k = int(rng.integers(p))
+        prox[k] = 1.0
+        dual = rng.normal(0, 0.005, p)
+        tcoef = rng.uniform(0.001, 0.05, p)
+        t_max = 10.0
+        if trial % 2 and tcoef[k] < tcoef.max():
+            t_max = 0.5 * (tcoef[k] + tcoef.max())
+        prob = GlobalProblem(prox=prox[None], dual=dual[None],
+                             tcoef=tcoef[None], t_max=np.array([t_max]),
+                             rho=1.0)
+        v, m, info = solve_global(prob)
+        assert info["converged"][0]
+        assert abs(v[0].sum() - 1.0) < 1e-10
+        assert tcoef @ v[0] <= t_max
+
+        def consensus_objective(vv):
+            gap = prox - vv
+            return float(dual @ gap + 0.5 * gap @ gap)
+
+        ref = scipy_optimize.minimize(
+            consensus_objective, np.full(p, 1.0 / p),
+            jac=lambda vv: -dual - (prox - vv), hess=lambda vv: np.eye(p),
+            method="trust-constr",
+            constraints=[scipy_optimize.LinearConstraint(np.ones((1, p)), 1.0, 1.0),
+                         scipy_optimize.LinearConstraint(tcoef[None], -np.inf, t_max)],
+            bounds=scipy_optimize.Bounds(np.zeros(p), np.ones(p)),
+            options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 2000})
+        assert ref.status in (1, 2)  # stopped on gtol or xtol
+        assert consensus_objective(v[0]) <= ref.fun + 1e-3
+
+
 def test_solve_global_respects_binding_deadline():
     # only the second coordinate is fast enough for the deadline
     prob = GlobalProblem(prox=np.array([[0.6, 0.2, 0.2]]),
@@ -378,7 +487,7 @@ def test_solve_global_objective_decreases_along_newton_path():
         if prev_norm is not None and it > 1:
             assert np.all(norm <= prev_norm * 1.1 + 1e-12)
         prev_norm = norm
-        system = assemble_newton(v, m, nu, sig, prob, omega, xi)
+        system = assemble_newton(v, m, res, prob, omega, xi)
         dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
         g_before = smoothed_objective(v, m, prob, omega, xi)
         t, _ = line_search(v, m, dv, dm, prob, omega, xi)
@@ -411,7 +520,7 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
             res = kkt_residual(v, m, nu, sig, prob, omega, xi)
             if gb.scaled_kkt_norm(res, prob).max() < 1e-9:
                 break
-            system = assemble_newton(v, m, nu, sig, prob, omega, xi)
+            system = assemble_newton(v, m, res, prob, omega, xi)
             dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
             t, _ = line_search(v, m, dv, dm, prob, omega, xi)
             v = v + t[:, None] * dv
