@@ -260,13 +260,13 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         # fictitious branch, so such splits are projected onto the
         # deadline-feasible cost optimum at the frozen share
         overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
-        for i, j in overdue:
-            split = _optimize_branch_split(tables, i, j,
-                                           1.0 / state.r[i, j])
-            if split is not None:
-                state.c0[i, j], state.c1[i, j] = split[0], split[1]
-                state.ci[i, j] = tables.c[j] - split[0] - split[1]
         if len(overdue):
+            i, j = overdue.T
+            c0, c1, _, ok = _optimize_branch_split(tables, i, j,
+                                                   1.0 / state.r[i, j])
+            i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
+            state.c0[i, j], state.c1[i, j] = c0, c1
+            state.ci[i, j] = tables.c[j] - c0 - c1
             t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
         tcoef = np.concatenate(
             [t3.T, tables.t_mbs[:, None], tables.t_local[:, None]], axis=1)
@@ -315,34 +315,39 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
 # -- rounding ----------------------------------------------------------------
 
-def _min_delay_split(tables: CostTables, i, j, r):
-    """Fastest split of the branch, alternating the two analytic pieces."""
-    c = tables.c[j]
-    c0, c1 = 0.0, 0.0
-    for _ in range(2):
-        c0_coef = tables.d_c0[j] - 1.0 / tables.rate[i, j] - tables.u_over_fs[i, j] * r
-        c0 = 0.0 if c0_coef >= 0 else c - c1
-        if tables.w2[i, j] > 0:
-            c1_star = ((tables.u_over_fs[i, j] * r - tables.d_mbs_exec[j]
-                        - tables.w1[i, j]) / (2.0 * tables.w2[i, j]))
-        else:
-            c1_star = 0.0
-        c1 = float(np.clip(c1_star, 0.0, c - c0))
-    return c0, c1
+# rows priced at once; every (rows, 32) intermediate of `_price_splits`
+# stays at 128 KiB, so a repair over thousands of pairs does not raise the
+# solve's peak memory
+SPLIT_BLOCK_ROWS = 512
 
 
-def _optimize_branch_split(tables: CostTables, i: int, j: int, h: float):
-    """Best deadline-feasible split of task j on SBS i at resource share h.
+def _optimize_branch_split(tables: CostTables, i, j, h):
+    """Best deadline-feasible splits of tasks j on SBSs i at resource
+    shares h, one row per (i, j, h) entry of the equal-length arrays.
 
     The split cost is linear in the terminal part and convex quadratic in
-    the forwarded part, so the constrained optimum is one of finitely many
-    analytic candidates: simplex corners, the two stationary forwarded
-    parts (free and along the full-offload edge), and the points where the
-    deadline binds.  Returns (c0, c1, delay) or None when even the fastest
-    split misses the deadline.
+    the forwarded part, so each constrained optimum is one of finitely
+    many analytic candidates: simplex corners, the two stationary
+    forwarded parts (free and along the full-offload edge), the points
+    where the deadline binds, and the fastest split.  Returns the arrays
+    (c0, c1, delay, feasible); rows whose fastest split misses the
+    deadline are infeasible and hold NaN.  Rows are independent, so they
+    are priced in blocks of `SPLIT_BLOCK_ROWS`.
     """
+    b = SPLIT_BLOCK_ROWS
+    parts = [_price_splits(tables, i[k:k + b], j[k:k + b], h[k:k + b])
+             for k in range(0, max(len(i), 1), b)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _price_splits(tables: CostTables, i, j, h):
+    """`_optimize_branch_split` on one block of rows: the candidates are
+    held in a fixed-width matrix, NaN where a candidate does not exist,
+    priced in one call, and the first cheapest feasible one is kept."""
+    i = np.asarray(i, dtype=np.intp)[:, None]
+    j = np.asarray(j, dtype=np.intp)[:, None]
+    r = 1.0 / np.asarray(h, dtype=float)[:, None]
     c = tables.c[j]
-    r = 1.0 / h
     t_max = tables.t_max[j]
     a = tables.alpha
     w2, w1 = tables.w2[i, j], tables.w1[i, j]
@@ -354,52 +359,63 @@ def _optimize_branch_split(tables: CostTables, i: int, j: int, h: float):
                                  - tables.e_sbs[i, j]))
     k_c1 = (a * d1 + (1.0 - a) * (tables.transfer_coef[i, j]
                                   + tables.e_mbs_exec[j] - tables.e_sbs[i, j]))
+    curved, tilted = w2 > 0, q != 0
+    nan = np.full(c.shape, np.nan)
 
-    c1_cands = {0.0, c}
-    if w2 > 0:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c1_cands = [np.zeros(c.shape), c]
         if a > 0:
-            c1_cands.add(-k_c1 / (2.0 * a * w2))          # free stationary
-            c1_cands.add((k_c0 - k_c1) / (2.0 * a * w2))  # along c0 = c - c1
-        c1_cands.add(-d1 / (2.0 * w2))                    # fastest forwarded part
-        if q != 0:
-            ab = w2 * (a - k_c0 / q)
-            bb = k_c1 - k_c0 * d1 / q
-            if ab > 0:
-                c1_cands.add(-bb / (2.0 * ab))            # along the deadline face
+            c1_cands.append(-k_c1 / (2.0 * a * w2))          # free stationary
+            c1_cands.append((k_c0 - k_c1) / (2.0 * a * w2))  # along c0 = c - c1
+        else:
+            c1_cands += [nan, nan]
+        c1_cands.append(-d1 / (2.0 * w2))                    # fastest forwarded part
+        ab = w2 * (a - k_c0 / q)
+        bb = k_c1 - k_c0 * d1 / q
+        # along the deadline face
+        c1_cands.append(np.where(tilted & (ab > 0), -bb / (2.0 * ab), np.nan))
         # deadline boundary along c0 = 0 and along c0 = c - c1
         for shift, const in ((d1, d0 - t_max), (d1 - q, d0 + q * c - t_max)):
             disc = shift * shift - 4.0 * w2 * const
-            if disc >= 0:
-                root = np.sqrt(disc)
-                c1_cands.add((-shift - root) / (2.0 * w2))
-                c1_cands.add((-shift + root) / (2.0 * w2))
+            root = np.where(disc >= 0, np.sqrt(disc), np.nan)
+            c1_cands.append((-shift - root) / (2.0 * w2))
+            c1_cands.append((-shift + root) / (2.0 * w2))
+        c1_cands[2:] = [np.where(curved, v, np.nan) for v in c1_cands[2:]]
 
-    pairs = []
-    for c1 in c1_cands:
-        if not np.isfinite(c1):
-            continue
-        c1 = float(np.clip(c1, 0.0, c))
-        for c0 in (0.0, c - c1):
-            pairs.append((c0, c1))
-        if q != 0 and c1 > 0:
+        c0_cols, c1_cols = [], []
+        for c1 in c1_cands:
+            c1 = np.where(np.isfinite(c1), np.clip(c1, 0.0, c), np.nan)
             c0b = (t_max - d0 - d1 * c1 - w2 * c1 * c1) / q
-            pairs.append((float(np.clip(c0b, 0.0, c - c1)), c1))
-    # the c1 = 0 regime drops the wired charge entirely
-    if q != 0:
+            c0_cols += [np.zeros(c.shape), c - c1,
+                        np.where(tilted & (c1 > 0),
+                                 np.clip(c0b, 0.0, c - c1), np.nan)]
+            c1_cols += [c1, c1, c1]
+        # the c1 = 0 regime drops the wired charge entirely
         c0b = (t_max - (c / tables.rate[i, j] + urf * c)) / q
-        pairs.append((float(np.clip(c0b, 0.0, c)), 0.0))
-    pairs.append(_min_delay_split(tables, i, j, r))
+        c0_cols.append(np.where(tilted, np.clip(c0b, 0.0, c), np.nan))
+        c1_cols.append(np.zeros(c.shape))
+        # fastest split: the terminal part is all or nothing by the sign of
+        # q, the forwarded part its clipped stationary point; two passes
+        c1_star = np.where(curved, (urf - tables.d_mbs_exec[j] - w1)
+                           / (2.0 * w2), 0.0)
+        c1_fast = np.zeros(c.shape)
+        for _ in range(2):
+            c0_fast = np.where(q >= 0, 0.0, c - c1_fast)
+            c1_fast = np.clip(c1_star, 0.0, c - c0_fast)
+        c0_cols.append(c0_fast)
+        c1_cols.append(c1_fast)
 
-    c0a, c1a = np.array(pairs).T
+    c0a, c1a = np.concatenate(c0_cols, axis=1), np.concatenate(c1_cols, axis=1)
     keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
-    c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
+    c1a = np.minimum(c1a, c - c0a)
     delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
-    feas = delay <= t_max * (1.0 + 1e-12) + 1e-15
-    if not feas.any():
-        return None
+    feas = keep & (delay <= t_max * (1.0 + 1e-12) + 1e-15)
     # argmin takes the first minimum, so ties go to the earlier candidate
-    k = int(np.argmin(np.where(feas, cost, np.inf)))
-    return float(c0a[k]), float(c1a[k]), float(delay[k])
+    k = np.argmin(np.where(feas, cost, np.inf), axis=1)[:, None]
+    feasible = feas.any(axis=1)
+    pick = lambda m: np.where(feasible, np.take_along_axis(m, k, axis=1)[:, 0],
+                              np.nan)
+    return pick(c0a), pick(c1a), pick(delay), feasible
 
 
 def _floored_proportions(raw: dict, floor: float) -> dict:
@@ -426,21 +442,22 @@ def _floored_proportions(raw: dict, floor: float) -> dict:
             return out
 
 
-def _allocate_shares(tables: CostTables, members: list, i: int,
-                     h_min: float) -> dict:
-    """Resource shares for the tasks hosted on one SBS: equal start, one
-    square-root-weighted refinement, floors respected."""
+def _allocate_shares(tables: CostTables, members: np.ndarray, i: int,
+                     h_min: float) -> np.ndarray:
+    """Resource shares for the tasks hosted on one SBS, in member order:
+    equal start, one square-root-weighted refinement, floors respected."""
     n_i = len(members)
-    shares = {j: min(1.0, 1.0 / n_i) for j in members}
+    shares = np.full(n_i, min(1.0, 1.0 / n_i))
     if n_i <= 1:
         return shares
-    weights = {}
-    for j in members:
-        split = _optimize_branch_split(tables, i, j, shares[j])
-        ci = tables.c[j] - (split[0] + split[1]) if split else tables.c[j]
-        weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
-    root = {j: float(np.sqrt(w)) for j, w in weights.items()}
-    return _floored_proportions(root, h_min)
+    c0, c1, _, ok = _optimize_branch_split(tables, np.full(n_i, i), members,
+                                           shares)
+    c = tables.c[members]
+    ci = np.where(ok, c - (c0 + c1), c)
+    weights = np.maximum(tables.alpha * tables.u_over_fs[i, members] * ci, 1e-30)
+    out = _floored_proportions(dict(zip(members.tolist(),
+                                        np.sqrt(weights).tolist())), h_min)
+    return np.array([out[j] for j in members.tolist()])
 
 
 def round_to_feasible(state: ConsensusState, scenario: Scenario,
@@ -460,11 +477,11 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
         sorted_scores = np.sort(score, axis=0)
         margin = sorted_scores[-1] - sorted_scores[-2]
         for i in range(s):
-            members = [j for j in range(n) if choice[j] == i + 1]
+            members = np.flatnonzero(choice == i + 1)
             if len(members) > cap:
-                members.sort(key=lambda j: (margin[j], j))
-                for j in members[: len(members) - cap]:
-                    choice[j] = s + 1
+                # weakest margin first, ties by task index
+                weakest = members[np.argsort(margin[members], kind="stable")]
+                choice[weakest[: len(members) - cap]] = s + 1
 
     hard_x = costs.hard_assignment(choice, s)[0]
     tables = costs.build_cost_tables(scenario, config.alpha, hard_x, state.c1,
@@ -488,26 +505,22 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
         ci[:] = 0.0
         h[:] = 1.0
         for i in range(s):
-            members = [j for j in range(n) if choice[j] == i + 1]
-            if not members:
+            members = np.flatnonzero(choice == i + 1)
+            if not len(members):
                 continue
             shares = _allocate_shares(tables, members, i, h_min)
-            for j in members:
-                split = None if shares is None else _optimize_branch_split(
-                    tables, i, j, shares[j])
-                if split is None:
-                    choice[j] = -1  # needs promotion
-                    continue
-                c0[i, j], c1[i, j] = split[0], split[1]
-                ci[i, j] = tables.c[j] - split[0] - split[1]
-                h[i, j] = shares[j]
-                branch_delay[j] = split[2]
+            c0_i, c1_i, delay, ok = _optimize_branch_split(
+                tables, np.full(len(members), i), members, shares)
+            choice[members[~ok]] = -1  # needs promotion
+            j = members[ok]
+            c0[i, j], c1[i, j] = c0_i[ok], c1_i[ok]
+            ci[i, j] = tables.c[j] - c0_i[ok] - c1_i[ok]
+            h[i, j] = shares[ok]
+            branch_delay[j] = delay[ok]
 
-        for j in range(n):
-            if choice[j] == 0:
-                branch_delay[j] = tables.t_local[j]
-            elif choice[j] == s + 1:
-                branch_delay[j] = tables.t_mbs[j]
+        branch_delay = np.where(choice == 0, tables.t_local,
+                                np.where(choice == s + 1, tables.t_mbs,
+                                         branch_delay))
 
         promoted = False
         infeasible = []
@@ -522,15 +535,15 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
             # station targets change membership and would need another
             # allocation pass, so the last round sticks to the fixed tiers
             if round_idx < rounds - 1:
-                for i in range(s):
-                    count = int((choice == i + 1).sum())
-                    if count >= cap:
-                        continue
-                    used = h[i, choice == i + 1].sum()
-                    avail = max(h_min, min(1.0, 1.0 - used))
-                    split = _optimize_branch_split(tables, i, j, avail)
-                    if split is not None:
-                        options.append((split[2], i + 1))
+                hosted = [choice == i + 1 for i in range(s)]
+                open_sbs = [i for i in range(s) if hosted[i].sum() < cap]
+                avail = [max(h_min, min(1.0, 1.0 - h[i, hosted[i]].sum()))
+                         for i in open_sbs]
+                _, _, delay, ok = _optimize_branch_split(
+                    tables, np.array(open_sbs, dtype=np.intp),
+                    np.full(len(open_sbs), j), np.array(avail))
+                options += [(d, i + 1) for d, i, fits
+                            in zip(delay, open_sbs, ok) if fits]
             if not options:
                 infeasible.append(j)
                 continue

@@ -35,8 +35,10 @@ def rlt_bounds(x_hat, r, h_min):
 
 def project_interval(v, lo, hi):
     """Euclidean projection onto [lo, hi]; if the interval is empty the
-    nearest of the two endpoints is used (cannot happen for in-range
-    inputs, kept as a defensive path)."""
+    nearest of the two endpoints is used.  In exact arithmetic
+    `rlt_bounds` never gives lo > hi for in-range inputs, but in floating
+    point it does at r = 1, where `r + (x_hat - 1)` can round below
+    x_hat by an ulp."""
     v = np.asarray(v, dtype=float)
     nearest = np.where(np.abs(v - lo) <= np.abs(v - hi), lo, hi)
     return np.where(lo <= hi, np.clip(v, np.minimum(lo, hi), hi), nearest)
@@ -67,16 +69,15 @@ class CbgpVars:
 
 @dataclass
 class CbgpState:
-    """Dual multipliers of the box and envelope constraints plus the
-    per-task step scale used by the divergence safeguard.
+    """Dual multipliers of the four envelope constraints plus the per-task
+    step scale used by the divergence safeguard.  The box 0 <= x_hat <= 1
+    needs none: the assignment's closed form clips into it.
 
     All multipliers stay nonnegative after every projected subgradient
     update.  `x_prev` is the tangency point of the corner penalty, frozen
     for the duration of one outer consensus iteration.
     """
 
-    mu_x_lo: np.ndarray
-    mu_x_hi: np.ndarray
     mu_env_lo: np.ndarray
     mu_env_hi: np.ndarray
     mu_shift_hi: np.ndarray
@@ -90,14 +91,13 @@ class CbgpState:
     def fresh(cls, x_prev: np.ndarray) -> "CbgpState":
         shape = x_prev.shape
         z = lambda: np.zeros(shape)
-        return cls(mu_x_lo=z(), mu_x_hi=z(), mu_env_lo=z(), mu_env_hi=z(),
-                   mu_shift_hi=z(), mu_shift_lo=z(),
+        return cls(mu_env_lo=z(), mu_env_hi=z(), mu_shift_hi=z(),
+                   mu_shift_lo=z(),
                    step_scale=np.ones(shape[1] if len(shape) > 1 else 1),
                    x_prev=x_prev.copy())
 
     def copy(self) -> "CbgpState":
-        return CbgpState(self.mu_x_lo.copy(), self.mu_x_hi.copy(),
-                         self.mu_env_lo.copy(), self.mu_env_hi.copy(),
+        return CbgpState(self.mu_env_lo.copy(), self.mu_env_hi.copy(),
                          self.mu_shift_hi.copy(), self.mu_shift_lo.copy(),
                          self.step_scale.copy(), self.x_prev.copy(),
                          self.sweep, self.dual_step0)
@@ -205,8 +205,7 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
 
     vars.ci = p.c[None, :] - vars.c0 - vars.c1
 
-    mult_sum = (-state.mu_x_lo + state.mu_x_hi + state.mu_env_lo
-                - state.mu_env_hi * inv - state.mu_shift_hi
+    mult_sum = (state.mu_env_lo - state.mu_env_hi * inv - state.mu_shift_hi
                 + state.mu_shift_lo * inv)
     cost = p.branch_cost(vars.c0, vars.c1, vars.ci)
     # the compute-cost gradient pulls R onto the lower envelope bound,
@@ -227,8 +226,6 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
                                    x_break))
 
     s = state.dual_step0 / (state.sweep + 1.0)
-    state.mu_x_lo = np.maximum(0.0, state.mu_x_lo + s * (-vars.x_hat))
-    state.mu_x_hi = np.maximum(0.0, state.mu_x_hi + s * (vars.x_hat - 1.0))
     state.mu_env_lo = np.maximum(0.0, state.mu_env_lo + s * (vars.x_hat - vars.R))
     state.mu_env_hi = np.maximum(0.0, state.mu_env_hi + s * (vars.R - vars.x_hat * inv))
     state.mu_shift_hi = np.maximum(
@@ -259,8 +256,8 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
         if np.any(bad):
             for name in ("x_hat", "R", "c0", "c1", "ci"):
                 getattr(vars, name)[:, bad] = getattr(before_vars, name)[:, bad]
-            for name in ("mu_x_lo", "mu_x_hi", "mu_env_lo", "mu_env_hi",
-                         "mu_shift_hi", "mu_shift_lo"):
+            for name in ("mu_env_lo", "mu_env_hi", "mu_shift_hi",
+                         "mu_shift_lo"):
                 getattr(state, name)[:, bad] = getattr(before_state, name)[:, bad]
             state.step_scale[bad] *= 0.5
             q_new = np.where(bad, q, q_new)

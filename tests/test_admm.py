@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -225,13 +227,14 @@ def test_optimize_branch_split_matches_oracle_split_search():
             for j in range(n):
                 for h in rng.uniform(scen.config.h_min, 1.0, 3):
                     t_max = tables.t_max[j]
-                    split = admm._optimize_branch_split(tables, i, j, h)
+                    c0, c1, delay, feasible = admm._optimize_branch_split(
+                        tables, np.array([i]), np.array([j]), np.array([h]))
                     ref = oracle._best_split(tables, i, j, h, 100, t_max)
-                    assert (split is None) == (ref is None), (trial, i, j, h)
+                    assert (not feasible[0]) == (ref is None), (trial, i, j, h)
                     checked += 1
-                    if split is None:
+                    if not feasible[0]:
                         continue
-                    c0, c1, delay = split
+                    c0, c1, delay = c0[0], c1[0], delay[0]
                     assert min(c0, c1) >= 0.0
                     assert c0 + c1 <= c[j] * (1.0 + 1e-12)
                     priced, cost = tables.split_delay_cost(i, j, c0, c1, 1.0 / h)
@@ -239,3 +242,176 @@ def test_optimize_branch_split_matches_oracle_split_search():
                     assert delay <= t_max * (1.0 + 1e-12) + 1e-15
                     assert cost <= ref[2] + 1e-9 * abs(ref[2]), (trial, i, j, h)
     assert checked > 300
+
+
+# the scalar pricer the batched one replaced, kept verbatim as a reference
+# (only renamed); it walks a Python set of forwarded-part candidates
+
+def _scalar_min_delay_split(tables, i, j, r):
+    """Fastest split of the branch, alternating the two analytic pieces."""
+    c = tables.c[j]
+    c0, c1 = 0.0, 0.0
+    for _ in range(2):
+        c0_coef = tables.d_c0[j] - 1.0 / tables.rate[i, j] - tables.u_over_fs[i, j] * r
+        c0 = 0.0 if c0_coef >= 0 else c - c1
+        if tables.w2[i, j] > 0:
+            c1_star = ((tables.u_over_fs[i, j] * r - tables.d_mbs_exec[j]
+                        - tables.w1[i, j]) / (2.0 * tables.w2[i, j]))
+        else:
+            c1_star = 0.0
+        c1 = float(np.clip(c1_star, 0.0, c - c0))
+    return c0, c1
+
+
+def _scalar_optimize_branch_split(tables, i: int, j: int, h: float):
+    """Best deadline-feasible split of task j on SBS i at resource share h.
+
+    The split cost is linear in the terminal part and convex quadratic in
+    the forwarded part, so the constrained optimum is one of finitely many
+    analytic candidates: simplex corners, the two stationary forwarded
+    parts (free and along the full-offload edge), and the points where the
+    deadline binds.  Returns (c0, c1, delay) or None when even the fastest
+    split misses the deadline.
+    """
+    c = tables.c[j]
+    r = 1.0 / h
+    t_max = tables.t_max[j]
+    a = tables.alpha
+    w2, w1 = tables.w2[i, j], tables.w1[i, j]
+    urf = tables.u_over_fs[i, j] * r
+    q = tables.d_c0[j] - 1.0 / tables.rate[i, j] - urf
+    d1 = w1 + tables.d_mbs_exec[j] - urf
+    d0 = c / tables.rate[i, j] + tables.w0[i, j] + urf * c
+    k_c0 = (a * q + (1.0 - a) * (tables.e_c0[j] - tables.e_up[i, j]
+                                 - tables.e_sbs[i, j]))
+    k_c1 = (a * d1 + (1.0 - a) * (tables.transfer_coef[i, j]
+                                  + tables.e_mbs_exec[j] - tables.e_sbs[i, j]))
+
+    c1_cands = {0.0, c}
+    if w2 > 0:
+        if a > 0:
+            c1_cands.add(-k_c1 / (2.0 * a * w2))          # free stationary
+            c1_cands.add((k_c0 - k_c1) / (2.0 * a * w2))  # along c0 = c - c1
+        c1_cands.add(-d1 / (2.0 * w2))                    # fastest forwarded part
+        if q != 0:
+            ab = w2 * (a - k_c0 / q)
+            bb = k_c1 - k_c0 * d1 / q
+            if ab > 0:
+                c1_cands.add(-bb / (2.0 * ab))            # along the deadline face
+        # deadline boundary along c0 = 0 and along c0 = c - c1
+        for shift, const in ((d1, d0 - t_max), (d1 - q, d0 + q * c - t_max)):
+            disc = shift * shift - 4.0 * w2 * const
+            if disc >= 0:
+                root = np.sqrt(disc)
+                c1_cands.add((-shift - root) / (2.0 * w2))
+                c1_cands.add((-shift + root) / (2.0 * w2))
+
+    pairs = []
+    for c1 in c1_cands:
+        if not np.isfinite(c1):
+            continue
+        c1 = float(np.clip(c1, 0.0, c))
+        for c0 in (0.0, c - c1):
+            pairs.append((c0, c1))
+        if q != 0 and c1 > 0:
+            c0b = (t_max - d0 - d1 * c1 - w2 * c1 * c1) / q
+            pairs.append((float(np.clip(c0b, 0.0, c - c1)), c1))
+    # the c1 = 0 regime drops the wired charge entirely
+    if q != 0:
+        c0b = (t_max - (c / tables.rate[i, j] + urf * c)) / q
+        pairs.append((float(np.clip(c0b, 0.0, c)), 0.0))
+    pairs.append(_scalar_min_delay_split(tables, i, j, r))
+
+    c0a, c1a = np.array(pairs).T
+    keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
+    c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
+    delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
+    feas = delay <= t_max * (1.0 + 1e-12) + 1e-15
+    if not feas.any():
+        return None
+    # argmin takes the first minimum, so ties go to the earlier candidate
+    k = int(np.argmin(np.where(feas, cost, np.inf)))
+    return float(c0a[k]), float(c1a[k]), float(delay[k])
+
+
+def _random_split_pairs(rng, n_scenarios):
+    """(tables, i, j, h) batches over random scenarios: loose and tight
+    deadlines, alpha at 0, 1 and in between, shares at both ends of
+    [h_min, 1] and inside."""
+    for trial in range(n_scenarios):
+        n, s = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        t_max_range = [(15.0, 30.0), (0.02, 0.08), (0.005, 0.03)][trial % 3]
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000)),
+            t_max_range=t_max_range))
+        c = scen.c_array()
+        c1_frozen = rng.uniform(0.0, 1.0, (s, n)) * c[None, :]
+        c1_frozen[rng.uniform(size=(s, n)) < 0.3] = 0.0
+        alpha = [0.0, 1.0, 0.5, float(rng.uniform())][trial % 4]
+        tables = costs.build_cost_tables(scen, alpha, rng.uniform(0.0, 1.0, (s, n)),
+                                         c1_frozen)
+        i, j = (a.ravel() for a in np.indices((s, n)))
+        i, j = np.tile(i, 3), np.tile(j, 3)
+        h = rng.uniform(scen.config.h_min, 1.0, len(i))
+        h[: s * n] = 1.0
+        h[s * n: 2 * s * n: 2] = scen.config.h_min
+        yield tables, i, j, h
+
+
+def _assert_matches_scalar(tables, i, j, h):
+    """Batched rows equal the scalar reference bit for bit; returns the
+    rows' feasibility."""
+    c0, c1, delay, feasible = admm._optimize_branch_split(tables, i, j, h)
+    for k in range(len(i)):
+        ref = _scalar_optimize_branch_split(tables, i[k], j[k], h[k])
+        assert feasible[k] == (ref is not None), (i[k], j[k], h[k])
+        if ref is None:
+            assert np.isnan([c0[k], c1[k], delay[k]]).all()
+            continue
+        got = np.array([c0[k], c1[k], delay[k]])
+        assert got.tobytes() == np.array(ref).tobytes(), (i[k], j[k], h[k])
+    return feasible
+
+
+def test_batched_split_pricer_bit_identical_to_scalar_reference():
+    rng = np.random.default_rng(31)
+    rows = infeasible = 0
+    alphas = set()
+    for tables, i, j, h in _random_split_pairs(rng, 60):
+        feasible = _assert_matches_scalar(tables, i, j, h)
+        rows += len(i)
+        infeasible += int((~feasible).sum())
+        alphas.add(tables.alpha)
+    assert rows >= 3000
+    assert 0.0 in alphas and 1.0 in alphas
+    assert 100 <= infeasible <= rows - 1000
+
+    # free energy at alpha = 0 prices every split at exactly 0, so every
+    # feasible candidate ties and both forms must keep the first one
+    tied = 0
+    for tables, i, j, h in _random_split_pairs(rng, 6):
+        zero = np.zeros_like(tables.e_up)
+        flat = dataclasses.replace(
+            tables, alpha=0.0, e_c0=zero[0], e_mbs_exec=zero[0], e_up=zero,
+            e_sbs=zero, transfer_coef=zero)
+        feasible = _assert_matches_scalar(flat, i, j, h)
+        c0, c1, _, _ = admm._optimize_branch_split(flat, i, j, h)
+        tied += int(((c0 == 0.0) & (c1 == 0.0) & feasible).sum())
+    assert tied >= 100
+
+
+def test_batched_split_pricer_rows_are_independent(monkeypatch):
+    rng = np.random.default_rng(32)
+    for tables, i, j, h in _random_split_pairs(rng, 6):
+        whole = admm._optimize_branch_split(tables, i, j, h)
+        perm = rng.permutation(len(i))
+        permuted = admm._optimize_branch_split(tables, i[perm], j[perm], h[perm])
+        with monkeypatch.context() as m:
+            m.setattr(admm, "SPLIT_BLOCK_ROWS", 7)
+            blocked = admm._optimize_branch_split(tables, i, j, h)
+        for a, b, c in zip(whole, permuted, blocked):
+            assert a[perm].tobytes() == b.tobytes()
+            assert a.tobytes() == c.tobytes()
+        empty = admm._optimize_branch_split(tables, i[:0], j[:0], h[:0])
+        assert [a.shape for a in empty] == [(0,)] * 4
+        assert empty[3].dtype == bool

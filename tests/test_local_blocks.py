@@ -53,6 +53,22 @@ def test_interval_projection_empty_uses_nearest_endpoint():
     assert project_interval(2.0, 1.0, 0.5) == pytest.approx(1.0)
 
 
+def test_rlt_bounds_rounding_gives_near_empty_interval_at_full_share():
+    # at r = 1, hi = 1 + (x - 1) rounds below lo = x for about a sixth of
+    # a fine grid; the projection then returns one of the two endpoints,
+    # the nearer one (a plain clip would always return hi)
+    x = np.linspace(0.0, 1.0, 100_001)
+    lo, hi = rlt_bounds(x, 1.0, 0.05)
+    empty = lo > hi
+    lo, hi = lo[empty], hi[empty]
+    assert len(lo) > 10_000
+    assert np.all(lo - hi <= 1e-16)
+    assert np.array_equal(project_interval(1.0, lo, hi), lo)
+    assert np.array_equal(project_interval(0.0, lo, hi), hi)
+    mid = project_interval(0.25, lo, hi)
+    assert np.all((mid == lo) | (mid == hi))
+
+
 # -- corner penalty majorization ----------------------------------------------
 
 def test_majorize_penalty_examples():
@@ -189,8 +205,7 @@ def test_cbgp_multipliers_stay_nonnegative():
     scen, problem, vars, state = _problem(n_tasks=2, n_sbs=2, seed=5)
     problem.dual = rng.normal(0, 1.0, problem.dual.shape)
     cbgp_solve(problem, vars, state, rounds=40)
-    for name in ("mu_x_lo", "mu_x_hi", "mu_env_lo", "mu_env_hi",
-                 "mu_shift_hi", "mu_shift_lo"):
+    for name in ("mu_env_lo", "mu_env_hi", "mu_shift_hi", "mu_shift_lo"):
         assert np.all(getattr(state, name) >= 0.0)
 
 
