@@ -24,6 +24,12 @@ from .costs import CostTables, Placement, UtilityWeights
 from .errors import ConfigurationError, InfeasibleTaskError
 from .scenario import Scenario
 
+# corner-penalty weight of the split block, in normalized cost units;
+# besides pushing fractional assignments to corners it acts as flip
+# hysteresis against congestion-feedback jitter, so it must exceed the
+# per-iteration cost noise while staying below real branch-cost gaps
+CORNER_DELTA = 0.3
+
 
 @dataclass
 class SolverConfig:
@@ -32,11 +38,6 @@ class SolverConfig:
     tol_primal: float = 1e-4
     tol_dual: float = 1e-4
     alpha: float = 0.5
-    # corner-penalty weight of the split block, in normalized cost units;
-    # besides pushing fractional assignments to corners it acts as flip
-    # hysteresis against congestion-feedback jitter, so it must exceed the
-    # per-iteration cost noise while staying below real branch-cost gaps
-    delta: float = 0.3
     cbgp_rounds: int = 50
     cbgp_tol: float = 1e-6
     newton_tol: float = 1e-6
@@ -236,7 +237,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         cbgp_state.step_scale = np.ones(scenario.n_tasks)
         if s:
             problem = local_blocks.LocalProblem.from_tables(
-                tables, state.x, state.dual_x, config.rho, config.delta,
+                tables, state.x, state.dual_x, config.rho, CORNER_DELTA,
                 cost_scale=cost_scale)
             vars = local_blocks.CbgpVars(
                 x_hat=state.x_hat, R=state.R, c0=state.c0, c1=state.c1,

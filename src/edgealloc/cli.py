@@ -19,14 +19,6 @@ from .costs import UtilityWeights
 from .scenario import Scenario, ScenarioConfig, generate_scenario
 
 
-def _placement_dict(placement) -> dict:
-    return {"x": placement.x.tolist(), "y": placement.y.tolist(),
-            "z": placement.z.tolist(), "c0": placement.c0.tolist(),
-            "c1": placement.c1.tolist(), "ci": placement.ci.tolist(),
-            "h": placement.h.tolist(),
-            "branches": [placement.branch_of(j) for j in range(len(placement.y))]}
-
-
 def _cmd_generate(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -51,10 +43,12 @@ def _cmd_solve(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
+    branches = [placement.branch_of(j) for j in range(len(placement.y))]
     with open(os.path.join(args.out, "placement.json"), "w") as fh:
         json.dump({"utility": util, "converged": trace.converged,
                    "iterations": len(trace.records),
-                   "placement": _placement_dict(placement)}, fh, indent=1)
+                   "placement": {**placement.to_dict(), "branches": branches}},
+                  fh, indent=1)
     status = "converged" if trace.converged else "not converged"
     print(f"utility {util:.6g} after {len(trace.records)} iterations ({status}); "
           f"outputs in {args.out}")

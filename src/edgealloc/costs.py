@@ -12,7 +12,7 @@ first use, as `Scenario.pricing`; every other function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,12 +84,9 @@ class Placement:
     ci: np.ndarray
     h: np.ndarray
 
-    def split(self, sbs_index: int, task_index: int) -> SplitAllocation:
-        return SplitAllocation(c0=float(self.c0[sbs_index, task_index]),
-                               c1=float(self.c1[sbs_index, task_index]),
-                               ci=float(self.ci[sbs_index, task_index]),
-                               h=float(self.h[sbs_index, task_index]),
-                               h_min=0.0)
+    def to_dict(self) -> dict:
+        """Every array as nested lists, in field order, for JSON output."""
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     def branch_of(self, task_index: int) -> str:
         """Dominant branch label for reporting: local, mbs, or sbs<i>."""

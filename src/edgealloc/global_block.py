@@ -19,6 +19,7 @@ import numpy as np
 INTERIOR_MARGIN = 1e-9
 ARMIJO_C1 = 1e-4
 STALL_T = 1e-12
+MAX_INNER = 25
 
 OMEGA_INIT = 1.0
 OMEGA_DECAY = 0.1
@@ -87,11 +88,12 @@ def hess_diag_smoothed(v, m, problem: GlobalProblem, omega, xi):
     return hess_v, hess_m
 
 
-def kkt_residual(v, m, nu, sig, problem: GlobalProblem, omega, xi) -> np.ndarray:
+def kkt_residual(v, m, nu, sig, grad, problem: GlobalProblem) -> np.ndarray:
     """Stacked first-order conditions per task: stationarity of the box
     coordinates and the slack, then deadline and simplex feasibility.
-    Zero exactly at a KKT point of the smoothed problem."""
-    grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
+    `grad` is the pair `grad_smoothed` returns at (v, m).  Zero exactly at
+    a KKT point of the smoothed problem."""
+    grad_v, grad_m = grad
     stat_v = grad_v + problem.tcoef * nu[:, None] + sig[:, None]
     stat_m = grad_m + nu
     deadline = (problem.tcoef * v).sum(axis=1) + m - problem.t_max
@@ -199,11 +201,11 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
     return dv, dm, dnu, dsig, {"regularized": regularized}
 
 
-def line_search(v, m, dv, dm, problem: GlobalProblem, omega, xi,
-                margin: float = INTERIOR_MARGIN, c1: float = ARMIJO_C1):
+def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     """Per-task backtracking from 1 with factor 0.5: the largest step that
     keeps every coordinate strictly inside the box, the slack positive,
-    and achieves Armijo decrease of the smoothed objective.
+    and achieves Armijo decrease of the smoothed objective.  `f` and
+    `grad` are the objective and its gradient at (v, m).
 
     Armijo on the objective alone is valid only for a Newton step taken
     from a point that already meets the deadline and simplex rows: the
@@ -214,43 +216,39 @@ def line_search(v, m, dv, dm, problem: GlobalProblem, omega, xi,
 
     Tasks whose step collapses below the stall threshold get t = 0 and a
     raised flag; the caller reacts by advancing the barrier schedule.
+    Returns (t, stalled, f_new) with f_new the objective at the accepted
+    point: the accepted trial value, or `f` where the task did not move.
     """
     n = v.shape[0]
-    g0 = smoothed_objective(v, m, problem, omega, xi)
-    grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
+    grad_v, grad_m = grad
     dirderiv = (grad_v * dv).sum(axis=1) + grad_m * dm
+    roundoff = 1e-14 * (1.0 + np.abs(f))
 
     t = np.ones(n)
-    accepted = np.zeros(n, dtype=bool)
+    f_new = f.copy()
     stalled = np.zeros(n, dtype=bool)
-    moving = (np.abs(dv).max(axis=1) + np.abs(dm)) > 0
-    accepted[~moving] = True
+    accepted = ~((np.abs(dv).max(axis=1) + np.abs(dm)) > 0)
     while not (accepted | stalled).all():
         todo = ~(accepted | stalled)
         v_try = v + t[:, None] * dv
         m_try = m + t * dm
-        inside = ((v_try > margin) & (v_try < 1.0 - margin)).all(axis=1) & (m_try > margin)
-        ok = np.zeros(n, dtype=bool)
-        idx = todo & inside
-        if idx.any():
-            g_try = np.full(n, np.inf)
-            g_try[idx] = smoothed_objective(v_try[idx], m_try[idx],
-                                            _slice_problem(problem, idx), omega, xi)
-            ok[idx] = g_try[idx] <= (g0[idx] + c1 * t[idx] * dirderiv[idx]
-                                     + 1e-14 * (1.0 + np.abs(g0[idx])))
+        inside = ((v_try > INTERIOR_MARGIN).all(axis=1) & (m_try > INTERIOR_MARGIN)
+                  & (v_try < 1.0 - INTERIOR_MARGIN).all(axis=1))
+        ok = todo & inside
+        if ok.any():
+            # rows outside the trial set are priced at their current,
+            # strictly interior point; each row's value is its own sum
+            f_try = smoothed_objective(np.where(ok[:, None], v_try, v),
+                                       np.where(ok, m_try, m), problem, omega, xi)
+            ok &= f_try <= f + ARMIJO_C1 * t * dirderiv + roundoff
+            f_new[ok] = f_try[ok]
         accepted |= ok
         shrink = todo & ~ok
         t[shrink] *= 0.5
         newly_stalled = shrink & (t < STALL_T)
         stalled |= newly_stalled
         t[newly_stalled] = 0.0
-    return t, stalled
-
-
-def _slice_problem(problem: GlobalProblem, idx) -> GlobalProblem:
-    return GlobalProblem(prox=problem.prox[idx], dual=problem.dual[idx],
-                         tcoef=problem.tcoef[idx], t_max=problem.t_max[idx],
-                         rho=problem.rho)
+    return t, stalled, f_new
 
 
 def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
@@ -286,7 +284,7 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
 
 
 def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
-                 tol: float = 1e-6, max_inner: int = 25):
+                 tol: float = 1e-6):
     """Outer barrier/penalty schedule with damped Newton inner iterations.
 
     Returns (v, m, info); v stays strictly interior, the simplex equality
@@ -302,20 +300,18 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     total_newton = 0
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
     while True:
+        f = smoothed_objective(v, m, problem, omega, xi)
         best = None
-        for _ in range(max_inner):
-            res = kkt_residual(v, m, nu, sig, problem, omega, xi)
+        for _ in range(MAX_INNER):
+            grad = grad_smoothed(v, m, problem, omega, xi)
+            res = kkt_residual(v, m, nu, sig, grad, problem)
             norm = scaled_kkt_norm(res, problem)
-            if best is None or (norm < best[0]).any():
-                if best is None:
-                    best = (norm.copy(), v.copy(), m.copy(), nu.copy(), sig.copy())
-                else:
-                    better = norm < best[0]
-                    best[0][better] = norm[better]
-                    best[1][better] = v[better]
-                    best[2][better] = m[better]
-                    best[3][better] = nu[better]
-                    best[4][better] = sig[better]
+            if best is None:
+                best = [norm, v.copy(), m.copy(), nu.copy(), sig.copy()]
+            else:
+                better = norm < best[0]
+                for kept, now in zip(best, (norm, v, m, nu, sig)):
+                    kept[better] = now[better]
             active = norm > tol
             if not active.any():
                 break
@@ -325,7 +321,7 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
             dm[~active] = 0.0
             dnu[~active] = 0.0
             dsig[~active] = 0.0
-            t, stalled = line_search(v, m, dv, dm, problem, omega, xi)
+            t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
             stalled_any |= stalled
             v = v + t[:, None] * dv
             m = m + t * dm
@@ -334,14 +330,13 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
             total_newton += 1
             if (t[active] == 0).all():
                 break
-        v, m, nu, sig = best[1], best[2], best[3], best[4]
+        # the last level's best norms are the KKT norms of the point returned
+        final_norm, v, m, nu, sig = best
         if omega <= OMEGA_FLOOR:
             break
         omega = max(omega * OMEGA_DECAY, OMEGA_FLOOR)
         xi = min(xi * XI_GROWTH, XI_CONVEXITY_FRACTION * problem.rho)
 
-    final_norm = scaled_kkt_norm(
-        kkt_residual(v, m, nu, sig, problem, omega, xi), problem)
     info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
             "newton_iterations": total_newton, "stalled": stalled_any,
             "omega": omega, "xi": xi}

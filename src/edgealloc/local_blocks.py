@@ -16,6 +16,9 @@ import numpy as np
 
 from .costs import CostTables
 
+# first step of the diminishing 1/(sweep + 1) multiplier schedule
+DUAL_STEP0 = 0.1
+
 
 def rlt_bounds(x_hat, r, h_min):
     """Admissible interval for the linearized product R of a relaxed
@@ -85,7 +88,6 @@ class CbgpState:
     step_scale: np.ndarray
     x_prev: np.ndarray
     sweep: int = 0
-    dual_step0: float = 0.1
 
     @classmethod
     def fresh(cls, x_prev: np.ndarray) -> "CbgpState":
@@ -100,7 +102,7 @@ class CbgpState:
         return CbgpState(self.mu_env_lo.copy(), self.mu_env_hi.copy(),
                          self.mu_shift_hi.copy(), self.mu_shift_lo.copy(),
                          self.step_scale.copy(), self.x_prev.copy(),
-                         self.sweep, self.dual_step0)
+                         self.sweep)
 
 
 @dataclass
@@ -225,7 +227,7 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
                           np.where(slope_at_break + env * inv < 0, min_high,
                                    x_break))
 
-    s = state.dual_step0 / (state.sweep + 1.0)
+    s = DUAL_STEP0 / (state.sweep + 1.0)
     state.mu_env_lo = np.maximum(0.0, state.mu_env_lo + s * (vars.x_hat - vars.R))
     state.mu_env_hi = np.maximum(0.0, state.mu_env_hi + s * (vars.R - vars.x_hat * inv))
     state.mu_shift_hi = np.maximum(

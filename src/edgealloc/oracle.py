@@ -38,12 +38,7 @@ class OracleResult:
         doc = {"utility": self.utility, "branch_table": self.branch_table,
                "n_enumerated": self.n_enumerated, "feasible": self.feasible}
         if self.placement is not None:
-            doc["placement"] = {
-                "x": self.placement.x.tolist(), "y": self.placement.y.tolist(),
-                "z": self.placement.z.tolist(), "c0": self.placement.c0.tolist(),
-                "c1": self.placement.c1.tolist(), "ci": self.placement.ci.tolist(),
-                "h": self.placement.h.tolist(),
-            }
+            doc["placement"] = self.placement.to_dict()
         return doc
 
     def to_json(self, path=None) -> str:

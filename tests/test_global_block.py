@@ -119,7 +119,7 @@ def test_kkt_residual_decomposition():
     m = prob.t_max - (prob.tcoef * v).sum(axis=1)
     nu = np.zeros(1)
     sig = np.zeros(1)
-    res = kkt_residual(v, m, nu, sig, prob, 0.5, 0.1)
+    res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, 0.5, 0.1), prob)
     # feasibility rows vanish at a feasible primal even with wrong multipliers
     assert res[0, p + 1] == pytest.approx(0.0, abs=1e-12)
     assert res[0, p + 2] == pytest.approx(0.0, abs=1e-12)
@@ -128,7 +128,8 @@ def test_kkt_residual_decomposition():
     # breaking the simplex by 0.1 shows up in the simplex row alone
     v2 = v.copy()
     v2[0, 0] += 0.1
-    res2 = kkt_residual(v2, m, nu, sig, prob, 0.5, 0.1)
+    res2 = kkt_residual(v2, m, nu, sig, grad_smoothed(v2, m, prob, 0.5, 0.1),
+                        prob)
     assert res2[0, p + 2] == pytest.approx(0.1)
 
 
@@ -168,15 +169,15 @@ def test_kkt_residual_zero_at_fitted_point():
     # stationarity: grad_v + t nu + sig = 0, grad_m + nu = 0
     nu = -gm
     sig = -(gv[0] + prob.tcoef[0] * nu[0]).mean(keepdims=True)
-    res = kkt_residual(v, m, nu, sig, prob, omega, xi)
+    res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
     assert np.abs(res).max() < 1e-2  # grid-limited accuracy
     # polishing with the solver's own Newton step drives it below 1e-6
     for _ in range(6):
-        res = kkt_residual(v, m, nu, sig, prob, omega, xi)
+        res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
         system = assemble_newton(v, m, res, prob, omega, xi)
         dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
         v, m, nu, sig = v + dv, m + dm, nu + dnu, sig + dsig
-    res = kkt_residual(v, m, nu, sig, prob, omega, xi)
+    res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
     assert np.abs(res).max() < 1e-6
 
 
@@ -184,7 +185,8 @@ def test_assembled_system_matches_fd_hessian():
     prob = _toy_problem(seed=8)
     v = np.full((1, 4), 0.35)
     m = np.array([2.0])
-    res = kkt_residual(v, m, np.zeros(1), np.zeros(1), prob, 0.3, 0.1)
+    res = kkt_residual(v, m, np.zeros(1), np.zeros(1),
+                       grad_smoothed(v, m, prob, 0.3, 0.1), prob)
     system = assemble_newton(v, m, res, prob, 0.3, 0.1)
     hv, hm = hess_diag_smoothed(v, m, prob, 0.3, 0.1)
     assert np.allclose(system.hess_v, hv)
@@ -331,7 +333,9 @@ def test_line_search_zero_step_accepts():
     prob = _toy_problem(seed=12)
     v = np.full((1, 4), 0.25)
     m = np.ones(1)
-    t, stalled = line_search(v, m, np.zeros((1, 4)), np.zeros(1), prob, 0.5, 0.1)
+    t, stalled, _ = line_search(v, m, np.zeros((1, 4)), np.zeros(1),
+                                smoothed_objective(v, m, prob, 0.5, 0.1),
+                                grad_smoothed(v, m, prob, 0.5, 0.1), prob, 0.5, 0.1)
     assert not stalled[0]
 
 
@@ -343,7 +347,10 @@ def test_line_search_halves_out_of_box_step():
     v = np.array([[0.5, 1.0 / 6, 1.0 / 6, 1.0 / 6]])
     m = np.ones(1)
     dv = np.array([[0.8, -0.8 / 3, -0.8 / 3, -0.8 / 3]])
-    t, stalled = line_search(v, m, dv, np.zeros(1), prob, omega=1e-9, xi=0.0)
+    t, stalled, _ = line_search(v, m, dv, np.zeros(1),
+                                smoothed_objective(v, m, prob, 1e-9, 0.0),
+                                grad_smoothed(v, m, prob, 1e-9, 0.0), prob,
+                                omega=1e-9, xi=0.0)
     assert t[0] == pytest.approx(0.5)
     assert not stalled[0]
 
@@ -353,7 +360,9 @@ def test_line_search_accepts_descent_direction():
     v = np.full((1, 4), 0.25)
     m = np.ones(1)
     gv, gm = grad_smoothed(v, m, prob, 0.5, 0.1)
-    t, stalled = line_search(v, m, -0.01 * gv, -0.01 * gm, prob, 0.5, 0.1)
+    t, stalled, _ = line_search(v, m, -0.01 * gv, -0.01 * gm,
+                                smoothed_objective(v, m, prob, 0.5, 0.1),
+                                grad_smoothed(v, m, prob, 0.5, 0.1), prob, 0.5, 0.1)
     assert t[0] > 0 and not stalled[0]
 
 
@@ -459,7 +468,8 @@ def test_tight_deadline_start_meets_deadline_row_and_converges():
                          t_max=np.array([0.02]), rho=1.0)
     v, m = interior_init(prob)
     assert m[0] > 0
-    res = kkt_residual(v, m, np.zeros(1), np.zeros(1), prob, 1.0, 0.1)
+    res = kkt_residual(v, m, np.zeros(1), np.zeros(1),
+                       grad_smoothed(v, m, prob, 1.0, 0.1), prob)
     assert abs(res[0, -2]) <= 1e-15
     v, m, info = solve_global(prob)
     assert info["converged"][0]
@@ -482,7 +492,7 @@ def test_solve_global_objective_decreases_along_newton_path():
     omega, xi = 1.0, 0.1
     prev_norm = None
     for it in range(12):
-        res = kkt_residual(v, m, nu, sig, prob, omega, xi)
+        res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
         norm = gb.scaled_kkt_norm(res, prob)
         if prev_norm is not None and it > 1:
             assert np.all(norm <= prev_norm * 1.1 + 1e-12)
@@ -490,7 +500,8 @@ def test_solve_global_objective_decreases_along_newton_path():
         system = assemble_newton(v, m, res, prob, omega, xi)
         dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
         g_before = smoothed_objective(v, m, prob, omega, xi)
-        t, _ = line_search(v, m, dv, dm, prob, omega, xi)
+        t, _, _ = line_search(v, m, dv, dm, smoothed_objective(v, m, prob, omega, xi),
+                              grad_smoothed(v, m, prob, omega, xi), prob, omega, xi)
         v = v + t[:, None] * dv
         m = m + t * dm
         nu = nu + t * dnu
@@ -517,12 +528,15 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
     dists = []
     for _ in range(7):
         for _ in range(30):
-            res = kkt_residual(v, m, nu, sig, prob, omega, xi)
+            res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi),
+                               prob)
             if gb.scaled_kkt_norm(res, prob).max() < 1e-9:
                 break
             system = assemble_newton(v, m, res, prob, omega, xi)
             dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
-            t, _ = line_search(v, m, dv, dm, prob, omega, xi)
+            t, _, _ = line_search(v, m, dv, dm,
+                                  smoothed_objective(v, m, prob, omega, xi),
+                                  grad_smoothed(v, m, prob, omega, xi), prob, omega, xi)
             v = v + t[:, None] * dv
             m = m + t * dm
             nu = nu + t * dnu
@@ -531,3 +545,240 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
         dists.append(target.max())
         omega = max(omega * 0.1, 1e-6)
     assert all(b <= a + 1e-9 for a, b in zip(dists[1:], dists[2:]))
+
+
+# -- evaluation reuse against the solver it replaced ----------------------------
+
+# the global solve that evaluated the objective and gradient afresh at every
+# Newton iterate, kept verbatim as a reference (renamed, module names
+# qualified, the docstrings of the line search and the solve dropped); its
+# line search priced trials on a sliced problem
+
+def _reference_kkt_residual(v, m, nu, sig, problem: GlobalProblem, omega, xi) -> np.ndarray:
+    """Stacked first-order conditions per task: stationarity of the box
+    coordinates and the slack, then deadline and simplex feasibility.
+    Zero exactly at a KKT point of the smoothed problem."""
+    grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
+    stat_v = grad_v + problem.tcoef * nu[:, None] + sig[:, None]
+    stat_m = grad_m + nu
+    deadline = (problem.tcoef * v).sum(axis=1) + m - problem.t_max
+    simplex = v.sum(axis=1) - 1.0
+    return np.concatenate(
+        [stat_v, stat_m[:, None], deadline[:, None], simplex[:, None]], axis=1)
+
+
+def _reference_line_search(v, m, dv, dm, problem: GlobalProblem, omega, xi,
+                           margin: float = gb.INTERIOR_MARGIN,
+                           c1: float = gb.ARMIJO_C1):
+    n = v.shape[0]
+    g0 = smoothed_objective(v, m, problem, omega, xi)
+    grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
+    dirderiv = (grad_v * dv).sum(axis=1) + grad_m * dm
+
+    t = np.ones(n)
+    accepted = np.zeros(n, dtype=bool)
+    stalled = np.zeros(n, dtype=bool)
+    moving = (np.abs(dv).max(axis=1) + np.abs(dm)) > 0
+    accepted[~moving] = True
+    while not (accepted | stalled).all():
+        todo = ~(accepted | stalled)
+        v_try = v + t[:, None] * dv
+        m_try = m + t * dm
+        inside = ((v_try > margin) & (v_try < 1.0 - margin)).all(axis=1) & (m_try > margin)
+        ok = np.zeros(n, dtype=bool)
+        idx = todo & inside
+        if idx.any():
+            g_try = np.full(n, np.inf)
+            g_try[idx] = smoothed_objective(v_try[idx], m_try[idx],
+                                            _reference_slice_problem(problem, idx),
+                                            omega, xi)
+            ok[idx] = g_try[idx] <= (g0[idx] + c1 * t[idx] * dirderiv[idx]
+                                     + 1e-14 * (1.0 + np.abs(g0[idx])))
+        accepted |= ok
+        shrink = todo & ~ok
+        t[shrink] *= 0.5
+        newly_stalled = shrink & (t < gb.STALL_T)
+        stalled |= newly_stalled
+        t[newly_stalled] = 0.0
+    return t, stalled
+
+
+def _reference_slice_problem(problem: GlobalProblem, idx) -> GlobalProblem:
+    return GlobalProblem(prox=problem.prox[idx], dual=problem.dual[idx],
+                         tcoef=problem.tcoef[idx], t_max=problem.t_max[idx],
+                         rho=problem.rho)
+
+
+def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
+                            tol: float = 1e-6, max_inner: int = 25):
+    v, m = interior_init(problem, warm_v)
+    omega = gb.OMEGA_INIT
+    xi = min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)
+    grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
+    nu = -grad_m
+    sig = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)
+    total_newton = 0
+    stalled_any = np.zeros(problem.n_tasks, dtype=bool)
+    while True:
+        best = None
+        for _ in range(max_inner):
+            res = _reference_kkt_residual(v, m, nu, sig, problem, omega, xi)
+            norm = gb.scaled_kkt_norm(res, problem)
+            if best is None or (norm < best[0]).any():
+                if best is None:
+                    best = (norm.copy(), v.copy(), m.copy(), nu.copy(), sig.copy())
+                else:
+                    better = norm < best[0]
+                    best[0][better] = norm[better]
+                    best[1][better] = v[better]
+                    best[2][better] = m[better]
+                    best[3][better] = nu[better]
+                    best[4][better] = sig[better]
+            active = norm > tol
+            if not active.any():
+                break
+            system = assemble_newton(v, m, res, problem, omega, xi)
+            dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+            dv[~active] = 0.0
+            dm[~active] = 0.0
+            dnu[~active] = 0.0
+            dsig[~active] = 0.0
+            t, stalled = _reference_line_search(v, m, dv, dm, problem, omega, xi)
+            stalled_any |= stalled
+            v = v + t[:, None] * dv
+            m = m + t * dm
+            nu = nu + t * dnu
+            sig = sig + t * dsig
+            total_newton += 1
+            if (t[active] == 0).all():
+                break
+        v, m, nu, sig = best[1], best[2], best[3], best[4]
+        if omega <= gb.OMEGA_FLOOR:
+            break
+        omega = max(omega * gb.OMEGA_DECAY, gb.OMEGA_FLOOR)
+        xi = min(xi * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho)
+
+    final_norm = gb.scaled_kkt_norm(
+        _reference_kkt_residual(v, m, nu, sig, problem, omega, xi), problem)
+    info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
+            "newton_iterations": total_newton, "stalled": stalled_any,
+            "omega": omega, "xi": xi}
+    return v, m, info
+
+
+# one task of the tight-deadline 100-task seed 43 scenario (t_max in 0.02 to
+# 0.08 s) at an ADMM iteration where its global row, alone in its batch or
+# not, takes one norm-raising step at omega = 0.01 and then stalls, so that
+# level's best iterate is not its last; values rounded to 4-5 digits
+_TWIN_ROW = dict(
+    prox=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+    dual=np.array([-2.06e-07, -0.2021, -4.938e-07, -2.094e-08, -1.077e-07,
+                   -5.141, -4.657]),
+    tcoef=np.array([3.736, 0.3516, 15.42, 930.96, 178.44, 1.6235e-03,
+                    3.2039e-02]),
+    t_max=0.0217984,
+    warm_v=np.array([1.4894e-08, 1.5885e-02, 6.6001e-08, 1.4568e-09,
+                     7.6146e-09, 4.8073e-01, 5.0338e-01]))
+
+
+def _random_global_problem(rng, deadline, twin=False):
+    n, p = int(rng.integers(1, 61)), 7 if twin else int(rng.integers(3, 8))
+    if rng.random() < 0.5:
+        prox = rng.uniform(0.0, 1.0, (n, p))
+    else:  # binary local copies, as late in a consensus run
+        prox = np.eye(p)[rng.integers(p, size=n)]
+    dual = rng.normal(0, 0.3, (n, p))
+    tcoef = rng.uniform(0.001, 0.2, (n, p))
+    if deadline == "loose":
+        t_max = np.full(n, 10.0)
+    elif deadline == "binding":
+        fastest = tcoef.min(axis=1)
+        t_max = fastest + rng.uniform(0.1, 0.9, n) * (tcoef.mean(axis=1) - fastest)
+    else:
+        t_max = rng.uniform(0.02, 0.08, n)
+        tcoef[np.arange(n), tcoef.argmin(axis=1)] = t_max * rng.uniform(0.05, 0.5, n)
+    if deadline != "loose" and rng.random() < 0.3:
+        # a branch so slow that even the nudged start misses the deadline
+        k = rng.integers(n)
+        slow = (tcoef[k].argmin() + 1 + rng.integers(p - 1)) % p
+        tcoef[k, slow] = 10.0 ** rng.uniform(2.3, 3)
+    rho = 1.0 if rng.random() < 0.5 or twin else float(rng.uniform(0.2, 5.0))
+    warm_v = rng.dirichlet(np.ones(p), n) if rng.random() < 0.5 or twin else None
+    if twin:
+        k = rng.integers(n)
+        for name, values in (("prox", prox), ("dual", dual), ("tcoef", tcoef),
+                             ("t_max", t_max), ("warm_v", warm_v)):
+            values[k] = _TWIN_ROW[name]
+    return GlobalProblem(prox=prox, dual=dual, tcoef=tcoef, t_max=t_max,
+                         rho=rho), warm_v
+
+
+def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
+    seen = {"best_not_last": 0, "moved": 0, "still": 0, "stalled": 0,
+            "left_box": 0, "warm": 0}
+    omegas, norms = [], []
+    kkt_norm = gb.scaled_kkt_norm
+
+    def record_grad(v, m, problem, omega, xi):
+        omegas.append(omega)
+        return grad_smoothed(v, m, problem, omega, xi)
+
+    def record_norm(res, problem):
+        norm = kkt_norm(res, problem)
+        norms.append((omegas[-1], norm))
+        return norm
+
+    def checked_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
+        t, stalled, f_new = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
+        moved = t > 0
+        moved[moved] = (np.abs(dv[moved]).max(axis=1) + np.abs(dm[moved])) > 0
+        at = smoothed_objective(v + t[:, None] * dv, m + t * dm, problem, omega, xi)
+        assert np.array_equal(f_new[moved], at[moved])
+        assert np.array_equal(f_new[~moved], f[~moved])
+        v_full, m_full = v + dv, m + dm
+        out = ((v_full <= gb.INTERIOR_MARGIN).any(axis=1) | (m_full <= gb.INTERIOR_MARGIN)
+               | (v_full >= 1.0 - gb.INTERIOR_MARGIN).any(axis=1))
+        seen["moved"] += int(moved.sum())
+        seen["still"] += int((~moved & ~stalled).sum())
+        seen["stalled"] += int(stalled.sum())
+        seen["left_box"] += int((out & moved).sum())
+        return t, stalled, f_new
+
+    def compare(problem, warm_v):
+        """Solve both ways, require bit-identical results, and count the
+        tasks whose best iterate at some level, and at the last level, is
+        not the level's last one."""
+        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v)
+        omegas.clear()
+        norms.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(gb, "grad_smoothed", record_grad)
+            mp.setattr(gb, "scaled_kkt_norm", record_norm)
+            mp.setattr(gb, "line_search", checked_line_search)
+            v, m, info = solve_global(problem, warm_v)
+        assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
+        assert info.keys() == info_ref.keys()
+        for key in info:
+            assert np.array_equal(info[key], info_ref[key]), key
+        counts = []
+        for omega in dict.fromkeys(o for o, _ in norms):
+            level = np.array([norm for o, norm in norms if o == omega])
+            counts.append(int((level[-1] > level.min(axis=0)).sum()))
+        return sum(counts), counts[-1]
+
+    rng = np.random.default_rng(33)
+    final_best_not_last = 0
+    for case, deadline in enumerate(("loose", "binding", "tight") * 70):
+        twin = case % 42 == 2
+        problem, warm_v = _random_global_problem(rng, deadline, twin)
+        seen["best_not_last"] += compare(problem, warm_v)[0]
+        seen["warm"] += warm_v is not None
+        if twin:
+            # end the schedule on the level where the twin row's best
+            # iterate is not its last, so the reported KKT norms must be
+            # the best ones and not the last ones computed
+            with monkeypatch.context() as mp:
+                mp.setattr(gb, "OMEGA_FLOOR", 0.01)
+                final_best_not_last += compare(problem, warm_v)[1]
+    assert all(count > 0 for count in seen.values()), seen
+    assert final_best_not_last > 0
