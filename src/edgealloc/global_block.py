@@ -21,9 +21,9 @@ ARMIJO_C1 = 1e-4
 STALL_T = 1e-12
 MAX_INNER = 25
 
-OMEGA_INIT = 1.0
-OMEGA_DECAY = 0.1
-OMEGA_FLOOR = 1e-6
+# barrier weights of the levels, run in order; each level's best iterate
+# starts the next
+OMEGA_LEVELS = (1e-2, 1e-4, 1e-6)
 XI_INIT = 0.1
 XI_GROWTH = 2.0
 # the corner penalty subtracts 2*xi from the prox curvature rho; past
@@ -215,7 +215,7 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     a start on both rows.
 
     Tasks whose step collapses below the stall threshold get t = 0 and a
-    raised flag; the caller reacts by advancing the barrier schedule.
+    raised flag; the caller freezes them for the rest of the level.
     Returns (t, stalled, f_new) with f_new the objective at the accepted
     point: the accepted trial value, or `f` where the task did not move.
     """
@@ -285,22 +285,32 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
 
 def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
                  tol: float = 1e-6):
-    """Outer barrier/penalty schedule with damped Newton inner iterations.
+    """Barrier/penalty schedule with damped Newton inner iterations.
+
+    The levels run at the barrier weights of `OMEGA_LEVELS` (1e-2, 1e-4,
+    1e-6); the corner weight xi starts at min(XI_INIT,
+    XI_CONVEXITY_FRACTION * rho) and grows by XI_GROWTH, up to that cap,
+    at each level after the first.  Each level runs up to MAX_INNER Newton
+    steps from the previous level's best iterate.  A task whose line
+    search stalls sits out the rest of its level: its point does not move,
+    so a retry would take the same step and stall again.
 
     Returns (v, m, info); v stays strictly interior, the simplex equality
-    holds to roundoff throughout, and tasks that exhaust the schedule above
+    holds to roundoff throughout, and tasks that end the last level above
     tolerance are flagged rather than fatal.
     """
     v, m = interior_init(problem, warm_v)
-    omega = OMEGA_INIT
     xi = min(XI_INIT, XI_CONVEXITY_FRACTION * problem.rho)
-    grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
+    grad_v, grad_m = grad_smoothed(v, m, problem, OMEGA_LEVELS[0], xi)
     nu = -grad_m
     sig = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)
     total_newton = 0
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
-    while True:
+    for level, omega in enumerate(OMEGA_LEVELS):
+        if level:
+            xi = min(xi * XI_GROWTH, XI_CONVEXITY_FRACTION * problem.rho)
         f = smoothed_objective(v, m, problem, omega, xi)
+        frozen = np.zeros(problem.n_tasks, dtype=bool)
         best = None
         for _ in range(MAX_INNER):
             grad = grad_smoothed(v, m, problem, omega, xi)
@@ -312,7 +322,7 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
                 better = norm < best[0]
                 for kept, now in zip(best, (norm, v, m, nu, sig)):
                     kept[better] = now[better]
-            active = norm > tol
+            active = (norm > tol) & ~frozen
             if not active.any():
                 break
             system = assemble_newton(v, m, res, problem, omega, xi)
@@ -323,19 +333,14 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
             dsig[~active] = 0.0
             t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
             stalled_any |= stalled
+            frozen |= stalled
             v = v + t[:, None] * dv
             m = m + t * dm
             nu = nu + t * dnu
             sig = sig + t * dsig
             total_newton += 1
-            if (t[active] == 0).all():
-                break
         # the last level's best norms are the KKT norms of the point returned
         final_norm, v, m, nu, sig = best
-        if omega <= OMEGA_FLOOR:
-            break
-        omega = max(omega * OMEGA_DECAY, OMEGA_FLOOR)
-        xi = min(xi * XI_GROWTH, XI_CONVEXITY_FRACTION * problem.rho)
 
     info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
             "newton_iterations": total_newton, "stalled": stalled_any,

@@ -415,3 +415,24 @@ def test_batched_split_pricer_rows_are_independent(monkeypatch):
         empty = admm._optimize_branch_split(tables, i[:0], j[:0], h[:0])
         assert [a.shape for a in empty] == [(0,)] * 4
         assert empty[3].dtype == bool
+
+
+def test_reference_run_newton_steps_and_utility(monkeypatch):
+    # the three-level barrier schedule takes 235 Newton steps over the 15
+    # global solves of the 100-task reference; the placement is pinned by
+    # its utility
+    steps = []
+    solve_global = admm.global_block.solve_global
+
+    def counted(*args, **kwargs):
+        v, m, info = solve_global(*args, **kwargs)
+        steps.append(info["newton_iterations"])
+        return v, m, info
+
+    monkeypatch.setattr(admm.global_block, "solve_global", counted)
+    scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
+    config = SolverConfig(record_timing=False)
+    placement, _ = run(scen, config)
+    assert sum(steps) <= 250
+    assert costs.utility(placement, scen,
+                         UtilityWeights(config.alpha)) == 1.996138694111688
