@@ -56,17 +56,20 @@ class SolverConfig:
 
 @dataclass
 class ConsensusState:
-    """Globals, local copies, duals and splits; the whole iterate."""
+    """Globals, local copies, duals and splits; the whole iterate.
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    x_hat: np.ndarray
-    y_hat: np.ndarray
-    z_hat: np.ndarray
-    dual_x: np.ndarray
-    dual_y: np.ndarray
-    dual_z: np.ndarray
+    `v` (the global iterate), `v_hat` (the local copies), `dual` and
+    `prev` (the global iterate before the last global update) are stacked
+    per task, shape (n_tasks, n_sbs + 2), in the coordinate order of
+    `global_block.GlobalProblem`: the SBS assignments, then the
+    macro-station bit, then the terminal bit.  The split parts, the
+    linearized resource product `R` and the reciprocal shares `r` are
+    (n_sbs, n_tasks).
+    """
+
+    v: np.ndarray
+    v_hat: np.ndarray
+    dual: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
     ci: np.ndarray
@@ -74,9 +77,7 @@ class ConsensusState:
     r: np.ndarray
     rho: float
     k: int = 0
-    prev_x: np.ndarray | None = None
-    prev_y: np.ndarray | None = None
-    prev_z: np.ndarray | None = None
+    prev: np.ndarray | None = None
 
 
 def init_state(scenario: Scenario, config: SolverConfig) -> ConsensusState:
@@ -86,13 +87,11 @@ def init_state(scenario: Scenario, config: SolverConfig) -> ConsensusState:
     share = 1.0 / (s + 2)
     c = scenario.c_array()
     third = np.tile(c / 3.0, (s, 1)) if s else np.zeros((0, n))
-    x = np.full((s, n), share)
+    v = np.full((n, s + 2), share)
     return ConsensusState(
-        x=x.copy(), y=np.full(n, share), z=np.full(n, share),
-        x_hat=x.copy(), y_hat=np.full(n, share), z_hat=np.full(n, share),
-        dual_x=np.zeros((s, n)), dual_y=np.zeros(n), dual_z=np.zeros(n),
+        v=v, v_hat=v.copy(), dual=np.zeros_like(v),
         c0=third.copy(), c1=third.copy(), ci=third.copy(),
-        R=x.copy(), r=np.ones((s, n)), rho=config.rho,
+        R=np.full((s, n), share), r=np.ones((s, n)), rho=config.rho,
     )
 
 
@@ -147,23 +146,17 @@ class Trace:
 
 def residuals(state: ConsensusState) -> tuple[float, float]:
     """Consensus gap norm and the scaled change of the global block."""
-    primal = np.sqrt(((state.x_hat - state.x) ** 2).sum()
-                     + ((state.y_hat - state.y) ** 2).sum()
-                     + ((state.z_hat - state.z) ** 2).sum())
-    if state.prev_x is None:
+    primal = np.sqrt(((state.v_hat - state.v) ** 2).sum())
+    if state.prev is None:
         dual = np.inf
     else:
-        dual = state.rho * np.sqrt(((state.x - state.prev_x) ** 2).sum()
-                                   + ((state.y - state.prev_y) ** 2).sum()
-                                   + ((state.z - state.prev_z) ** 2).sum())
+        dual = state.rho * np.sqrt(((state.v - state.prev) ** 2).sum())
     return float(primal), float(dual)
 
 
 def dual_update(state: ConsensusState) -> ConsensusState:
     """Ascend each multiplier by rho times its consensus gap."""
-    state.dual_x = state.dual_x + state.rho * (state.x_hat - state.x)
-    state.dual_y = state.dual_y + state.rho * (state.y_hat - state.y)
-    state.dual_z = state.dual_z + state.rho * (state.z_hat - state.z)
+    state.dual = state.dual + state.rho * (state.v_hat - state.v)
     state.k += 1
     return state
 
@@ -173,23 +166,23 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
     """Objective of the consensus formulation at the current primal pair
     and duals: local-copy cost plus dual terms plus quadratic penalty, in
     the normalized units the solver actually works in."""
+    s = state.c0.shape[0]
     util3 = tables.three_tier_util(state.c0, state.c1, state.ci)
-    cost = ((state.z_hat * tables.k_local).sum()
-            + (state.y_hat * tables.k_mbs).sum()
-            + (state.x_hat * util3).sum()) / cost_scale
-    gx, gy, gz = state.x_hat - state.x, state.y_hat - state.y, state.z_hat - state.z
-    dual_term = ((state.dual_x * gx).sum() + (state.dual_y * gy).sum()
-                 + (state.dual_z * gz).sum())
-    penalty = 0.5 * state.rho * ((gx ** 2).sum() + (gy ** 2).sum() + (gz ** 2).sum())
-    return float(cost + dual_term + penalty)
+    cost = ((state.v_hat[:, s + 1] * tables.k_local).sum()
+            + (state.v_hat[:, s] * tables.k_mbs).sum()
+            + (state.v_hat[:, :s].T * util3).sum()) / cost_scale
+    gap = state.v_hat - state.v
+    return float(cost + (state.dual * gap).sum()
+                 + 0.5 * state.rho * (gap ** 2).sum())
 
 
 def _relaxed_placement(state: ConsensusState) -> Placement:
+    s = state.c0.shape[0]
     with np.errstate(divide="ignore"):
         h = np.where(state.r > 0, 1.0 / state.r, 1.0)
-    return Placement(x=state.x.copy(), y=state.y.copy(), z=state.z.copy(),
-                     c0=state.c0.copy(), c1=state.c1.copy(), ci=state.ci.copy(),
-                     h=h)
+    return Placement(x=state.v[:, :s].T.copy(), y=state.v[:, s].copy(),
+                     z=state.v[:, s + 1].copy(), c0=state.c0.copy(),
+                     c1=state.c1.copy(), ci=state.ci.copy(), h=h)
 
 
 def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
@@ -202,27 +195,30 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     """
     weights = UtilityWeights(config.alpha)
     state = init_state(scenario, config)
-    cbgp_state = local_blocks.CbgpState.fresh(state.x_hat)
+    s = scenario.n_sbs
+    cbgp_state = local_blocks.CbgpState.fresh(state.v_hat[:, :s].T)
     trace = Trace()
 
     # tolerances scale with the root of the consensus dimension; the
     # barrier keeps a small per-coordinate interior offset, so an absolute
     # norm threshold would never fire on large instances
-    n_vars = state.x.size + state.y.size + state.z.size
-    eps_primal = config.tol_primal * np.sqrt(n_vars)
-    eps_dual = config.tol_dual * np.sqrt(n_vars)
+    eps_primal = config.tol_primal * np.sqrt(state.v.size)
+    eps_dual = config.tol_dual * np.sqrt(state.v.size)
 
-    s = scenario.n_sbs
     converged = False
     cost_scale = None
     for _ in range(config.max_iter):
         t0 = time.perf_counter() if config.record_timing else 0.0
 
+        # the cost tables and the split block work station-major; they get
+        # C-contiguous copies so their sums keep the order of an
+        # (n_sbs, n_tasks) array, and the split block owns what it writes
+        x = state.v[:, :s].T.copy()
         if s:
-            expected_load = np.clip(state.x.sum(axis=1), 1.0,
+            expected_load = np.clip(x.sum(axis=1), 1.0,
                                     1.0 / scenario.config.h_min)
             state.r = np.tile(expected_load[:, None], (1, scenario.n_tasks))
-        tables = costs.build_cost_tables(scenario, config.alpha, state.x,
+        tables = costs.build_cost_tables(scenario, config.alpha, x,
                                          state.c1, r=state.r)
         if cost_scale is None:
             # normalize once so per-task branch costs are O(1) against
@@ -232,28 +228,27 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
                 float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
         lagrangian_before = augmented_lagrangian(state, tables, cost_scale)
 
-        cbgp_state.x_prev = state.x_hat.copy()
-        cbgp_state.sweep = 0
-        cbgp_state.step_scale = np.ones(scenario.n_tasks)
         if s:
             problem = local_blocks.LocalProblem.from_tables(
-                tables, state.x, state.dual_x, config.rho, CORNER_DELTA,
-                cost_scale=cost_scale)
+                tables, x, state.dual[:, :s].T.copy(), config.rho,
+                CORNER_DELTA, cost_scale=cost_scale)
             vars = local_blocks.CbgpVars(
-                x_hat=state.x_hat, R=state.R, c0=state.c0, c1=state.c1,
-                ci=state.ci)
+                x_hat=state.v_hat[:, :s].T.copy(), R=state.R, c0=state.c0,
+                c1=state.c1, ci=state.ci)
             local_blocks.cbgp_solve(problem, vars, cbgp_state,
                                     rounds=config.cbgp_rounds,
                                     tol=config.cbgp_tol)
-            state.x_hat, state.R = vars.x_hat, vars.R
-            state.c0, state.c1, state.ci = vars.c0, vars.c1, vars.ci
+            state.v_hat[:, :s] = vars.x_hat.T
+            state.R, state.c0, state.c1, state.ci = (vars.R, vars.c0, vars.c1,
+                                                     vars.ci)
 
-        state.z_hat = local_blocks.solve_local_branch(
-            tables.k_local / cost_scale, state.z, state.dual_z, config.rho,
+        state.v_hat[:, s] = local_blocks.solve_mbs_branch(
+            tables.k_mbs / cost_scale, state.v[:, s], state.dual[:, s],
+            config.rho, feasible=tables.t_mbs <= tables.t_max)
+        state.v_hat[:, s + 1] = local_blocks.solve_local_branch(
+            tables.k_local / cost_scale, state.v[:, s + 1],
+            state.dual[:, s + 1], config.rho,
             feasible=tables.t_local <= tables.t_max)
-        state.y_hat = local_blocks.solve_mbs_branch(
-            tables.k_mbs / cost_scale, state.y, state.dual_y, config.rho,
-            feasible=tables.t_mbs <= tables.t_max)
 
         t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
         # the split block is deadline-blind; carrying an overdue split
@@ -271,27 +266,15 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
         tcoef = np.concatenate(
             [t3.T, tables.t_mbs[:, None], tables.t_local[:, None]], axis=1)
-        prox = np.concatenate(
-            [state.x_hat.T, state.y_hat[:, None], state.z_hat[:, None]], axis=1)
-        dual = np.concatenate(
-            [state.dual_x.T, state.dual_y[:, None], state.dual_z[:, None]],
-            axis=1)
-        warm = np.concatenate(
-            [state.x.T, state.y[:, None], state.z[:, None]], axis=1)
 
         problem = global_block.GlobalProblem(
-            prox=prox, dual=dual, tcoef=tcoef, t_max=tables.t_max,
-            rho=config.rho)
-        state.prev_x = state.x.copy()
-        state.prev_y = state.y.copy()
-        state.prev_z = state.z.copy()
-        v, _, info = global_block.solve_global(problem, warm_v=warm,
-                                               tol=config.newton_tol)
+            prox=state.v_hat, dual=state.dual, tcoef=tcoef,
+            t_max=tables.t_max, rho=config.rho)
+        state.prev = state.v
+        state.v, _, info = global_block.solve_global(problem, warm_v=state.v,
+                                                     tol=config.newton_tol)
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
-        state.x[:] = v[:, :s].T
-        state.y[:] = v[:, s]
-        state.z[:] = v[:, s + 1]
 
         lagrangian_after = augmented_lagrangian(state, tables, cost_scale)
         trace.aug_lagrangian.append(lagrangian_after)
@@ -396,13 +379,11 @@ def _price_splits(tables: CostTables, i, j, h):
         c0_cols.append(np.where(tilted, np.clip(c0b, 0.0, c), np.nan))
         c1_cols.append(np.zeros(c.shape))
         # fastest split: the terminal part is all or nothing by the sign of
-        # q, the forwarded part its clipped stationary point; two passes
+        # q, the forwarded part its stationary point clipped to the rest
         c1_star = np.where(curved, (urf - tables.d_mbs_exec[j] - w1)
                            / (2.0 * w2), 0.0)
-        c1_fast = np.zeros(c.shape)
-        for _ in range(2):
-            c0_fast = np.where(q >= 0, 0.0, c - c1_fast)
-            c1_fast = np.clip(c1_star, 0.0, c - c0_fast)
+        c0_fast = np.where(q >= 0, 0.0, c)
+        c1_fast = np.clip(c1_star, 0.0, c - c0_fast)
         c0_cols.append(c0_fast)
         c1_cols.append(c1_fast)
 
@@ -471,12 +452,12 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     h_min = scenario.config.h_min
     cap = int(np.floor(1.0 / h_min + 1e-9))
 
-    score = np.concatenate([state.z[None, :], state.x, state.y[None, :]], axis=0)
-    choice = np.argmax(score, axis=0)  # 0 local, 1..s sbs, s+1 mbs
+    score = np.roll(state.v, 1, axis=1)  # terminal, SBS 1..s, MBS
+    choice = np.argmax(score, axis=1)  # 0 local, 1..s sbs, s+1 mbs
 
     if s:
-        sorted_scores = np.sort(score, axis=0)
-        margin = sorted_scores[-1] - sorted_scores[-2]
+        sorted_scores = np.sort(score, axis=1)
+        margin = sorted_scores[:, -1] - sorted_scores[:, -2]
         for i in range(s):
             members = np.flatnonzero(choice == i + 1)
             if len(members) > cap:

@@ -80,12 +80,9 @@ def _cmd_baseline(args) -> int:
     placement, util = experiments.run_baseline(scenario,
                                                UtilityWeights(args.alpha),
                                                args.seed)
-    n = len(placement.y)
-    branches = [placement.branch_of(j) for j in range(n)]
-    print(json.dumps({"utility": util, "seed": args.seed,
-                      "n_local": branches.count("local"),
-                      "n_mbs": branches.count("mbs"),
-                      "n_sbs": n - branches.count("local") - branches.count("mbs")}))
+    n_local, n_sbs, n_mbs = experiments._branch_histogram(placement)
+    print(json.dumps({"utility": util, "seed": args.seed, "n_local": n_local,
+                      "n_mbs": n_mbs, "n_sbs": n_sbs}))
     return 0
 
 

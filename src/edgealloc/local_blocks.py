@@ -78,7 +78,8 @@ class CbgpState:
 
     All multipliers stay nonnegative after every projected subgradient
     update.  `x_prev` is the tangency point of the corner penalty, frozen
-    for the duration of one outer consensus iteration.
+    for the duration of one solve; only the multipliers carry over from
+    one solve to the next.
     """
 
     mu_env_lo: np.ndarray
@@ -243,9 +244,16 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
     not increase the objective; a rejected sweep halves the offending
     tasks' steps and is retried from the pre-sweep point.
 
+    The solve starts from the corner-penalty tangency at the incoming
+    `vars.x_hat`, sweep count 0 and unit step scales; the multipliers in
+    `state` are taken as they are.
+
     Returns the final variables and the per-sweep objective history
     (list of per-task arrays, one entry per committed check).
     """
+    state.x_prev = vars.x_hat.copy()
+    state.sweep = 0
+    state.step_scale = np.ones(vars.x_hat.shape[1])
     q = block_objective(problem, vars, state.x_prev)
     history = [q]
     slack = 1e-12 * (1.0 + np.abs(q))
