@@ -6,10 +6,16 @@ shared-station resource fractions, and reports the true optimum of the
 weighted objective.  Deliberately search-independent from the consensus
 solver so the two can cross-check each other; both price splits through
 `CostTables.split_delay_cost` and pin share floors the same way.
+
+Within one `enumerate_optimum` call each distinct split search runs once:
+tuples that differ only in which tasks run locally or on the macro station
+leave the SBS tables unchanged and ask for the same searches again, so the
+results are kept in a memo that lives for the call and no longer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -49,11 +55,17 @@ class OracleResult:
         return doc
 
 
+@functools.lru_cache(maxsize=8)
 def _split_lattice(resolution: int):
+    """Fractions (c0/c, c1/c) of the simplex lattice at the given
+    resolution, read-only because every caller shares them."""
     ks = np.arange(resolution + 1)
     g0, g1 = np.meshgrid(ks, ks, indexing="ij")
     mask = (g0 + g1) <= resolution
-    return g0[mask] / resolution, g1[mask] / resolution
+    lattice = (g0[mask] / resolution, g1[mask] / resolution)
+    for part in lattice:
+        part.setflags(write=False)
+    return lattice
 
 
 def _deadline_boundary_c1(tables, i, j, c0, r, t_max):
@@ -153,14 +165,15 @@ def _best_split(tables, i, j, h, resolution, t_max):
     return best
 
 
-def _share_allocation(tables, members, i, h_min, resolution, t_max):
+def _share_allocation(tables, members, i, h_min, split_search):
     """Resource fractions for the tasks sharing one SBS.  A lone task is
     priced once at the whole station, h = 1: the share only scales the
     SBS execution term u/f·(1/h)·ci, so both the cost and the delay of any
     split are nonincreasing in h, and a split that meets the deadline at
     some share meets it at h = 1 at no greater cost; the caller's split
     search then decides feasibility.  Co-hosted tasks get a
-    square-root-weighted proportional allocation refined once."""
+    square-root-weighted proportional allocation refined once, with
+    `split_search(tables, i, j, h)` pricing each member's split."""
     if len(members) == 1:
         return {members[0]: 1.0}
 
@@ -170,7 +183,7 @@ def _share_allocation(tables, members, i, h_min, resolution, t_max):
     for _ in range(2):
         weights = {}
         for j in members:
-            split = _best_split(tables, i, j, shares[j], resolution, t_max[j])
+            split = split_search(tables, i, j, shares[j])
             if split is None:
                 return None
             ci = tables.c[j] - split[0] - split[1]
@@ -202,6 +215,19 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
 
     base_tables = costs.build_cost_tables(
         scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
+
+    # one `_best_split` per distinct input within this call: the key holds
+    # every input it reads that can change here, because the scenario
+    # constants, alpha and the resolution are fixed for the call
+    memo = {}
+
+    def split_search(tables, i, j, h):
+        key = (i, j, h, t_max[j], tables.rate[i, j], tables.e_up[i, j],
+               tables.w2[i, j], tables.w1[i, j], tables.w0[i, j],
+               tables.transfer_coef[i, j])
+        if key not in memo:
+            memo[key] = _best_split(tables, i, j, h, grid_resolution, t_max[j])
+        return memo[key]
 
     best_util = np.inf
     best_placement = None
@@ -240,13 +266,12 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
                 if not members:
                     continue
                 shares = _share_allocation(tables, members, i, h_min,
-                                           grid_resolution, t_max)
+                                           split_search)
                 if shares is None:
                     feasible = False
                     break
                 for j in members:
-                    split = _best_split(tables, i, j, shares[j],
-                                        grid_resolution, t_max[j])
+                    split = split_search(tables, i, j, shares[j])
                     if split is None:
                         feasible = False
                         break
@@ -261,10 +286,9 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
             continue
 
         placement = Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
-        if not costs.check_feasibility(placement, scenario):
-            continue
         util = costs.utility(placement, scenario, weights_obj)
-        if util < best_util:
+        # only a tuple that would improve the best needs its feasibility check
+        if util < best_util and costs.check_feasibility(placement, scenario):
             best_util = util
             best_placement = placement
             best_branches = [placement.branch_of(j) for j in range(n)]

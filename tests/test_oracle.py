@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from edgealloc import costs
+from edgealloc import costs, oracle
+from edgealloc.admm import _floored_proportions
 from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import InstanceTooLargeError
 from edgealloc.oracle import _best_split, compare, enumerate_optimum
@@ -165,3 +168,191 @@ def test_compare_report_fields():
     report = compare(bad, 0.0, result, 0.05, scen)
     assert not report["feasible"]
     assert ("assignment", 0) in report["violations"]
+
+
+# -- reference: the search without a memo ------------------------------------
+
+def _reference_share_allocation(tables, members, i, h_min, resolution, t_max):
+    """`oracle._share_allocation` as it was before the memo: every member
+    split is a fresh `oracle._best_split` call."""
+    if len(members) == 1:
+        return {members[0]: 1.0}
+
+    shares = {j: min(1.0, 1.0 / len(members)) for j in members}
+    if min(shares.values()) < h_min:
+        return None
+    for _ in range(2):
+        weights = {}
+        for j in members:
+            split = oracle._best_split(tables, i, j, shares[j], resolution,
+                                       t_max[j])
+            if split is None:
+                return None
+            ci = tables.c[j] - split[0] - split[1]
+            weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
+        shares = _floored_proportions(
+            {j: float(np.sqrt(w)) for j, w in weights.items()}, h_min)
+    return shares
+
+
+def _reference_enumerate_optimum(scenario, weights, grid_resolution=100):
+    """`oracle.enumerate_optimum` as it was before the memo: the same tuple
+    loop, with a fresh split search for every request and a feasibility
+    check before the utility of every tuple."""
+    s, n = scenario.n_sbs, scenario.n_tasks
+    alpha = weights.alpha
+    t_max = scenario.t_max_array()
+    h_min = scenario.config.h_min
+    cap = int(np.floor(1.0 / h_min + 1e-9))
+
+    base_tables = costs.build_cost_tables(
+        scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
+
+    best_util = np.inf
+    best_placement = None
+    best_branches = None
+    n_enumerated = 0
+
+    for tup in itertools.product(range(s + 2), repeat=n):
+        n_enumerated += 1
+        ok = True
+        for j, b in enumerate(tup):
+            if b == 0 and base_tables.t_local[j] > t_max[j]:
+                ok = False
+                break
+            if b == s + 1 and base_tables.t_mbs[j] > t_max[j]:
+                ok = False
+                break
+        if not ok:
+            continue
+        counts = [sum(1 for b in tup if b == i + 1) for i in range(s)]
+        if any(cnt > cap for cnt in counts):
+            continue
+
+        hard_x, y, z = costs.hard_assignment(tup, s)
+
+        c0 = np.zeros((s, n))
+        c1 = np.zeros((s, n))
+        ci = np.zeros((s, n))
+        h = np.ones((s, n))
+        feasible = True
+        for sweep in range(2):
+            tables = costs.build_cost_tables(scenario, alpha, hard_x, c1)
+            for i in range(s):
+                members = [j for j, b in enumerate(tup) if b == i + 1]
+                if not members:
+                    continue
+                shares = _reference_share_allocation(tables, members, i, h_min,
+                                                     grid_resolution, t_max)
+                if shares is None:
+                    feasible = False
+                    break
+                for j in members:
+                    split = oracle._best_split(tables, i, j, shares[j],
+                                               grid_resolution, t_max[j])
+                    if split is None:
+                        feasible = False
+                        break
+                    c0[i, j], c1[i, j] = split[0], split[1]
+                    ci[i, j] = tables.c[j] - split[0] - split[1]
+                    h[i, j] = shares[j]
+                if not feasible:
+                    break
+            if not feasible:
+                break
+        if not feasible:
+            continue
+
+        placement = Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
+        if not costs.check_feasibility(placement, scenario):
+            continue
+        util = costs.utility(placement, scenario, weights)
+        if util < best_util:
+            best_util = util
+            best_placement = placement
+            best_branches = [placement.branch_of(j) for j in range(n)]
+
+    if best_placement is None:
+        return oracle.OracleResult(placement=None, utility=np.inf,
+                                   branch_table=[], n_enumerated=n_enumerated,
+                                   feasible=False)
+    return oracle.OracleResult(placement=best_placement, utility=float(best_util),
+                               branch_table=best_branches,
+                               n_enumerated=n_enumerated, feasible=True)
+
+
+def _criterion_3_instances(trials):
+    # the instance stream of test_criterion_3_oracle_equivalence
+    rng = np.random.default_rng(7)
+    for trial in range(max(trials) + 1):
+        n_tasks = int(rng.integers(1, 5))
+        n_sbs = int(rng.integers(0, 3))
+        tight = trial % 3 == 0
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n_tasks, n_sbs=n_sbs, seed=int(rng.integers(0, 100000)),
+            t_max_range=(0.02, 0.08) if tight else (15.0, 30.0)))
+        if trial in trials:
+            yield scen
+
+
+def _assert_same_result(memoised, fresh):
+    assert memoised.utility == fresh.utility
+    assert memoised.branch_table == fresh.branch_table
+    assert memoised.n_enumerated == fresh.n_enumerated
+    assert memoised.feasible == fresh.feasible
+    assert (memoised.placement is None) == (fresh.placement is None)
+    if fresh.placement is not None:
+        for name in ("x", "y", "z", "c0", "c1", "ci", "h"):
+            assert np.array_equal(getattr(memoised.placement, name),
+                                  getattr(fresh.placement, name)), name
+
+
+def test_memoised_oracle_bit_identical_to_fresh_search():
+    weights = UtilityWeights(0.5)
+    # the first 12 criterion-3 instances and instance 24, where the second
+    # sweep's relay coefficients change a split search the first sweep ran;
+    # on 3-task seed 1 at the tightest deadlines, interference from the
+    # other station changes the upload rate of a search another tuple ran
+    cases = [(scen, 100)
+             for scen in _criterion_3_instances(set(range(12)) | {24})]
+    cases += [(generate_scenario(ScenarioConfig(
+        n_tasks=n, n_sbs=2, seed=seed, t_max_range=t_max_range)), 100)
+        for n, seed, t_max_range in ((3, 1, (0.01, 0.03)),
+                                     (4, 1, (0.02, 0.08)),
+                                     (4, 2, (15.0, 30.0)))]
+    cases.append((generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=2, seed=5)),
+                  50))
+    for scen, grid in cases:
+        _assert_same_result(
+            enumerate_optimum(scen, weights, grid_resolution=grid),
+            _reference_enumerate_optimum(scen, weights, grid_resolution=grid))
+
+
+def test_split_memo_lives_for_one_call(monkeypatch):
+    searches = []
+    search = oracle._best_split
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_best_split", counting)
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=2, seed=0))
+    weights = UtilityWeights(0.5)
+    counts = []
+    for _ in range(2):
+        searches.clear()
+        enumerate_optimum(scen, weights)
+        counts.append(len(searches))
+    searches.clear()
+    _reference_enumerate_optimum(scen, weights)
+    assert counts[0] == counts[1] > 0
+    assert counts[0] < len(searches)
+
+
+def test_split_lattice_is_shared_and_read_only():
+    g0, g1 = oracle._split_lattice(100)
+    assert oracle._split_lattice(100)[0] is g0
+    assert len(g0) == len(g1) == 101 * 102 // 2
+    with pytest.raises(ValueError):
+        g0[0] = 1.0
