@@ -258,8 +258,8 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
         if len(overdue):
             i, j = overdue.T
-            c0, c1, _, ok = _optimize_branch_split(tables, i, j,
-                                                   1.0 / state.r[i, j])
+            c0, c1, _, ok = costs.best_splits(tables, i, j,
+                                              1.0 / state.r[i, j])
             i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
             state.c0[i, j], state.c1[i, j] = c0, c1
             state.ci[i, j] = tables.c[j] - c0 - c1
@@ -299,107 +299,6 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
 # -- rounding ----------------------------------------------------------------
 
-# rows priced at once; every (rows, 32) intermediate of `_price_splits`
-# stays at 128 KiB, so a repair over thousands of pairs does not raise the
-# solve's peak memory
-SPLIT_BLOCK_ROWS = 512
-
-
-def _optimize_branch_split(tables: CostTables, i, j, h):
-    """Best deadline-feasible splits of tasks j on SBSs i at resource
-    shares h, one row per (i, j, h) entry of the equal-length arrays.
-
-    The split cost is linear in the terminal part and convex quadratic in
-    the forwarded part, so each constrained optimum is one of finitely
-    many analytic candidates: simplex corners, the two stationary
-    forwarded parts (free and along the full-offload edge), the points
-    where the deadline binds, and the fastest split.  Returns the arrays
-    (c0, c1, delay, feasible); rows whose fastest split misses the
-    deadline are infeasible and hold NaN.  Rows are independent, so they
-    are priced in blocks of `SPLIT_BLOCK_ROWS`.
-    """
-    b = SPLIT_BLOCK_ROWS
-    parts = [_price_splits(tables, i[k:k + b], j[k:k + b], h[k:k + b])
-             for k in range(0, max(len(i), 1), b)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _price_splits(tables: CostTables, i, j, h):
-    """`_optimize_branch_split` on one block of rows: the candidates are
-    held in a fixed-width matrix, NaN where a candidate does not exist,
-    priced in one call, and the first cheapest feasible one is kept."""
-    i = np.asarray(i, dtype=np.intp)[:, None]
-    j = np.asarray(j, dtype=np.intp)[:, None]
-    r = 1.0 / np.asarray(h, dtype=float)[:, None]
-    c = tables.c[j]
-    t_max = tables.t_max[j]
-    a = tables.alpha
-    w2, w1 = tables.w2[i, j], tables.w1[i, j]
-    urf = tables.u_over_fs[i, j] * r
-    q = tables.d_c0[j] - 1.0 / tables.rate[i, j] - urf
-    d1 = w1 + tables.d_mbs_exec[j] - urf
-    d0 = c / tables.rate[i, j] + tables.w0[i, j] + urf * c
-    k_c0 = (a * q + (1.0 - a) * (tables.e_c0[j] - tables.e_up[i, j]
-                                 - tables.e_sbs[i, j]))
-    k_c1 = (a * d1 + (1.0 - a) * (tables.transfer_coef[i, j]
-                                  + tables.e_mbs_exec[j] - tables.e_sbs[i, j]))
-    curved, tilted = w2 > 0, q != 0
-    nan = np.full(c.shape, np.nan)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c1_cands = [np.zeros(c.shape), c]
-        if a > 0:
-            c1_cands.append(-k_c1 / (2.0 * a * w2))          # free stationary
-            c1_cands.append((k_c0 - k_c1) / (2.0 * a * w2))  # along c0 = c - c1
-        else:
-            c1_cands += [nan, nan]
-        c1_cands.append(-d1 / (2.0 * w2))                    # fastest forwarded part
-        ab = w2 * (a - k_c0 / q)
-        bb = k_c1 - k_c0 * d1 / q
-        # along the deadline face
-        c1_cands.append(np.where(tilted & (ab > 0), -bb / (2.0 * ab), np.nan))
-        # deadline boundary along c0 = 0 and along c0 = c - c1
-        for shift, const in ((d1, d0 - t_max), (d1 - q, d0 + q * c - t_max)):
-            disc = shift * shift - 4.0 * w2 * const
-            root = np.where(disc >= 0, np.sqrt(disc), np.nan)
-            c1_cands.append((-shift - root) / (2.0 * w2))
-            c1_cands.append((-shift + root) / (2.0 * w2))
-        c1_cands[2:] = [np.where(curved, v, np.nan) for v in c1_cands[2:]]
-
-        c0_cols, c1_cols = [], []
-        for c1 in c1_cands:
-            c1 = np.where(np.isfinite(c1), np.clip(c1, 0.0, c), np.nan)
-            c0b = (t_max - d0 - d1 * c1 - w2 * c1 * c1) / q
-            c0_cols += [np.zeros(c.shape), c - c1,
-                        np.where(tilted & (c1 > 0),
-                                 np.clip(c0b, 0.0, c - c1), np.nan)]
-            c1_cols += [c1, c1, c1]
-        # the c1 = 0 regime drops the wired charge entirely
-        c0b = (t_max - (c / tables.rate[i, j] + urf * c)) / q
-        c0_cols.append(np.where(tilted, np.clip(c0b, 0.0, c), np.nan))
-        c1_cols.append(np.zeros(c.shape))
-        # fastest split: the terminal part is all or nothing by the sign of
-        # q, the forwarded part its stationary point clipped to the rest
-        c1_star = np.where(curved, (urf - tables.d_mbs_exec[j] - w1)
-                           / (2.0 * w2), 0.0)
-        c0_fast = np.where(q >= 0, 0.0, c)
-        c1_fast = np.clip(c1_star, 0.0, c - c0_fast)
-        c0_cols.append(c0_fast)
-        c1_cols.append(c1_fast)
-
-    c0a, c1a = np.concatenate(c0_cols, axis=1), np.concatenate(c1_cols, axis=1)
-    keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
-    c1a = np.minimum(c1a, c - c0a)
-    delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
-    feas = keep & (delay <= t_max * (1.0 + 1e-12) + 1e-15)
-    # argmin takes the first minimum, so ties go to the earlier candidate
-    k = np.argmin(np.where(feas, cost, np.inf), axis=1)[:, None]
-    feasible = feas.any(axis=1)
-    pick = lambda m: np.where(feasible, np.take_along_axis(m, k, axis=1)[:, 0],
-                              np.nan)
-    return pick(c0a), pick(c1a), pick(delay), feasible
-
-
 def _floored_proportions(raw: dict, floor: float) -> dict:
     """Scale positive weights onto a unit budget with a per-entry floor:
     entries that would fall below the floor are pinned there and the rest
@@ -432,8 +331,8 @@ def _allocate_shares(tables: CostTables, members: np.ndarray, i: int,
     shares = np.full(n_i, min(1.0, 1.0 / n_i))
     if n_i <= 1:
         return shares
-    c0, c1, _, ok = _optimize_branch_split(tables, np.full(n_i, i), members,
-                                           shares)
+    c0, c1, _, ok = costs.best_splits(tables, np.full(n_i, i), members,
+                                      shares)
     c = tables.c[members]
     ci = np.where(ok, c - (c0 + c1), c)
     weights = np.maximum(tables.alpha * tables.u_over_fs[i, members] * ci, 1e-30)
@@ -491,7 +390,7 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
             if not len(members):
                 continue
             shares = _allocate_shares(tables, members, i, h_min)
-            c0_i, c1_i, delay, ok = _optimize_branch_split(
+            c0_i, c1_i, delay, ok = costs.best_splits(
                 tables, np.full(len(members), i), members, shares)
             choice[members[~ok]] = -1  # needs promotion
             j = members[ok]
@@ -521,7 +420,7 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
                 open_sbs = [i for i in range(s) if hosted[i].sum() < cap]
                 avail = [max(h_min, min(1.0, 1.0 - h[i, hosted[i]].sum()))
                          for i in open_sbs]
-                _, _, delay, ok = _optimize_branch_split(
+                _, _, delay, ok = costs.best_splits(
                     tables, np.array(open_sbs, dtype=np.intp),
                     np.full(len(open_sbs), j), np.array(avail))
                 options += [(d, i + 1) for d, i, fits

@@ -57,8 +57,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = Scenario.from_json(args.scenario)
-    result = oracle.enumerate_optimum(scenario, UtilityWeights(args.alpha),
-                                      grid_resolution=args.grid)
+    result = oracle.enumerate_optimum(scenario, UtilityWeights(args.alpha))
     result.to_json(args.out)
     if result.feasible:
         print(f"optimum {result.utility:.6g} over {result.n_enumerated} "
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive optimum of a small instance")
     p.add_argument("--scenario", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--grid", type=int, default=100)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
 

@@ -8,6 +8,8 @@ built.  What pricing needs from the scenario alone -- per-task vectors,
 SBS radio and compute constants and the relay incidence -- is the
 read-only `PricingConstants` bundle that each scenario builds once, on
 first use, as `Scenario.pricing`; every other function here is pure.
+`best_splits` is the one split optimizer: the solver's repairs and
+rounding and the oracle all take their splits from it.
 """
 
 from __future__ import annotations
@@ -445,6 +447,107 @@ class CostTables:
                   + self.e_sbs[i, j] * ci
                   + (self.transfer_coef[i, j] + self.e_mbs_exec[j]) * c1)
         return delay, self.alpha * delay + (1.0 - self.alpha) * energy
+
+
+# rows priced at once; every (rows, 32) intermediate of `_price_splits`
+# stays at 128 KiB, so a repair over thousands of pairs does not raise the
+# solve's peak memory
+SPLIT_BLOCK_ROWS = 512
+
+
+def best_splits(tables: CostTables, i, j, h):
+    """Best deadline-feasible splits of tasks j on SBSs i at resource
+    shares h, one row per (i, j, h) entry of the equal-length arrays.
+
+    The split cost is linear in the terminal part and convex quadratic in
+    the forwarded part, so each constrained optimum is one of finitely
+    many analytic candidates: simplex corners, the two stationary
+    forwarded parts (free and along the full-offload edge), the points
+    where the deadline binds, and the fastest split.  Returns the arrays
+    (c0, c1, delay, feasible); rows whose fastest split misses the
+    deadline are infeasible and hold NaN.  Rows are independent, so they
+    are priced in blocks of `SPLIT_BLOCK_ROWS`.
+    """
+    b = SPLIT_BLOCK_ROWS
+    parts = [_price_splits(tables, i[k:k + b], j[k:k + b], h[k:k + b])
+             for k in range(0, max(len(i), 1), b)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _price_splits(tables: CostTables, i, j, h):
+    """`best_splits` on one block of rows: the candidates are held in a
+    fixed-width matrix, NaN where a candidate does not exist, priced in
+    one call, and the first cheapest feasible one is kept."""
+    i = np.asarray(i, dtype=np.intp)[:, None]
+    j = np.asarray(j, dtype=np.intp)[:, None]
+    r = 1.0 / np.asarray(h, dtype=float)[:, None]
+    c = tables.c[j]
+    t_max = tables.t_max[j]
+    a = tables.alpha
+    w2, w1 = tables.w2[i, j], tables.w1[i, j]
+    urf = tables.u_over_fs[i, j] * r
+    q = tables.d_c0[j] - 1.0 / tables.rate[i, j] - urf
+    d1 = w1 + tables.d_mbs_exec[j] - urf
+    d0 = c / tables.rate[i, j] + tables.w0[i, j] + urf * c
+    k_c0 = (a * q + (1.0 - a) * (tables.e_c0[j] - tables.e_up[i, j]
+                                 - tables.e_sbs[i, j]))
+    k_c1 = (a * d1 + (1.0 - a) * (tables.transfer_coef[i, j]
+                                  + tables.e_mbs_exec[j] - tables.e_sbs[i, j]))
+    curved, tilted = w2 > 0, q != 0
+    nan = np.full(c.shape, np.nan)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c1_cands = [np.zeros(c.shape), c]
+        if a > 0:
+            c1_cands.append(-k_c1 / (2.0 * a * w2))          # free stationary
+            c1_cands.append((k_c0 - k_c1) / (2.0 * a * w2))  # along c0 = c - c1
+        else:
+            c1_cands += [nan, nan]
+        c1_cands.append(-d1 / (2.0 * w2))                    # fastest forwarded part
+        ab = w2 * (a - k_c0 / q)
+        bb = k_c1 - k_c0 * d1 / q
+        # along the deadline face
+        c1_cands.append(np.where(tilted & (ab > 0), -bb / (2.0 * ab), np.nan))
+        # deadline boundary along c0 = 0 and along c0 = c - c1
+        for shift, const in ((d1, d0 - t_max), (d1 - q, d0 + q * c - t_max)):
+            disc = shift * shift - 4.0 * w2 * const
+            root = np.where(disc >= 0, np.sqrt(disc), np.nan)
+            c1_cands.append((-shift - root) / (2.0 * w2))
+            c1_cands.append((-shift + root) / (2.0 * w2))
+        c1_cands[2:] = [np.where(curved, v, np.nan) for v in c1_cands[2:]]
+
+        c0_cols, c1_cols = [], []
+        for c1 in c1_cands:
+            c1 = np.where(np.isfinite(c1), np.clip(c1, 0.0, c), np.nan)
+            c0b = (t_max - d0 - d1 * c1 - w2 * c1 * c1) / q
+            c0_cols += [np.zeros(c.shape), c - c1,
+                        np.where(tilted & (c1 > 0),
+                                 np.clip(c0b, 0.0, c - c1), np.nan)]
+            c1_cols += [c1, c1, c1]
+        # the c1 = 0 regime drops the wired charge entirely
+        c0b = (t_max - (c / tables.rate[i, j] + urf * c)) / q
+        c0_cols.append(np.where(tilted, np.clip(c0b, 0.0, c), np.nan))
+        c1_cols.append(np.zeros(c.shape))
+        # fastest split: the terminal part is all or nothing by the sign of
+        # q, the forwarded part its stationary point clipped to the rest
+        c1_star = np.where(curved, (urf - tables.d_mbs_exec[j] - w1)
+                           / (2.0 * w2), 0.0)
+        c0_fast = np.where(q >= 0, 0.0, c)
+        c1_fast = np.clip(c1_star, 0.0, c - c0_fast)
+        c0_cols.append(c0_fast)
+        c1_cols.append(c1_fast)
+
+    c0a, c1a = np.concatenate(c0_cols, axis=1), np.concatenate(c1_cols, axis=1)
+    keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
+    c1a = np.minimum(c1a, c - c0a)
+    delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
+    feas = keep & (delay <= t_max * (1.0 + 1e-12) + 1e-15)
+    # argmin takes the first minimum, so ties go to the earlier candidate
+    k = np.argmin(np.where(feas, cost, np.inf), axis=1)[:, None]
+    feasible = feas.any(axis=1)
+    pick = lambda m: np.where(feasible, np.take_along_axis(m, k, axis=1)[:, 0],
+                              np.nan)
+    return pick(c0a), pick(c1a), pick(delay), feasible
 
 
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,

@@ -1,11 +1,12 @@
 """Exhaustive reference solver for desk-scale instances.
 
-Enumerates every hard branch assignment, optimizes the continuous splits
-per branch by lattice search with analytic boundary candidates, resolves
-shared-station resource fractions, and reports the true optimum of the
-weighted objective.  Deliberately search-independent from the consensus
-solver so the two can cross-check each other; both price splits through
-`CostTables.split_delay_cost` and pin share floors the same way.
+Enumerates every hard branch assignment, resolves shared-station resource
+fractions, and reports the true optimum of the weighted objective.  Its
+independence from the consensus solver lies in the enumeration: every
+branch tuple is priced, where the solver relaxes, iterates and rounds.
+Within a tuple the splits come from the same analytic optimizer the
+solver uses, `costs.best_splits`, and share floors are pinned the same
+way; the tests cross-check that optimizer against a brute-force search.
 
 Within one `enumerate_optimum` call each distinct split search runs once:
 tuples that differ only in which tasks run locally or on the macro station
@@ -15,7 +16,6 @@ results are kept in a memo that lives for the call and no longer.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -55,116 +55,6 @@ class OracleResult:
         return doc
 
 
-@functools.lru_cache(maxsize=8)
-def _split_lattice(resolution: int):
-    """Fractions (c0/c, c1/c) of the simplex lattice at the given
-    resolution, read-only because every caller shares them."""
-    ks = np.arange(resolution + 1)
-    g0, g1 = np.meshgrid(ks, ks, indexing="ij")
-    mask = (g0 + g1) <= resolution
-    lattice = (g0[mask] / resolution, g1[mask] / resolution)
-    for part in lattice:
-        part.setflags(write=False)
-    return lattice
-
-
-def _deadline_boundary_c1(tables, i, j, c0, r, t_max):
-    """Forwarded parts where the branch delay meets the deadline exactly,
-    solving the quadratic wired term along fixed c0."""
-    c = tables.c[j]
-    a2 = tables.w2[i, j]
-    b = tables.w1[i, j] + tables.d_mbs_exec[j] - tables.u_over_fs[i, j] * r
-    const = (tables.d_c0[j] * c0 + (c - c0) / tables.rate[i, j]
-             + tables.w0[i, j] + tables.u_over_fs[i, j] * r * (c - c0) - t_max)
-    out = []
-    if a2 > 0:
-        disc = b * b - 4.0 * a2 * const
-        if disc >= 0:
-            root = np.sqrt(disc)
-            out.extend([(-b - root) / (2 * a2), (-b + root) / (2 * a2)])
-    elif b != 0:
-        out.append(-const / b)
-    return [c1 for c1 in out if 0.0 <= c1 <= c - c0]
-
-
-def _best_split(tables, i, j, h, resolution, t_max):
-    """Cheapest deadline-feasible split of task j on SBS i at share h:
-    lattice sweep, one local refinement, plus stationary and
-    deadline-boundary candidates."""
-    c = tables.c[j]
-    r = 1.0 / h
-    g0, g1 = _split_lattice(resolution)
-    c0s, c1s = g0 * c, g1 * c
-    delay, cost = tables.split_delay_cost(i, j, c0s, c1s, r)
-    feas = delay <= t_max
-    best = None
-    if feas.any():
-        k = int(np.argmin(np.where(feas, cost, np.inf)))
-        best = (float(c0s[k]), float(c1s[k]), float(cost[k]))
-        # refine around the winning cell at a tenth of the step
-        step = c / resolution
-        lo0 = max(0.0, best[0] - 1.5 * step)
-        lo1 = max(0.0, best[1] - 1.5 * step)
-        f0 = np.linspace(lo0, min(c, best[0] + 1.5 * step), 31)
-        f1 = np.linspace(lo1, min(c, best[1] + 1.5 * step), 31)
-        m0, m1 = np.meshgrid(f0, f1, indexing="ij")
-        keep = (m0 + m1) <= c
-        c0r, c1r = m0[keep], m1[keep]
-        delay, cost = tables.split_delay_cost(i, j, c0r, c1r, r)
-        feas = delay <= t_max
-        if feas.any():
-            k = int(np.argmin(np.where(feas, cost, np.inf)))
-            if cost[k] < best[2]:
-                best = (float(c0r[k]), float(c1r[k]), float(cost[k]))
-
-    # analytic candidates: the split cost is linear in c0 and convex
-    # quadratic in c1, so the constrained optimum lies among corners,
-    # stationary forwarded parts, and deadline-binding points
-    cands = []
-    a = tables.alpha
-    w2, w1 = tables.w2[i, j], tables.w1[i, j]
-    urf = tables.u_over_fs[i, j] * r
-    q = tables.d_c0[j] - 1.0 / tables.rate[i, j] - urf
-    d1 = w1 + tables.d_mbs_exec[j] - urf
-    d0 = c / tables.rate[i, j] + tables.w0[i, j] + urf * c
-    k_c0 = a * q + (1.0 - a) * (tables.e_c0[j] - tables.e_up[i, j]
-                                - tables.e_sbs[i, j])
-    k_c1 = a * d1 + (1.0 - a) * (tables.transfer_coef[i, j]
-                                 + tables.e_mbs_exec[j] - tables.e_sbs[i, j])
-    c1_list = [0.0, c, best[1] if best else 0.0]
-    if w2 > 0:
-        if a > 0:
-            c1_list.append(-k_c1 / (2.0 * a * w2))
-            c1_list.append((k_c0 - k_c1) / (2.0 * a * w2))
-        if q != 0 and w2 * (a - k_c0 / q) > 0:
-            c1_list.append(-(k_c1 - k_c0 * d1 / q) / (2.0 * w2 * (a - k_c0 / q)))
-    for c0_cand in (0.0, 0.5 * c, c, best[0] if best else 0.0):
-        c1_list.extend(_deadline_boundary_c1(tables, i, j, c0_cand, r, t_max))
-    for c1_cand in c1_list:
-        if not np.isfinite(c1_cand) or not (0.0 <= c1_cand <= c):
-            continue
-        cands.append((0.0, c1_cand))
-        cands.append((c - c1_cand, c1_cand))
-        if q != 0:
-            c0b = (t_max - d0 - d1 * c1_cand - w2 * c1_cand * c1_cand) / q
-            cands.append((float(np.clip(c0b, 0.0, c - c1_cand)), c1_cand))
-    if q != 0:
-        cands.append((float(np.clip((t_max - c / tables.rate[i, j] - urf * c) / q,
-                                    0.0, c)), 0.0))
-    if cands:
-        c0a = np.array([p[0] for p in cands])
-        c1a = np.array([p[1] for p in cands])
-        keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
-        c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
-        delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
-        feas = delay <= t_max * (1.0 + 1e-12)
-        if feas.any():
-            k = int(np.argmin(np.where(feas, cost, np.inf)))
-            if best is None or cost[k] < best[2]:
-                best = (float(c0a[k]), float(c1a[k]), float(cost[k]))
-    return best
-
-
 def _share_allocation(tables, members, i, h_min, split_search):
     """Resource fractions for the tasks sharing one SBS.  A lone task is
     priced once at the whole station, h = 1: the share only scales the
@@ -193,8 +83,7 @@ def _share_allocation(tables, members, i, h_min, split_search):
     return shares
 
 
-def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
-                      grid_resolution: int = 100) -> OracleResult:
+def enumerate_optimum(scenario: Scenario, weights: UtilityWeights) -> OracleResult:
     """Global minimum over every feasible hard assignment.
 
     Branch tuples are enumerated exhaustively; within a tuple the relay
@@ -216,9 +105,9 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
     base_tables = costs.build_cost_tables(
         scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
 
-    # one `_best_split` per distinct input within this call: the key holds
+    # one split search per distinct input within this call: the key holds
     # every input it reads that can change here, because the scenario
-    # constants, alpha and the resolution are fixed for the call
+    # constants and alpha are fixed for the call
     memo = {}
 
     def split_search(tables, i, j, h):
@@ -226,7 +115,9 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
                tables.w2[i, j], tables.w1[i, j], tables.w0[i, j],
                tables.transfer_coef[i, j])
         if key not in memo:
-            memo[key] = _best_split(tables, i, j, h, grid_resolution, t_max[j])
+            c0, c1, _, ok = costs.best_splits(tables, np.array([i]),
+                                              np.array([j]), np.array([h]))
+            memo[key] = (c0[0], c1[0]) if ok[0] else None
         return memo[key]
 
     best_util = np.inf
@@ -259,7 +150,12 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
         ci = np.zeros((s, n))
         h = np.ones((s, n))
         feasible = True
-        for sweep in range(2):
+        # a tuple with no SBS task has no splits to price; the second sweep
+        # reprices the first one's forwarded parts, so with none forwarded
+        # its tables would equal the first sweep's
+        for sweep in range(2 if hard_x.any() else 0):
+            if sweep and not c1.any():
+                break
             tables = costs.build_cost_tables(scenario, alpha, hard_x, c1)
             for i in range(s):
                 members = [j for j, b in enumerate(tup) if b == i + 1]

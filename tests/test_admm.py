@@ -10,6 +10,7 @@ from edgealloc.admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
 from edgealloc.scenario import ScenarioConfig, generate_scenario
+from lattice_split import lattice_split
 
 
 def _blank_state(n_sbs, n_tasks, rho=1.0):
@@ -198,36 +199,25 @@ def test_primal_sweep_never_raises_lagrangian(small_scenario):
 
 def test_optimize_branch_split_matches_oracle_split_search():
     # the analytic candidate set must find a feasible split exactly when the
-    # oracle's lattice search does, and never cost more than it
+    # independent lattice search does, and never cost more than it
     rng = np.random.default_rng(21)
     checked = 0
-    for trial in range(40):
-        n, s = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        scen = generate_scenario(ScenarioConfig(
-            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000)),
-            t_max_range=(0.02, 0.08) if trial % 2 else (15.0, 30.0)))
-        c = scen.c_array()
-        tables = costs.build_cost_tables(
-            scen, float(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 1.0, (s, n)),
-            rng.uniform(0.0, 1.0, (s, n)) * c[None, :])
-        for i in range(s):
-            for j in range(n):
-                for h in rng.uniform(scen.config.h_min, 1.0, 3):
-                    t_max = tables.t_max[j]
-                    c0, c1, delay, feasible = admm._optimize_branch_split(
-                        tables, np.array([i]), np.array([j]), np.array([h]))
-                    ref = oracle._best_split(tables, i, j, h, 100, t_max)
-                    assert (not feasible[0]) == (ref is None), (trial, i, j, h)
-                    checked += 1
-                    if not feasible[0]:
-                        continue
-                    c0, c1, delay = c0[0], c1[0], delay[0]
-                    assert min(c0, c1) >= 0.0
-                    assert c0 + c1 <= c[j] * (1.0 + 1e-12)
-                    priced, cost = tables.split_delay_cost(i, j, c0, c1, 1.0 / h)
-                    assert priced == delay
-                    assert delay <= t_max * (1.0 + 1e-12) + 1e-15
-                    assert cost <= ref[2] + 1e-9 * abs(ref[2]), (trial, i, j, h)
+    for tables, i, j, h in _random_split_pairs(rng, 24):
+        c = tables.c
+        c0, c1, delay, feasible = costs.best_splits(tables, i, j, h)
+        for k in range(len(i)):
+            ref = lattice_split(tables, i[k], j[k], h[k])
+            assert (not feasible[k]) == (ref is None), (i[k], j[k], h[k])
+            checked += 1
+            if not feasible[k]:
+                continue
+            assert min(c0[k], c1[k]) >= 0.0
+            assert c0[k] + c1[k] <= c[j[k]] * (1.0 + 1e-12)
+            priced, cost = tables.split_delay_cost(i[k], j[k], c0[k], c1[k],
+                                                   1.0 / h[k])
+            assert priced == delay[k]
+            assert delay[k] <= tables.t_max[j[k]] * (1.0 + 1e-12) + 1e-15
+            assert cost <= ref[2] + 1e-9 * abs(ref[2]), (i[k], j[k], h[k])
     assert checked > 300
 
 
@@ -348,7 +338,7 @@ def _random_split_pairs(rng, n_scenarios):
 def _assert_matches_scalar(tables, i, j, h):
     """Batched rows equal the scalar reference bit for bit; returns the
     rows' feasibility."""
-    c0, c1, delay, feasible = admm._optimize_branch_split(tables, i, j, h)
+    c0, c1, delay, feasible = costs.best_splits(tables, i, j, h)
     for k in range(len(i)):
         ref = _scalar_optimize_branch_split(tables, i[k], j[k], h[k])
         assert feasible[k] == (ref is not None), (i[k], j[k], h[k])
@@ -382,7 +372,7 @@ def test_batched_split_pricer_bit_identical_to_scalar_reference():
             tables, alpha=0.0, e_c0=zero[0], e_mbs_exec=zero[0], e_up=zero,
             e_sbs=zero, transfer_coef=zero)
         feasible = _assert_matches_scalar(flat, i, j, h)
-        c0, c1, _, _ = admm._optimize_branch_split(flat, i, j, h)
+        c0, c1, _, _ = costs.best_splits(flat, i, j, h)
         tied += int(((c0 == 0.0) & (c1 == 0.0) & feasible).sum())
     assert tied >= 100
 
@@ -390,16 +380,16 @@ def test_batched_split_pricer_bit_identical_to_scalar_reference():
 def test_batched_split_pricer_rows_are_independent(monkeypatch):
     rng = np.random.default_rng(32)
     for tables, i, j, h in _random_split_pairs(rng, 6):
-        whole = admm._optimize_branch_split(tables, i, j, h)
+        whole = costs.best_splits(tables, i, j, h)
         perm = rng.permutation(len(i))
-        permuted = admm._optimize_branch_split(tables, i[perm], j[perm], h[perm])
+        permuted = costs.best_splits(tables, i[perm], j[perm], h[perm])
         with monkeypatch.context() as m:
-            m.setattr(admm, "SPLIT_BLOCK_ROWS", 7)
-            blocked = admm._optimize_branch_split(tables, i, j, h)
+            m.setattr(costs, "SPLIT_BLOCK_ROWS", 7)
+            blocked = costs.best_splits(tables, i, j, h)
         for a, b, c in zip(whole, permuted, blocked):
             assert a[perm].tobytes() == b.tobytes()
             assert a.tobytes() == c.tobytes()
-        empty = admm._optimize_branch_split(tables, i[:0], j[:0], h[:0])
+        empty = costs.best_splits(tables, i[:0], j[:0], h[:0])
         assert [a.shape for a in empty] == [(0,)] * 4
         assert empty[3].dtype == bool
 

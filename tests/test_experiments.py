@@ -163,7 +163,7 @@ def test_cli_generate_solve_oracle_baseline(tmp_path, capsys):
     assert set(doc) == {"utility", "converged", "iterations", "placement"}
 
     oracle_path = str(tmp_path / "oracle.json")
-    assert cli.main(["oracle", "--scenario", scen_path, "--grid", "60",
+    assert cli.main(["oracle", "--scenario", scen_path,
                      "--out", oracle_path]) == 0
     with open(oracle_path) as fh:
         odoc = json.load(fh)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from edgealloc import costs, oracle
 from edgealloc.admm import _floored_proportions
 from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import InstanceTooLargeError
-from edgealloc.oracle import _best_split, compare, enumerate_optimum
+from edgealloc.oracle import compare, enumerate_optimum
 from edgealloc.scenario import ScenarioConfig, generate_scenario
+from lattice_split import lattice_split
 
 
 def test_small_task_prefers_terminal():
@@ -115,14 +117,6 @@ def test_oracle_utility_lower_bounds_random_feasible_placements():
             checked += 1
 
 
-def test_refining_grid_never_increases_reported_utility():
-    scen = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=4,
-                                            t_max_range=(0.03, 0.05)))
-    coarse = enumerate_optimum(scen, UtilityWeights(0.5), grid_resolution=50)
-    fine = enumerate_optimum(scen, UtilityWeights(0.5), grid_resolution=100)
-    assert fine.utility <= coarse.utility + 1e-12 * (1 + abs(coarse.utility))
-
-
 def test_lone_task_split_is_cheapest_at_whole_station():
     # a lone task is priced only at h = 1; that is exact because the share
     # scales only the SBS execution term, so neither cost nor delay of a
@@ -136,14 +130,15 @@ def test_lone_task_split_is_cheapest_at_whole_station():
             t_max_range=(lo, 1.5 * lo)))
         tables = costs.build_cost_tables(scen, float(rng.uniform(0.0, 1.0)),
                                          np.ones((1, 1)), np.zeros((1, 1)))
-        t_max = float(scen.t_max_array()[0])
-        whole = _best_split(tables, 0, 0, 1.0, 100, t_max)
-        for h in rng.uniform(scen.config.h_min, 1.0, 5):
-            split = _best_split(tables, 0, 0, float(h), 100, t_max)
-            if split is None:
+        hs = np.concatenate([[1.0], rng.uniform(scen.config.h_min, 1.0, 5)])
+        rows = np.zeros(len(hs), dtype=np.intp)
+        c0, c1, _, ok = costs.best_splits(tables, rows, rows, hs)
+        _, cost = tables.split_delay_cost(0, 0, c0, c1, 1.0 / hs)
+        for k in range(1, len(hs)):
+            if not ok[k]:
                 continue
-            assert whole is not None, f"feasible at h={h:.3f} but not at h=1"
-            assert whole[2] <= split[2] + 1e-12 * abs(split[2])
+            assert ok[0], f"feasible at h={hs[k]:.3f} but not at h=1"
+            assert cost[0] <= cost[k] + 1e-12 * abs(cost[k])
             checked += 1
     assert checked > 100
 
@@ -172,9 +167,16 @@ def test_compare_report_fields():
 
 # -- reference: the search without a memo ------------------------------------
 
-def _reference_share_allocation(tables, members, i, h_min, resolution, t_max):
+def _fresh_split(tables, i, j, h):
+    """One uncached row of the shared pricer, in the oracle's form."""
+    c0, c1, _, ok = costs.best_splits(tables, np.array([i]), np.array([j]),
+                                      np.array([h]))
+    return (c0[0], c1[0]) if ok[0] else None
+
+
+def _reference_share_allocation(tables, members, i, h_min, split_search):
     """`oracle._share_allocation` as it was before the memo: every member
-    split is a fresh `oracle._best_split` call."""
+    split is a fresh `split_search` call."""
     if len(members) == 1:
         return {members[0]: 1.0}
 
@@ -184,8 +186,7 @@ def _reference_share_allocation(tables, members, i, h_min, resolution, t_max):
     for _ in range(2):
         weights = {}
         for j in members:
-            split = oracle._best_split(tables, i, j, shares[j], resolution,
-                                       t_max[j])
+            split = split_search(tables, i, j, shares[j])
             if split is None:
                 return None
             ci = tables.c[j] - split[0] - split[1]
@@ -195,10 +196,11 @@ def _reference_share_allocation(tables, members, i, h_min, resolution, t_max):
     return shares
 
 
-def _reference_enumerate_optimum(scenario, weights, grid_resolution=100):
+def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split):
     """`oracle.enumerate_optimum` as it was before the memo: the same tuple
-    loop, with a fresh split search for every request and a feasibility
-    check before the utility of every tuple."""
+    loop, with a fresh `split_search` call for every request, two table
+    sweeps for every tuple and a feasibility check before the utility of
+    every tuple."""
     s, n = scenario.n_sbs, scenario.n_tasks
     alpha = weights.alpha
     t_max = scenario.t_max_array()
@@ -243,13 +245,12 @@ def _reference_enumerate_optimum(scenario, weights, grid_resolution=100):
                 if not members:
                     continue
                 shares = _reference_share_allocation(tables, members, i, h_min,
-                                                     grid_resolution, t_max)
+                                                     split_search)
                 if shares is None:
                     feasible = False
                     break
                 for j in members:
-                    split = oracle._best_split(tables, i, j, shares[j],
-                                               grid_resolution, t_max[j])
+                    split = split_search(tables, i, j, shares[j])
                     if split is None:
                         feasible = False
                         break
@@ -313,30 +314,45 @@ def test_memoised_oracle_bit_identical_to_fresh_search():
     # sweep's relay coefficients change a split search the first sweep ran;
     # on 3-task seed 1 at the tightest deadlines, interference from the
     # other station changes the upload rate of a search another tuple ran
-    cases = [(scen, 100)
-             for scen in _criterion_3_instances(set(range(12)) | {24})]
-    cases += [(generate_scenario(ScenarioConfig(
-        n_tasks=n, n_sbs=2, seed=seed, t_max_range=t_max_range)), 100)
+    cases = list(_criterion_3_instances(set(range(12)) | {24}))
+    cases += [generate_scenario(ScenarioConfig(
+        n_tasks=n, n_sbs=2, seed=seed, t_max_range=t_max_range))
         for n, seed, t_max_range in ((3, 1, (0.01, 0.03)),
                                      (4, 1, (0.02, 0.08)),
-                                     (4, 2, (15.0, 30.0)))]
-    cases.append((generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=2, seed=5)),
-                  50))
-    for scen, grid in cases:
-        _assert_same_result(
-            enumerate_optimum(scen, weights, grid_resolution=grid),
-            _reference_enumerate_optimum(scen, weights, grid_resolution=grid))
+                                     (4, 2, (15.0, 30.0)),
+                                     (3, 5, (15.0, 30.0)))]
+    for scen in cases:
+        _assert_same_result(enumerate_optimum(scen, weights),
+                            _reference_enumerate_optimum(scen, weights))
+
+
+def test_oracle_matches_lattice_split_search():
+    # the oracle's splits come from the solver's analytic pricer; with the
+    # independent lattice search in its place the enumeration must reach
+    # the same optimum on every criterion-3 instance
+    weights = UtilityWeights(0.5)
+    checked = 0
+    for scen in _criterion_3_instances(set(range(50))):
+        analytic = enumerate_optimum(scen, weights)
+        lattice = _reference_enumerate_optimum(scen, weights, lattice_split)
+        assert analytic.feasible == lattice.feasible
+        assert analytic.branch_table == lattice.branch_table
+        if lattice.feasible:
+            assert analytic.utility == pytest.approx(lattice.utility,
+                                                     rel=1e-12, abs=0.0)
+            checked += 1
+    assert checked == 50
 
 
 def test_split_memo_lives_for_one_call(monkeypatch):
     searches = []
-    search = oracle._best_split
+    search = costs.best_splits
 
     def counting(*args):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(oracle, "_best_split", counting)
+    monkeypatch.setattr(costs, "best_splits", counting)
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=2, seed=0))
     weights = UtilityWeights(0.5)
     counts = []
@@ -350,9 +366,32 @@ def test_split_memo_lives_for_one_call(monkeypatch):
     assert counts[0] < len(searches)
 
 
-def test_split_lattice_is_shared_and_read_only():
-    g0, g1 = oracle._split_lattice(100)
-    assert oracle._split_lattice(100)[0] is g0
-    assert len(g0) == len(g1) == 101 * 102 // 2
-    with pytest.raises(ValueError):
-        g0[0] = 1.0
+def test_oracle_skips_redundant_table_builds(monkeypatch):
+    # a tuple with no SBS task builds no tables, and a second sweep runs
+    # only after a first one that forwarded work to the macro station;
+    # pricing a placement builds its own tables, which do not count here
+    builds = []
+    build = costs.build_cost_tables
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name != "tables_from_placement":
+            builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(costs, "build_cost_tables", counting)
+    weights = UtilityWeights(0.5)
+    macro_only = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=0, seed=0))
+    assert enumerate_optimum(macro_only, weights).feasible
+    assert len(builds) == 1  # the base tables
+
+    one_sbs = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0))
+    builds.clear()
+    result = enumerate_optimum(one_sbs, weights)
+    n_builds = len(builds)
+    # 3**3 - 2**3 tuples put a task on the station; no split here forwards
+    # work, so each of them takes one sweep
+    assert n_builds == 1 + 3**3 - 2**3
+    builds.clear()
+    fresh = _reference_enumerate_optimum(one_sbs, weights)
+    assert n_builds < len(builds)
+    _assert_same_result(result, fresh)
