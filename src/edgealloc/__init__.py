@@ -10,25 +10,21 @@ exhaustive oracle for validating the solver at desk scale.
 from .admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
                    augmented_lagrangian, dual_update, residuals,
                    round_to_feasible, run)
-from .costs import (CostTables, Placement, SplitAllocation, UtilityWeights,
-                    build_cost_tables, check_feasibility, local_delay,
-                    local_energy, mbs_energy, mbs_total_delay, mbs_uplink_time,
-                    three_tier_delay, three_tier_energy, utility)
-from .errors import (ConfigurationError, InfeasibleRateError,
-                     InfeasibleTaskError, InstanceTooLargeError)
-from .experiments import (ExperimentSpec, RandomBaseline, placement_profile,
-                          run_baseline, run_experiment)
+from .costs import (CostTables, Placement, UtilityWeights, build_cost_tables,
+                    check_feasibility, utility)
+from .errors import (ConfigurationError, InfeasibleTaskError,
+                     InstanceTooLargeError)
+from .experiments import (ExperimentSpec, placement_profile, run_baseline,
+                          run_experiment)
 from .global_block import (GlobalProblem, NewtonSystem, assemble_newton,
                            kkt_residual, line_search, nullspace_cg_solve,
                            smoothed_objective, solve_global)
 from .local_blocks import (CbgpState, CbgpVars, LocalProblem, cbgp_solve,
-                           majorize_penalty, rlt_bounds, solve_local_branch,
-                           solve_mbs_branch)
+                           majorize_penalty, rlt_bounds, solve_bit_branch)
 from .oracle import OracleResult, compare, enumerate_optimum
 from .scenario import (ChannelMatrix, LocalDevice, NetworkGraph, Path,
                        Scenario, ScenarioConfig, Station, Task,
-                       forwarding_delay, forwarding_load, generate_scenario,
-                       link_delay, link_load, path_delay)
+                       generate_scenario)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

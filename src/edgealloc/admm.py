@@ -242,10 +242,10 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             state.R, state.c0, state.c1, state.ci = (vars.R, vars.c0, vars.c1,
                                                      vars.ci)
 
-        state.v_hat[:, s] = local_blocks.solve_mbs_branch(
+        state.v_hat[:, s] = local_blocks.solve_bit_branch(
             tables.k_mbs / cost_scale, state.v[:, s], state.dual[:, s],
             config.rho, feasible=tables.t_mbs <= tables.t_max)
-        state.v_hat[:, s + 1] = local_blocks.solve_local_branch(
+        state.v_hat[:, s + 1] = local_blocks.solve_bit_branch(
             tables.k_local / cost_scale, state.v[:, s + 1],
             state.dual[:, s + 1], config.rho,
             feasible=tables.t_local <= tables.t_max)
@@ -299,30 +299,6 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
 # -- rounding ----------------------------------------------------------------
 
-def _floored_proportions(raw: dict, floor: float) -> dict:
-    """Scale positive weights onto a unit budget with a per-entry floor:
-    entries that would fall below the floor are pinned there and the rest
-    share the remaining budget proportionally."""
-    pinned = set()
-    while True:
-        budget = 1.0 - floor * len(pinned)
-        free_total = sum(w for j, w in raw.items() if j not in pinned)
-        out = {}
-        newly_pinned = False
-        for j, w in raw.items():
-            if j in pinned:
-                out[j] = floor
-                continue
-            share = budget * w / free_total if free_total > 0 else floor
-            if share < floor:
-                pinned.add(j)
-                newly_pinned = True
-                break
-            out[j] = min(share, 1.0)
-        if not newly_pinned:
-            return out
-
-
 def _allocate_shares(tables: CostTables, members: np.ndarray, i: int,
                      h_min: float) -> np.ndarray:
     """Resource shares for the tasks hosted on one SBS, in member order:
@@ -336,8 +312,8 @@ def _allocate_shares(tables: CostTables, members: np.ndarray, i: int,
     c = tables.c[members]
     ci = np.where(ok, c - (c0 + c1), c)
     weights = np.maximum(tables.alpha * tables.u_over_fs[i, members] * ci, 1e-30)
-    out = _floored_proportions(dict(zip(members.tolist(),
-                                        np.sqrt(weights).tolist())), h_min)
+    out = costs.floored_proportions(dict(zip(members.tolist(),
+                                             np.sqrt(weights).tolist())), h_min)
     return np.array([out[j] for j in members.tolist()])
 
 
@@ -346,7 +322,12 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     """Harden the relaxed state: dominant branch per task (ties prefer
     terminal, then SBS, then MBS), greedy demotion of over-capacity SBS
     tasks to the MBS, share allocation, split re-optimization, and
-    promotion of deadline violators to their fastest feasible branch."""
+    promotion of deadline violators to their fastest feasible branch.
+
+    The result passes `costs.check_feasibility`; otherwise
+    `InfeasibleTaskError` names the violating tasks, every task hosted on
+    an over-budget station among them.
+    """
     s, n = scenario.n_sbs, scenario.n_tasks
     h_min = scenario.config.h_min
     cap = int(np.floor(1.0 / h_min + 1e-9))
@@ -438,4 +419,14 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
         raise InfeasibleTaskError(infeasible)
 
     x, y, z = costs.hard_assignment(choice, s)
-    return Placement(x=x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
+    placement = Placement(x=x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
+    # the splits were priced against tables frozen at the first choice, so
+    # the placement's own congestion can still break a deadline or a budget
+    report = costs.check_feasibility(placement, scenario)
+    if not report.ok:
+        tasks = set()
+        for kind, k in report.violations:
+            tasks.update(np.flatnonzero(x[k]).tolist() if kind == "capacity"
+                         else [k])
+        raise InfeasibleTaskError(sorted(tasks))
+    return placement

@@ -1,15 +1,14 @@
 """Delay and energy pricing of allocations, and the weighted utility.
 
-Scalar forms mirror the model term by term and accept explicit overrides
-(rate, wired delay, upload time) so each term can be exercised in
-isolation; the vectorized `CostTables` bundle is what the solvers consume,
-with congestion and interference frozen at the moment the tables are
-built.  What pricing needs from the scenario alone -- per-task vectors,
-SBS radio and compute constants and the relay incidence -- is the
-read-only `PricingConstants` bundle that each scenario builds once, on
-first use, as `Scenario.pricing`; every other function here is pure.
-`best_splits` is the one split optimizer: the solver's repairs and
-rounding and the oracle all take their splits from it.
+The vectorized `CostTables` bundle prices every branch, with congestion
+and interference frozen at the moment the tables are built.  What pricing
+needs from the scenario alone -- per-task vectors, SBS radio and compute
+constants and the relay incidence -- is the read-only `PricingConstants`
+bundle that each scenario builds once, on first use, as
+`Scenario.pricing`; every other function here is pure.  `best_splits` is
+the one split optimizer, and `floored_proportions` the one share rule:
+the solver's repairs and rounding and the oracle all take their splits
+and co-hosted shares from them.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleRateError
-from .scenario import Scenario, Station, LocalDevice, Task, ChannelMatrix
+from .errors import ConfigurationError
+from .scenario import Scenario
 
 _TINY_RATE = 1e-12
 
@@ -33,40 +32,6 @@ class UtilityWeights:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-
-@dataclass
-class SplitAllocation:
-    """Continuous split of one task for one candidate SBS.
-
-    c0 runs on the terminal, ci on the SBS, c1 is relayed to the MBS.
-    h in (0, 1] is the SBS resource fraction, r = 1/h its reciprocal and
-    R the linearized product variable tracking (assignment * r).
-    """
-
-    c0: float
-    c1: float
-    ci: float
-    h: float = 1.0
-    h_min: float = 0.05
-    R: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.h <= 1.0):
-            raise ConfigurationError(f"h must lie in (0, 1], got {self.h}")
-        if self.h < self.h_min:
-            raise ConfigurationError(f"h={self.h} below h_min={self.h_min}")
-        if min(self.c0, self.c1, self.ci) < 0:
-            raise ConfigurationError("split parts must be nonnegative")
-
-    @property
-    def r(self) -> float:
-        return 1.0 / self.h
-
-    def validate_total(self, c: float, tol: float = 1e-6):
-        if abs(self.c0 + self.c1 + self.ci - c) > tol * max(1.0, c):
-            raise ConfigurationError(
-                f"split parts sum to {self.c0 + self.c1 + self.ci}, expected {c}")
 
 
 @dataclass
@@ -108,114 +73,6 @@ def hard_assignment(choice, n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     choice = np.asarray(choice)
     x = (choice[None, :] == np.arange(1, n_sbs + 1)[:, None]).astype(float)
     return x, (choice == n_sbs + 1).astype(float), (choice == 0).astype(float)
-
-
-# -- scalar model terms ------------------------------------------------------
-
-def local_delay(task: Task, device: LocalDevice) -> float:
-    """Processing time on the terminal: c * u / f_local."""
-    return task.c * task.u / device.f_local
-
-
-def local_energy(task: Task, device: LocalDevice) -> float:
-    """Terminal energy: c * u * e_local."""
-    return task.c * task.u * device.e_local
-
-
-def shannon_rate(bandwidth: float, power: float, gain: float,
-                 noise: float, interference: float = 0.0) -> float:
-    return bandwidth * np.log2(1.0 + power * gain / (noise + interference))
-
-
-def mbs_uplink_time(task: Task, mbs: Station, channel: ChannelMatrix,
-                    snr: float | None = None) -> float:
-    """Upload time of the whole task to the MBS over the wideband link."""
-    if task.c == 0:
-        return 0.0
-    if snr is None:
-        snr = mbs.tx_power_density * channel.gain[mbs.id, task.id] / channel.noise_power
-    rate = mbs.bandwidth * np.log2(1.0 + snr)
-    if rate <= _TINY_RATE:
-        raise InfeasibleRateError(
-            f"task {task.id}: uplink rate underflows at snr={snr}")
-    return task.c / rate
-
-
-def mbs_total_delay(task: Task, mbs: Station, channel: ChannelMatrix,
-                    snr: float | None = None) -> float:
-    """Upload plus execution on the macro server."""
-    return mbs_uplink_time(task, mbs, channel, snr=snr) + task.c * task.u / mbs.f
-
-
-def mbs_energy(task: Task, device: LocalDevice, mbs: Station,
-               channel: ChannelMatrix, snr: float | None = None,
-               uplink_time: float | None = None) -> float:
-    """Terminal radio energy for the upload plus macro-server compute energy."""
-    if uplink_time is None:
-        uplink_time = mbs_uplink_time(task, mbs, channel, snr=snr)
-    return device.tx_power * uplink_time + task.c * task.u * mbs.e_cycle
-
-
-def _own_wired_delay(scenario: Scenario, task: Task, sbs: Station, c1: float) -> float:
-    """Relay-route delay when this task's forwarded bits are the only load."""
-    if c1 <= 0:
-        return 0.0
-    path = scenario.graph.relay_path(task.id, sbs.id)
-    total = 0.0
-    for kind, eid in path.elements:
-        if kind == "unit":
-            u = scenario.graph.forwarding_units[eid]
-            total += (u.o1 * c1 + u.o2) * c1
-        else:
-            total += c1 / scenario.graph.links[eid].capacity
-    return total
-
-
-def three_tier_delay(task: Task, sbs: Station, split: SplitAllocation,
-                     scenario: Scenario, interference: float = 0.0,
-                     rate: float | None = None,
-                     wired_delay: float | None = None) -> float:
-    """End-to-end delay of the split branch through one SBS.
-
-    Four stages: terminal compute on c0, wireless upload of the remainder
-    c - c0 under the interference-laden SBS link, the wired relay toward
-    the MBS (charged only when bits are actually forwarded), SBS compute
-    on ci at resource fraction h, and MBS compute on c1.
-    """
-    if rate is None:
-        rate = shannon_rate(sbs.bandwidth, sbs.tx_power_density,
-                            float(scenario.channel.gain[sbs.id, task.id]),
-                            scenario.channel.noise_power, interference)
-        rate = max(rate, _TINY_RATE)
-    if wired_delay is None:
-        wired_delay = _own_wired_delay(scenario, task, sbs, split.c1)
-    elif split.c1 <= 0:
-        wired_delay = 0.0
-    return (split.c0 * task.u / scenario.device.f_local
-            + (task.c - split.c0) / rate
-            + wired_delay
-            + split.ci * task.u / (split.h * sbs.f)
-            + split.c1 * task.u / scenario.mbs.f)
-
-
-def three_tier_energy(task: Task, sbs: Station, split: SplitAllocation,
-                      scenario: Scenario, upload_time: float | None = None,
-                      transfer_time: float | None = None) -> float:
-    """Energy of the split branch: terminal compute, terminal radio for the
-    upload, SBS compute, relay transmission, and MBS compute."""
-    if upload_time is None:
-        rate = shannon_rate(sbs.bandwidth, sbs.tx_power_density,
-                            float(scenario.channel.gain[sbs.id, task.id]),
-                            scenario.channel.noise_power)
-        upload_time = (task.c - split.c0) / max(rate, _TINY_RATE)
-    if transfer_time is None:
-        transfer_time = (_own_wired_delay(scenario, task, sbs, split.c1)
-                         * (split.c1 / task.c if task.c > 0 else 0.0))
-    return (split.c0 * task.u * scenario.device.e_local
-            + scenario.device.tx_power * upload_time
-            + split.ci * task.u * sbs.e_cycle
-            + scenario.channel.offload_power_sbs_mbs * transfer_time
-            + split.c1 * task.u * scenario.mbs.e_cycle)
 
 
 # -- scenario-constant pricing inputs ---------------------------------------
@@ -268,23 +125,16 @@ class RelayIncidence:
                    *(_read_only(np.array(col, dtype=dt))
                      for col, dt in zip(cols, dtypes)))
 
-    def element_loads(self, x: np.ndarray, c1: np.ndarray) -> np.ndarray:
-        """Total bits on each wired element (indexed like `elements`): the
-        x-weighted forwarded parts of every relay route that crosses it."""
-        return self._loads((x * c1).ravel()[self.pair])
-
-    def _loads(self, own: np.ndarray) -> np.ndarray:
-        # bincount adds the slots one by one in slot order
-        return np.bincount(self.element, weights=np.where(own <= 0, 0.0, own),
-                           minlength=len(self.elements))
-
     def wired_coefficients(self, x: np.ndarray, c1: np.ndarray):
         """(w2, w1, w0) of each route's wired delay, with every other
         route's load frozen at x * c1.  `bincount` adds each route's element
         terms from zero in path order, the order of a loop along the path,
         so every coefficient is bit-identical to that loop's."""
         own = (x * c1).ravel()[self.pair]
-        base = np.maximum(self._loads(own)[self.element] - own, 0.0)
+        # bincount adds the slots one by one in slot order
+        loads = np.bincount(self.element, weights=np.where(own <= 0, 0.0, own),
+                            minlength=len(self.elements))
+        base = np.maximum(loads[self.element] - own, 0.0)
         xw = x.ravel()[self.pair]
         o1, o2, cap = self.o1, self.o2, self.capacity
         t2 = np.where(self.unit, xw * xw * o1, 0.0)
@@ -550,6 +400,30 @@ def _price_splits(tables: CostTables, i, j, h):
     return pick(c0a), pick(c1a), pick(delay), feasible
 
 
+def floored_proportions(raw: dict, floor: float) -> dict:
+    """Scale positive weights onto a unit budget with a per-entry floor:
+    entries that would fall below the floor are pinned there and the rest
+    share the remaining budget proportionally."""
+    pinned = set()
+    while True:
+        budget = 1.0 - floor * len(pinned)
+        free_total = sum(w for j, w in raw.items() if j not in pinned)
+        out = {}
+        newly_pinned = False
+        for j, w in raw.items():
+            if j in pinned:
+                out[j] = floor
+                continue
+            share = budget * w / free_total if free_total > 0 else floor
+            if share < floor:
+                pinned.add(j)
+                newly_pinned = True
+                break
+            out[j] = min(share, 1.0)
+        if not newly_pinned:
+            return out
+
+
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
                       c1_frozen: np.ndarray, r: np.ndarray | None = None) -> CostTables:
     """Price every branch with interference and relay congestion frozen at
@@ -609,17 +483,6 @@ def utility(placement: Placement, scenario: Scenario,
     """Weighted objective alpha * total delay + (1 - alpha) * total energy."""
     delay, energy = placement_costs(placement, scenario, weights.alpha)
     return float(weights.alpha * delay.sum() + (1.0 - weights.alpha) * energy.sum())
-
-
-def utility_from_tables(placement: Placement, tables: CostTables) -> float:
-    """Same weighted objective but against frozen tables; affine in the
-    assignment variables for fixed splits and shares."""
-    t3 = tables.three_tier_delay(placement.c0, placement.c1, placement.ci)
-    e3 = tables.three_tier_energy(placement.c0, placement.c1, placement.ci)
-    util3 = tables.alpha * t3 + (1.0 - tables.alpha) * e3
-    total = (placement.z * tables.k_local + placement.y * tables.k_mbs
-             + (placement.x * util3).sum(axis=0))
-    return float(total.sum())
 
 
 # -- feasibility -------------------------------------------------------------

@@ -5,20 +5,18 @@ class ConfigurationError(ValueError):
     """A config or scenario parameter violates its documented range."""
 
 
-class InfeasibleRateError(ValueError):
-    """Wireless SNR so small that the Shannon rate underflows to zero."""
-
-
 class InstanceTooLargeError(ValueError):
     """Instance exceeds the size bound of the exhaustive solver."""
 
 
 class InfeasibleTaskError(RuntimeError):
-    """No branch of any tier can meet a task's deadline.
+    """No feasible branch was found for some tasks: none meets the task's
+    deadline, or the rounded placement breaks a deadline or a station's
+    resource budget.
 
     Carries the offending task ids in ``tasks``.
     """
 
     def __init__(self, tasks):
         self.tasks = list(tasks)
-        super().__init__(f"no deadline-feasible branch for tasks {self.tasks}")
+        super().__init__(f"no feasible branch found for tasks {self.tasks}")

@@ -178,17 +178,6 @@ def placement_profile(scenario_config: ScenarioConfig, sizes,
     return rows
 
 
-@dataclass
-class RandomBaseline:
-    """Uniformly random feasible branch per task with naive thirds splits;
-    resamples on deadline violations."""
-
-    seed: int = 0
-
-    def run(self, scenario: Scenario, weights: UtilityWeights):
-        return run_baseline(scenario, weights, self.seed)
-
-
 def run_baseline(scenario: Scenario, weights: UtilityWeights,
                  seed: int) -> tuple[Placement, float]:
     """Random feasible placement: each task draws uniformly among its

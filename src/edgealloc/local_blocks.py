@@ -279,24 +279,20 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
     return vars, history
 
 
-def solve_local_branch(k_local, z_global, beta, rho, feasible=None):
-    """Exact binary minimizer of the terminal branch block: compare the
-    two candidate values of cost * v + dual * v + rho/2 (v - z)^2.
+def solve_bit_branch(k, v_global, dual, rho, feasible=None):
+    """Exact binary minimizer of a single-bit branch block (terminal or
+    macro station): compare the two candidate values of
+    cost * v + dual * v + rho/2 (v - v_global)^2.
 
-    `feasible` masks tasks whose sole-terminal delay already misses the
+    `feasible` masks tasks whose sole-branch delay already misses the
     deadline; for them the one-valued candidate is excluded outright.
     """
-    k_local = np.asarray(k_local, dtype=float)
-    z_global = np.asarray(z_global, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    f1 = k_local + beta + 0.5 * rho * (1.0 - z_global) ** 2
-    f0 = 0.5 * rho * z_global ** 2
+    k = np.asarray(k, dtype=float)
+    v_global = np.asarray(v_global, dtype=float)
+    dual = np.asarray(dual, dtype=float)
+    f1 = k + dual + 0.5 * rho * (1.0 - v_global) ** 2
+    f0 = 0.5 * rho * v_global ** 2
     take_one = f1 < f0
     if feasible is not None:
         take_one = take_one & np.asarray(feasible, dtype=bool)
     return take_one.astype(float)
-
-
-def solve_mbs_branch(k_mbs, y_global, gamma, rho, feasible=None):
-    """Exact binary minimizer of the macro-station branch block."""
-    return solve_local_branch(k_mbs, y_global, gamma, rho, feasible=feasible)

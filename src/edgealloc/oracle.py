@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costs
-from .admm import _floored_proportions
 from .costs import Placement, UtilityWeights
 from .errors import InstanceTooLargeError
 from .scenario import Scenario
@@ -78,7 +77,7 @@ def _share_allocation(tables, members, i, h_min, split_search):
                 return None
             ci = tables.c[j] - split[0] - split[1]
             weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
-        shares = _floored_proportions(
+        shares = costs.floored_proportions(
             {j: float(np.sqrt(w)) for j, w in weights.items()}, h_min)
     return shares
 

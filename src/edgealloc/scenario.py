@@ -1,4 +1,4 @@
-"""Three-tier topology: tasks, stations, wired graph and latency primitives.
+"""Three-tier topology: tasks, stations, channel gains and the wired graph.
 
 A scenario bundles everything the solvers need to price an allocation:
 the task set, one macro station (MBS) plus small-cell stations (SBS),
@@ -424,67 +424,3 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
                     device=device, channel=channel, graph=graph,
                     task_positions=task_pos)
 
-
-# -- load and latency primitives -------------------------------------------
-
-def forwarding_load(assignment, unit_id: str, scenario: Scenario) -> float:
-    """Aggregate bits crossing a forwarding unit: sum of y * c over every
-    path that contains the unit.  `assignment` maps path id -> usage y."""
-    if unit_id not in scenario.graph.forwarding_units:
-        raise KeyError(f"unknown forwarding unit {unit_id!r}")
-    total = 0.0
-    for path_id, y in assignment.items():
-        path = scenario.graph.paths[path_id]
-        if ("unit", unit_id) in path.elements:
-            total += y * scenario.tasks[path.task_id].c
-    return total
-
-
-def link_load(assignment, link_id: str, scenario: Scenario) -> float:
-    """Aggregate bits crossing a link, same convention as forwarding_load."""
-    if link_id not in scenario.graph.links:
-        raise KeyError(f"unknown link {link_id!r}")
-    total = 0.0
-    for path_id, y in assignment.items():
-        path = scenario.graph.paths[path_id]
-        if ("link", link_id) in path.elements:
-            total += y * scenario.tasks[path.task_id].c
-    return total
-
-
-def forwarding_delay(load: float, unit: ForwardingUnit) -> float:
-    """(o1 * load + o2) * load seconds; load must be nonnegative."""
-    if load < 0:
-        raise ValueError(f"load must be nonnegative, got {load}")
-    return (unit.o1 * load + unit.o2) * load
-
-
-def link_delay(load: float, link: Link) -> float:
-    """load / capacity seconds; load must be nonnegative."""
-    if load < 0:
-        raise ValueError(f"load must be nonnegative, got {load}")
-    if link.capacity <= 0:
-        raise ConfigurationError(f"link {link.id}: nonpositive capacity")
-    return load / link.capacity
-
-
-def path_delay(path: Path, assignment, scenario: Scenario) -> float:
-    """Sum of link and forwarding delays along a path under current loads.
-
-    The virtual destination terminates every path and contributes nothing.
-    """
-    total = 0.0
-    for kind, elem_id in path.elements:
-        if kind == "unit":
-            unit = scenario.graph.forwarding_units.get(elem_id)
-            if unit is None:
-                raise KeyError(f"path {path.id}: dangling unit {elem_id!r}")
-            total += forwarding_delay(forwarding_load(assignment, elem_id, scenario), unit)
-        elif kind == "link":
-            link = scenario.graph.links.get(elem_id)
-            if link is None:
-                raise KeyError(f"path {path.id}: dangling link {elem_id!r}")
-            total += link_delay(link_load(assignment, elem_id, scenario), link)
-        else:
-            raise KeyError(f"path {path.id}: unknown element kind {kind!r}")
-    return total

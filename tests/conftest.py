@@ -1,51 +1,8 @@
-import numpy as np
 import pytest
 
-from edgealloc.scenario import (ChannelMatrix, ForwardingUnit, Link,
-                                LocalDevice, NetworkGraph, Path, Scenario,
-                                ScenarioConfig, Station, Task,
-                                generate_scenario)
+from edgealloc.scenario import ScenarioConfig, generate_scenario
 
 
 @pytest.fixture
 def small_scenario():
     return generate_scenario(ScenarioConfig(n_tasks=5, n_sbs=2, seed=42))
-
-
-def make_wired_scenario():
-    """Hand-built two-task scenario with one link and one forwarding unit,
-    wired so element loads can be set independently through separate paths."""
-    config = ScenarioConfig(n_tasks=2, n_sbs=1, seed=0)
-    tasks = (Task(id=0, c=1e6, t_max=20.0, u=18000.0),
-             Task(id=1, c=1000.0, t_max=20.0, u=18000.0))
-    stations = (
-        Station(id=0, kind="MBS", f=1e11, bandwidth=20e6, tx_power_density=40.0,
-                e_cycle=1.2e-9, position=(100.0, 100.0)),
-        Station(id=1, kind="SBS", f=2e10, bandwidth=20e6, tx_power_density=40.0,
-                e_cycle=1.5e-9, position=(50.0, 50.0)),
-    )
-    device = LocalDevice(f_local=5e9, e_local=1e-10, tx_power=0.1)
-    channel = ChannelMatrix(gain=np.full((2, 2), 1e-8), noise_power=1.26e-13,
-                            offload_power_sbs_mbs=1.0)
-    unit = ForwardingUnit(id="u1", o1=1e-9, o2=1e-6)
-    link = Link(id="l1", endpoints=("sbs1", "mbs"), capacity=1e8)
-    paths = {
-        "p_link": Path(id="p_link", task_id=0, kind="sbs_relay", station_id=1,
-                       elements=(("link", "l1"),)),
-        "p_unit": Path(id="p_unit", task_id=1, kind="sbs_relay", station_id=1,
-                       elements=(("unit", "u1"),)),
-        "p_both": Path(id="p_both", task_id=0, kind="sbs_relay", station_id=1,
-                       elements=(("link", "l1"), ("unit", "u1"))),
-        "p_empty": Path(id="p_empty", task_id=0, kind="local", station_id=None,
-                        elements=()),
-    }
-    graph = NetworkGraph(forwarding_units={"u1": unit}, links={"l1": link},
-                         paths=paths)
-    return Scenario(config=config, tasks=tasks, stations=stations, device=device,
-                    channel=channel, graph=graph,
-                    task_positions=np.zeros((2, 2)))
-
-
-@pytest.fixture
-def wired_scenario():
-    return make_wired_scenario()

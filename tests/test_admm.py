@@ -160,6 +160,70 @@ def test_round_to_feasible_raises_when_nothing_fits():
     assert err.value.tasks == [0]
 
 
+def _relaxed_state(scen, v, c1, r):
+    zero = np.zeros_like(c1)
+    return ConsensusState(v=v, v_hat=v.copy(), dual=np.zeros_like(v), c0=zero,
+                          c1=c1, ci=zero.copy(), R=zero.copy(), r=r, rho=1.0)
+
+
+def _random_relaxed_case(rng):
+    """A small scenario, loose or (70%) tight, and a relaxed state with
+    simplex rows, random shares and forwarded parts that are often zero or
+    small, so that rounding prices splits against a light relay."""
+    n, s = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    config = dict(n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 10**6)))
+    if rng.uniform() < 0.7:
+        config["t_max_range"] = (0.02, 0.08)
+    scen = generate_scenario(ScenarioConfig(**config))
+    v = rng.dirichlet(np.full(s + 2, 0.5), size=n)
+    c1 = rng.uniform(0, 1, (s, n)) * scen.c_array()[None, :]
+    c1[rng.uniform(size=(s, n)) < 0.5] = 0.0
+    c1 *= rng.choice([0.0, 0.01, 0.1, 1.0])
+    r = rng.uniform(1.0, 1.0 / scen.config.h_min, (s, n))
+    return scen, _relaxed_state(scen, v, c1, r)
+
+
+def test_round_to_feasible_returns_feasible_placement_or_raises():
+    for k in range(300):
+        scen, state = _random_relaxed_case(np.random.default_rng([0, k]))
+        try:
+            placement = round_to_feasible(state, scen, SolverConfig())
+        except InfeasibleTaskError as err:
+            assert err.tasks and set(err.tasks) <= set(range(scen.n_tasks))
+            continue
+        report = costs.check_feasibility(placement, scen)
+        assert report.ok, (k, report.violations)
+
+
+def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
+    # task 1 misses its deadline on the terminal and is promoted onto the
+    # SBS; the tables it is priced on were frozen before it joined, so its
+    # relay route looks free and it forwards every bit, 0.213 s against a
+    # 0.0242 s deadline
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=863431,
+                                            t_max_range=(0.02, 0.08)))
+    v = np.array([[0.50, 0.39, 0.11],   # SBS, macro, terminal
+                  [0.09, 0.25, 0.66],
+                  [0.55, 0.09, 0.36]])
+    state = _relaxed_state(scen, v, np.zeros((1, 3)), np.ones((1, 3)))
+    with pytest.raises(InfeasibleTaskError) as err:
+        round_to_feasible(state, scen, SolverConfig())
+    assert err.value.tasks == [1]
+
+
+def test_round_to_feasible_names_every_task_on_an_over_budget_station(
+        monkeypatch):
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0))
+    state = init_state(scen, SolverConfig())
+    state.v[:] = [0.9, 0.05, 0.05]
+    state.v[1] = [0.05, 0.05, 0.9]
+    monkeypatch.setattr(admm, "_allocate_shares",
+                        lambda tables, members, i, h_min: np.ones(len(members)))
+    with pytest.raises(InfeasibleTaskError) as err:
+        round_to_feasible(state, scen, SolverConfig())
+    assert err.value.tasks == [0, 2]
+
+
 def test_run_single_task_mbs_only_prefers_terminal():
     scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=0, seed=1))
     placement, trace = run(scen, SolverConfig(max_iter=60, cbgp_rounds=10))

@@ -1,15 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from edgealloc import costs
-from edgealloc.costs import (Placement, SplitAllocation, UtilityWeights,
-                             check_feasibility, local_delay, local_energy,
-                             mbs_energy, mbs_total_delay, mbs_uplink_time,
-                             three_tier_delay, three_tier_energy, utility)
-from edgealloc.errors import ConfigurationError, InfeasibleRateError
+from edgealloc.costs import (Placement, UtilityWeights, check_feasibility,
+                             utility)
+from edgealloc.errors import ConfigurationError
 from edgealloc.local_blocks import LocalProblem
-from edgealloc.scenario import (Scenario, ScenarioConfig, Task,
-                                forwarding_load, generate_scenario, link_load)
+from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
 
 
 def _scenario(**overrides):
@@ -19,112 +18,114 @@ def _scenario(**overrides):
     return generate_scenario(ScenarioConfig(**base))
 
 
+def _with_mbs_snr(scen, snr):
+    """The same scenario with the macro uplink gain set so that the
+    signal-to-noise ratio of every task's upload is `snr`."""
+    channel = scen.channel
+    gain = channel.gain.copy()
+    gain[0, :] = snr * channel.noise_power / scen.mbs.tx_power_density
+    return dataclasses.replace(scen, channel=dataclasses.replace(channel,
+                                                                 gain=gain))
+
+
+def _split_tables(scen, **overrides):
+    """Cost tables of a one-task, one-SBS scenario with the task on the
+    SBS, some coefficients replaced by hand values."""
+    tables = costs.build_cost_tables(scen, 0.5, np.ones((1, 1)),
+                                     np.zeros((1, 1)))
+    return dataclasses.replace(
+        tables, **{k: np.full((1, 1), v) for k, v in overrides.items()})
+
+
 def test_local_delay_matches_hand_value():
-    scen = _scenario()
-    assert local_delay(scen.tasks[0], scen.device) == pytest.approx(0.036)
-    tiny = Task(id=0, c=1e-12, t_max=1.0, u=18000.0)
-    assert local_delay(tiny, scen.device) == pytest.approx(0.0, abs=1e-15)
+    assert _scenario().pricing.t_local[0] == pytest.approx(0.036)
+    tiny = _scenario(c_range=(1e-12, 1e-12))
+    assert tiny.pricing.t_local[0] == pytest.approx(0.0, abs=1e-15)
     fast = _scenario(f_local=1e10)
-    assert local_delay(fast.tasks[0], fast.device) == pytest.approx(0.018)
+    assert fast.pricing.t_local[0] == pytest.approx(0.018)
 
 
 def test_local_energy_matches_hand_value():
     scen = _scenario(e_local=2.5e-7)
-    assert local_energy(scen.tasks[0], scen.device) == pytest.approx(45.0)
+    assert scen.pricing.e_local_task[0] == pytest.approx(45.0)
     double = _scenario(e_local=2.5e-7, c_range=(2e4, 2e4))
-    assert local_energy(double.tasks[0], double.device) == pytest.approx(90.0)
+    assert double.pricing.e_local_task[0] == pytest.approx(90.0)
 
 
 def test_mbs_uplink_time_examples():
     scen = _scenario(c_range=(5000.0, 5000.0))
-    t = mbs_uplink_time(scen.tasks[0], scen.mbs, scen.channel, snr=1023.0)
+    exec_time = 5000.0 * 18000.0 / 1e11
+    t = _with_mbs_snr(scen, 1023.0).pricing.t_mbs[0] - exec_time
     assert t == pytest.approx(2.5e-5)
     # snr of one means the rate equals the bandwidth
-    t1 = mbs_uplink_time(scen.tasks[0], scen.mbs, scen.channel, snr=1.0)
+    t1 = _with_mbs_snr(scen, 1.0).pricing.t_mbs[0] - exec_time
     assert t1 == pytest.approx(5000.0 / 20e6)
-    zero = Task(id=0, c=0.0 + 1e-300, t_max=1.0, u=1.0)
-    assert mbs_uplink_time(zero, scen.mbs, scen.channel,
-                           snr=1023.0) == pytest.approx(0.0, abs=1e-300)
-
-
-def test_mbs_uplink_underflow_raises():
-    scen = _scenario()
-    with pytest.raises(InfeasibleRateError):
-        mbs_uplink_time(scen.tasks[0], scen.mbs, scen.channel, snr=0.0)
+    tiny = _with_mbs_snr(_scenario(c_range=(1e-300, 1e-300)), 1023.0)
+    assert tiny.pricing.t_mbs[0] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_mbs_total_delay_sums_upload_and_compute():
-    scen = _scenario(c_range=(5000.0, 5000.0))
-    total = mbs_total_delay(scen.tasks[0], scen.mbs, scen.channel, snr=1023.0)
-    assert total == pytest.approx(9.25e-4)
+    scen = _with_mbs_snr(_scenario(c_range=(5000.0, 5000.0)), 1023.0)
+    assert scen.pricing.t_mbs[0] == pytest.approx(9.25e-4)
 
 
 def test_mbs_energy_example():
-    scen = _scenario(c_range=(5000.0, 5000.0), e_mbs=1e-7)
-    e = mbs_energy(scen.tasks[0], scen.device, scen.mbs, scen.channel,
-                   uplink_time=2.5e-5)
-    assert e == pytest.approx(9.0000025)
+    scen = _with_mbs_snr(_scenario(c_range=(5000.0, 5000.0), e_mbs=1e-7),
+                         1023.0)
+    assert scen.pricing.e_mbs_task[0] == pytest.approx(9.0000025)
 
 
 def test_three_tier_delay_worked_example():
-    scen = _scenario(c_range=(9000.0, 9000.0))
-    split = SplitAllocation(c0=3000.0, c1=3000.0, ci=3000.0, h=0.5, h_min=0.05)
-    d = three_tier_delay(scen.tasks[0], scen.sbs_list[0], split, scen,
-                         rate=2e8, wired_delay=0.012)
-    assert d == pytest.approx(0.02877)
+    tables = _split_tables(_scenario(c_range=(9000.0, 9000.0)),
+                           rate=2e8, w2=0.0, w1=0.0, w0=0.012)
+    delay, _ = tables.split_delay_cost(0, 0, 3000.0, 3000.0, 2.0)
+    assert delay == pytest.approx(0.02877)
 
 
 def test_three_tier_delay_degenerate_split_equals_local():
     scen = _scenario()
-    task = scen.tasks[0]
-    split = SplitAllocation(c0=task.c, c1=0.0, ci=0.0, h=1.0)
-    d = three_tier_delay(task, scen.sbs_list[0], split, scen, rate=2e8)
-    assert d == pytest.approx(local_delay(task, scen.device))
+    tables = _split_tables(scen, rate=2e8)
+    c = scen.c_array()[None, :]
+    d = tables.three_tier_delay(c, np.zeros((1, 1)), np.zeros((1, 1)))
+    assert d[0, 0] == pytest.approx(scen.pricing.t_local[0])
 
 
 def test_three_tier_delay_share_proportionality():
     scen = _scenario(c_range=(9000.0, 9000.0))
-    task = scen.tasks[0]
-    kw = dict(rate=2e8, wired_delay=0.0)
-    full = three_tier_delay(task, scen.sbs_list[0],
-                            SplitAllocation(c0=0, c1=0, ci=task.c, h=1.0), scen, **kw)
-    half = three_tier_delay(task, scen.sbs_list[0],
-                            SplitAllocation(c0=0, c1=0, ci=task.c, h=0.5), scen, **kw)
+    tables = _split_tables(scen, rate=2e8)
+    full, _ = tables.split_delay_cost(0, 0, 0.0, 0.0, 1.0)
+    half, _ = tables.split_delay_cost(0, 0, 0.0, 0.0, 2.0)
     # only the station compute term depends on the share here
-    upload = task.c / 2e8
+    upload = 9000.0 / 2e8
     assert (half - upload) == pytest.approx(2.0 * (full - upload))
 
 
 def test_three_tier_energy_worked_example():
     scen = _scenario(c_range=(9000.0, 9000.0), e_local=2.5e-7, e_sbs=2e-7,
                      e_mbs=1e-7, sbs_mbs_tx_power=1.0)
-    split = SplitAllocation(c0=3000.0, c1=3000.0, ci=3000.0, h=0.5, h_min=0.05)
-    e = three_tier_energy(scen.tasks[0], scen.sbs_list[0], split, scen,
-                          upload_time=3e-5, transfer_time=0.012)
-    assert e == pytest.approx(29.712)
+    # upload of 6000 bits in 3e-5 s at 0.1 W; 0.012 s of relay at 1 W
+    tables = _split_tables(scen, e_up=0.1 * 3e-5 / 6000.0,
+                           transfer_coef=0.012 / 3000.0)
+    e = tables.three_tier_energy(*np.full((3, 1, 1), 3000.0))
+    assert e[0, 0] == pytest.approx(29.712)
 
 
 def test_three_tier_energy_degenerate_and_zero():
     scen = _scenario(e_local=2.5e-7)
-    task = scen.tasks[0]
-    only_local = SplitAllocation(c0=task.c, c1=0.0, ci=0.0, h=1.0)
-    e = three_tier_energy(task, scen.sbs_list[0], only_local, scen,
-                          upload_time=0.0, transfer_time=0.0)
-    assert e == pytest.approx(local_energy(task, scen.device))
-    zero = SplitAllocation(c0=0.0, c1=0.0, ci=0.0, h=1.0)
-    e0 = three_tier_energy(task, scen.sbs_list[0], zero, scen,
-                           upload_time=0.0, transfer_time=0.0)
-    assert e0 == 0.0
+    tables = _split_tables(scen)
+    zero = np.zeros((1, 1))
+    e = tables.three_tier_energy(scen.c_array()[None, :], zero, zero)
+    assert e[0, 0] == pytest.approx(scen.pricing.e_local_task[0])
+    # with no radio energy, a split that runs nothing costs nothing
+    silent = _split_tables(scen, e_up=0.0)
+    assert silent.three_tier_energy(zero, zero, zero)[0, 0] == 0.0
 
 
 def test_three_tier_energy_linear_in_each_part():
-    scen = _scenario()
-    task = scen.tasks[0]
-    sbs = scen.sbs_list[0]
+    tables = _split_tables(_scenario())
 
     def e(c0, c1, ci):
-        return three_tier_energy(task, sbs, SplitAllocation(c0=c0, c1=c1, ci=ci),
-                                 scen, upload_time=1e-4, transfer_time=1e-3)
+        return tables.three_tier_energy(*np.array([c0, c1, ci])[:, None, None])[0, 0]
 
     for moving in range(3):
         vals = []
@@ -163,32 +164,6 @@ def test_costs_are_nonnegative_on_random_inputs():
         assert np.all(delay >= 0) and np.all(energy >= 0)
 
 
-def test_utility_from_tables_affine_in_assignment():
-    scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=2, seed=1))
-    tables = costs.build_cost_tables(scen, 0.5, np.full((2, 4), 0.2),
-                                     np.tile(scen.c_array() / 3, (2, 1)))
-    rng = np.random.default_rng(2)
-
-    def random_placement():
-        x = rng.uniform(0, 0.3, (2, 4))
-        y = rng.uniform(0, 0.3, 4)
-        z = 1 - x.sum(axis=0) - y
-        c = scen.c_array()
-        return Placement(x=x, y=y, z=z, c0=np.tile(c / 3, (2, 1)),
-                         c1=np.tile(c / 3, (2, 1)), ci=np.tile(c / 3, (2, 1)),
-                         h=np.ones((2, 4)))
-
-    p1, p2 = random_placement(), random_placement()
-    for theta in (0.0, 0.3, 0.7, 1.0):
-        mix = Placement(x=theta * p1.x + (1 - theta) * p2.x,
-                        y=theta * p1.y + (1 - theta) * p2.y,
-                        z=theta * p1.z + (1 - theta) * p2.z,
-                        c0=p1.c0, c1=p1.c1, ci=p1.ci, h=p1.h)
-        expected = (theta * costs.utility_from_tables(p1, tables)
-                    + (1 - theta) * costs.utility_from_tables(p2, tables))
-        assert costs.utility_from_tables(mix, tables) == pytest.approx(expected)
-
-
 def test_deadline_check_flags_per_task():
     scen = _scenario(t_max_range=(0.01, 0.01))  # local delay 0.036 > deadline
     placement = Placement(x=np.zeros((1, 1)), y=np.zeros(1), z=np.ones(1),
@@ -214,20 +189,6 @@ def test_capacity_and_assignment_checks():
                            ci=np.zeros((1, 2)), h=np.ones((1, 2)))
     report = check_feasibility(unassigned, scen)
     assert ("assignment", 0) in report.violations
-
-
-def test_split_allocation_invariants():
-    with pytest.raises(ConfigurationError):
-        SplitAllocation(c0=-1.0, c1=0.0, ci=0.0)
-    with pytest.raises(ConfigurationError):
-        SplitAllocation(c0=0.0, c1=0.0, ci=0.0, h=0.0)
-    with pytest.raises(ConfigurationError):
-        SplitAllocation(c0=0.0, c1=0.0, ci=0.0, h=0.01, h_min=0.05)
-    s = SplitAllocation(c0=1.0, c1=2.0, ci=3.0, h=0.5)
-    assert s.r == pytest.approx(2.0)
-    s.validate_total(6.0)
-    with pytest.raises(ConfigurationError):
-        s.validate_total(7.0)
 
 
 def test_utility_weights_bounds():
@@ -337,26 +298,6 @@ def test_cost_tables_bit_identical_to_per_element_loop():
                 for name, want in expected.items():
                     assert np.array_equal(getattr(tables, name), want), (
                         f"{name} differs at s={s}, n={n}")
-
-
-def test_relay_incidence_loads_match_graph_primitives():
-    rng = np.random.default_rng(6)
-    for s, n in [(1, 1), (2, 4), (3, 6), (5, 100)]:
-        scen = generate_scenario(ScenarioConfig(
-            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000))))
-        x = costs.hard_assignment(rng.integers(0, s + 2, n), s)[0]
-        c = scen.c_array()
-        c1 = rng.uniform(0.0, 1.0, (s, n)) * c[None, :]
-        c1[rng.uniform(size=(s, n)) < 0.3] = 0.0
-        relay = scen.pricing.relay
-        loads = relay.element_loads(x, c1)
-        # the primitives take path usage y and charge y * c on each element
-        usage = {scen.graph.relay_path(j, scen.sbs_list[i].id).id:
-                 x[i, j] * c1[i, j] / c[j] for i in range(s) for j in range(n)}
-        for k, eid in enumerate(relay.elements):
-            load = (forwarding_load if eid in scen.graph.forwarding_units
-                    else link_load)(usage, eid, scen)
-            assert abs(loads[k] - load) <= 1e-12 * max(abs(load), 1e-300), eid
 
 
 def test_shared_pricing_arrays_are_read_only():

@@ -1,15 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import edgealloc
 from edgealloc import cli, costs
 from edgealloc.admm import SolverConfig
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError
-from edgealloc.experiments import (ExperimentSpec, RandomBaseline, apply_axis,
+from edgealloc.experiments import (ExperimentSpec, apply_axis,
                                    placement_profile, run_baseline,
                                    run_experiment)
 from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
@@ -90,9 +93,6 @@ def test_baseline_deterministic_and_feasible(small_scenario):
     assert u1 == u2
     assert np.array_equal(p1.x, p2.x) and np.array_equal(p1.z, p2.z)
     assert costs.check_feasibility(p1, small_scenario).ok
-    wrapper = RandomBaseline(seed=7)
-    p3, u3 = wrapper.run(small_scenario, weights)
-    assert u3 == u1
 
 
 def test_baseline_single_feasible_branch():
@@ -186,3 +186,15 @@ def test_cli_sweep(tmp_path):
     assert cli.main(["sweep", "--spec", str(spec_path)]) == 0
     assert (tmp_path / "sweep" / "summary.csv").exists()
     assert (tmp_path / "sweep" / "rho" / "1.0" / "trace.csv").exists()
+
+
+def test_package_import_loads_no_process_pool():
+    # a module-level pool import raised the benchmark's set-up time by
+    # about 8%; only a sweep with workers > 1 needs one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgealloc.__file__)))
+    code = ("import sys, edgealloc; print(sorted(m for m in sys.modules "
+            "if m in ('multiprocessing', 'concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -5,8 +5,7 @@ from edgealloc import costs, local_blocks
 from edgealloc.local_blocks import (CbgpState, CbgpVars, LocalProblem,
                                     block_objective, cbgp_solve,
                                     majorize_penalty, project_interval,
-                                    rlt_bounds, solve_local_branch,
-                                    solve_mbs_branch)
+                                    rlt_bounds, solve_bit_branch)
 from edgealloc.scenario import ScenarioConfig, generate_scenario
 
 
@@ -93,16 +92,16 @@ def test_majorize_penalty_upper_bounds_true_penalty():
 
 def test_local_branch_examples():
     # positive cost, zero dual, global at zero: stay off
-    assert solve_local_branch(np.array([1.0]), np.array([0.0]),
-                              np.array([0.0]), 1.0)[0] == 0.0
+    assert solve_bit_branch(np.array([1.0]), np.array([0.0]),
+                            np.array([0.0]), 1.0)[0] == 0.0
     # the worked two-point comparison with a favorable dual
-    z = solve_local_branch(np.array([22.518]), np.array([1.0]),
-                           np.array([-30.0]), 1.0)
+    z = solve_bit_branch(np.array([22.518]), np.array([1.0]),
+                         np.array([-30.0]), 1.0)
     assert z[0] == 1.0
     # huge prox strength rounds the global value
     for g, want in ((0.8, 1.0), (0.2, 0.0)):
-        z = solve_local_branch(np.array([1.0]), np.array([g]),
-                               np.array([0.0]), 1e9)
+        z = solve_bit_branch(np.array([1.0]), np.array([g]),
+                             np.array([0.0]), 1e9)
         assert z[0] == want
 
 
@@ -112,20 +111,20 @@ def test_local_branch_matches_brute_reimplementation():
     z = rng.uniform(0, 1, 300)
     beta = rng.normal(0, 20, 300)
     rho = 1.3
-    got = solve_local_branch(k, z, beta, rho)
+    got = solve_bit_branch(k, z, beta, rho)
     for i in range(300):
         f = lambda v: k[i] * v + beta[i] * v + 0.5 * rho * (v - z[i]) ** 2
         assert got[i] == (0.0 if f(0.0) <= f(1.0) else 1.0)
 
 
 def test_mbs_branch_mirrors_and_respects_feasibility():
-    y = solve_mbs_branch(np.array([5.0]), np.array([1.0]),
+    y = solve_bit_branch(np.array([5.0]), np.array([1.0]),
                          np.array([-40.0]), 1.0)
     assert y[0] == 1.0
-    y = solve_mbs_branch(np.array([5.0]), np.array([1.0]), np.array([-40.0]),
+    y = solve_bit_branch(np.array([5.0]), np.array([1.0]), np.array([-40.0]),
                          1.0, feasible=np.array([False]))
     assert y[0] == 0.0
-    assert solve_mbs_branch(np.array([0.1]), np.array([0.0]),
+    assert solve_bit_branch(np.array([0.1]), np.array([0.0]),
                             np.array([0.0]), 1.0)[0] == 0.0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgealloc import costs, oracle
-from edgealloc.admm import _floored_proportions
+from edgealloc.costs import floored_proportions
 from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import InstanceTooLargeError
 from edgealloc.oracle import compare, enumerate_optimum
@@ -191,7 +191,7 @@ def _reference_share_allocation(tables, members, i, h_min, split_search):
                 return None
             ci = tables.c[j] - split[0] - split[1]
             weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
-        shares = _floored_proportions(
+        shares = floored_proportions(
             {j: float(np.sqrt(w)) for j, w in weights.items()}, h_min)
     return shares
 

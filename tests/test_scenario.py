@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from edgealloc import costs
 from edgealloc.errors import ConfigurationError
-from edgealloc.scenario import (Scenario, ScenarioConfig, forwarding_delay,
-                                forwarding_load, generate_scenario, link_delay,
-                                link_load, path_delay)
+from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
 
 
 def test_generation_counts_match_config():
@@ -69,82 +68,59 @@ def test_json_roundtrip(tmp_path, small_scenario):
     assert np.allclose(again.channel.gain, small_scenario.channel.gain)
 
 
-# -- load primitives ---------------------------------------------------------
+# -- relay route delays, as the cost tables price them -----------------------
 
-def test_forwarding_load_empty_and_single_and_shared(wired_scenario):
-    scen = wired_scenario
-    assert forwarding_load({}, "u1", scen) == 0.0
-    # one task of 5000 bits fully on a path through the unit
-    scen2 = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=0,
-                                             c_range=(5000.0, 5000.0)))
-    pid0 = scen2.graph.relay_path(0, 1).id
-    pid1 = scen2.graph.relay_path(1, 1).id
-    assert forwarding_load({pid0: 1.0}, "fu:sbs1", scen2) == pytest.approx(5000.0)
-    assert forwarding_load({pid0: 0.5, pid1: 0.5}, "fu:sbs1",
-                           scen2) == pytest.approx(5000.0)
+UNIT = ("unit", "fu:sbs1")
+LINK = ("link", "ln:sbs1-mbs")
 
 
-def test_forwarding_load_unknown_unit_raises(wired_scenario):
-    with pytest.raises(KeyError):
-        forwarding_load({}, "nope", wired_scenario)
+def _route_delay(route=None, **config):
+    """Wired delay of one task's relay route through SBS 1 as a function
+    of the bits it forwards, with no other load on the route.  `route`
+    replaces the default route (fu:sbs1, ln:sbs1-mbs, fu:mbs)."""
+    scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=1, seed=0,
+                                            **config))
+    if route is not None:
+        doc = scen.to_dict()
+        for path in doc["graph"]["paths"]:
+            if path["kind"] == "sbs_relay":
+                path["elements"] = [list(e) for e in route]
+        scen = Scenario.from_dict(doc)
+    tables = costs.build_cost_tables(scen, 0.5, np.ones((1, 1)),
+                                     np.zeros((1, 1)))
+    return lambda c1: tables.wired_delay(np.asarray(c1, dtype=float))[0]
 
 
-def test_link_load_values():
-    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
-                                            c_range=(1000.0, 1000.0)))
-    link_id = "ln:sbs1-mbs"
-    assert link_load({}, link_id, scen) == 0.0
-    pids = [scen.graph.relay_path(j, 1).id for j in range(3)]
-    assert link_load({pids[0]: 1.0}, link_id, scen) == pytest.approx(1000.0)
-    assert link_load({p: 1.0 for p in pids}, link_id, scen) == pytest.approx(3000.0)
+def test_forwarding_delay_values():
+    unit = _route_delay([UNIT])
+    assert unit(0.0) == 0.0
+    assert unit(1000.0) == pytest.approx(2.0e-3)
+    free = _route_delay([UNIT], o1=0.0, o2=1e-6)
+    assert free(1e6) == pytest.approx(1.0)
 
 
-def test_forwarding_delay_values(wired_scenario):
-    unit = wired_scenario.graph.forwarding_units["u1"]
-    assert forwarding_delay(0.0, unit) == 0.0
-    assert forwarding_delay(1000.0, unit) == pytest.approx(2.0e-3)
-    from edgealloc.scenario import ForwardingUnit
-    free = ForwardingUnit(id="f", o1=0.0, o2=1e-6)
-    assert forwarding_delay(1e6, free) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        forwarding_delay(-1.0, unit)
+def test_link_delay_values():
+    link = _route_delay([LINK])
+    assert link(0.0) == 0.0
+    assert link(1e6) == pytest.approx(0.01)
+    assert link(1e8) == pytest.approx(1.0)
 
 
-def test_link_delay_values(wired_scenario):
-    link = wired_scenario.graph.links["l1"]
-    assert link_delay(0.0, link) == 0.0
-    assert link_delay(1e6, link) == pytest.approx(0.01)
-    assert link_delay(link.capacity, link) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        link_delay(-5.0, link)
+def test_path_delay_composition():
+    # two forwarding units at (o1 * 1000 + o2) * 1000 and one link at
+    # 1000 / capacity
+    assert _route_delay()(1000.0) == pytest.approx(4.01e-3)
+    assert _route_delay([])(1000.0) == 0.0
 
 
-def test_path_delay_composition(wired_scenario):
-    scen = wired_scenario
-    # loads: 1e6 bits on the link (task 0), 1000 bits on the unit (task 1)
-    assignment = {"p_link": 1.0, "p_unit": 1.0}
-    empty = scen.graph.paths["p_empty"]
-    both = scen.graph.paths["p_both"]
-    assert path_delay(empty, assignment, scen) == 0.0
-    assert path_delay(both, assignment, scen) == pytest.approx(0.012)
+def test_path_delay_additive_over_disjoint_paths():
+    loads = np.array([1000.0, 1e6])
+    both = _route_delay([LINK, UNIT])(loads)
+    assert both == pytest.approx(_route_delay([LINK])(loads)
+                                 + _route_delay([UNIT])(loads))
 
 
-def test_path_delay_additive_over_disjoint_paths(wired_scenario):
-    scen = wired_scenario
-    assignment = {"p_link": 1.0, "p_unit": 1.0}
-    link_only = scen.graph.paths["p_link"]
-    unit_only = scen.graph.paths["p_unit"]
-    both = scen.graph.paths["p_both"]
-    assert path_delay(both, assignment, scen) == pytest.approx(
-        path_delay(link_only, assignment, scen)
-        + path_delay(unit_only, assignment, scen))
-
-
-def test_delays_nondecreasing_in_load(wired_scenario):
-    unit = wired_scenario.graph.forwarding_units["u1"]
-    link = wired_scenario.graph.links["l1"]
+def test_delays_nondecreasing_in_load():
     loads = np.linspace(0, 1e7, 50)
-    fd = [forwarding_delay(l, unit) for l in loads]
-    ld = [link_delay(l, link) for l in loads]
-    assert np.all(np.diff(fd) >= 0)
-    assert np.all(np.diff(ld) >= 0)
+    assert np.all(np.diff(_route_delay([UNIT])(loads)) >= 0)
+    assert np.all(np.diff(_route_delay([LINK])(loads)) >= 0)
