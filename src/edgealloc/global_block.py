@@ -20,6 +20,13 @@ INTERIOR_MARGIN = 1e-9
 ARMIJO_C1 = 1e-4
 STALL_T = 1e-12
 MAX_INNER = 25
+# rounding puts a row's computed reach at most 2^-51 relative above its
+# exact value, and the line search's `inside` test never passes a trial
+# that is outside in exact arithmetic; shrinking the reach by more than
+# that keeps the ratio-test start at or above the first trial `inside`
+# passes, so a tie at a power of two costs one more halving, never a
+# smaller step
+_REACH_SHRINK = 1.0 - 2.0 ** -49
 
 # barrier weights of the levels, run in order; each level's best iterate
 # starts the next
@@ -68,6 +75,12 @@ def smoothed_objective(v: np.ndarray, m: np.ndarray, problem: GlobalProblem,
     """
     if np.any(v <= 0) or np.any(v >= 1) or np.any(m <= 0):
         raise ValueError("smoothed objective requires a strictly interior point")
+    return _smoothed_objective(v, m, problem, omega, xi)
+
+
+def _smoothed_objective(v, m, problem: GlobalProblem, omega, xi):
+    """`smoothed_objective` without its interiority checks, for callers
+    that have just checked the point against the interior margin."""
     gap = problem.prox - v
     prox_part = (problem.dual * gap + 0.5 * problem.rho * gap * gap).sum(axis=1)
     barrier = -(omega * (np.log(v) + np.log1p(-v)).sum(axis=1) + omega * np.log(m))
@@ -168,18 +181,21 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
     least (1 - 2 XI_CONVEXITY_FRACTION) rho > 0, and the slack curvature
     omega / m^2 is positive at every interior point.
     """
-    hv = system.hess_v.copy()
-    hm = system.hess_m.copy()
+    hv, hm = system.hess_v, system.hess_m
     regularized = np.zeros(hv.shape[0], dtype=bool)
-    lam = 1e-6
-    for _ in range(max_reg_doublings):
-        bad = (hv.min(axis=1) <= 0) | (hm <= 0)
-        if not bad.any():
-            break
-        hv[bad] += lam
-        hm[bad] += lam
-        regularized |= bad
-        lam *= 2.0
+    bad = (hv.min(axis=1) <= 0) | (hm <= 0)
+    if bad.any():
+        # repair copies, so the caller's curvatures stay as they were
+        hv, hm = hv.copy(), hm.copy()
+        lam = 1e-6
+        for _ in range(max_reg_doublings):
+            if not bad.any():
+                break
+            hv[bad] += lam
+            hm[bad] += lam
+            regularized |= bad
+            lam *= 2.0
+            bad = (hv.min(axis=1) <= 0) | (hm <= 0)
 
     w = 1.0 / hv
     w_sum = w.sum(axis=1)
@@ -202,10 +218,23 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
 
 
 def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
-    """Per-task backtracking from 1 with factor 0.5: the largest step that
-    keeps every coordinate strictly inside the box, the slack positive,
-    and achieves Armijo decrease of the smoothed objective.  `f` and
-    `grad` are the objective and its gradient at (v, m).
+    """Per-task backtracking with factor 0.5 from the ratio-test start:
+    the largest power-of-two step that keeps every coordinate strictly
+    inside the box, the slack positive, and achieves Armijo decrease of
+    the smoothed objective.  `f` and `grad` are the objective and its
+    gradient at (v, m).
+
+    Each row's `reach` is the largest ratio of a step component to its
+    distance from the interior margin, so a trial at t stays strictly
+    inside exactly when t * reach < 1 (the fraction-to-boundary rule;
+    Nocedal & Wright, Numerical Optimization, sec. 19.2).  The search
+    starts at the largest power of two up to 1 strictly below 1 / reach,
+    with reach shrunk by `_REACH_SHRINK` to cover its rounding: that is
+    where halving from 1 first enters the box, or one power of two above
+    it at a rounding tie.  The `inside` test confirms the start and
+    halves again where it disagrees, so the accepted steps are the powers
+    of two that halving from 1 accepts, and a row whose start is below
+    the stall threshold stalls without being priced.
 
     Armijo on the objective alone is valid only for a Newton step taken
     from a point that already meets the deadline and simplex rows: the
@@ -219,14 +248,20 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     Returns (t, stalled, f_new) with f_new the objective at the accepted
     point: the accepted trial value, or `f` where the task did not move.
     """
-    n = v.shape[0]
     grad_v, grad_m = grad
     dirderiv = (grad_v * dv).sum(axis=1) + grad_m * dm
     roundoff = 1e-14 * (1.0 + np.abs(f))
 
-    t = np.ones(n)
+    # iterates are strictly inside the margin, so no distance is zero
+    reach = np.maximum(
+        np.maximum((dv / ((1.0 - INTERIOR_MARGIN) - v)).max(axis=1),
+                   (dv / (INTERIOR_MARGIN - v)).max(axis=1)),
+        dm / (INTERIOR_MARGIN - m))
+    _, e = np.frexp(reach * _REACH_SHRINK)
+    t = np.ldexp(1.0, -np.maximum(e, 0))
     f_new = f.copy()
-    stalled = np.zeros(n, dtype=bool)
+    stalled = t < STALL_T
+    t[stalled] = 0.0
     accepted = ~((np.abs(dv).max(axis=1) + np.abs(dm)) > 0)
     while not (accepted | stalled).all():
         todo = ~(accepted | stalled)
@@ -238,8 +273,8 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
         if ok.any():
             # rows outside the trial set are priced at their current,
             # strictly interior point; each row's value is its own sum
-            f_try = smoothed_objective(np.where(ok[:, None], v_try, v),
-                                       np.where(ok, m_try, m), problem, omega, xi)
+            f_try = _smoothed_objective(np.where(ok[:, None], v_try, v),
+                                        np.where(ok, m_try, m), problem, omega, xi)
             ok &= f_try <= f + ARMIJO_C1 * t * dirderiv + roundoff
             f_new[ok] = f_try[ok]
         accepted |= ok
@@ -321,16 +356,18 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
             else:
                 better = norm < best[0]
                 for kept, now in zip(best, (norm, v, m, nu, sig)):
-                    kept[better] = now[better]
+                    np.copyto(kept, now,
+                              where=better[:, None] if now.ndim == 2 else better)
             active = (norm > tol) & ~frozen
             if not active.any():
                 break
             system = assemble_newton(v, m, res, problem, omega, xi)
             dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
-            dv[~active] = 0.0
-            dm[~active] = 0.0
-            dnu[~active] = 0.0
-            dsig[~active] = 0.0
+            idle = ~active
+            dv[idle] = 0.0
+            dm[idle] = 0.0
+            dnu[idle] = 0.0
+            dsig[idle] = 0.0
             t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
             stalled_any |= stalled
             frozen |= stalled

@@ -830,3 +830,148 @@ def test_solve_global_runs_each_level_once(monkeypatch):
     _, _, info = solve_global(_toy_problem(n=5, p=5, seed=17))
     assert starts == list(gb.OMEGA_LEVELS)
     assert info["omega"] == 1e-6
+
+
+# -- ratio-test start against backtracking from 1 ------------------------------
+
+def _first_inside_power(v, m, dv, dm):
+    """Per row, the first step that halving from 1 lets through the line
+    search's box test."""
+    t = np.ones(v.shape[0])
+    for _ in range(60):
+        v_try = v + t[:, None] * dv
+        m_try = m + t * dm
+        inside = (((v_try > gb.INTERIOR_MARGIN) & (v_try < 1.0 - gb.INTERIOR_MARGIN)).all(axis=1)
+                  & (m_try > gb.INTERIOR_MARGIN))
+        t = np.where(inside, t, 0.5 * t)
+    return t
+
+
+def _planted_line_search_batch(rng, n=48, p=7):
+    """Interior rows with Newton, scaled-gradient and random steps, and
+    planted rows: zero steps, box bounds at exact powers of two (lower and
+    upper walls, slack), coordinates within 1e-12 of the margin, and one
+    row whose bound is below the stall threshold."""
+    margin = gb.INTERIOR_MARGIN
+    prob = _toy_problem(n=n, p=p, seed=int(rng.integers(1e6)), rho=1.0)
+    omega, xi = float(rng.choice(gb.OMEGA_LEVELS)), float(rng.uniform(0.0, 0.2))
+    v = np.clip(rng.dirichlet(np.ones(p), n), 1e-6, None)
+    v /= v.sum(axis=1, keepdims=True)
+    m = 10.0 ** rng.uniform(-4, 1, n)
+    gv, gm = grad_smoothed(v, m, prob, omega, xi)
+    res = kkt_residual(v, m, np.zeros(n), np.zeros(n), (gv, gm), prob)
+    dv, dm = nullspace_cg_solve(assemble_newton(v, m, res, prob, omega, xi))[:2]
+    scale = 10.0 ** rng.uniform(-2, 3, n)
+    gradient_rows = rng.random(n) < 0.3
+    dv[gradient_rows] = -(gv - gv.mean(axis=1, keepdims=True))[gradient_rows]
+    dm[gradient_rows] = -gm[gradient_rows]
+    random_rows = rng.random(n) < 0.2
+    dv[random_rows] = rng.normal(0, 1, (random_rows.sum(), p))
+    dm[random_rows] = rng.normal(0, 1, random_rows.sum())
+    dv *= scale[:, None]
+    dm *= scale
+    rows = iter(rng.permutation(n))
+    plant = {}
+    i = plant["zero"] = next(rows)
+    dv[i], dm[i] = 0.0, 0.0
+    for wall in ("lower", "upper", "slack"):
+        i = plant[wall] = next(rows)
+        j, k = rng.integers(p), rng.integers(0, 40)
+        dv[i], dm[i] = 0.0, 0.0
+        if wall == "slack":
+            dm[i] = (margin - m[i]) * 2.0 ** k
+        else:
+            bound = margin if wall == "lower" else 1.0 - margin
+            dv[i, j] = (bound - v[i, j]) * 2.0 ** k
+            dv[i, (j + 1) % p] = -dv[i, j] * rng.uniform(0.0, 1e-3)
+    for _ in range(3):
+        i, j = next(rows), rng.integers(p)
+        v[i, j] = margin + rng.uniform(0.1, 1.0) * 1e-12
+        dv[i, j] = -10.0 ** rng.uniform(-6, 0)
+    i = plant["stall"] = next(rows)
+    v[i, 0] = margin + 1e-13
+    dv[i] = 0.0
+    dv[i, 0], dv[i, 1] = -1.0, 1.0
+    f = smoothed_objective(v, m, prob, omega, xi)
+    return (v, m, dv, dm, f, grad_smoothed(v, m, prob, omega, xi), prob,
+            omega, xi), plant
+
+
+def test_line_search_matches_backtracking_from_one(monkeypatch):
+    rng = np.random.default_rng(52)
+    box_limited = armijo_limited = 0
+    for _ in range(40):
+        args, plant = _planted_line_search_batch(rng)
+        v, m, dv, dm, f, _, prob, omega, xi = args
+        t, stalled, f_new = line_search(*args)
+        t_ref, stalled_ref = _reference_line_search(v, m, dv, dm, prob, omega, xi)
+        assert np.array_equal(t, t_ref) and np.array_equal(stalled, stalled_ref)
+        at = smoothed_objective(v + t[:, None] * dv, m + t * dm, prob, omega, xi)
+        moved = t > 0
+        assert np.array_equal(f_new[moved], at[moved])
+        assert np.array_equal(f_new[~moved], f[~moved])
+        assert t[plant["zero"]] == 1.0
+        for wall in ("lower", "upper", "slack"):
+            assert t[plant[wall]] <= 0.5
+        assert stalled[plant["stall"]] and t[plant["stall"]] == 0.0
+        box = _first_inside_power(v, m, dv, dm)
+        box_limited += int((moved & (box < 1.0) & (t == box)).sum())
+        armijo_limited += int((~stalled & (t < box)).sum())
+
+        # a row whose box bound is below the stall threshold is not priced
+        k = slice(plant["stall"], plant["stall"] + 1)
+        gv, gm = args[5]
+        with monkeypatch.context() as mp:
+            mp.setattr(gb, "_smoothed_objective", None)
+            t_k, stalled_k, f_k = line_search(
+                v[k], m[k], dv[k], dm[k], f[k], (gv[k], gm[k]),
+                _reference_slice_problem(prob, k), omega, xi)
+        assert stalled_k[0] and t_k[0] == 0.0 and f_k[0] == f[k]
+    assert box_limited > 100 and armijo_limited > 20, (box_limited, armijo_limited)
+
+
+def test_line_search_prices_trials_once_without_armijo_rejection(monkeypatch):
+    # with the ratio-test start, the first trial of every row is inside the
+    # box, so a search where Armijo accepts every first trial prices once
+    calls = [0]
+    priced = gb._smoothed_objective
+
+    def counted_objective(*args):
+        calls[0] += 1
+        return priced(*args)
+
+    seen = {"once": 0, "other": 0}
+
+    def checked_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
+        before = calls[0]
+        t, stalled, f_new = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
+        moving = (np.abs(dv).max(axis=1) + np.abs(dm)) > 0
+        first = _first_inside_power(v, m, dv, dm)
+        if moving.any() and not stalled.any() and (t == first)[moving].all():
+            assert calls[0] - before == 1
+            seen["once"] += 1
+        else:
+            seen["other"] += 1
+        return t, stalled, f_new
+
+    monkeypatch.setattr(gb, "_smoothed_objective", counted_objective)
+    monkeypatch.setattr(gb, "line_search", checked_line_search)
+    rng = np.random.default_rng(61)
+    for deadline in ("loose", "binding", "tight") * 4:
+        problem, warm_v = _random_global_problem(rng, deadline)
+        solve_global(problem, warm_v)
+    solve_global(_toy_problem(n=5, p=5, seed=17))
+    assert seen["once"] > 100 and seen["other"] > 0, seen
+
+
+def test_newton_solve_leaves_curvatures_alone():
+    rng = np.random.default_rng(62)
+    for repair in (False, True):
+        system = _random_system(rng, n=4)
+        if repair:
+            system.hess_v[0, 0] = -0.5
+        hess_v, hess_m = system.hess_v.copy(), system.hess_m.copy()
+        info = nullspace_cg_solve(system)[4]
+        assert info["regularized"][0] == repair
+        assert np.array_equal(system.hess_v, hess_v)
+        assert np.array_equal(system.hess_m, hess_m)
