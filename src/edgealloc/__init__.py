@@ -22,9 +22,8 @@ from .global_block import (GlobalProblem, NewtonSystem, assemble_newton,
 from .local_blocks import (CbgpState, CbgpVars, LocalProblem, cbgp_solve,
                            majorize_penalty, rlt_bounds, solve_bit_branch)
 from .oracle import OracleResult, compare, enumerate_optimum
-from .scenario import (ChannelMatrix, LocalDevice, NetworkGraph, Path,
-                       Scenario, ScenarioConfig, Station, Task,
-                       generate_scenario)
+from .scenario import (ChannelMatrix, LocalDevice, NetworkGraph, Scenario,
+                       ScenarioConfig, Station, Task, generate_scenario)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -87,11 +87,16 @@ def _read_only(a) -> np.ndarray:
 class RelayIncidence:
     """Which wired elements every (SBS, task) relay route crosses.
 
-    One slot per (route, crossed element), flattened in (SBS, task, path
+    One slot per (route, crossed element), flattened in (SBS, task, route
     position) order: `pair` is the route's flat (SBS, task) index, `element`
     indexes `elements` (forwarding units, then links, in graph order) and
     `unit` tells a forwarding unit from a link.  `o1`/`o2` are the unit
     coefficients (0 at links) and `capacity` the link capacity (1 at units).
+    Every task forwarding through an SBS takes that SBS's one route, so the
+    slots repeat it once per task.  They stay per (SBS, task, position)
+    rather than per element because `wired_coefficients` adds them with
+    `bincount` in slot order: that order is the order of a loop along each
+    task's route, and keeping it keeps every coefficient bit-identical.
     """
 
     shape: tuple[int, int]
@@ -106,24 +111,22 @@ class RelayIncidence:
     @classmethod
     def of(cls, scenario: Scenario) -> "RelayIncidence":
         graph = scenario.graph
-        elements = tuple(dict.fromkeys([*graph.forwarding_units, *graph.links]))
+        units, links = graph.forwarding_units, graph.links
+        elements = tuple(dict.fromkeys([*units, *links]))
         index = {eid: k for k, eid in enumerate(elements)}
-        slots = []
-        for i, sbs in enumerate(scenario.sbs_list):
-            for j in range(scenario.n_tasks):
-                pair = i * scenario.n_tasks + j
-                for kind, eid in graph.relay_path(j, sbs.id).elements:
-                    if kind == "unit":
-                        fu = graph.forwarding_units[eid]
-                        slots.append((pair, index[eid], True, fu.o1, fu.o2, 1.0))
-                    else:
-                        slots.append((pair, index[eid], False, 0.0, 0.0,
-                                      graph.links[eid].capacity))
-        cols = list(zip(*slots)) or [()] * 6
+        n = scenario.n_tasks
         dtypes = (np.intp, np.intp, bool, float, float, float)
-        return cls((scenario.n_sbs, scenario.n_tasks), elements,
-                   *(_read_only(np.array(col, dtype=dt))
-                     for col, dt in zip(cols, dtypes)))
+        cols = [[np.empty(0, dt)] for dt in dtypes]
+        for i, sbs in enumerate(scenario.sbs_list):
+            route = [(index[eid], True, units[eid].o1, units[eid].o2, 1.0)
+                     if kind == "unit" else
+                     (index[eid], False, 0.0, 0.0, links[eid].capacity)
+                     for kind, eid in graph.relay_routes[sbs.id]]
+            cols[0].append(np.repeat(np.arange(i * n, (i + 1) * n), len(route)))
+            for col, values, dt in zip(cols[1:], zip(*route), dtypes[1:]):
+                col.append(np.tile(np.array(values, dtype=dt), n))
+        return cls((scenario.n_sbs, n), elements,
+                   *(_read_only(np.concatenate(col)) for col in cols))
 
     def wired_coefficients(self, x: np.ndarray, c1: np.ndarray):
         """(w2, w1, w0) of each route's wired delay, with every other

@@ -2,10 +2,12 @@
 
 A scenario bundles everything the solvers need to price an allocation:
 the task set, one macro station (MBS) plus small-cell stations (SBS),
-per-pair channel gains, and a wired forwarding graph used by the
-SBS-to-MBS relay paths.  Scenarios are immutable after generation and
-serialize to a JSON document so that solver and oracle consume
-byte-identical inputs.
+per-pair channel gains, and a wired forwarding graph.  Data that a task
+forwards through SBS i crosses that station's one relay route to the MBS,
+so the graph holds one route per SBS, shared by every task.  Scenarios
+are immutable after generation and serialize to a JSON document so that
+solver and oracle consume byte-identical inputs; loading rejects a
+document whose routes do not match its stations and graph.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .errors import ConfigurationError
 
 MBS = "MBS"
 SBS = "SBS"
-
-#: terminal marker appended to every path
-VIRTUAL_DESTINATION = "virtual"
-
 
 @dataclass(frozen=True)
 class Task:
@@ -102,36 +100,61 @@ class Link:
 
 
 @dataclass(frozen=True)
-class Path:
-    """Alternating wired elements ending at the virtual destination.
+class NetworkGraph:
+    """The wired elements behind the small cells and their relay routes.
 
-    `elements` is a sequence of ("link"|"unit", element_id) pairs; wireless
-    segments carry no elements.  `kind` is one of local, mbs_direct,
-    sbs_access, sbs_relay.
+    `relay_routes` maps each SBS station id, in station order, to the
+    route that every task forwarding through that SBS takes to the MBS: a
+    sequence of ("unit", id) and ("link", id) pairs naming entries of
+    `forwarding_units` and `links`, in the order the data crosses them.
     """
 
-    id: str
-    task_id: int
-    kind: str
-    station_id: int | None
-    elements: tuple[tuple[str, str], ...]
-    terminal: str = VIRTUAL_DESTINATION
-
-
-@dataclass(frozen=True)
-class NetworkGraph:
     forwarding_units: dict[str, ForwardingUnit]
     links: dict[str, Link]
-    paths: dict[str, Path]
+    relay_routes: dict[int, tuple[tuple[str, str], ...]]
 
-    def relay_path(self, task_id: int, sbs_id: int) -> Path:
-        return self.paths[f"t{task_id}:relay{sbs_id}"]
+    def to_dict(self) -> dict:
+        return {
+            "forwarding_units": [{"id": u.id, "o1": u.o1, "o2": u.o2}
+                                 for u in self.forwarding_units.values()],
+            "links": [{"id": l.id, "endpoints": list(l.endpoints),
+                       "capacity": l.capacity}
+                      for l in self.links.values()],
+            "relay_routes": [{"sbs": sbs, "elements": [list(e) for e in route]}
+                             for sbs, route in self.relay_routes.items()],
+        }
 
-    def access_path(self, task_id: int, station_id: int) -> Path:
-        return self.paths[f"t{task_id}:sta{station_id}"]
-
-    def local_path(self, task_id: int) -> Path:
-        return self.paths[f"t{task_id}:local"]
+    @classmethod
+    def from_dict(cls, doc: dict, sbs_ids: list[int]) -> "NetworkGraph":
+        """Read the graph of a scenario document whose SBSs are `sbs_ids`;
+        raise ConfigurationError unless every SBS has exactly one route and
+        every route element is a forwarding unit or link of the graph."""
+        if "paths" in doc:
+            raise ConfigurationError(
+                "scenario graph holds per-task 'paths'; that format is no "
+                "longer read, regenerate the scenario")
+        units = {u["id"]: ForwardingUnit(**u) for u in doc["forwarding_units"]}
+        links = {l["id"]: Link(id=l["id"], endpoints=tuple(l["endpoints"]),
+                               capacity=l["capacity"])
+                 for l in doc["links"]}
+        known = {"unit": units, "link": links}
+        routes = {}
+        for route in doc["relay_routes"]:
+            sbs = route["sbs"]
+            if sbs not in sbs_ids:
+                raise ConfigurationError(f"relay route of station {sbs}: not an SBS")
+            if sbs in routes:
+                raise ConfigurationError(f"SBS {sbs} has more than one relay route")
+            routes[sbs] = tuple((kind, eid) for kind, eid in route["elements"])
+            for kind, eid in routes[sbs]:
+                if eid not in known.get(kind, ()):
+                    raise ConfigurationError(
+                        f"relay route of SBS {sbs}: no {kind} {eid!r} in the graph")
+        missing = [i for i in sbs_ids if i not in routes]
+        if missing:
+            raise ConfigurationError(f"SBS {missing} have no relay route")
+        return cls(forwarding_units=units, links=links,
+                   relay_routes={i: routes[i] for i in sbs_ids})
 
 
 @dataclass(frozen=True)
@@ -277,23 +300,7 @@ class Scenario:
             "channel": {"gain": self.channel.gain.tolist(),
                         "noise_power": self.channel.noise_power,
                         "offload_power_sbs_mbs": self.channel.offload_power_sbs_mbs},
-            "graph": {
-                "forwarding_units": [
-                    {"id": u.id, "o1": u.o1, "o2": u.o2}
-                    for u in self.graph.forwarding_units.values()
-                ],
-                "links": [
-                    {"id": l.id, "endpoints": list(l.endpoints), "capacity": l.capacity}
-                    for l in self.graph.links.values()
-                ],
-                "paths": [
-                    {"id": p.id, "task_id": p.task_id, "kind": p.kind,
-                     "station_id": p.station_id,
-                     "elements": [list(e) for e in p.elements],
-                     "terminal": p.terminal}
-                    for p in self.graph.paths.values()
-                ],
-            },
+            "graph": self.graph.to_dict(),
             "task_positions": self.task_positions.tolist(),
         }
 
@@ -332,18 +339,8 @@ class Scenario:
             noise_power=doc["channel"]["noise_power"],
             offload_power_sbs_mbs=doc["channel"]["offload_power_sbs_mbs"],
         )
-        graph = NetworkGraph(
-            forwarding_units={u["id"]: ForwardingUnit(**u)
-                              for u in doc["graph"]["forwarding_units"]},
-            links={l["id"]: Link(id=l["id"], endpoints=tuple(l["endpoints"]),
-                                 capacity=l["capacity"])
-                   for l in doc["graph"]["links"]},
-            paths={p["id"]: Path(id=p["id"], task_id=p["task_id"], kind=p["kind"],
-                                 station_id=p["station_id"],
-                                 elements=tuple(tuple(e) for e in p["elements"]),
-                                 terminal=p["terminal"])
-                   for p in doc["graph"]["paths"]},
-        )
+        graph = NetworkGraph.from_dict(
+            doc["graph"], [st.id for st in stations if st.kind == SBS])
         return cls(config=config, tasks=tasks, stations=stations, device=device,
                    channel=channel, graph=graph,
                    task_positions=np.asarray(doc["task_positions"], dtype=float))
@@ -395,31 +392,15 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     # shared aggregation switch at the MBS.  Shortest-hop by construction.
     units = {"fu:mbs": ForwardingUnit(id="fu:mbs", o1=config.o1, o2=config.o2)}
     links = {}
+    routes = {}
     for st in stations[1:]:
-        units[f"fu:sbs{st.id}"] = ForwardingUnit(id=f"fu:sbs{st.id}",
-                                                 o1=config.o1, o2=config.o2)
-        links[f"ln:sbs{st.id}-mbs"] = Link(id=f"ln:sbs{st.id}-mbs",
-                                           endpoints=(f"sbs{st.id}", "mbs"),
-                                           capacity=config.link_capacity)
+        unit, link = f"fu:sbs{st.id}", f"ln:sbs{st.id}-mbs"
+        units[unit] = ForwardingUnit(id=unit, o1=config.o1, o2=config.o2)
+        links[link] = Link(id=link, endpoints=(f"sbs{st.id}", "mbs"),
+                           capacity=config.link_capacity)
+        routes[st.id] = (("unit", unit), ("link", link), ("unit", "fu:mbs"))
 
-    paths = {}
-    for j in range(n):
-        paths[f"t{j}:local"] = Path(id=f"t{j}:local", task_id=j, kind="local",
-                                    station_id=None, elements=())
-        paths[f"t{j}:sta0"] = Path(id=f"t{j}:sta0", task_id=j, kind="mbs_direct",
-                                   station_id=0, elements=())
-        for st in stations[1:]:
-            paths[f"t{j}:sta{st.id}"] = Path(
-                id=f"t{j}:sta{st.id}", task_id=j, kind="sbs_access",
-                station_id=st.id, elements=())
-            paths[f"t{j}:relay{st.id}"] = Path(
-                id=f"t{j}:relay{st.id}", task_id=j, kind="sbs_relay",
-                station_id=st.id,
-                elements=(("unit", f"fu:sbs{st.id}"),
-                          ("link", f"ln:sbs{st.id}-mbs"),
-                          ("unit", "fu:mbs")))
-
-    graph = NetworkGraph(forwarding_units=units, links=links, paths=paths)
+    graph = NetworkGraph(forwarding_units=units, links=links, relay_routes=routes)
     return Scenario(config=config, tasks=tasks, stations=tuple(stations),
                     device=device, channel=channel, graph=graph,
                     task_positions=task_pos)

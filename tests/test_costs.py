@@ -202,7 +202,7 @@ def test_utility_weights_bounds():
 
 def _reference_tables(scen, alpha, x, c1):
     """The per-element loops that priced a call before the relay incidence:
-    element loads by walking every (SBS, task, path element), then w2/w1/w0
+    element loads by walking every (SBS, task, route element), then w2/w1/w0
     by walking them again; rates, transfer and tier coefficients rebuilt
     from the scenario objects."""
     s, n = scen.n_sbs, scen.n_tasks
@@ -214,14 +214,14 @@ def _reference_tables(scen, alpha, x, c1):
             contribution = x[i, j] * c1[i, j]
             if contribution <= 0:
                 continue
-            for _, eid in graph.relay_path(j, scen.sbs_list[i].id).elements:
+            for _, eid in graph.relay_routes[scen.sbs_list[i].id]:
                 loads[eid] += contribution
     w2, w1, w0 = np.zeros((s, n)), np.zeros((s, n)), np.zeros((s, n))
     for i in range(s):
         for j in range(n):
             own = x[i, j] * c1[i, j]
             xw = x[i, j]
-            for kind, eid in graph.relay_path(j, scen.sbs_list[i].id).elements:
+            for kind, eid in graph.relay_routes[scen.sbs_list[i].id]:
                 base = max(loads[eid] - own, 0.0)
                 if kind == "unit":
                     fu = graph.forwarding_units[eid]
@@ -259,16 +259,15 @@ def _reference_tables(scen, alpha, x, c1):
 
 
 def _rewired(scen, rng):
-    """The same scenario with every relay route replaced by a random
+    """The same scenario with every SBS's relay route replaced by a random
     sequence of the graph's elements: mixed kinds at each position, routes
     of different lengths (some empty), elements shared across stations."""
     doc = scen.to_dict()
     pool = ([("unit", u["id"]) for u in doc["graph"]["forwarding_units"]]
             + [("link", l["id"]) for l in doc["graph"]["links"]])
-    for path in doc["graph"]["paths"]:
-        if path["kind"] == "sbs_relay":
-            picks = rng.permutation(len(pool))[:int(rng.integers(0, 5))]
-            path["elements"] = [list(pool[k]) for k in picks]
+    for route in doc["graph"]["relay_routes"]:
+        picks = rng.permutation(len(pool))[:int(rng.integers(0, 5))]
+        route["elements"] = [list(pool[k]) for k in picks]
     return Scenario.from_dict(doc)
 
 

@@ -11,6 +11,11 @@ def test_generation_counts_match_config():
     assert scen.n_tasks == 100
     assert len(scen.stations) == 6
     assert sum(1 for s in scen.stations if s.kind == "MBS") == 1
+    assert scen.graph.relay_routes == {
+        i: (("unit", f"fu:sbs{i}"), ("link", f"ln:sbs{i}-mbs"), ("unit", "fu:mbs"))
+        for i in range(1, 6)}
+    routes = scen.to_dict()["graph"]["relay_routes"]
+    assert [r["sbs"] for r in routes] == [1, 2, 3, 4, 5]
 
 
 def test_generation_is_deterministic_byte_for_byte():
@@ -25,22 +30,6 @@ def test_task_sizes_respect_configured_range():
     for t in scen.tasks:
         assert 5e3 <= t.c <= 1e4
         assert 15.0 <= t.t_max <= 30.0
-
-
-def test_every_task_has_all_paths(small_scenario):
-    g = small_scenario.graph
-    for j in range(small_scenario.n_tasks):
-        assert g.local_path(j).elements == ()
-        assert g.access_path(j, 0).kind == "mbs_direct"
-        for st in small_scenario.sbs_list:
-            assert g.access_path(j, st.id).station_id == st.id
-            relay = g.relay_path(j, st.id)
-            assert len(relay.elements) >= 1
-
-
-def test_every_path_terminates_at_virtual_destination(small_scenario):
-    for p in small_scenario.graph.paths.values():
-        assert p.terminal == "virtual"
 
 
 def test_gain_uses_clamped_pathloss_law():
@@ -68,6 +57,67 @@ def test_json_roundtrip(tmp_path, small_scenario):
     assert np.allclose(again.channel.gain, small_scenario.channel.gain)
 
 
+def _unknown_unit(graph):
+    graph["relay_routes"][0]["elements"][0] = ["unit", "fu:nowhere"]
+
+
+def _unknown_link(graph):
+    graph["relay_routes"][1]["elements"][1] = ["link", "ln:nowhere"]
+
+
+def _unit_named_as_link(graph):
+    graph["relay_routes"][0]["elements"][0][0] = "link"
+
+
+def _unknown_kind(graph):
+    graph["relay_routes"][0]["elements"][0][0] = "switch"
+
+
+def _missing_route(graph):
+    del graph["relay_routes"][1]
+
+
+def _route_of_mbs(graph):
+    graph["relay_routes"][0]["sbs"] = 0
+
+
+def _route_of_unknown_station(graph):
+    graph["relay_routes"][0]["sbs"] = 7
+
+
+def _second_route(graph):
+    graph["relay_routes"].append(dict(graph["relay_routes"][0]))
+
+
+def _per_task_paths(graph):
+    del graph["relay_routes"]
+    graph["paths"] = [{"id": "t0:relay1", "task_id": 0, "kind": "sbs_relay",
+                       "station_id": 1, "elements": [["unit", "fu:sbs1"]],
+                       "terminal": "virtual"}]
+
+
+MALFORMED_ROUTES = [
+    (_unknown_unit, "no unit 'fu:nowhere'"),
+    (_unknown_link, "no link 'ln:nowhere'"),
+    (_unit_named_as_link, "no link 'fu:sbs1'"),
+    (_unknown_kind, "no switch 'fu:sbs1'"),
+    (_missing_route, r"SBS \[2\] have no relay route"),
+    (_route_of_mbs, "station 0: not an SBS"),
+    (_route_of_unknown_station, "station 7: not an SBS"),
+    (_second_route, "SBS 1 has more than one relay route"),
+    (_per_task_paths, "per-task 'paths'"),
+]
+
+
+@pytest.mark.parametrize("defect, message", MALFORMED_ROUTES,
+                         ids=[d.__name__.strip("_") for d, _ in MALFORMED_ROUTES])
+def test_malformed_relay_routes_rejected_at_load(small_scenario, defect, message):
+    doc = small_scenario.to_dict()
+    defect(doc["graph"])
+    with pytest.raises(ConfigurationError, match=message):
+        Scenario.from_dict(doc)
+
+
 # -- relay route delays, as the cost tables price them -----------------------
 
 UNIT = ("unit", "fu:sbs1")
@@ -82,9 +132,7 @@ def _route_delay(route=None, **config):
                                             **config))
     if route is not None:
         doc = scen.to_dict()
-        for path in doc["graph"]["paths"]:
-            if path["kind"] == "sbs_relay":
-                path["elements"] = [list(e) for e in route]
+        doc["graph"]["relay_routes"][0]["elements"] = [list(e) for e in route]
         scen = Scenario.from_dict(doc)
     tables = costs.build_cost_tables(scen, 0.5, np.ones((1, 1)),
                                      np.zeros((1, 1)))
