@@ -59,12 +59,12 @@ class ConsensusState:
     """Globals, local copies, duals and splits; the whole iterate.
 
     `v` (the global iterate), `v_hat` (the local copies), `dual` and
-    `prev` (the global iterate before the last global update) are stacked
-    per task, shape (n_tasks, n_sbs + 2), in the coordinate order of
-    `global_block.GlobalProblem`: the SBS assignments, then the
-    macro-station bit, then the terminal bit.  The split parts, the
-    linearized resource product `R` and the reciprocal shares `r` are
-    (n_sbs, n_tasks).
+    `prev` (the global iterate before the last global update) are
+    (n_sbs + 2, n_tasks), rows in the order of `global_block.GlobalProblem`:
+    the SBS assignments (`v[:n_sbs]`, the station-major block the cost
+    tables and the split block take), then the macro-station bit, then the
+    terminal bit.  The split parts, the linearized resource product `R`
+    and the reciprocal shares `r` are (n_sbs, n_tasks).
     """
 
     v: np.ndarray
@@ -87,7 +87,7 @@ def init_state(scenario: Scenario, config: SolverConfig) -> ConsensusState:
     share = 1.0 / (s + 2)
     c = scenario.c_array()
     third = np.tile(c / 3.0, (s, 1)) if s else np.zeros((0, n))
-    v = np.full((n, s + 2), share)
+    v = np.full((s + 2, n), share)
     return ConsensusState(
         v=v, v_hat=v.copy(), dual=np.zeros_like(v),
         c0=third.copy(), c1=third.copy(), ci=third.copy(),
@@ -145,12 +145,12 @@ class Trace:
 
 
 def residuals(state: ConsensusState) -> tuple[float, float]:
-    """Consensus gap norm and the scaled change of the global block."""
-    primal = np.sqrt(((state.v_hat - state.v) ** 2).sum())
-    if state.prev is None:
-        dual = np.inf
-    else:
-        dual = state.rho * np.sqrt(((state.v - state.prev) ** 2).sum())
+    """Consensus gap norm and the scaled change of the global block.  Each
+    sums a task-major copy, the order the trace's residual digits come
+    from; summing the state in memory order moves them by up to 3 ulps."""
+    norm = lambda diff: np.sqrt((np.ascontiguousarray(diff.T) ** 2).sum())
+    primal = norm(state.v_hat - state.v)
+    dual = np.inf if state.prev is None else state.rho * norm(state.v - state.prev)
     return float(primal), float(dual)
 
 
@@ -168,9 +168,9 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
     the normalized units the solver actually works in."""
     s = state.c0.shape[0]
     util3 = tables.three_tier_util(state.c0, state.c1, state.ci)
-    cost = ((state.v_hat[:, s + 1] * tables.k_local).sum()
-            + (state.v_hat[:, s] * tables.k_mbs).sum()
-            + (state.v_hat[:, :s].T * util3).sum()) / cost_scale
+    cost = ((state.v_hat[s + 1] * tables.k_local).sum()
+            + (state.v_hat[s] * tables.k_mbs).sum()
+            + (state.v_hat[:s] * util3).sum()) / cost_scale
     gap = state.v_hat - state.v
     return float(cost + (state.dual * gap).sum()
                  + 0.5 * state.rho * (gap ** 2).sum())
@@ -180,8 +180,8 @@ def _relaxed_placement(state: ConsensusState) -> Placement:
     s = state.c0.shape[0]
     with np.errstate(divide="ignore"):
         h = np.where(state.r > 0, 1.0 / state.r, 1.0)
-    return Placement(x=state.v[:, :s].T.copy(), y=state.v[:, s].copy(),
-                     z=state.v[:, s + 1].copy(), c0=state.c0.copy(),
+    return Placement(x=state.v[:s].copy(), y=state.v[s].copy(),
+                     z=state.v[s + 1].copy(), c0=state.c0.copy(),
                      c1=state.c1.copy(), ci=state.ci.copy(), h=h)
 
 
@@ -196,7 +196,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     weights = UtilityWeights(config.alpha)
     state = init_state(scenario, config)
     s = scenario.n_sbs
-    cbgp_state = local_blocks.CbgpState.fresh(state.v_hat[:, :s].T)
+    cbgp_state = local_blocks.CbgpState.fresh(state.v_hat[:s])
     trace = Trace()
 
     # tolerances scale with the root of the consensus dimension; the
@@ -210,10 +210,10 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     for _ in range(config.max_iter):
         t0 = time.perf_counter() if config.record_timing else 0.0
 
-        # the cost tables and the split block work station-major; they get
-        # C-contiguous copies so their sums keep the order of an
-        # (n_sbs, n_tasks) array, and the split block owns what it writes
-        x = state.v[:, :s].T.copy()
+        # the cost tables and the split block work station-major on row
+        # views of the state; none of them writes into its inputs, and the
+        # split block's rejected sweeps restore arrays it allocated itself
+        x = state.v[:s]
         if s:
             expected_load = np.clip(x.sum(axis=1), 1.0,
                                     1.0 / scenario.config.h_min)
@@ -230,24 +230,24 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
         if s:
             problem = local_blocks.LocalProblem.from_tables(
-                tables, x, state.dual[:, :s].T.copy(), config.rho,
+                tables, x, state.dual[:s], config.rho,
                 CORNER_DELTA, cost_scale=cost_scale)
             vars = local_blocks.CbgpVars(
-                x_hat=state.v_hat[:, :s].T.copy(), R=state.R, c0=state.c0,
+                x_hat=state.v_hat[:s], R=state.R, c0=state.c0,
                 c1=state.c1, ci=state.ci)
             local_blocks.cbgp_solve(problem, vars, cbgp_state,
                                     rounds=config.cbgp_rounds,
                                     tol=config.cbgp_tol)
-            state.v_hat[:, :s] = vars.x_hat.T
+            state.v_hat[:s] = vars.x_hat
             state.R, state.c0, state.c1, state.ci = (vars.R, vars.c0, vars.c1,
                                                      vars.ci)
 
-        state.v_hat[:, s] = local_blocks.solve_bit_branch(
-            tables.k_mbs / cost_scale, state.v[:, s], state.dual[:, s],
+        state.v_hat[s] = local_blocks.solve_bit_branch(
+            tables.k_mbs / cost_scale, state.v[s], state.dual[s],
             config.rho, feasible=tables.t_mbs <= tables.t_max)
-        state.v_hat[:, s + 1] = local_blocks.solve_bit_branch(
-            tables.k_local / cost_scale, state.v[:, s + 1],
-            state.dual[:, s + 1], config.rho,
+        state.v_hat[s + 1] = local_blocks.solve_bit_branch(
+            tables.k_local / cost_scale, state.v[s + 1],
+            state.dual[s + 1], config.rho,
             feasible=tables.t_local <= tables.t_max)
 
         t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
@@ -264,8 +264,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             state.c0[i, j], state.c1[i, j] = c0, c1
             state.ci[i, j] = tables.c[j] - c0 - c1
             t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
-        tcoef = np.concatenate(
-            [t3.T, tables.t_mbs[:, None], tables.t_local[:, None]], axis=1)
+        tcoef = np.vstack([t3, tables.t_mbs, tables.t_local])
 
         problem = global_block.GlobalProblem(
             prox=state.v_hat, dual=state.dual, tcoef=tcoef,
@@ -332,12 +331,12 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     h_min = scenario.config.h_min
     cap = int(np.floor(1.0 / h_min + 1e-9))
 
-    score = np.roll(state.v, 1, axis=1)  # terminal, SBS 1..s, MBS
-    choice = np.argmax(score, axis=1)  # 0 local, 1..s sbs, s+1 mbs
+    score = np.roll(state.v, 1, axis=0)  # terminal, SBS 1..s, MBS
+    choice = np.argmax(score, axis=0)  # 0 local, 1..s sbs, s+1 mbs
 
     if s:
-        sorted_scores = np.sort(score, axis=1)
-        margin = sorted_scores[:, -1] - sorted_scores[:, -2]
+        sorted_scores = np.sort(score, axis=0)
+        margin = sorted_scores[-1] - sorted_scores[-2]
         for i in range(s):
             members = np.flatnonzero(choice == i + 1)
             if len(members) > cap:

@@ -1,13 +1,14 @@
 """Global consensus update: interior-point solve of the coupled block.
 
-Per task, the global assignment row must sit on the unit simplex and meet
+Per task, the global assignment vector must sit on the unit simplex and meet
 the deadline written as an equality through a positive slack.  Binary
 requirements are smoothed by a log barrier plus a concave corner penalty;
 the resulting equality-constrained problem is solved by Newton steps.
 The Hessian is diagonal, so each Newton system is solved exactly in
 closed form by block elimination down to one 2x2 system in the deadline
-and simplex multipliers.  Tasks are mutually independent, so every array
-here carries a leading task axis.
+and simplex multipliers.  Tasks are independent and solved together on
+coordinate-major (n_coords, n_tasks) arrays, so a per-task reduction adds
+or compares a few contiguous rows, one per coordinate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ INTERIOR_MARGIN = 1e-9
 ARMIJO_C1 = 1e-4
 STALL_T = 1e-12
 MAX_INNER = 25
-# rounding puts a row's computed reach at most 2^-51 relative above its
+# rounding puts a task's computed reach at most 2^-51 relative above its
 # exact value, and the line search's `inside` test never passes a trial
 # that is outside in exact arithmetic; shrinking the reach by more than
 # that keeps the ratio-test start at or above the first trial `inside`
@@ -46,8 +47,9 @@ class GlobalProblem:
     """Per-task data: prox centers (the fresh local copies), duals, the
     branch delay coefficients of the deadline row, and deadlines.
 
-    Coordinate order per task: the SBS assignments, then the macro-station
-    bit, then the local bit; the slack rides separately.
+    `prox`, `dual` and `tcoef` are (n_coords, n_tasks), with rows in the
+    order: the SBS assignments, then the macro-station bit, then the local
+    bit; the slack rides separately.
     """
 
     prox: np.ndarray
@@ -58,11 +60,11 @@ class GlobalProblem:
 
     @property
     def n_tasks(self) -> int:
-        return self.prox.shape[0]
+        return self.prox.shape[1]
 
     @property
     def n_coords(self) -> int:
-        return self.prox.shape[1]
+        return self.prox.shape[0]
 
 
 def smoothed_objective(v: np.ndarray, m: np.ndarray, problem: GlobalProblem,
@@ -82,9 +84,9 @@ def _smoothed_objective(v, m, problem: GlobalProblem, omega, xi):
     """`smoothed_objective` without its interiority checks, for callers
     that have just checked the point against the interior margin."""
     gap = problem.prox - v
-    prox_part = (problem.dual * gap + 0.5 * problem.rho * gap * gap).sum(axis=1)
-    barrier = -(omega * (np.log(v) + np.log1p(-v)).sum(axis=1) + omega * np.log(m))
-    penalty = xi * (v * (1.0 - v)).sum(axis=1)
+    prox_part = (problem.dual * gap + 0.5 * problem.rho * gap * gap).sum(axis=0)
+    barrier = -(omega * (np.log(v) + np.log1p(-v)).sum(axis=0) + omega * np.log(m))
+    penalty = xi * (v * (1.0 - v)).sum(axis=0)
     return prox_part + barrier + penalty
 
 
@@ -101,27 +103,26 @@ def hess_diag_smoothed(v, m, problem: GlobalProblem, omega, xi):
     return hess_v, hess_m
 
 
-def kkt_residual(v, m, nu, sig, grad, problem: GlobalProblem) -> np.ndarray:
-    """Stacked first-order conditions per task: stationarity of the box
-    coordinates and the slack, then deadline and simplex feasibility.
-    `grad` is the pair `grad_smoothed` returns at (v, m).  Zero exactly at
-    a KKT point of the smoothed problem."""
+def kkt_residual(v, m, nu, sig, grad, problem: GlobalProblem):
+    """First-order conditions per task as the row groups (stat_v, stat_m,
+    deadline, simplex): stationarity of the box coordinates and the slack,
+    then deadline and simplex feasibility.  `grad` is the pair
+    `grad_smoothed` returns at (v, m).  Zero exactly at a KKT point."""
     grad_v, grad_m = grad
-    stat_v = grad_v + problem.tcoef * nu[:, None] + sig[:, None]
+    stat_v = grad_v + problem.tcoef * nu + sig
     stat_m = grad_m + nu
-    deadline = (problem.tcoef * v).sum(axis=1) + m - problem.t_max
-    simplex = v.sum(axis=1) - 1.0
-    return np.concatenate(
-        [stat_v, stat_m[:, None], deadline[:, None], simplex[:, None]], axis=1)
+    deadline = (problem.tcoef * v).sum(axis=0) + m - problem.t_max
+    simplex = v.sum(axis=0) - 1.0
+    return stat_v, stat_m, deadline, simplex
 
 
-def scaled_kkt_norm(res: np.ndarray, problem: GlobalProblem) -> np.ndarray:
-    """Per-task stopping measure mixing the differently scaled rows."""
-    p = problem.n_coords
-    stat = np.abs(res[:, :p + 1]).max(axis=1) / (1.0 + problem.rho)
-    dead = np.abs(res[:, p + 1]) / (1.0 + problem.t_max)
-    simp = np.abs(res[:, p + 2])
-    return np.maximum(np.maximum(stat, dead), simp)
+def scaled_kkt_norm(res, problem: GlobalProblem) -> np.ndarray:
+    """Per-task stopping measure mixing the differently scaled row groups
+    of `kkt_residual`."""
+    stat_v, stat_m, deadline, simplex = res
+    stat = np.maximum(np.abs(stat_v).max(axis=0), np.abs(stat_m)) / (1.0 + problem.rho)
+    dead = np.abs(deadline) / (1.0 + problem.t_max)
+    return np.maximum(np.maximum(stat, dead), np.abs(simplex))
 
 
 @dataclass
@@ -143,10 +144,10 @@ def assemble_newton(v, m, res, problem: GlobalProblem, omega, xi) -> NewtonSyste
     """Newton system at (v, m) whose right-hand side is the negated KKT
     residual `res` that `kkt_residual` returned for the same point."""
     hess_v, hess_m = hess_diag_smoothed(v, m, problem, omega, xi)
-    p = problem.n_coords
+    stat_v, stat_m, deadline, simplex = res
     return NewtonSystem(hess_v=hess_v, hess_m=hess_m, tcoef=problem.tcoef,
-                        rhs_v=-res[:, :p], rhs_m=-res[:, p],
-                        rhs_deadline=-res[:, p + 1], rhs_simplex=-res[:, p + 2])
+                        rhs_v=-stat_v, rhs_m=-stat_m,
+                        rhs_deadline=-deadline, rhs_simplex=-simplex)
 
 
 def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
@@ -182,8 +183,8 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
     omega / m^2 is positive at every interior point.
     """
     hv, hm = system.hess_v, system.hess_m
-    regularized = np.zeros(hv.shape[0], dtype=bool)
-    bad = (hv.min(axis=1) <= 0) | (hm <= 0)
+    regularized = np.zeros(hv.shape[1], dtype=bool)
+    bad = (hv.min(axis=0) <= 0) | (hm <= 0)
     if bad.any():
         # repair copies, so the caller's curvatures stay as they were
         hv, hm = hv.copy(), hm.copy()
@@ -191,29 +192,29 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
         for _ in range(max_reg_doublings):
             if not bad.any():
                 break
-            hv[bad] += lam
+            hv[:, bad] += lam
             hm[bad] += lam
             regularized |= bad
             lam *= 2.0
-            bad = (hv.min(axis=1) <= 0) | (hm <= 0)
+            bad = (hv.min(axis=0) <= 0) | (hm <= 0)
 
     w = 1.0 / hv
-    w_sum = w.sum(axis=1)
+    w_sum = w.sum(axis=0)
     t = system.tcoef
     b_v = system.rhs_v
-    t_bar = (w * t).sum(axis=1) / w_sum
-    b_bar = (w * b_v).sum(axis=1) / w_sum
-    t_c = t - t_bar[:, None]
+    t_bar = (w * t).sum(axis=0) / w_sum
+    b_bar = (w * b_v).sum(axis=0) / w_sum
+    t_c = t - t_bar
     simplex_share = system.rhs_simplex / w_sum
     wt_c = w * t_c
-    q = (wt_c * t_c).sum(axis=1)
-    r = ((wt_c * b_v).sum(axis=1) + t_bar * system.rhs_simplex
+    q = (wt_c * t_c).sum(axis=0)
+    r = ((wt_c * b_v).sum(axis=0) + t_bar * system.rhs_simplex
          - system.rhs_deadline)
     denom = hm * q + 1.0
     dnu = (hm * r + system.rhs_m) / denom
     dm = (system.rhs_m * q - r) / denom
     dsig = b_bar - simplex_share - t_bar * dnu
-    dv = w * (b_v - b_bar[:, None] - t_c * dnu[:, None] + simplex_share[:, None])
+    dv = w * (b_v - b_bar - t_c * dnu + simplex_share)
     return dv, dm, dnu, dsig, {"regularized": regularized}
 
 
@@ -224,7 +225,7 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     the smoothed objective.  `f` and `grad` are the objective and its
     gradient at (v, m).
 
-    Each row's `reach` is the largest ratio of a step component to its
+    Each task's `reach` is the largest ratio of a step component to its
     distance from the interior margin, so a trial at t stays strictly
     inside exactly when t * reach < 1 (the fraction-to-boundary rule;
     Nocedal & Wright, Numerical Optimization, sec. 19.2).  The search
@@ -233,7 +234,7 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     where halving from 1 first enters the box, or one power of two above
     it at a rounding tie.  The `inside` test confirms the start and
     halves again where it disagrees, so the accepted steps are the powers
-    of two that halving from 1 accepts, and a row whose start is below
+    of two that halving from 1 accepts, and a task whose start is below
     the stall threshold stalls without being priced.
 
     Armijo on the objective alone is valid only for a Newton step taken
@@ -249,31 +250,31 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     point: the accepted trial value, or `f` where the task did not move.
     """
     grad_v, grad_m = grad
-    dirderiv = (grad_v * dv).sum(axis=1) + grad_m * dm
+    dirderiv = (grad_v * dv).sum(axis=0) + grad_m * dm
     roundoff = 1e-14 * (1.0 + np.abs(f))
 
     # iterates are strictly inside the margin, so no distance is zero
     reach = np.maximum(
-        np.maximum((dv / ((1.0 - INTERIOR_MARGIN) - v)).max(axis=1),
-                   (dv / (INTERIOR_MARGIN - v)).max(axis=1)),
+        np.maximum((dv / ((1.0 - INTERIOR_MARGIN) - v)).max(axis=0),
+                   (dv / (INTERIOR_MARGIN - v)).max(axis=0)),
         dm / (INTERIOR_MARGIN - m))
     _, e = np.frexp(reach * _REACH_SHRINK)
     t = np.ldexp(1.0, -np.maximum(e, 0))
     f_new = f.copy()
     stalled = t < STALL_T
     t[stalled] = 0.0
-    accepted = ~((np.abs(dv).max(axis=1) + np.abs(dm)) > 0)
+    accepted = ~((np.abs(dv).max(axis=0) + np.abs(dm)) > 0)
     while not (accepted | stalled).all():
         todo = ~(accepted | stalled)
-        v_try = v + t[:, None] * dv
+        v_try = v + t * dv
         m_try = m + t * dm
-        inside = ((v_try > INTERIOR_MARGIN).all(axis=1) & (m_try > INTERIOR_MARGIN)
-                  & (v_try < 1.0 - INTERIOR_MARGIN).all(axis=1))
+        inside = ((v_try > INTERIOR_MARGIN).all(axis=0) & (m_try > INTERIOR_MARGIN)
+                  & (v_try < 1.0 - INTERIOR_MARGIN).all(axis=0))
         ok = todo & inside
         if ok.any():
-            # rows outside the trial set are priced at their current,
-            # strictly interior point; each row's value is its own sum
-            f_try = _smoothed_objective(np.where(ok[:, None], v_try, v),
+            # tasks outside the trial set are priced at their current,
+            # strictly interior point; each task's value is its own sum
+            f_try = _smoothed_objective(np.where(ok, v_try, v),
                                         np.where(ok, m_try, m), problem, omega, xi)
             ok &= f_try <= f + ARMIJO_C1 * t * dirderiv + roundoff
             f_new[ok] = f_try[ok]
@@ -293,27 +294,27 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
     The slack m = t_max - delay is floored at m_floor, the same margin the
     nudge aims for, so the start meets the deadline row exactly whenever
     the fastest branch can meet t_max - m_floor."""
-    n, p = problem.n_tasks, problem.n_coords
+    p, n = problem.n_coords, problem.n_tasks
     base = warm_v if warm_v is not None else problem.prox
     v = np.clip(base, 0.01, 0.99)
-    v = v / v.sum(axis=1, keepdims=True)
+    v = v / v.sum(axis=0)
 
     m_floor = np.maximum(1e-3 * problem.t_max, 10 * INTERIOR_MARGIN)
-    delay = (problem.tcoef * v).sum(axis=1)
+    delay = (problem.tcoef * v).sum(axis=0)
     need_fix = delay > problem.t_max - m_floor
     if need_fix.any():
-        best = np.argmin(problem.tcoef, axis=1)
-        corner = np.full((n, p), 1e-3)
-        corner[np.arange(n), best] = 1.0 - 1e-3 * (p - 1)
-        delay_best = (problem.tcoef * corner).sum(axis=1)
+        best = np.argmin(problem.tcoef, axis=0)
+        corner = np.full((p, n), 1e-3)
+        corner[best, np.arange(n)] = 1.0 - 1e-3 * (p - 1)
+        delay_best = (problem.tcoef * corner).sum(axis=0)
         denom = delay - delay_best
         lam = np.where(denom > 0,
                        (delay - (problem.t_max - m_floor)) / np.where(denom > 0, denom, 1.0),
                        1.0)
         lam = np.clip(lam, 0.0, 1.0)
-        mix = (1.0 - lam[:, None]) * v + lam[:, None] * corner
-        v = np.where(need_fix[:, None], mix, v)
-        delay = (problem.tcoef * v).sum(axis=1)
+        mix = (1.0 - lam) * v + lam * corner
+        v = np.where(need_fix, mix, v)
+        delay = (problem.tcoef * v).sum(axis=0)
     m = np.maximum(problem.t_max - delay, m_floor)
     return v, m
 
@@ -338,7 +339,7 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     xi = min(XI_INIT, XI_CONVEXITY_FRACTION * problem.rho)
     grad_v, grad_m = grad_smoothed(v, m, problem, OMEGA_LEVELS[0], xi)
     nu = -grad_m
-    sig = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)
+    sig = -(grad_v + problem.tcoef * nu).mean(axis=0)
     total_newton = 0
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
     for level, omega in enumerate(OMEGA_LEVELS):
@@ -356,22 +357,21 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
             else:
                 better = norm < best[0]
                 for kept, now in zip(best, (norm, v, m, nu, sig)):
-                    np.copyto(kept, now,
-                              where=better[:, None] if now.ndim == 2 else better)
+                    np.copyto(kept, now, where=better)
             active = (norm > tol) & ~frozen
             if not active.any():
                 break
             system = assemble_newton(v, m, res, problem, omega, xi)
             dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
             idle = ~active
-            dv[idle] = 0.0
+            dv[:, idle] = 0.0
             dm[idle] = 0.0
             dnu[idle] = 0.0
             dsig[idle] = 0.0
             t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
             stalled_any |= stalled
             frozen |= stalled
-            v = v + t[:, None] * dv
+            v = v + t * dv
             m = m + t * dm
             nu = nu + t * dnu
             sig = sig + t * dsig

@@ -1,0 +1,138 @@
+"""Print SHA-256 fingerprints of a source tree's solver and oracle outputs.
+
+    python tests/fingerprint.py [TREE]
+
+TREE is a checkout of this repository; it defaults to the one holding
+this script.  Each instance runs in a child process with TREE/src first on
+its path: `edgealloc generate --config` writes the scenario, then
+`edgealloc solve --no-timing` solves it, or `edgealloc oracle` enumerates
+its optimum.  One line per output gives instance, output and digest:
+
+- `trace.csv` and `placement.json` as written;
+- `trace.utility`, the `iter` and `utility` columns of the trace alone;
+- `global_unconverged`, the per-iteration counts of `Trace`, as JSON;
+- `oracle.json` as written.
+
+Running it on two trees and diffing the outputs checks a claim that a
+change leaves these results byte-identical.  It is not a test module, so
+pytest does not collect it.  The whole set takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+TIGHT = (0.02, 0.08)
+
+# name -> (ScenarioConfig fields, solve arguments); seeds 42-49 are the
+# `ref100` workload, seed 42 at 1000 tasks is `large1000`, the tight twins
+# stop at 30 iterations without converging, and loose seeds 4 and 37 run
+# to the 200-iteration cap
+SOLVES = {
+    **{f"ref100-{seed}": (dict(n_tasks=100, n_sbs=5, seed=seed), [])
+       for seed in range(42, 50)},
+    "large1000-42": (dict(n_tasks=1000, n_sbs=5, seed=42), []),
+    **{f"tight100-{seed}": (dict(n_tasks=100, n_sbs=5, seed=seed,
+                                 t_max_range=TIGHT), ["--max-iter", "30"])
+       for seed in (42, 43)},
+    **{f"loose100-{seed}": (dict(n_tasks=100, n_sbs=5, seed=seed), [])
+       for seed in (4, 37)},
+}
+
+
+def oracle_small_configs(n: int = 4) -> list:
+    """The first n scenarios of the criterion-3 stream, as the
+    `oracle_small` benchmark workload draws them."""
+    rng = np.random.default_rng(7)
+    out = []
+    for trial in range(n):
+        n_tasks = int(rng.integers(1, 5))
+        n_sbs = int(rng.integers(0, 3))
+        tight = trial % 3 == 0
+        out.append(dict(n_tasks=n_tasks, n_sbs=n_sbs,
+                        seed=int(rng.integers(0, 100000)),
+                        t_max_range=TIGHT if tight else (15.0, 30.0)))
+    return out
+
+
+# runs in the child: argv is src, scenario config JSON, mode, work dir
+CHILD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from edgealloc import admm, cli
+config, mode, work = json.loads(sys.argv[2]), sys.argv[3], sys.argv[4]
+path = os.path.join(work, "config.json")
+with open(path, "w") as fh:
+    json.dump(config, fh)
+scenario = os.path.join(work, "scenario.json")
+cli.main(["generate", "--config", path, "--out", scenario])
+if mode == "oracle":
+    cli.main(["oracle", "--scenario", scenario,
+              "--out", os.path.join(work, "oracle.json")])
+else:
+    traces = []
+    run = admm.run
+    def kept(*args, **kwargs):
+        placement, trace = run(*args, **kwargs)
+        traces.append(trace)
+        return placement, trace
+    admm.run = kept
+    cli.main(["solve", "--scenario", scenario, "--no-timing",
+              "--out", work] + json.loads(mode))
+    with open(os.path.join(work, "global_unconverged.json"), "w") as fh:
+        json.dump(traces[0].global_unconverged, fh)
+"""
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(work: str, mode: str) -> dict:
+    def read(name):
+        with open(os.path.join(work, name), "rb") as fh:
+            return fh.read()
+
+    if mode == "oracle":
+        return {"oracle.json": read("oracle.json")}
+    trace = read("trace.csv")
+    columns = b"\n".join(b",".join(line.split(b",")[:2])
+                         for line in trace.splitlines())
+    return {"trace.csv": trace, "trace.utility": columns,
+            "placement.json": read("placement.json"),
+            "global_unconverged": read("global_unconverged.json")}
+
+
+def fingerprint(tree: str):
+    """Yield (instance, output, digest) for every instance of the set."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    jobs = [(name, config, json.dumps(args))
+            for name, (config, args) in SOLVES.items()]
+    jobs += [(f"oracle_small-{k}", config, "oracle")
+             for k, config in enumerate(oracle_small_configs())]
+    for name, config, mode in jobs:
+        with tempfile.TemporaryDirectory() as work:
+            subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(config),
+                            mode, work], check=True, stdout=subprocess.DEVNULL)
+            for output, data in _outputs(work, mode).items():
+                yield name, output, _digest(data)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    tree = argv[0] if argv else os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))
+    for name, output, digest in fingerprint(tree):
+        print(f"{name:18s} {output:18s} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

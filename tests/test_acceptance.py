@@ -121,11 +121,11 @@ def test_criterion_6_gradient_hessian_fidelity():
     for _ in range(100):
         p = int(rng.integers(3, 7))
         prob = global_block.GlobalProblem(
-            prox=rng.uniform(0.05, 0.95, (1, p)),
-            dual=rng.normal(0, 0.3, (1, p)),
-            tcoef=rng.uniform(0.001, 0.05, (1, p)),
+            prox=rng.uniform(0.05, 0.95, (p, 1)),
+            dual=rng.normal(0, 0.3, (p, 1)),
+            tcoef=rng.uniform(0.001, 0.05, (p, 1)),
             t_max=np.array([10.0]), rho=float(rng.uniform(0.5, 2.0)))
-        v = rng.uniform(0.15, 0.85, (1, p))
+        v = rng.uniform(0.15, 0.85, (p, 1))
         m = rng.uniform(0.5, 5.0, 1)
         omega = float(rng.uniform(1e-3, 1.0))
         xi = float(rng.uniform(0.0, 0.4))
@@ -134,17 +134,17 @@ def test_criterion_6_gradient_hessian_fidelity():
         h = 1e-6
         for k in range(p):
             vp, vm_ = v.copy(), v.copy()
-            vp[0, k] += h
-            vm_[0, k] -= h
+            vp[k, 0] += h
+            vm_[k, 0] -= h
             fd = (global_block.smoothed_objective(vp, m, prob, omega, xi)
                   - global_block.smoothed_objective(vm_, m, prob, omega, xi))[0] / (2 * h)
             worst_grad = max(worst_grad,
-                             abs(fd - gv[0, k]) / max(abs(fd), 1e-12))
+                             abs(fd - gv[k, 0]) / max(abs(fd), 1e-12))
             fd2 = ((global_block.grad_smoothed(vp, m, prob, omega, xi)[0]
-                    - global_block.grad_smoothed(vm_, m, prob, omega, xi)[0])[0, k]
+                    - global_block.grad_smoothed(vm_, m, prob, omega, xi)[0])[k, 0]
                    / (2 * h))
             worst_hess = max(worst_hess,
-                             abs(fd2 - hv[0, k]) / max(abs(fd2), 1e-12))
+                             abs(fd2 - hv[k, 0]) / max(abs(fd2), 1e-12))
         fd_m = (global_block.smoothed_objective(v, m + h, prob, omega, xi)
                 - global_block.smoothed_objective(v, m - h, prob, omega, xi))[0] / (2 * h)
         worst_grad = max(worst_grad, abs(fd_m - gm[0]) / max(abs(fd_m), 1e-12))
@@ -160,28 +160,28 @@ def test_criterion_7_nullspace_correctness():
     for _ in range(100):
         p = int(rng.integers(3, 8))
         system = global_block.NewtonSystem(
-            hess_v=rng.uniform(0.3, 3.0, (1, p)),
+            hess_v=rng.uniform(0.3, 3.0, (p, 1)),
             hess_m=rng.uniform(0.3, 3.0, 1),
-            tcoef=rng.uniform(0.01, 1.0, (1, p)),
-            rhs_v=rng.normal(0, 1, (1, p)),
+            tcoef=rng.uniform(0.01, 1.0, (p, 1)),
+            rhs_v=rng.normal(0, 1, (p, 1)),
             rhs_m=rng.normal(0, 1, 1),
             rhs_deadline=rng.normal(0, 1, 1),
             rhs_simplex=np.zeros(1))
         dv, dm, dnu, dsig, _ = global_block.nullspace_cg_solve(system)
-        worst_null = max(worst_null, abs(float(dv[0].sum())))
+        worst_null = max(worst_null, abs(float(dv[:, 0].sum())))
         dim = p + 3
         A = np.zeros((dim, dim))
-        A[:p, :p] = np.diag(system.hess_v[0])
+        A[:p, :p] = np.diag(system.hess_v[:, 0])
         A[p, p] = system.hess_m[0]
-        A[:p, p + 1] = system.tcoef[0]
+        A[:p, p + 1] = system.tcoef[:, 0]
         A[p, p + 1] = 1.0
         A[:p, p + 2] = 1.0
-        A[p + 1, :p] = system.tcoef[0]
+        A[p + 1, :p] = system.tcoef[:, 0]
         A[p + 1, p] = 1.0
         A[p + 2, :p] = 1.0
-        b = np.concatenate([system.rhs_v[0], [system.rhs_m[0]],
+        b = np.concatenate([system.rhs_v[:, 0], [system.rhs_m[0]],
                             [system.rhs_deadline[0]], [system.rhs_simplex[0]]])
-        got = np.concatenate([dv[0], [dm[0]], [dnu[0]], [dsig[0]]])
+        got = np.concatenate([dv[:, 0], [dm[0]], [dnu[0]], [dsig[0]]])
         res = np.linalg.norm(A @ got - b) / max(np.linalg.norm(b), 1e-300)
         worst_res = max(worst_res, float(res))
     assert worst_null < 1e-10

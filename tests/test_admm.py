@@ -27,28 +27,28 @@ def test_solver_config_validation():
         SolverConfig(tol_primal=-1.0)
 
 
-# the state's iterates are (n_tasks, n_sbs + 2): SBS columns, then the
+# the state's iterates are (n_sbs + 2, n_tasks): SBS rows, then the
 # macro-station bit, then the terminal bit
 
 def test_dual_update_examples():
     state, _ = _blank_state(1, 1)
-    state.dual[:, 0] = 0.5
-    state.v_hat[:, 0] = 0.7
-    state.v[:, 0] = 0.5
+    state.dual[0] = 0.5
+    state.v_hat[0] = 0.7
+    state.v[0] = 0.5
     dual_update(state)
     assert state.dual[0, 0] == pytest.approx(0.7)
 
     state, _ = _blank_state(1, 1, rho=1.2)
-    state.v_hat[:, 2] = 0.0
-    state.v[:, 2] = 0.1  # terminal gap -0.1
+    state.v_hat[2] = 0.0
+    state.v[2] = 0.1  # terminal gap -0.1
     dual_update(state)
-    assert state.dual[0, 2] == pytest.approx(-0.12)
+    assert state.dual[2, 0] == pytest.approx(-0.12)
 
     state, _ = _blank_state(1, 1)
     state.v_hat[:] = state.v
-    before = state.dual[:, 0].copy()
+    before = state.dual[0].copy()
     dual_update(state)
-    assert np.array_equal(state.dual[:, 0], before)
+    assert np.array_equal(state.dual[0], before)
 
 
 def test_dual_update_is_linear_in_gaps():
@@ -57,18 +57,18 @@ def test_dual_update_is_linear_in_gaps():
     g1 = rng.normal(0, 1, 3)
     g2 = rng.normal(0, 1, 3)
 
-    state.dual[:, 0] = 0.0
-    state.v[:, 0] = 0.0
-    state.v_hat[:, 0] = g1
+    state.dual[0] = 0.0
+    state.v[0] = 0.0
+    state.v_hat[0] = g1
     dual_update(state)
-    state.v_hat[:, 0] = g2
+    state.v_hat[0] = g2
     dual_update(state)
-    two_steps = state.dual[:, 0].copy()
+    two_steps = state.dual[0].copy()
 
-    state.dual[:, 0] = 0.0
-    state.v_hat[:, 0] = g1 + g2
+    state.dual[0] = 0.0
+    state.v_hat[0] = g1 + g2
     dual_update(state)
-    assert np.allclose(state.dual[:, 0], two_steps)
+    assert np.allclose(state.dual[0], two_steps)
 
 
 def test_residuals_examples():
@@ -77,13 +77,13 @@ def test_residuals_examples():
     state.prev = state.v.copy()
     assert residuals(state) == (0.0, 0.0)
 
-    state.v_hat[:, 2] = state.v[:, 2] + np.array([0.3, 0.0])
+    state.v_hat[2] = state.v[2] + np.array([0.3, 0.0])
     p, d = residuals(state)
     assert p == pytest.approx(0.3)
 
-    state.v_hat[:, 2] = state.v[:, 2]
+    state.v_hat[2] = state.v[2]
     state.rho = 2.0
-    state.prev[:, 1] = state.v[:, 1] - np.array([0.1, 0.0])
+    state.prev[1] = state.v[1] - np.array([0.1, 0.0])
     p, d = residuals(state)
     assert d == pytest.approx(0.2)
 
@@ -111,18 +111,18 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
 
 def test_round_to_feasible_dominant_coordinate():
     state, scen = _blank_state(1, 1)
-    state.v[:] = [0.05, 0.05, 0.9]  # SBS, macro, terminal
+    state.v[:, 0] = [0.05, 0.05, 0.9]  # SBS, macro, terminal
     placement = round_to_feasible(state, scen, SolverConfig())
     assert placement.z[0] == 1.0
 
 
 def test_round_to_feasible_tie_prefers_terminal_then_sbs():
     state, scen = _blank_state(1, 1)
-    state.v[:] = [0.0, 0.5, 0.5]
+    state.v[:, 0] = [0.0, 0.5, 0.5]
     placement = round_to_feasible(state, scen, SolverConfig())
     assert placement.z[0] == 1.0
 
-    state.v[:] = [0.5, 0.5, 0.0]
+    state.v[:, 0] = [0.5, 0.5, 0.0]
     placement = round_to_feasible(state, scen, SolverConfig())
     assert placement.x[0, 0] == 1.0
 
@@ -131,9 +131,9 @@ def test_round_to_feasible_demotes_over_capacity_tasks():
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
                                             h_min=0.4))  # at most 2 fit
     state = init_state(scen, SolverConfig())
-    state.v[:] = [0.9, 0.05, 0.05]
+    state.v[:] = np.array([0.9, 0.05, 0.05])[:, None]
     # middle task has the weakest margin
-    state.v[1, :2] = [0.5, 0.4]
+    state.v[:2, 1] = [0.5, 0.4]
     placement = round_to_feasible(state, scen, SolverConfig())
     assert placement.x.sum() == 2.0
     assert placement.y[1] == 1.0
@@ -145,7 +145,7 @@ def test_round_to_feasible_promotes_deadline_violator():
     scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=0, seed=0,
                                             t_max_range=(0.01, 0.01)))
     state = init_state(scen, SolverConfig())
-    state.v[:] = [0.0, 1.0]  # macro, terminal
+    state.v[:, 0] = [0.0, 1.0]  # macro, terminal
     placement = round_to_feasible(state, scen, SolverConfig())
     assert placement.y[0] == 1.0
     assert costs.check_feasibility(placement, scen).ok
@@ -175,7 +175,7 @@ def _random_relaxed_case(rng):
     if rng.uniform() < 0.7:
         config["t_max_range"] = (0.02, 0.08)
     scen = generate_scenario(ScenarioConfig(**config))
-    v = rng.dirichlet(np.full(s + 2, 0.5), size=n)
+    v = rng.dirichlet(np.full(s + 2, 0.5), size=n).T.copy()
     c1 = rng.uniform(0, 1, (s, n)) * scen.c_array()[None, :]
     c1[rng.uniform(size=(s, n)) < 0.5] = 0.0
     c1 *= rng.choice([0.0, 0.01, 0.1, 1.0])
@@ -202,9 +202,9 @@ def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
     # 0.0242 s deadline
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=863431,
                                             t_max_range=(0.02, 0.08)))
-    v = np.array([[0.50, 0.39, 0.11],   # SBS, macro, terminal
-                  [0.09, 0.25, 0.66],
-                  [0.55, 0.09, 0.36]])
+    v = np.array([[0.50, 0.39, 0.11],   # one task per row: SBS, macro,
+                  [0.09, 0.25, 0.66],   # terminal
+                  [0.55, 0.09, 0.36]]).T.copy()
     state = _relaxed_state(scen, v, np.zeros((1, 3)), np.ones((1, 3)))
     with pytest.raises(InfeasibleTaskError) as err:
         round_to_feasible(state, scen, SolverConfig())
@@ -215,8 +215,8 @@ def test_round_to_feasible_names_every_task_on_an_over_budget_station(
         monkeypatch):
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0))
     state = init_state(scen, SolverConfig())
-    state.v[:] = [0.9, 0.05, 0.05]
-    state.v[1] = [0.05, 0.05, 0.9]
+    state.v[:] = np.array([0.9, 0.05, 0.05])[:, None]
+    state.v[:, 1] = [0.05, 0.05, 0.9]
     monkeypatch.setattr(admm, "_allocate_shares",
                         lambda tables, members, i, h_min: np.ones(len(members)))
     with pytest.raises(InfeasibleTaskError) as err:

@@ -9,21 +9,35 @@ from edgealloc.global_block import (GlobalProblem, assemble_newton,
                                     solve_global)
 
 
+# the module's arrays are coordinate-major, (n_coords, n_tasks); the
+# references below are task-major, (n_tasks, n_coords), so they reduce in
+# another memory order, and are compared with the module through transposes
+
+def _coordinate_major(prox, dual, tcoef, t_max, rho):
+    """GlobalProblem from task-major (n_tasks, n_coords) arrays."""
+    return GlobalProblem(prox=prox.T.copy(), dual=dual.T.copy(),
+                         tcoef=tcoef.T.copy(), t_max=t_max, rho=rho)
+
+
 def _toy_problem(n=1, p=4, rho=1.0, seed=0, slack_deadline=True):
     rng = np.random.default_rng(seed)
     prox = rng.uniform(0.05, 0.95, (n, p))
     dual = rng.normal(0, 0.3, (n, p))
     tcoef = rng.uniform(0.001, 0.05, (n, p))
     t_max = np.full(n, 10.0) if slack_deadline else rng.uniform(0.01, 0.03, n)
-    return GlobalProblem(prox=prox, dual=dual, tcoef=tcoef, t_max=t_max, rho=rho)
+    return _coordinate_major(prox, dual, tcoef, t_max, rho)
+
+
+def _largest_residual(res) -> float:
+    return max(float(np.abs(group).max()) for group in res)
 
 
 def test_smoothed_objective_symmetric_point():
     p = 4
-    prob = GlobalProblem(prox=np.full((1, p), 0.5), dual=np.zeros((1, p)),
-                         tcoef=np.full((1, p), 0.01), t_max=np.array([10.0]),
+    prob = GlobalProblem(prox=np.full((p, 1), 0.5), dual=np.zeros((p, 1)),
+                         tcoef=np.full((p, 1), 0.01), t_max=np.array([10.0]),
                          rho=1.0)
-    v = np.full((1, p), 0.5)
+    v = np.full((p, 1), 0.5)
     m = np.ones(1)  # log 1 contributes nothing
     val = smoothed_objective(v, m, prob, omega=1.0, xi=0.0)
     assert val[0] == pytest.approx(p * 2 * np.log(2.0))
@@ -31,7 +45,7 @@ def test_smoothed_objective_symmetric_point():
 
 def test_smoothed_objective_vanishing_smoothing():
     prob = _toy_problem(seed=1)
-    v = np.full((1, 4), 0.4)
+    v = np.full((4, 1), 0.4)
     m = np.ones(1)
     gap = prob.prox - v
     pure = (prob.dual * gap + 0.5 * prob.rho * gap * gap).sum()
@@ -41,7 +55,7 @@ def test_smoothed_objective_vanishing_smoothing():
 
 def test_smoothed_objective_blows_up_near_boundary_and_rejects_it():
     prob = _toy_problem(seed=2)
-    v = np.full((1, 4), 0.5)
+    v = np.full((4, 1), 0.5)
     v[0, 0] = 1e-12
     m = np.ones(1)
     assert smoothed_objective(v, m, prob, 1.0, 0.0)[0] > 1e1
@@ -55,18 +69,18 @@ def test_gradient_matches_central_differences():
     worst = 0.0
     for _ in range(100):
         prob = _toy_problem(seed=int(rng.integers(1e6)))
-        v = rng.uniform(0.1, 0.9, (1, 4))
+        v = rng.uniform(0.1, 0.9, (4, 1))
         m = rng.uniform(0.5, 5.0, 1)
         omega, xi = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.4))
         gv, gm = grad_smoothed(v, m, prob, omega, xi)
         h = 1e-6
         for k in range(4):
             vp, vm_ = v.copy(), v.copy()
-            vp[0, k] += h
-            vm_[0, k] -= h
+            vp[k, 0] += h
+            vm_[k, 0] -= h
             fd = (smoothed_objective(vp, m, prob, omega, xi)
                   - smoothed_objective(vm_, m, prob, omega, xi))[0] / (2 * h)
-            worst = max(worst, abs(fd - gv[0, k]) / max(abs(fd), 1e-12))
+            worst = max(worst, abs(fd - gv[k, 0]) / max(abs(fd), 1e-12))
         fd_m = (smoothed_objective(v, m + h, prob, omega, xi)
                 - smoothed_objective(v, m - h, prob, omega, xi))[0] / (2 * h)
         worst = max(worst, abs(fd_m - gm[0]) / max(abs(fd_m), 1e-12))
@@ -78,18 +92,18 @@ def test_hessian_diagonal_matches_central_differences():
     worst = 0.0
     for _ in range(100):
         prob = _toy_problem(seed=int(rng.integers(1e6)))
-        v = rng.uniform(0.15, 0.85, (1, 4))
+        v = rng.uniform(0.15, 0.85, (4, 1))
         m = rng.uniform(0.5, 5.0, 1)
         omega, xi = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.4))
         hv, hm = hess_diag_smoothed(v, m, prob, omega, xi)
         h = 1e-5
         for k in range(4):
             vp, vm_ = v.copy(), v.copy()
-            vp[0, k] += h
-            vm_[0, k] -= h
+            vp[k, 0] += h
+            vm_[k, 0] -= h
             fd = ((grad_smoothed(vp, m, prob, omega, xi)[0]
-                   - grad_smoothed(vm_, m, prob, omega, xi)[0])[0, k]) / (2 * h)
-            worst = max(worst, abs(fd - hv[0, k]) / max(abs(fd), 1e-12))
+                   - grad_smoothed(vm_, m, prob, omega, xi)[0])[k, 0]) / (2 * h)
+            worst = max(worst, abs(fd - hv[k, 0]) / max(abs(fd), 1e-12))
         fd_m = ((grad_smoothed(v, m + h, prob, omega, xi)[1]
                  - grad_smoothed(v, m - h, prob, omega, xi)[1])[0]) / (2 * h)
         worst = max(worst, abs(fd_m - hm[0]) / max(abs(fd_m), 1e-12))
@@ -99,14 +113,14 @@ def test_hessian_diagonal_matches_central_differences():
 def test_barrier_hessian_hand_value():
     prob = _toy_problem(seed=5, rho=0.0)
     prob.dual[:] = 0.0
-    v = np.full((1, 4), 0.5)
+    v = np.full((4, 1), 0.5)
     hv, _ = hess_diag_smoothed(v, np.ones(1), prob, omega=1.0, xi=0.0)
     assert np.allclose(hv, 8.0)
 
 
 def test_prox_only_hessian_equals_rho():
     prob = _toy_problem(seed=6, rho=2.5)
-    v = np.full((1, 4), 0.3)
+    v = np.full((4, 1), 0.3)
     hv, hm = hess_diag_smoothed(v, np.ones(1), prob, omega=0.0, xi=0.0)
     assert np.allclose(hv, 2.5)
     assert hm[0] == 0.0
@@ -115,31 +129,32 @@ def test_prox_only_hessian_equals_rho():
 def test_kkt_residual_decomposition():
     prob = _toy_problem(seed=7)
     p = 4
-    v = np.full((1, p), 0.25)
-    m = prob.t_max - (prob.tcoef * v).sum(axis=1)
+    v = np.full((p, 1), 0.25)
+    m = prob.t_max - (prob.tcoef * v).sum(axis=0)
     nu = np.zeros(1)
     sig = np.zeros(1)
-    res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, 0.5, 0.1), prob)
+    stat_v, _, deadline, simplex = kkt_residual(
+        v, m, nu, sig, grad_smoothed(v, m, prob, 0.5, 0.1), prob)
     # feasibility rows vanish at a feasible primal even with wrong multipliers
-    assert res[0, p + 1] == pytest.approx(0.0, abs=1e-12)
-    assert res[0, p + 2] == pytest.approx(0.0, abs=1e-12)
+    assert deadline[0] == pytest.approx(0.0, abs=1e-12)
+    assert simplex[0] == pytest.approx(0.0, abs=1e-12)
     gv, gm = grad_smoothed(v, m, prob, 0.5, 0.1)
-    assert np.allclose(res[0, :p], gv[0])
+    assert np.allclose(stat_v[:, 0], gv[:, 0])
     # breaking the simplex by 0.1 shows up in the simplex row alone
     v2 = v.copy()
     v2[0, 0] += 0.1
     res2 = kkt_residual(v2, m, nu, sig, grad_smoothed(v2, m, prob, 0.5, 0.1),
                         prob)
-    assert res2[0, p + 2] == pytest.approx(0.1)
+    assert res2[3][0] == pytest.approx(0.1)
 
 
 def test_kkt_residual_zero_at_fitted_point():
     # fit the multipliers by least squares at a barrier optimum found by a
-    # dense grid, then the stacked conditions must be nearly zero
-    prob = GlobalProblem(prox=np.array([[0.3, 0.3, 0.4]]),
-                         dual=np.zeros((1, 3)),
-                         tcoef=np.array([[0.01, 0.02, 0.03]]),
-                         t_max=np.array([5.0]), rho=1.0)
+    # dense grid, then every first-order condition must be nearly zero
+    prob = _coordinate_major(prox=np.array([[0.3, 0.3, 0.4]]),
+                             dual=np.zeros((1, 3)),
+                             tcoef=np.array([[0.01, 0.02, 0.03]]),
+                             t_max=np.array([5.0]), rho=1.0)
     omega, xi = 0.1, 0.05
     grid = np.linspace(0.01, 0.98, 400)
     best, best_v = np.inf, None
@@ -150,27 +165,27 @@ def test_kkt_residual_zero_at_fitted_point():
         vv = vv[keep]
         if not len(vv):
             continue
-        mm = prob.t_max[0] - vv @ prob.tcoef[0]
+        mm = prob.t_max[0] - vv @ prob.tcoef[:, 0]
         ok = (vv > 0).all(axis=1) & (vv < 1).all(axis=1) & (mm > 0)
         if not ok.any():
             continue
-        vals = smoothed_objective(vv[ok], mm[ok], GlobalProblem(
-            prox=np.tile(prob.prox, (ok.sum(), 1)),
-            dual=np.tile(prob.dual, (ok.sum(), 1)),
-            tcoef=np.tile(prob.tcoef, (ok.sum(), 1)),
+        vals = smoothed_objective(vv[ok].T, mm[ok], GlobalProblem(
+            prox=np.tile(prob.prox, (1, ok.sum())),
+            dual=np.tile(prob.dual, (1, ok.sum())),
+            tcoef=np.tile(prob.tcoef, (1, ok.sum())),
             t_max=np.full(ok.sum(), prob.t_max[0]), rho=prob.rho), omega, xi)
         k = int(np.argmin(vals))
         if vals[k] < best:
             best = vals[k]
             best_v = vv[ok][k]
-    v = best_v[None, :]
-    m = prob.t_max - (prob.tcoef * v).sum(axis=1)
+    v = best_v[:, None]
+    m = prob.t_max - (prob.tcoef * v).sum(axis=0)
     gv, gm = grad_smoothed(v, m, prob, omega, xi)
     # stationarity: grad_v + t nu + sig = 0, grad_m + nu = 0
     nu = -gm
-    sig = -(gv[0] + prob.tcoef[0] * nu[0]).mean(keepdims=True)
+    sig = -(gv[:, 0] + prob.tcoef[:, 0] * nu[0]).mean(keepdims=True)
     res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
-    assert np.abs(res).max() < 1e-2  # grid-limited accuracy
+    assert _largest_residual(res) < 1e-2  # grid-limited accuracy
     # polishing with the solver's own Newton step drives it below 1e-6
     for _ in range(6):
         res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
@@ -178,12 +193,12 @@ def test_kkt_residual_zero_at_fitted_point():
         dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
         v, m, nu, sig = v + dv, m + dm, nu + dnu, sig + dsig
     res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
-    assert np.abs(res).max() < 1e-6
+    assert _largest_residual(res) < 1e-6
 
 
 def test_assembled_system_matches_fd_hessian():
     prob = _toy_problem(seed=8)
-    v = np.full((1, 4), 0.35)
+    v = np.full((4, 1), 0.35)
     m = np.array([2.0])
     res = kkt_residual(v, m, np.zeros(1), np.zeros(1),
                        grad_smoothed(v, m, prob, 0.3, 0.1), prob)
@@ -197,9 +212,9 @@ def test_assembled_system_matches_fd_hessian():
 
 def _dense_solve(system, task=0):
     """Independent dense assembly of one task's saddle system."""
-    hv = system.hess_v[task]
+    hv = system.hess_v[:, task]
     hm = system.hess_m[task]
-    t = system.tcoef[task]
+    t = system.tcoef[:, task]
     p = len(hv)
     dim = p + 3
     A = np.zeros((dim, dim))
@@ -211,7 +226,7 @@ def _dense_solve(system, task=0):
     A[p + 1, :p] = t
     A[p + 1, p] = 1.0
     A[p + 2, :p] = 1.0
-    b = np.concatenate([system.rhs_v[task], [system.rhs_m[task]],
+    b = np.concatenate([system.rhs_v[:, task], [system.rhs_m[task]],
                         [system.rhs_deadline[task]], [system.rhs_simplex[task]]])
     sol = np.linalg.solve(A, b)
     return A, b, sol
@@ -219,10 +234,10 @@ def _dense_solve(system, task=0):
 
 def _random_system(rng, n=1, p=5):
     return gb.NewtonSystem(
-        hess_v=rng.uniform(0.5, 3.0, (n, p)),
+        hess_v=rng.uniform(0.5, 3.0, (n, p)).T.copy(),
         hess_m=rng.uniform(0.5, 3.0, n),
-        tcoef=rng.uniform(0.01, 1.0, (n, p)),
-        rhs_v=rng.normal(0, 1, (n, p)),
+        tcoef=rng.uniform(0.01, 1.0, (n, p)).T.copy(),
+        rhs_v=rng.normal(0, 1, (n, p)).T.copy(),
         rhs_m=rng.normal(0, 1, n),
         rhs_deadline=rng.normal(0, 1, n),
         rhs_simplex=np.zeros(n),
@@ -237,7 +252,7 @@ def test_nullspace_identity_reduced_system():
     system.tcoef[:] = 0.0
     dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
     _, _, sol = _dense_solve(system)
-    assert np.allclose(dv[0], sol[:5], atol=1e-10)
+    assert np.allclose(dv[:, 0], sol[:5], atol=1e-10)
 
 
 def test_nullspace_matches_dense_solve():
@@ -246,10 +261,10 @@ def test_nullspace_matches_dense_solve():
         system = _random_system(rng, p=int(rng.integers(3, 7)))
         dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
         A, b, sol = _dense_solve(system)
-        got = np.concatenate([dv[0], [dm[0]], [dnu[0]], [dsig[0]]])
+        got = np.concatenate([dv[:, 0], [dm[0]], [dnu[0]], [dsig[0]]])
         residual = np.linalg.norm(A @ got - b) / max(np.linalg.norm(b), 1e-300)
         assert residual < 1e-8
-        assert abs(dv[0].sum()) < 1e-10  # simplex row annihilates the step
+        assert abs(dv[:, 0].sum()) < 1e-10  # simplex row annihilates the step
 
 
 def test_nullspace_regularizes_nonconvex_diagonals():
@@ -269,10 +284,11 @@ def test_newton_solve_forward_error_against_50_digit_reference():
     rng = np.random.default_rng(17)
     n, p = 120, 7
     system = gb.NewtonSystem(
-        hess_v=10.0 ** rng.uniform(-0.3, 12.0, (n, p)),
+        hess_v=(10.0 ** rng.uniform(-0.3, 12.0, (n, p))).T.copy(),
         hess_m=10.0 ** rng.uniform(-9.0, 9.0, n),
-        tcoef=10.0 ** rng.uniform(-4.0, 1.0, (n, p)),
-        rhs_v=rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-3, 3, (n, 1)),
+        tcoef=(10.0 ** rng.uniform(-4.0, 1.0, (n, p))).T.copy(),
+        rhs_v=(rng.normal(0, 1, (n, p))
+               * 10.0 ** rng.uniform(-3, 3, (n, 1))).T.copy(),
         rhs_m=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n),
         rhs_deadline=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n),
         rhs_simplex=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n))
@@ -285,7 +301,7 @@ def test_newton_solve_forward_error_against_50_digit_reference():
             exact = mpmath.lu_solve(mpmath.matrix(A.tolist()),
                                     mpmath.matrix(b.tolist()))
             exact = np.array([float(x) for x in exact])
-            got = np.concatenate([dv[k], [dm[k], dnu[k], dsig[k]]])
+            got = np.concatenate([dv[:, k], [dm[k], dnu[k], dsig[k]]])
             worst = max(worst, np.linalg.norm(got - exact) / np.linalg.norm(exact))
     assert worst < 1e-8
 
@@ -309,17 +325,17 @@ def test_hessian_curvature_floor_keeps_repair_idle():
            xi_share=st.floats(0.0, 1.0))
     def check(v, m, rho, omega, xi_share):
         p = len(v)
-        prob = GlobalProblem(prox=np.zeros((1, p)), dual=np.zeros((1, p)),
-                             tcoef=np.full((1, p), 0.01),
+        prob = GlobalProblem(prox=np.zeros((p, 1)), dual=np.zeros((p, 1)),
+                             tcoef=np.full((p, 1), 0.01),
                              t_max=np.array([10.0]), rho=rho)
         xi = xi_share * gb.XI_CONVEXITY_FRACTION * rho
-        hv, hm = hess_diag_smoothed(np.array([v]), np.array([m]), prob,
+        hv, hm = hess_diag_smoothed(np.array([v]).T, np.array([m]), prob,
                                     omega, xi)
         floor = (1.0 - 2.0 * gb.XI_CONVEXITY_FRACTION) * rho
         assert hv.min() >= floor * (1.0 - 1e-12)
         assert hm[0] > 0
         system = gb.NewtonSystem(hess_v=hv, hess_m=hm, tcoef=prob.tcoef,
-                                 rhs_v=np.ones((1, p)), rhs_m=np.ones(1),
+                                 rhs_v=np.ones((p, 1)), rhs_m=np.ones(1),
                                  rhs_deadline=np.ones(1),
                                  rhs_simplex=np.zeros(1))
         assert not nullspace_cg_solve(system)[4]["regularized"][0]
@@ -331,22 +347,22 @@ def test_hessian_curvature_floor_keeps_repair_idle():
 
 def test_line_search_zero_step_accepts():
     prob = _toy_problem(seed=12)
-    v = np.full((1, 4), 0.25)
+    v = np.full((4, 1), 0.25)
     m = np.ones(1)
-    t, stalled, _ = line_search(v, m, np.zeros((1, 4)), np.zeros(1),
+    t, stalled, _ = line_search(v, m, np.zeros((4, 1)), np.zeros(1),
                                 smoothed_objective(v, m, prob, 0.5, 0.1),
                                 grad_smoothed(v, m, prob, 0.5, 0.1), prob, 0.5, 0.1)
     assert not stalled[0]
 
 
 def test_line_search_halves_out_of_box_step():
-    prob = GlobalProblem(prox=np.array([[0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3]]),
-                         dual=np.zeros((1, 4)),
-                         tcoef=np.full((1, 4), 0.001),
+    prob = GlobalProblem(prox=np.array([[0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3]]).T,
+                         dual=np.zeros((4, 1)),
+                         tcoef=np.full((4, 1), 0.001),
                          t_max=np.array([10.0]), rho=1.0)
-    v = np.array([[0.5, 1.0 / 6, 1.0 / 6, 1.0 / 6]])
+    v = np.array([[0.5, 1.0 / 6, 1.0 / 6, 1.0 / 6]]).T
     m = np.ones(1)
-    dv = np.array([[0.8, -0.8 / 3, -0.8 / 3, -0.8 / 3]])
+    dv = np.array([[0.8, -0.8 / 3, -0.8 / 3, -0.8 / 3]]).T
     t, stalled, _ = line_search(v, m, dv, np.zeros(1),
                                 smoothed_objective(v, m, prob, 1e-9, 0.0),
                                 grad_smoothed(v, m, prob, 1e-9, 0.0), prob,
@@ -357,7 +373,7 @@ def test_line_search_halves_out_of_box_step():
 
 def test_line_search_accepts_descent_direction():
     prob = _toy_problem(seed=13)
-    v = np.full((1, 4), 0.25)
+    v = np.full((4, 1), 0.25)
     m = np.ones(1)
     gv, gm = grad_smoothed(v, m, prob, 0.5, 0.1)
     t, stalled, _ = line_search(v, m, -0.01 * gv, -0.01 * gm,
@@ -370,10 +386,10 @@ def test_line_search_accepts_descent_direction():
 
 def test_solve_global_prox_attraction_to_binary_copies():
     p = 4
-    prox = np.zeros((1, p))
-    prox[0, -1] = 1.0  # terminal branch already selected, deadline slack
-    prob = GlobalProblem(prox=prox, dual=np.zeros((1, p)),
-                         tcoef=np.array([[0.05, 0.05, 0.001, 0.03]]),
+    prox = np.zeros((p, 1))
+    prox[-1, 0] = 1.0  # terminal branch already selected, deadline slack
+    prob = GlobalProblem(prox=prox, dual=np.zeros((p, 1)),
+                         tcoef=np.array([[0.05, 0.05, 0.001, 0.03]]).T,
                          t_max=np.array([10.0]), rho=1.0)
     v, m, info = solve_global(prob)
     assert np.abs(v - prox).max() < 1e-3
@@ -383,15 +399,15 @@ def test_solve_global_prox_attraction_to_binary_copies():
 def test_solve_global_matches_grid_search_objective():
     # binary-leaning copies: the unsmoothed optimum then sits next to a
     # corner and the smoothing bias stays inside the stated gap
-    prob = GlobalProblem(prox=np.array([[1.0, 0.0, 0.0]]),
-                         dual=np.array([[-0.005, 0.002, 0.0]]),
-                         tcoef=np.array([[0.02, 0.001, 0.03]]),
-                         t_max=np.array([5.0]), rho=1.0)
+    prob = _coordinate_major(prox=np.array([[1.0, 0.0, 0.0]]),
+                             dual=np.array([[-0.005, 0.002, 0.0]]),
+                             tcoef=np.array([[0.02, 0.001, 0.03]]),
+                             t_max=np.array([5.0]), rho=1.0)
     v, m, info = solve_global(prob)
 
     def consensus_objective(vv):
-        gap = prob.prox[0] - vv
-        return float((prob.dual[0] * gap + 0.5 * gap * gap).sum())
+        gap = prob.prox[:, 0] - vv
+        return float((prob.dual[:, 0] * gap + 0.5 * gap * gap).sum())
 
     grid = np.linspace(0.0, 1.0, 201)
     best = np.inf
@@ -403,7 +419,7 @@ def test_solve_global_matches_grid_search_objective():
             if 0.02 * a + 0.001 * b + 0.03 * c > 5.0:
                 continue
             best = min(best, consensus_objective(np.array([a, b, c])))
-    assert consensus_objective(v[0]) <= best + 1e-3
+    assert consensus_objective(v[:, 0]) <= best + 1e-3
 
 
 def test_solve_global_matches_trust_constr():
@@ -423,13 +439,13 @@ def test_solve_global_matches_trust_constr():
         t_max = 10.0
         if trial % 2 and tcoef[k] < tcoef.max():
             t_max = 0.5 * (tcoef[k] + tcoef.max())
-        prob = GlobalProblem(prox=prox[None], dual=dual[None],
-                             tcoef=tcoef[None], t_max=np.array([t_max]),
+        prob = GlobalProblem(prox=prox[:, None], dual=dual[:, None],
+                             tcoef=tcoef[:, None], t_max=np.array([t_max]),
                              rho=1.0)
         v, m, info = solve_global(prob)
         assert info["converged"][0]
-        assert abs(v[0].sum() - 1.0) < 1e-10
-        assert tcoef @ v[0] <= t_max
+        assert abs(v[:, 0].sum() - 1.0) < 1e-10
+        assert tcoef @ v[:, 0] <= t_max
 
         def consensus_objective(vv):
             gap = prox - vv
@@ -444,33 +460,33 @@ def test_solve_global_matches_trust_constr():
             bounds=scipy_optimize.Bounds(np.zeros(p), np.ones(p)),
             options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 2000})
         assert ref.status in (1, 2)  # stopped on gtol or xtol
-        assert consensus_objective(v[0]) <= ref.fun + 1e-3
+        assert consensus_objective(v[:, 0]) <= ref.fun + 1e-3
 
 
 def test_solve_global_respects_binding_deadline():
     # only the second coordinate is fast enough for the deadline
-    prob = GlobalProblem(prox=np.array([[0.6, 0.2, 0.2]]),
-                         dual=np.zeros((1, 3)),
-                         tcoef=np.array([[5.0, 0.001, 4.0]]),
-                         t_max=np.array([0.05]), rho=1.0)
+    prob = _coordinate_major(prox=np.array([[0.6, 0.2, 0.2]]),
+                             dual=np.zeros((1, 3)),
+                             tcoef=np.array([[5.0, 0.001, 4.0]]),
+                             t_max=np.array([0.05]), rho=1.0)
     v, m, info = solve_global(prob)
-    assert int(np.argmax(v[0])) == 1
-    assert v[0, 1] > 0.9
+    assert int(np.argmax(v[:, 0])) == 1
+    assert v[1, 0] > 0.9
 
 
 def test_tight_deadline_start_meets_deadline_row_and_converges():
     # t_max - delay at the nudged start is below 0.01 s, so any slack floor
     # above m_floor would start off the deadline row, where the objective
     # Armijo test rejects the Newton step and the solve stalls
-    prob = GlobalProblem(prox=np.array([[0.6, 0.2, 0.2]]),
-                         dual=np.zeros((1, 3)),
-                         tcoef=np.array([[0.05, 0.001, 0.04]]),
-                         t_max=np.array([0.02]), rho=1.0)
+    prob = _coordinate_major(prox=np.array([[0.6, 0.2, 0.2]]),
+                             dual=np.zeros((1, 3)),
+                             tcoef=np.array([[0.05, 0.001, 0.04]]),
+                             t_max=np.array([0.02]), rho=1.0)
     v, m = interior_init(prob)
     assert m[0] > 0
-    res = kkt_residual(v, m, np.zeros(1), np.zeros(1),
-                       grad_smoothed(v, m, prob, 1.0, 0.1), prob)
-    assert abs(res[0, -2]) <= 1e-15
+    _, _, deadline, _ = kkt_residual(v, m, np.zeros(1), np.zeros(1),
+                                     grad_smoothed(v, m, prob, 1.0, 0.1), prob)
+    assert abs(deadline[0]) <= 1e-15
     v, m, info = solve_global(prob)
     assert info["converged"][0]
     assert not info["stalled"][0]
@@ -479,7 +495,7 @@ def test_tight_deadline_start_meets_deadline_row_and_converges():
 def test_solve_global_preserves_simplex_and_interior():
     prob = _toy_problem(n=6, p=5, seed=15)
     v, m, info = solve_global(prob)
-    assert np.abs(v.sum(axis=1) - 1.0).max() < 1e-10
+    assert np.abs(v.sum(axis=0) - 1.0).max() < 1e-10
     assert np.all(v > 0) and np.all(v < 1) and np.all(m > 0)
 
 
@@ -488,7 +504,7 @@ def test_solve_global_objective_decreases_along_newton_path():
     v, m = interior_init(prob)
     gv, gm = grad_smoothed(v, m, prob, 1.0, 0.1)
     nu = -gm
-    sig = -(gv + prob.tcoef * nu[:, None]).mean(axis=1)
+    sig = -(gv + prob.tcoef * nu).mean(axis=0)
     omega, xi = 1.0, 0.1
     prev_norm = None
     for it in range(12):
@@ -502,14 +518,14 @@ def test_solve_global_objective_decreases_along_newton_path():
         g_before = smoothed_objective(v, m, prob, omega, xi)
         t, _, _ = line_search(v, m, dv, dm, smoothed_objective(v, m, prob, omega, xi),
                               grad_smoothed(v, m, prob, omega, xi), prob, omega, xi)
-        v = v + t[:, None] * dv
+        v = v + t * dv
         m = m + t * dm
         nu = nu + t * dnu
         sig = sig + t * dsig
         g_after = smoothed_objective(v, m, prob, omega, xi)
         moved = t > 0
         assert np.all(g_after[moved] <= g_before[moved] + 1e-12)
-        assert np.abs(v.sum(axis=1) - 1.0).max() < 1e-10
+        assert np.abs(v.sum(axis=0) - 1.0).max() < 1e-10
 
 
 def test_corner_distance_shrinks_as_barrier_vanishes():
@@ -517,9 +533,9 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
     # variables approach the nearer of their prox target or a corner; the
     # first reduction is skipped because the unit-weight barrier parks
     # everything mid-box regardless of the targets
-    prox = np.array([[0.85, 0.05, 0.05, 0.05]])
-    prob = GlobalProblem(prox=prox, dual=np.zeros((1, 4)),
-                         tcoef=np.full((1, 4), 0.001),
+    prox = np.array([[0.85, 0.05, 0.05, 0.05]]).T
+    prob = GlobalProblem(prox=prox, dual=np.zeros((4, 1)),
+                         tcoef=np.full((4, 1), 0.001),
                          t_max=np.array([10.0]), rho=1.0)
     v, m = interior_init(prob)
     nu = np.zeros(1)
@@ -537,7 +553,7 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
             t, _, _ = line_search(v, m, dv, dm,
                                   smoothed_objective(v, m, prob, omega, xi),
                                   grad_smoothed(v, m, prob, omega, xi), prob, omega, xi)
-            v = v + t[:, None] * dv
+            v = v + t * dv
             m = m + t * dm
             nu = nu + t * dnu
             sig = sig + t * dsig
@@ -554,7 +570,60 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
 # docstrings of the line search and the solve dropped); its line search
 # priced trials on a sliced problem.  Its schedule follows the module's: it
 # walks OMEGA_LEVELS and freezes stalled tasks for the rest of their level,
-# unless `freeze_stalled` is off
+# unless `freeze_stalled` is off.  It keeps the task-major layout: its
+# arrays are (n_tasks, n_coords) and its problem holds the transposes of the
+# module's arrays, so its own sums, maxima and `all`s run along contiguous
+# task rows; the module's objective, stopping norm and Newton solve it
+# called are kept with it in that layout (`_reference_objective`,
+# `_reference_kkt_norm`, `_reference_newton_step`)
+
+def _task_major(problem: GlobalProblem) -> GlobalProblem:
+    """The same problem with (n_tasks, n_coords) arrays; its `n_tasks` and
+    `n_coords` properties do not apply."""
+    return GlobalProblem(prox=problem.prox.T.copy(), dual=problem.dual.T.copy(),
+                         tcoef=problem.tcoef.T.copy(), t_max=problem.t_max,
+                         rho=problem.rho)
+
+
+def _reference_objective(v, m, problem: GlobalProblem, omega, xi):
+    gap = problem.prox - v
+    prox_part = (problem.dual * gap + 0.5 * problem.rho * gap * gap).sum(axis=1)
+    barrier = -(omega * (np.log(v) + np.log1p(-v)).sum(axis=1) + omega * np.log(m))
+    penalty = xi * (v * (1.0 - v)).sum(axis=1)
+    return prox_part + barrier + penalty
+
+
+def _reference_kkt_norm(res: np.ndarray, problem: GlobalProblem) -> np.ndarray:
+    p = res.shape[1] - 3
+    stat = np.abs(res[:, :p + 1]).max(axis=1) / (1.0 + problem.rho)
+    dead = np.abs(res[:, p + 1]) / (1.0 + problem.t_max)
+    simp = np.abs(res[:, p + 2])
+    return np.maximum(np.maximum(stat, dead), simp)
+
+
+def _reference_newton_step(v, m, res, problem: GlobalProblem, omega, xi):
+    """The block-elimination Newton solve of the module, task-major."""
+    p = v.shape[1]
+    hv, hm = hess_diag_smoothed(v, m, problem, omega, xi)
+    b_v, b_m = -res[:, :p], -res[:, p]
+    b_deadline, b_simplex = -res[:, p + 1], -res[:, p + 2]
+    w = 1.0 / hv
+    w_sum = w.sum(axis=1)
+    t = problem.tcoef
+    t_bar = (w * t).sum(axis=1) / w_sum
+    b_bar = (w * b_v).sum(axis=1) / w_sum
+    t_c = t - t_bar[:, None]
+    simplex_share = b_simplex / w_sum
+    wt_c = w * t_c
+    q = (wt_c * t_c).sum(axis=1)
+    r = (wt_c * b_v).sum(axis=1) + t_bar * b_simplex - b_deadline
+    denom = hm * q + 1.0
+    dnu = (hm * r + b_m) / denom
+    dm = (b_m * q - r) / denom
+    dsig = b_bar - simplex_share - t_bar * dnu
+    dv = w * (b_v - b_bar[:, None] - t_c * dnu[:, None] + simplex_share[:, None])
+    return dv, dm, dnu, dsig
+
 
 def _reference_kkt_residual(v, m, nu, sig, problem: GlobalProblem, omega, xi) -> np.ndarray:
     """Stacked first-order conditions per task: stationarity of the box
@@ -573,7 +642,7 @@ def _reference_line_search(v, m, dv, dm, problem: GlobalProblem, omega, xi,
                            margin: float = gb.INTERIOR_MARGIN,
                            c1: float = gb.ARMIJO_C1):
     n = v.shape[0]
-    g0 = smoothed_objective(v, m, problem, omega, xi)
+    g0 = _reference_objective(v, m, problem, omega, xi)
     grad_v, grad_m = grad_smoothed(v, m, problem, omega, xi)
     dirderiv = (grad_v * dv).sum(axis=1) + grad_m * dm
 
@@ -591,9 +660,9 @@ def _reference_line_search(v, m, dv, dm, problem: GlobalProblem, omega, xi,
         idx = todo & inside
         if idx.any():
             g_try = np.full(n, np.inf)
-            g_try[idx] = smoothed_objective(v_try[idx], m_try[idx],
-                                            _reference_slice_problem(problem, idx),
-                                            omega, xi)
+            g_try[idx] = _reference_objective(v_try[idx], m_try[idx],
+                                              _reference_slice_problem(problem, idx),
+                                              omega, xi)
             ok[idx] = g_try[idx] <= (g0[idx] + c1 * t[idx] * dirderiv[idx]
                                      + 1e-14 * (1.0 + np.abs(g0[idx])))
         accepted |= ok
@@ -614,21 +683,25 @@ def _reference_slice_problem(problem: GlobalProblem, idx) -> GlobalProblem:
 def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
                             tol: float = 1e-6, max_inner: int = 25,
                             freeze_stalled: bool = True):
+    """Takes and returns the module's (n_coords, n_tasks) layout."""
     v, m = interior_init(problem, warm_v)
+    v = v.T.copy()
+    n = v.shape[0]
+    problem = _task_major(problem)
     xi = min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)
     grad_v, grad_m = grad_smoothed(v, m, problem, gb.OMEGA_LEVELS[0], xi)
     nu = -grad_m
     sig = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)
     total_newton = 0
-    stalled_any = np.zeros(problem.n_tasks, dtype=bool)
+    stalled_any = np.zeros(n, dtype=bool)
     for level, omega in enumerate(gb.OMEGA_LEVELS):
         if level:
             xi = min(xi * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho)
-        frozen = np.zeros(problem.n_tasks, dtype=bool)
+        frozen = np.zeros(n, dtype=bool)
         best = None
         for _ in range(max_inner):
             res = _reference_kkt_residual(v, m, nu, sig, problem, omega, xi)
-            norm = gb.scaled_kkt_norm(res, problem)
+            norm = _reference_kkt_norm(res, problem)
             if best is None or (norm < best[0]).any():
                 if best is None:
                     best = (norm.copy(), v.copy(), m.copy(), nu.copy(), sig.copy())
@@ -642,8 +715,8 @@ def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = 
             active = (norm > tol) & ~frozen
             if not active.any():
                 break
-            system = assemble_newton(v, m, res, problem, omega, xi)
-            dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+            dv, dm, dnu, dsig = _reference_newton_step(v, m, res, problem,
+                                                       omega, xi)
             dv[~active] = 0.0
             dm[~active] = 0.0
             dnu[~active] = 0.0
@@ -661,12 +734,12 @@ def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = 
                 break
         v, m, nu, sig = best[1], best[2], best[3], best[4]
 
-    final_norm = gb.scaled_kkt_norm(
+    final_norm = _reference_kkt_norm(
         _reference_kkt_residual(v, m, nu, sig, problem, omega, xi), problem)
     info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
             "newton_iterations": total_newton, "stalled": stalled_any,
             "omega": omega, "xi": xi}
-    return v, m, info
+    return v.T, m, info
 
 
 # one task of the tight-deadline 100-task seed 43 scenario (t_max in 0.02 to
@@ -684,8 +757,11 @@ _TWIN_ROW = dict(
                      0.3931]))
 
 
-def _random_global_problem(rng, deadline, twin=False):
-    n, p = int(rng.integers(1, 61)), 7 if twin else int(rng.integers(3, 8))
+def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
+    """A random problem in the module's layout and its warm start (or
+    None); `coords` bounds the number of coordinates, upper bound
+    excluded."""
+    n, p = int(rng.integers(1, 61)), 7 if twin else int(rng.integers(*coords))
     if rng.random() < 0.5:
         prox = rng.uniform(0.0, 1.0, (n, p))
     else:  # binary local copies, as late in a consensus run
@@ -712,8 +788,8 @@ def _random_global_problem(rng, deadline, twin=False):
         for name, values in (("prox", prox), ("dual", dual), ("tcoef", tcoef),
                              ("t_max", t_max), ("warm_v", warm_v)):
             values[k] = _TWIN_ROW[name]
-    return GlobalProblem(prox=prox, dual=dual, tcoef=tcoef, t_max=t_max,
-                         rho=rho), warm_v
+    return (_coordinate_major(prox, dual, tcoef, t_max, rho),
+            None if warm_v is None else warm_v.T.copy())
 
 
 def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
@@ -734,13 +810,13 @@ def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
     def checked_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
         t, stalled, f_new = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
         moved = t > 0
-        moved[moved] = (np.abs(dv[moved]).max(axis=1) + np.abs(dm[moved])) > 0
-        at = smoothed_objective(v + t[:, None] * dv, m + t * dm, problem, omega, xi)
+        moved[moved] = (np.abs(dv[:, moved]).max(axis=0) + np.abs(dm[moved])) > 0
+        at = smoothed_objective(v + t * dv, m + t * dm, problem, omega, xi)
         assert np.array_equal(f_new[moved], at[moved])
         assert np.array_equal(f_new[~moved], f[~moved])
         v_full, m_full = v + dv, m + dm
-        out = ((v_full <= gb.INTERIOR_MARGIN).any(axis=1) | (m_full <= gb.INTERIOR_MARGIN)
-               | (v_full >= 1.0 - gb.INTERIOR_MARGIN).any(axis=1))
+        out = ((v_full <= gb.INTERIOR_MARGIN).any(axis=0) | (m_full <= gb.INTERIOR_MARGIN)
+               | (v_full >= 1.0 - gb.INTERIOR_MARGIN).any(axis=0))
         seen["moved"] += int(moved.sum())
         seen["still"] += int((~moved & ~stalled).sum())
         seen["stalled"] += int(stalled.sum())
@@ -785,6 +861,37 @@ def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
                 final_best_not_last += compare(problem, warm_v)[1]
     assert all(count > 0 for count in seen.values()), seen
     assert final_best_not_last > 0
+
+
+def test_solve_global_matches_task_major_reference_from_eight_coords():
+    # from n_sbs = 6 (8 coordinates) numpy sums a contiguous task row in
+    # unrolled partial sums, while the module adds its coordinate rows in
+    # order, so the two layouts may round differently in the last bit
+    rng = np.random.default_rng(71)
+    worst = 0.0
+    for deadline in ("loose", "binding", "tight") * 10:
+        problem, warm_v = _random_global_problem(rng, deadline, coords=(8, 11))
+        assert problem.n_coords >= 8
+        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v)
+        v, m, info = solve_global(problem, warm_v)
+        assert np.array_equal(info["converged"], info_ref["converged"])
+        worst = max(worst, np.abs(v - v_ref).max(), np.abs(m - m_ref).max())
+    assert worst <= 1e-14
+
+
+def test_solve_global_leaves_its_inputs_unchanged():
+    # the consensus loop passes rows of its state as the problem and the
+    # warm start, so the solve must not write into them
+    rng = np.random.default_rng(72)
+    for deadline in ("loose", "binding", "tight") * 4:
+        problem, warm_v = _random_global_problem(rng, deadline)
+        if warm_v is None:
+            warm_v = rng.dirichlet(np.ones(problem.n_coords), problem.n_tasks).T
+        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max, warm_v)
+        kept = [a.copy() for a in inputs]
+        solve_global(problem, warm_v)
+        for a, b in zip(inputs, kept):
+            assert np.array_equal(a, b)
 
 
 def test_frozen_stalls_leave_results_bit_identical():
@@ -837,11 +944,11 @@ def test_solve_global_runs_each_level_once(monkeypatch):
 def _first_inside_power(v, m, dv, dm):
     """Per row, the first step that halving from 1 lets through the line
     search's box test."""
-    t = np.ones(v.shape[0])
+    t = np.ones(v.shape[1])
     for _ in range(60):
-        v_try = v + t[:, None] * dv
+        v_try = v + t * dv
         m_try = m + t * dm
-        inside = (((v_try > gb.INTERIOR_MARGIN) & (v_try < 1.0 - gb.INTERIOR_MARGIN)).all(axis=1)
+        inside = (((v_try > gb.INTERIOR_MARGIN) & (v_try < 1.0 - gb.INTERIOR_MARGIN)).all(axis=0)
                   & (m_try > gb.INTERIOR_MARGIN))
         t = np.where(inside, t, 0.5 * t)
     return t
@@ -851,16 +958,18 @@ def _planted_line_search_batch(rng, n=48, p=7):
     """Interior rows with Newton, scaled-gradient and random steps, and
     planted rows: zero steps, box bounds at exact powers of two (lower and
     upper walls, slack), coordinates within 1e-12 of the margin, and one
-    row whose bound is below the stall threshold."""
+    row whose bound is below the stall threshold.  The rows are planted
+    task-major and returned in the module's layout."""
     margin = gb.INTERIOR_MARGIN
     prob = _toy_problem(n=n, p=p, seed=int(rng.integers(1e6)), rho=1.0)
     omega, xi = float(rng.choice(gb.OMEGA_LEVELS)), float(rng.uniform(0.0, 0.2))
     v = np.clip(rng.dirichlet(np.ones(p), n), 1e-6, None)
     v /= v.sum(axis=1, keepdims=True)
     m = 10.0 ** rng.uniform(-4, 1, n)
-    gv, gm = grad_smoothed(v, m, prob, omega, xi)
-    res = kkt_residual(v, m, np.zeros(n), np.zeros(n), (gv, gm), prob)
-    dv, dm = nullspace_cg_solve(assemble_newton(v, m, res, prob, omega, xi))[:2]
+    gv, gm = grad_smoothed(v.T, m, prob, omega, xi)
+    res = kkt_residual(v.T, m, np.zeros(n), np.zeros(n), (gv, gm), prob)
+    dv, dm = nullspace_cg_solve(assemble_newton(v.T, m, res, prob, omega, xi))[:2]
+    dv, gv = dv.T.copy(), gv.T
     scale = 10.0 ** rng.uniform(-2, 3, n)
     gradient_rows = rng.random(n) < 0.3
     dv[gradient_rows] = -(gv - gv.mean(axis=1, keepdims=True))[gradient_rows]
@@ -892,6 +1001,7 @@ def _planted_line_search_batch(rng, n=48, p=7):
     v[i, 0] = margin + 1e-13
     dv[i] = 0.0
     dv[i, 0], dv[i, 1] = -1.0, 1.0
+    v, dv = v.T.copy(), dv.T.copy()
     f = smoothed_objective(v, m, prob, omega, xi)
     return (v, m, dv, dm, f, grad_smoothed(v, m, prob, omega, xi), prob,
             omega, xi), plant
@@ -904,9 +1014,10 @@ def test_line_search_matches_backtracking_from_one(monkeypatch):
         args, plant = _planted_line_search_batch(rng)
         v, m, dv, dm, f, _, prob, omega, xi = args
         t, stalled, f_new = line_search(*args)
-        t_ref, stalled_ref = _reference_line_search(v, m, dv, dm, prob, omega, xi)
+        t_ref, stalled_ref = _reference_line_search(v.T.copy(), m, dv.T.copy(), dm,
+                                                    _task_major(prob), omega, xi)
         assert np.array_equal(t, t_ref) and np.array_equal(stalled, stalled_ref)
-        at = smoothed_objective(v + t[:, None] * dv, m + t * dm, prob, omega, xi)
+        at = smoothed_objective(v + t * dv, m + t * dm, prob, omega, xi)
         moved = t > 0
         assert np.array_equal(f_new[moved], at[moved])
         assert np.array_equal(f_new[~moved], f[~moved])
@@ -924,8 +1035,10 @@ def test_line_search_matches_backtracking_from_one(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(gb, "_smoothed_objective", None)
             t_k, stalled_k, f_k = line_search(
-                v[k], m[k], dv[k], dm[k], f[k], (gv[k], gm[k]),
-                _reference_slice_problem(prob, k), omega, xi)
+                v[:, k], m[k], dv[:, k], dm[k], f[k], (gv[:, k], gm[k]),
+                GlobalProblem(prox=prob.prox[:, k], dual=prob.dual[:, k],
+                              tcoef=prob.tcoef[:, k], t_max=prob.t_max[k],
+                              rho=prob.rho), omega, xi)
         assert stalled_k[0] and t_k[0] == 0.0 and f_k[0] == f[k]
     assert box_limited > 100 and armijo_limited > 20, (box_limited, armijo_limited)
 
@@ -945,7 +1058,7 @@ def test_line_search_prices_trials_once_without_armijo_rejection(monkeypatch):
     def checked_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
         before = calls[0]
         t, stalled, f_new = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
-        moving = (np.abs(dv).max(axis=1) + np.abs(dm)) > 0
+        moving = (np.abs(dv).max(axis=0) + np.abs(dm)) > 0
         first = _first_inside_power(v, m, dv, dm)
         if moving.any() and not stalled.any() and (t == first)[moving].all():
             assert calls[0] - before == 1

@@ -215,3 +215,23 @@ def test_cbgp_splits_stay_on_simplex():
     assert np.all(vars.c0 >= -1e-9) and np.all(vars.c1 >= -1e-9)
     assert np.all(vars.ci >= -1e-9)
     assert np.allclose(vars.c0 + vars.c1 + vars.ci, c)
+
+
+def test_cbgp_leaves_its_inputs_unchanged():
+    # the consensus loop passes rows of its state as the prox point, the
+    # duals and the starting assignment without copying them; a rejected
+    # sweep restores the arrays the sweep allocated, not these
+    rng = np.random.default_rng(3)
+    rejected = 0
+    for trial in range(100):
+        scen, problem, vars, state = _problem(
+            n_tasks=int(rng.integers(1, 6)), n_sbs=int(rng.integers(1, 3)),
+            seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)))
+        problem.dual = rng.normal(0, 0.5, problem.dual.shape)
+        inputs = (problem.x_global, problem.dual, vars.x_hat)
+        kept = [a.copy() for a in inputs]
+        cbgp_solve(problem, vars, state, rounds=30)
+        rejected += int((state.step_scale < 1.0).any())
+        for a, b in zip(inputs, kept):
+            assert np.array_equal(a, b)
+    assert rejected > 0
