@@ -108,17 +108,16 @@ class TraceRecord:
 class Trace:
     """Per-iteration log; iteration numbers are strictly increasing.
 
-    `aug_lagrangian` holds the consensus objective after each iteration's
-    primal sweep, and `aug_lagrangian_rise` the change produced by that
-    sweep at the duals it was solved under (nonpositive when every block
-    truly descends).  `global_unconverged` counts the tasks whose global
-    block ended above its KKT tolerance in each iteration; like the
-    Lagrangian lists it is not part of the CSV.
+    `aug_lagrangian_rise` holds the change of the consensus objective
+    produced by each iteration's primal sweep at the duals it was solved
+    under (nonpositive when every block truly descends).
+    `global_unconverged` counts the tasks whose global block ended above
+    its KKT tolerance in each iteration; like the rise it is not part of
+    the CSV.
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
-    aug_lagrangian: list = field(default_factory=list)
     aug_lagrangian_rise: list = field(default_factory=list)
     global_unconverged: list = field(default_factory=list)
 
@@ -207,6 +206,9 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
     converged = False
     cost_scale = None
+    # tasks whose last global solve converged without a retry; the global
+    # block warm-restarts them from their iterate at its last level
+    settled = np.zeros(scenario.n_tasks, dtype=bool)
     for _ in range(config.max_iter):
         t0 = time.perf_counter() if config.record_timing else 0.0
 
@@ -271,12 +273,13 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             t_max=tables.t_max, rho=config.rho)
         state.prev = state.v
         state.v, _, info = global_block.solve_global(problem, warm_v=state.v,
-                                                     tol=config.newton_tol)
+                                                     tol=config.newton_tol,
+                                                     settled=settled)
+        settled = info["settled"]
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
 
         lagrangian_after = augmented_lagrangian(state, tables, cost_scale)
-        trace.aug_lagrangian.append(lagrangian_after)
         trace.aug_lagrangian_rise.append(lagrangian_after - lagrangian_before)
         dual_update(state)
 

@@ -9,6 +9,12 @@ closed form by block elimination down to one 2x2 system in the deadline
 and simplex multipliers.  Tasks are independent and solved together on
 coordinate-major (n_coords, n_tasks) arrays, so a per-task reduction adds
 or compares a few contiguous rows, one per coordinate.
+
+The consensus loop calls the block once per iteration on a problem that
+barely moves, so the block warm-restarts (Yildirim & Wright, SIAM J.
+Optim. 12, 2002): a task whose previous solve converged starts at the last
+barrier level from its previous iterate, and one that fails there is solved
+again by the whole schedule in the same call (`solve_global`).
 """
 
 from __future__ import annotations
@@ -32,6 +38,16 @@ _REACH_SHRINK = 1.0 - 2.0 ** -49
 # barrier weights of the levels, run in order; each level's best iterate
 # starts the next
 OMEGA_LEVELS = (1e-2, 1e-4, 1e-6)
+# a cold start clips its iterate into [COLD_FLOOR, 1 - COLD_FLOOR]; a warm
+# start at the last level, whose barrier is 1e4 times weaker, keeps more of
+# the previous iterate
+COLD_FLOOR = 0.01
+WARM_FLOOR = 1e-3
+# the start's corner on the fastest branch puts at most CORNER_WEIGHT on
+# each slower coordinate, and never less than CORNER_WEIGHT_FLOOR, which
+# is inside the line search's margin
+CORNER_WEIGHT = 1e-3
+CORNER_WEIGHT_FLOOR = 10 * INTERIOR_MARGIN
 XI_INIT = 0.1
 XI_GROWTH = 2.0
 # the corner penalty subtracts 2*xi from the prox curvature rho; past
@@ -90,15 +106,23 @@ def _smoothed_objective(v, m, problem: GlobalProblem, omega, xi):
     return prox_part + barrier + penalty
 
 
-def grad_smoothed(v, m, problem: GlobalProblem, omega, xi):
+def barrier_reciprocals(v):
+    """1 / v and 1 / (1 - v), which the barrier's gradient and curvature
+    share; a Newton step forms them once and passes them to both."""
+    return 1.0 / v, 1.0 / (1.0 - v)
+
+
+def grad_smoothed(v, m, problem: GlobalProblem, omega, xi, recip=None):
+    inv, inv_c = barrier_reciprocals(v) if recip is None else recip
     grad_v = (-problem.dual - problem.rho * (problem.prox - v)
-              - omega * (1.0 / v - 1.0 / (1.0 - v)) + xi * (1.0 - 2.0 * v))
+              - omega * (inv - inv_c) + xi * (1.0 - 2.0 * v))
     grad_m = -omega / m
     return grad_v, grad_m
 
 
-def hess_diag_smoothed(v, m, problem: GlobalProblem, omega, xi):
-    hess_v = problem.rho + omega * (1.0 / (v * v) + 1.0 / ((1.0 - v) ** 2)) - 2.0 * xi
+def hess_diag_smoothed(v, m, problem: GlobalProblem, omega, xi, recip=None):
+    inv, inv_c = barrier_reciprocals(v) if recip is None else recip
+    hess_v = problem.rho + omega * (inv * inv + inv_c * inv_c) - 2.0 * xi
     hess_m = omega / (m * m)
     return hess_v, hess_m
 
@@ -140,10 +164,12 @@ class NewtonSystem:
     rhs_simplex: np.ndarray
 
 
-def assemble_newton(v, m, res, problem: GlobalProblem, omega, xi) -> NewtonSystem:
+def assemble_newton(v, m, res, problem: GlobalProblem, omega, xi,
+                    recip=None) -> NewtonSystem:
     """Newton system at (v, m) whose right-hand side is the negated KKT
-    residual `res` that `kkt_residual` returned for the same point."""
-    hess_v, hess_m = hess_diag_smoothed(v, m, problem, omega, xi)
+    residual `res` that `kkt_residual` returned for the same point;
+    `recip` is `barrier_reciprocals(v)`, formed here when not given."""
+    hess_v, hess_m = hess_diag_smoothed(v, m, problem, omega, xi, recip)
     stat_v, stat_m, deadline, simplex = res
     return NewtonSystem(hess_v=hess_v, hess_m=hess_m, tcoef=problem.tcoef,
                         rhs_v=-stat_v, rhs_m=-stat_m,
@@ -287,25 +313,42 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     return t, stalled, f_new
 
 
-def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
-    """Strictly interior simplex point per task, nudged toward the fastest
-    branch when needed so a positive deadline slack exists.
+def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None,
+                  floor=COLD_FLOOR):
+    """Strictly interior simplex point per task, on the deadline row
+    whenever the fastest branch can meet the deadline.
 
-    The slack m = t_max - delay is floored at m_floor, the same margin the
-    nudge aims for, so the start meets the deadline row exactly whenever
-    the fastest branch can meet t_max - m_floor."""
+    `warm_v`, or the prox centers, is clipped into [floor, 1 - floor]
+    (`floor` may hold one value per task) and renormalised.  The slack
+    m = t_max - delay is floored at m_floor; a start whose delay leaves
+    less than m_floor is mixed toward a corner on the fastest branch just
+    far enough to meet t_max - m_floor.  The corner puts on each slower
+    coordinate k the weight min(CORNER_WEIGHT, room / (2 (p - 1) (t_k -
+    t_best))), with room = t_max - m_floor - t_best, so its delay is at
+    most t_best + room / 2 and the mix lands on the deadline row.  A
+    weight is floored at `CORNER_WEIGHT_FLOOR`, inside the line search's
+    margin; a task with no room keeps floored weights and starts off the
+    row."""
     p, n = problem.n_coords, problem.n_tasks
     base = warm_v if warm_v is not None else problem.prox
-    v = np.clip(base, 0.01, 0.99)
+    v = np.clip(base, floor, 1.0 - floor)
     v = v / v.sum(axis=0)
 
     m_floor = np.maximum(1e-3 * problem.t_max, 10 * INTERIOR_MARGIN)
     delay = (problem.tcoef * v).sum(axis=0)
     need_fix = delay > problem.t_max - m_floor
     if need_fix.any():
+        cols = np.arange(n)
         best = np.argmin(problem.tcoef, axis=0)
-        corner = np.full((p, n), 1e-3)
-        corner[best, np.arange(n)] = 1.0 - 1e-3 * (p - 1)
+        t_best = problem.tcoef[best, cols]
+        room = problem.t_max - m_floor - t_best
+        excess = (p - 1) * (problem.tcoef - t_best)
+        slower = excess > 0
+        corner = np.where(slower, 0.5 * room / np.where(slower, excess, 1.0),
+                          CORNER_WEIGHT)
+        corner = np.maximum(np.minimum(corner, CORNER_WEIGHT), CORNER_WEIGHT_FLOOR)
+        corner[best, cols] = 0.0
+        corner[best, cols] = 1.0 - corner.sum(axis=0)
         delay_best = (problem.tcoef * corner).sum(axis=0)
         denom = delay - delay_best
         lam = np.where(denom > 0,
@@ -319,9 +362,20 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
     return v, m
 
 
+def _xi_levels(rho: float) -> list:
+    """The corner weight of each barrier level."""
+    xi = min(XI_INIT, XI_CONVEXITY_FRACTION * rho)
+    levels = [xi]
+    for _ in OMEGA_LEVELS[1:]:
+        xi = min(xi * XI_GROWTH, XI_CONVEXITY_FRACTION * rho)
+        levels.append(xi)
+    return levels
+
+
 def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
-                 tol: float = 1e-6):
-    """Barrier/penalty schedule with damped Newton inner iterations.
+                 tol: float = 1e-6, settled: np.ndarray | None = None):
+    """Barrier/penalty schedule with damped Newton inner iterations,
+    warm-restarted for settled tasks.
 
     The levels run at the barrier weights of `OMEGA_LEVELS` (1e-2, 1e-4,
     1e-6); the corner weight xi starts at min(XI_INIT,
@@ -331,25 +385,70 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     search stalls sits out the rest of its level: its point does not move,
     so a retry would take the same step and stall again.
 
+    Restart rule.  `settled` flags the tasks whose previous solve
+    converged and whose `warm_v` column is that solve's iterate; pass the
+    previous call's `info["settled"]` with its `v`.  A settled task sits
+    out every level but the last, frozen like a stalled task, and enters
+    the last level (its omega and xi) from `warm_v` clipped at
+    WARM_FLOOR.  Every other task walks the whole schedule from `warm_v`
+    clipped at COLD_FLOOR, bit for bit as a call without `settled`.  A
+    settled task that ends the last level above tolerance is solved again
+    in the same call by the whole schedule on its own columns, and that
+    result replaces its warm one, so every task a cold call converges
+    converges here too; the retry's steps count in
+    `info["newton_iterations"]`.
+
     Returns (v, m, info); v stays strictly interior, the simplex equality
     holds to roundoff throughout, and tasks that end the last level above
-    tolerance are flagged rather than fatal.
+    tolerance are flagged rather than fatal.  `info["settled"]` flags the
+    tasks that converged without a retry.
     """
-    v, m = interior_init(problem, warm_v)
-    xi = min(XI_INIT, XI_CONVEXITY_FRACTION * problem.rho)
-    grad_v, grad_m = grad_smoothed(v, m, problem, OMEGA_LEVELS[0], xi)
+    settled = (np.zeros(problem.n_tasks, dtype=bool) if settled is None
+               else np.asarray(settled, dtype=bool))
+    if settled.any() and warm_v is None:
+        raise ValueError("settled tasks need the previous iterate as warm_v")
+    v, m, info = _barrier_schedule(problem, warm_v, tol, settled)
+    retry = settled & ~info["converged"]
+    if retry.any():
+        columns = GlobalProblem(
+            prox=problem.prox[:, retry], dual=problem.dual[:, retry],
+            tcoef=problem.tcoef[:, retry], t_max=problem.t_max[retry],
+            rho=problem.rho)
+        v_r, m_r, info_r = _barrier_schedule(columns, warm_v[:, retry], tol,
+                                             np.zeros(columns.n_tasks, dtype=bool))
+        v[:, retry] = v_r
+        m[retry] = m_r
+        info["kkt_norm"][retry] = info_r["kkt_norm"]
+        info["converged"][retry] = info_r["converged"]
+        info["stalled"][retry] |= info_r["stalled"]
+        info["newton_iterations"] += info_r["newton_iterations"]
+    info["settled"] = info["converged"] & ~retry
+    return v, m, info
+
+
+def _barrier_schedule(problem: GlobalProblem, warm_v, tol, settled):
+    """`solve_global` without the retry of settled tasks."""
+    last = len(OMEGA_LEVELS) - 1
+    xis = _xi_levels(problem.rho)
+    v, m = interior_init(problem, warm_v,
+                         np.where(settled, WARM_FLOOR, COLD_FLOOR))
+    # the multipliers start from the gradient of the level a task enters at
+    enter = np.where(settled, last, 0)
+    grad_v, grad_m = grad_smoothed(v, m, problem, np.take(OMEGA_LEVELS, enter),
+                                   np.take(xis, enter))
     nu = -grad_m
     sig = -(grad_v + problem.tcoef * nu).mean(axis=0)
     total_newton = 0
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
-    for level, omega in enumerate(OMEGA_LEVELS):
-        if level:
-            xi = min(xi * XI_GROWTH, XI_CONVEXITY_FRACTION * problem.rho)
+    for level, (omega, xi) in enumerate(zip(OMEGA_LEVELS, xis)):
+        frozen = settled.copy() if level < last else np.zeros(problem.n_tasks, dtype=bool)
+        if level < last and frozen.all():
+            continue
         f = smoothed_objective(v, m, problem, omega, xi)
-        frozen = np.zeros(problem.n_tasks, dtype=bool)
         best = None
         for _ in range(MAX_INNER):
-            grad = grad_smoothed(v, m, problem, omega, xi)
+            recip = barrier_reciprocals(v)
+            grad = grad_smoothed(v, m, problem, omega, xi, recip)
             res = kkt_residual(v, m, nu, sig, grad, problem)
             norm = scaled_kkt_norm(res, problem)
             if best is None:
@@ -361,7 +460,7 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
             active = (norm > tol) & ~frozen
             if not active.any():
                 break
-            system = assemble_newton(v, m, res, problem, omega, xi)
+            system = assemble_newton(v, m, res, problem, omega, xi, recip)
             dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
             idle = ~active
             dv[:, idle] = 0.0

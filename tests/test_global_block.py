@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -492,6 +494,32 @@ def test_tight_deadline_start_meets_deadline_row_and_converges():
     assert not info["stalled"][0]
 
 
+def test_start_meets_deadline_row_whenever_fastest_branch_leaves_room():
+    # the corner on the fastest branch scales its weight on each slower
+    # branch to the deadline room, so even a branch hundreds of deadlines
+    # slow leaves the start on the deadline row; a fixed 1e-3 weight on
+    # such a branch alone costs more than the deadline
+    rng = np.random.default_rng(34)
+    seen = {"on_row": 0, "off_row": 0, "slow_branch": 0}
+    for case in range(60):
+        problem, warm_v = _random_global_problem(rng, ("binding", "tight")[case % 2])
+        for floor in (gb.COLD_FLOOR, gb.WARM_FLOOR):
+            v, m = interior_init(problem, warm_v, floor)
+            assert (v > gb.INTERIOR_MARGIN).all() and (v < 1.0 - gb.INTERIOR_MARGIN).all()
+            assert np.abs(v.sum(axis=0) - 1.0).max() < 1e-12
+            m_floor = np.maximum(1e-3 * problem.t_max, 10 * gb.INTERIOR_MARGIN)
+            assert (m >= m_floor).all()
+            off = (problem.tcoef * v).sum(axis=0) + m - problem.t_max
+            room = problem.t_max - m_floor - problem.tcoef.min(axis=0)
+            assert (np.abs(off[room > 0]) <= 1e-12 * problem.t_max[room > 0]).all()
+            assert (off[room <= 0] > 0).all()
+            seen["on_row"] += int((room > 0).sum())
+            seen["off_row"] += int((room <= 0).sum())
+            seen["slow_branch"] += int(((room > 0)
+                                        & (problem.tcoef.max(axis=0) > 1e3 * problem.t_max)).sum())
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_solve_global_preserves_simplex_and_interior():
     prob = _toy_problem(n=6, p=5, seed=15)
     v, m, info = solve_global(prob)
@@ -682,22 +710,55 @@ def _reference_slice_problem(problem: GlobalProblem, idx) -> GlobalProblem:
 
 def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
                             tol: float = 1e-6, max_inner: int = 25,
-                            freeze_stalled: bool = True):
-    """Takes and returns the module's (n_coords, n_tasks) layout."""
+                            freeze_stalled: bool = True, settled=None):
+    """Takes and returns the module's (n_coords, n_tasks) layout.  Tasks
+    flagged in `settled` start at the last level from `warm_v` clipped at
+    WARM_FLOOR, with multipliers fitted at that level; those that end it
+    above tolerance are solved again, together, by the whole schedule."""
+    settled = np.zeros(problem.n_tasks, dtype=bool) if settled is None else settled
+    v, m, info = _reference_schedule(problem, warm_v, tol, max_inner,
+                                     freeze_stalled, settled)
+    retry = settled & ~info["converged"]
+    if retry.any():
+        sub = GlobalProblem(prox=problem.prox[:, retry], dual=problem.dual[:, retry],
+                            tcoef=problem.tcoef[:, retry],
+                            t_max=problem.t_max[retry], rho=problem.rho)
+        v_r, m_r, info_r = _reference_schedule(
+            sub, warm_v[:, retry], tol, max_inner, freeze_stalled,
+            np.zeros(int(retry.sum()), dtype=bool))
+        v[:, retry], m[retry] = v_r, m_r
+        for key in ("converged", "kkt_norm"):
+            info[key][retry] = info_r[key]
+        info["stalled"][retry] |= info_r["stalled"]
+        info["newton_iterations"] += info_r["newton_iterations"]
+    info["settled"] = info["converged"] & ~retry
+    return v, m, info
+
+
+def _reference_schedule(problem, warm_v, tol, max_inner, freeze_stalled, settled):
     v, m = interior_init(problem, warm_v)
+    if settled.any():
+        v_warm, m_warm = interior_init(problem, warm_v, gb.WARM_FLOOR)
+        v = np.where(settled, v_warm, v)
+        m = np.where(settled, m_warm, m)
     v = v.T.copy()
     n = v.shape[0]
     problem = _task_major(problem)
-    xi = min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)
-    grad_v, grad_m = grad_smoothed(v, m, problem, gb.OMEGA_LEVELS[0], xi)
-    nu = -grad_m
-    sig = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)
+    xis = [min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)]
+    for _ in gb.OMEGA_LEVELS[1:]:
+        xis.append(min(xis[-1] * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho))
+    nu = np.empty(n)
+    sig = np.empty(n)
+    for rows, level in ((~settled, 0), (settled, -1)):
+        grad_v, grad_m = grad_smoothed(v, m, problem, gb.OMEGA_LEVELS[level],
+                                       xis[level])
+        nu[rows] = -grad_m[rows]
+        sig[rows] = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)[rows]
     total_newton = 0
     stalled_any = np.zeros(n, dtype=bool)
-    for level, omega in enumerate(gb.OMEGA_LEVELS):
-        if level:
-            xi = min(xi * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho)
-        frozen = np.zeros(n, dtype=bool)
+    for level, (omega, xi) in enumerate(zip(gb.OMEGA_LEVELS, xis)):
+        last = level == len(gb.OMEGA_LEVELS) - 1
+        frozen = np.zeros(n, dtype=bool) if last else settled.copy()
         best = None
         for _ in range(max_inner):
             res = _reference_kkt_residual(v, m, nu, sig, problem, omega, xi)
@@ -739,13 +800,14 @@ def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = 
     info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
             "newton_iterations": total_newton, "stalled": stalled_any,
             "omega": omega, "xi": xi}
-    return v.T, m, info
+    return v.T.copy(), m, info
 
 
 # one task of the tight-deadline 100-task seed 43 scenario (t_max in 0.02 to
-# 0.08 s) at an ADMM iteration where its global row, alone in its batch or
-# not, takes one norm-raising step at omega = 0.01 and then stalls, so that
-# level's best iterate is not its last; values rounded to 4 digits
+# 0.08 s) at an ADMM iteration: only its fastest branch meets the deadline,
+# and its slowest costs 4400 t_max, so a start whose corner puts a fixed
+# 1e-3 on every slower branch misses the deadline row; from the on-row
+# start it still stalls and ends unconverged; values rounded to 4 digits
 _TWIN_ROW = dict(
     prox=np.zeros(7),
     dual=np.array([-1.327e-07, -2.944e-06, -1.025, -9.419e-09, -2.654e-08,
@@ -781,6 +843,13 @@ def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
         k = rng.integers(n)
         slow = (tcoef[k].argmin() + 1 + rng.integers(p - 1)) % p
         tcoef[k, slow] = 10.0 ** rng.uniform(2.3, 3)
+    if deadline != "loose" and rng.random() < 0.3:
+        # a row whose fastest branch misses the deadline, or meets it only
+        # inside the start's slack floor, so its start stays off the
+        # deadline row
+        k = rng.integers(n)
+        scale = rng.uniform(0.3, 0.95) if rng.random() < 0.5 else rng.uniform(1.0, 1.001)
+        t_max[k] = tcoef[k].min() * scale
     rho = 1.0 if rng.random() < 0.5 or twin else float(rng.uniform(0.2, 5.0))
     warm_v = rng.dirichlet(np.ones(p), n) if rng.random() < 0.5 or twin else None
     if twin:
@@ -794,13 +863,13 @@ def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
 
 def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
     seen = {"best_not_last": 0, "moved": 0, "still": 0, "stalled": 0,
-            "left_box": 0, "warm": 0}
+            "left_box": 0, "warm": 0, "retried": 0}
     omegas, norms = [], []
     kkt_norm = gb.scaled_kkt_norm
 
-    def record_grad(v, m, problem, omega, xi):
+    def record_grad(v, m, problem, omega, xi, recip=None):
         omegas.append(omega)
-        return grad_smoothed(v, m, problem, omega, xi)
+        return grad_smoothed(v, m, problem, omega, xi, recip)
 
     def record_norm(res, problem):
         norm = kkt_norm(res, problem)
@@ -823,42 +892,48 @@ def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
         seen["left_box"] += int((out & moved).sum())
         return t, stalled, f_new
 
-    def compare(problem, warm_v):
+    def compare(problem, warm_v, settled=None):
         """Solve both ways, require bit-identical results, and count the
-        tasks whose best iterate at some level, and at the last level, is
-        not the level's last one."""
-        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v)
+        tasks whose best iterate at some level, and at a last level (of
+        the warm run or of its retry), is not the level's last one."""
+        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v,
+                                                         settled=settled)
         omegas.clear()
         norms.clear()
         with monkeypatch.context() as mp:
             mp.setattr(gb, "grad_smoothed", record_grad)
             mp.setattr(gb, "scaled_kkt_norm", record_norm)
             mp.setattr(gb, "line_search", checked_line_search)
-            v, m, info = solve_global(problem, warm_v)
+            v, m, info = solve_global(problem, warm_v, settled=settled)
+        if settled is not None:
+            seen["retried"] += int((settled & ~info["settled"]).sum())
         assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
         assert info.keys() == info_ref.keys()
         for key in info:
             assert np.array_equal(info[key], info_ref[key]), key
-        counts = []
-        for omega in dict.fromkeys(o for o, _ in norms):
-            level = np.array([norm for o, norm in norms if o == omega])
-            counts.append(int((level[-1] > level.min(axis=0)).sum()))
-        return sum(counts), counts[-1]
+        any_level = last_level = 0
+        # a retry of settled tasks starts a new run of levels on fewer tasks
+        for (omega, _), level in itertools.groupby(
+                norms, lambda rec: (rec[0], rec[1].shape)):
+            level = np.array([norm for _, norm in level])
+            count = int((level[-1] > level.min(axis=0)).sum())
+            any_level += count
+            last_level += count if omega == gb.OMEGA_LEVELS[-1] else 0
+        return any_level, last_level
 
     rng = np.random.default_rng(33)
     final_best_not_last = 0
     for case, deadline in enumerate(("loose", "binding", "tight") * 70):
-        twin = case % 42 == 2
-        problem, warm_v = _random_global_problem(rng, deadline, twin)
-        seen["best_not_last"] += compare(problem, warm_v)[0]
+        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
         seen["warm"] += warm_v is not None
-        if twin:
-            # end the schedule on the level where the twin row's best
-            # iterate is not its last, so the reported KKT norms must be
-            # the best ones and not the last ones computed
-            with monkeypatch.context() as mp:
-                mp.setattr(gb, "OMEGA_LEVELS", (1e-2,))
-                final_best_not_last += compare(problem, warm_v)[1]
+        # with a warm start, also settle a random share of the tasks
+        runs = [None] if warm_v is None else [None, rng.random(problem.n_tasks) < 0.7]
+        for settled in runs:
+            any_level, last_level = compare(problem, warm_v, settled)
+            seen["best_not_last"] += any_level
+            # the KKT norms reported are the last level's best ones, not
+            # the last ones computed
+            final_best_not_last += last_level
     assert all(count > 0 for count in seen.values()), seen
     assert final_best_not_last > 0
 
@@ -887,9 +962,12 @@ def test_solve_global_leaves_its_inputs_unchanged():
         problem, warm_v = _random_global_problem(rng, deadline)
         if warm_v is None:
             warm_v = rng.dirichlet(np.ones(problem.n_coords), problem.n_tasks).T
-        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max, warm_v)
+        settled = rng.random(problem.n_tasks) < 0.5
+        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max, warm_v,
+                  settled)
         kept = [a.copy() for a in inputs]
         solve_global(problem, warm_v)
+        solve_global(problem, warm_v, settled=settled)
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
 
@@ -916,7 +994,8 @@ def test_frozen_stalls_leave_results_bit_identical():
 
 def test_solve_global_runs_each_level_once(monkeypatch):
     # one objective evaluation starts each level; the others price line
-    # search trials
+    # search trials.  Settled tasks sit out every level but the last, and a
+    # level no task runs is skipped
     starts = []
     depth = [0]
 
@@ -934,9 +1013,73 @@ def test_solve_global_runs_each_level_once(monkeypatch):
 
     monkeypatch.setattr(gb, "smoothed_objective", counted_objective)
     monkeypatch.setattr(gb, "line_search", nested_line_search)
-    _, _, info = solve_global(_toy_problem(n=5, p=5, seed=17))
+    problem = _toy_problem(n=5, p=5, seed=17)
+    v, _, info = solve_global(problem)
     assert starts == list(gb.OMEGA_LEVELS)
     assert info["omega"] == 1e-6
+    assert info["settled"].all()
+    for settled, levels in (([True] * 5, gb.OMEGA_LEVELS[-1:]),
+                            ([True, False] * 2 + [True], gb.OMEGA_LEVELS)):
+        starts.clear()
+        _, _, info = solve_global(problem, v, settled=np.array(settled))
+        assert starts == list(levels)
+        assert info["settled"].all() and info["omega"] == 1e-6
+
+
+def test_warm_restart_converges_what_a_cold_solve_converges():
+    # the restart rule: a settled task starts at the last level from its
+    # warm point and falls back to the whole schedule when that fails, so
+    # the warm path converges every task a cold call converges; every
+    # task it does not settle is bit-identical to the cold call
+    rng = np.random.default_rng(81)
+    seen = {"retried": 0, "settled": 0, "cold_failed": 0}
+    for deadline in ("loose", "binding", "tight") * 20:
+        problem, warm_v = _random_global_problem(rng, deadline)
+        if warm_v is None:
+            warm_v = rng.dirichlet(np.ones(problem.n_coords), problem.n_tasks).T.copy()
+        settled = rng.random(problem.n_tasks) < 0.7
+        v_cold, m_cold, cold = solve_global(problem, warm_v)
+        v, m, info = solve_global(problem, warm_v, settled=settled)
+        assert not (cold["converged"] & ~info["converged"]).any()
+        retried = settled & ~info["settled"]
+        assert np.array_equal(info["settled"], info["converged"] & ~retried)
+        cold_path = ~settled | retried
+        assert np.array_equal(v[:, cold_path], v_cold[:, cold_path])
+        assert np.array_equal(m[cold_path], m_cold[cold_path])
+        for key in ("kkt_norm", "converged"):
+            assert np.array_equal(info[key][cold_path], cold[key][cold_path]), key
+        assert np.array_equal(info["stalled"][~settled], cold["stalled"][~settled])
+        seen["retried"] += int(retried.sum())
+        seen["settled"] += int((settled & ~retried).sum())
+        seen["cold_failed"] += int((~cold["converged"]).sum())
+    assert all(count > 0 for count in seen.values()), seen
+    with pytest.raises(ValueError):
+        solve_global(problem, None, settled=settled)
+
+
+def test_settled_loose_tasks_step_only_at_the_last_level(monkeypatch):
+    # as in the consensus loop: the warm point is the previous problem's
+    # iterate, and the problem has moved a little since
+    levels = []
+
+    def recorded_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
+        levels.append(omega)
+        return line_search(v, m, dv, dm, f, grad, problem, omega, xi)
+
+    monkeypatch.setattr(gb, "line_search", recorded_line_search)
+    rng = np.random.default_rng(82)
+    for _ in range(20):
+        problem, _ = _random_global_problem(rng, "loose")
+        v, _, cold = solve_global(problem)
+        assert cold["settled"].all()
+        moved = GlobalProblem(prox=problem.prox + rng.normal(0, 0.01, problem.prox.shape),
+                              dual=problem.dual + rng.normal(0, 0.01, problem.dual.shape),
+                              tcoef=problem.tcoef, t_max=problem.t_max, rho=problem.rho)
+        levels.clear()
+        _, _, info = solve_global(moved, v, settled=cold["settled"])
+        assert info["settled"].all()
+        assert levels and set(levels) == {gb.OMEGA_LEVELS[-1]}
+        assert info["newton_iterations"] == len(levels) < cold["newton_iterations"]
 
 
 # -- ratio-test start against backtracking from 1 ------------------------------
