@@ -3,8 +3,8 @@
 A numpy library built around three pieces: a cost model pricing any
 (possibly fractional) allocation in weighted delay plus energy, a
 parallel multi-block consensus solver that relaxes the binary placement
-and drives it back to corners through log-barrier smoothing, and an
-exhaustive oracle for validating the solver at desk scale.
+and drives it back to corners through log-barrier smoothing, and a
+branch-and-bound oracle for validating the solver at desk scale.
 """
 
 from .admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
@@ -14,8 +14,8 @@ from .costs import (CostTables, Placement, UtilityWeights, build_cost_tables,
                     check_feasibility, utility)
 from .errors import (ConfigurationError, InfeasibleTaskError,
                      InstanceTooLargeError)
-from .experiments import (ExperimentSpec, placement_profile, run_baseline,
-                          run_experiment)
+from .experiments import (ExperimentSpec, oracle_gap_study, placement_profile,
+                          run_baseline, run_experiment)
 from .global_block import (GlobalProblem, NewtonSystem, assemble_newton,
                            kkt_residual, line_search, nullspace_cg_solve,
                            smoothed_objective, solve_global)

@@ -15,7 +15,7 @@ give byte-identical traces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -184,6 +184,14 @@ def _relaxed_placement(state: ConsensusState) -> Placement:
                      c1=state.c1.copy(), ci=state.ci.copy(), h=h)
 
 
+def _trace_utility(state: ConsensusState, scenario: Scenario,
+                   weights: UtilityWeights) -> tuple[float, CostTables]:
+    """Utility of the relaxed state, and the tables it was priced on."""
+    relaxed = _relaxed_placement(state)
+    tables = costs.tables_from_placement(relaxed, scenario, weights.alpha)
+    return costs.utility(relaxed, scenario, weights, tables), tables
+
+
 def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     """Iterate the three phases until both residual norms pass their
     tolerances or the iteration budget runs out, then round the relaxed
@@ -209,6 +217,8 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     # tasks whose last global solve converged without a retry; the global
     # block warm-restarts them from their iterate at its last level
     settled = np.zeros(scenario.n_tasks, dtype=bool)
+    # the trace utility's tables of the last iteration
+    carried = None
     for _ in range(config.max_iter):
         t0 = time.perf_counter() if config.record_timing else 0.0
 
@@ -220,8 +230,13 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             expected_load = np.clip(x.sum(axis=1), 1.0,
                                     1.0 / scenario.config.h_min)
             state.r = np.tile(expected_load[:, None], (1, scenario.n_tasks))
-        tables = costs.build_cost_tables(scenario, config.alpha, x,
-                                         state.c1, r=state.r)
+        if carried is None:
+            tables = costs.build_cost_tables(scenario, config.alpha, x,
+                                             state.c1, r=state.r)
+        else:
+            # the last trace utility built its tables from the same x, c1
+            # and alpha, and `build_cost_tables` only stores r
+            tables = replace(carried, r=state.r)
         if cost_scale is None:
             # normalize once so per-task branch costs are O(1) against
             # rho; the dual race between branches resolves cost order
@@ -284,7 +299,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         dual_update(state)
 
         primal, dual_res = residuals(state)
-        util = costs.utility(_relaxed_placement(state), scenario, weights)
+        util, carried = _trace_utility(state, scenario, weights)
         wall = ((time.perf_counter() - t0) * 1e3
                 if config.record_timing else 0.0)
         trace.append(TraceRecord(k=state.k, utility=util,
@@ -294,6 +309,8 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             converged = True
             break
 
+    # free the carried tables before rounding, which builds its own
+    carried = None
     trace.converged = converged
     placement = round_to_feasible(state, scenario, config)
     return placement, trace

@@ -1,8 +1,8 @@
 """Command line harness.
 
 Subcommands: `generate` (scenario JSON from a config), `solve` (one
-consensus run with trace and placement outputs), `oracle` (exhaustive
-reference on a small instance), `sweep` (experiment spec), `baseline`
+consensus run with trace and placement outputs), `oracle` (optimum of
+a small instance by branch and bound), `sweep` (experiment spec), `baseline`
 (random feasible placement).  All file formats are JSON except the trace
 and summary CSVs.
 """
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="exhaustive optimum of a small instance")
+    p = sub.add_parser("oracle", help="optimum of a small instance")
     p.add_argument("--scenario", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--out", required=True)

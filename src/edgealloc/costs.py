@@ -431,7 +431,9 @@ def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
                       c1_frozen: np.ndarray, r: np.ndarray | None = None) -> CostTables:
     """Price every branch with interference and relay congestion frozen at
     the given fractional assignment and forwarded parts.  The scenario's
-    own constants come from `scenario.pricing` and are shared, not copied."""
+    own constants come from `scenario.pricing` and are shared, not copied.
+    `r` is stored as given and no other field is derived from it, so
+    `dataclasses.replace(tables, r=...)` prices another sharing state."""
     pc = scenario.pricing
     rate = sbs_rate_matrix(x_weight, scenario)
     if r is None:
@@ -468,10 +470,13 @@ def tables_from_placement(placement: Placement, scenario: Scenario,
 
 
 def placement_costs(placement: Placement, scenario: Scenario,
-                    alpha: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                    alpha: float = 0.5, tables: CostTables | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-task (delay, energy) totals weighted by the assignment values,
-    with congestion and interference consistent with the placement itself."""
-    tables = tables_from_placement(placement, scenario, alpha)
+    with congestion and interference consistent with the placement itself.
+    `tables`, when given, must be `tables_from_placement`'s for it."""
+    if tables is None:
+        tables = tables_from_placement(placement, scenario, alpha)
     t3 = tables.three_tier_delay(placement.c0, placement.c1, placement.ci)
     e3 = tables.three_tier_energy(placement.c0, placement.c1, placement.ci)
     delay = (placement.z * tables.t_local + placement.y * tables.t_mbs
@@ -482,9 +487,10 @@ def placement_costs(placement: Placement, scenario: Scenario,
 
 
 def utility(placement: Placement, scenario: Scenario,
-            weights: UtilityWeights) -> float:
-    """Weighted objective alpha * total delay + (1 - alpha) * total energy."""
-    delay, energy = placement_costs(placement, scenario, weights.alpha)
+            weights: UtilityWeights, tables: CostTables | None = None) -> float:
+    """Weighted objective alpha * total delay + (1 - alpha) * total energy;
+    `tables` as for `placement_costs`."""
+    delay, energy = placement_costs(placement, scenario, weights.alpha, tables)
     return float(weights.alpha * delay.sum() + (1.0 - weights.alpha) * energy.sum())
 
 

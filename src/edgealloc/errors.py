@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class InstanceTooLargeError(ValueError):
-    """Instance exceeds the size bound of the exhaustive solver."""
+    """Instance exceeds the size bound of the oracle."""
 
 
 class InfeasibleTaskError(RuntimeError):

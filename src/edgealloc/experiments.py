@@ -1,4 +1,5 @@
-"""Experiment harness: parameter sweeps, traces, summaries, random baseline.
+"""Experiment harness: parameter sweeps, traces, summaries, random
+baseline, and the solver's gap to the oracle beyond the acceptance sizes.
 
 Writes one trace CSV per run under `<outdir>/<axis>/<value>/` and a
 `summary.csv` at the root.  Utilities reported here are always recomputed
@@ -10,14 +11,15 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import admm, costs
+from . import admm, costs, oracle
 from .admm import SolverConfig
 from .costs import Placement, UtilityWeights
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InfeasibleTaskError
 from .scenario import Scenario, ScenarioConfig, generate_scenario
 
 SWEEP_AXES = ("alpha", "rho", "n_tasks", "sbs_capacity", "lt_capacity", "data_size")
@@ -175,6 +177,45 @@ def placement_profile(scenario_config: ScenarioConfig, sizes,
                      "frac_local": float(frac_local.mean()),
                      "frac_mbs": float(frac_mbs.mean()),
                      "frac_sbs": float(frac_sbs.mean())})
+    return rows
+
+
+# deadline ranges of the gap study: the criterion-3 loose and tight ones
+GAP_DEADLINES = (("loose", (15.0, 30.0)), ("tight", (0.02, 0.08)))
+
+
+def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
+                     weights: UtilityWeights | None = None) -> list:
+    """Relative utility gap of the rounded consensus placement to the
+    oracle's optimum, per size, deadline range and scenario seed, with the
+    oracle's wall time and the tuples it priced.  The oracle's task cap is
+    lifted to the largest size, so the largest sizes take seconds per
+    instance.  A solve whose rounding raises is reported with a NaN gap."""
+    weights = weights or UtilityWeights()
+    solver_config = SolverConfig(alpha=weights.alpha, max_iter=120,
+                                 cbgp_rounds=30)
+    rows = []
+    for n in sizes:
+        for deadline, t_max_range in GAP_DEADLINES:
+            for seed in seeds:
+                scenario = generate_scenario(ScenarioConfig(
+                    n_tasks=n, n_sbs=n_sbs, seed=seed, t_max_range=t_max_range))
+                t0 = time.perf_counter()
+                best = oracle.enumerate_optimum(scenario, weights,
+                                                max_tasks=max(sizes))
+                oracle_s = time.perf_counter() - t0
+                try:
+                    placement, _ = admm.run(scenario, solver_config)
+                    util = costs.utility(placement, scenario, weights)
+                    gap = oracle.compare(placement, util, best, 0.0,
+                                         scenario)["relative_gap"]
+                except InfeasibleTaskError:
+                    util = gap = float("nan")
+                rows.append({"n_tasks": n, "deadline": deadline, "seed": seed,
+                             "solver_utility": util,
+                             "oracle_utility": best.utility, "gap": gap,
+                             "oracle_s": oracle_s, "priced": best.n_priced,
+                             "tuples": best.n_enumerated})
     return rows
 
 

@@ -11,7 +11,9 @@ its optimum.  One line per output gives instance, output and digest:
 - `trace.csv` and `placement.json` as written;
 - `trace.utility`, the `iter` and `utility` columns of the trace alone;
 - `global_unconverged`, the per-iteration counts of `Trace`, as JSON;
-- `oracle.json` as written.
+- `oracle.json` as written, for the four `oracle_small` scenarios and
+  two six-task, two-station ones, loose and tight, where the oracle's
+  pruning has the most tuples to skip.
 
 Running it on two trees and diffing the outputs checks a claim that a
 change leaves these results byte-identical.  It is not a test module, so
@@ -44,6 +46,14 @@ SOLVES = {
        for seed in (42, 43)},
     **{f"loose100-{seed}": (dict(n_tasks=100, n_sbs=5, seed=seed), [])
        for seed in (4, 37)},
+}
+
+
+# name -> ScenarioConfig fields of the oracle instances beyond
+# `oracle_small`; each one's best tuple puts a task on a station
+ORACLES = {
+    "oracle6-loose-2": dict(n_tasks=6, n_sbs=2, seed=2),
+    "oracle6-tight-4": dict(n_tasks=6, n_sbs=2, seed=4, t_max_range=TIGHT),
 }
 
 
@@ -117,6 +127,7 @@ def fingerprint(tree: str):
             for name, (config, args) in SOLVES.items()]
     jobs += [(f"oracle_small-{k}", config, "oracle")
              for k, config in enumerate(oracle_small_configs())]
+    jobs += [(name, config, "oracle") for name, config in ORACLES.items()]
     for name, config, mode in jobs:
         with tempfile.TemporaryDirectory() as work:
             subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(config),

@@ -299,6 +299,27 @@ def test_cost_tables_bit_identical_to_per_element_loop():
                         f"{name} differs at s={s}, n={n}")
 
 
+def test_replacing_r_equals_building_with_it():
+    # the consensus loop carries the trace utility's tables into the next
+    # iteration by replacing r alone
+    rng = np.random.default_rng(12)
+    for s, n in ((1, 1), (2, 5), (3, 8)):
+        scen = generate_scenario(ScenarioConfig(n_tasks=n, n_sbs=s, seed=s))
+        x, c1 = _random_state(scen, rng)
+        h = rng.uniform(0.05, 1.0, (s, n))
+        h[rng.uniform(size=(s, n)) < 0.3] = 0.0
+        placement = Placement(x=x, y=np.zeros(n), z=np.zeros(n),
+                              c0=np.zeros((s, n)), c1=c1,
+                              ci=np.zeros((s, n)), h=h)
+        r = rng.uniform(1.0, 20.0, (s, n))
+        carried = dataclasses.replace(
+            costs.tables_from_placement(placement, scen, 0.3), r=r)
+        fresh = costs.build_cost_tables(scen, 0.3, x, c1, r=r)
+        for name in costs.CostTables.__dataclass_fields__:
+            assert np.array_equal(getattr(carried, name),
+                                  getattr(fresh, name)), name
+
+
 def test_shared_pricing_arrays_are_read_only():
     scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=2, seed=3))
     pricing = scen.pricing

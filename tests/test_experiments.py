@@ -13,8 +13,8 @@ from edgealloc.admm import SolverConfig
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError
 from edgealloc.experiments import (ExperimentSpec, apply_axis,
-                                   placement_profile, run_baseline,
-                                   run_experiment)
+                                   oracle_gap_study, placement_profile,
+                                   run_baseline, run_experiment)
 from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
 
 
@@ -143,6 +143,19 @@ def test_placement_profile_reports_branch_and_fractions():
     assert rows[0]["frac_local"] == 1.0
     assert rows[1]["branches"][0].startswith("sbs")
     assert rows[1]["frac_local"] > 0 and rows[1]["frac_sbs"] > 0
+
+
+def test_oracle_gap_study_rows():
+    # the study proper runs at five to eight tasks, outside the test suite;
+    # here one seed at two and three tasks checks its rows
+    rows = oracle_gap_study(sizes=(2, 3), n_sbs=1)
+    assert [(r["n_tasks"], r["deadline"]) for r in rows] == [
+        (2, "loose"), (2, "tight"), (3, "loose"), (3, "tight")]
+    for r in rows:
+        assert r["tuples"] == 3 ** r["n_tasks"]
+        assert 0 < r["priced"] <= r["tuples"]
+        if np.isfinite(r["gap"]):
+            assert r["gap"] >= -1e-12
 
 
 # -- command line ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import sys
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -174,6 +176,27 @@ def _fresh_split(tables, i, j, h):
     return (c0[0], c1[0]) if ok[0] else None
 
 
+def _row_cached_split():
+    """`_fresh_split` behind a cache keyed on every `CostTables` entry of
+    the row, taken field by field rather than from the oracle's memo key,
+    so that the exhaustive reference stays affordable at five and six
+    tasks."""
+    cache = {}
+
+    def split(tables, i, j, h):
+        key = [i, j, h]
+        for f in fields(tables):
+            value = getattr(tables, f.name)
+            key.append(value[i, j] if np.ndim(value) == 2
+                       else value[j] if np.ndim(value) == 1 else value)
+        key = tuple(key)
+        if key not in cache:
+            cache[key] = _fresh_split(tables, i, j, h)
+        return cache[key]
+
+    return split
+
+
 def _reference_share_allocation(tables, members, i, h_min, split_search):
     """`oracle._share_allocation` as it was before the memo: every member
     split is a fresh `split_search` call."""
@@ -196,11 +219,13 @@ def _reference_share_allocation(tables, members, i, h_min, split_search):
     return shares
 
 
-def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split):
-    """`oracle.enumerate_optimum` as it was before the memo: the same tuple
-    loop, with a fresh `split_search` call for every request, two table
-    sweeps for every tuple and a feasibility check before the utility of
-    every tuple."""
+def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split,
+                                 priced=None):
+    """`oracle.enumerate_optimum` as it was before the memo and the
+    pruning: every tuple in lexicographic order, with a fresh
+    `split_search` call for every request, two table sweeps for every tuple
+    and a feasibility check before the utility of every tuple.  Each
+    (tuple, utility) it computes is appended to `priced` when given."""
     s, n = scenario.n_sbs, scenario.n_tasks
     alpha = weights.alpha
     t_max = scenario.t_max_array()
@@ -268,6 +293,8 @@ def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split):
         if not costs.check_feasibility(placement, scenario):
             continue
         util = costs.utility(placement, scenario, weights)
+        if priced is not None:
+            priced.append((tup, util))
         if util < best_util:
             best_util = util
             best_placement = placement
@@ -324,6 +351,16 @@ def test_memoised_oracle_bit_identical_to_fresh_search():
     for scen in cases:
         _assert_same_result(enumerate_optimum(scen, weights),
                             _reference_enumerate_optimum(scen, weights))
+    # at five and six tasks on two stations, loose and tight, the branch
+    # and bound against every tuple; the tight instances prune beyond the
+    # macro branch, and every best tuple holds an SBS task
+    for n, seed, t_max_range in ((5, 5, (0.02, 0.08)), (5, 1, (15.0, 30.0)),
+                                 (6, 4, (0.02, 0.08)), (6, 2, (15.0, 30.0))):
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=2, seed=seed, t_max_range=t_max_range))
+        _assert_same_result(
+            enumerate_optimum(scen, weights),
+            _reference_enumerate_optimum(scen, weights, _row_cached_split()))
 
 
 def test_oracle_matches_lattice_split_search():
@@ -388,10 +425,80 @@ def test_oracle_skips_redundant_table_builds(monkeypatch):
     builds.clear()
     result = enumerate_optimum(one_sbs, weights)
     n_builds = len(builds)
-    # 3**3 - 2**3 tuples put a task on the station; no split here forwards
-    # work, so each of them takes one sweep
-    assert n_builds == 1 + 3**3 - 2**3
+    # the base tables and one bound table per station come first.  The
+    # first tuple, all terminal, is the optimum, and a macro branch costs
+    # each task more than the whole tuple, so the bound prunes every tuple
+    # that uses it.  Of the 2**3 tuples left, 2**3 - 1 put a task on the
+    # station; no split here forwards work, so each of them takes one sweep
+    assert result.n_priced == 2**3
+    assert n_builds == 1 + 1 + 2**3 - 1
     builds.clear()
     fresh = _reference_enumerate_optimum(one_sbs, weights)
     assert n_builds < len(builds)
     _assert_same_result(result, fresh)
+
+
+# -- the pruning bound -------------------------------------------------------
+
+def _bounds(scen, alpha):
+    s, n = scen.n_sbs, scen.n_tasks
+    base = costs.build_cost_tables(scen, alpha, np.zeros((s, n)),
+                                   np.zeros((s, n)))
+    return oracle.branch_bounds(scen, base)
+
+
+def test_branch_bounds_are_admissible():
+    # every tuple the exhaustive reference prices costs at least the sum
+    # of its branches' bounds, less the pruning margin; a slow station and
+    # a steep relay make splits forward work, so relay congestion shows
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), s=st.integers(0, 2),
+           seed=st.integers(0, 100000), tight=st.booleans(),
+           alpha=st.floats(0.0, 1.0), f_sbs=st.sampled_from([2e10, 1e9]),
+           o1=st.sampled_from([1e-9, 1e-7]))
+    def check(n, s, seed, tight, alpha, f_sbs, o1):
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=seed, f_sbs=f_sbs, o1=o1,
+            t_max_range=(0.02, 0.08) if tight else (15.0, 30.0)))
+        bound = _bounds(scen, alpha)
+        priced = []
+        _reference_enumerate_optimum(scen, UtilityWeights(alpha),
+                                     _row_cached_split(), priced)
+        for tup, util in priced:
+            low = sum(bound[j, b] for j, b in enumerate(tup))
+            assert util >= low * (1.0 - oracle.BOUND_MARGIN), (tup, util, low)
+
+    check()
+
+
+def test_sbs_bound_is_the_unconstrained_split_optimum():
+    # each SBS bound is the cheapest split at the whole station with no
+    # interference, no relay base load and no deadline; the lattice search
+    # on the same tables agrees to rounding, including forwarded splits
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(40):
+        s, n = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+        alpha = float(rng.uniform(0.05, 1.0))
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000)),
+            f_sbs=10 ** rng.uniform(8.0, 10.5), o1=10 ** rng.uniform(-12, -6),
+            t_max_range=(0.02, 0.08) if trial % 2 else (15.0, 30.0)))
+        bound = _bounds(scen, alpha)
+        for i in range(s):
+            x = np.zeros((s, n))
+            x[i] = 1.0
+            alone = replace(costs.build_cost_tables(scen, alpha, x,
+                                                    np.zeros((s, n))),
+                            t_max=np.full(n, np.inf))
+            for j in range(n):
+                with warnings.catch_warnings():
+                    # the dropped deadline sends its candidates to +-inf
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    _, _, cost = lattice_split(alone, i, j, 1.0)
+                assert bound[j, i + 1] == pytest.approx(cost, rel=1e-12, abs=0.0)
+                checked += 1
+    assert checked > 100
