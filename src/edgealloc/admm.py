@@ -215,7 +215,9 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     converged = False
     cost_scale = None
     # tasks whose last global solve converged without a retry; the global
-    # block warm-restarts them from their iterate at its last level
+    # block starts them at its last level, from that level's exact limit
+    # with the coordinates at 0 lifted off the boundary; one that fails
+    # there is retried by the whole schedule from its iterate in `state.v`
     settled = np.zeros(scenario.n_tasks, dtype=bool)
     # the trace utility's tables of the last iteration
     carried = None

@@ -12,9 +12,12 @@ or compares a few contiguous rows, one per coordinate.
 
 The consensus loop calls the block once per iteration on a problem that
 barely moves, so the block warm-restarts (Yildirim & Wright, SIAM J.
-Optim. 12, 2002): a task whose previous solve converged starts at the last
-barrier level from its previous iterate, and one that fails there is solved
-again by the whole schedule in the same call (`solve_global`).
+Optim. 12, 2002): a task whose previous solve converged starts the last
+barrier level at that level's exact omega -> 0 limit, the Euclidean
+projection onto the simplex cut by the deadline (`exact_limit`), with the
+coordinates the projection puts at 0 lifted to the barrier's equilibrium;
+one that fails there is solved again by the whole schedule in the same
+call (`solve_global`).
 """
 
 from __future__ import annotations
@@ -38,11 +41,8 @@ _REACH_SHRINK = 1.0 - 2.0 ** -49
 # barrier weights of the levels, run in order; each level's best iterate
 # starts the next
 OMEGA_LEVELS = (1e-2, 1e-4, 1e-6)
-# a cold start clips its iterate into [COLD_FLOOR, 1 - COLD_FLOOR]; a warm
-# start at the last level, whose barrier is 1e4 times weaker, keeps more of
-# the previous iterate
+# a cold start clips its iterate into [COLD_FLOOR, 1 - COLD_FLOOR]
 COLD_FLOOR = 0.01
-WARM_FLOOR = 1e-3
 # the start's corner on the fastest branch puts at most CORNER_WEIGHT on
 # each slower coordinate, and never less than CORNER_WEIGHT_FLOOR, which
 # is inside the line search's margin
@@ -362,6 +362,87 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     return v, m
 
 
+def _simplex_projection(u):
+    """Euclidean projection of each column of u onto the unit simplex, by
+    sorting (Held, Wolfe & Crowder 1974; Condat, Math. Programming 158,
+    2016).  Returns the projection max(u - theta, 0) and the threshold
+    theta per column."""
+    p = u.shape[0]
+    desc = -np.sort(-u, axis=0)
+    cum = np.cumsum(desc, axis=0) - 1.0
+    # the condition holds on a prefix of the sorted coordinates, whose
+    # length is the support size
+    size = (desc * np.arange(1, p + 1)[:, None] > cum).sum(axis=0)
+    theta = cum[size - 1, np.arange(u.shape[1])] / size
+    return np.maximum(u - theta, 0.0), theta
+
+
+def exact_limit(problem: GlobalProblem, xi: float):
+    """The block's exact omega -> 0 limit at corner weight xi.
+
+    Without the barrier each task minimises (rho/2 - xi)|v|^2 -
+    v.(dual + rho prox - xi) over the simplex cut by t.v <= t_max, which is
+    the Euclidean projection of c = (dual + rho prox - xi) / (rho - 2 xi)
+    onto that set; xi <= XI_CONVEXITY_FRACTION * rho keeps it strongly
+    convex.  The projection is v(lam) = proj_simplex(c - lam t) with the
+    deadline multiplier lam >= 0: lam = 0 where the simplex projection
+    meets the deadline, and otherwise the root of the nonincreasing,
+    piecewise-linear t.v(lam) = t_max.  The root is found by Newton steps,
+    each exact on the piece it starts from, inside a bracket that falls
+    back to bisection, to 1e-12 relative in the delay.
+
+    Returns (v, reduced): with theta the simplex threshold of v(lam),
+    `reduced` is max((rho - 2 xi)(theta + lam t - c), 0), the multiplier of
+    each coordinate's bound v >= 0, zero on the support of v.  Columns
+    whose fastest branch misses the deadline have no feasible point and
+    are NaN in both.
+    """
+    a = problem.rho - 2.0 * xi
+    c = (problem.dual + problem.rho * problem.prox - xi) / a
+    t, t_max = problem.tcoef, problem.t_max
+    v, theta = _simplex_projection(c)
+    lam = np.zeros(problem.n_tasks)
+    feasible = t.min(axis=0) <= t_max
+    search = np.flatnonzero(feasible & ((t * v).sum(axis=0) > t_max))
+    if search.size:
+        cs, ts, tm = c[:, search], t[:, search], t_max[search]
+        cols = np.arange(search.size)
+        # past `hi` every coordinate sits at least 1 below the fastest one
+        # in c - lam t, so the projection is the fastest vertex
+        best = ts.argmin(axis=0)
+        gap = ts - ts[best, cols]
+        hi = np.where(gap > 0, (1.0 + cs - cs[best, cols]) / np.where(gap > 0, gap, 1.0),
+                      0.0).max(axis=0)
+        lo = np.zeros(search.size)
+        lam_s = lo.copy()
+        for _ in range(100):
+            vs, _ = _simplex_projection(cs - lam_s * ts)
+            f = (ts * vs).sum(axis=0)
+            done = np.abs(f - tm) <= 1e-12 * tm
+            if done.all():
+                break
+            over = f > tm
+            lo = np.where(over, lam_s, lo)
+            hi = np.where(over, hi, lam_s)
+            # on the piece of the current support, t.v falls with slope
+            # -sum over the support of (t - mean t)^2
+            on = vs > 0
+            t_mean = (ts * on).sum(axis=0) / on.sum(axis=0)
+            slope = (np.where(on, ts - t_mean, 0.0) ** 2).sum(axis=0)
+            step = lam_s + (f - tm) / np.where(slope > 0, slope, 1.0)
+            newton = (slope > 0) & (step > lo) & (step < hi)
+            lam_s = np.where(done, lam_s, np.where(newton, step, 0.5 * (lo + hi)))
+        # a column the search has not settled takes its feasible end
+        lam_s = np.where(done, lam_s, hi)
+        lam[search] = lam_s
+        v[:, search], theta[search] = _simplex_projection(cs - lam_s * ts)
+    # v is max(u - theta, 0) with the same u, so reduced is 0 wherever v > 0
+    reduced = a * np.maximum(theta - (c - lam * t), 0.0)
+    v[:, ~feasible] = np.nan
+    reduced[:, ~feasible] = np.nan
+    return v, reduced
+
+
 def _xi_levels(rho: float) -> list:
     """The corner weight of each barrier level."""
     xi = min(XI_INIT, XI_CONVEXITY_FRACTION * rho)
@@ -389,9 +470,14 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     converged and whose `warm_v` column is that solve's iterate; pass the
     previous call's `info["settled"]` with its `v`.  A settled task sits
     out every level but the last, frozen like a stalled task, and enters
-    the last level (its omega and xi) from `warm_v` clipped at
-    WARM_FLOOR.  Every other task walks the whole schedule from `warm_v`
-    clipped at COLD_FLOOR, bit for bit as a call without `settled`.  A
+    the last level (its omega and xi) from that level's exact omega -> 0
+    limit (`exact_limit`), each coordinate the limit puts at 0 lifted to
+    the barrier's equilibrium omega / g at its reduced cost g, clipped to
+    [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and renormalised; a task whose
+    fastest branch misses the deadline starts from `warm_v`.  Both go
+    through `interior_init` with the floor CORNER_WEIGHT_FLOOR.  Every
+    other task walks the whole schedule from `warm_v` clipped at
+    COLD_FLOOR, bit for bit as a call without `settled`.  A
     settled task that ends the last level above tolerance is solved again
     in the same call by the whole schedule on its own columns, and that
     result replaces its warm one, so every task a cold call converges
@@ -426,12 +512,35 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     return v, m, info
 
 
+def _lifted_limit(problem: GlobalProblem, warm_v, settled, omega, xi):
+    """Start of the settled columns at the last level: `exact_limit` at its
+    xi, with each coordinate the limit puts at 0 lifted to the barrier's
+    equilibrium omega / g at its reduced cost g, clipped to
+    [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised.  A column
+    with no feasible point keeps its `warm_v` column."""
+    columns = GlobalProblem(
+        prox=problem.prox[:, settled], dual=problem.dual[:, settled],
+        tcoef=problem.tcoef[:, settled], t_max=problem.t_max[settled],
+        rho=problem.rho)
+    limit, reduced = exact_limit(columns, xi)
+    with np.errstate(divide="ignore"):
+        lift = np.clip(omega / reduced, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT)
+    start = np.where(limit > 0, limit, lift)
+    start /= start.sum(axis=0)
+    return np.where(np.isnan(start), warm_v[:, settled], start)
+
+
 def _barrier_schedule(problem: GlobalProblem, warm_v, tol, settled):
     """`solve_global` without the retry of settled tasks."""
     last = len(OMEGA_LEVELS) - 1
     xis = _xi_levels(problem.rho)
-    v, m = interior_init(problem, warm_v,
-                         np.where(settled, WARM_FLOOR, COLD_FLOOR))
+    start = warm_v
+    if settled.any():
+        start = warm_v.copy()
+        start[:, settled] = _lifted_limit(problem, warm_v, settled,
+                                          OMEGA_LEVELS[last], xis[last])
+    v, m = interior_init(problem, start,
+                         np.where(settled, CORNER_WEIGHT_FLOOR, COLD_FLOOR))
     # the multipliers start from the gradient of the level a task enters at
     enter = np.where(settled, last, 0)
     grad_v, grad_m = grad_smoothed(v, m, problem, np.take(OMEGA_LEVELS, enter),

@@ -65,10 +65,6 @@ class CbgpVars:
     c1: np.ndarray
     ci: np.ndarray
 
-    def copy(self) -> "CbgpVars":
-        return CbgpVars(self.x_hat.copy(), self.R.copy(), self.c0.copy(),
-                        self.c1.copy(), self.ci.copy())
-
 
 @dataclass
 class CbgpState:
@@ -98,12 +94,6 @@ class CbgpState:
                    mu_shift_lo=z(),
                    step_scale=np.ones(shape[1] if len(shape) > 1 else 1),
                    x_prev=x_prev.copy())
-
-    def copy(self) -> "CbgpState":
-        return CbgpState(self.mu_env_lo.copy(), self.mu_env_hi.copy(),
-                         self.mu_shift_hi.copy(), self.mu_shift_lo.copy(),
-                         self.step_scale.copy(), self.x_prev.copy(),
-                         self.sweep)
 
 
 @dataclass
@@ -178,10 +168,16 @@ def block_objective(problem: LocalProblem, vars: CbgpVars,
     return per_pair.sum(axis=0)
 
 
+# the fields `_sweep` replaces, which a rejected sweep restores
+_SWEPT_VARS = ("x_hat", "R", "c0", "c1", "ci")
+_SWEPT_MULTIPLIERS = ("mu_env_lo", "mu_env_hi", "mu_shift_hi", "mu_shift_lo")
+
+
 def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
-    """One full cycle over the blocks, in place: R, c0, c1, the dependent
-    ci, the assignment row by its stationarity closed form, then the
-    projected subgradient multiplier updates."""
+    """One full cycle over the blocks: R, c0, c1, the dependent ci, the
+    assignment row by its stationarity closed form, then the projected
+    subgradient multiplier updates.  Each updated field of `vars` and
+    `state` is bound to a new array; no input array is written."""
     p, a = problem, problem.alpha
     scale = state.step_scale[None, :]
     inv = 1.0 / p.h_min
@@ -258,17 +254,17 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
     history = [q]
     slack = 1e-12 * (1.0 + np.abs(q))
     for _ in range(rounds):
-        before_vars = vars.copy()
-        before_state = state.copy()
+        # `_sweep` rebinds these fields to fresh arrays and writes into
+        # none of the old ones, so references are the pre-sweep point
+        before = [(obj, name, getattr(obj, name))
+                  for obj, names in ((vars, _SWEPT_VARS), (state, _SWEPT_MULTIPLIERS))
+                  for name in names]
         _sweep(problem, vars, state)
         q_new = block_objective(problem, vars, state.x_prev)
         bad = q_new > q + slack
         if np.any(bad):
-            for name in ("x_hat", "R", "c0", "c1", "ci"):
-                getattr(vars, name)[:, bad] = getattr(before_vars, name)[:, bad]
-            for name in ("mu_env_lo", "mu_env_hi", "mu_shift_hi",
-                         "mu_shift_lo"):
-                getattr(state, name)[:, bad] = getattr(before_state, name)[:, bad]
+            for obj, name, old in before:
+                getattr(obj, name)[:, bad] = old[:, bad]
             state.step_scale[bad] *= 0.5
             q_new = np.where(bad, q, q_new)
         history.append(q_new)

@@ -1,6 +1,8 @@
-"""Print SHA-256 fingerprints of a source tree's solver and oracle outputs.
+"""Print SHA-256 fingerprints of a source tree's solver and oracle outputs,
+or compare two trees' outputs instance by instance.
 
     python tests/fingerprint.py [TREE]
+    python tests/fingerprint.py --compare BASE [TREE]
 
 TREE is a checkout of this repository; it defaults to the one holding
 this script.  Each instance runs in a child process with TREE/src first on
@@ -16,8 +18,17 @@ its optimum.  One line per output gives instance, output and digest:
   pruning has the most tuples to skip.
 
 Running it on two trees and diffing the outputs checks a claim that a
-change leaves these results byte-identical.  It is not a test module, so
-pytest does not collect it.  The whole set takes about half a minute.
+change leaves these results byte-identical.  `--compare BASE` runs every
+instance in BASE and in TREE and prints one line per instance saying
+what moved: for a solve, whether `placement.json` and
+`global_unconverged` are byte-identical, both iteration counts (BASE
+first), and over the iterations both traces have, the largest relative
+change of the `utility` and `primal_res` columns and the largest absolute
+change of `dual_res`, which sits near 0 once the iterates settle; for an
+oracle instance, whether `oracle.json` is byte-identical.
+
+It is not a test module, so pytest does not collect it.  The whole set
+takes about half a minute per tree.
 """
 
 from __future__ import annotations
@@ -120,27 +131,65 @@ def _outputs(work: str, mode: str) -> dict:
             "global_unconverged": read("global_unconverged.json")}
 
 
-def fingerprint(tree: str):
-    """Yield (instance, output, digest) for every instance of the set."""
-    src = os.path.join(os.path.abspath(tree), "src")
+def _jobs() -> list:
     jobs = [(name, config, json.dumps(args))
             for name, (config, args) in SOLVES.items()]
     jobs += [(f"oracle_small-{k}", config, "oracle")
              for k, config in enumerate(oracle_small_configs())]
     jobs += [(name, config, "oracle") for name, config in ORACLES.items()]
-    for name, config, mode in jobs:
-        with tempfile.TemporaryDirectory() as work:
-            subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(config),
-                            mode, work], check=True, stdout=subprocess.DEVNULL)
-            for output, data in _outputs(work, mode).items():
-                yield name, output, _digest(data)
+    return jobs
+
+
+def _run(tree: str, config: dict, mode: str) -> dict:
+    """The outputs of one instance solved or enumerated by TREE."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    with tempfile.TemporaryDirectory() as work:
+        subprocess.run([sys.executable, "-c", CHILD, src, json.dumps(config),
+                        mode, work], check=True, stdout=subprocess.DEVNULL)
+        return _outputs(work, mode)
+
+
+def fingerprint(tree: str):
+    """Yield (instance, output, digest) for every instance of the set."""
+    for name, config, mode in _jobs():
+        for output, data in _run(tree, config, mode).items():
+            yield name, output, _digest(data)
+
+
+def _trace_columns(trace: bytes) -> np.ndarray:
+    """The utility, primal_res and dual_res columns, one row per iteration."""
+    return np.array([[float(x) for x in line.split(b",")[1:4]]
+                     for line in trace.splitlines()[1:]]).reshape(-1, 3)
+
+
+def compare(base: str, tree: str):
+    """Yield one line per instance saying what moved from BASE to TREE."""
+    for name, config, mode in _jobs():
+        old, new = _run(base, config, mode), _run(tree, config, mode)
+        same = {key: "same" if old[key] == new[key] else "moved" for key in old}
+        if mode == "oracle":
+            yield f"{name:18s} oracle.json {same['oracle.json']}"
+            continue
+        a, b = _trace_columns(old["trace.csv"]), _trace_columns(new["trace.csv"])
+        k = min(len(a), len(b))
+        change = np.abs(b[:k] - a[:k])
+        rel = change[:, :2] / np.maximum(np.abs(a[:k, :2]), np.finfo(float).tiny)
+        yield (f"{name:18s} placement {same['placement.json']:5s} "
+               f"unconverged {same['global_unconverged']:5s} "
+               f"iters {len(a)} -> {len(b)}  "
+               f"utility {rel[:, 0].max(initial=0.0):.2g}  "
+               f"primal_res {rel[:, 1].max(initial=0.0):.2g}  "
+               f"dual_res {change[:, 2].max(initial=0.0):.2g}")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    tree = argv[0] if argv else os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))
-    for name, output, digest in fingerprint(tree):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if argv and argv[0] == "--compare":
+        for line in compare(argv[1], argv[2] if len(argv) > 2 else here):
+            print(line, flush=True)
+        return 0
+    for name, output, digest in fingerprint(argv[0] if argv else here):
         print(f"{name:18s} {output:18s} {digest}", flush=True)
     return 0
 

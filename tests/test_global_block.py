@@ -5,8 +5,9 @@ import pytest
 
 from edgealloc import global_block as gb
 from edgealloc.global_block import (GlobalProblem, assemble_newton,
-                                    grad_smoothed, hess_diag_smoothed,
-                                    interior_init, kkt_residual, line_search,
+                                    exact_limit, grad_smoothed,
+                                    hess_diag_smoothed, interior_init,
+                                    kkt_residual, line_search,
                                     nullspace_cg_solve, smoothed_objective,
                                     solve_global)
 
@@ -465,6 +466,78 @@ def test_solve_global_matches_trust_constr():
         assert consensus_objective(v[:, 0]) <= ref.fun + 1e-3
 
 
+def test_exact_limit_matches_an_independent_minimiser():
+    # without the barrier the block minimises the strongly convex quadratic
+    # (rho/2 - xi)|v|^2 - v.(dual + rho prox - xi) over the simplex cut by
+    # the deadline; SLSQP minimises it column by column.  Its objective
+    # stops within about 1e-12 of the minimum (ftol 1e-13; a tighter ftol
+    # makes it run out of iterations at the minimum), so by strong
+    # convexity with modulus a = rho - 2 xi its point lies within
+    # sqrt(2e-12 / a) of the minimiser.  The converged iterate of
+    # `solve_global` is feasible for the limit's problem up to its KKT
+    # tolerance, and the log barrier's duality gap at omega is (2p + 1)
+    # omega (2p box bounds and the slack), so by the same argument it lies
+    # within sqrt(2 (2p + 1) omega / a) of the limit at the last level's xi
+    pytest.importorskip("hypothesis")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(3, 10), n=st.integers(1, 6), seed=st.integers(0, 100000),
+           binary=st.booleans())
+    def check(p, n, seed, binary):
+        rng = np.random.default_rng(seed)
+        prox = np.eye(p)[:, rng.integers(p, size=n)] if binary else rng.uniform(0, 1, (p, n))
+        dual = rng.normal(0, 0.3, (p, n))
+        tcoef = rng.uniform(0.001, 0.2, (p, n))
+        fastest = tcoef.min(axis=0)
+        kind = rng.integers(3, size=n)  # loose, binding, infeasible
+        t_max = np.select(
+            [kind == 0, kind == 1],
+            [np.full(n, 10.0),
+             fastest + rng.uniform(0.05, 0.9, n) * (tcoef.mean(axis=0) - fastest)],
+            fastest * rng.uniform(0.3, 0.99, n))
+        rho = float(rng.uniform(0.2, 5.0))
+        xi = float(rng.uniform(0.0, gb.XI_CONVEXITY_FRACTION * rho))
+        problem = GlobalProblem(prox=prox, dual=dual, tcoef=tcoef, t_max=t_max, rho=rho)
+        v, reduced = exact_limit(problem, xi)
+        feasible = kind < 2
+        assert np.isnan(v[:, ~feasible]).all() and np.isnan(reduced[:, ~feasible]).all()
+        v, reduced = v[:, feasible], reduced[:, feasible]
+        assert (v >= 0).all() and (np.abs(v.sum(axis=0) - 1.0) < 1e-12).all()
+        assert ((tcoef[:, feasible] * v).sum(axis=0) <= t_max[feasible] * (1 + 1e-12)).all()
+        assert (reduced >= 0).all() and (reduced[v > 0] == 0).all()
+
+        a = rho - 2.0 * xi
+        for k, j in enumerate(np.flatnonzero(feasible)):
+            b = dual[:, j] + rho * prox[:, j] - xi
+
+            def objective(x):
+                return 0.5 * a * x @ x - x @ b
+
+            ref = scipy_optimize.minimize(
+                objective, np.full(p, 1.0 / p), jac=lambda x: a * x - b, method="SLSQP",
+                constraints=[scipy_optimize.LinearConstraint(np.ones((1, p)), 1.0, 1.0),
+                             scipy_optimize.LinearConstraint(tcoef[None, :, j], -np.inf,
+                                                             t_max[j])],
+                bounds=scipy_optimize.Bounds(np.zeros(p), np.ones(p)),
+                options={"ftol": 1e-13, "maxiter": 1000})
+            assert ref.success, ref.message
+            assert objective(v[:, k]) <= ref.fun + 1e-12 * (1.0 + abs(ref.fun))
+            assert np.linalg.norm(ref.x - v[:, k]) <= np.sqrt(2e-12 / a)
+
+        v_solve, _, info = solve_global(problem)
+        limit, _ = exact_limit(problem, info["xi"])
+        done = info["converged"]
+        assert not (done & ~feasible).any()
+        bound = np.sqrt(2 * (2 * p + 1) * info["omega"] / (rho - 2.0 * info["xi"]))
+        assert (np.linalg.norm(v_solve - limit, axis=0)[done] <= bound).all()
+        delay = (tcoef * v_solve).sum(axis=0)
+        assert (delay[done] <= t_max[done] + 1e-6 * (1.0 + t_max[done])).all()
+
+    check()
+
+
 def test_solve_global_respects_binding_deadline():
     # only the second coordinate is fast enough for the deadline
     prob = _coordinate_major(prox=np.array([[0.6, 0.2, 0.2]]),
@@ -503,7 +576,7 @@ def test_start_meets_deadline_row_whenever_fastest_branch_leaves_room():
     seen = {"on_row": 0, "off_row": 0, "slow_branch": 0}
     for case in range(60):
         problem, warm_v = _random_global_problem(rng, ("binding", "tight")[case % 2])
-        for floor in (gb.COLD_FLOOR, gb.WARM_FLOOR):
+        for floor in (gb.COLD_FLOOR, gb.CORNER_WEIGHT_FLOOR):
             v, m = interior_init(problem, warm_v, floor)
             assert (v > gb.INTERIOR_MARGIN).all() and (v < 1.0 - gb.INTERIOR_MARGIN).all()
             assert np.abs(v.sum(axis=0) - 1.0).max() < 1e-12
@@ -712,9 +785,10 @@ def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = 
                             tol: float = 1e-6, max_inner: int = 25,
                             freeze_stalled: bool = True, settled=None):
     """Takes and returns the module's (n_coords, n_tasks) layout.  Tasks
-    flagged in `settled` start at the last level from `warm_v` clipped at
-    WARM_FLOOR, with multipliers fitted at that level; those that end it
-    above tolerance are solved again, together, by the whole schedule."""
+    flagged in `settled` start at the last level from the lifted exact
+    limit (`_reference_lifted_limit`), with multipliers fitted at that
+    level; those that end it above tolerance are solved again, together,
+    by the whole schedule."""
     settled = np.zeros(problem.n_tasks, dtype=bool) if settled is None else settled
     v, m, info = _reference_schedule(problem, warm_v, tol, max_inner,
                                      freeze_stalled, settled)
@@ -735,18 +809,41 @@ def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = 
     return v, m, info
 
 
+def _reference_lifted_limit(problem, warm_v, settled, omega, xi):
+    """Column by column: `exact_limit` of each settled task, each of its
+    zero coordinates set to omega over its reduced cost, clipped to
+    [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised; a task with
+    no feasible point keeps its `warm_v` column."""
+    start = warm_v.copy()
+    idx = np.flatnonzero(settled)
+    limit, reduced = exact_limit(GlobalProblem(
+        prox=problem.prox[:, idx], dual=problem.dual[:, idx],
+        tcoef=problem.tcoef[:, idx], t_max=problem.t_max[idx], rho=problem.rho), xi)
+    for k, j in enumerate(idx):
+        if np.isnan(limit[:, k]).any():
+            continue
+        col = limit[:, k].copy()
+        for i in np.flatnonzero(col == 0.0):
+            lift = omega / reduced[i, k] if reduced[i, k] > 0 else np.inf
+            col[i] = min(max(lift, gb.CORNER_WEIGHT_FLOOR), gb.CORNER_WEIGHT)
+        start[:, j] = col / col.sum()
+    return start
+
+
 def _reference_schedule(problem, warm_v, tol, max_inner, freeze_stalled, settled):
+    xis = [min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)]
+    for _ in gb.OMEGA_LEVELS[1:]:
+        xis.append(min(xis[-1] * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho))
     v, m = interior_init(problem, warm_v)
     if settled.any():
-        v_warm, m_warm = interior_init(problem, warm_v, gb.WARM_FLOOR)
+        start = _reference_lifted_limit(problem, warm_v, settled,
+                                        gb.OMEGA_LEVELS[-1], xis[-1])
+        v_warm, m_warm = interior_init(problem, start, gb.CORNER_WEIGHT_FLOOR)
         v = np.where(settled, v_warm, v)
         m = np.where(settled, m_warm, m)
     v = v.T.copy()
     n = v.shape[0]
     problem = _task_major(problem)
-    xis = [min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)]
-    for _ in gb.OMEGA_LEVELS[1:]:
-        xis.append(min(xis[-1] * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho))
     nu = np.empty(n)
     sig = np.empty(n)
     for rows, level in ((~settled, 0), (settled, -1)):

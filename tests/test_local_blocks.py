@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,28 @@ def test_cbgp_leaves_its_inputs_unchanged():
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
     assert rejected > 0
+
+
+def test_sweep_writes_into_no_input_array():
+    # `cbgp_solve` restores a rejected sweep from references to the arrays
+    # the sweep started from, so the sweep must bind new arrays and leave
+    # every array it was given as it was
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        scen, problem, vars, state = _problem(
+            n_tasks=int(rng.integers(1, 6)), n_sbs=int(rng.integers(1, 3)),
+            seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)))
+        problem.dual = rng.normal(0, 0.5, problem.dual.shape)
+        state.mu_env_lo = rng.uniform(0, 0.1, state.mu_env_lo.shape)
+        state.step_scale = rng.uniform(0.5, 1.0, state.step_scale.shape)
+        arrays = {f.name: getattr(obj, f.name)
+                  for obj in (problem, vars, state) for f in dataclasses.fields(obj)
+                  if isinstance(getattr(obj, f.name), np.ndarray)}
+        kept = {name: a.copy() for name, a in arrays.items()}
+        for _ in range(3):
+            local_blocks._sweep(problem, vars, state)
+        for name, a in arrays.items():
+            assert np.array_equal(a, kept[name]), name
+        swept = ([getattr(vars, n) for n in local_blocks._SWEPT_VARS]
+                 + [getattr(state, n) for n in local_blocks._SWEPT_MULTIPLIERS])
+        assert not any(new is a for new in swept for a in arrays.values())
