@@ -415,8 +415,9 @@ def exact_limit(problem: GlobalProblem, xi: float):
                       0.0).max(axis=0)
         lo = np.zeros(search.size)
         lam_s = lo.copy()
+        # the search starts at lam = 0, whose projection is already in v
+        vs = v[:, search]
         for _ in range(100):
-            vs, _ = _simplex_projection(cs - lam_s * ts)
             f = (ts * vs).sum(axis=0)
             done = np.abs(f - tm) <= 1e-12 * tm
             if done.all():
@@ -432,6 +433,7 @@ def exact_limit(problem: GlobalProblem, xi: float):
             step = lam_s + (f - tm) / np.where(slope > 0, slope, 1.0)
             newton = (slope > 0) & (step > lo) & (step < hi)
             lam_s = np.where(done, lam_s, np.where(newton, step, 0.5 * (lo + hi)))
+            vs, _ = _simplex_projection(cs - lam_s * ts)
         # a column the search has not settled takes its feasible end
         lam_s = np.where(done, lam_s, hi)
         lam[search] = lam_s
@@ -518,16 +520,18 @@ def _lifted_limit(problem: GlobalProblem, warm_v, settled, omega, xi):
     equilibrium omega / g at its reduced cost g, clipped to
     [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised.  A column
     with no feasible point keeps its `warm_v` column."""
-    columns = GlobalProblem(
-        prox=problem.prox[:, settled], dual=problem.dual[:, settled],
-        tcoef=problem.tcoef[:, settled], t_max=problem.t_max[settled],
-        rho=problem.rho)
-    limit, reduced = exact_limit(columns, xi)
+    if not settled.all():
+        problem = GlobalProblem(
+            prox=problem.prox[:, settled], dual=problem.dual[:, settled],
+            tcoef=problem.tcoef[:, settled], t_max=problem.t_max[settled],
+            rho=problem.rho)
+        warm_v = warm_v[:, settled]
+    limit, reduced = exact_limit(problem, xi)
     with np.errstate(divide="ignore"):
         lift = np.clip(omega / reduced, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT)
     start = np.where(limit > 0, limit, lift)
     start /= start.sum(axis=0)
-    return np.where(np.isnan(start), warm_v[:, settled], start)
+    return np.where(np.isnan(start), warm_v, start)
 
 
 def _barrier_schedule(problem: GlobalProblem, warm_v, tol, settled):
@@ -535,29 +539,43 @@ def _barrier_schedule(problem: GlobalProblem, warm_v, tol, settled):
     last = len(OMEGA_LEVELS) - 1
     xis = _xi_levels(problem.rho)
     start = warm_v
-    if settled.any():
+    if settled.all():
+        start = _lifted_limit(problem, warm_v, settled, OMEGA_LEVELS[last], xis[last])
+    elif settled.any():
         start = warm_v.copy()
         start[:, settled] = _lifted_limit(problem, warm_v, settled,
                                           OMEGA_LEVELS[last], xis[last])
     v, m = interior_init(problem, start,
                          np.where(settled, CORNER_WEIGHT_FLOOR, COLD_FLOOR))
-    # the multipliers start from the gradient of the level a task enters at
+    # the multipliers start from the gradient of the level a task enters
+    # at; when all enter at one level, the first level that runs, its
+    # first Newton check reuses that gradient and its reciprocals
     enter = np.where(settled, last, 0)
-    grad_v, grad_m = grad_smoothed(v, m, problem, np.take(OMEGA_LEVELS, enter),
-                                   np.take(xis, enter))
-    nu = -grad_m
-    sig = -(grad_v + problem.tcoef * nu).mean(axis=0)
+    reuse = bool(enter.size) and (enter == enter[0]).all()
+    if reuse:
+        recip = barrier_reciprocals(v)
+        grad = grad_smoothed(v, m, problem, OMEGA_LEVELS[enter[0]], xis[enter[0]],
+                             recip)
+    else:
+        grad = grad_smoothed(v, m, problem, np.take(OMEGA_LEVELS, enter),
+                             np.take(xis, enter))
+    nu = -grad[1]
+    sig = -(grad[0] + problem.tcoef * nu).mean(axis=0)
     total_newton = 0
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
     for level, (omega, xi) in enumerate(zip(OMEGA_LEVELS, xis)):
         frozen = settled.copy() if level < last else np.zeros(problem.n_tasks, dtype=bool)
         if level < last and frozen.all():
             continue
-        f = smoothed_objective(v, m, problem, omega, xi)
+        # the objective is formed when the level's first line search needs it
+        f = None
         best = None
         for _ in range(MAX_INNER):
-            recip = barrier_reciprocals(v)
-            grad = grad_smoothed(v, m, problem, omega, xi, recip)
+            if reuse:
+                reuse = False
+            else:
+                recip = barrier_reciprocals(v)
+                grad = grad_smoothed(v, m, problem, omega, xi, recip)
             res = kkt_residual(v, m, nu, sig, grad, problem)
             norm = scaled_kkt_norm(res, problem)
             if best is None:
@@ -576,6 +594,8 @@ def _barrier_schedule(problem: GlobalProblem, warm_v, tol, settled):
             dm[idle] = 0.0
             dnu[idle] = 0.0
             dsig[idle] = 0.0
+            if f is None:
+                f = smoothed_objective(v, m, problem, omega, xi)
             t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
             stalled_any |= stalled
             frozen |= stalled

@@ -44,7 +44,8 @@ def project_interval(v, lo, hi):
     x_hat by an ulp."""
     v = np.asarray(v, dtype=float)
     nearest = np.where(np.abs(v - lo) <= np.abs(v - hi), lo, hi)
-    return np.where(lo <= hi, np.clip(v, np.minimum(lo, hi), hi), nearest)
+    return np.where(lo <= hi, np.minimum(np.maximum(v, np.minimum(lo, hi)), hi),
+                    nearest)
 
 
 def majorize_penalty(x_prev, x):
@@ -154,11 +155,14 @@ class LocalProblem:
 
 
 def block_objective(problem: LocalProblem, vars: CbgpVars,
-                    x_prev: np.ndarray) -> np.ndarray:
+                    x_prev: np.ndarray, cost=None) -> np.ndarray:
     """Per-task value of the local block objective: priced branch cost,
     linearized resource-product compute term, consensus prox with dual,
-    and the majorized corner penalty."""
-    cost = problem.branch_cost(vars.c0, vars.c1, vars.ci)
+    and the majorized corner penalty.  `cost` is
+    `problem.branch_cost(vars.c0, vars.c1, vars.ci)`, formed here when not
+    given."""
+    if cost is None:
+        cost = problem.branch_cost(vars.c0, vars.c1, vars.ci)
     gap = vars.x_hat - problem.x_global
     per_pair = (vars.x_hat * cost
                 + problem.alpha * problem.sbs_cycle * vars.ci * vars.R
@@ -173,36 +177,53 @@ _SWEPT_VARS = ("x_hat", "R", "c0", "c1", "ci")
 _SWEPT_MULTIPLIERS = ("mu_env_lo", "mu_env_hi", "mu_shift_hi", "mu_shift_lo")
 
 
-def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
+def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
+    """The terms of `_sweep` that no sweep of one solve changes, each a
+    group the sweep's expressions form as a unit (a parenthesised group or
+    a left-associative prefix), so forming it once changes no bit."""
+    p, a = problem, problem.alpha
+    inv = 1.0 / p.h_min
+    c_row = p.c[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_break = np.where(inv > 1.0, (inv - p.r) / (inv - 1.0), 1.0)
+    x_break = np.minimum(np.maximum(x_break, 0.0), 1.0)
+    return (a * p.sbs_cycle,
+            a * (p.d_c0[None, :] - p.d_up) + (1.0 - a) * (p.e_c0[None, :] - p.e_up),
+            c_row, c_row * c_row, p.delta * (1.0 - 2.0 * x_prev), x_break,
+            p.rho * (x_break - p.x_global))
+
+
+def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
+           terms: tuple) -> np.ndarray:
     """One full cycle over the blocks: R, c0, c1, the dependent ci, the
     assignment row by its stationarity closed form, then the projected
-    subgradient multiplier updates.  Each updated field of `vars` and
-    `state` is bound to a new array; no input array is written."""
+    subgradient multiplier updates, with `terms` from `_sweep_terms`.
+    Each updated field of `vars` and `state` is bound to a new array and
+    no input array is written, so the old arrays keep the pre-sweep point.
+    Returns the branch cost of the new splits."""
     p, a = problem, problem.alpha
+    a_cycle, c0_pull, c_row, c_sq, penalty_slope, x_break, pull_at_break = terms
     scale = state.step_scale[None, :]
     inv = 1.0 / p.h_min
 
-    grad_r = a * p.sbs_cycle * vars.ci
+    grad_r = a_cycle * vars.ci
     lo, hi = rlt_bounds(vars.x_hat, p.r, p.h_min)
     eps_r = scale / (p.rho * p.h_min * p.h_min)
     vars.R = project_interval(vars.R - eps_r * grad_r, lo, hi)
 
-    shared_pull = a * p.sbs_cycle * vars.R + (1.0 - a) * vars.x_hat * p.e_s
-    grad_c0 = (vars.x_hat * (a * (p.d_c0[None, :] - p.d_up)
-                             + (1.0 - a) * (p.e_c0[None, :] - p.e_up))
-               - shared_pull)
-    c_sq = p.c[None, :] * p.c[None, :]
-    vars.c0 = np.clip(vars.c0 - scale * c_sq / p.rho * grad_c0,
-                      0.0, p.c[None, :] - vars.c1)
+    shared_pull = a_cycle * vars.R + (1.0 - a) * vars.x_hat * p.e_s
+    grad_c0 = vars.x_hat * c0_pull - shared_pull
+    vars.c0 = np.minimum(np.maximum(vars.c0 - scale * c_sq / p.rho * grad_c0, 0.0),
+                         c_row - vars.c1)
 
     grad_c1 = (vars.x_hat * (a * (2.0 * p.w2 * vars.c1 + p.w1 + p.d_m[None, :])
                              + (1.0 - a) * p.e_m1)
                - shared_pull)
     curv = np.maximum(p.rho, 2.0 * a * vars.x_hat * p.w2 * c_sq)
-    vars.c1 = np.clip(vars.c1 - scale * c_sq / curv * grad_c1,
-                      0.0, p.c[None, :] - vars.c0)
+    vars.c1 = np.minimum(np.maximum(vars.c1 - scale * c_sq / curv * grad_c1, 0.0),
+                         c_row - vars.c0)
 
-    vars.ci = p.c[None, :] - vars.c0 - vars.c1
+    vars.ci = c_row - vars.c0 - vars.c1
 
     mult_sum = (state.mu_env_lo - state.mu_env_hi * inv - state.mu_shift_hi
                 + state.mu_shift_lo * inv)
@@ -212,14 +233,12 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
     # (slope 1 below the breakpoint, 1/h_min above); the exact block
     # minimizer of the resulting convex piecewise quadratic transmits the
     # station compute cost into the assignment update
-    lin = cost + p.dual + p.delta * (1.0 - 2.0 * state.x_prev) + mult_sum
-    env = a * p.sbs_cycle * vars.ci
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_break = np.where(inv > 1.0, (inv - p.r) / (inv - 1.0), 1.0)
-    x_break = np.clip(x_break, 0.0, 1.0)
-    slope_at_break = lin + p.rho * (x_break - p.x_global)
-    min_low = np.clip(p.x_global - (lin + env) / p.rho, 0.0, x_break)
-    min_high = np.clip(p.x_global - (lin + env * inv) / p.rho, x_break, 1.0)
+    lin = cost + p.dual + penalty_slope + mult_sum
+    env = a_cycle * vars.ci
+    slope_at_break = lin + pull_at_break
+    min_low = np.minimum(np.maximum(p.x_global - (lin + env) / p.rho, 0.0), x_break)
+    min_high = np.minimum(np.maximum(p.x_global - (lin + env * inv) / p.rho, x_break),
+                          1.0)
     vars.x_hat = np.where(slope_at_break + env > 0, min_low,
                           np.where(slope_at_break + env * inv < 0, min_high,
                                    x_break))
@@ -232,6 +251,7 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState) -> None:
     state.mu_shift_lo = np.maximum(
         0.0, state.mu_shift_lo + s * (p.r + vars.x_hat * inv - inv - vars.R))
     state.sweep += 1
+    return cost
 
 
 def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
@@ -242,7 +262,10 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
 
     The solve starts from the corner-penalty tangency at the incoming
     `vars.x_hat`, sweep count 0 and unit step scales; the multipliers in
-    `state` are taken as they are.
+    `state` are taken as they are.  `_sweep_terms` are formed once per
+    solve.  A rejected sweep is undone from the arrays it started from,
+    which `_sweep` never writes: rebound when every task rejects it,
+    merged task by task with `np.where` otherwise.
 
     Returns the final variables and the per-sweep objective history
     (list of per-task arrays, one entry per committed check).
@@ -250,26 +273,26 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
     state.x_prev = vars.x_hat.copy()
     state.sweep = 0
     state.step_scale = np.ones(vars.x_hat.shape[1])
+    terms = _sweep_terms(problem, state.x_prev)
     q = block_objective(problem, vars, state.x_prev)
     history = [q]
     slack = 1e-12 * (1.0 + np.abs(q))
     for _ in range(rounds):
-        # `_sweep` rebinds these fields to fresh arrays and writes into
-        # none of the old ones, so references are the pre-sweep point
         before = [(obj, name, getattr(obj, name))
                   for obj, names in ((vars, _SWEPT_VARS), (state, _SWEPT_MULTIPLIERS))
                   for name in names]
-        _sweep(problem, vars, state)
-        q_new = block_objective(problem, vars, state.x_prev)
+        cost = _sweep(problem, vars, state, terms)
+        q_new = block_objective(problem, vars, state.x_prev, cost)
         bad = q_new > q + slack
-        if np.any(bad):
+        if bad.any():
+            every = bad.all()
             for obj, name, old in before:
-                getattr(obj, name)[:, bad] = old[:, bad]
+                setattr(obj, name,
+                        old if every else np.where(bad, old, getattr(obj, name)))
             state.step_scale[bad] *= 0.5
             q_new = np.where(bad, q, q_new)
         history.append(q_new)
         if np.all(np.abs(q - q_new) <= tol * (1.0 + np.abs(q))):
-            q = q_new
             break
         q = q_new
     return vars, history

@@ -20,12 +20,14 @@ its optimum.  One line per output gives instance, output and digest:
 Running it on two trees and diffing the outputs checks a claim that a
 change leaves these results byte-identical.  `--compare BASE` runs every
 instance in BASE and in TREE and prints one line per instance saying
-what moved: for a solve, whether `placement.json` and
+what moved: for a solve, whether `trace.csv`, `placement.json` and
 `global_unconverged` are byte-identical, both iteration counts (BASE
 first), and over the iterations both traces have, the largest relative
 change of the `utility` and `primal_res` columns and the largest absolute
 change of `dual_res`, which sits near 0 once the iterates settle; for an
-oracle instance, whether `oracle.json` is byte-identical.
+oracle instance, whether `oracle.json` is byte-identical.  It exits 1
+when any output of any instance moved and 0 when every one is
+byte-identical, so the exit status alone checks a bit-identity claim.
 
 It is not a test module, so pytest does not collect it.  The whole set
 takes about half a minute per tree.
@@ -163,32 +165,37 @@ def _trace_columns(trace: bytes) -> np.ndarray:
 
 
 def compare(base: str, tree: str):
-    """Yield one line per instance saying what moved from BASE to TREE."""
+    """Yield, per instance, whether any of its outputs moved from BASE to
+    TREE and a line saying what moved."""
     for name, config, mode in _jobs():
         old, new = _run(base, config, mode), _run(tree, config, mode)
         same = {key: "same" if old[key] == new[key] else "moved" for key in old}
+        moved = old != new
         if mode == "oracle":
-            yield f"{name:18s} oracle.json {same['oracle.json']}"
+            yield moved, f"{name:18s} oracle.json {same['oracle.json']}"
             continue
         a, b = _trace_columns(old["trace.csv"]), _trace_columns(new["trace.csv"])
         k = min(len(a), len(b))
         change = np.abs(b[:k] - a[:k])
         rel = change[:, :2] / np.maximum(np.abs(a[:k, :2]), np.finfo(float).tiny)
-        yield (f"{name:18s} placement {same['placement.json']:5s} "
-               f"unconverged {same['global_unconverged']:5s} "
-               f"iters {len(a)} -> {len(b)}  "
-               f"utility {rel[:, 0].max(initial=0.0):.2g}  "
-               f"primal_res {rel[:, 1].max(initial=0.0):.2g}  "
-               f"dual_res {change[:, 2].max(initial=0.0):.2g}")
+        yield moved, (f"{name:18s} trace {same['trace.csv']:5s} "
+                      f"placement {same['placement.json']:5s} "
+                      f"unconverged {same['global_unconverged']:5s} "
+                      f"iters {len(a)} -> {len(b)}  "
+                      f"utility {rel[:, 0].max(initial=0.0):.2g}  "
+                      f"primal_res {rel[:, 1].max(initial=0.0):.2g}  "
+                      f"dual_res {change[:, 2].max(initial=0.0):.2g}")
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if argv and argv[0] == "--compare":
-        for line in compare(argv[1], argv[2] if len(argv) > 2 else here):
+        status = 0
+        for moved, line in compare(argv[1], argv[2] if len(argv) > 2 else here):
             print(line, flush=True)
-        return 0
+            status |= moved
+        return status
     for name, output, digest in fingerprint(argv[0] if argv else here):
         print(f"{name:18s} {output:18s} {digest}", flush=True)
     return 0

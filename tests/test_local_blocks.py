@@ -241,8 +241,9 @@ def test_cbgp_leaves_its_inputs_unchanged():
 
 def test_sweep_writes_into_no_input_array():
     # `cbgp_solve` restores a rejected sweep from references to the arrays
-    # the sweep started from, so the sweep must bind new arrays and leave
-    # every array it was given as it was
+    # the sweep started from, and hands every sweep the same per-solve
+    # terms, so the sweep must bind new arrays and leave every array it
+    # was given as it was
     rng = np.random.default_rng(5)
     for trial in range(20):
         scen, problem, vars, state = _problem(
@@ -254,11 +255,157 @@ def test_sweep_writes_into_no_input_array():
         arrays = {f.name: getattr(obj, f.name)
                   for obj in (problem, vars, state) for f in dataclasses.fields(obj)
                   if isinstance(getattr(obj, f.name), np.ndarray)}
+        terms = local_blocks._sweep_terms(problem, state.x_prev)
+        arrays.update((f"terms[{k}]", a) for k, a in enumerate(terms))
         kept = {name: a.copy() for name, a in arrays.items()}
         for _ in range(3):
-            local_blocks._sweep(problem, vars, state)
+            local_blocks._sweep(problem, vars, state, terms)
         for name, a in arrays.items():
             assert np.array_equal(a, kept[name]), name
         swept = ([getattr(vars, n) for n in local_blocks._SWEPT_VARS]
                  + [getattr(state, n) for n in local_blocks._SWEPT_MULTIPLIERS])
         assert not any(new is a for new in swept for a in arrays.values())
+
+
+# -- bit-for-bit referee of the split block ------------------------------------
+#
+# The split block as it was before its per-solve terms were formed once,
+# kept as a reference (renamed, docstrings dropped): every sweep forms
+# every term again, the objective prices the branch cost again, the
+# clamps are `np.clip`, and a rejected sweep is undone by masked writes
+# into the new arrays.  It also returns each sweep's rejection mask.
+
+def _reference_block_objective(problem, vars, x_prev):
+    cost = problem.branch_cost(vars.c0, vars.c1, vars.ci)
+    gap = vars.x_hat - problem.x_global
+    per_pair = (vars.x_hat * cost
+                + problem.alpha * problem.sbs_cycle * vars.ci * vars.R
+                + problem.dual * vars.x_hat
+                + 0.5 * problem.rho * gap * gap
+                + problem.delta * majorize_penalty(x_prev, vars.x_hat))
+    return per_pair.sum(axis=0)
+
+
+def _reference_project_interval(v, lo, hi):
+    nearest = np.where(np.abs(v - lo) <= np.abs(v - hi), lo, hi)
+    return np.where(lo <= hi, np.clip(v, np.minimum(lo, hi), hi), nearest)
+
+
+def _reference_sweep(problem, vars, state):
+    p, a = problem, problem.alpha
+    scale = state.step_scale[None, :]
+    inv = 1.0 / p.h_min
+
+    grad_r = a * p.sbs_cycle * vars.ci
+    lo, hi = rlt_bounds(vars.x_hat, p.r, p.h_min)
+    eps_r = scale / (p.rho * p.h_min * p.h_min)
+    vars.R = _reference_project_interval(vars.R - eps_r * grad_r, lo, hi)
+
+    shared_pull = a * p.sbs_cycle * vars.R + (1.0 - a) * vars.x_hat * p.e_s
+    grad_c0 = (vars.x_hat * (a * (p.d_c0[None, :] - p.d_up)
+                             + (1.0 - a) * (p.e_c0[None, :] - p.e_up))
+               - shared_pull)
+    c_sq = p.c[None, :] * p.c[None, :]
+    vars.c0 = np.clip(vars.c0 - scale * c_sq / p.rho * grad_c0,
+                      0.0, p.c[None, :] - vars.c1)
+
+    grad_c1 = (vars.x_hat * (a * (2.0 * p.w2 * vars.c1 + p.w1 + p.d_m[None, :])
+                             + (1.0 - a) * p.e_m1)
+               - shared_pull)
+    curv = np.maximum(p.rho, 2.0 * a * vars.x_hat * p.w2 * c_sq)
+    vars.c1 = np.clip(vars.c1 - scale * c_sq / curv * grad_c1,
+                      0.0, p.c[None, :] - vars.c0)
+
+    vars.ci = p.c[None, :] - vars.c0 - vars.c1
+
+    mult_sum = (state.mu_env_lo - state.mu_env_hi * inv - state.mu_shift_hi
+                + state.mu_shift_lo * inv)
+    cost = p.branch_cost(vars.c0, vars.c1, vars.ci)
+    lin = cost + p.dual + p.delta * (1.0 - 2.0 * state.x_prev) + mult_sum
+    env = a * p.sbs_cycle * vars.ci
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_break = np.where(inv > 1.0, (inv - p.r) / (inv - 1.0), 1.0)
+    x_break = np.clip(x_break, 0.0, 1.0)
+    slope_at_break = lin + p.rho * (x_break - p.x_global)
+    min_low = np.clip(p.x_global - (lin + env) / p.rho, 0.0, x_break)
+    min_high = np.clip(p.x_global - (lin + env * inv) / p.rho, x_break, 1.0)
+    vars.x_hat = np.where(slope_at_break + env > 0, min_low,
+                          np.where(slope_at_break + env * inv < 0, min_high,
+                                   x_break))
+
+    s = local_blocks.DUAL_STEP0 / (state.sweep + 1.0)
+    state.mu_env_lo = np.maximum(0.0, state.mu_env_lo + s * (vars.x_hat - vars.R))
+    state.mu_env_hi = np.maximum(0.0, state.mu_env_hi + s * (vars.R - vars.x_hat * inv))
+    state.mu_shift_hi = np.maximum(
+        0.0, state.mu_shift_hi + s * (vars.R - p.r - vars.x_hat + 1.0))
+    state.mu_shift_lo = np.maximum(
+        0.0, state.mu_shift_lo + s * (p.r + vars.x_hat * inv - inv - vars.R))
+    state.sweep += 1
+
+
+_REFERENCE_SWEPT = (("vars", ("x_hat", "R", "c0", "c1", "ci")),
+                    ("state", ("mu_env_lo", "mu_env_hi", "mu_shift_hi",
+                               "mu_shift_lo")))
+
+
+def _reference_cbgp_solve(problem, vars, state, rounds=50, tol=1e-6):
+    state.x_prev = vars.x_hat.copy()
+    state.sweep = 0
+    state.step_scale = np.ones(vars.x_hat.shape[1])
+    q = _reference_block_objective(problem, vars, state.x_prev)
+    history, rejections = [q], []
+    slack = 1e-12 * (1.0 + np.abs(q))
+    objs = {"vars": vars, "state": state}
+    for _ in range(rounds):
+        before = [(objs[obj], name, getattr(objs[obj], name))
+                  for obj, names in _REFERENCE_SWEPT for name in names]
+        _reference_sweep(problem, vars, state)
+        q_new = _reference_block_objective(problem, vars, state.x_prev)
+        bad = q_new > q + slack
+        rejections.append(bad)
+        if np.any(bad):
+            for obj, name, old in before:
+                getattr(obj, name)[:, bad] = old[:, bad]
+            state.step_scale[bad] *= 0.5
+            q_new = np.where(bad, q, q_new)
+        history.append(q_new)
+        if np.all(np.abs(q - q_new) <= tol * (1.0 + np.abs(q))):
+            break
+        q = q_new
+    return vars, history, rejections
+
+
+def test_cbgp_bit_identical_to_reference_with_every_term_formed_per_sweep():
+    # the same random problems through both solves; every returned array
+    # must match to the byte, over solves with no rejected sweep, with
+    # sweeps some tasks reject (restored by `np.where`) and with sweeps
+    # every task rejects (restored by rebinding the pre-sweep arrays)
+    rng = np.random.default_rng(11)
+    seen = {"none": 0, "some": 0, "all": 0}
+    for trial in range(40):
+        scen, problem, vars, state = _problem(
+            n_tasks=int(rng.integers(1, 7)), n_sbs=int(rng.integers(1, 4)),
+            seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)),
+            delta=float(rng.choice([0.0, 1.0])))
+        problem.rho = float(rng.uniform(0.5, 4.0))
+        problem.x_global = rng.uniform(0, 1, problem.x_global.shape)
+        # duals this large make sweeps overshoot, so some get rejected
+        problem.dual = rng.normal(0, float(rng.choice([0.5, 2.0, 5.0])),
+                                  problem.dual.shape)
+        state.mu_env_lo = rng.uniform(0, 0.2, state.mu_env_lo.shape)
+        state.mu_shift_lo = rng.uniform(0, 0.2, state.mu_shift_lo.shape)
+        ref_vars, ref_state = dataclasses.replace(vars), dataclasses.replace(state)
+        ref_vars, ref_history, rejections = _reference_cbgp_solve(
+            problem, ref_vars, ref_state, rounds=30)
+        vars, history = cbgp_solve(problem, vars, state, rounds=30)
+
+        for bad in rejections:
+            seen["all" if bad.all() else "some" if bad.any() else "none"] += 1
+        for obj, ref in ((vars, ref_vars), (state, ref_state)):
+            for f in dataclasses.fields(obj):
+                got, want = getattr(obj, f.name), getattr(ref, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+        assert len(history) == len(ref_history)
+        for got, want in zip(history, ref_history):
+            assert got.tobytes() == want.tobytes()
+    assert min(seen.values()) > 0, seen
