@@ -320,38 +320,61 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
 # -- rounding ----------------------------------------------------------------
 
-def _allocate_shares(tables: CostTables, members: np.ndarray, i: int,
-                     h_min: float) -> np.ndarray:
-    """Resource shares for the tasks hosted on one SBS, in member order:
-    equal start, one square-root-weighted refinement, floors respected."""
-    n_i = len(members)
-    shares = np.full(n_i, min(1.0, 1.0 / n_i))
-    if n_i <= 1:
-        return shares
-    c0, c1, _, ok = costs.best_splits(tables, np.full(n_i, i), members,
-                                      shares)
-    c = tables.c[members]
-    ci = np.where(ok, c - (c0 + c1), c)
-    weights = np.maximum(tables.alpha * tables.u_over_fs[i, members] * ci, 1e-30)
-    out = costs.floored_proportions(dict(zip(members.tolist(),
-                                             np.sqrt(weights).tolist())), h_min)
-    return np.array([out[j] for j in members.tolist()])
+def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
+             cap: int, c1: np.ndarray, memo: dict) -> bool:
+    """Move unplaced task j (choice -1) to its fastest deadline-feasible
+    branch, ties to the lower branch index, and say whether one was found.
+    Each SBS hosting fewer than `cap` tasks is screened at the share left free there, on
+    tables with j's relay route priced against the forwarded parts `c1`
+    of the others; an SBS is taken only if repricing the whole tuple with
+    j on it meets j's deadline."""
+    s = scenario.n_sbs
+    pc = scenario.pricing
+    h_min = scenario.config.h_min
+    options = [(delay, b) for delay, b in ((pc.t_local[j], 0),
+                                           (pc.t_mbs[j], s + 1))
+               if delay <= pc.t_max[j]]
+    hosted = np.bincount(choice[choice > 0], minlength=s + 2)[1:s + 1]
+    open_sbs = np.flatnonzero(hosted < cap)
+    if len(open_sbs):
+        x = costs.hard_assignment(choice, s)[0]
+        x[:, j] = 1.0
+        own = c1.copy()
+        own[:, j] = 0.0
+        tables = costs.build_cost_tables(scenario, alpha, x, own)
+        _, _, delay, ok = costs.best_splits(
+            tables, open_sbs, np.full(len(open_sbs), j),
+            np.where(hosted[open_sbs] == 0, 1.0, h_min))
+        options += [(d, i + 1) for d, i in zip(delay[ok], open_sbs[ok])]
+    for _, b in sorted(options):
+        choice[j] = b
+        if not 0 < b <= s:
+            return True
+        placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
+        if (placement is not None
+                and costs.check_feasibility(placement, scenario).deadline_ok[j]):
+            return True
+    choice[j] = -1
+    return False
 
 
 def round_to_feasible(state: ConsensusState, scenario: Scenario,
                       config: SolverConfig) -> Placement:
-    """Harden the relaxed state: dominant branch per task (ties prefer
-    terminal, then SBS, then MBS), greedy demotion of over-capacity SBS
-    tasks to the MBS, share allocation, split re-optimization, and
-    promotion of deadline violators to their fastest feasible branch.
+    """Harden the relaxed state.  Each task takes its dominant branch (ties
+    prefer terminal, then SBS, then MBS), and the weakest-margin tasks over
+    an SBS's capacity are demoted to the MBS.  The tuple is priced by
+    `costs.price_tuple`; every task that misses its deadline there (named
+    by the pricer, on an overdue terminal or macro branch, or overdue in
+    the priced placement) is promoted to its fastest feasible branch, and
+    the tuple is priced again until no task misses.
 
     The result passes `costs.check_feasibility`; otherwise
-    `InfeasibleTaskError` names the violating tasks, every task hosted on
-    an over-budget station among them.
+    `InfeasibleTaskError` names the violating tasks: those with no feasible
+    branch, those that miss again after a promotion, or every task hosted
+    on an over-budget station.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    h_min = scenario.config.h_min
-    cap = int(np.floor(1.0 / h_min + 1e-9))
+    cap = int(np.floor(1.0 / scenario.config.h_min + 1e-9))
 
     score = np.roll(state.v, 1, axis=0)  # terminal, SBS 1..s, MBS
     choice = np.argmax(score, axis=0)  # 0 local, 1..s sbs, s+1 mbs
@@ -366,88 +389,37 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
                 weakest = members[np.argsort(margin[members], kind="stable")]
                 choice[weakest[: len(members) - cap]] = s + 1
 
-    hard_x = costs.hard_assignment(choice, s)[0]
-    tables = costs.build_cost_tables(scenario, config.alpha, hard_x, state.c1,
-                                     r=state.r)
-    t_max = scenario.t_max_array()
-
-    c0 = np.zeros((s, n))
-    c1 = np.zeros((s, n))
-    ci = np.zeros((s, n))
-    h = np.ones((s, n))
-    infeasible = []
-    branch_delay = np.zeros(n)
-
-    # promotions change station membership, which invalidates the shares
-    # of the tasks left behind; alternate allocation and promotion until
-    # the membership is stable
-    rounds = max(3, s + 1)
-    for round_idx in range(rounds):
-        c0[:] = 0.0
-        c1[:] = 0.0
-        ci[:] = 0.0
-        h[:] = 1.0
-        for i in range(s):
-            members = np.flatnonzero(choice == i + 1)
-            if not len(members):
-                continue
-            shares = _allocate_shares(tables, members, i, h_min)
-            c0_i, c1_i, delay, ok = costs.best_splits(
-                tables, np.full(len(members), i), members, shares)
-            choice[members[~ok]] = -1  # needs promotion
-            j = members[ok]
-            c0[i, j], c1[i, j] = c0_i[ok], c1_i[ok]
-            ci[i, j] = tables.c[j] - c0_i[ok] - c1_i[ok]
-            h[i, j] = shares[ok]
-            branch_delay[j] = delay[ok]
-
-        branch_delay = np.where(choice == 0, tables.t_local,
-                                np.where(choice == s + 1, tables.t_mbs,
-                                         branch_delay))
-
-        promoted = False
-        infeasible = []
-        for j in range(n):
-            if choice[j] != -1 and branch_delay[j] <= t_max[j] * (1 + 1e-12):
-                continue
-            options = []
-            if tables.t_local[j] <= t_max[j]:
-                options.append((tables.t_local[j], 0))
-            if tables.t_mbs[j] <= t_max[j]:
-                options.append((tables.t_mbs[j], s + 1))
-            # station targets change membership and would need another
-            # allocation pass, so the last round sticks to the fixed tiers
-            if round_idx < rounds - 1:
-                hosted = [choice == i + 1 for i in range(s)]
-                open_sbs = [i for i in range(s) if hosted[i].sum() < cap]
-                avail = [max(h_min, min(1.0, 1.0 - h[i, hosted[i]].sum()))
-                         for i in open_sbs]
-                _, _, delay, ok = costs.best_splits(
-                    tables, np.array(open_sbs, dtype=np.intp),
-                    np.full(len(open_sbs), j), np.array(avail))
-                options += [(d, i + 1) for d, i, fits
-                            in zip(delay, open_sbs, ok) if fits]
-            if not options:
-                infeasible.append(j)
-                continue
-            options.sort(key=lambda o: (o[0], o[1]))
-            choice[j] = options[0][1]
-            promoted = True
-        if infeasible or not promoted:
+    pc = scenario.pricing
+    memo = {}
+    promoted = np.zeros(n, dtype=bool)
+    while True:
+        placement, named = costs.price_tuple(scenario, config.alpha, choice,
+                                             memo)
+        miss = (((choice == 0) & (pc.t_local > pc.t_max))
+                | ((choice == s + 1) & (pc.t_mbs > pc.t_max)))
+        if placement is None:
+            miss[named] = True
+        else:
+            report = costs.check_feasibility(placement, scenario)
+            miss |= ~report.deadline_ok
+        if not miss.any():
             break
+        if (miss & promoted).any():
+            raise InfeasibleTaskError(np.flatnonzero(miss & promoted).tolist())
+        c1 = np.zeros((s, n)) if placement is None else placement.c1
+        choice[miss] = -1
+        stuck = [j for j in np.flatnonzero(miss).tolist()
+                 if not _promote(scenario, config.alpha, choice, j, cap, c1,
+                                 memo)]
+        if stuck:
+            raise InfeasibleTaskError(stuck)
+        promoted |= miss
 
-    if infeasible:
-        raise InfeasibleTaskError(infeasible)
-
-    x, y, z = costs.hard_assignment(choice, s)
-    placement = Placement(x=x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
-    # the splits were priced against tables frozen at the first choice, so
-    # the placement's own congestion can still break a deadline or a budget
-    report = costs.check_feasibility(placement, scenario)
+    # the deadlines hold; a station's shares can still break its budget
     if not report.ok:
         tasks = set()
         for kind, k in report.violations:
-            tasks.update(np.flatnonzero(x[k]).tolist() if kind == "capacity"
-                         else [k])
+            tasks.update(np.flatnonzero(placement.x[k]).tolist()
+                         if kind == "capacity" else [k])
         raise InfeasibleTaskError(sorted(tasks))
     return placement

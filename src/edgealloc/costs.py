@@ -6,9 +6,9 @@ needs from the scenario alone -- per-task vectors, SBS radio and compute
 constants and the relay incidence -- is the read-only `PricingConstants`
 bundle that each scenario builds once, on first use, as
 `Scenario.pricing`; every other function here is pure.  `best_splits` is
-the one split optimizer, and `floored_proportions` the one share rule:
-the solver's repairs and rounding and the oracle all take their splits
-and co-hosted shares from them.
+the one split optimizer, which the solver's repairs also call, and
+`price_tuple` the one pricer of a hard branch tuple, which rounding and
+the oracle share.
 """
 
 from __future__ import annotations
@@ -425,6 +425,72 @@ def floored_proportions(raw: dict, floor: float) -> dict:
             out[j] = min(share, 1.0)
         if not newly_pinned:
             return out
+
+
+def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
+    """Hard placement of one branch tuple, the one pricer of the solver's
+    rounding and the oracle.  `choice[j]` is task j's branch: 0 the
+    terminal, 1..s an SBS, s + 1 the MBS; any other value leaves j unplaced.
+    Returns (placement, None), or (None, j) for the first task whose split
+    misses its deadline at its final share or whose equal start share is
+    below the floor.
+
+    A lone task runs at h = 1: the share only scales the SBS execution
+    term, so no split is cheaper or faster at a smaller one.  Co-hosted
+    tasks start at equal shares and take two square-root refinements by
+    `floored_proportions`; a member with no feasible split at an
+    intermediate share is weighted as if the SBS ran all of it.  A second
+    sweep reprices the relay with the first one's forwarded parts, when it
+    forwarded any.  `memo` keeps each split search by every input that can
+    change for a fixed scenario and alpha; each station's misses are priced
+    in one `best_splits` call.
+    """
+    s, n = scenario.n_sbs, scenario.n_tasks
+    h_min = scenario.config.h_min
+    t_max = scenario.pricing.t_max
+    hard_x, y, z = hard_assignment(choice, s)
+    c0, c1, ci = np.zeros((s, n)), np.zeros((s, n)), np.zeros((s, n))
+    h = np.ones((s, n))
+
+    def splits(tables, i, members, shares):
+        keys = [(i, j, shares[j], t_max[j], tables.rate[i, j],
+                 tables.e_up[i, j], tables.w2[i, j], tables.w1[i, j],
+                 tables.w0[i, j], tables.transfer_coef[i, j]) for j in members]
+        new = [key for key in keys if key not in memo]
+        if new:
+            found = best_splits(tables, np.full(len(new), i),
+                                np.array([key[1] for key in new]),
+                                np.array([key[2] for key in new]))
+            for key, a, b, _, ok in zip(new, *found):
+                memo[key] = (a, b) if ok else None
+        return [memo[key] for key in keys]
+
+    stations = [np.flatnonzero(row).tolist() for row in hard_x]
+    for sweep in range(2 if hard_x.any() else 0):
+        if sweep and not c1.any():
+            break
+        tables = build_cost_tables(scenario, alpha, hard_x, c1)
+        for i, members in enumerate(stations):
+            if not members:
+                continue
+            shares = dict.fromkeys(members, min(1.0, 1.0 / len(members)))
+            if shares[members[0]] < h_min:
+                return None, members[0]
+            for _ in range(2 if len(members) > 1 else 0):
+                weights = {}
+                for j, split in zip(members, splits(tables, i, members, shares)):
+                    cij = (tables.c[j] if split is None
+                           else tables.c[j] - split[0] - split[1])
+                    weights[j] = float(np.sqrt(max(
+                        tables.alpha * tables.u_over_fs[i, j] * cij, 1e-30)))
+                shares = floored_proportions(weights, h_min)
+            for j, split in zip(members, splits(tables, i, members, shares)):
+                if split is None:
+                    return None, j
+                c0[i, j], c1[i, j] = split
+                ci[i, j] = tables.c[j] - split[0] - split[1]
+                h[i, j] = shares[j]
+    return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h), None
 
 
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,

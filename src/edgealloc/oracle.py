@@ -1,13 +1,11 @@
 """Reference solver for desk-scale instances.
 
-Searches every hard branch assignment, resolves shared-station resource
-fractions, and reports the true optimum of the weighted objective.  Its
-independence from the consensus solver lies in the search: every branch
-tuple is priced or proven no better than one already priced, where the
-solver relaxes, iterates and rounds.  Within a tuple the splits come from
-the same analytic optimizer the solver uses, `costs.best_splits`, and
-share floors are pinned the same way; the tests cross-check that
-optimizer against a brute-force search.
+Searches every hard branch assignment and reports the true optimum of
+the weighted objective.  Its independence from the consensus solver lies
+in the search: every branch tuple is priced or proven no better than one
+already priced, where the solver relaxes, iterates and rounds.  Each tuple
+is priced by `costs.price_tuple`, the pricer the solver's rounding uses;
+the tests cross-check its splits against a brute-force search.
 
 The search is a depth-first branch and bound over the tasks (Land & Doig,
 Econometrica 28, 1960).  Adding tasks only raises interference, relay
@@ -20,10 +18,9 @@ reach the best utility found cannot hold a strictly better tuple and is
 skipped.  Branches are tried in order, so the result, ties included, is
 the first best tuple of the exhaustive lexicographic order.
 
-Within one `enumerate_optimum` call each distinct split search runs once:
-tuples that differ only in which tasks run locally or on the macro station
-leave the SBS tables unchanged and ask for the same searches again, so the
-results are kept in a memo that lives for the call and no longer.
+The pricer's split memo lives for one `enumerate_optimum` call: tuples
+that differ only in which tasks run locally or on the macro station leave
+the SBS tables unchanged and ask for the same split searches again.
 """
 
 from __future__ import annotations
@@ -74,34 +71,6 @@ class OracleResult:
         return doc
 
 
-def _share_allocation(tables, members, i, h_min, split_search):
-    """Resource fractions for the tasks sharing one SBS.  A lone task is
-    priced once at the whole station, h = 1: the share only scales the
-    SBS execution term u/f·(1/h)·ci, so both the cost and the delay of any
-    split are nonincreasing in h, and a split that meets the deadline at
-    some share meets it at h = 1 at no greater cost; the caller's split
-    search then decides feasibility.  Co-hosted tasks get a
-    square-root-weighted proportional allocation refined once, with
-    `split_search(tables, i, j, h)` pricing each member's split."""
-    if len(members) == 1:
-        return {members[0]: 1.0}
-
-    shares = {j: min(1.0, 1.0 / len(members)) for j in members}
-    if min(shares.values()) < h_min:
-        return None
-    for _ in range(2):
-        weights = {}
-        for j in members:
-            split = split_search(tables, i, j, shares[j])
-            if split is None:
-                return None
-            ci = tables.c[j] - split[0] - split[1]
-            weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
-        shares = costs.floored_proportions(
-            {j: float(np.sqrt(w)) for j, w in weights.items()}, h_min)
-    return shares
-
-
 def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarray:
     """(n, s + 2) lower bound on each task's cost on each branch of any
     tuple, columns in branch order: terminal, SBS 1..s, macro.
@@ -132,49 +101,13 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     return bound
 
 
-def _price_tuple(scenario: Scenario, alpha: float, choice, split_search):
-    """Hard placement of one branch tuple, or None when a co-hosted share
-    falls below its floor or a split misses its deadline.  The relay
-    congestion is made self-consistent by two sweeps over the tasks."""
-    s, n = scenario.n_sbs, scenario.n_tasks
-    h_min = scenario.config.h_min
-    hard_x, y, z = costs.hard_assignment(choice, s)
-
-    c0 = np.zeros((s, n))
-    c1 = np.zeros((s, n))
-    ci = np.zeros((s, n))
-    h = np.ones((s, n))
-    # a tuple with no SBS task has no splits to price; the second sweep
-    # reprices the first one's forwarded parts, so with none forwarded
-    # its tables would equal the first sweep's
-    for sweep in range(2 if hard_x.any() else 0):
-        if sweep and not c1.any():
-            break
-        tables = costs.build_cost_tables(scenario, alpha, hard_x, c1)
-        for i in range(s):
-            members = [j for j, b in enumerate(choice) if b == i + 1]
-            if not members:
-                continue
-            shares = _share_allocation(tables, members, i, h_min, split_search)
-            if shares is None:
-                return None
-            for j in members:
-                split = split_search(tables, i, j, shares[j])
-                if split is None:
-                    return None
-                c0[i, j], c1[i, j] = split[0], split[1]
-                ci[i, j] = tables.c[j] - split[0] - split[1]
-                h[i, j] = shares[j]
-    return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
-
-
 def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
                       max_tasks: int = MAX_TASKS) -> OracleResult:
     """Global minimum over every feasible hard assignment.
 
     A depth-first branch and bound over the tasks, branches in order, with
     the bounds of `branch_bounds`; each tuple it reaches is priced by
-    `_price_tuple` and its utility re-evaluated through the placement
+    `costs.price_tuple` and its utility re-evaluated through the placement
     pricer, so that solver and oracle are compared on identical terms.
     Instances above `max_tasks` tasks or `MAX_STATIONS` stations raise
     `InstanceTooLargeError`; the search grows as (s + 2)^n.
@@ -186,7 +119,6 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
 
     weights_obj = weights if isinstance(weights, UtilityWeights) else UtilityWeights(weights)
     alpha = weights_obj.alpha
-    t_max = scenario.t_max_array()
     cap = int(np.floor(1.0 / scenario.config.h_min + 1e-9))
 
     base_tables = costs.build_cost_tables(
@@ -196,20 +128,8 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
     rest = np.append(np.cumsum(bound.min(axis=1)[::-1])[::-1], 0.0).tolist()
     bound = bound.tolist()
 
-    # one split search per distinct input within this call: the key holds
-    # every input it reads that can change here, because the scenario
-    # constants and alpha are fixed for the call
+    # the split searches of `costs.price_tuple`, kept for this call only
     memo = {}
-
-    def split_search(tables, i, j, h):
-        key = (i, j, h, t_max[j], tables.rate[i, j], tables.e_up[i, j],
-               tables.w2[i, j], tables.w1[i, j], tables.w0[i, j],
-               tables.transfer_coef[i, j])
-        if key not in memo:
-            c0, c1, _, ok = costs.best_splits(tables, np.array([i]),
-                                              np.array([j]), np.array([h]))
-            memo[key] = (c0[0], c1[0]) if ok[0] else None
-        return memo[key]
 
     best_util = np.inf
     best_placement = None
@@ -222,7 +142,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
         nonlocal best_util, best_placement, best_branches, n_priced
         if k == n:
             n_priced += 1
-            placement = _price_tuple(scenario, alpha, choice, split_search)
+            placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
             if placement is None:
                 return
             util = costs.utility(placement, scenario, weights_obj)

@@ -13,9 +13,11 @@ its optimum.  One line per output gives instance, output and digest:
 - `trace.csv` and `placement.json` as written;
 - `trace.utility`, the `iter` and `utility` columns of the trace alone;
 - `global_unconverged`, the per-iteration counts of `Trace`, as JSON;
-- `oracle.json` as written, for the four `oracle_small` scenarios and
-  two six-task, two-station ones, loose and tight, where the oracle's
-  pruning has the most tuples to skip.
+- `oracle.json` as written, for the four `oracle_small` scenarios, two
+  six-task, two-station ones, loose and tight, where the oracle's pruning
+  has the most tuples to skip, and a tight five-task, one-station one
+  whose optimum holds a split that misses its deadline at an
+  intermediate share.
 
 Running it on two trees and diffing the outputs checks a claim that a
 change leaves these results byte-identical.  `--compare BASE` runs every
@@ -67,6 +69,7 @@ SOLVES = {
 ORACLES = {
     "oracle6-loose-2": dict(n_tasks=6, n_sbs=2, seed=2),
     "oracle6-tight-4": dict(n_tasks=6, n_sbs=2, seed=4, t_max_range=TIGHT),
+    "oracle5-tight-19": dict(n_tasks=5, n_sbs=1, seed=19, t_max_range=TIGHT),
 }
 
 

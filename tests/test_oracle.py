@@ -145,6 +145,37 @@ def test_lone_task_split_is_cheapest_at_whole_station():
     assert checked > 100
 
 
+def test_pricer_weighs_a_member_that_misses_at_an_intermediate_share():
+    # tasks 0 and 2 have no feasible split at the equal start share 1/3;
+    # weighted as if the SBS ran all of them they take most of the station,
+    # and at the refined shares every split meets its deadline.  Rejecting
+    # the tuple at the start share would leave it unpriced
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
+                                            t_max_range=(0.02, 0.08)))
+    placement, missed = costs.price_tuple(scen, 0.5, [1, 1, 1], {})
+    assert missed is None
+    assert placement.h[0] == pytest.approx([0.445, 0.05, 0.505], abs=1e-3)
+    assert costs.check_feasibility(placement, scen).ok
+
+
+def test_pricer_names_the_first_task_whose_split_misses():
+    scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=1, seed=0,
+                                            t_max_range=(1e-9, 1e-9)))
+    assert costs.price_tuple(scen, 0.5, [1], {}) == (None, 0)
+
+
+def test_tight_five_task_optimum_shares_the_station():
+    # task 4 misses its deadline on SBS 1 at the first refined share, 0.204,
+    # and meets it at the final one, 0.626; a pricer that rejected the tuple
+    # there returned 0.17324260814249376, with task 3 on the macro station
+    scen = generate_scenario(ScenarioConfig(n_tasks=5, n_sbs=1, seed=19,
+                                            t_max_range=(0.02, 0.08)))
+    result = enumerate_optimum(scen, UtilityWeights(0.5))
+    assert result.utility == 0.17054100132219457
+    assert result.branch_table == ["local", "local", "local", "sbs1", "sbs1"]
+    assert costs.check_feasibility(result.placement, scen).ok
+
+
 def test_compare_report_fields():
     scen = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=5))
     result = enumerate_optimum(scen, UtilityWeights(0.5))
@@ -198,8 +229,10 @@ def _row_cached_split():
 
 
 def _reference_share_allocation(tables, members, i, h_min, split_search):
-    """`oracle._share_allocation` as it was before the memo: every member
-    split is a fresh `split_search` call."""
+    """The share step of `costs.price_tuple` without its memo: every member
+    split is a fresh `split_search` call, and a member with no feasible
+    split at an intermediate share is weighted as if the SBS ran all of
+    it."""
     if len(members) == 1:
         return {members[0]: 1.0}
 
@@ -210,9 +243,8 @@ def _reference_share_allocation(tables, members, i, h_min, split_search):
         weights = {}
         for j in members:
             split = split_search(tables, i, j, shares[j])
-            if split is None:
-                return None
-            ci = tables.c[j] - split[0] - split[1]
+            ci = (tables.c[j] if split is None
+                  else tables.c[j] - split[0] - split[1])
             weights[j] = max(tables.alpha * tables.u_over_fs[i, j] * ci, 1e-30)
         shares = floored_proportions(
             {j: float(np.sqrt(w)) for j, w in weights.items()}, h_min)
