@@ -214,11 +214,6 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
     converged = False
     cost_scale = None
-    # tasks whose last global solve converged without a retry; the global
-    # block starts them at its last level, from that level's exact limit
-    # with the coordinates at 0 lifted off the boundary; one that fails
-    # there is retried by the whole schedule from its iterate in `state.v`
-    settled = np.zeros(scenario.n_tasks, dtype=bool)
     # the trace utility's tables of the last iteration
     carried = None
     for _ in range(config.max_iter):
@@ -290,9 +285,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             t_max=tables.t_max, rho=config.rho)
         state.prev = state.v
         state.v, _, info = global_block.solve_global(problem, warm_v=state.v,
-                                                     tol=config.newton_tol,
-                                                     settled=settled)
-        settled = info["settled"]
+                                                     tol=config.newton_tol)
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
 

@@ -108,7 +108,7 @@ def _run_job(job: tuple) -> dict:
     spec, value, rep = job
     try:
         return _run_point(spec, value, rep)
-    except RuntimeError as exc:  # keep sweeping past a non-converged point
+    except InfeasibleTaskError as exc:  # keep sweeping past an unroundable point
         return {"sweep_value": value, "final_utility": float("nan"),
                 "iters": 0, "converged": False,
                 "n_local": 0, "n_sbs": 0, "n_mbs": 0, "error": str(exc)}

@@ -10,14 +10,12 @@ and simplex multipliers.  Tasks are independent and solved together on
 coordinate-major (n_coords, n_tasks) arrays, so a per-task reduction adds
 or compares a few contiguous rows, one per coordinate.
 
-The consensus loop calls the block once per iteration on a problem that
-barely moves, so the block warm-restarts (Yildirim & Wright, SIAM J.
-Optim. 12, 2002): a task whose previous solve converged starts the last
-barrier level at that level's exact omega -> 0 limit, the Euclidean
-projection onto the simplex cut by the deadline (`exact_limit`), with the
-coordinates the projection puts at 0 lifted to the barrier's equilibrium;
-one that fails there is solved again by the whole schedule in the same
-call (`solve_global`).
+The barrier runs at one weight, OMEGA.  Each task starts at the block's
+exact omega -> 0 limit, the Euclidean projection onto the simplex cut by
+the deadline (`exact_limit`), with the coordinates the projection puts at
+0 lifted to the barrier's equilibrium, so the Newton steps only close the
+barrier's small offset from that limit (a warm start in the sense of
+Yildirim & Wright, SIAM J. Optim. 12, 2002).
 """
 
 from __future__ import annotations
@@ -38,23 +36,20 @@ MAX_INNER = 25
 # smaller step
 _REACH_SHRINK = 1.0 - 2.0 ** -49
 
-# barrier weights of the levels, run in order; each level's best iterate
-# starts the next
-OMEGA_LEVELS = (1e-2, 1e-4, 1e-6)
-# a cold start clips its iterate into [COLD_FLOOR, 1 - COLD_FLOOR]
-COLD_FLOOR = 0.01
+# the barrier weight of the solve
+OMEGA = 1e-6
 # the start's corner on the fastest branch puts at most CORNER_WEIGHT on
 # each slower coordinate, and never less than CORNER_WEIGHT_FLOOR, which
 # is inside the line search's margin
 CORNER_WEIGHT = 1e-3
 CORNER_WEIGHT_FLOOR = 10 * INTERIOR_MARGIN
-XI_INIT = 0.1
-XI_GROWTH = 2.0
-# the corner penalty subtracts 2*xi from the prox curvature rho; past
-# rho/2 the smoothed problem turns concave and every solve collapses to an
-# arbitrary corner, and already near it the solve amplifies prox noise by
-# 1/(rho - 2 xi) enough to derail the branch race, so growth stops well
+# the corner weight is min(XI_MAX, XI_CONVEXITY_FRACTION * rho): the
+# corner penalty subtracts 2*xi from the prox curvature rho; past rho/2 the
+# smoothed problem turns concave and every solve collapses to an arbitrary
+# corner, and already near it the solve amplifies prox noise by
+# 1/(rho - 2 xi) enough to derail the branch race, so the weight stays well
 # below the concavity threshold
+XI_MAX = 0.4
 XI_CONVEXITY_FRACTION = 0.2
 
 
@@ -191,7 +186,7 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
     Its Cramer determinant t'Wt 1'W1 - (t'W1)^2 + 1'W1/hm equals
     1'W1 (q + 1/hm) with q = t_c'W t_c and t_c = t - t_bar, t centered at
     its W-weighted mean; formed directly it cancels and loses up to 2e-7
-    relative at the curvatures the barrier schedule reaches (hv up to
+    relative at the curvatures the barrier reaches (hv up to
     1e12, hm from 1e-9 to 1e9), so the solve uses the centered form, a sum
     of nonnegative terms.  Scaling both multipliers and dm through by hm
     leaves no division by hm.  The work is O(p) per task, all tasks at once.
@@ -271,7 +266,7 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     a start on both rows.
 
     Tasks whose step collapses below the stall threshold get t = 0 and a
-    raised flag; the caller freezes them for the rest of the level.
+    raised flag; the caller freezes them for the rest of the solve.
     Returns (t, stalled, f_new) with f_new the objective at the accepted
     point: the accepted trial value, or `f` where the task did not move.
     """
@@ -313,13 +308,12 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     return t, stalled, f_new
 
 
-def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None,
-                  floor=COLD_FLOOR):
+def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
     """Strictly interior simplex point per task, on the deadline row
     whenever the fastest branch can meet the deadline.
 
-    `warm_v`, or the prox centers, is clipped into [floor, 1 - floor]
-    (`floor` may hold one value per task) and renormalised.  The slack
+    `warm_v`, or the prox centers, is clipped into [CORNER_WEIGHT_FLOOR,
+    1 - CORNER_WEIGHT_FLOOR] and renormalised.  The slack
     m = t_max - delay is floored at m_floor; a start whose delay leaves
     less than m_floor is mixed toward a corner on the fastest branch just
     far enough to meet t_max - m_floor.  The corner puts on each slower
@@ -331,7 +325,7 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None,
     row."""
     p, n = problem.n_coords, problem.n_tasks
     base = warm_v if warm_v is not None else problem.prox
-    v = np.clip(base, floor, 1.0 - floor)
+    v = np.clip(base, CORNER_WEIGHT_FLOOR, 1.0 - CORNER_WEIGHT_FLOOR)
     v = v / v.sum(axis=0)
 
     m_floor = np.maximum(1e-3 * problem.t_max, 10 * INTERIOR_MARGIN)
@@ -445,169 +439,77 @@ def exact_limit(problem: GlobalProblem, xi: float):
     return v, reduced
 
 
-def _xi_levels(rho: float) -> list:
-    """The corner weight of each barrier level."""
-    xi = min(XI_INIT, XI_CONVEXITY_FRACTION * rho)
-    levels = [xi]
-    for _ in OMEGA_LEVELS[1:]:
-        xi = min(xi * XI_GROWTH, XI_CONVEXITY_FRACTION * rho)
-        levels.append(xi)
-    return levels
-
-
 def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
-                 tol: float = 1e-6, settled: np.ndarray | None = None):
-    """Barrier/penalty schedule with damped Newton inner iterations,
-    warm-restarted for settled tasks.
+                 tol: float = 1e-6):
+    """Damped Newton steps on the smoothed problem at barrier weight OMEGA
+    and corner weight xi = min(XI_MAX, XI_CONVEXITY_FRACTION * rho), from
+    the lifted exact limit.
 
-    The levels run at the barrier weights of `OMEGA_LEVELS` (1e-2, 1e-4,
-    1e-6); the corner weight xi starts at min(XI_INIT,
-    XI_CONVEXITY_FRACTION * rho) and grows by XI_GROWTH, up to that cap,
-    at each level after the first.  Each level runs up to MAX_INNER Newton
-    steps from the previous level's best iterate.  A task whose line
-    search stalls sits out the rest of its level: its point does not move,
-    so a retry would take the same step and stall again.
+    The start is `exact_limit` at xi, with each coordinate the limit puts
+    at 0 lifted to the barrier's equilibrium OMEGA / g at its reduced cost
+    g, clipped to [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and renormalised; a
+    task whose fastest branch misses the deadline has no limit and starts
+    from its `warm_v` column, or its prox centers when `warm_v` is None.
+    The start goes through `interior_init`.  Up to MAX_INNER Newton steps
+    follow, and the point after each step is checked against `tol`, the
+    last one included.  A task whose line search stalls sits out the rest
+    of the solve: its point does not move, so a retry would take the same
+    step and stall again.
 
-    Restart rule.  `settled` flags the tasks whose previous solve
-    converged and whose `warm_v` column is that solve's iterate; pass the
-    previous call's `info["settled"]` with its `v`.  A settled task sits
-    out every level but the last, frozen like a stalled task, and enters
-    the last level (its omega and xi) from that level's exact omega -> 0
-    limit (`exact_limit`), each coordinate the limit puts at 0 lifted to
-    the barrier's equilibrium omega / g at its reduced cost g, clipped to
-    [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and renormalised; a task whose
-    fastest branch misses the deadline starts from `warm_v`.  Both go
-    through `interior_init` with the floor CORNER_WEIGHT_FLOOR.  Every
-    other task walks the whole schedule from `warm_v` clipped at
-    COLD_FLOOR, bit for bit as a call without `settled`.  A
-    settled task that ends the last level above tolerance is solved again
-    in the same call by the whole schedule on its own columns, and that
-    result replaces its warm one, so every task a cold call converges
-    converges here too; the retry's steps count in
-    `info["newton_iterations"]`.
-
-    Returns (v, m, info); v stays strictly interior, the simplex equality
-    holds to roundoff throughout, and tasks that end the last level above
-    tolerance are flagged rather than fatal.  `info["settled"]` flags the
-    tasks that converged without a retry.
+    Returns (v, m, info): the iterate with the smallest KKT norm each task
+    reached.  v stays strictly interior, the simplex equality holds to
+    roundoff throughout, and tasks that end above tolerance are flagged
+    in `info["converged"]` rather than fatal.
     """
-    settled = (np.zeros(problem.n_tasks, dtype=bool) if settled is None
-               else np.asarray(settled, dtype=bool))
-    if settled.any() and warm_v is None:
-        raise ValueError("settled tasks need the previous iterate as warm_v")
-    v, m, info = _barrier_schedule(problem, warm_v, tol, settled)
-    retry = settled & ~info["converged"]
-    if retry.any():
-        columns = GlobalProblem(
-            prox=problem.prox[:, retry], dual=problem.dual[:, retry],
-            tcoef=problem.tcoef[:, retry], t_max=problem.t_max[retry],
-            rho=problem.rho)
-        v_r, m_r, info_r = _barrier_schedule(columns, warm_v[:, retry], tol,
-                                             np.zeros(columns.n_tasks, dtype=bool))
-        v[:, retry] = v_r
-        m[retry] = m_r
-        info["kkt_norm"][retry] = info_r["kkt_norm"]
-        info["converged"][retry] = info_r["converged"]
-        info["stalled"][retry] |= info_r["stalled"]
-        info["newton_iterations"] += info_r["newton_iterations"]
-    info["settled"] = info["converged"] & ~retry
-    return v, m, info
-
-
-def _lifted_limit(problem: GlobalProblem, warm_v, settled, omega, xi):
-    """Start of the settled columns at the last level: `exact_limit` at its
-    xi, with each coordinate the limit puts at 0 lifted to the barrier's
-    equilibrium omega / g at its reduced cost g, clipped to
-    [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised.  A column
-    with no feasible point keeps its `warm_v` column."""
-    if not settled.all():
-        problem = GlobalProblem(
-            prox=problem.prox[:, settled], dual=problem.dual[:, settled],
-            tcoef=problem.tcoef[:, settled], t_max=problem.t_max[settled],
-            rho=problem.rho)
-        warm_v = warm_v[:, settled]
+    xi = min(XI_MAX, XI_CONVEXITY_FRACTION * problem.rho)
     limit, reduced = exact_limit(problem, xi)
     with np.errstate(divide="ignore"):
-        lift = np.clip(omega / reduced, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT)
+        lift = np.clip(OMEGA / reduced, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT)
     start = np.where(limit > 0, limit, lift)
     start /= start.sum(axis=0)
-    return np.where(np.isnan(start), warm_v, start)
-
-
-def _barrier_schedule(problem: GlobalProblem, warm_v, tol, settled):
-    """`solve_global` without the retry of settled tasks."""
-    last = len(OMEGA_LEVELS) - 1
-    xis = _xi_levels(problem.rho)
-    start = warm_v
-    if settled.all():
-        start = _lifted_limit(problem, warm_v, settled, OMEGA_LEVELS[last], xis[last])
-    elif settled.any():
-        start = warm_v.copy()
-        start[:, settled] = _lifted_limit(problem, warm_v, settled,
-                                          OMEGA_LEVELS[last], xis[last])
-    v, m = interior_init(problem, start,
-                         np.where(settled, CORNER_WEIGHT_FLOOR, COLD_FLOOR))
-    # the multipliers start from the gradient of the level a task enters
-    # at; when all enter at one level, the first level that runs, its
-    # first Newton check reuses that gradient and its reciprocals
-    enter = np.where(settled, last, 0)
-    reuse = bool(enter.size) and (enter == enter[0]).all()
-    if reuse:
-        recip = barrier_reciprocals(v)
-        grad = grad_smoothed(v, m, problem, OMEGA_LEVELS[enter[0]], xis[enter[0]],
-                             recip)
-    else:
-        grad = grad_smoothed(v, m, problem, np.take(OMEGA_LEVELS, enter),
-                             np.take(xis, enter))
+    fallback = problem.prox if warm_v is None else warm_v
+    v, m = interior_init(problem, np.where(np.isnan(start), fallback, start))
+    recip = barrier_reciprocals(v)
+    grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
     nu = -grad[1]
     sig = -(grad[0] + problem.tcoef * nu).mean(axis=0)
-    total_newton = 0
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
-    for level, (omega, xi) in enumerate(zip(OMEGA_LEVELS, xis)):
-        frozen = settled.copy() if level < last else np.zeros(problem.n_tasks, dtype=bool)
-        if level < last and frozen.all():
-            continue
-        # the objective is formed when the level's first line search needs it
-        f = None
-        best = None
-        for _ in range(MAX_INNER):
-            if reuse:
-                reuse = False
-            else:
-                recip = barrier_reciprocals(v)
-                grad = grad_smoothed(v, m, problem, omega, xi, recip)
-            res = kkt_residual(v, m, nu, sig, grad, problem)
-            norm = scaled_kkt_norm(res, problem)
-            if best is None:
-                best = [norm, v.copy(), m.copy(), nu.copy(), sig.copy()]
-            else:
-                better = norm < best[0]
-                for kept, now in zip(best, (norm, v, m, nu, sig)):
-                    np.copyto(kept, now, where=better)
-            active = (norm > tol) & ~frozen
-            if not active.any():
-                break
-            system = assemble_newton(v, m, res, problem, omega, xi, recip)
-            dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
-            idle = ~active
-            dv[:, idle] = 0.0
-            dm[idle] = 0.0
-            dnu[idle] = 0.0
-            dsig[idle] = 0.0
-            if f is None:
-                f = smoothed_objective(v, m, problem, omega, xi)
-            t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, omega, xi)
-            stalled_any |= stalled
-            frozen |= stalled
-            v = v + t * dv
-            m = m + t * dm
-            nu = nu + t * dnu
-            sig = sig + t * dsig
-            total_newton += 1
-        # the last level's best norms are the KKT norms of the point returned
-        final_norm, v, m, nu, sig = best
-
+    # the objective is formed when the first line search needs it
+    f = None
+    best = None
+    steps = 0
+    while True:
+        res = kkt_residual(v, m, nu, sig, grad, problem)
+        norm = scaled_kkt_norm(res, problem)
+        if best is None:
+            best = [norm, v.copy(), m.copy()]
+        else:
+            better = norm < best[0]
+            for kept, now in zip(best, (norm, v, m)):
+                np.copyto(kept, now, where=better)
+        active = (norm > tol) & ~stalled_any
+        if steps == MAX_INNER or not active.any():
+            break
+        system = assemble_newton(v, m, res, problem, OMEGA, xi, recip)
+        dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+        idle = ~active
+        dv[:, idle] = 0.0
+        dm[idle] = 0.0
+        dnu[idle] = 0.0
+        dsig[idle] = 0.0
+        if f is None:
+            f = smoothed_objective(v, m, problem, OMEGA, xi)
+        t, stalled, f = line_search(v, m, dv, dm, f, grad, problem, OMEGA, xi)
+        stalled_any |= stalled
+        v = v + t * dv
+        m = m + t * dm
+        nu = nu + t * dnu
+        sig = sig + t * dsig
+        steps += 1
+        recip = barrier_reciprocals(v)
+        grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
+    # the best norms are the KKT norms of the point returned
+    final_norm, v, m = best
     info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
-            "newton_iterations": total_newton, "stalled": stalled_any,
-            "omega": omega, "xi": xi}
+            "newton_iterations": steps, "stalled": stalled_any}
     return v, m, info

@@ -11,7 +11,7 @@ import edgealloc
 from edgealloc import cli, costs
 from edgealloc.admm import SolverConfig
 from edgealloc.costs import UtilityWeights
-from edgealloc.errors import ConfigurationError
+from edgealloc.errors import ConfigurationError, InfeasibleTaskError
 from edgealloc.experiments import (ExperimentSpec, apply_axis,
                                    oracle_gap_study, placement_profile,
                                    run_baseline, run_experiment)
@@ -70,6 +70,38 @@ def test_run_experiment_layout_and_summary(tmp_path):
     for name in ("summary.csv", "alpha/0.3/trace.csv", "alpha/0.7/trace.csv"):
         assert ((tmp_path / "par" / name).read_bytes()
                 == (tmp_path / "out" / name).read_bytes())
+
+
+def test_sweep_records_infeasible_points_and_raises_other_errors(tmp_path, monkeypatch):
+    # a point whose rounding finds no feasible placement becomes a NaN row
+    # and the sweep goes on; any other error is a fault and propagates
+    from edgealloc import admm
+    solve = admm.run
+
+    def run(scenario, config):
+        if config.alpha == 0.5:
+            raise InfeasibleTaskError([2])
+        return solve(scenario, config)
+
+    monkeypatch.setattr(admm, "run", run)
+    spec = ExperimentSpec(
+        scenario=ScenarioConfig(n_tasks=3, n_sbs=1, seed=8),
+        axis="alpha", values=[0.5, 0.7], outdir=str(tmp_path / "out"),
+        solver=SolverConfig(max_iter=5, cbgp_rounds=10, record_timing=False))
+    bad, good = run_experiment(spec)
+    assert np.isnan(bad["final_utility"]) and "[2]" in bad["error"]
+    assert not bad["converged"] and bad["iters"] == 0
+    assert np.isfinite(good["final_utility"]) and "error" not in good
+    summary = (tmp_path / "out" / "summary.csv").read_text().strip().split("\n")
+    assert len(summary) == 3 and summary[1].startswith("0.5,nan,")
+
+    for error in (RecursionError, NotImplementedError, ValueError):
+        def failing(scenario, config, error=error):
+            raise error("fault")
+
+        monkeypatch.setattr(admm, "run", failing)
+        with pytest.raises(error):
+            run_experiment(spec)
 
 
 def test_summary_utility_matches_cost_model(tmp_path):

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -324,7 +322,7 @@ def test_hessian_curvature_floor_keeps_repair_idle():
     @given(v=st.lists(interior, min_size=3, max_size=7),
            m=st.floats(gb.INTERIOR_MARGIN, 1e3),
            rho=st.floats(1e-3, 1e3),
-           omega=st.floats(min(gb.OMEGA_LEVELS), max(gb.OMEGA_LEVELS)),
+           omega=st.floats(1e-6, 1e-2),
            xi_share=st.floats(0.0, 1.0))
     def check(v, m, rho, omega, xi_share):
         p = len(v)
@@ -477,7 +475,7 @@ def test_exact_limit_matches_an_independent_minimiser():
     # `solve_global` is feasible for the limit's problem up to its KKT
     # tolerance, and the log barrier's duality gap at omega is (2p + 1)
     # omega (2p box bounds and the slack), so by the same argument it lies
-    # within sqrt(2 (2p + 1) omega / a) of the limit at the last level's xi
+    # within sqrt(2 (2p + 1) omega / a) of the limit at the solve's xi
     pytest.importorskip("hypothesis")
     scipy_optimize = pytest.importorskip("scipy.optimize")
     from hypothesis import given, settings, strategies as st
@@ -527,10 +525,11 @@ def test_exact_limit_matches_an_independent_minimiser():
             assert np.linalg.norm(ref.x - v[:, k]) <= np.sqrt(2e-12 / a)
 
         v_solve, _, info = solve_global(problem)
-        limit, _ = exact_limit(problem, info["xi"])
+        xi = min(gb.XI_MAX, gb.XI_CONVEXITY_FRACTION * rho)
+        limit, _ = exact_limit(problem, xi)
         done = info["converged"]
         assert not (done & ~feasible).any()
-        bound = np.sqrt(2 * (2 * p + 1) * info["omega"] / (rho - 2.0 * info["xi"]))
+        bound = np.sqrt(2 * (2 * p + 1) * gb.OMEGA / (rho - 2.0 * xi))
         assert (np.linalg.norm(v_solve - limit, axis=0)[done] <= bound).all()
         delay = (tcoef * v_solve).sum(axis=0)
         assert (delay[done] <= t_max[done] + 1e-6 * (1.0 + t_max[done])).all()
@@ -576,8 +575,10 @@ def test_start_meets_deadline_row_whenever_fastest_branch_leaves_room():
     seen = {"on_row": 0, "off_row": 0, "slow_branch": 0}
     for case in range(60):
         problem, warm_v = _random_global_problem(rng, ("binding", "tight")[case % 2])
-        for floor in (gb.COLD_FLOOR, gb.CORNER_WEIGHT_FLOOR):
-            v, m = interior_init(problem, warm_v, floor)
+        base = problem.prox if warm_v is None else warm_v
+        # a start clipped at 0.01, and one clipped only at the module's floor
+        for start in (np.clip(base, 0.01, 0.99), base):
+            v, m = interior_init(problem, start)
             assert (v > gb.INTERIOR_MARGIN).all() and (v < 1.0 - gb.INTERIOR_MARGIN).all()
             assert np.abs(v.sum(axis=0) - 1.0).max() < 1e-12
             m_floor = np.maximum(1e-3 * problem.t_max, 10 * gb.INTERIOR_MARGIN)
@@ -669,14 +670,15 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
 # the global solve that evaluated the objective and gradient afresh at every
 # Newton iterate, kept as a reference (renamed, module names qualified, the
 # docstrings of the line search and the solve dropped); its line search
-# priced trials on a sliced problem.  Its schedule follows the module's: it
-# walks OMEGA_LEVELS and freezes stalled tasks for the rest of their level,
-# unless `freeze_stalled` is off.  It keeps the task-major layout: its
-# arrays are (n_tasks, n_coords) and its problem holds the transposes of the
-# module's arrays, so its own sums, maxima and `all`s run along contiguous
-# task rows; the module's objective, stopping norm and Newton solve it
-# called are kept with it in that layout (`_reference_objective`,
-# `_reference_kkt_norm`, `_reference_newton_step`)
+# priced trials on a sliced problem.  Its start and level follow the
+# module's, and it freezes stalled tasks for the rest of the level unless
+# `freeze_stalled` is off; the three-level schedule the module's one level
+# replaced is kept with it as `_reference_schedule`.  It keeps the
+# task-major layout: its arrays are (n_tasks, n_coords) and its problem
+# holds the transposes of the module's arrays, so its own sums, maxima and
+# `all`s run along contiguous task rows; the module's objective, stopping
+# norm and Newton solve it called are kept with it in that layout
+# (`_reference_objective`, `_reference_kkt_norm`, `_reference_newton_step`)
 
 def _task_major(problem: GlobalProblem) -> GlobalProblem:
     """The same problem with (n_tasks, n_coords) arrays; its `n_tasks` and
@@ -783,81 +785,67 @@ def _reference_slice_problem(problem: GlobalProblem, idx) -> GlobalProblem:
 
 def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
                             tol: float = 1e-6, max_inner: int = 25,
-                            freeze_stalled: bool = True, settled=None):
-    """Takes and returns the module's (n_coords, n_tasks) layout.  Tasks
-    flagged in `settled` start at the last level from the lifted exact
-    limit (`_reference_lifted_limit`), with multipliers fitted at that
-    level; those that end it above tolerance are solved again, together,
-    by the whole schedule."""
-    settled = np.zeros(problem.n_tasks, dtype=bool) if settled is None else settled
-    v, m, info = _reference_schedule(problem, warm_v, tol, max_inner,
-                                     freeze_stalled, settled)
-    retry = settled & ~info["converged"]
-    if retry.any():
-        sub = GlobalProblem(prox=problem.prox[:, retry], dual=problem.dual[:, retry],
-                            tcoef=problem.tcoef[:, retry],
-                            t_max=problem.t_max[retry], rho=problem.rho)
-        v_r, m_r, info_r = _reference_schedule(
-            sub, warm_v[:, retry], tol, max_inner, freeze_stalled,
-            np.zeros(int(retry.sum()), dtype=bool))
-        v[:, retry], m[retry] = v_r, m_r
-        for key in ("converged", "kkt_norm"):
-            info[key][retry] = info_r[key]
-        info["stalled"][retry] |= info_r["stalled"]
-        info["newton_iterations"] += info_r["newton_iterations"]
-    info["settled"] = info["converged"] & ~retry
-    return v, m, info
+                            freeze_stalled: bool = True):
+    """Takes and returns the module's (n_coords, n_tasks) layout.  One
+    barrier level at OMEGA from the lifted exact limit
+    (`_reference_lifted_limit`), with multipliers fitted at that level."""
+    xi = min(gb.XI_MAX, gb.XI_CONVEXITY_FRACTION * problem.rho)
+    v, m = interior_init(problem, _reference_lifted_limit(problem, warm_v, gb.OMEGA, xi))
+    return _reference_levels(problem, v, m, [(gb.OMEGA, xi)], tol, max_inner,
+                             freeze_stalled)
 
 
-def _reference_lifted_limit(problem, warm_v, settled, omega, xi):
-    """Column by column: `exact_limit` of each settled task, each of its
-    zero coordinates set to omega over its reduced cost, clipped to
+def _reference_lifted_limit(problem, warm_v, omega, xi):
+    """Column by column: `exact_limit` of each task, each of its zero
+    coordinates set to omega over its reduced cost, clipped to
     [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised; a task with
-    no feasible point keeps its `warm_v` column."""
-    start = warm_v.copy()
-    idx = np.flatnonzero(settled)
-    limit, reduced = exact_limit(GlobalProblem(
-        prox=problem.prox[:, idx], dual=problem.dual[:, idx],
-        tcoef=problem.tcoef[:, idx], t_max=problem.t_max[idx], rho=problem.rho), xi)
-    for k, j in enumerate(idx):
-        if np.isnan(limit[:, k]).any():
+    no feasible point keeps its `warm_v` column, or its prox centers."""
+    start = (problem.prox if warm_v is None else warm_v).copy()
+    limit, reduced = exact_limit(problem, xi)
+    for j in range(problem.n_tasks):
+        if np.isnan(limit[:, j]).any():
             continue
-        col = limit[:, k].copy()
+        col = limit[:, j].copy()
         for i in np.flatnonzero(col == 0.0):
-            lift = omega / reduced[i, k] if reduced[i, k] > 0 else np.inf
+            lift = omega / reduced[i, j] if reduced[i, j] > 0 else np.inf
             col[i] = min(max(lift, gb.CORNER_WEIGHT_FLOOR), gb.CORNER_WEIGHT)
         start[:, j] = col / col.sum()
     return start
 
 
-def _reference_schedule(problem, warm_v, tol, max_inner, freeze_stalled, settled):
-    xis = [min(gb.XI_INIT, gb.XI_CONVEXITY_FRACTION * problem.rho)]
-    for _ in gb.OMEGA_LEVELS[1:]:
-        xis.append(min(xis[-1] * gb.XI_GROWTH, gb.XI_CONVEXITY_FRACTION * problem.rho))
-    v, m = interior_init(problem, warm_v)
-    if settled.any():
-        start = _reference_lifted_limit(problem, warm_v, settled,
-                                        gb.OMEGA_LEVELS[-1], xis[-1])
-        v_warm, m_warm = interior_init(problem, start, gb.CORNER_WEIGHT_FLOOR)
-        v = np.where(settled, v_warm, v)
-        m = np.where(settled, m_warm, m)
+def _reference_schedule(problem, warm_v, tol=1e-6, max_inner=25):
+    """The three-level barrier schedule the one level replaced, started
+    cold: `warm_v`, or the prox centers, clipped into [0.01, 0.99]; the
+    levels run at omega 1e-2, 1e-4 and 1e-6, and the corner weight starts
+    at min(0.1, XI_CONVEXITY_FRACTION rho) and doubles at each level after
+    the first, up to that cap."""
+    cap = gb.XI_CONVEXITY_FRACTION * problem.rho
+    xis = [min(0.1, cap)]
+    for _ in range(2):
+        xis.append(min(2.0 * xis[-1], cap))
+    base = problem.prox if warm_v is None else warm_v
+    v, m = interior_init(problem, np.clip(base, 0.01, 0.99))
+    return _reference_levels(problem, v, m, list(zip((1e-2, 1e-4, 1e-6), xis)), tol,
+                             max_inner, True)
+
+
+def _reference_levels(problem, v, m, levels, tol, max_inner, freeze_stalled):
+    """Runs the (omega, xi) `levels` in order from (v, m), each from the
+    previous level's best iterate, with multipliers fitted at the first
+    level; each level checks the point after every step, its last one
+    included."""
     v = v.T.copy()
     n = v.shape[0]
     problem = _task_major(problem)
-    nu = np.empty(n)
-    sig = np.empty(n)
-    for rows, level in ((~settled, 0), (settled, -1)):
-        grad_v, grad_m = grad_smoothed(v, m, problem, gb.OMEGA_LEVELS[level],
-                                       xis[level])
-        nu[rows] = -grad_m[rows]
-        sig[rows] = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)[rows]
+    grad_v, grad_m = grad_smoothed(v, m, problem, *levels[0])
+    nu = -grad_m
+    sig = -(grad_v + problem.tcoef * nu[:, None]).mean(axis=1)
     total_newton = 0
     stalled_any = np.zeros(n, dtype=bool)
-    for level, (omega, xi) in enumerate(zip(gb.OMEGA_LEVELS, xis)):
-        last = level == len(gb.OMEGA_LEVELS) - 1
-        frozen = np.zeros(n, dtype=bool) if last else settled.copy()
+    for omega, xi in levels:
+        frozen = np.zeros(n, dtype=bool)
         best = None
-        for _ in range(max_inner):
+        for it in range(max_inner + 1):
             res = _reference_kkt_residual(v, m, nu, sig, problem, omega, xi)
             norm = _reference_kkt_norm(res, problem)
             if best is None or (norm < best[0]).any():
@@ -871,7 +859,7 @@ def _reference_schedule(problem, warm_v, tol, max_inner, freeze_stalled, settled
                     best[3][better] = nu[better]
                     best[4][better] = sig[better]
             active = (norm > tol) & ~frozen
-            if not active.any():
+            if it == max_inner or not active.any():
                 break
             dv, dm, dnu, dsig = _reference_newton_step(v, m, res, problem,
                                                        omega, xi)
@@ -895,8 +883,7 @@ def _reference_schedule(problem, warm_v, tol, max_inner, freeze_stalled, settled
     final_norm = _reference_kkt_norm(
         _reference_kkt_residual(v, m, nu, sig, problem, omega, xi), problem)
     info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
-            "newton_iterations": total_newton, "stalled": stalled_any,
-            "omega": omega, "xi": xi}
+            "newton_iterations": total_newton, "stalled": stalled_any}
     return v.T.copy(), m, info
 
 
@@ -960,17 +947,13 @@ def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
 
 def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
     seen = {"best_not_last": 0, "moved": 0, "still": 0, "stalled": 0,
-            "left_box": 0, "warm": 0, "retried": 0}
-    omegas, norms = [], []
+            "left_box": 0, "warm": 0}
+    norms = []
     kkt_norm = gb.scaled_kkt_norm
-
-    def record_grad(v, m, problem, omega, xi, recip=None):
-        omegas.append(omega)
-        return grad_smoothed(v, m, problem, omega, xi, recip)
 
     def record_norm(res, problem):
         norm = kkt_norm(res, problem)
-        norms.append((omegas[-1], norm))
+        norms.append(norm)
         return norm
 
     def checked_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
@@ -989,50 +972,25 @@ def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
         seen["left_box"] += int((out & moved).sum())
         return t, stalled, f_new
 
-    def compare(problem, warm_v, settled=None):
-        """Solve both ways, require bit-identical results, and count the
-        tasks whose best iterate at some level, and at a last level (of
-        the warm run or of its retry), is not the level's last one."""
-        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v,
-                                                         settled=settled)
-        omegas.clear()
+    rng = np.random.default_rng(33)
+    for case, deadline in enumerate(("loose", "binding", "tight") * 70):
+        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
+        seen["warm"] += warm_v is not None
+        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v)
         norms.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(gb, "grad_smoothed", record_grad)
             mp.setattr(gb, "scaled_kkt_norm", record_norm)
             mp.setattr(gb, "line_search", checked_line_search)
-            v, m, info = solve_global(problem, warm_v, settled=settled)
-        if settled is not None:
-            seen["retried"] += int((settled & ~info["settled"]).sum())
+            v, m, info = solve_global(problem, warm_v)
         assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
         assert info.keys() == info_ref.keys()
         for key in info:
             assert np.array_equal(info[key], info_ref[key]), key
-        any_level = last_level = 0
-        # a retry of settled tasks starts a new run of levels on fewer tasks
-        for (omega, _), level in itertools.groupby(
-                norms, lambda rec: (rec[0], rec[1].shape)):
-            level = np.array([norm for _, norm in level])
-            count = int((level[-1] > level.min(axis=0)).sum())
-            any_level += count
-            last_level += count if omega == gb.OMEGA_LEVELS[-1] else 0
-        return any_level, last_level
-
-    rng = np.random.default_rng(33)
-    final_best_not_last = 0
-    for case, deadline in enumerate(("loose", "binding", "tight") * 70):
-        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
-        seen["warm"] += warm_v is not None
-        # with a warm start, also settle a random share of the tasks
-        runs = [None] if warm_v is None else [None, rng.random(problem.n_tasks) < 0.7]
-        for settled in runs:
-            any_level, last_level = compare(problem, warm_v, settled)
-            seen["best_not_last"] += any_level
-            # the KKT norms reported are the last level's best ones, not
-            # the last ones computed
-            final_best_not_last += last_level
+        # the KKT norms reported are the best ones, not the last ones
+        # computed
+        level = np.array(norms)
+        seen["best_not_last"] += int((level[-1] > level.min(axis=0)).sum())
     assert all(count > 0 for count in seen.values()), seen
-    assert final_best_not_last > 0
 
 
 def test_solve_global_matches_task_major_reference_from_eight_coords():
@@ -1059,21 +1017,21 @@ def test_solve_global_leaves_its_inputs_unchanged():
         problem, warm_v = _random_global_problem(rng, deadline)
         if warm_v is None:
             warm_v = rng.dirichlet(np.ones(problem.n_coords), problem.n_tasks).T
-        settled = rng.random(problem.n_tasks) < 0.5
-        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max, warm_v,
-                  settled)
+        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max, warm_v)
         kept = [a.copy() for a in inputs]
+        solve_global(problem)
         solve_global(problem, warm_v)
-        solve_global(problem, warm_v, settled=settled)
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
 
 
 def test_frozen_stalls_leave_results_bit_identical():
-    # a stalled task has not moved, so retrying it for the rest of its level
+    # a stalled task has not moved, so retrying it for the rest of the solve
     # repeats the same step and the same stall; freezing it may only save
-    # Newton steps
-    rng = np.random.default_rng(44)
+    # Newton steps.  From one level it saves one only where a task stalls
+    # while another still needs steps after it, rare in random problems;
+    # this seed holds one
+    rng = np.random.default_rng(48)
     stalled_tasks = saved = 0
     for case in range(40):
         problem, warm_v = _random_global_problem(rng, "tight", twin=case % 2 == 0)
@@ -1081,7 +1039,7 @@ def test_frozen_stalls_leave_results_bit_identical():
                                                          freeze_stalled=False)
         v, m, info = solve_global(problem, warm_v)
         assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
-        for key in ("kkt_norm", "converged", "stalled", "omega", "xi"):
+        for key in ("kkt_norm", "converged", "stalled"):
             assert np.array_equal(info[key], info_ref[key]), key
         assert info["newton_iterations"] <= info_ref["newton_iterations"]
         stalled_tasks += int(info["stalled"].sum())
@@ -1090,9 +1048,8 @@ def test_frozen_stalls_leave_results_bit_identical():
 
 
 def test_solve_global_runs_each_level_once(monkeypatch):
-    # one objective evaluation starts each level; the others price line
-    # search trials.  Settled tasks sit out every level but the last, and a
-    # level no task runs is skipped
+    # one objective evaluation starts the solve's one level; the others
+    # price line search trials
     starts = []
     depth = [0]
 
@@ -1112,71 +1069,86 @@ def test_solve_global_runs_each_level_once(monkeypatch):
     monkeypatch.setattr(gb, "line_search", nested_line_search)
     problem = _toy_problem(n=5, p=5, seed=17)
     v, _, info = solve_global(problem)
-    assert starts == list(gb.OMEGA_LEVELS)
-    assert info["omega"] == 1e-6
-    assert info["settled"].all()
-    for settled, levels in (([True] * 5, gb.OMEGA_LEVELS[-1:]),
-                            ([True, False] * 2 + [True], gb.OMEGA_LEVELS)):
-        starts.clear()
-        _, _, info = solve_global(problem, v, settled=np.array(settled))
-        assert starts == list(levels)
-        assert info["settled"].all() and info["omega"] == 1e-6
+    assert starts == [gb.OMEGA]
+    assert info["converged"].all()
+    starts.clear()
+    _, _, info = solve_global(problem, v)
+    assert starts == [gb.OMEGA]
+    assert info["converged"].all()
 
 
-def test_warm_restart_converges_what_a_cold_solve_converges():
-    # the restart rule: a settled task starts at the last level from its
-    # warm point and falls back to the whole schedule when that fails, so
-    # the warm path converges every task a cold call converges; every
-    # task it does not settle is bit-identical to the cold call
-    rng = np.random.default_rng(81)
-    seen = {"retried": 0, "settled": 0, "cold_failed": 0}
-    for deadline in ("loose", "binding", "tight") * 20:
+def test_solve_global_checks_the_point_after_its_last_step(monkeypatch):
+    # case 160 of the referee's problem set below (binding deadlines, rho
+    # 3.99) converges only on the last of its MAX_INNER steps
+    rng = np.random.default_rng(2024)
+    for case, deadline in enumerate(("loose", "binding", "tight") * 54):
+        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
+        if case == 160:
+            break
+    _, _, info = solve_global(problem, warm_v)
+    assert info["converged"].all() and info["newton_iterations"] == gb.MAX_INNER
+
+    # a solve that needs exactly k steps converges under a cap of k, and
+    # stops unconverged after k - 1 steps under a cap of k - 1
+    rng = np.random.default_rng(91)
+    seen = 0
+    for deadline in ("loose", "binding", "tight") * 4:
         problem, warm_v = _random_global_problem(rng, deadline)
-        if warm_v is None:
-            warm_v = rng.dirichlet(np.ones(problem.n_coords), problem.n_tasks).T.copy()
-        settled = rng.random(problem.n_tasks) < 0.7
-        v_cold, m_cold, cold = solve_global(problem, warm_v)
-        v, m, info = solve_global(problem, warm_v, settled=settled)
-        assert not (cold["converged"] & ~info["converged"]).any()
-        retried = settled & ~info["settled"]
-        assert np.array_equal(info["settled"], info["converged"] & ~retried)
-        cold_path = ~settled | retried
-        assert np.array_equal(v[:, cold_path], v_cold[:, cold_path])
-        assert np.array_equal(m[cold_path], m_cold[cold_path])
-        for key in ("kkt_norm", "converged"):
-            assert np.array_equal(info[key][cold_path], cold[key][cold_path]), key
-        assert np.array_equal(info["stalled"][~settled], cold["stalled"][~settled])
-        seen["retried"] += int(retried.sum())
-        seen["settled"] += int((settled & ~retried).sum())
-        seen["cold_failed"] += int((~cold["converged"]).sum())
+        _, _, info = solve_global(problem, warm_v)
+        k = info["newton_iterations"]
+        if not info["converged"].all() or k < 2:
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(gb, "MAX_INNER", k)
+            _, _, capped = solve_global(problem, warm_v)
+            assert capped["converged"].all() and capped["newton_iterations"] == k
+            mp.setattr(gb, "MAX_INNER", k - 1)
+            _, _, short = solve_global(problem, warm_v)
+            assert not short["converged"].all() and short["newton_iterations"] == k - 1
+        seen += 1
+    assert seen > 0
+
+
+def test_one_level_converges_what_the_three_level_schedule_converges():
+    # the referee for the deletion of the three-level schedule: one level
+    # from the lifted exact limit converges exactly the tasks that the
+    # whole schedule converges from a cold start
+    rng = np.random.default_rng(2024)
+    seen = {"converged": 0, "both_failed": 0}
+    for case, deadline in enumerate(("loose", "binding", "tight") * 20):
+        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
+        _, _, info = solve_global(problem, warm_v)
+        _, _, ref = _reference_schedule(problem, warm_v)
+        assert np.array_equal(info["converged"], ref["converged"]), case
+        assert info["newton_iterations"] <= ref["newton_iterations"]
+        seen["converged"] += int(info["converged"].sum())
+        seen["both_failed"] += int((~info["converged"]).sum())
     assert all(count > 0 for count in seen.values()), seen
-    with pytest.raises(ValueError):
-        solve_global(problem, None, settled=settled)
 
 
-def test_settled_loose_tasks_step_only_at_the_last_level(monkeypatch):
+def test_moved_loose_problems_converge_every_task(monkeypatch):
     # as in the consensus loop: the warm point is the previous problem's
     # iterate, and the problem has moved a little since
-    levels = []
+    searches = []
 
     def recorded_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
-        levels.append(omega)
+        searches.append(omega)
         return line_search(v, m, dv, dm, f, grad, problem, omega, xi)
 
     monkeypatch.setattr(gb, "line_search", recorded_line_search)
     rng = np.random.default_rng(82)
     for _ in range(20):
         problem, _ = _random_global_problem(rng, "loose")
-        v, _, cold = solve_global(problem)
-        assert cold["settled"].all()
+        v, _, first = solve_global(problem)
+        assert first["converged"].all()
         moved = GlobalProblem(prox=problem.prox + rng.normal(0, 0.01, problem.prox.shape),
                               dual=problem.dual + rng.normal(0, 0.01, problem.dual.shape),
                               tcoef=problem.tcoef, t_max=problem.t_max, rho=problem.rho)
-        levels.clear()
-        _, _, info = solve_global(moved, v, settled=cold["settled"])
-        assert info["settled"].all()
-        assert levels and set(levels) == {gb.OMEGA_LEVELS[-1]}
-        assert info["newton_iterations"] == len(levels) < cold["newton_iterations"]
+        searches.clear()
+        _, _, info = solve_global(moved, v)
+        assert info["converged"].all()
+        assert searches and set(searches) == {gb.OMEGA}
+        assert info["newton_iterations"] == len(searches)
 
 
 # -- ratio-test start against backtracking from 1 ------------------------------
@@ -1202,7 +1174,7 @@ def _planted_line_search_batch(rng, n=48, p=7):
     task-major and returned in the module's layout."""
     margin = gb.INTERIOR_MARGIN
     prob = _toy_problem(n=n, p=p, seed=int(rng.integers(1e6)), rho=1.0)
-    omega, xi = float(rng.choice(gb.OMEGA_LEVELS)), float(rng.uniform(0.0, 0.2))
+    omega, xi = float(rng.choice((1e-2, 1e-4, 1e-6))), float(rng.uniform(0.0, 0.2))
     v = np.clip(rng.dirichlet(np.ones(p), n), 1e-6, None)
     v /= v.sum(axis=1, keepdims=True)
     m = 10.0 ** rng.uniform(-4, 1, n)
