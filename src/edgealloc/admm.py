@@ -15,7 +15,7 @@ give byte-identical traces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +63,9 @@ class ConsensusState:
     (n_sbs + 2, n_tasks), rows in the order of `global_block.GlobalProblem`:
     the SBS assignments (`v[:n_sbs]`, the station-major block the cost
     tables and the split block take), then the macro-station bit, then the
-    terminal bit.  The split parts, the linearized resource product `R`
-    and the reciprocal shares `r` are (n_sbs, n_tasks).
+    terminal bit.  The split parts and the linearized resource product `R`
+    are (n_sbs, n_tasks); `r`, the reciprocal share each station expects,
+    is an (n_sbs, 1) column.
     """
 
     v: np.ndarray
@@ -91,7 +92,7 @@ def init_state(scenario: Scenario, config: SolverConfig) -> ConsensusState:
     return ConsensusState(
         v=v, v_hat=v.copy(), dual=np.zeros_like(v),
         c0=third.copy(), c1=third.copy(), ci=third.copy(),
-        R=np.full((s, n), share), r=np.ones((s, n)), rho=config.rho,
+        R=np.full((s, n), share), r=np.ones((s, 1)), rho=config.rho,
     )
 
 
@@ -166,7 +167,8 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
     and duals: local-copy cost plus dual terms plus quadratic penalty, in
     the normalized units the solver actually works in."""
     s = state.c0.shape[0]
-    util3 = tables.three_tier_util(state.c0, state.c1, state.ci)
+    delay, energy = tables.split_price(state.c0, state.c1, state.ci, state.r)
+    util3 = tables.alpha * delay + (1.0 - tables.alpha) * energy
     cost = ((state.v_hat[s + 1] * tables.k_local).sum()
             + (state.v_hat[s] * tables.k_mbs).sum()
             + (state.v_hat[:s] * util3).sum()) / cost_scale
@@ -179,6 +181,7 @@ def _relaxed_placement(state: ConsensusState) -> Placement:
     s = state.c0.shape[0]
     with np.errstate(divide="ignore"):
         h = np.where(state.r > 0, 1.0 / state.r, 1.0)
+    h = np.broadcast_to(h, state.c0.shape).copy()
     return Placement(x=state.v[:s].copy(), y=state.v[s].copy(),
                      z=state.v[s + 1].copy(), c0=state.c0.copy(),
                      c1=state.c1.copy(), ci=state.ci.copy(), h=h)
@@ -188,7 +191,8 @@ def _trace_utility(state: ConsensusState, scenario: Scenario,
                    weights: UtilityWeights) -> tuple[float, CostTables]:
     """Utility of the relaxed state, and the tables it was priced on."""
     relaxed = _relaxed_placement(state)
-    tables = costs.tables_from_placement(relaxed, scenario, weights.alpha)
+    tables = costs.build_cost_tables(scenario, weights.alpha, relaxed.x,
+                                     relaxed.c1)
     return costs.utility(relaxed, scenario, weights, tables), tables
 
 
@@ -226,14 +230,11 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         if s:
             expected_load = np.clip(x.sum(axis=1), 1.0,
                                     1.0 / scenario.config.h_min)
-            state.r = np.tile(expected_load[:, None], (1, scenario.n_tasks))
-        if carried is None:
-            tables = costs.build_cost_tables(scenario, config.alpha, x,
-                                             state.c1, r=state.r)
-        else:
-            # the last trace utility built its tables from the same x, c1
-            # and alpha, and `build_cost_tables` only stores r
-            tables = replace(carried, r=state.r)
+            state.r = expected_load[:, None]
+        # the last trace utility built its tables from the same x, c1 and
+        # alpha
+        tables = (costs.build_cost_tables(scenario, config.alpha, x, state.c1)
+                  if carried is None else carried)
         if cost_scale is None:
             # normalize once so per-task branch costs are O(1) against
             # rho; the dual race between branches resolves cost order
@@ -244,7 +245,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
         if s:
             problem = local_blocks.LocalProblem.from_tables(
-                tables, x, state.dual[:s], config.rho,
+                tables, state.r, x, state.dual[:s], config.rho,
                 CORNER_DELTA, cost_scale=cost_scale)
             vars = local_blocks.CbgpVars(
                 x_hat=state.v_hat[:s], R=state.R, c0=state.c0,
@@ -264,7 +265,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             state.dual[s + 1], config.rho,
             feasible=tables.t_local <= tables.t_max)
 
-        t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
+        t3, _ = tables.split_price(state.c0, state.c1, state.ci, state.r)
         # the split block is deadline-blind; carrying an overdue split
         # into the coupled block would cap its assignment against a
         # fictitious branch, so such splits are projected onto the
@@ -273,18 +274,18 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         if len(overdue):
             i, j = overdue.T
             c0, c1, _, ok = costs.best_splits(tables, i, j,
-                                              1.0 / state.r[i, j])
+                                              1.0 / state.r[i, 0])
             i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
             state.c0[i, j], state.c1[i, j] = c0, c1
             state.ci[i, j] = tables.c[j] - c0 - c1
-            t3 = tables.three_tier_delay(state.c0, state.c1, state.ci)
+            t3, _ = tables.split_price(state.c0, state.c1, state.ci, state.r)
         tcoef = np.vstack([t3, tables.t_mbs, tables.t_local])
 
         problem = global_block.GlobalProblem(
             prox=state.v_hat, dual=state.dual, tcoef=tcoef,
             t_max=tables.t_max, rho=config.rho)
         state.prev = state.v
-        state.v, _, info = global_block.solve_global(problem, warm_v=state.v,
+        state.v, _, info = global_block.solve_global(problem,
                                                      tol=config.newton_tol)
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))

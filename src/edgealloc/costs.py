@@ -1,7 +1,9 @@
 """Delay and energy pricing of allocations, and the weighted utility.
 
 The vectorized `CostTables` bundle prices every branch, with congestion
-and interference frozen at the moment the tables are built.  What pricing
+and interference frozen at the moment the tables are built;
+`CostTables.split_price` is the one pricer of the split branch, at the
+resource shares each caller passes.  What pricing
 needs from the scenario alone -- per-task vectors, SBS radio and compute
 constants and the relay incidence -- is the read-only `PricingConstants`
 bundle that each scenario builds once, on first use, as
@@ -252,7 +254,6 @@ class CostTables:
     d_c0: np.ndarray
     d_mbs_exec: np.ndarray
     u_over_fs: np.ndarray
-    r: np.ndarray
     e_c0: np.ndarray
     e_up: np.ndarray
     e_sbs: np.ndarray
@@ -263,43 +264,29 @@ class CostTables:
     transfer_coef: np.ndarray
     h_min: float
 
-    def wired_delay(self, c1: np.ndarray) -> np.ndarray:
-        value = self.w2 * c1 * c1 + self.w1 * c1 + self.w0
-        return np.where(c1 > 0, value, 0.0)
-
-    def three_tier_delay(self, c0, c1, ci) -> np.ndarray:
-        """Branch delay per (SBS, task) at the frozen resource shares."""
-        return (self.d_c0[None, :] * c0
-                + (self.c[None, :] - c0) / self.rate
-                + self.wired_delay(c1)
-                + self.u_over_fs * self.r * ci
-                + self.d_mbs_exec[None, :] * c1)
-
-    def three_tier_energy(self, c0, c1, ci) -> np.ndarray:
-        return (self.e_c0[None, :] * c0
-                + self.e_up * (self.c[None, :] - c0)
-                + self.e_sbs * ci
-                + (self.transfer_coef + self.e_mbs_exec[None, :]) * c1)
-
-    def three_tier_util(self, c0, c1, ci) -> np.ndarray:
-        return (self.alpha * self.three_tier_delay(c0, c1, ci)
-                + (1.0 - self.alpha) * self.three_tier_energy(c0, c1, ci))
-
-    def split_delay_cost(self, i, j, c0, c1, r):
-        """Delay and weighted cost of task j's split branch on SBS i at
-        reciprocal share r, for scalar or array split parts (c0, c1); the
-        SBS runs the rest.  The pair form of `three_tier_delay` and
-        `three_tier_util`."""
-        c = self.c[j]
-        ci = c - c0 - c1
-        wired = self.w2[i, j] * c1 * c1 + self.w1[i, j] * c1 + self.w0[i, j]
-        wired = np.where(c1 > 0, wired, 0.0)
-        delay = (self.d_c0[j] * c0 + (c - c0) / self.rate[i, j] + wired
-                 + self.u_over_fs[i, j] * r * ci + self.d_mbs_exec[j] * c1)
-        energy = (self.e_c0[j] * c0 + self.e_up[i, j] * (c - c0)
+    def split_price(self, c0, c1, ci, r, i=slice(None), j=slice(None)):
+        """(delay, energy) of the split branch: the terminal runs c0, the
+        relay forwards c1 to the MBS and the SBS runs ci at reciprocal
+        share r.  By default every (SBS, task) pair is priced; index
+        arrays (or scalars) i, j price the gathered pairs instead."""
+        # over a slice of tasks each per-task vector is taken as a row:
+        # numpy runs arrays of equal rank through a faster loop, which
+        # counts on the oracle's thousands of tiny pricings
+        task = (None, j) if isinstance(j, slice) else j
+        c = self.c[task]
+        delay = (self.d_c0[task] * c0 + (c - c0) / self.rate[i, j]
+                 + wired_delay(self.w2[i, j], self.w1[i, j], self.w0[i, j], c1)
+                 + self.u_over_fs[i, j] * r * ci + self.d_mbs_exec[task] * c1)
+        energy = (self.e_c0[task] * c0 + self.e_up[i, j] * (c - c0)
                   + self.e_sbs[i, j] * ci
-                  + (self.transfer_coef[i, j] + self.e_mbs_exec[j]) * c1)
-        return delay, self.alpha * delay + (1.0 - self.alpha) * energy
+                  + (self.transfer_coef[i, j] + self.e_mbs_exec[task]) * c1)
+        return delay, energy
+
+
+def wired_delay(w2, w1, w0, c1):
+    """Relay delay of forwarded part c1 on its frozen quadratic; nothing is
+    charged where nothing is forwarded."""
+    return np.where(c1 > 0, w2 * c1 * c1 + w1 * c1 + w0, 0.0)
 
 
 # rows priced at once; every (rows, 32) intermediate of `_price_splits`
@@ -393,7 +380,8 @@ def _price_splits(tables: CostTables, i, j, h):
     c0a, c1a = np.concatenate(c0_cols, axis=1), np.concatenate(c1_cols, axis=1)
     keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
     c1a = np.minimum(c1a, c - c0a)
-    delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
+    delay, energy = tables.split_price(c0a, c1a, c - c0a - c1a, r, i, j)
+    cost = a * delay + (1.0 - a) * energy
     feas = keep & (delay <= t_max * (1.0 + 1e-12) + 1e-15)
     # argmin takes the first minimum, so ties go to the earlier candidate
     k = np.argmin(np.where(feas, cost, np.inf), axis=1)[:, None]
@@ -494,20 +482,17 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
 
 
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
-                      c1_frozen: np.ndarray, r: np.ndarray | None = None) -> CostTables:
+                      c1_frozen: np.ndarray) -> CostTables:
     """Price every branch with interference and relay congestion frozen at
     the given fractional assignment and forwarded parts.  The scenario's
     own constants come from `scenario.pricing` and are shared, not copied.
-    `r` is stored as given and no other field is derived from it, so
-    `dataclasses.replace(tables, r=...)` prices another sharing state."""
+    The resource shares are not frozen: `CostTables.split_price` takes
+    them per call."""
     pc = scenario.pricing
     rate = sbs_rate_matrix(x_weight, scenario)
-    if r is None:
-        r = np.ones(rate.shape)
 
     w2, w1, w0 = pc.relay.wired_coefficients(x_weight, c1_frozen)
-    wired_frozen = np.where(c1_frozen > 0,
-                            w2 * c1_frozen * c1_frozen + w1 * c1_frozen + w0, 0.0)
+    wired_frozen = wired_delay(w2, w1, w0, c1_frozen)
     with np.errstate(divide="ignore", invalid="ignore"):
         transfer_coef = np.where(
             pc.c[None, :] > 0,
@@ -520,7 +505,7 @@ def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
         k_local=alpha * pc.t_local + (1.0 - alpha) * pc.e_local_task,
         k_mbs=alpha * pc.t_mbs + (1.0 - alpha) * pc.e_mbs_task,
         rate=rate, d_c0=pc.d_c0, d_mbs_exec=pc.d_mbs_exec,
-        u_over_fs=pc.u_over_fs, r=np.asarray(r, dtype=float),
+        u_over_fs=pc.u_over_fs,
         e_c0=pc.e_c0, e_up=scenario.device.tx_power / rate,
         e_sbs=pc.e_sbs, e_mbs_exec=pc.e_mbs_exec,
         w2=w2, w1=w1, w0=w0, transfer_coef=transfer_coef,
@@ -528,23 +513,18 @@ def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
     )
 
 
-def tables_from_placement(placement: Placement, scenario: Scenario,
-                          alpha: float) -> CostTables:
-    with np.errstate(divide="ignore"):
-        r = np.where(placement.h > 0, 1.0 / placement.h, 1.0)
-    return build_cost_tables(scenario, alpha, placement.x, placement.c1, r=r)
-
-
 def placement_costs(placement: Placement, scenario: Scenario,
                     alpha: float = 0.5, tables: CostTables | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-task (delay, energy) totals weighted by the assignment values,
     with congestion and interference consistent with the placement itself.
-    `tables`, when given, must be `tables_from_placement`'s for it."""
+    `tables`, when given, must be `build_cost_tables`' at the placement's
+    x and c1; the SBSs run at the placement's shares h."""
     if tables is None:
-        tables = tables_from_placement(placement, scenario, alpha)
-    t3 = tables.three_tier_delay(placement.c0, placement.c1, placement.ci)
-    e3 = tables.three_tier_energy(placement.c0, placement.c1, placement.ci)
+        tables = build_cost_tables(scenario, alpha, placement.x, placement.c1)
+    with np.errstate(divide="ignore"):
+        r = np.where(placement.h > 0, 1.0 / placement.h, 1.0)
+    t3, e3 = tables.split_price(placement.c0, placement.c1, placement.ci, r)
     delay = (placement.z * tables.t_local + placement.y * tables.t_mbs
              + (placement.x * t3).sum(axis=0))
     energy = (placement.z * tables.e_local_task + placement.y * tables.e_mbs_task

@@ -9,6 +9,7 @@ model.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -24,7 +25,7 @@ from .scenario import Scenario, ScenarioConfig, generate_scenario
 
 SWEEP_AXES = ("alpha", "rho", "n_tasks", "sbs_capacity", "lt_capacity", "data_size")
 
-SUMMARY_HEADER = "sweep_value,final_utility,iters,converged,n_local,n_sbs,n_mbs"
+SUMMARY_HEADER = "sweep_value,final_utility,iters,converged,n_local,n_sbs,n_mbs,error"
 
 
 @dataclass
@@ -134,13 +135,14 @@ def run_experiment(spec: ExperimentSpec) -> list:
     else:
         rows = [_run_job(job) for job in jobs]
 
-    lines = [SUMMARY_HEADER]
-    for row in rows:
-        lines.append(f"{row['sweep_value']},{row['final_utility']:.17g},"
-                     f"{row['iters']},{row['converged']},"
-                     f"{row['n_local']},{row['n_sbs']},{row['n_mbs']}")
-    with open(os.path.join(spec.outdir, "summary.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(spec.outdir, "summary.csv"), "w", newline="") as fh:
+        # the writer quotes an error message that holds a comma
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_HEADER.split(","))
+        writer.writerows([row["sweep_value"], f"{row['final_utility']:.17g}",
+                          row["iters"], row["converged"], row["n_local"],
+                          row["n_sbs"], row["n_mbs"], row.get("error", "")]
+                         for row in rows)
     return rows
 
 
@@ -243,7 +245,9 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
             return tables.t_mbs[j] <= t_max[j]
         i = branch - 1
         third = c[j] / 3.0
-        return tables.split_delay_cost(i, j, third, third, 1.0)[0] <= t_max[j]
+        delay, _ = tables.split_price(third, third, c[j] - third - third, 1.0,
+                                      i, j)
+        return delay <= t_max[j]
 
     feasible_sets = []
     for j in range(n):

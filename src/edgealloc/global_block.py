@@ -308,11 +308,11 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     return t, stalled, f_new
 
 
-def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
+def interior_init(problem: GlobalProblem, base: np.ndarray | None = None):
     """Strictly interior simplex point per task, on the deadline row
     whenever the fastest branch can meet the deadline.
 
-    `warm_v`, or the prox centers, is clipped into [CORNER_WEIGHT_FLOOR,
+    `base`, or the prox centers, is clipped into [CORNER_WEIGHT_FLOOR,
     1 - CORNER_WEIGHT_FLOOR] and renormalised.  The slack
     m = t_max - delay is floored at m_floor; a start whose delay leaves
     less than m_floor is mixed toward a corner on the fastest branch just
@@ -321,10 +321,12 @@ def interior_init(problem: GlobalProblem, warm_v: np.ndarray | None = None):
     t_best))), with room = t_max - m_floor - t_best, so its delay is at
     most t_best + room / 2 and the mix lands on the deadline row.  A
     weight is floored at `CORNER_WEIGHT_FLOOR`, inside the line search's
-    margin; a task with no room keeps floored weights and starts off the
-    row."""
+    margin.  A task with room < 0, every task whose fastest branch misses
+    the deadline among them, starts off the row at the corner itself,
+    whatever its base: no mix meets t_max - m_floor, so the mix weight
+    clips to 1."""
     p, n = problem.n_coords, problem.n_tasks
-    base = warm_v if warm_v is not None else problem.prox
+    base = problem.prox if base is None else base
     v = np.clip(base, CORNER_WEIGHT_FLOOR, 1.0 - CORNER_WEIGHT_FLOOR)
     v = v / v.sum(axis=0)
 
@@ -439,22 +441,21 @@ def exact_limit(problem: GlobalProblem, xi: float):
     return v, reduced
 
 
-def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
-                 tol: float = 1e-6):
+def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     """Damped Newton steps on the smoothed problem at barrier weight OMEGA
     and corner weight xi = min(XI_MAX, XI_CONVEXITY_FRACTION * rho), from
     the lifted exact limit.
 
     The start is `exact_limit` at xi, with each coordinate the limit puts
     at 0 lifted to the barrier's equilibrium OMEGA / g at its reduced cost
-    g, clipped to [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and renormalised; a
-    task whose fastest branch misses the deadline has no limit and starts
-    from its `warm_v` column, or its prox centers when `warm_v` is None.
-    The start goes through `interior_init`.  Up to MAX_INNER Newton steps
-    follow, and the point after each step is checked against `tol`, the
-    last one included.  A task whose line search stalls sits out the rest
-    of the solve: its point does not move, so a retry would take the same
-    step and stall again.
+    g, clipped to [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and renormalised.
+    The start goes through `interior_init`; a task whose fastest branch
+    misses the deadline has no limit, and `interior_init` starts it at its
+    fastest-branch corner.  Up to MAX_INNER Newton steps follow, and the
+    point after each step is checked against `tol`, the last one included.
+    A task whose line search stalls sits out the rest of the solve: its
+    point does not move, so a retry would take the same step and stall
+    again.
 
     Returns (v, m, info): the iterate with the smallest KKT norm each task
     reached.  v stays strictly interior, the simplex equality holds to
@@ -467,8 +468,7 @@ def solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
         lift = np.clip(OMEGA / reduced, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT)
     start = np.where(limit > 0, limit, lift)
     start /= start.sum(axis=0)
-    fallback = problem.prox if warm_v is None else warm_v
-    v, m = interior_init(problem, np.where(np.isnan(start), fallback, start))
+    v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start))
     recip = barrier_reciprocals(v)
     grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
     nu = -grad[1]

@@ -122,11 +122,11 @@ class LocalProblem:
     r: np.ndarray
 
     @classmethod
-    def from_tables(cls, tables: CostTables, x_global, dual, rho, delta,
+    def from_tables(cls, tables: CostTables, r, x_global, dual, rho, delta,
                     cost_scale: float = 1.0) -> "LocalProblem":
-        """`cost_scale` divides every priced coefficient so branch costs are
-        O(1) against the prox strength; duals are expected in the same
-        normalized units."""
+        """The block at reciprocal shares r.  `cost_scale` divides every
+        priced coefficient so branch costs are O(1) against the prox
+        strength; duals are expected in the same normalized units."""
         a = tables.alpha
         s = 1.0 / cost_scale
         return cls(
@@ -139,7 +139,7 @@ class LocalProblem:
             e_c0=s * tables.e_c0, e_up=s * tables.e_up,
             e_s=s * tables.e_sbs,
             e_m1=s * (tables.transfer_coef + tables.e_mbs_exec[None, :]),
-            x_global=x_global, dual=dual, r=tables.r,
+            x_global=x_global, dual=dual, r=r,
         )
 
     def branch_cost(self, c0, c1, ci) -> np.ndarray:

@@ -97,7 +97,9 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
                         t_max=np.full(n, np.inf))
         rows = np.full(n, i)
         c0, c1, _, _ = costs.best_splits(alone, rows, tasks, whole)
-        bound[:, i + 1] = alone.split_delay_cost(rows, tasks, c0, c1, 1.0)[1]
+        delay, energy = alone.split_price(c0, c1, alone.c - c0 - c1, 1.0,
+                                          rows, tasks)
+        bound[:, i + 1] = t.alpha * delay + (1.0 - t.alpha) * energy
     return bound
 
 

@@ -13,7 +13,7 @@ document whose routes do not match its stations and graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -272,31 +272,12 @@ class Scenario:
     # -- JSON round trip ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        cfg = self.config
+        """The JSON document; `json` writes the tuple fields as lists."""
         return {
-            "config": {
-                "n_tasks": cfg.n_tasks, "n_sbs": cfg.n_sbs, "seed": cfg.seed,
-                "c_range": list(cfg.c_range), "t_max_range": list(cfg.t_max_range),
-                "u": cfg.u, "bandwidth": cfg.bandwidth,
-                "noise_dbm_per_hz": cfg.noise_dbm_per_hz,
-                "pathloss_exponent": cfg.pathloss_exponent, "area": cfg.area,
-                "user_tx_power": cfg.user_tx_power, "bs_tx_power": cfg.bs_tx_power,
-                "f_local": cfg.f_local, "f_sbs": cfg.f_sbs, "f_mbs": cfg.f_mbs,
-                "e_local": cfg.e_local, "e_sbs": cfg.e_sbs, "e_mbs": cfg.e_mbs,
-                "o1": cfg.o1, "o2": cfg.o2, "link_capacity": cfg.link_capacity,
-                "sbs_mbs_tx_power": cfg.sbs_mbs_tx_power, "h_min": cfg.h_min,
-            },
-            "tasks": [
-                {"id": t.id, "c": t.c, "t_max": t.t_max, "u": t.u} for t in self.tasks
-            ],
-            "stations": [
-                {"id": s.id, "kind": s.kind, "f": s.f, "bandwidth": s.bandwidth,
-                 "tx_power_density": s.tx_power_density, "e_cycle": s.e_cycle,
-                 "position": list(s.position)}
-                for s in self.stations
-            ],
-            "device": {"f_local": self.device.f_local, "e_local": self.device.e_local,
-                       "tx_power": self.device.tx_power},
+            "config": asdict(self.config),
+            "tasks": [asdict(t) for t in self.tasks],
+            "stations": [asdict(s) for s in self.stations],
+            "device": asdict(self.device),
             "channel": {"gain": self.channel.gain.tolist(),
                         "noise_power": self.channel.noise_power,
                         "offload_power_sbs_mbs": self.channel.offload_power_sbs_mbs},
@@ -313,27 +294,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        """Read a `to_dict` document; raise ConfigurationError when its
+        config's keys are not exactly `ScenarioConfig`'s fields."""
         cfg = doc["config"]
-        config = ScenarioConfig(
-            n_tasks=cfg["n_tasks"], n_sbs=cfg["n_sbs"], seed=cfg["seed"],
-            c_range=tuple(cfg["c_range"]), t_max_range=tuple(cfg["t_max_range"]),
-            u=cfg["u"], bandwidth=cfg["bandwidth"],
-            noise_dbm_per_hz=cfg["noise_dbm_per_hz"],
-            pathloss_exponent=cfg["pathloss_exponent"], area=cfg["area"],
-            user_tx_power=cfg["user_tx_power"], bs_tx_power=cfg["bs_tx_power"],
-            f_local=cfg["f_local"], f_sbs=cfg["f_sbs"], f_mbs=cfg["f_mbs"],
-            e_local=cfg["e_local"], e_sbs=cfg["e_sbs"], e_mbs=cfg["e_mbs"],
-            o1=cfg["o1"], o2=cfg["o2"], link_capacity=cfg["link_capacity"],
-            sbs_mbs_tx_power=cfg["sbs_mbs_tx_power"], h_min=cfg["h_min"],
-        )
-        tasks = tuple(Task(**t) for t in doc["tasks"])
-        stations = tuple(
-            Station(id=s["id"], kind=s["kind"], f=s["f"], bandwidth=s["bandwidth"],
-                    tx_power_density=s["tx_power_density"], e_cycle=s["e_cycle"],
-                    position=tuple(s["position"]))
-            for s in doc["stations"]
-        )
-        device = LocalDevice(**doc["device"])
+        names = {f.name for f in fields(ScenarioConfig)}
+        if set(cfg) != names:
+            raise ConfigurationError(
+                f"scenario config: missing keys {sorted(names - set(cfg))}, "
+                f"unknown keys {sorted(set(cfg) - names)}")
+
+        def build(kind, d):
+            return kind(**{k: tuple(v) if isinstance(v, list) else v
+                           for k, v in d.items()})
+
+        config = build(ScenarioConfig, cfg)
+        tasks = tuple(build(Task, t) for t in doc["tasks"])
+        stations = tuple(build(Station, s) for s in doc["stations"])
+        device = build(LocalDevice, doc["device"])
         channel = ChannelMatrix(
             gain=np.asarray(doc["channel"]["gain"], dtype=float),
             noise_power=doc["channel"]["noise_power"],

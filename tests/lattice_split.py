@@ -3,8 +3,8 @@
 A brute-force optimizer for one branch split: a sweep of the simplex
 lattice, one local refinement around the winner, plus the stationary and
 deadline-binding candidates written out by hand.  It shares nothing with
-the analytic pricer but `CostTables.split_delay_cost`, so tests can check
-the pricer's optimum and feasibility against it.
+the analytic pricer but `CostTables.split_price`, so tests can check the
+pricer's optimum and feasibility against it.
 """
 
 import numpy as np
@@ -16,6 +16,14 @@ _ks = np.arange(RESOLUTION + 1)
 _g0, _g1 = np.meshgrid(_ks, _ks, indexing="ij")
 _inside = (_g0 + _g1) <= RESOLUTION
 LATTICE = (_g0[_inside] / RESOLUTION, _g1[_inside] / RESOLUTION)
+
+
+def split_cost(tables, i, j, c0, c1, r):
+    """Delay and weighted cost of task j's split branch on SBS i at
+    reciprocal share r, for scalar or array parts (c0, c1); the SBS runs
+    the rest."""
+    delay, energy = tables.split_price(c0, c1, tables.c[j] - c0 - c1, r, i, j)
+    return delay, tables.alpha * delay + (1.0 - tables.alpha) * energy
 
 
 def _deadline_boundary_c1(tables, i, j, c0, r, t_max):
@@ -45,7 +53,7 @@ def lattice_split(tables, i, j, h):
     r = 1.0 / h
     t_max = tables.t_max[j]
     c0s, c1s = LATTICE[0] * c, LATTICE[1] * c
-    delay, cost = tables.split_delay_cost(i, j, c0s, c1s, r)
+    delay, cost = split_cost(tables, i, j, c0s, c1s, r)
     feas = delay <= t_max
     best = None
     if feas.any():
@@ -60,7 +68,7 @@ def lattice_split(tables, i, j, h):
         m0, m1 = np.meshgrid(f0, f1, indexing="ij")
         keep = (m0 + m1) <= c
         c0r, c1r = m0[keep], m1[keep]
-        delay, cost = tables.split_delay_cost(i, j, c0r, c1r, r)
+        delay, cost = split_cost(tables, i, j, c0r, c1r, r)
         feas = delay <= t_max
         if feas.any():
             k = int(np.argmin(np.where(feas, cost, np.inf)))
@@ -106,7 +114,7 @@ def lattice_split(tables, i, j, h):
         c1a = np.array([p[1] for p in cands])
         keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
         c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
-        delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
+        delay, cost = split_cost(tables, i, j, c0a, c1a, r)
         feas = delay <= t_max * (1.0 + 1e-12)
         if feas.any():
             k = int(np.argmin(np.where(feas, cost, np.inf)))

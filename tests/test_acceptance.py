@@ -203,7 +203,7 @@ def test_criterion_8_cbgp_descent():
                                          x0, c1)
         scale = float(np.minimum(tables.k_local, tables.k_mbs).mean())
         problem = local_blocks.LocalProblem.from_tables(
-            tables, x0, rng.normal(0, 0.5, (s, n)), rho=1.0,
+            tables, np.ones((s, n)), x0, rng.normal(0, 0.5, (s, n)), rho=1.0,
             delta=float(rng.uniform(0.0, 2.0)), cost_scale=scale)
         c = scen.c_array()
         f0 = rng.uniform(0, 1, (s, n))

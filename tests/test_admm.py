@@ -10,7 +10,7 @@ from edgealloc.admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
 from edgealloc.scenario import ScenarioConfig, generate_scenario
-from lattice_split import lattice_split
+from lattice_split import lattice_split, split_cost
 
 
 def _blank_state(n_sbs, n_tasks, rho=1.0):
@@ -279,8 +279,8 @@ def test_optimize_branch_split_matches_oracle_split_search():
                 continue
             assert min(c0[k], c1[k]) >= 0.0
             assert c0[k] + c1[k] <= c[j[k]] * (1.0 + 1e-12)
-            priced, cost = tables.split_delay_cost(i[k], j[k], c0[k], c1[k],
-                                                   1.0 / h[k])
+            priced, cost = split_cost(tables, i[k], j[k], c0[k], c1[k],
+                                      1.0 / h[k])
             assert priced == delay[k]
             assert delay[k] <= tables.t_max[j[k]] * (1.0 + 1e-12) + 1e-15
             assert cost <= ref[2] + 1e-9 * abs(ref[2]), (i[k], j[k], h[k])
@@ -368,7 +368,7 @@ def _scalar_optimize_branch_split(tables, i: int, j: int, h: float):
     c0a, c1a = np.array(pairs).T
     keep = (c0a >= 0) & (c1a >= 0) & (c0a + c1a <= c * (1.0 + 1e-12))
     c0a, c1a = c0a[keep], np.minimum(c1a[keep], c - c0a[keep])
-    delay, cost = tables.split_delay_cost(i, j, c0a, c1a, r)
+    delay, cost = split_cost(tables, i, j, c0a, c1a, r)
     feas = delay <= t_max * (1.0 + 1e-12) + 1e-15
     if not feas.any():
         return None

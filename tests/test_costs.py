@@ -78,7 +78,7 @@ def test_mbs_energy_example():
 def test_three_tier_delay_worked_example():
     tables = _split_tables(_scenario(c_range=(9000.0, 9000.0)),
                            rate=2e8, w2=0.0, w1=0.0, w0=0.012)
-    delay, _ = tables.split_delay_cost(0, 0, 3000.0, 3000.0, 2.0)
+    delay, _ = tables.split_price(3000.0, 3000.0, 3000.0, 2.0, 0, 0)
     assert delay == pytest.approx(0.02877)
 
 
@@ -86,15 +86,15 @@ def test_three_tier_delay_degenerate_split_equals_local():
     scen = _scenario()
     tables = _split_tables(scen, rate=2e8)
     c = scen.c_array()[None, :]
-    d = tables.three_tier_delay(c, np.zeros((1, 1)), np.zeros((1, 1)))
+    d, _ = tables.split_price(c, np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
     assert d[0, 0] == pytest.approx(scen.pricing.t_local[0])
 
 
 def test_three_tier_delay_share_proportionality():
     scen = _scenario(c_range=(9000.0, 9000.0))
     tables = _split_tables(scen, rate=2e8)
-    full, _ = tables.split_delay_cost(0, 0, 0.0, 0.0, 1.0)
-    half, _ = tables.split_delay_cost(0, 0, 0.0, 0.0, 2.0)
+    full, _ = tables.split_price(0.0, 0.0, 9000.0, 1.0, 0, 0)
+    half, _ = tables.split_price(0.0, 0.0, 9000.0, 2.0, 0, 0)
     # only the station compute term depends on the share here
     upload = 9000.0 / 2e8
     assert (half - upload) == pytest.approx(2.0 * (full - upload))
@@ -106,7 +106,7 @@ def test_three_tier_energy_worked_example():
     # upload of 6000 bits in 3e-5 s at 0.1 W; 0.012 s of relay at 1 W
     tables = _split_tables(scen, e_up=0.1 * 3e-5 / 6000.0,
                            transfer_coef=0.012 / 3000.0)
-    e = tables.three_tier_energy(*np.full((3, 1, 1), 3000.0))
+    _, e = tables.split_price(*np.full((3, 1, 1), 3000.0), 1.0)
     assert e[0, 0] == pytest.approx(29.712)
 
 
@@ -114,18 +114,19 @@ def test_three_tier_energy_degenerate_and_zero():
     scen = _scenario(e_local=2.5e-7)
     tables = _split_tables(scen)
     zero = np.zeros((1, 1))
-    e = tables.three_tier_energy(scen.c_array()[None, :], zero, zero)
+    _, e = tables.split_price(scen.c_array()[None, :], zero, zero, 1.0)
     assert e[0, 0] == pytest.approx(scen.pricing.e_local_task[0])
     # with no radio energy, a split that runs nothing costs nothing
     silent = _split_tables(scen, e_up=0.0)
-    assert silent.three_tier_energy(zero, zero, zero)[0, 0] == 0.0
+    assert silent.split_price(zero, zero, zero, 1.0)[1][0, 0] == 0.0
 
 
 def test_three_tier_energy_linear_in_each_part():
     tables = _split_tables(_scenario())
 
     def e(c0, c1, ci):
-        return tables.three_tier_energy(*np.array([c0, c1, ci])[:, None, None])[0, 0]
+        return tables.split_price(*np.array([c0, c1, ci])[:, None, None],
+                                  1.0)[1][0, 0]
 
     for moving in range(3):
         vals = []
@@ -299,25 +300,33 @@ def test_cost_tables_bit_identical_to_per_element_loop():
                         f"{name} differs at s={s}, n={n}")
 
 
-def test_replacing_r_equals_building_with_it():
-    # the consensus loop carries the trace utility's tables into the next
-    # iteration by replacing r alone
+def test_split_price_gathers_pairs_and_placement_costs_take_given_tables():
+    # `split_price` at gathered (SBS, task) index arrays prices every pair
+    # bit for bit as over all pairs, and `placement_costs` on the tables the
+    # consensus loop carries into its next iteration equals its own build
     rng = np.random.default_rng(12)
     for s, n in ((1, 1), (2, 5), (3, 8)):
         scen = generate_scenario(ScenarioConfig(n_tasks=n, n_sbs=s, seed=s))
         x, c1 = _random_state(scen, rng)
         h = rng.uniform(0.05, 1.0, (s, n))
         h[rng.uniform(size=(s, n)) < 0.3] = 0.0
+        c = scen.c_array()[None, :]
+        c0 = rng.uniform(0.0, 1.0, (s, n)) * (c - c1)
+        ci = c - c0 - c1
         placement = Placement(x=x, y=np.zeros(n), z=np.zeros(n),
-                              c0=np.zeros((s, n)), c1=c1,
-                              ci=np.zeros((s, n)), h=h)
+                              c0=c0, c1=c1, ci=ci, h=h)
         r = rng.uniform(1.0, 20.0, (s, n))
-        carried = dataclasses.replace(
-            costs.tables_from_placement(placement, scen, 0.3), r=r)
-        fresh = costs.build_cost_tables(scen, 0.3, x, c1, r=r)
-        for name in costs.CostTables.__dataclass_fields__:
-            assert np.array_equal(getattr(carried, name),
-                                  getattr(fresh, name)), name
+        tables = costs.build_cost_tables(scen, 0.3, x, c1)
+        i, j = (k.ravel() for k in np.indices((s, n)))
+        every = tables.split_price(c0, c1, ci, r)
+        gathered = tables.split_price(c0[i, j], c1[i, j], ci[i, j], r[i, j],
+                                      i, j)
+        for whole, pairs in zip(every, gathered):
+            assert np.array_equal(whole.ravel(), pairs)
+        given = costs.placement_costs(placement, scen, 0.3, tables)
+        built = costs.placement_costs(placement, scen, 0.3)
+        for a, b in zip(given, built):
+            assert np.array_equal(a, b)
 
 
 def test_shared_pricing_arrays_are_read_only():
@@ -331,7 +340,8 @@ def test_shared_pricing_arrays_are_read_only():
             arr[...] = 0
     x, c1 = np.full((2, 4), 0.3), np.tile(scen.c_array() / 3, (2, 1))
     tables = costs.build_cost_tables(scen, 0.5, x, c1)
-    problem = LocalProblem.from_tables(tables, x, np.zeros((2, 4)), 1.0, 0.3)
+    problem = LocalProblem.from_tables(tables, np.ones((2, 4)), x,
+                                       np.zeros((2, 4)), 1.0, 0.3)
     for arr in (tables.c, tables.t_local, tables.u_over_fs, problem.c):
         with pytest.raises(ValueError):
             arr[0] = 1.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -54,7 +55,8 @@ def test_run_experiment_layout_and_summary(tmp_path):
     for value in (0.3, 0.7):
         assert os.path.exists(tmp_path / "out" / "alpha" / str(value) / "trace.csv")
     summary = (tmp_path / "out" / "summary.csv").read_text().strip().split("\n")
-    assert summary[0] == "sweep_value,final_utility,iters,converged,n_local,n_sbs,n_mbs"
+    assert summary[0] == ("sweep_value,final_utility,iters,converged,n_local,"
+                          "n_sbs,n_mbs,error")
     # rows round-trip through the declared schema
     for line, row in zip(summary[1:], rows):
         parts = line.split(",")
@@ -64,6 +66,7 @@ def test_run_experiment_layout_and_summary(tmp_path):
         assert parts[3] in ("True", "False")
         assert (int(parts[4]), int(parts[5]), int(parts[6])) == (
             row["n_local"], row["n_sbs"], row["n_mbs"])
+        assert parts[7] == ""
     # worker processes write the same rows, traces and summary
     assert run_experiment(replace(spec, outdir=str(tmp_path / "par"),
                                   workers=2)) == rows
@@ -94,6 +97,8 @@ def test_sweep_records_infeasible_points_and_raises_other_errors(tmp_path, monke
     assert np.isfinite(good["final_utility"]) and "error" not in good
     summary = (tmp_path / "out" / "summary.csv").read_text().strip().split("\n")
     assert len(summary) == 3 and summary[1].startswith("0.5,nan,")
+    rows = list(csv.reader(summary))
+    assert rows[0][-1] == "error" and "[2]" in rows[1][-1] and rows[2][-1] == ""
 
     for error in (RecursionError, NotImplementedError, ValueError):
         def failing(scenario, config, error=error):

@@ -574,8 +574,8 @@ def test_start_meets_deadline_row_whenever_fastest_branch_leaves_room():
     rng = np.random.default_rng(34)
     seen = {"on_row": 0, "off_row": 0, "slow_branch": 0}
     for case in range(60):
-        problem, warm_v = _random_global_problem(rng, ("binding", "tight")[case % 2])
-        base = problem.prox if warm_v is None else warm_v
+        problem, base = _random_global_problem(rng, ("binding", "tight")[case % 2])
+        base = problem.prox if base is None else base
         # a start clipped at 0.01, and one clipped only at the module's floor
         for start in (np.clip(base, 0.01, 0.99), base):
             v, m = interior_init(problem, start)
@@ -592,6 +592,29 @@ def test_start_meets_deadline_row_whenever_fastest_branch_leaves_room():
             seen["slow_branch"] += int(((room > 0)
                                         & (problem.tcoef.max(axis=0) > 1e3 * problem.t_max)).sum())
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_infeasible_column_starts_at_its_corner_from_any_base():
+    # a task whose fastest branch misses the deadline has no exact limit;
+    # `interior_init` mixes any base all the way to its fastest-branch
+    # corner, so the base it gets for such a task changes no bit
+    rng = np.random.default_rng(37)
+    seen = {"infeasible": 0, "feasible_moved": 0}
+    for _ in range(40):
+        problem, _ = _random_global_problem(rng, "tight")
+        p, n = problem.n_coords, problem.n_tasks
+        miss = rng.random(n) < 0.3
+        problem.t_max[miss] = (problem.tcoef.min(axis=0)[miss]
+                               * rng.uniform(0.3, 1.0, miss.sum()))
+        spread = rng.dirichlet(np.ones(p), n).T
+        binary = np.eye(p)[:, rng.integers(p, size=n)]
+        v1, m1 = interior_init(problem, spread)
+        v2, m2 = interior_init(problem, binary)
+        assert np.array_equal(v1[:, miss], v2[:, miss])
+        assert np.array_equal(m1[miss], m2[miss])
+        seen["infeasible"] += int(miss.sum())
+        seen["feasible_moved"] += int((v1[:, ~miss] != v2[:, ~miss]).any(axis=0).sum())
+    assert seen["infeasible"] > 100 and seen["feasible_moved"] > 0, seen
 
 
 def test_solve_global_preserves_simplex_and_interior():
@@ -783,24 +806,23 @@ def _reference_slice_problem(problem: GlobalProblem, idx) -> GlobalProblem:
                          rho=problem.rho)
 
 
-def _reference_solve_global(problem: GlobalProblem, warm_v: np.ndarray | None = None,
-                            tol: float = 1e-6, max_inner: int = 25,
-                            freeze_stalled: bool = True):
+def _reference_solve_global(problem: GlobalProblem, tol: float = 1e-6,
+                            max_inner: int = 25, freeze_stalled: bool = True):
     """Takes and returns the module's (n_coords, n_tasks) layout.  One
     barrier level at OMEGA from the lifted exact limit
     (`_reference_lifted_limit`), with multipliers fitted at that level."""
     xi = min(gb.XI_MAX, gb.XI_CONVEXITY_FRACTION * problem.rho)
-    v, m = interior_init(problem, _reference_lifted_limit(problem, warm_v, gb.OMEGA, xi))
+    v, m = interior_init(problem, _reference_lifted_limit(problem, gb.OMEGA, xi))
     return _reference_levels(problem, v, m, [(gb.OMEGA, xi)], tol, max_inner,
                              freeze_stalled)
 
 
-def _reference_lifted_limit(problem, warm_v, omega, xi):
+def _reference_lifted_limit(problem, omega, xi):
     """Column by column: `exact_limit` of each task, each of its zero
     coordinates set to omega over its reduced cost, clipped to
     [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised; a task with
-    no feasible point keeps its `warm_v` column, or its prox centers."""
-    start = (problem.prox if warm_v is None else warm_v).copy()
+    no feasible point keeps its prox centers."""
+    start = problem.prox.copy()
     limit, reduced = exact_limit(problem, xi)
     for j in range(problem.n_tasks):
         if np.isnan(limit[:, j]).any():
@@ -813,9 +835,9 @@ def _reference_lifted_limit(problem, warm_v, omega, xi):
     return start
 
 
-def _reference_schedule(problem, warm_v, tol=1e-6, max_inner=25):
+def _reference_schedule(problem, base, tol=1e-6, max_inner=25):
     """The three-level barrier schedule the one level replaced, started
-    cold: `warm_v`, or the prox centers, clipped into [0.01, 0.99]; the
+    cold: `base`, or the prox centers, clipped into [0.01, 0.99]; the
     levels run at omega 1e-2, 1e-4 and 1e-6, and the corner weight starts
     at min(0.1, XI_CONVEXITY_FRACTION rho) and doubles at each level after
     the first, up to that cap."""
@@ -823,7 +845,7 @@ def _reference_schedule(problem, warm_v, tol=1e-6, max_inner=25):
     xis = [min(0.1, cap)]
     for _ in range(2):
         xis.append(min(2.0 * xis[-1], cap))
-    base = problem.prox if warm_v is None else warm_v
+    base = problem.prox if base is None else base
     v, m = interior_init(problem, np.clip(base, 0.01, 0.99))
     return _reference_levels(problem, v, m, list(zip((1e-2, 1e-4, 1e-6), xis)), tol,
                              max_inner, True)
@@ -899,14 +921,14 @@ _TWIN_ROW = dict(
     tcoef=np.array([6.601, 0.385, 6.419e-02, 91.88, 32.61, 1.556e-03,
                     3.072e-02]),
     t_max=0.0210316,
-    warm_v=np.array([1.41e-08, 3.135e-07, 0.1246, 1e-09, 2.823e-09, 0.4823,
-                     0.3931]))
+    base=np.array([1.41e-08, 3.135e-07, 0.1246, 1e-09, 2.823e-09, 0.4823,
+                   0.3931]))
 
 
 def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
-    """A random problem in the module's layout and its warm start (or
-    None); `coords` bounds the number of coordinates, upper bound
-    excluded."""
+    """A random problem in the module's layout and a random start base
+    for `interior_init` (or None); `coords` bounds the number of
+    coordinates, upper bound excluded."""
     n, p = int(rng.integers(1, 61)), 7 if twin else int(rng.integers(*coords))
     if rng.random() < 0.5:
         prox = rng.uniform(0.0, 1.0, (n, p))
@@ -935,19 +957,19 @@ def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
         scale = rng.uniform(0.3, 0.95) if rng.random() < 0.5 else rng.uniform(1.0, 1.001)
         t_max[k] = tcoef[k].min() * scale
     rho = 1.0 if rng.random() < 0.5 or twin else float(rng.uniform(0.2, 5.0))
-    warm_v = rng.dirichlet(np.ones(p), n) if rng.random() < 0.5 or twin else None
+    base = rng.dirichlet(np.ones(p), n) if rng.random() < 0.5 or twin else None
     if twin:
         k = rng.integers(n)
         for name, values in (("prox", prox), ("dual", dual), ("tcoef", tcoef),
-                             ("t_max", t_max), ("warm_v", warm_v)):
+                             ("t_max", t_max), ("base", base)):
             values[k] = _TWIN_ROW[name]
     return (_coordinate_major(prox, dual, tcoef, t_max, rho),
-            None if warm_v is None else warm_v.T.copy())
+            None if base is None else base.T.copy())
 
 
 def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
     seen = {"best_not_last": 0, "moved": 0, "still": 0, "stalled": 0,
-            "left_box": 0, "warm": 0}
+            "left_box": 0}
     norms = []
     kkt_norm = gb.scaled_kkt_norm
 
@@ -974,14 +996,13 @@ def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
 
     rng = np.random.default_rng(33)
     for case, deadline in enumerate(("loose", "binding", "tight") * 70):
-        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
-        seen["warm"] += warm_v is not None
-        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v)
+        problem, _ = _random_global_problem(rng, deadline, case % 42 == 2)
+        v_ref, m_ref, info_ref = _reference_solve_global(problem)
         norms.clear()
         with monkeypatch.context() as mp:
             mp.setattr(gb, "scaled_kkt_norm", record_norm)
             mp.setattr(gb, "line_search", checked_line_search)
-            v, m, info = solve_global(problem, warm_v)
+            v, m, info = solve_global(problem)
         assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
         assert info.keys() == info_ref.keys()
         for key in info:
@@ -1000,27 +1021,24 @@ def test_solve_global_matches_task_major_reference_from_eight_coords():
     rng = np.random.default_rng(71)
     worst = 0.0
     for deadline in ("loose", "binding", "tight") * 10:
-        problem, warm_v = _random_global_problem(rng, deadline, coords=(8, 11))
+        problem, _ = _random_global_problem(rng, deadline, coords=(8, 11))
         assert problem.n_coords >= 8
-        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v)
-        v, m, info = solve_global(problem, warm_v)
+        v_ref, m_ref, info_ref = _reference_solve_global(problem)
+        v, m, info = solve_global(problem)
         assert np.array_equal(info["converged"], info_ref["converged"])
         worst = max(worst, np.abs(v - v_ref).max(), np.abs(m - m_ref).max())
     assert worst <= 1e-14
 
 
 def test_solve_global_leaves_its_inputs_unchanged():
-    # the consensus loop passes rows of its state as the problem and the
-    # warm start, so the solve must not write into them
+    # the consensus loop passes rows of its state as the problem, so the
+    # solve must not write into them
     rng = np.random.default_rng(72)
     for deadline in ("loose", "binding", "tight") * 4:
-        problem, warm_v = _random_global_problem(rng, deadline)
-        if warm_v is None:
-            warm_v = rng.dirichlet(np.ones(problem.n_coords), problem.n_tasks).T
-        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max, warm_v)
+        problem, _ = _random_global_problem(rng, deadline)
+        inputs = (problem.prox, problem.dual, problem.tcoef, problem.t_max)
         kept = [a.copy() for a in inputs]
         solve_global(problem)
-        solve_global(problem, warm_v)
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
 
@@ -1034,10 +1052,10 @@ def test_frozen_stalls_leave_results_bit_identical():
     rng = np.random.default_rng(48)
     stalled_tasks = saved = 0
     for case in range(40):
-        problem, warm_v = _random_global_problem(rng, "tight", twin=case % 2 == 0)
-        v_ref, m_ref, info_ref = _reference_solve_global(problem, warm_v,
+        problem, _ = _random_global_problem(rng, "tight", twin=case % 2 == 0)
+        v_ref, m_ref, info_ref = _reference_solve_global(problem,
                                                          freeze_stalled=False)
-        v, m, info = solve_global(problem, warm_v)
+        v, m, info = solve_global(problem)
         assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
         for key in ("kkt_norm", "converged", "stalled"):
             assert np.array_equal(info[key], info_ref[key]), key
@@ -1068,11 +1086,7 @@ def test_solve_global_runs_each_level_once(monkeypatch):
     monkeypatch.setattr(gb, "smoothed_objective", counted_objective)
     monkeypatch.setattr(gb, "line_search", nested_line_search)
     problem = _toy_problem(n=5, p=5, seed=17)
-    v, _, info = solve_global(problem)
-    assert starts == [gb.OMEGA]
-    assert info["converged"].all()
-    starts.clear()
-    _, _, info = solve_global(problem, v)
+    _, _, info = solve_global(problem)
     assert starts == [gb.OMEGA]
     assert info["converged"].all()
 
@@ -1082,10 +1096,10 @@ def test_solve_global_checks_the_point_after_its_last_step(monkeypatch):
     # 3.99) converges only on the last of its MAX_INNER steps
     rng = np.random.default_rng(2024)
     for case, deadline in enumerate(("loose", "binding", "tight") * 54):
-        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
+        problem, _ = _random_global_problem(rng, deadline, case % 42 == 2)
         if case == 160:
             break
-    _, _, info = solve_global(problem, warm_v)
+    _, _, info = solve_global(problem)
     assert info["converged"].all() and info["newton_iterations"] == gb.MAX_INNER
 
     # a solve that needs exactly k steps converges under a cap of k, and
@@ -1093,17 +1107,17 @@ def test_solve_global_checks_the_point_after_its_last_step(monkeypatch):
     rng = np.random.default_rng(91)
     seen = 0
     for deadline in ("loose", "binding", "tight") * 4:
-        problem, warm_v = _random_global_problem(rng, deadline)
-        _, _, info = solve_global(problem, warm_v)
+        problem, _ = _random_global_problem(rng, deadline)
+        _, _, info = solve_global(problem)
         k = info["newton_iterations"]
         if not info["converged"].all() or k < 2:
             continue
         with monkeypatch.context() as mp:
             mp.setattr(gb, "MAX_INNER", k)
-            _, _, capped = solve_global(problem, warm_v)
+            _, _, capped = solve_global(problem)
             assert capped["converged"].all() and capped["newton_iterations"] == k
             mp.setattr(gb, "MAX_INNER", k - 1)
-            _, _, short = solve_global(problem, warm_v)
+            _, _, short = solve_global(problem)
             assert not short["converged"].all() and short["newton_iterations"] == k - 1
         seen += 1
     assert seen > 0
@@ -1116,9 +1130,9 @@ def test_one_level_converges_what_the_three_level_schedule_converges():
     rng = np.random.default_rng(2024)
     seen = {"converged": 0, "both_failed": 0}
     for case, deadline in enumerate(("loose", "binding", "tight") * 20):
-        problem, warm_v = _random_global_problem(rng, deadline, case % 42 == 2)
-        _, _, info = solve_global(problem, warm_v)
-        _, _, ref = _reference_schedule(problem, warm_v)
+        problem, base = _random_global_problem(rng, deadline, case % 42 == 2)
+        _, _, info = solve_global(problem)
+        _, _, ref = _reference_schedule(problem, base)
         assert np.array_equal(info["converged"], ref["converged"]), case
         assert info["newton_iterations"] <= ref["newton_iterations"]
         seen["converged"] += int(info["converged"].sum())
@@ -1127,8 +1141,8 @@ def test_one_level_converges_what_the_three_level_schedule_converges():
 
 
 def test_moved_loose_problems_converge_every_task(monkeypatch):
-    # as in the consensus loop: the warm point is the previous problem's
-    # iterate, and the problem has moved a little since
+    # as in the consensus loop: the problem has moved a little since the
+    # last solve
     searches = []
 
     def recorded_line_search(v, m, dv, dm, f, grad, problem, omega, xi):
@@ -1139,13 +1153,13 @@ def test_moved_loose_problems_converge_every_task(monkeypatch):
     rng = np.random.default_rng(82)
     for _ in range(20):
         problem, _ = _random_global_problem(rng, "loose")
-        v, _, first = solve_global(problem)
+        _, _, first = solve_global(problem)
         assert first["converged"].all()
         moved = GlobalProblem(prox=problem.prox + rng.normal(0, 0.01, problem.prox.shape),
                               dual=problem.dual + rng.normal(0, 0.01, problem.dual.shape),
                               tcoef=problem.tcoef, t_max=problem.t_max, rho=problem.rho)
         searches.clear()
-        _, _, info = solve_global(moved, v)
+        _, _, info = solve_global(moved)
         assert info["converged"].all()
         assert searches and set(searches) == {gb.OMEGA}
         assert info["newton_iterations"] == len(searches)
@@ -1283,8 +1297,8 @@ def test_line_search_prices_trials_once_without_armijo_rejection(monkeypatch):
     monkeypatch.setattr(gb, "line_search", checked_line_search)
     rng = np.random.default_rng(61)
     for deadline in ("loose", "binding", "tight") * 4:
-        problem, warm_v = _random_global_problem(rng, deadline)
-        solve_global(problem, warm_v)
+        problem, _ = _random_global_problem(rng, deadline)
+        solve_global(problem)
     solve_global(_toy_problem(n=5, p=5, seed=17))
     assert seen["once"] > 100 and seen["other"] > 0, seen
 

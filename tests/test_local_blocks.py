@@ -140,7 +140,8 @@ def _problem(n_tasks=1, n_sbs=1, seed=0, alpha=0.5, delta=1.0, **cfg):
     tables = costs.build_cost_tables(scen, alpha, x0,
                                      np.tile(scen.c_array() / 3, (s, 1)))
     scale = float(np.minimum(tables.k_local, tables.k_mbs).mean())
-    problem = LocalProblem.from_tables(tables, x0, np.zeros((s, n)), rho=1.0,
+    problem = LocalProblem.from_tables(tables, np.ones((s, n)), x0,
+                                       np.zeros((s, n)), rho=1.0,
                                        delta=delta, cost_scale=scale)
     c = scen.c_array()
     vars = CbgpVars(x_hat=x0.copy(), R=x0.copy(),

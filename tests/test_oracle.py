@@ -12,7 +12,7 @@ from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import InstanceTooLargeError
 from edgealloc.oracle import compare, enumerate_optimum
 from edgealloc.scenario import ScenarioConfig, generate_scenario
-from lattice_split import lattice_split
+from lattice_split import lattice_split, split_cost
 
 
 def test_small_task_prefers_terminal():
@@ -135,7 +135,7 @@ def test_lone_task_split_is_cheapest_at_whole_station():
         hs = np.concatenate([[1.0], rng.uniform(scen.config.h_min, 1.0, 5)])
         rows = np.zeros(len(hs), dtype=np.intp)
         c0, c1, _, ok = costs.best_splits(tables, rows, rows, hs)
-        _, cost = tables.split_delay_cost(0, 0, c0, c1, 1.0 / hs)
+        _, cost = split_cost(tables, 0, 0, c0, c1, 1.0 / hs)
         for k in range(1, len(hs)):
             if not ok[k]:
                 continue
@@ -443,7 +443,7 @@ def test_oracle_skips_redundant_table_builds(monkeypatch):
     build = costs.build_cost_tables
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "tables_from_placement":
+        if sys._getframe(1).f_code.co_name != "placement_costs":
             builds.append(args)
         return build(*args, **kwargs)
 

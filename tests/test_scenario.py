@@ -118,6 +118,18 @@ def test_malformed_relay_routes_rejected_at_load(small_scenario, defect, message
         Scenario.from_dict(doc)
 
 
+def test_config_keys_must_match_the_config_fields(small_scenario):
+    # a missing key would otherwise load as its default without a word
+    doc = small_scenario.to_dict()
+    del doc["config"]["h_min"]
+    with pytest.raises(ConfigurationError, match=r"missing keys \['h_min'\]"):
+        Scenario.from_dict(doc)
+    doc = small_scenario.to_dict()
+    doc["config"]["h_max"] = 1.0
+    with pytest.raises(ConfigurationError, match=r"unknown keys \['h_max'\]"):
+        Scenario.from_dict(doc)
+
+
 # -- relay route delays, as the cost tables price them -----------------------
 
 UNIT = ("unit", "fu:sbs1")
@@ -136,7 +148,8 @@ def _route_delay(route=None, **config):
         scen = Scenario.from_dict(doc)
     tables = costs.build_cost_tables(scen, 0.5, np.ones((1, 1)),
                                      np.zeros((1, 1)))
-    return lambda c1: tables.wired_delay(np.asarray(c1, dtype=float))[0]
+    return lambda c1: costs.wired_delay(tables.w2, tables.w1, tables.w0,
+                                        np.asarray(c1, dtype=float))[0]
 
 
 def test_forwarding_delay_values():
