@@ -109,18 +109,18 @@ class TraceRecord:
 class Trace:
     """Per-iteration log; iteration numbers are strictly increasing.
 
-    `aug_lagrangian_rise` holds the change of the consensus objective
-    produced by each iteration's primal sweep at the duals it was solved
-    under (nonpositive when every block truly descends).
+    Three solver-health counters hold one entry per iteration, taken from
+    what the blocks report anyway, and are not part of the CSV:
     `global_unconverged` counts the tasks whose global block ended above
-    its KKT tolerance in each iteration; like the rise it is not part of
-    the CSV.
+    its KKT tolerance, `newton_steps` the global block's Newton steps, and
+    `cbgp_sweeps` the split block's sweeps (0 with no SBS).
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
-    aug_lagrangian_rise: list = field(default_factory=list)
     global_unconverged: list = field(default_factory=list)
+    newton_steps: list = field(default_factory=list)
+    cbgp_sweeps: list = field(default_factory=list)
 
     CSV_HEADER = "iter,utility,primal_res,dual_res,wall_ms"
 
@@ -165,7 +165,8 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
                          cost_scale: float = 1.0) -> float:
     """Objective of the consensus formulation at the current primal pair
     and duals: local-copy cost plus dual terms plus quadratic penalty, in
-    the normalized units the solver actually works in."""
+    the normalized units the solver actually works in.  `run` decides
+    convergence on the residuals and does not price it."""
     s = state.c0.shape[0]
     delay, energy = tables.split_price(state.c0, state.c1, state.ci, state.r)
     util3 = tables.alpha * delay + (1.0 - tables.alpha) * energy
@@ -241,8 +242,8 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             # only at that scale
             cost_scale = max(
                 float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
-        lagrangian_before = augmented_lagrangian(state, tables, cost_scale)
 
+        sweeps = 0
         if s:
             problem = local_blocks.LocalProblem.from_tables(
                 tables, state.r, x, state.dual[:s], config.rho,
@@ -250,9 +251,10 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             vars = local_blocks.CbgpVars(
                 x_hat=state.v_hat[:s], R=state.R, c0=state.c0,
                 c1=state.c1, ci=state.ci)
-            local_blocks.cbgp_solve(problem, vars, cbgp_state,
-                                    rounds=config.cbgp_rounds,
-                                    tol=config.cbgp_tol)
+            _, history = local_blocks.cbgp_solve(problem, vars, cbgp_state,
+                                                 rounds=config.cbgp_rounds,
+                                                 tol=config.cbgp_tol)
+            sweeps = len(history) - 1
             state.v_hat[:s] = vars.x_hat
             state.R, state.c0, state.c1, state.ci = (vars.R, vars.c0, vars.c1,
                                                      vars.ci)
@@ -289,9 +291,9 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
                                                      tol=config.newton_tol)
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
+        trace.newton_steps.append(info["newton_iterations"])
+        trace.cbgp_sweeps.append(sweeps)
 
-        lagrangian_after = augmented_lagrangian(state, tables, cost_scale)
-        trace.aug_lagrangian_rise.append(lagrangian_after - lagrangian_before)
         dual_update(state)
 
         primal, dual_res = residuals(state)

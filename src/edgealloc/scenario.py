@@ -23,6 +23,25 @@ from .errors import ConfigurationError
 MBS = "MBS"
 SBS = "SBS"
 
+
+def _check_keys(entry: str, d: dict, names) -> None:
+    """Raise ConfigurationError, naming the entry and its missing and
+    unknown keys, unless the keys of document entry `d` are exactly
+    `names`."""
+    names = set(names)
+    if set(d) != names:
+        raise ConfigurationError(
+            f"{entry}: missing keys {sorted(names - set(d))}, "
+            f"unknown keys {sorted(set(d) - names)}")
+
+
+def _build(kind, d: dict, entry: str):
+    """The dataclass `kind` from document entry `d`, lists read as tuples."""
+    _check_keys(entry, d, (f.name for f in fields(kind)))
+    return kind(**{k: tuple(v) if isinstance(v, list) else v
+                   for k, v in d.items()})
+
+
 @dataclass(frozen=True)
 class Task:
     """A unit of work: `c` data bits, deadline `t_max` seconds, `u` cycles/bit."""
@@ -133,13 +152,15 @@ class NetworkGraph:
             raise ConfigurationError(
                 "scenario graph holds per-task 'paths'; that format is no "
                 "longer read, regenerate the scenario")
-        units = {u["id"]: ForwardingUnit(**u) for u in doc["forwarding_units"]}
-        links = {l["id"]: Link(id=l["id"], endpoints=tuple(l["endpoints"]),
-                               capacity=l["capacity"])
-                 for l in doc["links"]}
+        units = {u.id: u for u in (
+            _build(ForwardingUnit, d, f"forwarding unit {k}")
+            for k, d in enumerate(doc["forwarding_units"]))}
+        links = {l.id: l for l in (_build(Link, d, f"link {k}")
+                                   for k, d in enumerate(doc["links"]))}
         known = {"unit": units, "link": links}
         routes = {}
-        for route in doc["relay_routes"]:
+        for k, route in enumerate(doc["relay_routes"]):
+            _check_keys(f"relay route {k}", route, ("sbs", "elements"))
             sbs = route["sbs"]
             if sbs not in sbs_ids:
                 raise ConfigurationError(f"relay route of station {sbs}: not an SBS")
@@ -294,27 +315,21 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        """Read a `to_dict` document; raise ConfigurationError when its
-        config's keys are not exactly `ScenarioConfig`'s fields."""
-        cfg = doc["config"]
-        names = {f.name for f in fields(ScenarioConfig)}
-        if set(cfg) != names:
-            raise ConfigurationError(
-                f"scenario config: missing keys {sorted(names - set(cfg))}, "
-                f"unknown keys {sorted(set(cfg) - names)}")
-
-        def build(kind, d):
-            return kind(**{k: tuple(v) if isinstance(v, list) else v
-                           for k, v in d.items()})
-
-        config = build(ScenarioConfig, cfg)
-        tasks = tuple(build(Task, t) for t in doc["tasks"])
-        stations = tuple(build(Station, s) for s in doc["stations"])
-        device = build(LocalDevice, doc["device"])
+        """Read a `to_dict` document; raise ConfigurationError when the keys
+        of its config, a task, a station, the device, the channel or a
+        graph element are not exactly that entry's fields."""
+        config = _build(ScenarioConfig, doc["config"], "scenario config")
+        tasks = tuple(_build(Task, d, f"task {k}")
+                      for k, d in enumerate(doc["tasks"]))
+        stations = tuple(_build(Station, d, f"station {k}")
+                         for k, d in enumerate(doc["stations"]))
+        device = _build(LocalDevice, doc["device"], "device")
+        ch = doc["channel"]
+        _check_keys("channel", ch, (f.name for f in fields(ChannelMatrix)))
         channel = ChannelMatrix(
-            gain=np.asarray(doc["channel"]["gain"], dtype=float),
-            noise_power=doc["channel"]["noise_power"],
-            offload_power_sbs_mbs=doc["channel"]["offload_power_sbs_mbs"],
+            gain=np.asarray(ch["gain"], dtype=float),
+            noise_power=ch["noise_power"],
+            offload_power_sbs_mbs=ch["offload_power_sbs_mbs"],
         )
         graph = NetworkGraph.from_dict(
             doc["graph"], [st.id for st in stations if st.kind == SBS])

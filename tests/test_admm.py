@@ -10,6 +10,7 @@ from edgealloc.admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
 from edgealloc.scenario import ScenarioConfig, generate_scenario
+from lagrangian_rise import lagrangian_rises
 from lattice_split import lattice_split, split_cost
 
 
@@ -259,8 +260,9 @@ def test_trace_counts_unconverged_global_solves():
 
 
 def test_primal_sweep_never_raises_lagrangian(small_scenario):
-    _, trace = run(small_scenario, SolverConfig(max_iter=40, cbgp_rounds=30))
-    assert max(trace.aug_lagrangian_rise) <= 1e-9
+    rises = lagrangian_rises(small_scenario,
+                             SolverConfig(max_iter=40, cbgp_rounds=30))
+    assert max(rises) <= 1e-9
 
 
 def test_optimize_branch_split_matches_oracle_split_search():
@@ -479,6 +481,38 @@ def test_reference_run_newton_steps_and_utility(monkeypatch):
     assert sum(steps) <= 26
     assert costs.utility(placement, scen,
                          UtilityWeights(config.alpha)) == 1.996138694111688
+
+
+def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
+    # the trace's health counters are what the blocks return, one entry per
+    # iteration: the 26 Newton steps of the reference run, and the split
+    # block's sweeps (0 when there is no SBS)
+    steps, sweeps = [], []
+    solve_global = admm.global_block.solve_global
+    cbgp_solve = admm.local_blocks.cbgp_solve
+
+    def counted_global(*args, **kwargs):
+        v, m, info = solve_global(*args, **kwargs)
+        steps.append(info["newton_iterations"])
+        return v, m, info
+
+    def counted_cbgp(*args, **kwargs):
+        vars, history = cbgp_solve(*args, **kwargs)
+        sweeps.append(len(history) - 1)
+        return vars, history
+
+    monkeypatch.setattr(admm.global_block, "solve_global", counted_global)
+    monkeypatch.setattr(admm.local_blocks, "cbgp_solve", counted_cbgp)
+    scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
+    _, trace = run(scen, SolverConfig(record_timing=False))
+    assert trace.newton_steps == steps and sum(trace.newton_steps) == 26
+    assert trace.cbgp_sweeps == sweeps
+    assert len(sweeps) == len(trace.records) and min(sweeps) >= 1
+
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=0, seed=1))
+    _, trace = run(scen, SolverConfig(record_timing=False))
+    assert trace.cbgp_sweeps == [0] * len(trace.records)
+    assert len(trace.newton_steps) == len(trace.records)
 
 
 def test_tight_twin_iterates_pinned():

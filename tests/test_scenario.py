@@ -128,6 +128,22 @@ def test_config_keys_must_match_the_config_fields(small_scenario):
     doc["config"]["h_max"] = 1.0
     with pytest.raises(ConfigurationError, match=r"unknown keys \['h_max'\]"):
         Scenario.from_dict(doc)
+    # every other entry is held to its fields the same way
+    doc = small_scenario.to_dict()
+    del doc["tasks"][0]["u"]
+    with pytest.raises(ConfigurationError,
+                       match=r"task 0: missing keys \['u'\]"):
+        Scenario.from_dict(doc)
+    doc = small_scenario.to_dict()
+    del doc["channel"]["noise_power"]
+    with pytest.raises(ConfigurationError,
+                       match=r"channel: missing keys \['noise_power'\]"):
+        Scenario.from_dict(doc)
+    doc = small_scenario.to_dict()
+    doc["graph"]["forwarding_units"][1]["o3"] = 0.0
+    with pytest.raises(ConfigurationError, match=r"forwarding unit 1: "
+                       r"missing keys \[\], unknown keys \['o3'\]"):
+        Scenario.from_dict(doc)
 
 
 # -- relay route delays, as the cost tables price them -----------------------
