@@ -25,7 +25,7 @@ def plateau_start(u, window=20, rel=1e-3):
 finals = {}
 for rho in (1.0, 1.2):
     config = SolverConfig(alpha=0.5, rho=rho, max_iter=120, cbgp_rounds=30,
-                          tol_primal=1e-12, tol_dual=1e-12)
+                          tol=1e-12)
     placement, trace = run(scenario, config)
     finals[rho] = utility(placement, scenario, UtilityWeights(0.5))
     print(f"rho={rho}: plateau from iteration {plateau_start(trace.utilities())}, "

@@ -16,9 +16,9 @@ from .errors import (ConfigurationError, InfeasibleTaskError,
                      InstanceTooLargeError)
 from .experiments import (ExperimentSpec, oracle_gap_study, placement_profile,
                           run_baseline, run_experiment)
-from .global_block import (GlobalProblem, NewtonSystem, assemble_newton,
-                           kkt_residual, line_search, nullspace_cg_solve,
-                           smoothed_objective, solve_global)
+from .global_block import (GlobalProblem, kkt_residual, line_search,
+                           nullspace_cg_solve, smoothed_objective,
+                           solve_global)
 from .local_blocks import (CbgpState, CbgpVars, LocalProblem, cbgp_solve,
                            majorize_penalty, rlt_bounds, solve_bit_branch)
 from .oracle import OracleResult, compare, enumerate_optimum

@@ -35,8 +35,7 @@ CORNER_DELTA = 0.3
 class SolverConfig:
     rho: float = 1.0
     max_iter: int = 200
-    tol_primal: float = 1e-4
-    tol_dual: float = 1e-4
+    tol: float = 1e-4
     alpha: float = 0.5
     cbgp_rounds: int = 50
     cbgp_tol: float = 1e-6
@@ -48,8 +47,8 @@ class SolverConfig:
             raise ConfigurationError("rho must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ConfigurationError("tol must be positive")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigurationError("alpha must lie in [0, 1]")
 
@@ -198,8 +197,8 @@ def _trace_utility(state: ConsensusState, scenario: Scenario,
 
 
 def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
-    """Iterate the three phases until both residual norms pass their
-    tolerances or the iteration budget runs out, then round the relaxed
+    """Iterate the three phases until both residual norms pass the
+    tolerance or the iteration budget runs out, then round the relaxed
     state to a hard feasible placement.
 
     Non-convergence is not fatal: the best available state is rounded and
@@ -211,16 +210,20 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     cbgp_state = local_blocks.CbgpState.fresh(state.v_hat[:s])
     trace = Trace()
 
-    # tolerances scale with the root of the consensus dimension; the
+    # the tolerance scales with the root of the consensus dimension; the
     # barrier keeps a small per-coordinate interior offset, so an absolute
     # norm threshold would never fire on large instances
-    eps_primal = config.tol_primal * np.sqrt(state.v.size)
-    eps_dual = config.tol_dual * np.sqrt(state.v.size)
+    eps = config.tol * np.sqrt(state.v.size)
 
+    # later iterations price on the tables of the last trace utility, which
+    # built them from the same x, c1 and alpha
+    tables = costs.build_cost_tables(scenario, config.alpha, state.v[:s],
+                                     state.c1)
+    # normalize once so per-task branch costs are O(1) against rho; the
+    # dual race between branches resolves cost order only at that scale
+    cost_scale = max(
+        float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
     converged = False
-    cost_scale = None
-    # the trace utility's tables of the last iteration
-    carried = None
     for _ in range(config.max_iter):
         t0 = time.perf_counter() if config.record_timing else 0.0
 
@@ -232,16 +235,6 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             expected_load = np.clip(x.sum(axis=1), 1.0,
                                     1.0 / scenario.config.h_min)
             state.r = expected_load[:, None]
-        # the last trace utility built its tables from the same x, c1 and
-        # alpha
-        tables = (costs.build_cost_tables(scenario, config.alpha, x, state.c1)
-                  if carried is None else carried)
-        if cost_scale is None:
-            # normalize once so per-task branch costs are O(1) against
-            # rho; the dual race between branches resolves cost order
-            # only at that scale
-            cost_scale = max(
-                float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
 
         sweeps = 0
         if s:
@@ -297,18 +290,18 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         dual_update(state)
 
         primal, dual_res = residuals(state)
-        util, carried = _trace_utility(state, scenario, weights)
+        util, tables = _trace_utility(state, scenario, weights)
         wall = ((time.perf_counter() - t0) * 1e3
                 if config.record_timing else 0.0)
         trace.append(TraceRecord(k=state.k, utility=util,
                                  primal_res=primal, dual_res=dual_res,
                                  wall_ms=wall))
-        if primal < eps_primal and dual_res < eps_dual:
+        if primal < eps and dual_res < eps:
             converged = True
             break
 
-    # free the carried tables before rounding, which builds its own
-    carried = None
+    # free the last tables before rounding, which builds its own
+    del tables
     trace.converged = converged
     placement = round_to_feasible(state, scenario, config)
     return placement, trace

@@ -16,13 +16,14 @@ import os
 from . import admm, costs, experiments, oracle
 from .admm import SolverConfig
 from .costs import UtilityWeights
-from .scenario import Scenario, ScenarioConfig, generate_scenario
+from .scenario import (Scenario, ScenarioConfig, from_config,
+                       generate_scenario)
 
 
 def _cmd_generate(args) -> int:
     if args.config:
         with open(args.config) as fh:
-            config = ScenarioConfig(**json.load(fh))
+            config = from_config(ScenarioConfig, json.load(fh), args.config)
     else:
         config = ScenarioConfig(n_tasks=args.n_tasks, n_sbs=args.n_sbs,
                                 seed=args.seed)
@@ -35,8 +36,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     scenario = Scenario.from_json(args.scenario)
-    config = SolverConfig(rho=args.rho, max_iter=args.max_iter,
-                          tol_primal=args.tol, tol_dual=args.tol,
+    config = SolverConfig(rho=args.rho, max_iter=args.max_iter, tol=args.tol,
                           alpha=args.alpha, record_timing=not args.no_timing)
     placement, trace = admm.run(scenario, config)
     util = costs.utility(placement, scenario, UtilityWeights(args.alpha))

@@ -21,7 +21,8 @@ from . import admm, costs, oracle
 from .admm import SolverConfig
 from .costs import Placement, UtilityWeights
 from .errors import ConfigurationError, InfeasibleTaskError
-from .scenario import Scenario, ScenarioConfig, generate_scenario
+from .scenario import (Scenario, ScenarioConfig, from_config,
+                       generate_scenario)
 
 SWEEP_AXES = ("alpha", "rho", "n_tasks", "sbs_capacity", "lt_capacity", "data_size")
 
@@ -53,11 +54,13 @@ class ExperimentSpec:
         else:
             with open(src) as fh:
                 doc = json.load(fh)
-        return cls(scenario=ScenarioConfig(**doc.get("scenario", {})),
+        return cls(scenario=from_config(ScenarioConfig, doc.get("scenario", {}),
+                                        "scenario"),
                    axis=doc["axis"], values=list(doc["values"]),
                    outdir=doc["outdir"], repetitions=doc.get("repetitions", 1),
                    workers=doc.get("workers", 1),
-                   solver=SolverConfig(**doc.get("solver", {})))
+                   solver=from_config(SolverConfig, doc.get("solver", {}),
+                                      "solver"))
 
 
 def apply_axis(scenario_config: ScenarioConfig, solver_config: SolverConfig,
@@ -226,8 +229,10 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
     """Random feasible placement: each task draws uniformly among its
     individually deadline-feasible branches (terminal, MBS, any SBS with
     naive thirds split), capacity overflows demote to the MBS, and tasks
-    violated by congestion are retried up to a fixed pass budget before
-    falling back to their fastest branch."""
+    violated by congestion are redrawn up to a fixed pass budget.  A task
+    still late after the budget falls back to the faster of its terminal
+    and macro branches.  The placement passes `costs.check_feasibility`;
+    otherwise `InfeasibleTaskError` names the tasks still late."""
     rng = np.random.default_rng(seed)
     s, n = scenario.n_sbs, scenario.n_tasks
     t_max = scenario.t_max_array()
@@ -276,8 +281,19 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
             others = [b for b in feasible_sets[j] if b != choice[j]]
             choice[j] = rng.choice(others) if others else feasible_sets[j][0]
     else:
+        # the budget is spent: a late task takes the faster of its terminal
+        # and macro branches, whose delays do not depend on the other
+        # tasks, and leaving an SBS only lowers the others' interference,
+        # relay load and share
         placement = _assemble_baseline(scenario, choice)
-
+        late = ~costs.check_feasibility(placement, scenario).deadline_ok
+        choice[late] = np.where(tables.t_local <= tables.t_mbs, 0, s + 1)[late]
+        placement = _assemble_baseline(scenario, choice)
+        report = costs.check_feasibility(placement, scenario)
+    # shares are 1 / members and each task takes one branch, so only a
+    # deadline can fail
+    if not report.ok:
+        raise InfeasibleTaskError(np.flatnonzero(~report.deadline_ok).tolist())
     return placement, costs.utility(placement, scenario, weights)
 
 

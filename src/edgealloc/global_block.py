@@ -144,37 +144,13 @@ def scaled_kkt_norm(res, problem: GlobalProblem) -> np.ndarray:
     return np.maximum(np.maximum(stat, dead), np.abs(simplex))
 
 
-@dataclass
-class NewtonSystem:
-    """One Newton step's data for all tasks: diagonal curvature of the box
-    coordinates and the slack, the deadline row, and the negated residual
-    right-hand side split by row group."""
-
-    hess_v: np.ndarray
-    hess_m: np.ndarray
-    tcoef: np.ndarray
-    rhs_v: np.ndarray
-    rhs_m: np.ndarray
-    rhs_deadline: np.ndarray
-    rhs_simplex: np.ndarray
-
-
-def assemble_newton(v, m, res, problem: GlobalProblem, omega, xi,
-                    recip=None) -> NewtonSystem:
-    """Newton system at (v, m) whose right-hand side is the negated KKT
-    residual `res` that `kkt_residual` returned for the same point;
-    `recip` is `barrier_reciprocals(v)`, formed here when not given."""
-    hess_v, hess_m = hess_diag_smoothed(v, m, problem, omega, xi, recip)
-    stat_v, stat_m, deadline, simplex = res
-    return NewtonSystem(hess_v=hess_v, hess_m=hess_m, tcoef=problem.tcoef,
-                        rhs_v=-stat_v, rhs_m=-stat_m,
-                        rhs_deadline=-deadline, rhs_simplex=-simplex)
-
-
-def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
+def nullspace_cg_solve(hess_v, hess_m, tcoef, res):
     """Solve the per-task Newton systems exactly by block elimination.
 
-    Per task the system is
+    `hess_v` and `hess_m` are the diagonal curvatures of the box
+    coordinates and the slack, `tcoef` is the deadline row, and `res` is
+    the 4-tuple `kkt_residual` returns; the right-hand side is its
+    negation (b_v, b_m, b_deadline, b_simplex).  Per task the system is
 
         diag(hv) dv + t dnu + 1 dsig = b_v      hm dm + dnu = b_m
         t.dv + dm = b_deadline                  1.dv = b_simplex
@@ -191,52 +167,36 @@ def nullspace_cg_solve(system: NewtonSystem, max_reg_doublings: int = 60):
     of nonnegative terms.  Scaling both multipliers and dm through by hm
     leaves no division by hm.  The work is O(p) per task, all tasks at once.
 
+    Every curvature must be positive; the solve does not check it.  Inside
+    `solve_global` it holds: there xi <= XI_CONVEXITY_FRACTION * rho, so
+    every box curvature is at least (1 - 2 XI_CONVEXITY_FRACTION) rho > 0,
+    and the slack curvature omega / m^2 is positive at every interior
+    point.
+
     The name is kept from the null-space conjugate-gradient solver this
     replaced, because the benchmark's span tracer wraps the function by
-    that name and reads `info["regularized"]`.
+    that name and counts `info["regularized"]`; that key, once the flags
+    of a curvature repair, is kept for the tracer as an all-False array.
 
-    Returns (dv, dm, dnu, dsig, info).  Nonpositive curvature is repaired
-    by adding a diagonal shift that doubles from 1e-6 until every
-    diagonal entry is positive again; affected tasks are flagged in
-    `info["regularized"]`.  Inside `solve_global` the repair never fires:
-    there xi <= XI_CONVEXITY_FRACTION * rho, so every box curvature is at
-    least (1 - 2 XI_CONVEXITY_FRACTION) rho > 0, and the slack curvature
-    omega / m^2 is positive at every interior point.
+    Returns (dv, dm, dnu, dsig, info).
     """
-    hv, hm = system.hess_v, system.hess_m
-    regularized = np.zeros(hv.shape[1], dtype=bool)
-    bad = (hv.min(axis=0) <= 0) | (hm <= 0)
-    if bad.any():
-        # repair copies, so the caller's curvatures stay as they were
-        hv, hm = hv.copy(), hm.copy()
-        lam = 1e-6
-        for _ in range(max_reg_doublings):
-            if not bad.any():
-                break
-            hv[:, bad] += lam
-            hm[bad] += lam
-            regularized |= bad
-            lam *= 2.0
-            bad = (hv.min(axis=0) <= 0) | (hm <= 0)
-
-    w = 1.0 / hv
+    stat_v, stat_m, deadline, simplex = res
+    b_v, b_m, b_simplex = -stat_v, -stat_m, -simplex
+    w = 1.0 / hess_v
     w_sum = w.sum(axis=0)
-    t = system.tcoef
-    b_v = system.rhs_v
-    t_bar = (w * t).sum(axis=0) / w_sum
+    t_bar = (w * tcoef).sum(axis=0) / w_sum
     b_bar = (w * b_v).sum(axis=0) / w_sum
-    t_c = t - t_bar
-    simplex_share = system.rhs_simplex / w_sum
+    t_c = tcoef - t_bar
+    simplex_share = b_simplex / w_sum
     wt_c = w * t_c
     q = (wt_c * t_c).sum(axis=0)
-    r = ((wt_c * b_v).sum(axis=0) + t_bar * system.rhs_simplex
-         - system.rhs_deadline)
-    denom = hm * q + 1.0
-    dnu = (hm * r + system.rhs_m) / denom
-    dm = (system.rhs_m * q - r) / denom
+    r = (wt_c * b_v).sum(axis=0) + t_bar * b_simplex + deadline
+    denom = hess_m * q + 1.0
+    dnu = (hess_m * r + b_m) / denom
+    dm = (b_m * q - r) / denom
     dsig = b_bar - simplex_share - t_bar * dnu
     dv = w * (b_v - b_bar - t_c * dnu + simplex_share)
-    return dv, dm, dnu, dsig, {"regularized": regularized}
+    return dv, dm, dnu, dsig, {"regularized": np.zeros(hess_v.shape[1], dtype=bool)}
 
 
 def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
@@ -490,8 +450,9 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
         active = (norm > tol) & ~stalled_any
         if steps == MAX_INNER or not active.any():
             break
-        system = assemble_newton(v, m, res, problem, OMEGA, xi, recip)
-        dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+        hess_v, hess_m = hess_diag_smoothed(v, m, problem, OMEGA, xi, recip)
+        dv, dm, dnu, dsig, _ = nullspace_cg_solve(hess_v, hess_m,
+                                                  problem.tcoef, res)
         idle = ~active
         dv[:, idle] = 0.0
         dm[idle] = 0.0

@@ -35,6 +35,16 @@ def _check_keys(entry: str, d: dict, names) -> None:
             f"unknown keys {sorted(set(d) - names)}")
 
 
+def from_config(kind, d: dict, entry: str):
+    """The dataclass `kind` from hand-written config entry `d`, whose
+    missing keys take the defaults; ConfigurationError names the entry and
+    its unknown keys."""
+    unknown = set(d) - {f.name for f in fields(kind)}
+    if unknown:
+        raise ConfigurationError(f"{entry}: unknown keys {sorted(unknown)}")
+    return kind(**d)
+
+
 def _build(kind, d: dict, entry: str):
     """The dataclass `kind` from document entry `d`, lists read as tuples."""
     _check_keys(entry, d, (f.name for f in fields(kind)))

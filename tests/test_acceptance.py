@@ -32,8 +32,7 @@ def test_criterion_1_convergence_shape_and_alpha_ordering():
     finals = {}
     for alpha in (0.2, 0.5, 0.8):
         config = SolverConfig(alpha=alpha, rho=1.0, max_iter=160,
-                              tol_primal=1e-12, tol_dual=1e-12,
-                              cbgp_rounds=30)
+                              tol=1e-12, cbgp_rounds=30)
         t0 = time.perf_counter()
         placement, trace = run(scen, config)
         wall = time.perf_counter() - t0
@@ -160,28 +159,26 @@ def test_criterion_7_nullspace_correctness():
     worst_res, worst_null = 0.0, 0.0
     for _ in range(100):
         p = int(rng.integers(3, 8))
-        system = global_block.NewtonSystem(
-            hess_v=rng.uniform(0.3, 3.0, (p, 1)),
-            hess_m=rng.uniform(0.3, 3.0, 1),
-            tcoef=rng.uniform(0.01, 1.0, (p, 1)),
-            rhs_v=rng.normal(0, 1, (p, 1)),
-            rhs_m=rng.normal(0, 1, 1),
-            rhs_deadline=rng.normal(0, 1, 1),
-            rhs_simplex=np.zeros(1))
-        dv, dm, dnu, dsig, _ = global_block.nullspace_cg_solve(system)
+        hess_v = rng.uniform(0.3, 3.0, (p, 1))
+        hess_m = rng.uniform(0.3, 3.0, 1)
+        tcoef = rng.uniform(0.01, 1.0, (p, 1))
+        # the KKT residual row groups, the negated right-hand side b
+        res = (-rng.normal(0, 1, (p, 1)), -rng.normal(0, 1, 1),
+               -rng.normal(0, 1, 1), np.zeros(1))
+        dv, dm, dnu, dsig, _ = global_block.nullspace_cg_solve(hess_v, hess_m,
+                                                               tcoef, res)
         worst_null = max(worst_null, abs(float(dv[:, 0].sum())))
         dim = p + 3
         A = np.zeros((dim, dim))
-        A[:p, :p] = np.diag(system.hess_v[:, 0])
-        A[p, p] = system.hess_m[0]
-        A[:p, p + 1] = system.tcoef[:, 0]
+        A[:p, :p] = np.diag(hess_v[:, 0])
+        A[p, p] = hess_m[0]
+        A[:p, p + 1] = tcoef[:, 0]
         A[p, p + 1] = 1.0
         A[:p, p + 2] = 1.0
-        A[p + 1, :p] = system.tcoef[:, 0]
+        A[p + 1, :p] = tcoef[:, 0]
         A[p + 1, p] = 1.0
         A[p + 2, :p] = 1.0
-        b = np.concatenate([system.rhs_v[:, 0], [system.rhs_m[0]],
-                            [system.rhs_deadline[0]], [system.rhs_simplex[0]]])
+        b = -np.concatenate([res[0][:, 0], res[1], res[2], res[3]])
         got = np.concatenate([dv[:, 0], [dm[0]], [dnu[0]], [dsig[0]]])
         res = np.linalg.norm(A @ got - b) / max(np.linalg.norm(b), 1e-300)
         worst_res = max(worst_res, float(res))
@@ -227,9 +224,9 @@ def test_criterion_9_monotone_augmented_lagrangian():
         config = SolverConfig(max_iter=60, cbgp_rounds=60, cbgp_tol=1e-10,
                               newton_tol=1e-8)
         worst = max(worst, max(lagrangian_rises(scen, config)))
-    assert worst <= config.tol_dual
+    assert worst <= config.tol
     print(f"\ncriterion 9 PASS: worst per-iteration lagrangian rise "
-          f"{worst:.2e} <= {config.tol_dual}")
+          f"{worst:.2e} <= {config.tol}")
 
 
 def test_criterion_10_baseline_dominance():

@@ -25,7 +25,7 @@ def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(max_iter=0)
     with pytest.raises(ConfigurationError):
-        SolverConfig(tol_primal=-1.0)
+        SolverConfig(tol=-1.0)
 
 
 # the state's iterates are (n_sbs + 2, n_tasks): SBS rows, then the

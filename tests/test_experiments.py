@@ -34,6 +34,16 @@ def test_spec_validation_and_json():
     assert spec.solver.max_iter == 5
 
 
+@pytest.mark.parametrize("entry", ["scenario", "solver"])
+def test_spec_names_unknown_keys(entry):
+    doc = {"scenario": {"n_tasks": 3}, "axis": "alpha", "values": [0.2],
+           "outdir": "out", "solver": {"max_iter": 5}}
+    doc[entry]["tol_primal"] = 1e-4
+    with pytest.raises(ConfigurationError,
+                       match=rf"{entry}: unknown keys \['tol_primal'\]"):
+        ExperimentSpec.from_json(json.dumps(doc))
+
+
 def test_apply_axis_covers_every_axis():
     scfg = ScenarioConfig(n_tasks=4, n_sbs=1)
     solver = SolverConfig()
@@ -139,6 +149,25 @@ def test_baseline_single_feasible_branch():
     assert placement.y[0] == 1.0
 
 
+def test_baseline_late_tasks_fall_back_to_a_feasible_branch():
+    # tight deadlines: with baseline seed 0 task 8 is still late when the
+    # redraw budget runs out, and it meets its deadline on the terminal or
+    # macro branch
+    scen = generate_scenario(ScenarioConfig(n_tasks=20, n_sbs=3, seed=3,
+                                            t_max_range=(0.02, 0.08)))
+    for seed in range(3):
+        placement, _ = run_baseline(scen, UtilityWeights(0.5), seed)
+        assert costs.check_feasibility(placement, scen).ok
+
+
+def test_baseline_raises_when_no_branch_meets_the_deadline():
+    scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=0, seed=0,
+                                            t_max_range=(1e-6, 1e-6)))
+    with pytest.raises(InfeasibleTaskError) as err:
+        run_baseline(scen, UtilityWeights(0.5), seed=0)
+    assert err.value.tasks == [0]
+
+
 def test_baseline_mean_dominated_by_solver(small_scenario):
     from edgealloc import admm
     placement, _ = admm.run(small_scenario,
@@ -164,8 +193,7 @@ def test_larger_step_reaches_plateau_no_later():
     starts = {}
     for rho in (1.0, 1.2):
         cfg = SolverConfig(rho=rho, max_iter=80, cbgp_rounds=25,
-                           tol_primal=1e-12, tol_dual=1e-12,
-                           record_timing=False)
+                           tol=1e-12, record_timing=False)
         _, trace = admm.run(scen, cfg)
         starts[rho] = plateau_start(trace.utilities())
     assert starts[1.2] <= starts[1.0]
@@ -223,6 +251,15 @@ def test_cli_generate_solve_oracle_baseline(tmp_path, capsys):
     line = capsys.readouterr().out.strip().split("\n")[-1]
     payload = json.loads(line)
     assert "utility" in payload
+
+
+def test_cli_generate_config_names_unknown_keys(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n_tasks": 2, "n_sbs_typo": 1}))
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown keys \['n_sbs_typo'\]"):
+        cli.main(["generate", "--config", str(config_path),
+                  "--out", str(tmp_path / "scenario.json")])
 
 
 def test_cli_sweep(tmp_path):

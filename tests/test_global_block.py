@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from edgealloc import global_block as gb
-from edgealloc.global_block import (GlobalProblem, assemble_newton,
-                                    exact_limit, grad_smoothed,
+from edgealloc.global_block import (GlobalProblem, exact_limit,
+                                    grad_smoothed,
                                     hess_diag_smoothed, interior_init,
                                     kkt_residual, line_search,
                                     nullspace_cg_solve, smoothed_objective,
@@ -190,32 +190,41 @@ def test_kkt_residual_zero_at_fitted_point():
     # polishing with the solver's own Newton step drives it below 1e-6
     for _ in range(6):
         res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
-        system = assemble_newton(v, m, res, prob, omega, xi)
-        dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+        hv, hm = hess_diag_smoothed(v, m, prob, omega, xi)
+        dv, dm, dnu, dsig, _ = nullspace_cg_solve(hv, hm, prob.tcoef, res)
         v, m, nu, sig = v + dv, m + dm, nu + dnu, sig + dsig
     res = kkt_residual(v, m, nu, sig, grad_smoothed(v, m, prob, omega, xi), prob)
     assert _largest_residual(res) < 1e-6
 
 
 def test_assembled_system_matches_fd_hessian():
+    # the Newton solve's curvatures against central differences of the
+    # gradient, coordinate by coordinate
     prob = _toy_problem(seed=8)
     v = np.full((4, 1), 0.35)
     m = np.array([2.0])
-    res = kkt_residual(v, m, np.zeros(1), np.zeros(1),
-                       grad_smoothed(v, m, prob, 0.3, 0.1), prob)
-    system = assemble_newton(v, m, res, prob, 0.3, 0.1)
     hv, hm = hess_diag_smoothed(v, m, prob, 0.3, 0.1)
-    assert np.allclose(system.hess_v, hv)
-    assert np.allclose(system.hess_m, hm)
+    h = 1e-6
+    for k in range(4):
+        step = np.zeros((4, 1))
+        step[k] = h
+        fd = (grad_smoothed(v + step, m, prob, 0.3, 0.1)[0]
+              - grad_smoothed(v - step, m, prob, 0.3, 0.1)[0])[k, 0] / (2 * h)
+        assert np.allclose(fd, hv[k, 0])
+    fd_m = (grad_smoothed(v, m + h, prob, 0.3, 0.1)[1]
+            - grad_smoothed(v, m - h, prob, 0.3, 0.1)[1]) / (2 * h)
+    assert np.allclose(fd_m, hm)
 
 
 # -- closed-form Newton solve ---------------------------------------------------
 
 def _dense_solve(system, task=0):
-    """Independent dense assembly of one task's saddle system."""
-    hv = system.hess_v[:, task]
-    hm = system.hess_m[task]
-    t = system.tcoef[:, task]
+    """Independent dense assembly of one task's saddle system; `system` is
+    the (hess_v, hess_m, tcoef, res) the Newton solve takes."""
+    hess_v, hess_m, tcoef, (stat_v, stat_m, deadline, simplex) = system
+    hv = hess_v[:, task]
+    hm = hess_m[task]
+    t = tcoef[:, task]
     p = len(hv)
     dim = p + 3
     A = np.zeros((dim, dim))
@@ -227,31 +236,31 @@ def _dense_solve(system, task=0):
     A[p + 1, :p] = t
     A[p + 1, p] = 1.0
     A[p + 2, :p] = 1.0
-    b = np.concatenate([system.rhs_v[:, task], [system.rhs_m[task]],
-                        [system.rhs_deadline[task]], [system.rhs_simplex[task]]])
+    b = -np.concatenate([stat_v[:, task], [stat_m[task]],
+                         [deadline[task]], [simplex[task]]])
     sol = np.linalg.solve(A, b)
     return A, b, sol
 
 
 def _random_system(rng, n=1, p=5):
-    return gb.NewtonSystem(
-        hess_v=rng.uniform(0.5, 3.0, (n, p)).T.copy(),
-        hess_m=rng.uniform(0.5, 3.0, n),
-        tcoef=rng.uniform(0.01, 1.0, (n, p)).T.copy(),
-        rhs_v=rng.normal(0, 1, (n, p)).T.copy(),
-        rhs_m=rng.normal(0, 1, n),
-        rhs_deadline=rng.normal(0, 1, n),
-        rhs_simplex=np.zeros(n),
-    )
+    """(hess_v, hess_m, tcoef, res) for the Newton solve; the residual row
+    groups are drawn as the negated right-hand side."""
+    hess_v = rng.uniform(0.5, 3.0, (n, p)).T.copy()
+    hess_m = rng.uniform(0.5, 3.0, n)
+    tcoef = rng.uniform(0.01, 1.0, (n, p)).T.copy()
+    res = (-rng.normal(0, 1, (n, p)).T, -rng.normal(0, 1, n),
+           -rng.normal(0, 1, n), np.zeros(n))
+    return hess_v, hess_m, tcoef, res
 
 
 def test_nullspace_identity_reduced_system():
     rng = np.random.default_rng(9)
     system = _random_system(rng)
-    system.hess_v[:] = 1.0
-    system.hess_m[:] = 1.0
-    system.tcoef[:] = 0.0
-    dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
+    hess_v, hess_m, tcoef, _ = system
+    hess_v[:] = 1.0
+    hess_m[:] = 1.0
+    tcoef[:] = 0.0
+    dv, dm, dnu, dsig, info = nullspace_cg_solve(*system)
     _, _, sol = _dense_solve(system)
     assert np.allclose(dv[:, 0], sol[:5], atol=1e-10)
 
@@ -260,21 +269,12 @@ def test_nullspace_matches_dense_solve():
     rng = np.random.default_rng(10)
     for _ in range(100):
         system = _random_system(rng, p=int(rng.integers(3, 7)))
-        dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
+        dv, dm, dnu, dsig, info = nullspace_cg_solve(*system)
         A, b, sol = _dense_solve(system)
         got = np.concatenate([dv[:, 0], [dm[0]], [dnu[0]], [dsig[0]]])
         residual = np.linalg.norm(A @ got - b) / max(np.linalg.norm(b), 1e-300)
         assert residual < 1e-8
         assert abs(dv[:, 0].sum()) < 1e-10  # simplex row annihilates the step
-
-
-def test_nullspace_regularizes_nonconvex_diagonals():
-    rng = np.random.default_rng(11)
-    system = _random_system(rng)
-    system.hess_v[0, 0] = -0.5
-    dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
-    assert info["regularized"][0]
-    assert np.all(np.isfinite(dv))
 
 
 def test_newton_solve_forward_error_against_50_digit_reference():
@@ -284,17 +284,16 @@ def test_newton_solve_forward_error_against_50_digit_reference():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(17)
     n, p = 120, 7
-    system = gb.NewtonSystem(
-        hess_v=(10.0 ** rng.uniform(-0.3, 12.0, (n, p))).T.copy(),
-        hess_m=10.0 ** rng.uniform(-9.0, 9.0, n),
-        tcoef=(10.0 ** rng.uniform(-4.0, 1.0, (n, p))).T.copy(),
-        rhs_v=(rng.normal(0, 1, (n, p))
-               * 10.0 ** rng.uniform(-3, 3, (n, 1))).T.copy(),
-        rhs_m=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n),
-        rhs_deadline=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n),
-        rhs_simplex=rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n))
-    dv, dm, dnu, dsig, info = nullspace_cg_solve(system)
-    assert not info["regularized"].any()
+    hess_v = (10.0 ** rng.uniform(-0.3, 12.0, (n, p))).T.copy()
+    hess_m = 10.0 ** rng.uniform(-9.0, 9.0, n)
+    tcoef = (10.0 ** rng.uniform(-4.0, 1.0, (n, p))).T.copy()
+    # the residual row groups, drawn as the negated right-hand side
+    res = (-(rng.normal(0, 1, (n, p)) * 10.0 ** rng.uniform(-3, 3, (n, 1))).T,
+           -(rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n)),
+           -(rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n)),
+           -(rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3, n)))
+    system = (hess_v, hess_m, tcoef, res)
+    dv, dm, dnu, dsig, info = nullspace_cg_solve(*system)
     worst = 0.0
     with mpmath.workdps(50):
         for k in range(n):
@@ -307,11 +306,11 @@ def test_newton_solve_forward_error_against_50_digit_reference():
     assert worst < 1e-8
 
 
-def test_hessian_curvature_floor_keeps_repair_idle():
+def test_hessian_curvature_floor_keeps_every_curvature_positive(monkeypatch):
     # inside solve_global xi never exceeds XI_CONVEXITY_FRACTION * rho, so
     # the corner penalty cannot push a box curvature below
-    # (1 - 2 XI_CONVEXITY_FRACTION) rho and the Newton solve's curvature
-    # repair has nothing to repair
+    # (1 - 2 XI_CONVEXITY_FRACTION) rho, and the Newton solve, which needs
+    # every curvature positive, always gets them
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -335,13 +334,23 @@ def test_hessian_curvature_floor_keeps_repair_idle():
         floor = (1.0 - 2.0 * gb.XI_CONVEXITY_FRACTION) * rho
         assert hv.min() >= floor * (1.0 - 1e-12)
         assert hm[0] > 0
-        system = gb.NewtonSystem(hess_v=hv, hess_m=hm, tcoef=prob.tcoef,
-                                 rhs_v=np.ones((p, 1)), rhs_m=np.ones(1),
-                                 rhs_deadline=np.ones(1),
-                                 rhs_simplex=np.zeros(1))
-        assert not nullspace_cg_solve(system)[4]["regularized"][0]
 
     check()
+
+    solves = [0]
+
+    def checked_solve(hess_v, hess_m, tcoef, res):
+        assert (hess_v > 0).all() and (hess_m > 0).all()
+        solves[0] += 1
+        return nullspace_cg_solve(hess_v, hess_m, tcoef, res)
+
+    monkeypatch.setattr(gb, "nullspace_cg_solve", checked_solve)
+    rng = np.random.default_rng(63)
+    rows = [(deadline, False) for deadline in ("loose", "binding", "tight") * 4]
+    for deadline, twin in rows + [("tight", True)] * 2:
+        problem, _ = _random_global_problem(rng, deadline, twin)
+        solve_global(problem)
+    assert solves[0] > 0
 
 
 # -- line search ---------------------------------------------------------------
@@ -638,8 +647,8 @@ def test_solve_global_objective_decreases_along_newton_path():
         if prev_norm is not None and it > 1:
             assert np.all(norm <= prev_norm * 1.1 + 1e-12)
         prev_norm = norm
-        system = assemble_newton(v, m, res, prob, omega, xi)
-        dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+        hv, hm = hess_diag_smoothed(v, m, prob, omega, xi)
+        dv, dm, dnu, dsig, _ = nullspace_cg_solve(hv, hm, prob.tcoef, res)
         g_before = smoothed_objective(v, m, prob, omega, xi)
         t, _, _ = line_search(v, m, dv, dm, smoothed_objective(v, m, prob, omega, xi),
                               grad_smoothed(v, m, prob, omega, xi), prob, omega, xi)
@@ -673,8 +682,8 @@ def test_corner_distance_shrinks_as_barrier_vanishes():
                                prob)
             if gb.scaled_kkt_norm(res, prob).max() < 1e-9:
                 break
-            system = assemble_newton(v, m, res, prob, omega, xi)
-            dv, dm, dnu, dsig, _ = nullspace_cg_solve(system)
+            hv, hm = hess_diag_smoothed(v, m, prob, omega, xi)
+            dv, dm, dnu, dsig, _ = nullspace_cg_solve(hv, hm, prob.tcoef, res)
             t, _, _ = line_search(v, m, dv, dm,
                                   smoothed_objective(v, m, prob, omega, xi),
                                   grad_smoothed(v, m, prob, omega, xi), prob, omega, xi)
@@ -1194,7 +1203,8 @@ def _planted_line_search_batch(rng, n=48, p=7):
     m = 10.0 ** rng.uniform(-4, 1, n)
     gv, gm = grad_smoothed(v.T, m, prob, omega, xi)
     res = kkt_residual(v.T, m, np.zeros(n), np.zeros(n), (gv, gm), prob)
-    dv, dm = nullspace_cg_solve(assemble_newton(v.T, m, res, prob, omega, xi))[:2]
+    hv, hm = hess_diag_smoothed(v.T, m, prob, omega, xi)
+    dv, dm = nullspace_cg_solve(hv, hm, prob.tcoef, res)[:2]
     dv, gv = dv.T.copy(), gv.T
     scale = 10.0 ** rng.uniform(-2, 3, n)
     gradient_rows = rng.random(n) < 0.3
@@ -1305,12 +1315,8 @@ def test_line_search_prices_trials_once_without_armijo_rejection(monkeypatch):
 
 def test_newton_solve_leaves_curvatures_alone():
     rng = np.random.default_rng(62)
-    for repair in (False, True):
-        system = _random_system(rng, n=4)
-        if repair:
-            system.hess_v[0, 0] = -0.5
-        hess_v, hess_m = system.hess_v.copy(), system.hess_m.copy()
-        info = nullspace_cg_solve(system)[4]
-        assert info["regularized"][0] == repair
-        assert np.array_equal(system.hess_v, hess_v)
-        assert np.array_equal(system.hess_m, hess_m)
+    hess_v, hess_m, tcoef, res = _random_system(rng, n=4)
+    kept_v, kept_m = hess_v.copy(), hess_m.copy()
+    nullspace_cg_solve(hess_v, hess_m, tcoef, res)
+    assert np.array_equal(hess_v, kept_v)
+    assert np.array_equal(hess_m, kept_m)
