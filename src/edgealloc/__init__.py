@@ -19,7 +19,7 @@ from .experiments import (ExperimentSpec, oracle_gap_study, placement_profile,
 from .global_block import (GlobalProblem, kkt_residual, line_search,
                            nullspace_cg_solve, smoothed_objective,
                            solve_global)
-from .local_blocks import (CbgpState, CbgpVars, LocalProblem, cbgp_solve,
+from .local_blocks import (CbgpVars, LocalProblem, cbgp_solve,
                            majorize_penalty, rlt_bounds, solve_bit_branch)
 from .oracle import OracleResult, compare, enumerate_optimum
 from .scenario import (ChannelMatrix, LocalDevice, NetworkGraph, Scenario,

@@ -38,8 +38,6 @@ class SolverConfig:
     tol: float = 1e-4
     alpha: float = 0.5
     cbgp_rounds: int = 50
-    cbgp_tol: float = 1e-6
-    newton_tol: float = 1e-6
     record_timing: bool = True
 
     def __post_init__(self):
@@ -55,25 +53,22 @@ class SolverConfig:
 
 @dataclass
 class ConsensusState:
-    """Globals, local copies, duals and splits; the whole iterate.
+    """Globals, local copies, duals and the split block; the whole iterate.
 
     `v` (the global iterate), `v_hat` (the local copies), `dual` and
     `prev` (the global iterate before the last global update) are
     (n_sbs + 2, n_tasks), rows in the order of `global_block.GlobalProblem`:
     the SBS assignments (`v[:n_sbs]`, the station-major block the cost
     tables and the split block take), then the macro-station bit, then the
-    terminal bit.  The split parts and the linearized resource product `R`
-    are (n_sbs, n_tasks); `r`, the reciprocal share each station expects,
-    is an (n_sbs, 1) column.
+    terminal bit.  `split` is what each split-block solve hands to the
+    next, its `x_hat` the solve's copy of `v_hat[:n_sbs]`; `r`, the
+    reciprocal share each station expects, is an (n_sbs, 1) column.
     """
 
     v: np.ndarray
     v_hat: np.ndarray
     dual: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
-    ci: np.ndarray
-    R: np.ndarray
+    split: local_blocks.CbgpVars
     r: np.ndarray
     rho: float
     k: int = 0
@@ -81,18 +76,18 @@ class ConsensusState:
 
 
 def init_state(scenario: Scenario, config: SolverConfig) -> ConsensusState:
-    """Duals at zero, uniform relaxed assignments, thirds splits, full
-    resource share."""
+    """Duals and split multipliers at zero, uniform relaxed assignments,
+    thirds splits, full resource share."""
     s, n = scenario.n_sbs, scenario.n_tasks
     share = 1.0 / (s + 2)
     c = scenario.c_array()
     third = np.tile(c / 3.0, (s, 1)) if s else np.zeros((0, n))
     v = np.full((s + 2, n), share)
-    return ConsensusState(
-        v=v, v_hat=v.copy(), dual=np.zeros_like(v),
-        c0=third.copy(), c1=third.copy(), ci=third.copy(),
-        R=np.full((s, n), share), r=np.ones((s, 1)), rho=config.rho,
-    )
+    split = local_blocks.CbgpVars.start(
+        v[:s].copy(), np.full((s, n), share), third.copy(), third.copy(),
+        third.copy())
+    return ConsensusState(v=v, v_hat=v.copy(), dual=np.zeros_like(v),
+                          split=split, r=np.ones((s, 1)), rho=config.rho)
 
 
 @dataclass
@@ -108,11 +103,12 @@ class TraceRecord:
 class Trace:
     """Per-iteration log; iteration numbers are strictly increasing.
 
-    Three solver-health counters hold one entry per iteration, taken from
+    Four solver-health counters hold one entry per iteration, taken from
     what the blocks report anyway, and are not part of the CSV:
     `global_unconverged` counts the tasks whose global block ended above
-    its KKT tolerance, `newton_steps` the global block's Newton steps, and
-    `cbgp_sweeps` the split block's sweeps (0 with no SBS).
+    its KKT tolerance, `newton_steps` the global block's Newton steps,
+    `cbgp_sweeps` the split block's sweeps and `split_repairs` the overdue
+    splits `run` reset to a deadline-feasible one (both 0 with no SBS).
     """
 
     records: list = field(default_factory=list)
@@ -120,6 +116,7 @@ class Trace:
     global_unconverged: list = field(default_factory=list)
     newton_steps: list = field(default_factory=list)
     cbgp_sweeps: list = field(default_factory=list)
+    split_repairs: list = field(default_factory=list)
 
     CSV_HEADER = "iter,utility,primal_res,dual_res,wall_ms"
 
@@ -166,8 +163,9 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
     and duals: local-copy cost plus dual terms plus quadratic penalty, in
     the normalized units the solver actually works in.  `run` decides
     convergence on the residuals and does not price it."""
-    s = state.c0.shape[0]
-    delay, energy = tables.split_price(state.c0, state.c1, state.ci, state.r)
+    sp = state.split
+    s = sp.c0.shape[0]
+    delay, energy = tables.split_price(sp.c0, sp.c1, sp.ci, state.r)
     util3 = tables.alpha * delay + (1.0 - tables.alpha) * energy
     cost = ((state.v_hat[s + 1] * tables.k_local).sum()
             + (state.v_hat[s] * tables.k_mbs).sum()
@@ -178,13 +176,14 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
 
 
 def _relaxed_placement(state: ConsensusState) -> Placement:
-    s = state.c0.shape[0]
+    sp = state.split
+    s = sp.c0.shape[0]
     with np.errstate(divide="ignore"):
         h = np.where(state.r > 0, 1.0 / state.r, 1.0)
-    h = np.broadcast_to(h, state.c0.shape).copy()
+    h = np.broadcast_to(h, sp.c0.shape).copy()
     return Placement(x=state.v[:s].copy(), y=state.v[s].copy(),
-                     z=state.v[s + 1].copy(), c0=state.c0.copy(),
-                     c1=state.c1.copy(), ci=state.ci.copy(), h=h)
+                     z=state.v[s + 1].copy(), c0=sp.c0.copy(),
+                     c1=sp.c1.copy(), ci=sp.ci.copy(), h=h)
 
 
 def _trace_utility(state: ConsensusState, scenario: Scenario,
@@ -207,7 +206,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     weights = UtilityWeights(config.alpha)
     state = init_state(scenario, config)
     s = scenario.n_sbs
-    cbgp_state = local_blocks.CbgpState.fresh(state.v_hat[:s])
+    split = state.split
     trace = Trace()
 
     # the tolerance scales with the root of the consensus dimension; the
@@ -218,7 +217,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     # later iterations price on the tables of the last trace utility, which
     # built them from the same x, c1 and alpha
     tables = costs.build_cost_tables(scenario, config.alpha, state.v[:s],
-                                     state.c1)
+                                     split.c1)
     # normalize once so per-task branch costs are O(1) against rho; the
     # dual race between branches resolves cost order only at that scale
     cost_scale = max(
@@ -228,8 +227,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         t0 = time.perf_counter() if config.record_timing else 0.0
 
         # the cost tables and the split block work station-major on row
-        # views of the state; none of them writes into its inputs, and the
-        # split block's rejected sweeps restore arrays it allocated itself
+        # views of the state; none of them writes into its inputs
         x = state.v[:s]
         if s:
             expected_load = np.clip(x.sum(axis=1), 1.0,
@@ -241,16 +239,10 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             problem = local_blocks.LocalProblem.from_tables(
                 tables, state.r, x, state.dual[:s], config.rho,
                 CORNER_DELTA, cost_scale=cost_scale)
-            vars = local_blocks.CbgpVars(
-                x_hat=state.v_hat[:s], R=state.R, c0=state.c0,
-                c1=state.c1, ci=state.ci)
-            _, history = local_blocks.cbgp_solve(problem, vars, cbgp_state,
-                                                 rounds=config.cbgp_rounds,
-                                                 tol=config.cbgp_tol)
+            _, history = local_blocks.cbgp_solve(problem, split,
+                                                 rounds=config.cbgp_rounds)
             sweeps = len(history) - 1
-            state.v_hat[:s] = vars.x_hat
-            state.R, state.c0, state.c1, state.ci = (vars.R, vars.c0, vars.c1,
-                                                     vars.ci)
+            state.v_hat[:s] = split.x_hat
 
         state.v_hat[s] = local_blocks.solve_bit_branch(
             tables.k_mbs / cost_scale, state.v[s], state.dual[s],
@@ -260,32 +252,34 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             state.dual[s + 1], config.rho,
             feasible=tables.t_local <= tables.t_max)
 
-        t3, _ = tables.split_price(state.c0, state.c1, state.ci, state.r)
+        t3, _ = tables.split_price(split.c0, split.c1, split.ci, state.r)
         # the split block is deadline-blind; carrying an overdue split
         # into the coupled block would cap its assignment against a
         # fictitious branch, so such splits are projected onto the
         # deadline-feasible cost optimum at the frozen share
         overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
+        repairs = 0
         if len(overdue):
             i, j = overdue.T
             c0, c1, _, ok = costs.best_splits(tables, i, j,
                                               1.0 / state.r[i, 0])
             i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
-            state.c0[i, j], state.c1[i, j] = c0, c1
-            state.ci[i, j] = tables.c[j] - c0 - c1
-            t3, _ = tables.split_price(state.c0, state.c1, state.ci, state.r)
+            split.c0[i, j], split.c1[i, j] = c0, c1
+            split.ci[i, j] = tables.c[j] - c0 - c1
+            repairs = int(ok.sum())
+            t3, _ = tables.split_price(split.c0, split.c1, split.ci, state.r)
         tcoef = np.vstack([t3, tables.t_mbs, tables.t_local])
 
         problem = global_block.GlobalProblem(
             prox=state.v_hat, dual=state.dual, tcoef=tcoef,
             t_max=tables.t_max, rho=config.rho)
         state.prev = state.v
-        state.v, _, info = global_block.solve_global(problem,
-                                                     tol=config.newton_tol)
+        state.v, _, info = global_block.solve_global(problem)
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
         trace.newton_steps.append(info["newton_iterations"])
         trace.cbgp_sweeps.append(sweeps)
+        trace.split_repairs.append(repairs)
 
         dual_update(state)
 

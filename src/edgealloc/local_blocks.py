@@ -10,7 +10,7 @@ vectorized over the task axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,43 +58,27 @@ def majorize_penalty(x_prev, x):
 
 @dataclass
 class CbgpVars:
-    """Primal block variables, shape (n_sbs, n_tasks)."""
+    """What one split-block solve hands to the next, each (n_sbs, n_tasks):
+    the primal block variables and the multipliers of the four envelope
+    constraints, which stay nonnegative after every projected subgradient
+    update.  The box 0 <= x_hat <= 1 needs none: the assignment's closed
+    form clips into it."""
 
     x_hat: np.ndarray
     R: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
     ci: np.ndarray
-
-
-@dataclass
-class CbgpState:
-    """Dual multipliers of the four envelope constraints plus the per-task
-    step scale used by the divergence safeguard.  The box 0 <= x_hat <= 1
-    needs none: the assignment's closed form clips into it.
-
-    All multipliers stay nonnegative after every projected subgradient
-    update.  `x_prev` is the tangency point of the corner penalty, frozen
-    for the duration of one solve; only the multipliers carry over from
-    one solve to the next.
-    """
-
     mu_env_lo: np.ndarray
     mu_env_hi: np.ndarray
     mu_shift_hi: np.ndarray
     mu_shift_lo: np.ndarray
-    step_scale: np.ndarray
-    x_prev: np.ndarray
-    sweep: int = 0
 
     @classmethod
-    def fresh(cls, x_prev: np.ndarray) -> "CbgpState":
-        shape = x_prev.shape
-        z = lambda: np.zeros(shape)
-        return cls(mu_env_lo=z(), mu_env_hi=z(), mu_shift_hi=z(),
-                   mu_shift_lo=z(),
-                   step_scale=np.ones(shape[1] if len(shape) > 1 else 1),
-                   x_prev=x_prev.copy())
+    def start(cls, x_hat, R, c0, c1, ci) -> "CbgpVars":
+        """The given point with every multiplier at zero."""
+        z = lambda: np.zeros(x_hat.shape)
+        return cls(x_hat, R, c0, c1, ci, z(), z(), z(), z())
 
 
 @dataclass
@@ -143,8 +127,10 @@ class LocalProblem:
         )
 
     def branch_cost(self, c0, c1, ci) -> np.ndarray:
-        """Utility coefficient of the assignment variable: every priced term
-        of the split branch except the resource-product compute term."""
+        """Utility coefficient of the assignment variable: the split branch
+        priced without its resource-product compute term.  Unlike
+        `CostTables.split_price` it charges the relay base delay `w0` also
+        where nothing is forwarded; the solver's convergence depends on it."""
         a = self.alpha
         wired = self.w2 * c1 * c1 + self.w1 * c1 + self.w0
         delay = (self.d_c0[None, :] * c0 + self.d_up * (self.c[None, :] - c0)
@@ -172,11 +158,6 @@ def block_objective(problem: LocalProblem, vars: CbgpVars,
     return per_pair.sum(axis=0)
 
 
-# the fields `_sweep` replaces, which a rejected sweep restores
-_SWEPT_VARS = ("x_hat", "R", "c0", "c1", "ci")
-_SWEPT_MULTIPLIERS = ("mu_env_lo", "mu_env_hi", "mu_shift_hi", "mu_shift_lo")
-
-
 def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
     """The terms of `_sweep` that no sweep of one solve changes, each a
     group the sweep's expressions form as a unit (a parenthesised group or
@@ -193,17 +174,17 @@ def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
             p.rho * (x_break - p.x_global))
 
 
-def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
-           terms: tuple) -> np.ndarray:
+def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,
+           scale: np.ndarray, step: float) -> np.ndarray:
     """One full cycle over the blocks: R, c0, c1, the dependent ci, the
     assignment row by its stationarity closed form, then the projected
-    subgradient multiplier updates, with `terms` from `_sweep_terms`.
-    Each updated field of `vars` and `state` is bound to a new array and
-    no input array is written, so the old arrays keep the pre-sweep point.
-    Returns the branch cost of the new splits."""
+    subgradient multiplier updates at step `step`, with `terms` from
+    `_sweep_terms` and per-task step scales `scale`.  Each field of `vars`
+    is bound to a new array and no input array is written, so the old
+    arrays keep the pre-sweep point.  Returns the branch cost of the new
+    splits."""
     p, a = problem, problem.alpha
     a_cycle, c0_pull, c_row, c_sq, penalty_slope, x_break, pull_at_break = terms
-    scale = state.step_scale[None, :]
     inv = 1.0 / p.h_min
 
     grad_r = a_cycle * vars.ci
@@ -225,8 +206,8 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
 
     vars.ci = c_row - vars.c0 - vars.c1
 
-    mult_sum = (state.mu_env_lo - state.mu_env_hi * inv - state.mu_shift_hi
-                + state.mu_shift_lo * inv)
+    mult_sum = (vars.mu_env_lo - vars.mu_env_hi * inv - vars.mu_shift_hi
+                + vars.mu_shift_lo * inv)
     cost = p.branch_cost(vars.c0, vars.c1, vars.ci)
     # the compute-cost gradient pulls R onto the lower envelope bound,
     # which is itself a piecewise-affine function of the assignment
@@ -243,53 +224,48 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
                           np.where(slope_at_break + env * inv < 0, min_high,
                                    x_break))
 
-    s = DUAL_STEP0 / (state.sweep + 1.0)
-    state.mu_env_lo = np.maximum(0.0, state.mu_env_lo + s * (vars.x_hat - vars.R))
-    state.mu_env_hi = np.maximum(0.0, state.mu_env_hi + s * (vars.R - vars.x_hat * inv))
-    state.mu_shift_hi = np.maximum(
-        0.0, state.mu_shift_hi + s * (vars.R - p.r - vars.x_hat + 1.0))
-    state.mu_shift_lo = np.maximum(
-        0.0, state.mu_shift_lo + s * (p.r + vars.x_hat * inv - inv - vars.R))
-    state.sweep += 1
+    vars.mu_env_lo = np.maximum(0.0, vars.mu_env_lo + step * (vars.x_hat - vars.R))
+    vars.mu_env_hi = np.maximum(0.0, vars.mu_env_hi + step * (vars.R - vars.x_hat * inv))
+    vars.mu_shift_hi = np.maximum(
+        0.0, vars.mu_shift_hi + step * (vars.R - p.r - vars.x_hat + 1.0))
+    vars.mu_shift_lo = np.maximum(
+        0.0, vars.mu_shift_lo + step * (p.r + vars.x_hat * inv - inv - vars.R))
     return cost
 
 
-def cbgp_solve(problem: LocalProblem, vars: CbgpVars, state: CbgpState,
-               rounds: int = 50, tol: float = 1e-6):
+def cbgp_solve(problem: LocalProblem, vars: CbgpVars, rounds: int = 50,
+               tol: float = 1e-6):
     """Run up to `rounds` block sweeps, committing a sweep only if it does
     not increase the objective; a rejected sweep halves the offending
     tasks' steps and is retried from the pre-sweep point.
 
     The solve starts from the corner-penalty tangency at the incoming
-    `vars.x_hat`, sweep count 0 and unit step scales; the multipliers in
-    `state` are taken as they are.  `_sweep_terms` are formed once per
-    solve.  A rejected sweep is undone from the arrays it started from,
-    which `_sweep` never writes: rebound when every task rejects it,
-    merged task by task with `np.where` otherwise.
+    `vars.x_hat`, unit step scales and the multipliers in `vars` as they
+    are; sweep k takes multiplier step DUAL_STEP0 / (k + 1).  `_sweep_terms`
+    are formed once per solve.  A rejected sweep is undone from the arrays
+    it started from, which `_sweep` never writes: rebound when every task
+    rejects it, merged task by task with `np.where` otherwise.
 
     Returns the final variables and the per-sweep objective history
     (list of per-task arrays, one entry per committed check).
     """
-    state.x_prev = vars.x_hat.copy()
-    state.sweep = 0
-    state.step_scale = np.ones(vars.x_hat.shape[1])
-    terms = _sweep_terms(problem, state.x_prev)
-    q = block_objective(problem, vars, state.x_prev)
+    x_prev = vars.x_hat
+    scale = np.ones(x_prev.shape[1])
+    terms = _sweep_terms(problem, x_prev)
+    q = block_objective(problem, vars, x_prev)
     history = [q]
     slack = 1e-12 * (1.0 + np.abs(q))
-    for _ in range(rounds):
-        before = [(obj, name, getattr(obj, name))
-                  for obj, names in ((vars, _SWEPT_VARS), (state, _SWEPT_MULTIPLIERS))
-                  for name in names]
-        cost = _sweep(problem, vars, state, terms)
-        q_new = block_objective(problem, vars, state.x_prev, cost)
+    for sweep in range(rounds):
+        before = [(f.name, getattr(vars, f.name)) for f in fields(vars)]
+        cost = _sweep(problem, vars, terms, scale, DUAL_STEP0 / (sweep + 1.0))
+        q_new = block_objective(problem, vars, x_prev, cost)
         bad = q_new > q + slack
         if bad.any():
             every = bad.all()
-            for obj, name, old in before:
-                setattr(obj, name,
-                        old if every else np.where(bad, old, getattr(obj, name)))
-            state.step_scale[bad] *= 0.5
+            for name, old in before:
+                setattr(vars, name,
+                        old if every else np.where(bad, old, getattr(vars, name)))
+            scale[bad] *= 0.5
             q_new = np.where(bad, q, q_new)
         history.append(q_new)
         if np.all(np.abs(q - q_new) <= tol * (1.0 + np.abs(q))):

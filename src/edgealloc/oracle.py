@@ -11,8 +11,8 @@ The search is a depth-first branch and bound over the tasks (Land & Doig,
 Econometrica 28, 1960).  Adding tasks only raises interference, relay
 congestion and co-hosted load, so a task's cost on a branch in any tuple
 is at least its cost there alone: the terminal and macro costs are exact,
-and an SBS branch is bounded by the task's cheapest split at the whole
-station with no interference, no relay base load and no deadline.  A
+and an SBS branch is bounded by the task's cheapest deadline-feasible
+split at the whole station with no interference and no relay base load.  A
 prefix whose bounds, plus the cheapest bound of every task still open,
 reach the best utility found cannot hold a strictly better tuple and is
 skipped.  Branches are tried in order, so the result, ties included, is
@@ -26,7 +26,7 @@ the SBS tables unchanged and ask for the same split searches again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,11 +77,13 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
 
     The terminal and macro columns are `k_local` and `k_mbs`, or +inf where
     the branch misses the deadline; `base_tables` must be the tables with
-    no SBS task.  SBS i's column is the cheapest split at h = 1, deadline
-    dropped, on tables with row i of x all ones and nothing forwarded:
-    station i then sees no interference, which comes from the other cells,
-    and no relay base load.  A tuple only adds interference, relay load and
-    co-hosted sharing, and each of them only raises the cost.
+    no SBS task.  SBS i's column is the cheapest deadline-feasible split at
+    h = 1, or +inf where none exists, on tables with row i of x all ones
+    and nothing forwarded: station i then sees no interference, which
+    comes from the other cells, and no relay base load.  A tuple only adds
+    interference, relay load and co-hosted sharing, and at a fixed split
+    each of them only raises the delay and the cost, so a split that misses
+    its deadline alone misses it in every tuple.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
     t = base_tables
@@ -92,14 +94,13 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     for i in range(s):
         x = np.zeros((s, n))
         x[i] = 1.0
-        alone = replace(costs.build_cost_tables(scenario, t.alpha, x,
-                                                np.zeros((s, n))),
-                        t_max=np.full(n, np.inf))
+        alone = costs.build_cost_tables(scenario, t.alpha, x, np.zeros((s, n)))
         rows = np.full(n, i)
-        c0, c1, _, _ = costs.best_splits(alone, rows, tasks, whole)
+        c0, c1, _, ok = costs.best_splits(alone, rows, tasks, whole)
         delay, energy = alone.split_price(c0, c1, alone.c - c0 - c1, 1.0,
                                           rows, tasks)
-        bound[:, i + 1] = t.alpha * delay + (1.0 - t.alpha) * energy
+        bound[:, i + 1] = np.where(
+            ok, t.alpha * delay + (1.0 - t.alpha) * energy, np.inf)
     return bound
 
 

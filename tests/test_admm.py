@@ -9,6 +9,7 @@ from edgealloc.admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
                             round_to_feasible, run)
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
+from edgealloc.local_blocks import CbgpVars
 from edgealloc.scenario import ScenarioConfig, generate_scenario
 from lagrangian_rise import lagrangian_rises
 from lattice_split import lattice_split, split_cost
@@ -163,8 +164,10 @@ def test_round_to_feasible_raises_when_nothing_fits():
 
 def _relaxed_state(scen, v, c1, r):
     zero = np.zeros_like(c1)
-    return ConsensusState(v=v, v_hat=v.copy(), dual=np.zeros_like(v), c0=zero,
-                          c1=c1, ci=zero.copy(), R=zero.copy(), r=r, rho=1.0)
+    split = CbgpVars.start(v[:len(c1)].copy(), zero.copy(), zero, c1,
+                           zero.copy())
+    return ConsensusState(v=v, v_hat=v.copy(), dual=np.zeros_like(v),
+                          split=split, r=r, rho=1.0)
 
 
 def _random_relaxed_case(rng):
@@ -486,7 +489,8 @@ def test_reference_run_newton_steps_and_utility(monkeypatch):
 def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     # the trace's health counters are what the blocks return, one entry per
     # iteration: the 26 Newton steps of the reference run, and the split
-    # block's sweeps (0 when there is no SBS)
+    # block's sweeps (0 when there is no SBS); and the overdue splits `run`
+    # repairs, all of them at iteration 1 there
     steps, sweeps = [], []
     solve_global = admm.global_block.solve_global
     cbgp_solve = admm.local_blocks.cbgp_solve
@@ -508,10 +512,11 @@ def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     assert trace.newton_steps == steps and sum(trace.newton_steps) == 26
     assert trace.cbgp_sweeps == sweeps
     assert len(sweeps) == len(trace.records) and min(sweeps) >= 1
+    assert trace.split_repairs == [94] + [0] * 14
 
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=0, seed=1))
     _, trace = run(scen, SolverConfig(record_timing=False))
-    assert trace.cbgp_sweeps == [0] * len(trace.records)
+    assert trace.cbgp_sweeps == trace.split_repairs == [0] * len(trace.records)
     assert len(trace.newton_steps) == len(trace.records)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgealloc import costs, local_blocks
-from edgealloc.local_blocks import (CbgpState, CbgpVars, LocalProblem,
+from edgealloc.local_blocks import (CbgpVars, LocalProblem,
                                     block_objective, cbgp_solve,
                                     majorize_penalty, project_interval,
                                     rlt_bounds, solve_bit_branch)
@@ -144,32 +144,57 @@ def _problem(n_tasks=1, n_sbs=1, seed=0, alpha=0.5, delta=1.0, **cfg):
                                        np.zeros((s, n)), rho=1.0,
                                        delta=delta, cost_scale=scale)
     c = scen.c_array()
-    vars = CbgpVars(x_hat=x0.copy(), R=x0.copy(),
-                    c0=np.tile(c / 3, (s, 1)), c1=np.tile(c / 3, (s, 1)),
-                    ci=np.tile(c / 3, (s, 1)))
-    state = CbgpState.fresh(x0)
-    return scen, problem, vars, state
+    vars = CbgpVars.start(x_hat=x0.copy(), R=x0.copy(),
+                          c0=np.tile(c / 3, (s, 1)), c1=np.tile(c / 3, (s, 1)),
+                          ci=np.tile(c / 3, (s, 1)))
+    return scen, problem, vars
+
+
+def test_branch_cost_charges_relay_base_delay_with_nothing_forwarded():
+    # `split_price` charges no relay delay where nothing is forwarded, the
+    # split block's assignment coefficient charges the base delay w0 there;
+    # the tables are frozen with every task forwarding a third, so each
+    # route carries the others' load
+    rng = np.random.default_rng(8)
+    scen = generate_scenario(ScenarioConfig(n_tasks=6, n_sbs=2, seed=3))
+    s, n = scen.n_sbs, scen.n_tasks
+    alpha, scale = 0.4, 7.0
+    x = np.full((s, n), 0.25)
+    tables = costs.build_cost_tables(scen, alpha, x,
+                                     np.tile(scen.c_array() / 3, (s, 1)))
+    problem = LocalProblem.from_tables(tables, np.ones((s, 1)), x,
+                                       np.zeros((s, n)), rho=1.0, delta=0.0,
+                                       cost_scale=scale)
+    c0 = rng.uniform(0, 1, (s, n)) * scen.c_array()
+    c1 = np.zeros((s, n))
+    ci = scen.c_array() - c0
+    delay, energy = tables.split_price(c0, c1, ci, 0.0)
+    priced = (alpha * delay + (1.0 - alpha) * energy) / scale
+    extra = problem.branch_cost(c0, c1, ci) - priced
+    assert np.all(tables.w0 > 0)
+    assert np.allclose(extra, alpha * tables.w0 / scale, rtol=0.0,
+                       atol=1e-12 * np.abs(priced).max())
 
 
 def test_cbgp_zero_cost_task_follows_prox_point():
-    scen, problem, vars, state = _problem(delta=0.0)
+    scen, problem, vars = _problem(delta=0.0)
     # zero out every priced coefficient: the assignment row must land on
     # the consensus prox point
     for name in ("d_c0", "d_up", "d_m", "sbs_cycle", "w2", "w1", "w0",
                  "e_c0", "e_up", "e_s", "e_m1"):
         setattr(problem, name, np.zeros_like(getattr(problem, name)))
-    vars, _ = cbgp_solve(problem, vars, state, rounds=5)
+    vars, _ = cbgp_solve(problem, vars, rounds=5)
     assert np.allclose(vars.x_hat, problem.x_global, atol=1e-9)
 
 
 def test_cbgp_descends_every_sweep():
     rng = np.random.default_rng(3)
     for trial in range(20):
-        scen, problem, vars, state = _problem(
+        scen, problem, vars = _problem(
             n_tasks=int(rng.integers(1, 4)), n_sbs=int(rng.integers(1, 3)),
             seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)))
         problem.dual = rng.normal(0, 0.5, problem.dual.shape)
-        vars, history = cbgp_solve(problem, vars, state, rounds=30)
+        vars, history = cbgp_solve(problem, vars, rounds=30)
         values = np.stack(history)
         assert np.all(np.diff(values, axis=0) <= 1e-8)
 
@@ -178,13 +203,12 @@ def test_cbgp_matches_grid_search_on_quadratic_instance():
     # delay-dominant weighting so the wired quadratic shapes the optimum;
     # a strongly negative dual pins the assignment at one so the grid
     # comparison isolates the split blocks
-    scen, problem, vars, state = _problem(alpha=1.0, delta=0.0,
-                                          c_range=(2e5, 2e5))
+    scen, problem, vars = _problem(alpha=1.0, delta=0.0, c_range=(2e5, 2e5))
     problem.x_global = np.ones_like(problem.x_global)
     problem.dual = np.full_like(problem.dual, -100.0)
-    vars.x_hat = np.ones_like(vars.x_hat)
-    vars, _ = cbgp_solve(problem, vars, state, rounds=400, tol=1e-14)
-    got = block_objective(problem, vars, state.x_prev)[0]
+    vars.x_hat = x_prev = np.ones_like(vars.x_hat)
+    vars, _ = cbgp_solve(problem, vars, rounds=400, tol=1e-14)
+    got = block_objective(problem, vars, x_prev)[0]
 
     c = scen.tasks[0].c
     grid = np.linspace(0.0, 1.0, 101)
@@ -192,10 +216,10 @@ def test_cbgp_matches_grid_search_on_quadratic_instance():
     keep = g0 + g1 <= 1.0
     best = np.inf
     for f0, f1 in zip(g0[keep], g1[keep]):
-        trial = CbgpVars(x_hat=np.ones_like(vars.x_hat), R=vars.R.copy(),
-                         c0=np.array([[f0 * c]]), c1=np.array([[f1 * c]]),
-                         ci=np.array([[(1 - f0 - f1) * c]]))
-        best = min(best, block_objective(problem, trial, state.x_prev)[0])
+        trial = CbgpVars.start(x_hat=np.ones_like(vars.x_hat), R=vars.R.copy(),
+                               c0=np.array([[f0 * c]]), c1=np.array([[f1 * c]]),
+                               ci=np.array([[(1 - f0 - f1) * c]]))
+        best = min(best, block_objective(problem, trial, x_prev)[0])
     # gap measured on the cost scale, net of the constant dual offset that
     # both sides carry at the pinned assignment
     offset = float(problem.dual.sum())
@@ -204,37 +228,46 @@ def test_cbgp_matches_grid_search_on_quadratic_instance():
 
 def test_cbgp_multipliers_stay_nonnegative():
     rng = np.random.default_rng(4)
-    scen, problem, vars, state = _problem(n_tasks=2, n_sbs=2, seed=5)
+    scen, problem, vars = _problem(n_tasks=2, n_sbs=2, seed=5)
     problem.dual = rng.normal(0, 1.0, problem.dual.shape)
-    cbgp_solve(problem, vars, state, rounds=40)
+    cbgp_solve(problem, vars, rounds=40)
     for name in ("mu_env_lo", "mu_env_hi", "mu_shift_hi", "mu_shift_lo"):
-        assert np.all(getattr(state, name) >= 0.0)
+        assert np.all(getattr(vars, name) >= 0.0)
 
 
 def test_cbgp_splits_stay_on_simplex():
-    scen, problem, vars, state = _problem(n_tasks=3, n_sbs=2, seed=6)
-    vars, _ = cbgp_solve(problem, vars, state, rounds=30)
+    scen, problem, vars = _problem(n_tasks=3, n_sbs=2, seed=6)
+    vars, _ = cbgp_solve(problem, vars, rounds=30)
     c = problem.c[None, :]
     assert np.all(vars.c0 >= -1e-9) and np.all(vars.c1 >= -1e-9)
     assert np.all(vars.ci >= -1e-9)
     assert np.allclose(vars.c0 + vars.c1 + vars.ci, c)
 
 
-def test_cbgp_leaves_its_inputs_unchanged():
+def test_cbgp_leaves_its_inputs_unchanged(monkeypatch):
     # the consensus loop passes rows of its state as the prox point, the
     # duals and the starting assignment without copying them; a rejected
     # sweep restores the arrays the sweep allocated, not these
     rng = np.random.default_rng(3)
+    sweep, scales = local_blocks._sweep, []
+
+    def recording_sweep(problem, vars, terms, scale, step):
+        scales.append(scale)
+        return sweep(problem, vars, terms, scale, step)
+
+    monkeypatch.setattr(local_blocks, "_sweep", recording_sweep)
     rejected = 0
     for trial in range(100):
-        scen, problem, vars, state = _problem(
+        scen, problem, vars = _problem(
             n_tasks=int(rng.integers(1, 6)), n_sbs=int(rng.integers(1, 3)),
             seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)))
         problem.dual = rng.normal(0, 0.5, problem.dual.shape)
         inputs = (problem.x_global, problem.dual, vars.x_hat)
         kept = [a.copy() for a in inputs]
-        cbgp_solve(problem, vars, state, rounds=30)
-        rejected += int((state.step_scale < 1.0).any())
+        scales.clear()
+        cbgp_solve(problem, vars, rounds=30)
+        # the solve halves a task's step scale in place on each rejection
+        rejected += int((scales[-1] < 1.0).any())
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
     assert rejected > 0
@@ -247,24 +280,25 @@ def test_sweep_writes_into_no_input_array():
     # was given as it was
     rng = np.random.default_rng(5)
     for trial in range(20):
-        scen, problem, vars, state = _problem(
+        scen, problem, vars = _problem(
             n_tasks=int(rng.integers(1, 6)), n_sbs=int(rng.integers(1, 3)),
             seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)))
         problem.dual = rng.normal(0, 0.5, problem.dual.shape)
-        state.mu_env_lo = rng.uniform(0, 0.1, state.mu_env_lo.shape)
-        state.step_scale = rng.uniform(0.5, 1.0, state.step_scale.shape)
+        vars.mu_env_lo = rng.uniform(0, 0.1, vars.mu_env_lo.shape)
+        scale = rng.uniform(0.5, 1.0, vars.x_hat.shape[1])
+        step = float(rng.uniform(0.01, local_blocks.DUAL_STEP0))
         arrays = {f.name: getattr(obj, f.name)
-                  for obj in (problem, vars, state) for f in dataclasses.fields(obj)
+                  for obj in (problem, vars) for f in dataclasses.fields(obj)
                   if isinstance(getattr(obj, f.name), np.ndarray)}
-        terms = local_blocks._sweep_terms(problem, state.x_prev)
+        terms = local_blocks._sweep_terms(problem, vars.x_hat)
         arrays.update((f"terms[{k}]", a) for k, a in enumerate(terms))
+        arrays["scale"] = scale
         kept = {name: a.copy() for name, a in arrays.items()}
         for _ in range(3):
-            local_blocks._sweep(problem, vars, state, terms)
+            local_blocks._sweep(problem, vars, terms, scale, step)
         for name, a in arrays.items():
             assert np.array_equal(a, kept[name]), name
-        swept = ([getattr(vars, n) for n in local_blocks._SWEPT_VARS]
-                 + [getattr(state, n) for n in local_blocks._SWEPT_MULTIPLIERS])
+        swept = [getattr(vars, f.name) for f in dataclasses.fields(vars)]
         assert not any(new is a for new in swept for a in arrays.values())
 
 
@@ -292,9 +326,9 @@ def _reference_project_interval(v, lo, hi):
     return np.where(lo <= hi, np.clip(v, np.minimum(lo, hi), hi), nearest)
 
 
-def _reference_sweep(problem, vars, state):
+def _reference_sweep(problem, vars, x_prev, step_scale, sweep):
     p, a = problem, problem.alpha
-    scale = state.step_scale[None, :]
+    scale = step_scale[None, :]
     inv = 1.0 / p.h_min
 
     grad_r = a * p.sbs_cycle * vars.ci
@@ -319,10 +353,10 @@ def _reference_sweep(problem, vars, state):
 
     vars.ci = p.c[None, :] - vars.c0 - vars.c1
 
-    mult_sum = (state.mu_env_lo - state.mu_env_hi * inv - state.mu_shift_hi
-                + state.mu_shift_lo * inv)
+    mult_sum = (vars.mu_env_lo - vars.mu_env_hi * inv - vars.mu_shift_hi
+                + vars.mu_shift_lo * inv)
     cost = p.branch_cost(vars.c0, vars.c1, vars.ci)
-    lin = cost + p.dual + p.delta * (1.0 - 2.0 * state.x_prev) + mult_sum
+    lin = cost + p.dual + p.delta * (1.0 - 2.0 * x_prev) + mult_sum
     env = a * p.sbs_cycle * vars.ci
     with np.errstate(divide="ignore", invalid="ignore"):
         x_break = np.where(inv > 1.0, (inv - p.r) / (inv - 1.0), 1.0)
@@ -334,40 +368,35 @@ def _reference_sweep(problem, vars, state):
                           np.where(slope_at_break + env * inv < 0, min_high,
                                    x_break))
 
-    s = local_blocks.DUAL_STEP0 / (state.sweep + 1.0)
-    state.mu_env_lo = np.maximum(0.0, state.mu_env_lo + s * (vars.x_hat - vars.R))
-    state.mu_env_hi = np.maximum(0.0, state.mu_env_hi + s * (vars.R - vars.x_hat * inv))
-    state.mu_shift_hi = np.maximum(
-        0.0, state.mu_shift_hi + s * (vars.R - p.r - vars.x_hat + 1.0))
-    state.mu_shift_lo = np.maximum(
-        0.0, state.mu_shift_lo + s * (p.r + vars.x_hat * inv - inv - vars.R))
-    state.sweep += 1
+    s = local_blocks.DUAL_STEP0 / (sweep + 1.0)
+    vars.mu_env_lo = np.maximum(0.0, vars.mu_env_lo + s * (vars.x_hat - vars.R))
+    vars.mu_env_hi = np.maximum(0.0, vars.mu_env_hi + s * (vars.R - vars.x_hat * inv))
+    vars.mu_shift_hi = np.maximum(
+        0.0, vars.mu_shift_hi + s * (vars.R - p.r - vars.x_hat + 1.0))
+    vars.mu_shift_lo = np.maximum(
+        0.0, vars.mu_shift_lo + s * (p.r + vars.x_hat * inv - inv - vars.R))
 
 
-_REFERENCE_SWEPT = (("vars", ("x_hat", "R", "c0", "c1", "ci")),
-                    ("state", ("mu_env_lo", "mu_env_hi", "mu_shift_hi",
-                               "mu_shift_lo")))
+_REFERENCE_SWEPT = ("x_hat", "R", "c0", "c1", "ci", "mu_env_lo", "mu_env_hi",
+                    "mu_shift_hi", "mu_shift_lo")
 
 
-def _reference_cbgp_solve(problem, vars, state, rounds=50, tol=1e-6):
-    state.x_prev = vars.x_hat.copy()
-    state.sweep = 0
-    state.step_scale = np.ones(vars.x_hat.shape[1])
-    q = _reference_block_objective(problem, vars, state.x_prev)
+def _reference_cbgp_solve(problem, vars, rounds=50, tol=1e-6):
+    x_prev = vars.x_hat.copy()
+    step_scale = np.ones(vars.x_hat.shape[1])
+    q = _reference_block_objective(problem, vars, x_prev)
     history, rejections = [q], []
     slack = 1e-12 * (1.0 + np.abs(q))
-    objs = {"vars": vars, "state": state}
-    for _ in range(rounds):
-        before = [(objs[obj], name, getattr(objs[obj], name))
-                  for obj, names in _REFERENCE_SWEPT for name in names]
-        _reference_sweep(problem, vars, state)
-        q_new = _reference_block_objective(problem, vars, state.x_prev)
+    for sweep in range(rounds):
+        before = [(name, getattr(vars, name)) for name in _REFERENCE_SWEPT]
+        _reference_sweep(problem, vars, x_prev, step_scale, sweep)
+        q_new = _reference_block_objective(problem, vars, x_prev)
         bad = q_new > q + slack
         rejections.append(bad)
         if np.any(bad):
-            for obj, name, old in before:
-                getattr(obj, name)[:, bad] = old[:, bad]
-            state.step_scale[bad] *= 0.5
+            for name, old in before:
+                getattr(vars, name)[:, bad] = old[:, bad]
+            step_scale[bad] *= 0.5
             q_new = np.where(bad, q, q_new)
         history.append(q_new)
         if np.all(np.abs(q - q_new) <= tol * (1.0 + np.abs(q))):
@@ -384,7 +413,7 @@ def test_cbgp_bit_identical_to_reference_with_every_term_formed_per_sweep():
     rng = np.random.default_rng(11)
     seen = {"none": 0, "some": 0, "all": 0}
     for trial in range(40):
-        scen, problem, vars, state = _problem(
+        scen, problem, vars = _problem(
             n_tasks=int(rng.integers(1, 7)), n_sbs=int(rng.integers(1, 4)),
             seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)),
             delta=float(rng.choice([0.0, 1.0])))
@@ -393,19 +422,18 @@ def test_cbgp_bit_identical_to_reference_with_every_term_formed_per_sweep():
         # duals this large make sweeps overshoot, so some get rejected
         problem.dual = rng.normal(0, float(rng.choice([0.5, 2.0, 5.0])),
                                   problem.dual.shape)
-        state.mu_env_lo = rng.uniform(0, 0.2, state.mu_env_lo.shape)
-        state.mu_shift_lo = rng.uniform(0, 0.2, state.mu_shift_lo.shape)
-        ref_vars, ref_state = dataclasses.replace(vars), dataclasses.replace(state)
+        vars.mu_env_lo = rng.uniform(0, 0.2, vars.mu_env_lo.shape)
+        vars.mu_shift_lo = rng.uniform(0, 0.2, vars.mu_shift_lo.shape)
+        ref_vars = dataclasses.replace(vars)
         ref_vars, ref_history, rejections = _reference_cbgp_solve(
-            problem, ref_vars, ref_state, rounds=30)
-        vars, history = cbgp_solve(problem, vars, state, rounds=30)
+            problem, ref_vars, rounds=30)
+        vars, history = cbgp_solve(problem, vars, rounds=30)
 
         for bad in rejections:
             seen["all" if bad.all() else "some" if bad.any() else "none"] += 1
-        for obj, ref in ((vars, ref_vars), (state, ref_state)):
-            for f in dataclasses.fields(obj):
-                got, want = getattr(obj, f.name), getattr(ref, f.name)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+        for f in dataclasses.fields(vars):
+            got, want = getattr(vars, f.name), getattr(ref_vars, f.name)
+            assert got.tobytes() == want.tobytes(), f.name
         assert len(history) == len(ref_history)
         for got, want in zip(history, ref_history):
             assert got.tobytes() == want.tobytes()
