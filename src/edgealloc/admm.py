@@ -45,6 +45,8 @@ class SolverConfig:
             raise ConfigurationError("rho must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be at least 1")
+        if self.cbgp_rounds < 1:
+            raise ConfigurationError("cbgp_rounds must be at least 1")
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
         if not (0.0 <= self.alpha <= 1.0):

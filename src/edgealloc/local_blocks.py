@@ -175,33 +175,33 @@ def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
 
 
 def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,
-           scale: np.ndarray, step: float) -> np.ndarray:
+           step: float) -> np.ndarray:
     """One full cycle over the blocks: R, c0, c1, the dependent ci, the
     assignment row by its stationarity closed form, then the projected
     subgradient multiplier updates at step `step`, with `terms` from
-    `_sweep_terms` and per-task step scales `scale`.  Each field of `vars`
-    is bound to a new array and no input array is written, so the old
-    arrays keep the pre-sweep point.  Returns the branch cost of the new
-    splits."""
+    `_sweep_terms`.  Each field of `vars` is bound to a new array and no
+    input array is written, so the old arrays keep the pre-sweep point.
+    A task's new primal point depends only on its own column, not on
+    `step`.  Returns the branch cost of the new splits."""
     p, a = problem, problem.alpha
     a_cycle, c0_pull, c_row, c_sq, penalty_slope, x_break, pull_at_break = terms
     inv = 1.0 / p.h_min
 
     grad_r = a_cycle * vars.ci
     lo, hi = rlt_bounds(vars.x_hat, p.r, p.h_min)
-    eps_r = scale / (p.rho * p.h_min * p.h_min)
+    eps_r = 1.0 / (p.rho * p.h_min * p.h_min)
     vars.R = project_interval(vars.R - eps_r * grad_r, lo, hi)
 
     shared_pull = a_cycle * vars.R + (1.0 - a) * vars.x_hat * p.e_s
     grad_c0 = vars.x_hat * c0_pull - shared_pull
-    vars.c0 = np.minimum(np.maximum(vars.c0 - scale * c_sq / p.rho * grad_c0, 0.0),
+    vars.c0 = np.minimum(np.maximum(vars.c0 - c_sq / p.rho * grad_c0, 0.0),
                          c_row - vars.c1)
 
     grad_c1 = (vars.x_hat * (a * (2.0 * p.w2 * vars.c1 + p.w1 + p.d_m[None, :])
                              + (1.0 - a) * p.e_m1)
                - shared_pull)
     curv = np.maximum(p.rho, 2.0 * a * vars.x_hat * p.w2 * c_sq)
-    vars.c1 = np.minimum(np.maximum(vars.c1 - scale * c_sq / curv * grad_c1, 0.0),
+    vars.c1 = np.minimum(np.maximum(vars.c1 - c_sq / curv * grad_c1, 0.0),
                          c_row - vars.c0)
 
     vars.ci = c_row - vars.c0 - vars.c1
@@ -235,37 +235,33 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,
 
 def cbgp_solve(problem: LocalProblem, vars: CbgpVars, rounds: int = 50,
                tol: float = 1e-6):
-    """Run up to `rounds` block sweeps, committing a sweep only if it does
-    not increase the objective; a rejected sweep halves the offending
-    tasks' steps and is retried from the pre-sweep point.
+    """Run up to `rounds` block sweeps, committing a sweep only for the
+    tasks whose objective it does not increase.  A rejected task goes back
+    to its pre-sweep point by one masked merge and sits out the rest of
+    the solve, as `solve_global` does with a stalled line search: `_sweep`
+    proposes it the same point again.
 
     The solve starts from the corner-penalty tangency at the incoming
-    `vars.x_hat`, unit step scales and the multipliers in `vars` as they
-    are; sweep k takes multiplier step DUAL_STEP0 / (k + 1).  `_sweep_terms`
-    are formed once per solve.  A rejected sweep is undone from the arrays
-    it started from, which `_sweep` never writes: rebound when every task
-    rejects it, merged task by task with `np.where` otherwise.
+    `vars.x_hat` and the multipliers in `vars` as they are; sweep k takes
+    multiplier step DUAL_STEP0 / (k + 1).  `_sweep_terms` are formed once
+    per solve.
 
     Returns the final variables and the per-sweep objective history
     (list of per-task arrays, one entry per committed check).
     """
     x_prev = vars.x_hat
-    scale = np.ones(x_prev.shape[1])
     terms = _sweep_terms(problem, x_prev)
     q = block_objective(problem, vars, x_prev)
     history = [q]
     slack = 1e-12 * (1.0 + np.abs(q))
     for sweep in range(rounds):
         before = [(f.name, getattr(vars, f.name)) for f in fields(vars)]
-        cost = _sweep(problem, vars, terms, scale, DUAL_STEP0 / (sweep + 1.0))
+        cost = _sweep(problem, vars, terms, DUAL_STEP0 / (sweep + 1.0))
         q_new = block_objective(problem, vars, x_prev, cost)
         bad = q_new > q + slack
         if bad.any():
-            every = bad.all()
             for name, old in before:
-                setattr(vars, name,
-                        old if every else np.where(bad, old, getattr(vars, name)))
-            scale[bad] *= 0.5
+                setattr(vars, name, np.where(bad, old, getattr(vars, name)))
             q_new = np.where(bad, q, q_new)
         history.append(q_new)
         if np.all(np.abs(q - q_new) <= tol * (1.0 + np.abs(q))):

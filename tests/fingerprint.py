@@ -13,6 +13,9 @@ its optimum.  One line per output gives instance, output and digest:
 - `trace.csv` and `placement.json` as written;
 - `trace.utility`, the `iter` and `utility` columns of the trace alone;
 - `global_unconverged`, the per-iteration counts of `Trace`, as JSON;
+- `counters`, the per-iteration `newton_steps`, `cbgp_sweeps` and
+  `split_repairs` of `Trace`, as one JSON object, so a bit-identity claim
+  also covers how much work each block did;
 - `oracle.json` as written, for the four `oracle_small` scenarios, two
   six-task, two-station ones, loose and tight, where the oracle's pruning
   has the most tuples to skip, and a tight five-task, one-station one
@@ -22,14 +25,15 @@ its optimum.  One line per output gives instance, output and digest:
 Running it on two trees and diffing the outputs checks a claim that a
 change leaves these results byte-identical.  `--compare BASE` runs every
 instance in BASE and in TREE and prints one line per instance saying
-what moved: for a solve, whether `trace.csv`, `placement.json` and
-`global_unconverged` are byte-identical, both iteration counts (BASE
-first), and over the iterations both traces have, the largest relative
-change of the `utility` and `primal_res` columns and the largest absolute
-change of `dual_res`, which sits near 0 once the iterates settle; for an
-oracle instance, whether `oracle.json` is byte-identical.  It exits 1
-when any output of any instance moved and 0 when every one is
-byte-identical, so the exit status alone checks a bit-identity claim.
+what moved: for a solve, whether `trace.csv`, `placement.json`,
+`global_unconverged` and `counters` are byte-identical, both iteration
+counts (BASE first), and over the iterations both traces have, the
+largest relative change of the `utility` and `primal_res` columns and the
+largest absolute change of `dual_res`, which sits near 0 once the
+iterates settle; for an oracle instance, whether `oracle.json` is
+byte-identical.  It exits 1 when any output of any instance moved and 0
+when every one is byte-identical, so the exit status alone checks a
+bit-identity claim.
 
 It is not a test module, so pytest does not collect it.  The whole set
 takes about half a minute per tree.
@@ -114,6 +118,9 @@ else:
               "--out", work] + json.loads(mode))
     with open(os.path.join(work, "global_unconverged.json"), "w") as fh:
         json.dump(traces[0].global_unconverged, fh)
+    with open(os.path.join(work, "counters.json"), "w") as fh:
+        json.dump({name: getattr(traces[0], name) for name in
+                   ("newton_steps", "cbgp_sweeps", "split_repairs")}, fh)
 """
 
 
@@ -133,7 +140,8 @@ def _outputs(work: str, mode: str) -> dict:
                          for line in trace.splitlines())
     return {"trace.csv": trace, "trace.utility": columns,
             "placement.json": read("placement.json"),
-            "global_unconverged": read("global_unconverged.json")}
+            "global_unconverged": read("global_unconverged.json"),
+            "counters": read("counters.json")}
 
 
 def _jobs() -> list:
@@ -184,6 +192,7 @@ def compare(base: str, tree: str):
         yield moved, (f"{name:18s} trace {same['trace.csv']:5s} "
                       f"placement {same['placement.json']:5s} "
                       f"unconverged {same['global_unconverged']:5s} "
+                      f"counters {same['counters']:5s} "
                       f"iters {len(a)} -> {len(b)}  "
                       f"utility {rel[:, 0].max(initial=0.0):.2g}  "
                       f"primal_res {rel[:, 1].max(initial=0.0):.2g}  "

@@ -5,7 +5,7 @@ run with `pytest -s tests/test_acceptance.py`.
 """
 
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -188,7 +188,8 @@ def test_criterion_7_nullspace_correctness():
           f"full residual {worst_res:.2e} < 1e-8")
 
 
-def test_criterion_8_cbgp_descent():
+def _criterion_8_instances():
+    """Criterion 8's 100 random split-block instances, (problem, vars)."""
     rng = np.random.default_rng(15)
     for _ in range(100):
         scen = generate_scenario(ScenarioConfig(
@@ -209,11 +210,54 @@ def test_criterion_8_cbgp_descent():
         vars = local_blocks.CbgpVars.start(
             x_hat=rng.uniform(0, 1, (s, n)), R=rng.uniform(0, 2, (s, n)),
             c0=f0 * c, c1=f1 * c, ci=(1 - f0 - f1) * c)
+        yield problem, vars
+
+
+def test_criterion_8_cbgp_descent():
+    for problem, vars in _criterion_8_instances():
         _, history = local_blocks.cbgp_solve(problem, vars, rounds=25)
         values = np.stack(history)
         assert np.all(np.diff(values, axis=0) <= 1e-8)
     print("\ncriterion 8 PASS: objective nonincreasing after every sweep on "
           "100 random block instances")
+
+
+def test_cbgp_rejected_task_sits_out_the_rest_of_its_solve(monkeypatch):
+    # a task whose part of a sweep is rejected goes back to its pre-sweep
+    # point, and every later sweep proposes it that point again: its
+    # column of every `CbgpVars` field stays bit for bit until the end
+    rng = np.random.default_rng(16)
+    sweep, objective = local_blocks._sweep, local_blocks.block_objective
+    starts, proposed = [], []
+
+    def recording_sweep(problem, vars, terms, step):
+        starts.append([getattr(vars, f.name).copy() for f in fields(vars)])
+        return sweep(problem, vars, terms, step)
+
+    def recording_objective(*args):
+        proposed.append(objective(*args))
+        return proposed[-1]
+
+    monkeypatch.setattr(local_blocks, "_sweep", recording_sweep)
+    monkeypatch.setattr(local_blocks, "block_objective", recording_objective)
+    partial = 0
+    for problem, vars in _criterion_8_instances():
+        for f in fields(vars):
+            if f.name.startswith("mu_"):
+                setattr(vars, f.name, rng.uniform(0.0, 0.5, vars.x_hat.shape))
+        starts.clear()
+        proposed.clear()
+        vars, history = local_blocks.cbgp_solve(problem, vars, rounds=25)
+        final = [getattr(vars, f.name) for f in fields(vars)]
+        for k, start in enumerate(starts):
+            bad = history[k + 1] != proposed[k + 1]
+            partial += int(bad.any() and not bad.all())
+            for later in starts[k + 1:] + [final]:
+                for old, new in zip(start, later):
+                    assert old[:, bad].tobytes() == new[:, bad].tobytes()
+    assert partial > 0
+    print(f"\n{partial} partially rejected sweeps; every rejected task kept "
+          "its pre-sweep point to the end of its solve")
 
 
 def test_criterion_9_monotone_augmented_lagrangian():

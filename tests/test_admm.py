@@ -26,6 +26,8 @@ def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(max_iter=0)
     with pytest.raises(ConfigurationError):
+        SolverConfig(cbgp_rounds=0)
+    with pytest.raises(ConfigurationError):
         SolverConfig(tol=-1.0)
 
 

@@ -249,13 +249,13 @@ def test_cbgp_leaves_its_inputs_unchanged(monkeypatch):
     # duals and the starting assignment without copying them; a rejected
     # sweep restores the arrays the sweep allocated, not these
     rng = np.random.default_rng(3)
-    sweep, scales = local_blocks._sweep, []
+    objective, proposed = local_blocks.block_objective, []
 
-    def recording_sweep(problem, vars, terms, scale, step):
-        scales.append(scale)
-        return sweep(problem, vars, terms, scale, step)
+    def recording_objective(*args):
+        proposed.append(objective(*args))
+        return proposed[-1]
 
-    monkeypatch.setattr(local_blocks, "_sweep", recording_sweep)
+    monkeypatch.setattr(local_blocks, "block_objective", recording_objective)
     rejected = 0
     for trial in range(100):
         scen, problem, vars = _problem(
@@ -264,10 +264,10 @@ def test_cbgp_leaves_its_inputs_unchanged(monkeypatch):
         problem.dual = rng.normal(0, 0.5, problem.dual.shape)
         inputs = (problem.x_global, problem.dual, vars.x_hat)
         kept = [a.copy() for a in inputs]
-        scales.clear()
-        cbgp_solve(problem, vars, rounds=30)
-        # the solve halves a task's step scale in place on each rejection
-        rejected += int((scales[-1] < 1.0).any())
+        proposed.clear()
+        _, history = cbgp_solve(problem, vars, rounds=30)
+        # a rejected task's history entry keeps its pre-sweep value
+        rejected += int(any((h != q).any() for h, q in zip(history, proposed)))
         for a, b in zip(inputs, kept):
             assert np.array_equal(a, b)
     assert rejected > 0
@@ -285,17 +285,15 @@ def test_sweep_writes_into_no_input_array():
             seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)))
         problem.dual = rng.normal(0, 0.5, problem.dual.shape)
         vars.mu_env_lo = rng.uniform(0, 0.1, vars.mu_env_lo.shape)
-        scale = rng.uniform(0.5, 1.0, vars.x_hat.shape[1])
         step = float(rng.uniform(0.01, local_blocks.DUAL_STEP0))
         arrays = {f.name: getattr(obj, f.name)
                   for obj in (problem, vars) for f in dataclasses.fields(obj)
                   if isinstance(getattr(obj, f.name), np.ndarray)}
         terms = local_blocks._sweep_terms(problem, vars.x_hat)
         arrays.update((f"terms[{k}]", a) for k, a in enumerate(terms))
-        arrays["scale"] = scale
         kept = {name: a.copy() for name, a in arrays.items()}
         for _ in range(3):
-            local_blocks._sweep(problem, vars, terms, scale, step)
+            local_blocks._sweep(problem, vars, terms, step)
         for name, a in arrays.items():
             assert np.array_equal(a, kept[name]), name
         swept = [getattr(vars, f.name) for f in dataclasses.fields(vars)]
@@ -305,10 +303,11 @@ def test_sweep_writes_into_no_input_array():
 # -- bit-for-bit referee of the split block ------------------------------------
 #
 # The split block as it was before its per-solve terms were formed once,
-# kept as a reference (renamed, docstrings dropped): every sweep forms
-# every term again, the objective prices the branch cost again, the
-# clamps are `np.clip`, and a rejected sweep is undone by masked writes
-# into the new arrays.  It also returns each sweep's rejection mask.
+# kept as a reference (renamed, docstrings dropped, step scales taken
+# out): every sweep forms every term again, the objective prices the
+# branch cost again, the clamps are `np.clip`, and a rejected sweep is
+# undone by masked writes into the new arrays.  It also returns each
+# sweep's rejection mask.
 
 def _reference_block_objective(problem, vars, x_prev):
     cost = problem.branch_cost(vars.c0, vars.c1, vars.ci)
@@ -326,14 +325,13 @@ def _reference_project_interval(v, lo, hi):
     return np.where(lo <= hi, np.clip(v, np.minimum(lo, hi), hi), nearest)
 
 
-def _reference_sweep(problem, vars, x_prev, step_scale, sweep):
+def _reference_sweep(problem, vars, x_prev, sweep):
     p, a = problem, problem.alpha
-    scale = step_scale[None, :]
     inv = 1.0 / p.h_min
 
     grad_r = a * p.sbs_cycle * vars.ci
     lo, hi = rlt_bounds(vars.x_hat, p.r, p.h_min)
-    eps_r = scale / (p.rho * p.h_min * p.h_min)
+    eps_r = 1.0 / (p.rho * p.h_min * p.h_min)
     vars.R = _reference_project_interval(vars.R - eps_r * grad_r, lo, hi)
 
     shared_pull = a * p.sbs_cycle * vars.R + (1.0 - a) * vars.x_hat * p.e_s
@@ -341,14 +339,14 @@ def _reference_sweep(problem, vars, x_prev, step_scale, sweep):
                              + (1.0 - a) * (p.e_c0[None, :] - p.e_up))
                - shared_pull)
     c_sq = p.c[None, :] * p.c[None, :]
-    vars.c0 = np.clip(vars.c0 - scale * c_sq / p.rho * grad_c0,
+    vars.c0 = np.clip(vars.c0 - c_sq / p.rho * grad_c0,
                       0.0, p.c[None, :] - vars.c1)
 
     grad_c1 = (vars.x_hat * (a * (2.0 * p.w2 * vars.c1 + p.w1 + p.d_m[None, :])
                              + (1.0 - a) * p.e_m1)
                - shared_pull)
     curv = np.maximum(p.rho, 2.0 * a * vars.x_hat * p.w2 * c_sq)
-    vars.c1 = np.clip(vars.c1 - scale * c_sq / curv * grad_c1,
+    vars.c1 = np.clip(vars.c1 - c_sq / curv * grad_c1,
                       0.0, p.c[None, :] - vars.c0)
 
     vars.ci = p.c[None, :] - vars.c0 - vars.c1
@@ -383,20 +381,18 @@ _REFERENCE_SWEPT = ("x_hat", "R", "c0", "c1", "ci", "mu_env_lo", "mu_env_hi",
 
 def _reference_cbgp_solve(problem, vars, rounds=50, tol=1e-6):
     x_prev = vars.x_hat.copy()
-    step_scale = np.ones(vars.x_hat.shape[1])
     q = _reference_block_objective(problem, vars, x_prev)
     history, rejections = [q], []
     slack = 1e-12 * (1.0 + np.abs(q))
     for sweep in range(rounds):
         before = [(name, getattr(vars, name)) for name in _REFERENCE_SWEPT]
-        _reference_sweep(problem, vars, x_prev, step_scale, sweep)
+        _reference_sweep(problem, vars, x_prev, sweep)
         q_new = _reference_block_objective(problem, vars, x_prev)
         bad = q_new > q + slack
         rejections.append(bad)
         if np.any(bad):
             for name, old in before:
                 getattr(vars, name)[:, bad] = old[:, bad]
-            step_scale[bad] *= 0.5
             q_new = np.where(bad, q, q_new)
         history.append(q_new)
         if np.all(np.abs(q - q_new) <= tol * (1.0 + np.abs(q))):
@@ -408,8 +404,8 @@ def _reference_cbgp_solve(problem, vars, rounds=50, tol=1e-6):
 def test_cbgp_bit_identical_to_reference_with_every_term_formed_per_sweep():
     # the same random problems through both solves; every returned array
     # must match to the byte, over solves with no rejected sweep, with
-    # sweeps some tasks reject (restored by `np.where`) and with sweeps
-    # every task rejects (restored by rebinding the pre-sweep arrays)
+    # sweeps some tasks reject and with sweeps every task rejects (which
+    # end the solve)
     rng = np.random.default_rng(11)
     seen = {"none": 0, "some": 0, "all": 0}
     for trial in range(40):
