@@ -105,17 +105,19 @@ class TraceRecord:
 class Trace:
     """Per-iteration log; iteration numbers are strictly increasing.
 
-    Four solver-health counters hold one entry per iteration, taken from
+    Five solver-health counters hold one entry per iteration, taken from
     what the blocks report anyway, and are not part of the CSV:
     `global_unconverged` counts the tasks whose global block ended above
-    its KKT tolerance, `newton_steps` the global block's Newton steps,
-    `cbgp_sweeps` the split block's sweeps and `split_repairs` the overdue
-    splits `run` reset to a deadline-feasible one (both 0 with no SBS).
+    its KKT tolerance, `global_stalled` those whose line search stalled,
+    `newton_steps` the global block's Newton steps, `cbgp_sweeps` the
+    split block's sweeps and `split_repairs` the overdue splits `run`
+    reset to a deadline-feasible one (both 0 with no SBS).
     """
 
     records: list = field(default_factory=list)
     converged: bool = False
     global_unconverged: list = field(default_factory=list)
+    global_stalled: list = field(default_factory=list)
     newton_steps: list = field(default_factory=list)
     cbgp_sweeps: list = field(default_factory=list)
     split_repairs: list = field(default_factory=list)
@@ -279,6 +281,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         state.v, _, info = global_block.solve_global(problem)
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
+        trace.global_stalled.append(int(np.count_nonzero(info["stalled"])))
         trace.newton_steps.append(info["newton_iterations"])
         trace.cbgp_sweeps.append(sweeps)
         trace.split_repairs.append(repairs)

@@ -10,12 +10,12 @@ and simplex multipliers.  Tasks are independent and solved together on
 coordinate-major (n_coords, n_tasks) arrays, so a per-task reduction adds
 or compares a few contiguous rows, one per coordinate.
 
-The barrier runs at one weight, OMEGA.  Each task starts at the block's
-exact omega -> 0 limit, the Euclidean projection onto the simplex cut by
-the deadline (`exact_limit`), with the coordinates the projection puts at
-0 lifted to the barrier's equilibrium, so the Newton steps only close the
-barrier's small offset from that limit (a warm start in the sense of
-Yildirim & Wright, SIAM J. Optim. 12, 2002).
+The barrier runs at one weight, OMEGA.  Each task starts at the
+barrier's equilibrium around the block's exact omega -> 0 limit, the
+Euclidean projection onto the simplex cut by the deadline (`exact_limit`),
+so the Newton steps only certify the start or close what is left of the
+barrier's offset (a warm start in the sense of Yildirim & Wright, SIAM J.
+Optim. 12, 2002).
 """
 
 from __future__ import annotations
@@ -268,18 +268,21 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     return t, stalled, f_new
 
 
-def interior_init(problem: GlobalProblem, base: np.ndarray | None = None):
+def interior_init(problem: GlobalProblem, base: np.ndarray | None = None,
+                  m_floor: np.ndarray | None = None):
     """Strictly interior simplex point per task, on the deadline row
     whenever the fastest branch can meet the deadline.
 
     `base`, or the prox centers, is clipped into [CORNER_WEIGHT_FLOOR,
     1 - CORNER_WEIGHT_FLOOR] and renormalised.  The slack
-    m = t_max - delay is floored at m_floor; a start whose delay leaves
-    less than m_floor is mixed toward a corner on the fastest branch just
-    far enough to meet t_max - m_floor.  The corner puts on each slower
-    coordinate k the weight min(CORNER_WEIGHT, room / (2 (p - 1) (t_k -
-    t_best))), with room = t_max - m_floor - t_best, so its delay is at
-    most t_best + room / 2 and the mix lands on the deadline row.  A
+    m = t_max - delay is floored at `m_floor` per task, by default
+    1e-3 t_max (`solve_global` passes the slack's barrier equilibrium where
+    the deadline binds), and never below 10 INTERIOR_MARGIN; a start whose
+    delay leaves less than m_floor is mixed toward a corner on the fastest
+    branch just far enough to meet t_max - m_floor.  The corner puts on
+    each slower coordinate k the weight min(CORNER_WEIGHT, room / (2 (p -
+    1) (t_k - t_best))), with room = t_max - m_floor - t_best, so its delay
+    is at most t_best + room / 2 and the mix lands on the deadline row.  A
     weight is floored at `CORNER_WEIGHT_FLOOR`, inside the line search's
     margin.  A task with room < 0, every task whose fastest branch misses
     the deadline among them, starts off the row at the corner itself,
@@ -290,7 +293,8 @@ def interior_init(problem: GlobalProblem, base: np.ndarray | None = None):
     v = np.clip(base, CORNER_WEIGHT_FLOOR, 1.0 - CORNER_WEIGHT_FLOOR)
     v = v / v.sum(axis=0)
 
-    m_floor = np.maximum(1e-3 * problem.t_max, 10 * INTERIOR_MARGIN)
+    m_floor = 1e-3 * problem.t_max if m_floor is None else m_floor
+    m_floor = np.maximum(m_floor, 10 * INTERIOR_MARGIN)
     delay = (problem.tcoef * v).sum(axis=0)
     need_fix = delay > problem.t_max - m_floor
     if need_fix.any():
@@ -347,11 +351,12 @@ def exact_limit(problem: GlobalProblem, xi: float):
     each exact on the piece it starts from, inside a bracket that falls
     back to bisection, to 1e-12 relative in the delay.
 
-    Returns (v, reduced): with theta the simplex threshold of v(lam),
+    Returns (v, reduced, lam): with theta the simplex threshold of v(lam),
     `reduced` is max((rho - 2 xi)(theta + lam t - c), 0), the multiplier of
-    each coordinate's bound v >= 0, zero on the support of v.  Columns
-    whose fastest branch misses the deadline have no feasible point and
-    are NaN in both.
+    each coordinate's bound v >= 0, zero on the support of v; the
+    deadline row's multiplier is (rho - 2 xi) lam.  Columns whose fastest
+    branch misses the deadline have no feasible point and are NaN in all
+    three.
     """
     a = problem.rho - 2.0 * xi
     c = (problem.dual + problem.rho * problem.prox - xi) / a
@@ -398,21 +403,29 @@ def exact_limit(problem: GlobalProblem, xi: float):
     reduced = a * np.maximum(theta - (c - lam * t), 0.0)
     v[:, ~feasible] = np.nan
     reduced[:, ~feasible] = np.nan
-    return v, reduced
+    lam[~feasible] = np.nan
+    return v, reduced, lam
 
 
 def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     """Damped Newton steps on the smoothed problem at barrier weight OMEGA
     and corner weight xi = min(XI_MAX, XI_CONVEXITY_FRACTION * rho), from
-    the lifted exact limit.
+    the barrier's equilibrium around the exact limit.
 
     The start is `exact_limit` at xi, with each coordinate the limit puts
-    at 0 lifted to the barrier's equilibrium OMEGA / g at its reduced cost
-    g, clipped to [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and renormalised.
-    The start goes through `interior_init`; a task whose fastest branch
-    misses the deadline has no limit, and `interior_init` starts it at its
-    fastest-branch corner.  Up to MAX_INNER Newton steps follow, and the
-    point after each step is checked against `tol`, the last one included.
+    at 0 lifted to its barrier equilibrium OMEGA / (g - delta) at its
+    reduced cost g, clipped to [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], and
+    renormalised.  delta is 0 unless the limit is a vertex, where it is the
+    shift the vertex coordinate's upper barrier puts on every reduced cost.
+    Where the deadline binds, with multiplier nu = (rho - 2 xi) lam > 0,
+    the slack floor is the slack's own equilibrium OMEGA / nu, capped at
+    1e-3 t_max; a column with a lift below INTERIOR_MARGIN has no interior
+    equilibrium and keeps 1e-3 t_max.  The start goes through
+    `interior_init`; a task whose fastest branch misses the deadline has
+    no limit, and `interior_init` starts it at its fastest-branch corner.
+    Up to MAX_INNER Newton steps follow, none for a task whose start meets
+    `tol`, and the point after each step is checked against `tol`, the last
+    one included.
     A task whose line search stalls sits out the rest of the solve: its
     point does not move, so a retry would take the same step and stall
     again.
@@ -423,12 +436,35 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     in `info["converged"]` rather than fatal.
     """
     xi = min(XI_MAX, XI_CONVEXITY_FRACTION * problem.rho)
-    limit, reduced = exact_limit(problem, xi)
+    limit, reduced, lam = exact_limit(problem, xi)
+    # on a vertex limit the lifted coordinates sum to eps, whose upper
+    # barrier term OMEGA / eps shifts every reduced cost g by delta =
+    # OMEGA / eps; with each lift at OMEGA / (g - delta) that makes delta
+    # the root in (0, min g) of phi(delta) = sum delta / (g - delta) - 1,
+    # increasing and convex there, so Newton falls to the root from
+    # min(1 / sum 1 / g, min g / 2), which is at or above it
+    g = np.where(limit == 0.0, reduced, np.inf)
+    g_min = g.min(axis=0)
+    vertex = ((limit > 0).sum(axis=0) == 1) & (g_min > 0)
+    delta = np.zeros(problem.n_tasks)
+    if vertex.any():
+        g = g[:, vertex]
+        d = np.minimum(1.0 / (1.0 / g).sum(axis=0), 0.5 * g_min[vertex])
+        for _ in range(3):
+            r = 1.0 / (g - d)
+            r_sum = r.sum(axis=0)
+            d = d - (d * r_sum - 1.0) / (r_sum + d * (r * r).sum(axis=0))
+        delta[vertex] = d
     with np.errstate(divide="ignore"):
-        lift = np.clip(OMEGA / reduced, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT)
-    start = np.where(limit > 0, limit, lift)
+        lift = OMEGA / (reduced - delta)
+        # a lift inside the interior margin leaves its column no interior
+        # equilibrium, so that column keeps the default slack floor
+        rests = ~((limit == 0.0) & (lift < INTERIOR_MARGIN)).any(axis=0)
+        nu = (problem.rho - 2.0 * xi) * np.where(rests, lam, 0.0)
+        m_floor = np.fmin(OMEGA / nu, 1e-3 * problem.t_max)
+    start = np.where(limit > 0, limit, np.clip(lift, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT))
     start /= start.sum(axis=0)
-    v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start))
+    v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start), m_floor)
     recip = barrier_reciprocals(v)
     grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
     nu = -grad[1]

@@ -27,7 +27,8 @@ change leaves these results byte-identical.  `--compare BASE` runs every
 instance in BASE and in TREE and prints one line per instance saying
 what moved: for a solve, whether `trace.csv`, `placement.json`,
 `global_unconverged` and `counters` are byte-identical, both iteration
-counts (BASE first), and over the iterations both traces have, the
+counts, both totals of Newton steps and of CBGP sweeps (BASE first in
+each), and over the iterations both traces have, the
 largest relative change of the `utility` and `primal_res` columns and the
 largest absolute change of `dual_res`, which sits near 0 once the
 iterates settle; for an oracle instance, whether `oracle.json` is
@@ -186,6 +187,9 @@ def compare(base: str, tree: str):
             yield moved, f"{name:18s} oracle.json {same['oracle.json']}"
             continue
         a, b = _trace_columns(old["trace.csv"]), _trace_columns(new["trace.csv"])
+        work = [json.loads(out["counters"]) for out in (old, new)]
+        steps = [sum(side["newton_steps"]) for side in work]
+        sweeps = [sum(side["cbgp_sweeps"]) for side in work]
         k = min(len(a), len(b))
         change = np.abs(b[:k] - a[:k])
         rel = change[:, :2] / np.maximum(np.abs(a[:k, :2]), np.finfo(float).tiny)
@@ -194,6 +198,8 @@ def compare(base: str, tree: str):
                       f"unconverged {same['global_unconverged']:5s} "
                       f"counters {same['counters']:5s} "
                       f"iters {len(a)} -> {len(b)}  "
+                      f"newton {steps[0]} -> {steps[1]}  "
+                      f"sweeps {sweeps[0]} -> {sweeps[1]}  "
                       f"utility {rel[:, 0].max(initial=0.0):.2g}  "
                       f"primal_res {rel[:, 1].max(initial=0.0):.2g}  "
                       f"dual_res {change[:, 2].max(initial=0.0):.2g}")

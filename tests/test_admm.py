@@ -251,11 +251,13 @@ def test_run_returns_feasible_placement_and_decreasing_utility(small_scenario):
 
 
 def test_trace_counts_unconverged_global_solves():
-    # one count per iteration; zero throughout the 100-task reference, and
-    # not zero once tight deadlines leave global solves above tolerance
+    # one count per iteration; zero throughout the 100-task reference,
+    # where no task stalls either, and not zero once tight deadlines leave
+    # global solves above tolerance
     reference = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
     _, trace = run(reference, SolverConfig(record_timing=False))
     assert trace.global_unconverged == [0] * len(trace.records)
+    assert trace.global_stalled == [0] * len(trace.records)
 
     tight = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42,
                                              t_max_range=(0.02, 0.08)))
@@ -468,9 +470,10 @@ def test_batched_split_pricer_rows_are_independent(monkeypatch):
 
 
 def test_reference_run_newton_steps_and_utility(monkeypatch):
-    # the global solves of the 100-task reference take 26 Newton steps
-    # over 15 iterations: every task starts the one barrier level at its
-    # lifted exact limit; the placement is pinned by its utility
+    # the global solves of the 100-task reference take 13 Newton steps
+    # over 15 iterations, none in the first 8: every task starts the one
+    # barrier level at the barrier's equilibrium around its exact limit;
+    # the placement is pinned by its utility
     steps = []
     solve_global = admm.global_block.solve_global
 
@@ -483,14 +486,14 @@ def test_reference_run_newton_steps_and_utility(monkeypatch):
     scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
     config = SolverConfig(record_timing=False)
     placement, _ = run(scen, config)
-    assert sum(steps) <= 26
+    assert steps[:8] == [0] * 8 and sum(steps) <= 13
     assert costs.utility(placement, scen,
                          UtilityWeights(config.alpha)) == 1.996138694111688
 
 
 def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     # the trace's health counters are what the blocks return, one entry per
-    # iteration: the 26 Newton steps of the reference run, and the split
+    # iteration: the 13 Newton steps of the reference run, and the split
     # block's sweeps (0 when there is no SBS); and the overdue splits `run`
     # repairs, all of them at iteration 1 there
     steps, sweeps = [], []
@@ -511,7 +514,7 @@ def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     monkeypatch.setattr(admm.local_blocks, "cbgp_solve", counted_cbgp)
     scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
     _, trace = run(scen, SolverConfig(record_timing=False))
-    assert trace.newton_steps == steps and sum(trace.newton_steps) == 26
+    assert trace.newton_steps == steps and sum(trace.newton_steps) == 13
     assert trace.cbgp_sweeps == sweeps
     assert len(sweeps) == len(trace.records) and min(sweeps) >= 1
     assert trace.split_repairs == [94] + [0] * 14
@@ -530,20 +533,24 @@ def test_tight_twin_iterates_pinned():
                                             t_max_range=(0.02, 0.08)))
     _, trace = run(scen, SolverConfig(max_iter=20, record_timing=False))
     assert len(trace.records) == 20
-    assert trace.records[-1].utility == 2.2974549238223974
+    assert trace.records[-1].utility == 2.347158316960025
 
 
 def test_tight_twin_newton_steps_bounded(monkeypatch):
-    # every task starts the global block's one barrier level at its lifted
-    # exact limit; over 30 iterations of the non-converging seed 42 twin
-    # the global solves take 537 Newton steps (977 when a task whose last
-    # solve failed walked three barrier levels from its previous iterate)
-    steps = []
+    # every task starts the global block's one barrier level at the
+    # barrier's equilibrium around its exact limit; over 30 iterations of
+    # the non-converging seed 42 twin the global solves take 474 Newton
+    # steps (537 with the lift that ignored the vertex shift and a slack
+    # floor of 1e-3 t_max, 977 when a task whose last solve failed walked
+    # three barrier levels from its previous iterate); the trace counts
+    # each solve's stalled tasks
+    steps, stalled = [], []
     solve_global = admm.global_block.solve_global
 
     def counted(*args, **kwargs):
         v, m, info = solve_global(*args, **kwargs)
         steps.append(info["newton_iterations"])
+        stalled.append(int(info["stalled"].sum()))
         return v, m, info
 
     monkeypatch.setattr(admm.global_block, "solve_global", counted)
@@ -551,4 +558,5 @@ def test_tight_twin_newton_steps_bounded(monkeypatch):
                                             t_max_range=(0.02, 0.08)))
     _, trace = run(scen, SolverConfig(max_iter=30, record_timing=False))
     assert len(trace.records) == len(steps) == 30
-    assert sum(steps) <= 537
+    assert sum(steps) <= 474
+    assert trace.global_stalled == stalled and sum(stalled) > 0
