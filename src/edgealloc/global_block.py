@@ -269,15 +269,15 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
 
 
 def interior_init(problem: GlobalProblem, base: np.ndarray | None = None,
-                  m_floor: np.ndarray | None = None):
+                  m_floor: np.ndarray | float = np.inf):
     """Strictly interior simplex point per task, on the deadline row
     whenever the fastest branch can meet the deadline.
 
     `base`, or the prox centers, is clipped into [CORNER_WEIGHT_FLOOR,
     1 - CORNER_WEIGHT_FLOOR] and renormalised.  The slack
-    m = t_max - delay is floored at `m_floor` per task, by default
-    1e-3 t_max (`solve_global` passes the slack's barrier equilibrium where
-    the deadline binds), and never below 10 INTERIOR_MARGIN; a start whose
+    m = t_max - delay is floored at min(`m_floor`, 1e-3 t_max) per task,
+    never below 10 INTERIOR_MARGIN (`solve_global` passes the slack's
+    barrier equilibrium where the deadline binds); a start whose
     delay leaves less than m_floor is mixed toward a corner on the fastest
     branch just far enough to meet t_max - m_floor.  The corner puts on
     each slower coordinate k the weight min(CORNER_WEIGHT, room / (2 (p -
@@ -293,8 +293,7 @@ def interior_init(problem: GlobalProblem, base: np.ndarray | None = None,
     v = np.clip(base, CORNER_WEIGHT_FLOOR, 1.0 - CORNER_WEIGHT_FLOOR)
     v = v / v.sum(axis=0)
 
-    m_floor = 1e-3 * problem.t_max if m_floor is None else m_floor
-    m_floor = np.maximum(m_floor, 10 * INTERIOR_MARGIN)
+    m_floor = np.maximum(np.fmin(m_floor, 1e-3 * problem.t_max), 10 * INTERIOR_MARGIN)
     delay = (problem.tcoef * v).sum(axis=0)
     need_fix = delay > problem.t_max - m_floor
     if need_fix.any():
@@ -419,8 +418,10 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     shift the vertex coordinate's upper barrier puts on every reduced cost.
     Where the deadline binds, with multiplier nu = (rho - 2 xi) lam > 0,
     the slack floor is the slack's own equilibrium OMEGA / nu, capped at
-    1e-3 t_max; a column with a lift below INTERIOR_MARGIN has no interior
-    equilibrium and keeps 1e-3 t_max.  The start goes through
+    1e-3 t_max.  A column with a lift below INTERIOR_MARGIN has no
+    interior equilibrium and keeps 1e-3 t_max: it is a tight-deadline
+    column that never converges, and the lower floor only lengthens its
+    ill-conditioned Newton walk.  The start goes through
     `interior_init`; a task whose fastest branch misses the deadline has
     no limit, and `interior_init` starts it at its fastest-branch corner.
     Up to MAX_INNER Newton steps follow, none for a task whose start meets
@@ -458,13 +459,13 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     with np.errstate(divide="ignore"):
         lift = OMEGA / (reduced - delta)
         # a lift inside the interior margin leaves its column no interior
-        # equilibrium, so that column keeps the default slack floor
+        # equilibrium, so that column keeps interior_init's slack floor
         rests = ~((limit == 0.0) & (lift < INTERIOR_MARGIN)).any(axis=0)
         nu = (problem.rho - 2.0 * xi) * np.where(rests, lam, 0.0)
-        m_floor = np.fmin(OMEGA / nu, 1e-3 * problem.t_max)
+        slack = OMEGA / nu
     start = np.where(limit > 0, limit, np.clip(lift, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT))
     start /= start.sum(axis=0)
-    v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start), m_floor)
+    v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start), slack)
     recip = barrier_reciprocals(v)
     grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
     nu = -grad[1]

@@ -617,7 +617,7 @@ def test_solve_global_starts_inside_on_both_rows(monkeypatch):
     starts = []
     init = gb.interior_init
 
-    def kept(problem, base=None, m_floor=None):
+    def kept(problem, base=None, m_floor=np.inf):
         v, m = init(problem, base, m_floor)
         starts.append((v, m))
         return v, m
@@ -878,12 +878,12 @@ def _reference_lifted_limit(problem, omega, xi):
     [CORNER_WEIGHT_FLOOR, CORNER_WEIGHT], then renormalised.  delta is 0
     unless the limit is a vertex with every g > 0; there it is three Newton
     steps on sum delta / (g - delta) = 1 from min(1 / sum 1 / g, min g / 2).
-    The floor is 1e-3 t_max, or omega / ((rho - 2 xi) lam) where that is
-    smaller, the deadline multiplier lam is positive and no unclipped lift
-    is below INTERIOR_MARGIN.  A task with no feasible point keeps its prox
-    centers and the 1e-3 t_max floor."""
+    The floor is omega / ((rho - 2 xi) lam) where the deadline multiplier
+    lam is positive and no unclipped lift is below INTERIOR_MARGIN, and
+    inf, the default, elsewhere; `interior_init` caps it at 1e-3 t_max.  A
+    task with no feasible point keeps its prox centers."""
     start = problem.prox.copy()
-    m_floor = 1e-3 * problem.t_max
+    m_floor = np.full(problem.n_tasks, np.inf)
     limit, reduced, lam = exact_limit(problem, xi)
     for j in range(problem.n_tasks):
         if np.isnan(limit[:, j]).any():
@@ -905,7 +905,7 @@ def _reference_lifted_limit(problem, omega, xi):
             col[i] = min(max(lift, gb.CORNER_WEIGHT_FLOOR), gb.CORNER_WEIGHT)
         start[:, j] = col / col.sum()
         if lam[j] > 0 and rests:
-            m_floor[j] = min(omega / ((problem.rho - 2.0 * xi) * lam[j]), m_floor[j])
+            m_floor[j] = omega / ((problem.rho - 2.0 * xi) * lam[j])
     return start, m_floor
 
 
@@ -1117,43 +1117,45 @@ def test_solve_global_leaves_its_inputs_unchanged():
             assert np.array_equal(a, b)
 
 
-def test_frozen_stalls_leave_results_bit_identical(monkeypatch):
+# two tasks of seven coordinates at rho 1, each on a vertex prox center,
+# with one branch slower than 100 s and a deadline just above its fastest
+# branch, at `slack` times it: the first task stalls on Newton step 14
+# and the second converges only on step 19, so a solve that keeps retrying
+# the first takes a step more than one that freezes it, a pair that none
+# of the test's random draws holds; values rounded to 4 digits
+_STALL_BEFORE_CONVERGENCE = dict(
+    prox=np.eye(7)[[5, 6]],
+    dual=np.array([[0.4324, -0.1707, -0.1693, -0.1578, -0.3103, 0.02833, -0.536],
+                   [0.3394, 0.02351, -0.512, -0.1223, 0.3148, 0.1988, 0.258]]),
+    tcoef=np.array([[0.1088, 0.06858, 0.002744, 0.001632, 0.1324, 0.1449, 154.3],
+                    [0.1824, 0.03607, 0.1063, 143.0, 0.1603, 0.09312, 0.03614]]),
+    slack=np.array([1.005, 1.002]))
+
+
+def test_frozen_stalls_leave_results_bit_identical():
     # a stalled task has not moved, so retrying it for the rest of the solve
     # repeats the same step and the same stall; freezing it may only save
-    # work.  It saves a Newton step only where a task stalls while another
-    # still needs steps after it; from the equilibrium start every task
-    # that converges does so before any task stalls (by step 14, against
-    # step 16 for the first stall, over the first 600 problems of the
-    # referee's `default_rng(2024)` stream below), so `retried` counts the
-    # steps the reference takes after a task's stall, each of which
-    # retries it
-    searches = []
-    search = gb.line_search
-
-    def recorded(*args):
-        t, stalled, f_new = search(*args)
-        searches.append(stalled)
-        return t, stalled, f_new
-
-    monkeypatch.setattr(gb, "line_search", recorded)
+    # Newton steps.  From one level it saves one only where a task stalls
+    # while another still needs steps after it, which the planted problem
+    # holds
     rng = np.random.default_rng(48)
-    stalled_tasks = retried = 0
-    for case in range(40):
-        problem, _ = _random_global_problem(rng, "tight", twin=case % 2 == 0)
+    problems = [_random_global_problem(rng, "tight", twin=case % 2 == 0)[0]
+                for case in range(40)]
+    row = _STALL_BEFORE_CONVERGENCE
+    problems.append(_coordinate_major(row["prox"], row["dual"], row["tcoef"],
+                                      row["tcoef"].min(axis=1) * row["slack"], 1.0))
+    stalled_tasks = saved = 0
+    for problem in problems:
         v_ref, m_ref, info_ref = _reference_solve_global(problem,
                                                          freeze_stalled=False)
-        searches.clear()
         v, m, info = solve_global(problem)
         assert np.array_equal(v, v_ref) and np.array_equal(m, m_ref)
         for key in ("kkt_norm", "converged", "stalled"):
             assert np.array_equal(info[key], info_ref[key]), key
         assert info["newton_iterations"] <= info_ref["newton_iterations"]
-        stalled = info["stalled"]
-        stalled_tasks += int(stalled.sum())
-        if stalled.any():
-            stall_step = np.argmax(np.array(searches), axis=0) + 1
-            retried += int((info_ref["newton_iterations"] - stall_step)[stalled].sum())
-    assert stalled_tasks > 0 and retried > 0
+        stalled_tasks += int(info["stalled"].sum())
+        saved += info_ref["newton_iterations"] - info["newton_iterations"]
+    assert stalled_tasks > 0 and saved > 0
 
 
 def test_solve_global_runs_each_level_once(monkeypatch):
@@ -1183,29 +1185,22 @@ def test_solve_global_runs_each_level_once(monkeypatch):
 
 
 def test_solve_global_checks_the_point_after_its_last_step(monkeypatch):
-    # from the equilibrium start no problem of the referee's set below
-    # needs all MAX_INNER steps (none of its first 9000); its slowest
-    # converging case, 7 (binding deadlines, rho 2.54), converges only on
-    # its 14th step, and still converges under a cap of 14
+    # a solve that needs exactly k steps converges under a cap of k, and
+    # stops unconverged after k - 1 steps under a cap of k - 1.  Besides
+    # random draws this runs case 7 of the referee's problem set (binding
+    # deadlines, rho 2.54), the slowest converging case of its first 162
+    # problems, which converges only on its 14th step; from the
+    # equilibrium start no problem of that set needs all MAX_INNER steps
     rng = np.random.default_rng(2024)
     for case, deadline in enumerate(("loose", "binding", "tight") * 3):
-        problem, _ = _random_global_problem(rng, deadline, case % 42 == 2)
+        slowest, _ = _random_global_problem(rng, deadline, case % 42 == 2)
         if case == 7:
             break
-    with monkeypatch.context() as mp:
-        mp.setattr(gb, "MAX_INNER", 14)
-        _, _, info = solve_global(problem)
-        assert info["converged"].all() and info["newton_iterations"] == gb.MAX_INNER
-        mp.setattr(gb, "MAX_INNER", 13)
-        _, _, info = solve_global(problem)
-        assert not info["converged"].all()
-
-    # a solve that needs exactly k steps converges under a cap of k, and
-    # stops unconverged after k - 1 steps under a cap of k - 1
     rng = np.random.default_rng(91)
-    seen = 0
-    for deadline in ("loose", "binding", "tight") * 4:
-        problem, _ = _random_global_problem(rng, deadline)
+    problems = [slowest] + [_random_global_problem(rng, deadline)[0]
+                            for deadline in ("loose", "binding", "tight") * 4]
+    longest = 0
+    for problem in problems:
         _, _, info = solve_global(problem)
         k = info["newton_iterations"]
         if not info["converged"].all() or k < 2:
@@ -1217,8 +1212,8 @@ def test_solve_global_checks_the_point_after_its_last_step(monkeypatch):
             mp.setattr(gb, "MAX_INNER", k - 1)
             _, _, short = solve_global(problem)
             assert not short["converged"].all() and short["newton_iterations"] == k - 1
-        seen += 1
-    assert seen > 0
+        longest = max(longest, k)
+    assert longest >= 14
 
 
 def test_one_level_converges_what_the_three_level_schedule_converges():
