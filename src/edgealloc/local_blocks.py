@@ -141,27 +141,35 @@ class LocalProblem:
 
 
 def block_objective(problem: LocalProblem, vars: CbgpVars,
-                    x_prev: np.ndarray, cost=None) -> np.ndarray:
-    """Per-task value of the local block objective: priced branch cost,
-    linearized resource-product compute term, consensus prox with dual,
-    and the majorized corner penalty.  `cost` is
-    `problem.branch_cost(vars.c0, vars.c1, vars.ci)`, formed here when not
-    given."""
-    if cost is None:
-        cost = problem.branch_cost(vars.c0, vars.c1, vars.ci)
-    gap = vars.x_hat - problem.x_global
-    per_pair = (vars.x_hat * cost
-                + problem.alpha * problem.sbs_cycle * vars.ci * vars.R
-                + problem.dual * vars.x_hat
-                + 0.5 * problem.rho * gap * gap
-                + problem.delta * majorize_penalty(x_prev, vars.x_hat))
+                    x_prev: np.ndarray, terms=None, cost=None) -> np.ndarray:
+    """Per-task value of the split block's Lagrangian at the multipliers
+    in `vars`: priced branch cost, linearized resource-product compute
+    term, consensus prox with dual, majorized corner penalty, and each
+    envelope row of `rlt_bounds` times its multiplier, grouped by x_hat and
+    R.  `terms` (`_sweep_terms(problem, x_prev)`) and `cost`
+    (`problem.branch_cost`) are formed here when not given."""
+    p, v = problem, vars
+    terms = _sweep_terms(p, x_prev) if terms is None else terms
+    cost = p.branch_cost(v.c0, v.c1, v.ci) if cost is None else cost
+    a_cycle, penalty_slope = terms[0], terms[4]
+    one_minus_r, r_minus_inv, penalty_at_prev = terms[7:]
+    gap = v.x_hat - p.x_global
+    per_pair = (v.x_hat * (cost + p.dual + penalty_slope + v.mu_env_lo
+                           - v.mu_shift_hi
+                           + (v.mu_shift_lo - v.mu_env_hi) / p.h_min)
+                + v.R * (a_cycle * v.ci - v.mu_env_lo + v.mu_env_hi
+                         + v.mu_shift_hi - v.mu_shift_lo)
+                + 0.5 * p.rho * gap * gap
+                + v.mu_shift_hi * one_minus_r + v.mu_shift_lo * r_minus_inv
+                + penalty_at_prev)
     return per_pair.sum(axis=0)
 
 
 def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
     """The terms of `_sweep` that no sweep of one solve changes, each a
     group the sweep's expressions form as a unit (a parenthesised group or
-    a left-associative prefix), so forming it once changes no bit."""
+    a left-associative prefix), so forming it once changes no bit; then
+    the constant parts of `block_objective`."""
     p, a = problem, problem.alpha
     inv = 1.0 / p.h_min
     c_row = p.c[None, :]
@@ -171,7 +179,8 @@ def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
     return (a * p.sbs_cycle,
             a * (p.d_c0[None, :] - p.d_up) + (1.0 - a) * (p.e_c0[None, :] - p.e_up),
             c_row, c_row * c_row, p.delta * (1.0 - 2.0 * x_prev), x_break,
-            p.rho * (x_break - p.x_global))
+            p.rho * (x_break - p.x_global),
+            1.0 - p.r, p.r - inv, p.delta * x_prev * x_prev)
 
 
 def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,
@@ -184,7 +193,7 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,
     A task's new primal point depends only on its own column, not on
     `step`.  Returns the branch cost of the new splits."""
     p, a = problem, problem.alpha
-    a_cycle, c0_pull, c_row, c_sq, penalty_slope, x_break, pull_at_break = terms
+    a_cycle, c0_pull, c_row, c_sq, penalty_slope, x_break, pull_at_break = terms[:7]
     inv = 1.0 / p.h_min
 
     grad_r = a_cycle * vars.ci
@@ -236,10 +245,11 @@ def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,
 def cbgp_solve(problem: LocalProblem, vars: CbgpVars, rounds: int = 50,
                tol: float = 1e-6):
     """Run up to `rounds` block sweeps, committing a sweep only for the
-    tasks whose objective it does not increase.  A rejected task goes back
-    to its pre-sweep point by one masked merge and sits out the rest of
-    the solve, as `solve_global` does with a stalled line search: `_sweep`
-    proposes it the same point again.
+    tasks whose Lagrangian (`block_objective` at the multipliers the sweep
+    has just updated) it does not increase.  A rejected task goes back to
+    its pre-sweep point and sits out the rest of the solve, as
+    `solve_global` does with a stalled line search: `_sweep` proposes it
+    the same point again.
 
     The solve starts from the corner-penalty tangency at the incoming
     `vars.x_hat` and the multipliers in `vars` as they are; sweep k takes
@@ -251,15 +261,19 @@ def cbgp_solve(problem: LocalProblem, vars: CbgpVars, rounds: int = 50,
     """
     x_prev = vars.x_hat
     terms = _sweep_terms(problem, x_prev)
-    q = block_objective(problem, vars, x_prev)
+    q = block_objective(problem, vars, x_prev, terms)
     history = [q]
     slack = 1e-12 * (1.0 + np.abs(q))
     for sweep in range(rounds):
         before = [(f.name, getattr(vars, f.name)) for f in fields(vars)]
         cost = _sweep(problem, vars, terms, DUAL_STEP0 / (sweep + 1.0))
-        q_new = block_objective(problem, vars, x_prev, cost)
+        q_new = block_objective(problem, vars, x_prev, terms, cost)
         bad = q_new > q + slack
-        if bad.any():
+        if bad.all():
+            for name, old in before:
+                setattr(vars, name, old)
+            q_new = q
+        elif bad.any():
             for name, old in before:
                 setattr(vars, name, np.where(bad, old, getattr(vars, name)))
             q_new = np.where(bad, q, q_new)

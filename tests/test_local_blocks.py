@@ -176,6 +176,39 @@ def test_branch_cost_charges_relay_base_delay_with_nothing_forwarded():
                        atol=1e-12 * np.abs(priced).max())
 
 
+def test_block_objective_is_the_objective_plus_each_envelope_row_times_its_multiplier():
+    # the grouped Lagrangian against the objective without multiplier
+    # terms plus mu_c * g_c formed row by row, at random points, shares,
+    # tangency points and multipliers
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        scen, problem, vars = _problem(
+            n_tasks=int(rng.integers(1, 7)), n_sbs=int(rng.integers(1, 4)),
+            seed=int(rng.integers(0, 1000)), alpha=float(rng.uniform(0.1, 0.9)),
+            delta=float(rng.uniform(0.0, 2.0)))
+        shape, inv = vars.x_hat.shape, 1.0 / problem.h_min
+        problem.dual = rng.normal(0, 2.0, shape)
+        problem.x_global = rng.uniform(0, 1, shape)
+        problem.r = rng.uniform(1.0, inv, shape)
+        vars.x_hat = rng.uniform(0, 1, shape)
+        vars.R = rng.uniform(0, inv, shape)
+        for name in ("mu_env_lo", "mu_env_hi", "mu_shift_hi", "mu_shift_lo"):
+            setattr(vars, name, rng.uniform(0, 1.0, shape))
+        x_prev = rng.uniform(0, 1, shape)
+        x, R, r, p = vars.x_hat, vars.R, problem.r, problem
+        gap = x - p.x_global
+        terms = [x * p.branch_cost(vars.c0, vars.c1, vars.ci),
+                 p.alpha * p.sbs_cycle * vars.ci * R, p.dual * x,
+                 0.5 * p.rho * gap * gap,
+                 p.delta * majorize_penalty(x_prev, x),
+                 vars.mu_env_lo * (x - R), vars.mu_env_hi * (R - x * inv),
+                 vars.mu_shift_hi * (R - r - x + 1.0),
+                 vars.mu_shift_lo * (r + x * inv - inv - R)]
+        want = sum(terms).sum(axis=0)
+        got = block_objective(problem, vars, x_prev)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_cbgp_zero_cost_task_follows_prox_point():
     scen, problem, vars = _problem(delta=0.0)
     # zero out every priced coefficient: the assignment row must land on
@@ -247,7 +280,8 @@ def test_cbgp_splits_stay_on_simplex():
 def test_cbgp_leaves_its_inputs_unchanged(monkeypatch):
     # the consensus loop passes rows of its state as the prox point, the
     # duals and the starting assignment without copying them; a rejected
-    # sweep restores the arrays the sweep allocated, not these
+    # sweep binds its fields back to the pre-sweep arrays or to merged
+    # copies, and writes into none of them
     rng = np.random.default_rng(3)
     objective, proposed = local_blocks.block_objective, []
 
@@ -304,19 +338,26 @@ def test_sweep_writes_into_no_input_array():
 #
 # The split block as it was before its per-solve terms were formed once,
 # kept as a reference (renamed, docstrings dropped, step scales taken
-# out): every sweep forms every term again, the objective prices the
-# branch cost again, the clamps are `np.clip`, and a rejected sweep is
-# undone by masked writes into the new arrays.  It also returns each
-# sweep's rejection mask.
+# out): every sweep forms every term again, the objective (the block's
+# Lagrangian, grouped by x_hat and R) prices the branch cost again, the
+# clamps are `np.clip`, and a rejected sweep is undone by masked writes
+# into the new arrays, also when every task rejects it.  It also returns
+# each sweep's rejection mask.
 
 def _reference_block_objective(problem, vars, x_prev):
-    cost = problem.branch_cost(vars.c0, vars.c1, vars.ci)
-    gap = vars.x_hat - problem.x_global
-    per_pair = (vars.x_hat * cost
-                + problem.alpha * problem.sbs_cycle * vars.ci * vars.R
-                + problem.dual * vars.x_hat
-                + 0.5 * problem.rho * gap * gap
-                + problem.delta * majorize_penalty(x_prev, vars.x_hat))
+    p = problem
+    cost = p.branch_cost(vars.c0, vars.c1, vars.ci)
+    gap = vars.x_hat - p.x_global
+    per_pair = (vars.x_hat * (cost + p.dual + p.delta * (1.0 - 2.0 * x_prev)
+                              + vars.mu_env_lo - vars.mu_shift_hi
+                              + (vars.mu_shift_lo - vars.mu_env_hi) / p.h_min)
+                + vars.R * (p.alpha * p.sbs_cycle * vars.ci - vars.mu_env_lo
+                            + vars.mu_env_hi + vars.mu_shift_hi
+                            - vars.mu_shift_lo)
+                + 0.5 * p.rho * gap * gap
+                + vars.mu_shift_hi * (1.0 - p.r)
+                + vars.mu_shift_lo * (p.r - 1.0 / p.h_min)
+                + p.delta * x_prev * x_prev)
     return per_pair.sum(axis=0)
 
 
