@@ -10,6 +10,13 @@ vectorized call over the task axis.  Interference, relay congestion and
 resource shares are frozen once per iteration.  The engine owns its
 state exclusively and is deterministic: the same scenario and config
 give byte-identical traces.
+
+A phase whose inputs are bit for bit those of its last run reuses its
+output: the cost tables, the trace utility and the split pricing with
+its deadline check; so does the global solve, whose problem a dual moved
+by one constant per task leaves unchanged in exact arithmetic (see
+`run`).  A loose run's warm-up, where only the duals move, costs the
+local blocks alone.
 """
 
 from __future__ import annotations
@@ -111,7 +118,10 @@ class Trace:
     its KKT tolerance, `global_stalled` those whose line search stalled,
     `newton_steps` the global block's Newton steps, `cbgp_sweeps` the
     split block's sweeps and `split_repairs` the overdue splits `run`
-    reset to a deadline-feasible one (both 0 with no SBS).
+    reset to a deadline-feasible one (both 0 with no SBS).  An iteration
+    that reuses the last global solve counts 0 Newton steps and that
+    solve's unconverged and stalled tasks; one that reuses the split
+    pricing counts 0 repairs.
     """
 
     records: list = field(default_factory=list)
@@ -191,12 +201,24 @@ def _relaxed_placement(state: ConsensusState) -> Placement:
 
 
 def _trace_utility(state: ConsensusState, scenario: Scenario,
-                   weights: UtilityWeights) -> tuple[float, CostTables]:
-    """Utility of the relaxed state, and the tables it was priced on."""
+                   weights: UtilityWeights,
+                   tables: CostTables | None = None) -> tuple[float, CostTables]:
+    """Utility of the relaxed state, and the tables it was priced on:
+    `tables` if given, else tables built from the state."""
     relaxed = _relaxed_placement(state)
-    tables = costs.build_cost_tables(scenario, weights.alpha, relaxed.x,
-                                     relaxed.c1)
+    if tables is None:
+        tables = costs.build_cost_tables(scenario, weights.alpha, relaxed.x,
+                                         relaxed.c1)
     return costs.utility(relaxed, scenario, weights, tables), tables
+
+
+def _unchanged(key: tuple | None, now: tuple) -> bool:
+    """Whether each of `now` is the object in `key`, the inputs a phase
+    last ran on, or an array equal to it bit for bit; never for no key."""
+    return key is not None and all(
+        a is b or (isinstance(a, np.ndarray)
+                   and np.array_equal(a.view(np.int64), b.view(np.int64)))
+        for a, b in zip(key, now))
 
 
 def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
@@ -206,6 +228,20 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 
     Non-convergence is not fatal: the best available state is rounded and
     the trace is flagged accordingly.
+
+    The local blocks run every iteration: they read the dual.  Every
+    other phase reruns only when one of its inputs moved, bit for bit,
+    from those it last ran on (held by reference; the local copies, which
+    are written in place, are copied): the cost tables on `v[:s]` and the
+    forwarded parts; the trace utility on `v`, the splits, the shares and
+    the tables; the split pricing on the tables, the shares and the
+    splits, and always after a repair.  The global solve reruns with the
+    split pricing, or when the prox moved or the dual moved other than by
+    one constant per task, which the simplex row Σv = 1 folds into its
+    multiplier σ: the problem, its exact limit and every Newton iterate
+    are then unchanged in exact arithmetic, though a fresh solve can
+    differ in the last bit (1 task on 1 SBS, seed 1, iterations 2-3).  A
+    reused solve counts 0 Newton steps and keeps its flags.
     """
     weights = UtilityWeights(config.alpha)
     state = init_state(scenario, config)
@@ -226,6 +262,9 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     # dual race between branches resolves cost order only at that scale
     cost_scale = max(
         float(np.minimum(tables.k_local, tables.k_mbs).mean()), 1e-300)
+    # the inputs each reusable phase last ran on
+    table_key = (state.v[:s], split.c1)
+    util_key = price_key = global_key = None
     converged = False
     for _ in range(config.max_iter):
         t0 = time.perf_counter() if config.record_timing else 0.0
@@ -256,29 +295,43 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             state.dual[s + 1], config.rho,
             feasible=tables.t_local <= tables.t_max)
 
-        t3, _ = tables.split_price(split.c0, split.c1, split.ci, state.r)
-        # the split block is deadline-blind; carrying an overdue split
-        # into the coupled block would cap its assignment against a
-        # fictitious branch, so such splits are projected onto the
-        # deadline-feasible cost optimum at the frozen share
-        overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
         repairs = 0
-        if len(overdue):
-            i, j = overdue.T
-            c0, c1, _, ok = costs.best_splits(tables, i, j,
-                                              1.0 / state.r[i, 0])
-            i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
-            split.c0[i, j], split.c1[i, j] = c0, c1
-            split.ci[i, j] = tables.c[j] - c0 - c1
-            repairs = int(ok.sum())
+        price_in = (tables, state.r, split.c0, split.c1, split.ci)
+        if not _unchanged(price_key, price_in):
             t3, _ = tables.split_price(split.c0, split.c1, split.ci, state.r)
-        tcoef = np.vstack([t3, tables.t_mbs, tables.t_local])
+            # the split block is deadline-blind; carrying an overdue split
+            # into the coupled block would cap its assignment against a
+            # fictitious branch, so such splits are projected onto the
+            # deadline-feasible cost optimum at the frozen share
+            overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
+            if len(overdue):
+                i, j = overdue.T
+                c0, c1, _, ok = costs.best_splits(tables, i, j,
+                                                  1.0 / state.r[i, 0])
+                i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
+                # fresh arrays, so no phase's key changes under it
+                split.c0, split.c1, split.ci = (
+                    split.c0.copy(), split.c1.copy(), split.ci.copy())
+                split.c0[i, j], split.c1[i, j] = c0, c1
+                split.ci[i, j] = tables.c[j] - c0 - c1
+                repairs = int(ok.sum())
+                t3, _ = tables.split_price(split.c0, split.c1, split.ci,
+                                           state.r)
+            tcoef = np.vstack([t3, tables.t_mbs, tables.t_local])
+            price_key = None if repairs else price_in
+            global_key = None
 
         problem = global_block.GlobalProblem(
             prox=state.v_hat, dual=state.dual, tcoef=tcoef,
             t_max=tables.t_max, rho=config.rho)
-        state.prev = state.v
-        state.v, _, info = global_block.solve_global(problem)
+        shift = None if global_key is None else state.dual - global_key[1]
+        if not (_unchanged(global_key, (state.v_hat,))
+                and (shift == shift[:1]).all()):
+            v, _, info = global_block.solve_global(problem)
+            global_key = (state.v_hat.copy(), state.dual)
+        else:
+            info = dict(info, newton_iterations=0)
+        state.prev, state.v = state.v, v
         trace.global_unconverged.append(
             int(np.count_nonzero(~info["converged"])))
         trace.global_stalled.append(int(np.count_nonzero(info["stalled"])))
@@ -289,7 +342,12 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
         dual_update(state)
 
         primal, dual_res = residuals(state)
-        util, tables = _trace_utility(state, scenario, weights)
+        fresh = not _unchanged(table_key, (state.v[:s], split.c1))
+        util_in = (state.v, split.c0, split.c1, split.ci, state.r)
+        if fresh or not _unchanged(util_key, util_in):
+            util, tables = _trace_utility(state, scenario, weights,
+                                          None if fresh else tables)
+            table_key, util_key = (state.v[:s], split.c1), util_in
         wall = ((time.perf_counter() - t0) * 1e3
                 if config.record_timing else 0.0)
         trace.append(TraceRecord(k=state.k, utility=util,

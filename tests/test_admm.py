@@ -470,39 +470,45 @@ def test_batched_split_pricer_rows_are_independent(monkeypatch):
 
 
 def test_reference_run_newton_steps_and_utility(monkeypatch):
-    # the global solves of the 100-task reference take 13 Newton steps
-    # over 15 iterations, none in the first 8: every task starts the one
+    # the global solves of the 100-task reference take 6 Newton steps over
+    # 14 iterations, none in the first 8: every task starts the one
     # barrier level at the barrier's equilibrium around its exact limit;
-    # the placement is pinned by its utility
-    steps = []
+    # the solve runs on 8 of the 14 iterations, the first and the last 6,
+    # and iterations 2-8 reuse the first; the placement is pinned by its
+    # utility
+    calls = []
     solve_global = admm.global_block.solve_global
 
     def counted(*args, **kwargs):
         v, m, info = solve_global(*args, **kwargs)
-        steps.append(info["newton_iterations"])
+        calls.append(info["newton_iterations"])
         return v, m, info
 
     monkeypatch.setattr(admm.global_block, "solve_global", counted)
     scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
     config = SolverConfig(record_timing=False)
-    placement, _ = run(scen, config)
-    assert steps[:8] == [0] * 8 and sum(steps) <= 13
+    placement, trace = run(scen, config)
+    steps = trace.newton_steps
+    assert steps[:8] == [0] * 8 and sum(steps) == 6
+    assert len(steps) == 14 and len(calls) == 8 and sum(calls) == 6
     assert costs.utility(placement, scen,
                          UtilityWeights(config.alpha)) == 1.996138694111688
 
 
 def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     # the trace's health counters are what the blocks return, one entry per
-    # iteration: the 6 Newton steps of the reference run, and the split
-    # block's 16 sweeps (0 when there is no SBS); and the overdue splits
-    # `run` repairs, all of them at iteration 1 there
-    steps, sweeps = [], []
+    # iteration: the 6 Newton steps of the reference run, on the 8
+    # iterations whose global solve runs (a reused solve counts 0), and
+    # the split block's 16 sweeps (0 when there is no SBS); and the
+    # overdue splits `run` repairs, all of them at iteration 1 there
+    ran, sweeps = {}, []
     solve_global = admm.global_block.solve_global
     cbgp_solve = admm.local_blocks.cbgp_solve
 
     def counted_global(*args, **kwargs):
         v, m, info = solve_global(*args, **kwargs)
-        steps.append(info["newton_iterations"])
+        # the split block runs first in each iteration
+        ran[len(sweeps) - 1] = info["newton_iterations"]
         return v, m, info
 
     def counted_cbgp(*args, **kwargs):
@@ -514,7 +520,9 @@ def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     monkeypatch.setattr(admm.local_blocks, "cbgp_solve", counted_cbgp)
     scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
     _, trace = run(scen, SolverConfig(record_timing=False))
+    steps = [ran.get(k, 0) for k in range(len(trace.records))]
     assert trace.newton_steps == steps and sum(trace.newton_steps) == 6
+    assert trace.newton_steps == [0] * 8 + [1] * 6 and len(ran) == 8
     assert trace.cbgp_sweeps == sweeps and sum(sweeps) == 16
     assert len(sweeps) == len(trace.records) and min(sweeps) >= 1
     assert trace.split_repairs == [94] + [0] * 13
@@ -523,6 +531,56 @@ def test_trace_counts_newton_steps_and_cbgp_sweeps(monkeypatch):
     _, trace = run(scen, SolverConfig(record_timing=False))
     assert trace.cbgp_sweeps == trace.split_repairs == [0] * len(trace.records)
     assert len(trace.newton_steps) == len(trace.records)
+
+
+def test_reused_phases_match_fresh_evaluation(monkeypatch):
+    # `run` reuses a phase's output while its inputs hold still; each
+    # iteration's global iterate must be, bit for bit, a fresh solve of
+    # that iteration's problem, and each trace utility a fresh pricing of
+    # that iteration's relaxed state.  On loose seed 22 the first
+    # iteration moves the shares by an ulp, and a utility reused across
+    # that change reads 66.501725501946822 in iterations 2-8, not
+    # 66.501725501946837
+    problems, calls, fresh = [], [], []
+    real_problem = admm.global_block.GlobalProblem
+    solve_global = admm.global_block.solve_global
+    residuals = admm.residuals
+
+    def captured(**kwargs):
+        problems.append(real_problem(**kwargs))
+        return problems[-1]
+
+    def counted(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve_global(problem, *args, **kwargs)
+
+    def checked(state):
+        v, _, _ = solve_global(problems[-1])
+        util, _ = admm._trace_utility(state, scen,
+                                      UtilityWeights(config.alpha))
+        fresh.append((v.tobytes() == state.v.tobytes(), util))
+        return residuals(state)
+
+    monkeypatch.setattr(admm.global_block, "GlobalProblem", captured)
+    monkeypatch.setattr(admm.global_block, "solve_global", counted)
+    monkeypatch.setattr(admm, "residuals", checked)
+    cases = [(dict(n_tasks=100, seed=42), 200), (dict(n_tasks=100, seed=22), 200),
+             (dict(n_tasks=100, seed=42, t_max_range=(0.02, 0.08)), 30),
+             (dict(n_tasks=1000, seed=42), 200)]
+    reused = []
+    for fields, max_iter in cases:
+        for log in (problems, calls, fresh):
+            log.clear()
+        scen = generate_scenario(ScenarioConfig(n_sbs=5, **fields))
+        config = SolverConfig(max_iter=max_iter, record_timing=False)
+        _, trace = run(scen, config)
+        assert len(fresh) == len(problems) == len(trace.records)
+        assert all(same for same, _ in fresh), fields
+        assert [util for _, util in fresh] == trace.utilities().tolist()
+        reused.append(len(trace.records) - len(calls))
+    # the checks cover reused solves: every loose run reuses some, the
+    # tight twin none
+    assert reused[0] > 0 and reused[1] > 0 and reused[2] == 0 and reused[3] > 0
 
 
 def test_tight_twin_iterates_pinned():
