@@ -44,8 +44,10 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ConfigurationError("sweep values must be nonempty")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be at least 1")
+        for name in ("repetitions", "workers"):
+            count = getattr(self, name)
+            if type(count) is not int or count < 1:
+                raise ConfigurationError(f"{name} must be an integer of at least 1")
 
     @classmethod
     def from_json(cls, src) -> "ExperimentSpec":
@@ -54,13 +56,11 @@ class ExperimentSpec:
         else:
             with open(src) as fh:
                 doc = json.load(fh)
-        return cls(scenario=from_config(ScenarioConfig, doc.get("scenario", {}),
-                                        "scenario"),
-                   axis=doc["axis"], values=list(doc["values"]),
-                   outdir=doc["outdir"], repetitions=doc.get("repetitions", 1),
-                   workers=doc.get("workers", 1),
-                   solver=from_config(SolverConfig, doc.get("solver", {}),
-                                      "solver"))
+        return from_config(cls, {
+            **doc,
+            "scenario": from_config(ScenarioConfig, doc.get("scenario", {}), "scenario"),
+            "solver": from_config(SolverConfig, doc.get("solver", {}), "solver")},
+            "experiment")
 
 
 def apply_axis(scenario_config: ScenarioConfig, solver_config: SolverConfig,

@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-INTERIOR_MARGIN = 1e-9
+# the line search keeps every coordinate and slack more than INTERIOR_MARGIN
+# inside its bounds: below the equilibria OMEGA / g of very slow tight
+# branches (about 1e-10), and above 0, where OMEGA / v^2 divides by zero
+INTERIOR_MARGIN = 1e-12
 ARMIJO_C1 = 1e-4
 STALL_T = 1e-12
 MAX_INNER = 25
@@ -39,10 +42,10 @@ _REACH_SHRINK = 1.0 - 2.0 ** -49
 # the barrier weight of the solve
 OMEGA = 1e-6
 # the start's corner on the fastest branch puts at most CORNER_WEIGHT on
-# each slower coordinate, and never less than CORNER_WEIGHT_FLOOR, which
-# is inside the line search's margin
+# each slower coordinate and at least CORNER_WEIGHT_FLOOR, which also
+# floors every start coordinate and slack, well inside the margin
 CORNER_WEIGHT = 1e-3
-CORNER_WEIGHT_FLOOR = 10 * INTERIOR_MARGIN
+CORNER_WEIGHT_FLOOR = 1e-8
 # the corner weight is min(XI_MAX, XI_CONVEXITY_FRACTION * rho): the
 # corner penalty subtracts 2*xi from the prox curvature rho; past rho/2 the
 # smoothed problem turns concave and every solve collapses to an arbitrary
@@ -207,7 +210,7 @@ def line_search(v, m, dv, dm, f, grad, problem: GlobalProblem, omega, xi):
     gradient at (v, m).
 
     Each task's `reach` is the largest ratio of a step component to its
-    distance from the interior margin, so a trial at t stays strictly
+    distance from INTERIOR_MARGIN, so a trial at t stays strictly
     inside exactly when t * reach < 1 (the fraction-to-boundary rule;
     Nocedal & Wright, Numerical Optimization, sec. 19.2).  The search
     starts at the largest power of two up to 1 strictly below 1 / reach,
@@ -274,26 +277,25 @@ def interior_init(problem: GlobalProblem, base: np.ndarray | None = None,
     whenever the fastest branch can meet the deadline.
 
     `base`, or the prox centers, is clipped into [CORNER_WEIGHT_FLOOR,
-    1 - CORNER_WEIGHT_FLOOR] and renormalised.  The slack
-    m = t_max - delay is floored at min(`m_floor`, 1e-3 t_max) per task,
-    never below 10 INTERIOR_MARGIN (`solve_global` passes the slack's
-    barrier equilibrium where the deadline binds); a start whose
-    delay leaves less than m_floor is mixed toward a corner on the fastest
-    branch just far enough to meet t_max - m_floor.  The corner puts on
-    each slower coordinate k the weight min(CORNER_WEIGHT, room / (2 (p -
-    1) (t_k - t_best))), with room = t_max - m_floor - t_best, so its delay
-    is at most t_best + room / 2 and the mix lands on the deadline row.  A
-    weight is floored at `CORNER_WEIGHT_FLOOR`, inside the line search's
-    margin.  A task with room < 0, every task whose fastest branch misses
-    the deadline among them, starts off the row at the corner itself,
-    whatever its base: no mix meets t_max - m_floor, so the mix weight
-    clips to 1."""
+    1 - CORNER_WEIGHT_FLOOR] and renormalised.  The slack m = t_max - delay
+    is floored at min(`m_floor`, 1e-3 t_max) per task, never below
+    CORNER_WEIGHT_FLOOR (`solve_global` passes the slack's barrier
+    equilibrium where the deadline binds); a start whose delay leaves less
+    than m_floor is mixed toward a corner on the fastest branch just far
+    enough to meet t_max - m_floor.  The corner puts on each slower
+    coordinate k the weight min(CORNER_WEIGHT, room / (2 (p - 1) (t_k -
+    t_best))), floored at CORNER_WEIGHT_FLOOR, with room = t_max - m_floor
+    - t_best, so its delay is at most t_best + room / 2 and the mix lands
+    on the deadline row.  A task with room < 0, every task whose fastest
+    branch misses the deadline among them, starts off the row at the
+    corner itself, whatever its base: no mix meets t_max - m_floor, so the
+    mix weight clips to 1."""
     p, n = problem.n_coords, problem.n_tasks
     base = problem.prox if base is None else base
     v = np.clip(base, CORNER_WEIGHT_FLOOR, 1.0 - CORNER_WEIGHT_FLOOR)
     v = v / v.sum(axis=0)
 
-    m_floor = np.maximum(np.fmin(m_floor, 1e-3 * problem.t_max), 10 * INTERIOR_MARGIN)
+    m_floor = np.maximum(np.fmin(m_floor, 1e-3 * problem.t_max), CORNER_WEIGHT_FLOOR)
     delay = (problem.tcoef * v).sum(axis=0)
     need_fix = delay > problem.t_max - m_floor
     if need_fix.any():
@@ -418,12 +420,9 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     shift the vertex coordinate's upper barrier puts on every reduced cost.
     Where the deadline binds, with multiplier nu = (rho - 2 xi) lam > 0,
     the slack floor is the slack's own equilibrium OMEGA / nu, capped at
-    1e-3 t_max.  A column with a lift below INTERIOR_MARGIN has no
-    interior equilibrium and keeps 1e-3 t_max: it is a tight-deadline
-    column that never converges, and the lower floor only lengthens its
-    ill-conditioned Newton walk.  The start goes through
-    `interior_init`; a task whose fastest branch misses the deadline has
-    no limit, and `interior_init` starts it at its fastest-branch corner.
+    1e-3 t_max.  The start goes through `interior_init`; a task whose
+    fastest branch misses the deadline has no limit, and `interior_init`
+    starts it at its fastest-branch corner.
     Up to MAX_INNER Newton steps follow, none for a task whose start meets
     `tol`, and the point after each step is checked against `tol`, the last
     one included.
@@ -458,11 +457,7 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
         delta[vertex] = d
     with np.errstate(divide="ignore"):
         lift = OMEGA / (reduced - delta)
-        # a lift inside the interior margin leaves its column no interior
-        # equilibrium, so that column keeps interior_init's slack floor
-        rests = ~((limit == 0.0) & (lift < INTERIOR_MARGIN)).any(axis=0)
-        nu = (problem.rho - 2.0 * xi) * np.where(rests, lam, 0.0)
-        slack = OMEGA / nu
+        slack = OMEGA / ((problem.rho - 2.0 * xi) * lam)
     start = np.where(limit > 0, limit, np.clip(lift, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT))
     start /= start.sum(axis=0)
     v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start), slack)

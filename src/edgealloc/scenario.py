@@ -13,7 +13,7 @@ document whose routes do not match its stations and graph.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -38,10 +38,14 @@ def _check_keys(entry: str, d: dict, names) -> None:
 def from_config(kind, d: dict, entry: str):
     """The dataclass `kind` from hand-written config entry `d`, whose
     missing keys take the defaults; ConfigurationError names the entry and
-    its unknown keys."""
+    its unknown keys, or the keys it misses that have no default."""
     unknown = set(d) - {f.name for f in fields(kind)}
     if unknown:
         raise ConfigurationError(f"{entry}: unknown keys {sorted(unknown)}")
+    missing = [f.name for f in fields(kind) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"{entry}: missing keys {missing}")
     return kind(**d)
 
 

@@ -253,16 +253,18 @@ def test_run_returns_feasible_placement_and_decreasing_utility(small_scenario):
 def test_trace_counts_unconverged_global_solves():
     # one count per iteration; zero throughout the 100-task reference,
     # where no task stalls either, and not zero once tight deadlines leave
-    # global solves above tolerance
+    # global solves above tolerance: tight seed 2 has two tasks with a
+    # branch of 2e4-7e4 s, whose lifts fall inside the interior margin,
+    # and they end its fifth global solve unconverged
     reference = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42))
     _, trace = run(reference, SolverConfig(record_timing=False))
     assert trace.global_unconverged == [0] * len(trace.records)
     assert trace.global_stalled == [0] * len(trace.records)
 
-    tight = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=42,
+    tight = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=2,
                                              t_max_range=(0.02, 0.08)))
-    _, trace = run(tight, SolverConfig(max_iter=3, record_timing=False))
-    assert len(trace.global_unconverged) == len(trace.records) == 3
+    _, trace = run(tight, SolverConfig(max_iter=5, record_timing=False))
+    assert len(trace.global_unconverged) == len(trace.records) == 5
     assert max(trace.global_unconverged) > 0
 
 
@@ -591,7 +593,7 @@ def test_tight_twin_iterates_pinned():
                                             t_max_range=(0.02, 0.08)))
     _, trace = run(scen, SolverConfig(max_iter=20, record_timing=False))
     assert len(trace.records) == 20
-    assert trace.records[-1].utility == 3.3371089062513706
+    assert trace.records[-1].utility == 3.427192342245729
 
 
 def test_loose_seeds_converge_to_their_capped_placements():
@@ -612,11 +614,13 @@ def test_loose_seeds_converge_to_their_capped_placements():
 def test_tight_twin_newton_steps_bounded(monkeypatch):
     # every task starts the global block's one barrier level at the
     # barrier's equilibrium around its exact limit; over 30 iterations of
-    # the non-converging seed 42 twin the global solves take 474 Newton
-    # steps (537 with the lift that ignored the vertex shift and a slack
-    # floor of 1e-3 t_max, 977 when a task whose last solve failed walked
-    # three barrier levels from its previous iterate); the trace counts
-    # each solve's stalled tasks
+    # the non-converging seed 42 twin the global solves take 264 Newton
+    # steps (474 with an interior margin of 1e-9 above the equilibria of
+    # the slowest branches, 537 with the lift that ignored the vertex
+    # shift and a slack floor of 1e-3 t_max, 977 when a task whose last
+    # solve failed walked three barrier levels from its previous iterate);
+    # the trace counts each solve's stalled tasks, of which tight seed 2
+    # has one, at iteration 7
     steps, stalled = [], []
     solve_global = admm.global_block.solve_global
 
@@ -632,4 +636,12 @@ def test_tight_twin_newton_steps_bounded(monkeypatch):
     _, trace = run(scen, SolverConfig(max_iter=30, record_timing=False))
     assert len(trace.records) == len(steps) == 30
     assert sum(steps) <= 474
+    assert trace.global_stalled == stalled
+
+    steps.clear()
+    stalled.clear()
+    scen = generate_scenario(ScenarioConfig(n_tasks=100, n_sbs=5, seed=2,
+                                            t_max_range=(0.02, 0.08)))
+    _, trace = run(scen, SolverConfig(max_iter=30, record_timing=False))
+    assert len(trace.records) == len(steps) == 30
     assert trace.global_stalled == stalled and sum(stalled) > 0

@@ -34,13 +34,31 @@ def test_spec_validation_and_json():
     assert spec.solver.max_iter == 5
 
 
-@pytest.mark.parametrize("entry", ["scenario", "solver"])
+@pytest.mark.parametrize("entry", ["scenario", "solver", "experiment"])
 def test_spec_names_unknown_keys(entry):
     doc = {"scenario": {"n_tasks": 3}, "axis": "alpha", "values": [0.2],
            "outdir": "out", "solver": {"max_iter": 5}}
-    doc[entry]["tol_primal"] = 1e-4
+    (doc if entry == "experiment" else doc[entry])["tol_primal"] = 1e-4
     with pytest.raises(ConfigurationError,
                        match=rf"{entry}: unknown keys \['tol_primal'\]"):
+        ExperimentSpec.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["axis", "values", "outdir"])
+def test_spec_names_missing_keys(key):
+    doc = {"axis": "alpha", "values": [0.2], "outdir": "out"}
+    del doc[key]
+    with pytest.raises(ConfigurationError,
+                       match=rf"experiment: missing keys \['{key}'\]"):
+        ExperimentSpec.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, count", [("workers", 0), ("workers", 1.0),
+                                        ("repetitions", 0), ("repetitions", 1.5),
+                                        ("repetitions", True)])
+def test_spec_rejects_bad_counts(key, count):
+    doc = {"axis": "alpha", "values": [0.2], "outdir": "out", key: count}
+    with pytest.raises(ConfigurationError, match=rf"{key} must be an integer"):
         ExperimentSpec.from_json(json.dumps(doc))
 
 

@@ -595,7 +595,7 @@ def test_start_meets_deadline_row_whenever_fastest_branch_leaves_room():
             v, m = interior_init(problem, start)
             assert (v > gb.INTERIOR_MARGIN).all() and (v < 1.0 - gb.INTERIOR_MARGIN).all()
             assert np.abs(v.sum(axis=0) - 1.0).max() < 1e-12
-            m_floor = np.maximum(1e-3 * problem.t_max, 10 * gb.INTERIOR_MARGIN)
+            m_floor = np.maximum(1e-3 * problem.t_max, gb.CORNER_WEIGHT_FLOOR)
             assert (m >= m_floor).all()
             off = (problem.tcoef * v).sum(axis=0) + m - problem.t_max
             room = problem.t_max - m_floor - problem.tcoef.min(axis=0)
@@ -612,7 +612,7 @@ def test_solve_global_starts_inside_on_both_rows(monkeypatch):
     # the start `solve_global` hands its Newton steps: every feasible
     # column strictly inside the line search's margin, on the simplex to
     # roundoff, and on the deadline row with a slack of at least
-    # 10 INTERIOR_MARGIN, also where the slack floor is the barrier's own
+    # CORNER_WEIGHT_FLOOR, also where the slack floor is the barrier's own
     # slack rather than 1e-3 t_max, and on vertex limits
     starts = []
     init = gb.interior_init
@@ -624,7 +624,7 @@ def test_solve_global_starts_inside_on_both_rows(monkeypatch):
 
     monkeypatch.setattr(gb, "interior_init", kept)
     rng = np.random.default_rng(35)
-    seen = {"feasible": 0, "barrier_floor": 0, "margin_floor": 0, "vertex": 0}
+    seen = {"feasible": 0, "barrier_floor": 0, "absolute_floor": 0, "vertex": 0}
     for case, deadline in enumerate(("loose", "binding", "tight") * 20):
         problem, _ = _random_global_problem(rng, deadline, case % 42 == 2)
         starts.clear()
@@ -635,14 +635,14 @@ def test_solve_global_starts_inside_on_both_rows(monkeypatch):
         t, t_max = problem.tcoef[:, feasible], problem.t_max[feasible]
         assert (v > gb.INTERIOR_MARGIN).all() and (v < 1.0 - gb.INTERIOR_MARGIN).all()
         assert np.abs(v.sum(axis=0) - 1.0).max(initial=0.0) <= 1e-12
-        assert (m >= 10 * gb.INTERIOR_MARGIN).all()
+        assert (m >= gb.CORNER_WEIGHT_FLOOR).all()
         off = (t * v).sum(axis=0) + m - t_max
         assert (np.abs(off) <= 1e-12 * t_max).all()
         xi = min(gb.XI_MAX, gb.XI_CONVEXITY_FRACTION * problem.rho)
         limit, _, _ = exact_limit(problem, xi)
         seen["feasible"] += int(feasible.sum())
         seen["barrier_floor"] += int((m < 1e-3 * t_max).sum())
-        seen["margin_floor"] += int((m == 10 * gb.INTERIOR_MARGIN).sum())
+        seen["absolute_floor"] += int((m == gb.CORNER_WEIGHT_FLOOR).sum())
         seen["vertex"] += int(((limit[:, feasible] > 0).sum(axis=0) == 1).sum())
     assert all(count > 0 for count in seen.values()), seen
 
@@ -879,9 +879,9 @@ def _reference_lifted_limit(problem, omega, xi):
     unless the limit is a vertex with every g > 0; there it is three Newton
     steps on sum delta / (g - delta) = 1 from min(1 / sum 1 / g, min g / 2).
     The floor is omega / ((rho - 2 xi) lam) where the deadline multiplier
-    lam is positive and no unclipped lift is below INTERIOR_MARGIN, and
-    inf, the default, elsewhere; `interior_init` caps it at 1e-3 t_max.  A
-    task with no feasible point keeps its prox centers."""
+    lam is positive, and inf, the default, elsewhere; `interior_init` caps
+    it at 1e-3 t_max.  A task with no feasible point keeps its prox
+    centers."""
     start = problem.prox.copy()
     m_floor = np.full(problem.n_tasks, np.inf)
     limit, reduced, lam = exact_limit(problem, xi)
@@ -897,14 +897,12 @@ def _reference_lifted_limit(problem, omega, xi):
             for _ in range(3):
                 r = 1.0 / (g - delta)
                 delta -= (delta * r.sum() - 1.0) / (r.sum() + delta * (r * r).sum())
-        rests = True
         for i in zero:
             gap = reduced[i, j] - delta
             lift = omega / gap if gap > 0 else np.inf
-            rests = rests and lift >= gb.INTERIOR_MARGIN
             col[i] = min(max(lift, gb.CORNER_WEIGHT_FLOOR), gb.CORNER_WEIGHT)
         start[:, j] = col / col.sum()
-        if lam[j] > 0 and rests:
+        if lam[j] > 0:
             m_floor[j] = omega / ((problem.rho - 2.0 * xi) * lam[j])
     return start, m_floor
 
@@ -986,8 +984,9 @@ def _reference_levels(problem, v, m, levels, tol, max_inner, freeze_stalled):
 # one task of the tight-deadline 100-task seed 43 scenario (t_max in 0.02 to
 # 0.08 s) at an ADMM iteration: only its fastest branch meets the deadline,
 # and its slowest costs 4400 t_max, so a start whose corner puts a fixed
-# 1e-3 on every slower branch misses the deadline row; from the on-row
-# start it still stalls and ends unconverged; values rounded to 4 digits
+# 1e-3 on every slower branch misses the deadline row; its slowest branch's
+# barrier equilibrium, about 1e-10, lies below an interior margin of 1e-9,
+# where it stalls and ends unconverged; values rounded to 4 digits
 _TWIN_ROW = dict(
     prox=np.zeros(7),
     dual=np.array([-1.327e-07, -2.944e-06, -1.025, -9.419e-09, -2.654e-08,
@@ -997,6 +996,90 @@ _TWIN_ROW = dict(
     t_max=0.0210316,
     base=np.array([1.41e-08, 3.135e-07, 0.1246, 1e-09, 2.823e-09, 0.4823,
                    0.3931]))
+
+
+# tasks 32 and 98 of the tight-deadline 100-task seed 2 scenario (t_max in
+# 0.02 to 0.08 s) at ADMM iterations 5-9, one row per task and iteration,
+# at rho 1 with every prox center at 0: a branch of 2e4-9e4 s lifts to
+# about 5e-13 to 1e-12, inside the interior margin, so both end every
+# solve unconverged and task 98 stalls at iteration 7; values at full
+# precision, since rounding to 4 digits loses the stall
+_SLOW_BRANCH_COLUMNS = dict(
+    dual=np.array([
+        [-1.151042724016166e-11, -1.0329354322317676e-06, -0.23666156245013842,
+         -1.2221367213444365, -3.279261542633897e-11, -1.3862398503745106,
+         -1.1549608328511796],
+        [-8.705238576824371e-12, -1.1040290868619153e-06, -0.4515532350558721,
+         -1.1661077314579837, -2.9942503161499085e-11, -1.377914452991714,
+         -1.0044234764266955],
+        [-1.2510427241732031e-11, -1.1239451950213665e-06, -0.3199506859928982,
+         -1.3955178677744888, -3.564156489876375e-11, -1.7910991213689282,
+         -1.4934312008406212],
+        [-9.705238585352655e-12, -1.2345936795269238e-06, -0.6251035676144691,
+         -1.2395016613127303, -3.3382100868162774e-11, -1.8096368796745972,
+         -1.325756656781976],
+        [-1.3510427441668575e-11, -1.2151040814688212e-06,
+         -0.38443563687326043, -1.816421016527817, -3.8490515022163524e-11,
+         -2.075790842356664, -1.7233512889683693],
+        [-1.07052385854296e-11, -1.365751540885436e-06, -0.7242407696635518,
+         -1.7163809532327428, -3.682169882796029e-11, -2.0473610155073847,
+         -1.512015895782261],
+        [-1.451042744169392e-11, -1.3062825332737853e-06, -0.4758773648553974,
+         -1.9344606903301627, -3.9911322226727164e-11, -2.5090679845931922,
+         -2.080592653784334],
+        [-1.1705238585430518e-11, -1.4199996469155943e-06, -0.9174443657289807,
+         -1.7245079756203, -3.827378439499441e-11, -2.5084054179171633,
+         -1.8496408206361614],
+        [-1.5510427441694276e-11, -1.397626477195199e-06, -0.5316651184437075,
+         -2.43330533555969, -4.2760271896072535e-11, -2.7451406501781537,
+         -2.28988749798276],
+        [-1.2705238585470246e-11, -1.5431873976234379e-06, -0.996728230767974,
+         -2.30070072059757, -3.9889425282331614e-11, -2.689268477997687,
+         -2.0133010273120213]]),
+    tcoef=np.array([
+        [87700.7340802923, 1.1047622967569712, 0.11652014759889001,
+         0.027132568873563013, 30783.626033441535, 0.0012343092807312805,
+         0.024359257916524494],
+        [70524.02715734605, 0.6407318664633668, 0.06695920229488811,
+         0.02712836743229963, 20503.640007570153, 0.001408076717298433,
+         0.0278040188508388],
+        [87700.73408028403, 1.1046152522303367, 0.11674959896323045,
+         0.022981738838925674, 30783.626033433276, 0.0012343092807312805,
+         0.024359257916524494],
+        [70524.02715733663, 0.6406639239949184, 0.06741027420126403,
+         0.02297804593545826, 20503.640007560727, 0.001408076717298433,
+         0.0278040188508388],
+        [87700.73408028955, 1.1047999756914817, 0.11635567621752706,
+         0.027762846688043255, 30783.62603343878, 0.0012343092807312805,
+         0.024359257916524494],
+        [70524.0271573429, 0.6407617836884699, 0.06672805104976808,
+         0.027758325386650674, 20503.64000756701, 0.001408076717298433,
+         0.0278040188508388],
+        [87700.73408028588, 1.1045898493636892, 0.1169819522403246,
+         0.02252798052412433, 30783.626033435114, 0.0012343092807312805,
+         0.024359257916524494],
+        [70524.02715733871, 0.6406338825489349, 0.0677361959659269,
+         0.02252492084854335, 20503.640007562823, 0.001408076717298433,
+         0.0278040188508388],
+        [87700.73408028833, 1.1048199425978171, 0.11624213738164788,
+         0.029598415642574212, 30783.62603343756, 0.0012343092807312805,
+         0.024359257916524494],
+        [70524.02715734151, 0.6407993674608858, 0.06652916512435914,
+         0.02959359575962475, 20503.640007565613, 0.001408076717298433,
+         0.0278040188508388]]),
+    t_max=np.tile([0.023154107329787264, 0.023154387053362674], 5))
+
+
+# one task of five coordinates at rho 1.869 with a branch of 5e4 s and a
+# deadline at `slack` times its fastest branch, found among random tight
+# and binding draws with such a branch: it ends unconverged after 25
+# Newton steps at a larger KKT norm than it reached before, so its best
+# iterate is not its last; values rounded to 4 digits
+_BEST_NOT_LAST_ROW = dict(
+    prox=np.array([[0.1319, 0.115, 0.8689, 0.5959, 0.1937]]),
+    dual=np.array([[-0.1414, -0.1216, 0.5066, -0.1521, 0.1738]]),
+    tcoef=np.array([[0.04946, 50960.0, 0.02195, 0.1574, 0.01652]]),
+    slack=np.array([3.455]), rho=1.869)
 
 
 def _random_global_problem(rng, deadline, twin=False, coords=(3, 8)):
@@ -1069,8 +1152,16 @@ def test_solve_global_bit_identical_to_fresh_evaluation_reference(monkeypatch):
         return t, stalled, f_new
 
     rng = np.random.default_rng(33)
-    for case, deadline in enumerate(("loose", "binding", "tight") * 70):
-        problem, _ = _random_global_problem(rng, deadline, case % 42 == 2)
+    problems = [_random_global_problem(rng, deadline, case % 42 == 2)[0]
+                for case, deadline in enumerate(("loose", "binding", "tight") * 70)]
+    cols = _SLOW_BRANCH_COLUMNS
+    problems.append(_coordinate_major(np.zeros_like(cols["dual"]), cols["dual"],
+                                      cols["tcoef"], cols["t_max"], 1.0))
+    row = _BEST_NOT_LAST_ROW
+    problems.append(_coordinate_major(row["prox"], row["dual"], row["tcoef"],
+                                      row["tcoef"].min(axis=1) * row["slack"],
+                                      row["rho"]))
+    for problem in problems:
         v_ref, m_ref, info_ref = _reference_solve_global(problem)
         norms.clear()
         with monkeypatch.context() as mp:
@@ -1148,19 +1239,22 @@ def test_dual_shifted_by_one_constant_per_task_leaves_the_solve():
     check()
 
 
-# two tasks of seven coordinates at rho 1, each on a vertex prox center,
-# with one branch slower than 100 s and a deadline just above its fastest
-# branch, at `slack` times it: the first task stalls on Newton step 14
-# and the second converges only on step 19, so a solve that keeps retrying
-# the first takes a step more than one that freezes it, a pair that none
-# of the test's random draws holds; values rounded to 4 digits
+# two tasks of seven coordinates at rho 1, the first at a spread prox
+# center and the second on a vertex, each with one branch slower than
+# 1e4 s and a deadline at `slack` times its fastest branch: the first
+# stalls on Newton step 10 and the second converges only on step 19, so a
+# solve that keeps retrying the first takes a step more than one that
+# freezes it, a pair that none of the test's random draws holds; found
+# among random tight and binding draws with such a branch, values rounded
+# to 4 digits
 _STALL_BEFORE_CONVERGENCE = dict(
-    prox=np.eye(7)[[5, 6]],
-    dual=np.array([[0.4324, -0.1707, -0.1693, -0.1578, -0.3103, 0.02833, -0.536],
-                   [0.3394, 0.02351, -0.512, -0.1223, 0.3148, 0.1988, 0.258]]),
-    tcoef=np.array([[0.1088, 0.06858, 0.002744, 0.001632, 0.1324, 0.1449, 154.3],
-                    [0.1824, 0.03607, 0.1063, 143.0, 0.1603, 0.09312, 0.03614]]),
-    slack=np.array([1.005, 1.002]))
+    prox=np.array([[0.5753, 0.8488, 0.0468, 0.5658, 0.6245, 0.4772, 0.2401],
+                   [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]),
+    dual=np.array([[-0.02155, 0.2374, 0.01149, 0.1479, 0.05058, 0.2784, -0.2568],
+                   [-0.3618, -0.2303, 0.05794, 0.3691, 0.1672, -0.231, -0.4112]]),
+    tcoef=np.array([[0.1551, 0.01085, 0.0106, 0.1123, 0.1654, 10270.0, 0.1896],
+                    [0.04721, 0.0107, 0.04487, 0.003888, 0.1735, 0.1396, 53680.0]]),
+    slack=np.array([1.001, 18.48]))
 
 
 def test_frozen_stalls_leave_results_bit_identical():
@@ -1187,6 +1281,19 @@ def test_frozen_stalls_leave_results_bit_identical():
         stalled_tasks += int(info["stalled"].sum())
         saved += info_ref["newton_iterations"] - info["newton_iterations"]
     assert stalled_tasks > 0 and saved > 0
+
+
+def test_twin_row_alone_converges_without_a_stall():
+    # the interior margin sits below the equilibrium omega / g of the twin
+    # row's slowest branch, so the line search never holds that
+    # coordinate away from it: solved alone the row converges in 9 Newton
+    # steps, where a margin of 1e-9 stalled it unconverged after 23 at a
+    # KKT norm of 9.08
+    row = _TWIN_ROW
+    problem = _coordinate_major(row["prox"][None], row["dual"][None],
+                                row["tcoef"][None], np.array([row["t_max"]]), 1.0)
+    _, _, info = solve_global(problem)
+    assert info["converged"][0] and not info["stalled"][0]
 
 
 def test_solve_global_runs_each_level_once(monkeypatch):
@@ -1304,10 +1411,21 @@ def _first_inside_power(v, m, dv, dm):
     return t
 
 
+def _at_or_past(x, bound, k):
+    """The step 2^k (bound - x), widened by ulps until the full step from
+    x lands at or past `bound` in floating point; at k = 0 the rounded sum
+    may otherwise fall just inside."""
+    step = (bound - x) * 2.0 ** k
+    while (x + step - bound) * step < 0:
+        step = np.nextafter(step, np.copysign(np.inf, step))
+    return step
+
+
 def _planted_line_search_batch(rng, n=48, p=7):
     """Interior rows with Newton, scaled-gradient and random steps, and
-    planted rows: zero steps, box bounds at exact powers of two (lower and
-    upper walls, slack), coordinates within 1e-12 of the margin, and one
+    planted rows: zero steps, box bounds at powers of two of the step, up
+    to the ulps that put the full step at or past them (lower and upper
+    walls, slack), coordinates within 1e-12 of the margin, and one
     row whose bound is below the stall threshold.  The rows are planted
     task-major and returned in the module's layout."""
     margin = gb.INTERIOR_MARGIN
@@ -1339,10 +1457,10 @@ def _planted_line_search_batch(rng, n=48, p=7):
         j, k = rng.integers(p), rng.integers(0, 40)
         dv[i], dm[i] = 0.0, 0.0
         if wall == "slack":
-            dm[i] = (margin - m[i]) * 2.0 ** k
+            dm[i] = _at_or_past(m[i], margin, k)
         else:
             bound = margin if wall == "lower" else 1.0 - margin
-            dv[i, j] = (bound - v[i, j]) * 2.0 ** k
+            dv[i, j] = _at_or_past(v[i, j], bound, k)
             dv[i, (j + 1) % p] = -dv[i, j] * rng.uniform(0.0, 1e-3)
     for _ in range(3):
         i, j = next(rows), rng.integers(p)
@@ -1421,7 +1539,7 @@ def test_line_search_prices_trials_once_without_armijo_rejection(monkeypatch):
     monkeypatch.setattr(gb, "_smoothed_objective", counted_objective)
     monkeypatch.setattr(gb, "line_search", checked_line_search)
     rng = np.random.default_rng(61)
-    for deadline in ("loose", "binding", "tight") * 8:
+    for deadline in ("loose", "binding", "tight") * 12:
         problem, _ = _random_global_problem(rng, deadline)
         solve_global(problem)
     solve_global(_toy_problem(n=5, p=5, seed=17))
