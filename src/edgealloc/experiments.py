@@ -10,7 +10,6 @@ model.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ from .admm import SolverConfig
 from .costs import Placement, UtilityWeights
 from .errors import ConfigurationError, InfeasibleTaskError
 from .scenario import (Scenario, ScenarioConfig, from_config,
-                       generate_scenario)
+                       generate_scenario, read_json)
 
 SWEEP_AXES = ("alpha", "rho", "n_tasks", "sbs_capacity", "lt_capacity", "data_size")
 
@@ -51,11 +50,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, src) -> "ExperimentSpec":
-        if isinstance(src, str) and src.lstrip().startswith("{"):
-            doc = json.loads(src)
-        else:
-            with open(src) as fh:
-                doc = json.load(fh)
+        doc = read_json(src)
         return from_config(cls, {
             **doc,
             "scenario": from_config(ScenarioConfig, doc.get("scenario", {}), "scenario"),

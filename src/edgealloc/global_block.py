@@ -350,7 +350,10 @@ def exact_limit(problem: GlobalProblem, xi: float):
     meets the deadline, and otherwise the root of the nonincreasing,
     piecewise-linear t.v(lam) = t_max.  The root is found by Newton steps,
     each exact on the piece it starts from, inside a bracket that falls
-    back to bisection, to 1e-12 relative in the delay.
+    back to bisection.  A column stops at 1e-12 relative in the delay or,
+    where one float of lam moves a steep column's delay by more, at the
+    feasible end of a bracket with no float inside.  A pass steps strictly
+    inside each open bracket (Newton or midpoint), so it needs no pass cap.
 
     Returns (v, reduced, lam): with theta the simplex threshold of v(lam),
     `reduced` is max((rho - 2 xi)(theta + lam t - c), 0), the multiplier of
@@ -379,14 +382,15 @@ def exact_limit(problem: GlobalProblem, xi: float):
         lam_s = lo.copy()
         # the search starts at lam = 0, whose projection is already in v
         vs = v[:, search]
-        for _ in range(100):
+        while True:
             f = (ts * vs).sum(axis=0)
-            done = np.abs(f - tm) <= 1e-12 * tm
-            if done.all():
-                break
+            met = np.abs(f - tm) <= 1e-12 * tm
             over = f > tm
             lo = np.where(over, lam_s, lo)
             hi = np.where(over, hi, lam_s)
+            done = met | (np.nextafter(lo, hi) >= hi)
+            if done.all():
+                break
             # on the piece of the current support, t.v falls with slope
             # -sum over the support of (t - mean t)^2
             on = vs > 0
@@ -396,8 +400,7 @@ def exact_limit(problem: GlobalProblem, xi: float):
             newton = (slope > 0) & (step > lo) & (step < hi)
             lam_s = np.where(done, lam_s, np.where(newton, step, 0.5 * (lo + hi)))
             vs, _ = _simplex_projection(cs - lam_s * ts)
-        # a column the search has not settled takes its feasible end
-        lam_s = np.where(done, lam_s, hi)
+        lam_s = np.where(met, lam_s, hi)
         lam[search] = lam_s
         v[:, search], theta[search] = _simplex_projection(cs - lam_s * ts)
     # v is max(u - theta, 0) with the same u, so reduced is 0 wherever v > 0
@@ -468,17 +471,14 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
     # the objective is formed when the first line search needs it
     f = None
-    best = None
+    best = [np.full(problem.n_tasks, np.inf), v.copy(), m.copy()]
     steps = 0
     while True:
         res = kkt_residual(v, m, nu, sig, grad, problem)
         norm = scaled_kkt_norm(res, problem)
-        if best is None:
-            best = [norm, v.copy(), m.copy()]
-        else:
-            better = norm < best[0]
-            for kept, now in zip(best, (norm, v, m)):
-                np.copyto(kept, now, where=better)
+        better = norm < best[0]
+        for kept, now in zip(best, (norm, v, m)):
+            np.copyto(kept, now, where=better)
         active = (norm > tol) & ~stalled_any
         if steps == MAX_INNER or not active.any():
             break

@@ -25,7 +25,6 @@ the SBS tables unchanged and ask for the same split searches again.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from . import costs
 from .costs import Placement, UtilityWeights
 from .errors import InstanceTooLargeError
-from .scenario import Scenario
+from .scenario import Scenario, write_json
 
 MAX_TASKS = 6
 MAX_STATIONS = 4
@@ -64,11 +63,7 @@ class OracleResult:
         return doc
 
     def to_json(self, path=None) -> str:
-        doc = json.dumps(self.to_dict(), indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(doc)
-        return doc
+        return write_json(self.to_dict(), path)
 
 
 def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarray:

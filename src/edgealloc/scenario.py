@@ -35,6 +35,23 @@ def _check_keys(entry: str, d: dict, names) -> None:
             f"unknown keys {sorted(set(d) - names)}")
 
 
+def read_json(src):
+    """The JSON document in `src`, inline text if it starts with "{", else a path."""
+    if isinstance(src, str) and src.lstrip().startswith("{"):
+        return json.loads(src)
+    with open(src) as fh:
+        return json.load(fh)
+
+
+def write_json(doc, path=None) -> str:
+    """`doc` as JSON text indented by one, also written to `path` if given."""
+    text = json.dumps(doc, indent=1)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def from_config(kind, d: dict, entry: str):
     """The dataclass `kind` from hand-written config entry `d`, whose
     missing keys take the defaults; ConfigurationError names the entry and
@@ -321,11 +338,7 @@ class Scenario:
         }
 
     def to_json(self, path=None) -> str:
-        doc = json.dumps(self.to_dict(), indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(doc)
-        return doc
+        return write_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -353,10 +366,7 @@ class Scenario:
 
     @classmethod
     def from_json(cls, src) -> "Scenario":
-        if isinstance(src, str) and src.lstrip().startswith("{"):
-            return cls.from_dict(json.loads(src))
-        with open(src) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(src))
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:

@@ -551,6 +551,74 @@ def test_exact_limit_matches_an_independent_minimiser():
     check()
 
 
+def _delay_one_float_below(problem, xi, lam):
+    """Each column's delay at the projection one float below lam."""
+    c = (problem.dual + problem.rho * problem.prox - xi) / (problem.rho - 2.0 * xi)
+    v, _ = gb._simplex_projection(c - np.nextafter(lam, 0.0) * problem.tcoef)
+    return (problem.tcoef * v).sum(axis=0)
+
+
+def test_exact_limit_search_stops_when_its_bracket_closes(monkeypatch):
+    # a steep binding column of mixed seed 42 (c_range 4e6 to 2e7): adjacent
+    # floats of lam move its delay by about 5e-7, far beyond the 1e-12
+    # relative tolerance, so only the closed bracket ends its search, at
+    # the smallest float lam that meets the deadline; under a 100-pass cap
+    # it made 102 projections
+    t = np.array([6.2004857000779617e8, 6.3861034228720343e8, 6.3667350148320270e8,
+                  5.7511044775978959e8, 5.7559346151185989e8, 1.8526084007246038,
+                  36.581154975380365])
+    c = np.array([-2.214486725966886, -1.7915465152374186, -1.7083214879693107,
+                  -1.5787768770294996, -1.7915451033870031, -4.86634598733211,
+                  -5.048977302460683])
+    t_max = np.array([19.258626567960583])
+    problem = GlobalProblem(prox=np.zeros((7, 1)), dual=c[:, None], tcoef=t[:, None],
+                            t_max=t_max, rho=1.0)
+    calls = [0]
+    project = gb._simplex_projection
+
+    def counted(u):
+        calls[0] += 1
+        return project(u)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gb, "_simplex_projection", counted)
+        v, _, lam = exact_limit(problem, 0.0)
+    assert calls[0] <= 20
+    assert lam[0] > 0
+    assert (t * v[:, 0]).sum() <= t_max[0]
+    assert _delay_one_float_below(problem, 0.0, lam)[0] > t_max[0]
+
+
+def test_exact_limit_search_ends_at_the_deadline_or_a_closed_bracket():
+    # binding columns with shallow branches and steep ones of 10^U(3, 9) s:
+    # every searched column meets the deadline to 1e-12 relative, or meets
+    # it while one float below its lam overshoots
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(3, 10), n=st.integers(1, 20), seed=st.integers(0, 100000))
+    def check(p, n, seed):
+        rng = np.random.default_rng(seed)
+        tcoef = rng.uniform(0.001, 0.2, (p, n))
+        steep = rng.random((p, n)) < 0.5
+        tcoef[steep] = 10.0 ** rng.uniform(3, 9, steep.sum())
+        fastest = tcoef.min(axis=0)
+        t_max = fastest + rng.uniform(0.01, 0.9, n) * (np.median(tcoef, axis=0) - fastest)
+        problem = GlobalProblem(prox=rng.uniform(0, 1, (p, n)),
+                                dual=rng.normal(0, 0.3, (p, n)) * rng.choice([1.0, 1e3]),
+                                tcoef=tcoef, t_max=t_max, rho=float(rng.uniform(0.2, 5.0)))
+        xi = float(rng.uniform(0.0, gb.XI_CONVEXITY_FRACTION * problem.rho))
+        v, _, lam = exact_limit(problem, xi)
+        searched = lam > 0
+        delay = (tcoef * v).sum(axis=0)
+        met = np.abs(delay - t_max) <= 1e-12 * t_max
+        closed = (delay <= t_max) & (_delay_one_float_below(problem, xi, lam) > t_max)
+        assert (met | closed)[searched].all()
+
+    check()
+
+
 def test_solve_global_respects_binding_deadline():
     # only the second coordinate is fast enough for the deadline
     prob = _coordinate_major(prox=np.array([[0.6, 0.2, 0.2]]),
@@ -1352,6 +1420,25 @@ def test_solve_global_checks_the_point_after_its_last_step(monkeypatch):
             assert not short["converged"].all() and short["newton_iterations"] == k - 1
         longest = max(longest, k)
     assert longest >= 14
+
+
+def test_solve_global_leaves_every_kkt_norm_it_computed(monkeypatch):
+    # the best-norm record is an array of the solve's own, so the first
+    # norm `scaled_kkt_norm` returned keeps its values after better ones
+    norms = []
+    score = gb.scaled_kkt_norm
+
+    def recorded(res, problem):
+        norm = score(res, problem)
+        norms.append((norm, norm.copy()))
+        return norm
+
+    monkeypatch.setattr(gb, "scaled_kkt_norm", recorded)
+    problem = _toy_problem(n=5, p=5, seed=17)
+    _, _, info = solve_global(problem)
+    assert info["newton_iterations"] >= 1 and len(norms) >= 2
+    for norm, values in norms:
+        np.testing.assert_array_equal(norm, values)
 
 
 def test_one_level_converges_what_the_three_level_schedule_converges():
