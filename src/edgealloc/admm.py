@@ -367,35 +367,25 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
 # -- rounding ----------------------------------------------------------------
 
 def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
-             cap: int, c1: np.ndarray, memo: dict) -> bool:
-    """Move unplaced task j (choice -1) to its fastest deadline-feasible
-    branch, ties to the lower branch index, and say whether one was found.
-    Each SBS hosting fewer than `cap` tasks is screened at the share left free there, on
-    tables with j's relay route priced against the forwarded parts `c1`
-    of the others; an SBS is taken only if repricing the whole tuple with
-    j on it meets j's deadline."""
+             cap: int, memo: dict) -> bool:
+    """Move unplaced task j (choice -1) to a branch that meets its deadline
+    and say whether one was found.  The terminal and macro delays are j's
+    own and move no other task, so j takes the faster of the two that
+    meets the deadline, ties to the terminal.  Only when neither does is
+    each SBS hosting fewer than `cap` tasks tried, in index order: the
+    first where repricing the whole tuple with j on it meets j's deadline
+    is kept."""
     s = scenario.n_sbs
     pc = scenario.pricing
-    h_min = scenario.config.h_min
-    options = [(delay, b) for delay, b in ((pc.t_local[j], 0),
-                                           (pc.t_mbs[j], s + 1))
-               if delay <= pc.t_max[j]]
+    exact = [(delay, b) for delay, b in ((pc.t_local[j], 0),
+                                         (pc.t_mbs[j], s + 1))
+             if delay <= pc.t_max[j]]
+    if exact:
+        choice[j] = min(exact)[1]
+        return True
     hosted = np.bincount(choice[choice > 0], minlength=s + 2)[1:s + 1]
-    open_sbs = np.flatnonzero(hosted < cap)
-    if len(open_sbs):
-        x = costs.hard_assignment(choice, s)[0]
-        x[:, j] = 1.0
-        own = c1.copy()
-        own[:, j] = 0.0
-        tables = costs.build_cost_tables(scenario, alpha, x, own)
-        _, _, delay, ok = costs.best_splits(
-            tables, open_sbs, np.full(len(open_sbs), j),
-            np.where(hosted[open_sbs] == 0, 1.0, h_min))
-        options += [(d, i + 1) for d, i in zip(delay[ok], open_sbs[ok])]
-    for _, b in sorted(options):
-        choice[j] = b
-        if not 0 < b <= s:
-            return True
+    for i in np.flatnonzero(hosted < cap):
+        choice[j] = i + 1
         placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
         if (placement is not None
                 and costs.check_feasibility(placement, scenario).deadline_ok[j]):
@@ -411,8 +401,10 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     an SBS's capacity are demoted to the MBS.  The tuple is priced by
     `costs.price_tuple`; every task that misses its deadline there (named
     by the pricer, on an overdue terminal or macro branch, or overdue in
-    the priced placement) is promoted to its fastest feasible branch, and
-    the tuple is priced again until no task misses.
+    the priced placement) is promoted by `_promote`: to its faster
+    terminal or macro branch that meets the deadline, else to the first
+    open SBS where the repriced tuple meets it.  The tuple is priced again
+    until no task misses.
 
     The result passes `costs.check_feasibility`; otherwise
     `InfeasibleTaskError` names the violating tasks: those with no feasible
@@ -452,11 +444,9 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
             break
         if (miss & promoted).any():
             raise InfeasibleTaskError(np.flatnonzero(miss & promoted).tolist())
-        c1 = np.zeros((s, n)) if placement is None else placement.c1
         choice[miss] = -1
         stuck = [j for j in np.flatnonzero(miss).tolist()
-                 if not _promote(scenario, config.alpha, choice, j, cap, c1,
-                                 memo)]
+                 if not _promote(scenario, config.alpha, choice, j, cap, memo)]
         if stuck:
             raise InfeasibleTaskError(stuck)
         promoted |= miss

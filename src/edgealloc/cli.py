@@ -17,13 +17,13 @@ from . import admm, costs, experiments, oracle
 from .admm import SolverConfig
 from .costs import UtilityWeights
 from .scenario import (Scenario, ScenarioConfig, from_config,
-                       generate_scenario)
+                       generate_scenario, read_json, write_json)
 
 
 def _cmd_generate(args) -> int:
     if args.config:
-        with open(args.config) as fh:
-            config = from_config(ScenarioConfig, json.load(fh), args.config)
+        config = from_config(ScenarioConfig, read_json(args.config),
+                             args.config)
     else:
         config = ScenarioConfig(n_tasks=args.n_tasks, n_sbs=args.n_sbs,
                                 seed=args.seed)
@@ -44,11 +44,10 @@ def _cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     branches = [placement.branch_of(j) for j in range(len(placement.y))]
-    with open(os.path.join(args.out, "placement.json"), "w") as fh:
-        json.dump({"utility": util, "converged": trace.converged,
-                   "iterations": len(trace.records),
-                   "placement": {**placement.to_dict(), "branches": branches}},
-                  fh, indent=1)
+    write_json({"utility": util, "converged": trace.converged,
+                "iterations": len(trace.records),
+                "placement": {**placement.to_dict(), "branches": branches}},
+               os.path.join(args.out, "placement.json"))
     status = "converged" if trace.converged else "not converged"
     print(f"utility {util:.6g} after {len(trace.records)} iterations ({status}); "
           f"outputs in {args.out}")

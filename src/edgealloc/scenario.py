@@ -53,9 +53,10 @@ def write_json(doc, path=None) -> str:
 
 
 def from_config(kind, d: dict, entry: str):
-    """The dataclass `kind` from hand-written config entry `d`, whose
-    missing keys take the defaults; ConfigurationError names the entry and
-    its unknown keys, or the keys it misses that have no default."""
+    """The dataclass `kind` from hand-written config entry `d`, lists read
+    as tuples, whose missing keys take the defaults; ConfigurationError
+    names the entry and its unknown keys, or the keys it misses that have
+    no default."""
     unknown = set(d) - {f.name for f in fields(kind)}
     if unknown:
         raise ConfigurationError(f"{entry}: unknown keys {sorted(unknown)}")
@@ -63,14 +64,15 @@ def from_config(kind, d: dict, entry: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"{entry}: missing keys {missing}")
-    return kind(**d)
+    return kind(**{k: tuple(v) if isinstance(v, list) else v
+                   for k, v in d.items()})
 
 
 def _build(kind, d: dict, entry: str):
-    """The dataclass `kind` from document entry `d`, lists read as tuples."""
+    """The dataclass `kind` from document entry `d`, whose keys must be
+    exactly its fields, lists read as tuples."""
     _check_keys(entry, d, (f.name for f in fields(kind)))
-    return kind(**{k: tuple(v) if isinstance(v, list) else v
-                   for k, v in d.items()})
+    return from_config(kind, d, entry)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from edgealloc.admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
 from edgealloc.local_blocks import CbgpVars
-from edgealloc.scenario import ScenarioConfig, generate_scenario
+from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
 from lagrangian_rise import lagrangian_rises
 from lattice_split import lattice_split, split_cost
 
@@ -200,11 +201,10 @@ def test_round_to_feasible_returns_feasible_placement_or_raises():
 
 
 def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
-    # task 1 misses its deadline on the terminal and is promoted.  On
-    # tables frozen before it joined the SBS its relay route looked free,
-    # and it forwarded every bit, 0.213 s against a 0.0242 s deadline.
-    # Priced with its own route loaded, no split meets the deadline at the
-    # share the SBS has left, so it goes to the macro station
+    # task 1 misses its deadline on the terminal and is promoted.  Its
+    # macro branch meets the deadline, so it goes there and no SBS is
+    # tried; a split priced on tables that leave its own relay route
+    # unloaded forwards every bit, 0.213 s against a 0.0242 s deadline
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=863431,
                                             t_max_range=(0.02, 0.08)))
     v = np.array([[0.50, 0.39, 0.11],   # one task per row: SBS, macro,
@@ -230,6 +230,61 @@ def test_round_to_feasible_names_every_task_on_an_over_budget_station(
     with pytest.raises(InfeasibleTaskError) as err:
         round_to_feasible(state, scen, SolverConfig())
     assert err.value.tasks == [0, 2]
+
+
+def _slow_exact_branches(h_min, late_t_max=None):
+    """Three tasks and two SBSs, from a scenario JSON whose terminal and
+    macro station run at 1 MHz: every exact branch takes 90-167 s against
+    deadlines of 15-26 s, while any split on an SBS meets them.  Task 2's
+    deadline is `late_t_max` if given."""
+    doc = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=2, seed=0,
+                                           h_min=h_min)).to_dict()
+    doc["device"]["f_local"] = 1e6
+    doc["stations"][0]["f"] = 1e6
+    if late_t_max is not None:
+        doc["tasks"][2]["t_max"] = late_t_max
+    scen = Scenario.from_json(json.dumps(doc))
+    state = init_state(scen, SolverConfig())
+    # tasks 0 and 1 on SBS 1, task 2 on its overdue terminal
+    state.v[:] = np.array([0.9, 0.05, 0.0, 0.05])[:, None]
+    state.v[:, 2] = [0.05, 0.05, 0.0, 0.9]
+    return scen, state
+
+
+@pytest.mark.parametrize("h_min, branch", [(0.05, "sbs1"), (0.5, "sbs2")])
+def test_round_to_feasible_promotes_to_first_open_sbs(h_min, branch):
+    # at h_min 0.5 SBS 1 holds its two tasks and is full
+    scen, state = _slow_exact_branches(h_min)
+    placement = round_to_feasible(state, scen, SolverConfig())
+    assert [placement.branch_of(j) for j in range(3)] == ["sbs1", "sbs1", branch]
+    assert costs.check_feasibility(placement, scen).ok
+
+
+def test_round_to_feasible_names_a_task_no_sbs_can_take():
+    scen, state = _slow_exact_branches(0.05, late_t_max=1e-6)
+    with pytest.raises(InfeasibleTaskError) as err:
+        round_to_feasible(state, scen, SolverConfig())
+    assert err.value.tasks == [2]
+
+
+def test_round_to_feasible_names_a_promoted_task_that_misses_again(
+        monkeypatch):
+    # task 0 meets its deadline on the terminal, but every check reports it
+    # late, so its promotion back to the terminal misses again
+    scen = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=0))
+    state = init_state(scen, SolverConfig())
+    state.v[:] = np.array([0.05, 0.05, 0.9])[:, None]
+    check = costs.check_feasibility
+
+    def late(placement, scenario, tol=1e-9):
+        report = check(placement, scenario, tol)
+        report.deadline_ok[0] = False
+        return report
+
+    monkeypatch.setattr(costs, "check_feasibility", late)
+    with pytest.raises(InfeasibleTaskError) as err:
+        round_to_feasible(state, scen, SolverConfig())
+    assert err.value.tasks == [0]
 
 
 def test_run_single_task_mbs_only_prefers_terminal():

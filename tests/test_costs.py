@@ -361,3 +361,10 @@ def test_pricing_is_lazy_and_survives_json_round_trip():
     for name in costs.CostTables.__dataclass_fields__:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert scen.to_json() == doc
+
+
+def test_price_tuple_names_first_task_of_an_over_capacity_station():
+    # h_min 0.4: at most two tasks fit on a station
+    scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=1, seed=0,
+                                            h_min=0.4))
+    assert costs.price_tuple(scen, 0.5, np.array([0, 1, 1, 1]), {}) == (None, 1)

@@ -1,9 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from edgealloc import costs
+from edgealloc.admm import SolverConfig
 from edgealloc.errors import ConfigurationError
-from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
+from edgealloc.experiments import ExperimentSpec
+from edgealloc.scenario import (SBS, ChannelMatrix, Link, LocalDevice,
+                                Scenario, ScenarioConfig, Station, Task,
+                                from_config, generate_scenario)
 
 
 def test_generation_counts_match_config():
@@ -47,6 +53,48 @@ def test_invalid_range_raises_configuration_error():
         ScenarioConfig(n_tasks=0)
     with pytest.raises(ConfigurationError):
         ScenarioConfig(h_min=0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Task(id=3, c=1e4, t_max=0.0, u=1.0),
+                 r"task 3: c, t_max, u must be positive", id="task"),
+    pytest.param(lambda: Station(id=1, kind="LTE", f=1.0, bandwidth=1.0,
+                                 tx_power_density=1.0, e_cycle=0.0,
+                                 position=(0.0, 0.0)),
+                 r"station 1: unknown kind 'LTE'", id="station-kind"),
+    pytest.param(lambda: Station(id=2, kind=SBS, f=1.0, bandwidth=0.0,
+                                 tx_power_density=1.0, e_cycle=0.0,
+                                 position=(0.0, 0.0)),
+                 r"station 2: f and bandwidth must be positive",
+                 id="station-bandwidth"),
+    pytest.param(lambda: LocalDevice(f_local=1.0, e_local=-1.0, tx_power=1.0),
+                 r"local device: f_local > 0", id="device"),
+    pytest.param(lambda: Link(id="ln", endpoints=("a", "b"), capacity=0.0),
+                 r"link ln: capacity must be positive", id="link"),
+    pytest.param(lambda: ChannelMatrix(gain=np.array([[1.0, 0.0]]),
+                                       noise_power=1.0,
+                                       offload_power_sbs_mbs=1.0),
+                 r"channel: gains and noise power must be positive",
+                 id="channel"),
+    pytest.param(lambda: ScenarioConfig(link_capacity=0.0),
+                 r"link_capacity must be positive", id="config-positive"),
+    pytest.param(lambda: SolverConfig(alpha=1.5),
+                 r"alpha must lie in \[0, 1\]", id="solver-alpha"),
+])
+def test_constructors_reject_bad_inputs(build, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build()
+
+
+def test_config_lists_read_as_tuples():
+    doc = {"n_tasks": 3, "n_sbs": 1, "c_range": [5e3, 1e4]}
+    spec = ExperimentSpec.from_json(json.dumps(
+        {"scenario": doc, "axis": "alpha", "values": [0.5], "outdir": "out"}))
+    for config in (from_config(ScenarioConfig, doc, "scenario"), spec.scenario):
+        assert config.c_range == (5e3, 1e4)
+        hash(config)
+        scen = generate_scenario(config)
+        assert Scenario.from_json(scen.to_json()).config == scen.config
 
 
 def test_json_roundtrip(tmp_path, small_scenario):
