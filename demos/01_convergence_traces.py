@@ -20,9 +20,8 @@ for alpha in (0.2, 0.5, 0.8):
     config = SolverConfig(alpha=alpha, rho=1.0, max_iter=120, cbgp_rounds=30)
     placement, trace = run(scenario, config)
     traces[alpha] = trace.utilities()
-    branches = [placement.branch_of(j) for j in range(scenario.n_tasks)]
     print(f"alpha={alpha}: final utility {traces[alpha][-1]:.4f}, "
-          f"{branches.count('local')} tasks on terminals")
+          f"{placement.branches().count('local')} tasks on terminals")
 
 print("\niter  " + "  ".join(f"u(a={a})" for a in traces))
 marks = [0, 1, 2, 3, 5, 8, 12, 18, 25, 40, 60, 90, 119]

@@ -360,7 +360,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
     # free the last tables before rounding, which builds its own
     del tables
     trace.converged = converged
-    placement = round_to_feasible(state, scenario, config)
+    placement = round_to_feasible(state.v, scenario, config.alpha)
     return placement, trace
 
 
@@ -394,17 +394,18 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
     return False
 
 
-def round_to_feasible(state: ConsensusState, scenario: Scenario,
-                      config: SolverConfig) -> Placement:
-    """Harden the relaxed state.  Each task takes its dominant branch (ties
+def round_to_feasible(v: np.ndarray, scenario: Scenario,
+                      alpha: float) -> Placement:
+    """Harden the relaxed global iterate `v`, rows as in `ConsensusState.v`,
+    at delay weight `alpha`.  Each task takes its dominant branch (ties
     prefer terminal, then SBS, then MBS), and the weakest-margin tasks over
-    an SBS's capacity are demoted to the MBS.  The tuple is priced by
-    `costs.price_tuple`; every task that misses its deadline there (named
-    by the pricer, on an overdue terminal or macro branch, or overdue in
-    the priced placement) is promoted by `_promote`: to its faster
-    terminal or macro branch that meets the deadline, else to the first
-    open SBS where the repriced tuple meets it.  The tuple is priced again
-    until no task misses.
+    `ScenarioConfig.max_per_sbs` on an SBS are demoted to the MBS.  The
+    tuple is priced by `costs.price_tuple`; every task that misses its
+    deadline there (named by the pricer, on an overdue terminal or macro
+    branch, or overdue in the priced placement) is promoted by `_promote`:
+    to its faster terminal or macro branch that meets the deadline, else
+    to the first open SBS where the repriced tuple meets it.  The tuple is
+    priced again until no task misses.
 
     The result passes `costs.check_feasibility`; otherwise
     `InfeasibleTaskError` names the violating tasks: those with no feasible
@@ -412,9 +413,9 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     on an over-budget station.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    cap = int(np.floor(1.0 / scenario.config.h_min + 1e-9))
+    cap = scenario.config.max_per_sbs
 
-    score = np.roll(state.v, 1, axis=0)  # terminal, SBS 1..s, MBS
+    score = np.roll(v, 1, axis=0)  # terminal, SBS 1..s, MBS
     choice = np.argmax(score, axis=0)  # 0 local, 1..s sbs, s+1 mbs
 
     if s:
@@ -431,8 +432,7 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
     memo = {}
     promoted = np.zeros(n, dtype=bool)
     while True:
-        placement, named = costs.price_tuple(scenario, config.alpha, choice,
-                                             memo)
+        placement, named = costs.price_tuple(scenario, alpha, choice, memo)
         miss = (((choice == 0) & (pc.t_local > pc.t_max))
                 | ((choice == s + 1) & (pc.t_mbs > pc.t_max)))
         if placement is None:
@@ -446,7 +446,7 @@ def round_to_feasible(state: ConsensusState, scenario: Scenario,
             raise InfeasibleTaskError(np.flatnonzero(miss & promoted).tolist())
         choice[miss] = -1
         stuck = [j for j in np.flatnonzero(miss).tolist()
-                 if not _promote(scenario, config.alpha, choice, j, cap, memo)]
+                 if not _promote(scenario, alpha, choice, j, cap, memo)]
         if stuck:
             raise InfeasibleTaskError(stuck)
         promoted |= miss

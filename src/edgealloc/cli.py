@@ -43,10 +43,10 @@ def _cmd_solve(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
-    branches = [placement.branch_of(j) for j in range(len(placement.y))]
     write_json({"utility": util, "converged": trace.converged,
                 "iterations": len(trace.records),
-                "placement": {**placement.to_dict(), "branches": branches}},
+                "placement": {**placement.to_dict(),
+                              "branches": placement.branches()}},
                os.path.join(args.out, "placement.json"))
     status = "converged" if trace.converged else "not converged"
     print(f"utility {util:.6g} after {len(trace.records)} iterations ({status}); "

@@ -57,16 +57,16 @@ class Placement:
         """Every array as nested lists, in field order, for JSON output."""
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
+    def branches(self) -> list[str]:
+        """Every task's dominant branch label, for reporting: local, mbs,
+        or sbs<i>; ties go to the terminal, then the lowest SBS."""
+        labels = ["local", *(f"sbs{i}" for i in range(1, len(self.x) + 1)), "mbs"]
+        dominant = np.argmax(np.vstack([self.z, self.x, self.y]), axis=0)
+        return [labels[k] for k in dominant]
+
     def branch_of(self, task_index: int) -> str:
-        """Dominant branch label for reporting: local, mbs, or sbs<i>."""
-        vals = [self.z[task_index], *[self.x[i, task_index] for i in range(self.x.shape[0])],
-                self.y[task_index]]
-        k = int(np.argmax(vals))
-        if k == 0:
-            return "local"
-        if k == len(vals) - 1:
-            return "mbs"
-        return f"sbs{k}"
+        """Task `task_index`'s label in `branches`."""
+        return self.branches()[task_index]
 
 
 def hard_assignment(choice, n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,8 +420,8 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     rounding and the oracle.  `choice[j]` is task j's branch: 0 the
     terminal, 1..s an SBS, s + 1 the MBS; any other value leaves j unplaced.
     Returns (placement, None), or (None, j) for the first task whose split
-    misses its deadline at its final share or whose equal start share is
-    below the floor.
+    misses its deadline at its final share, or for the first member of a
+    station hosting more than `ScenarioConfig.max_per_sbs` tasks.
 
     A lone task runs at h = 1: the share only scales the SBS execution
     term, so no split is cheaper or faster at a smaller one.  Co-hosted
@@ -461,9 +461,9 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
         for i, members in enumerate(stations):
             if not members:
                 continue
-            shares = dict.fromkeys(members, min(1.0, 1.0 / len(members)))
-            if shares[members[0]] < h_min:
+            if len(members) > scenario.config.max_per_sbs:
                 return None, members[0]
+            shares = dict.fromkeys(members, min(1.0, 1.0 / len(members)))
             for _ in range(2 if len(members) > 1 else 0):
                 weights = {}
                 for j, split in zip(members, splits(tables, i, members, shares)):
@@ -554,10 +554,10 @@ class FeasibilityReport:
         return self.ok
 
 
-def check_feasibility(placement: Placement, scenario: Scenario,
-                      tol: float = 1e-9) -> FeasibilityReport:
+def check_feasibility(placement: Placement, scenario: Scenario) -> FeasibilityReport:
     """Validate the three hard constraints of an allocation: per-task
     deadline, per-SBS resource budget, and one branch per task."""
+    tol = 1e-9  # relative and absolute slack of every check
     delay, _ = placement_costs(placement, scenario)
     t_max = scenario.t_max_array()
     deadline_ok = delay <= t_max * (1.0 + tol) + tol

@@ -77,11 +77,8 @@ def apply_axis(scenario_config: ScenarioConfig, solver_config: SolverConfig,
 
 
 def _branch_histogram(placement: Placement) -> tuple[int, int, int]:
-    n = len(placement.y)
-    branches = [placement.branch_of(j) for j in range(n)]
-    n_local = sum(1 for b in branches if b == "local")
-    n_mbs = sum(1 for b in branches if b == "mbs")
-    return n_local, n - n_local - n_mbs, n_mbs
+    n_local, n_mbs = int(placement.z.sum()), int(placement.y.sum())
+    return n_local, len(placement.y) - n_local - n_mbs, n_mbs
 
 
 def _run_point(spec: ExperimentSpec, value, rep: int) -> dict:
@@ -155,25 +152,13 @@ def placement_profile(scenario_config: ScenarioConfig, sizes,
     for size in sizes:
         cfg = replace(scenario_config, c_range=(float(size), float(size)))
         scenario = generate_scenario(cfg)
-        placement, _ = admm.run(scenario, solver_config)
-        n = scenario.n_tasks
-        branches = [placement.branch_of(j) for j in range(n)]
-        frac_local = np.zeros(n)
-        frac_mbs = np.zeros(n)
-        frac_sbs = np.zeros(n)
-        for j, b in enumerate(branches):
-            if b == "local":
-                frac_local[j] = 1.0
-            elif b == "mbs":
-                frac_mbs[j] = 1.0
-            else:
-                i = int(b[3:]) - 1
-                c = scenario.tasks[j].c
-                frac_local[j] = placement.c0[i, j] / c
-                frac_mbs[j] = placement.c1[i, j] / c
-                frac_sbs[j] = placement.ci[i, j] / c
+        p, _ = admm.run(scenario, solver_config)
+        c = scenario.c_array()
+        frac_local = p.z + (p.x * p.c0).sum(axis=0) / c
+        frac_mbs = p.y + (p.x * p.c1).sum(axis=0) / c
+        frac_sbs = (p.x * p.ci).sum(axis=0) / c
         rows.append({"size": float(size),
-                     "branches": branches,
+                     "branches": p.branches(),
                      "frac_local": float(frac_local.mean()),
                      "frac_mbs": float(frac_mbs.mean()),
                      "frac_sbs": float(frac_sbs.mean())})
@@ -222,49 +207,39 @@ def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
 def run_baseline(scenario: Scenario, weights: UtilityWeights,
                  seed: int) -> tuple[Placement, float]:
     """Random feasible placement: each task draws uniformly among its
-    individually deadline-feasible branches (terminal, MBS, any SBS with
-    naive thirds split), capacity overflows demote to the MBS, and tasks
-    violated by congestion are redrawn up to a fixed pass budget.  A task
-    still late after the budget falls back to the faster of its terminal
-    and macro branches.  The placement passes `costs.check_feasibility`;
-    otherwise `InfeasibleTaskError` names the tasks still late."""
+    individually deadline-feasible branches (terminal, MBS, any SBS where
+    a naive thirds split at full share meets it), an SBS's tasks beyond
+    `ScenarioConfig.max_per_sbs`, in index order, are demoted to the MBS,
+    and tasks violated by congestion are redrawn up to a fixed pass budget.
+    A task still late after the budget falls back to the faster of its
+    terminal and macro branches.  The placement passes
+    `costs.check_feasibility`; otherwise `InfeasibleTaskError` names the
+    tasks still late."""
     rng = np.random.default_rng(seed)
     s, n = scenario.n_sbs, scenario.n_tasks
-    t_max = scenario.t_max_array()
-    h_min = scenario.config.h_min
-    cap = int(np.floor(1.0 / h_min + 1e-9))
+    cap = scenario.config.max_per_sbs
 
     tables = costs.build_cost_tables(scenario, weights.alpha,
                                      np.zeros((s, n)), np.zeros((s, n)))
-    c = scenario.c_array()
+    third = tables.c / 3.0
+    split_delay, _ = tables.split_price(third, third, tables.c - third - third, 1.0)
+    # rows: terminal, SBS 1..s, MBS
+    ok = np.vstack([tables.t_local, split_delay, tables.t_mbs]) <= tables.t_max
+    # a task with no feasible branch keeps the faster exact one
+    fastest = np.where(tables.t_local <= tables.t_mbs, 0, s + 1)
+    first = np.where(ok.any(axis=0), ok.argmax(axis=0), fastest)
+    feasible_sets = [np.flatnonzero(col).tolist() or [b]
+                     for col, b in zip(ok.T, first)]
+    # a task over its station's capacity moves to the MBS if that meets its
+    # deadline, else to its first feasible branch
+    demoted = np.where(ok[s + 1], s + 1, first)
 
-    def standalone_ok(branch: int, j: int) -> bool:
-        if branch == 0:
-            return tables.t_local[j] <= t_max[j]
-        if branch == s + 1:
-            return tables.t_mbs[j] <= t_max[j]
-        i = branch - 1
-        third = c[j] / 3.0
-        delay, _ = tables.split_price(third, third, c[j] - third - third, 1.0,
-                                      i, j)
-        return delay <= t_max[j]
-
-    feasible_sets = []
-    for j in range(n):
-        branches = [b for b in range(s + 2) if standalone_ok(b, j)]
-        if not branches:
-            branches = [int(np.argmin(
-                [tables.t_local[j]] + [np.inf] * s + [tables.t_mbs[j]]))]
-        feasible_sets.append(branches)
-
-    choice = np.array([rng.choice(feasible_sets[j]) for j in range(n)])
+    choice = np.array([rng.choice(branches) for branches in feasible_sets])
 
     for _ in range(5):
-        for i in range(s):
-            members = np.nonzero(choice == i + 1)[0]
-            if len(members) > cap:
-                for j in members[cap:]:
-                    choice[j] = s + 1 if (s + 1) in feasible_sets[j] else feasible_sets[j][0]
+        x, _, _ = costs.hard_assignment(choice, s)
+        over = ((np.cumsum(x, axis=1) > cap) & (x > 0)).any(axis=0)
+        choice[over] = demoted[over]
         placement = _assemble_baseline(scenario, choice)
         report = costs.check_feasibility(placement, scenario)
         if report.ok:
@@ -282,7 +257,7 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
         # relay load and share
         placement = _assemble_baseline(scenario, choice)
         late = ~costs.check_feasibility(placement, scenario).deadline_ok
-        choice[late] = np.where(tables.t_local <= tables.t_mbs, 0, s + 1)[late]
+        choice[late] = fastest[late]
         placement = _assemble_baseline(scenario, choice)
         report = costs.check_feasibility(placement, scenario)
     # shares are 1 / members and each task takes one branch, so only a
@@ -293,14 +268,11 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
 
 
 def _assemble_baseline(scenario: Scenario, choice: np.ndarray) -> Placement:
-    s, n = scenario.n_sbs, scenario.n_tasks
-    c = scenario.c_array()
-    x, y, z = costs.hard_assignment(choice, s)
-    third = x * (c / 3.0)[None, :]  # naive thirds split on the chosen SBS
-    h = np.ones((s, n))
-    for i in range(s):
-        members = np.nonzero(x[i] > 0)[0]
-        if len(members):
-            h[i, members] = min(1.0, 1.0 / len(members))
+    """The hard placement of `choice` with the naive thirds split on each
+    chosen SBS and equal shares among each station's tasks."""
+    x, y, z = costs.hard_assignment(choice, scenario.n_sbs)
+    third = x * (scenario.c_array() / 3.0)[None, :]
+    hosted = x.sum(axis=1, keepdims=True)
+    h = np.where(x > 0, 1.0 / np.maximum(hosted, 1.0), 1.0)
     return Placement(x=x, y=y, z=z, c0=third, c1=third.copy(),
                      ci=third.copy(), h=h)

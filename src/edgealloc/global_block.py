@@ -31,6 +31,7 @@ INTERIOR_MARGIN = 1e-12
 ARMIJO_C1 = 1e-4
 STALL_T = 1e-12
 MAX_INNER = 25
+KKT_TOL = 1e-6
 # rounding puts a task's computed reach at most 2^-51 relative above its
 # exact value, and the line search's `inside` test never passes a trial
 # that is outside in exact arithmetic; shrinking the reach by more than
@@ -411,7 +412,7 @@ def exact_limit(problem: GlobalProblem, xi: float):
     return v, reduced, lam
 
 
-def solve_global(problem: GlobalProblem, tol: float = 1e-6):
+def solve_global(problem: GlobalProblem):
     """Damped Newton steps on the smoothed problem at barrier weight OMEGA
     and corner weight xi = min(XI_MAX, XI_CONVEXITY_FRACTION * rho), from
     the barrier's equilibrium around the exact limit.
@@ -427,8 +428,8 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
     fastest branch misses the deadline has no limit, and `interior_init`
     starts it at its fastest-branch corner.
     Up to MAX_INNER Newton steps follow, none for a task whose start meets
-    `tol`, and the point after each step is checked against `tol`, the last
-    one included.
+    KKT_TOL, and the point after each step is checked against KKT_TOL, the
+    last one included.
     A task whose line search stalls sits out the rest of the solve: its
     point does not move, so a retry would take the same step and stall
     again.
@@ -479,7 +480,7 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
         better = norm < best[0]
         for kept, now in zip(best, (norm, v, m)):
             np.copyto(kept, now, where=better)
-        active = (norm > tol) & ~stalled_any
+        active = (norm > KKT_TOL) & ~stalled_any
         if steps == MAX_INNER or not active.any():
             break
         hess_v, hess_m = hess_diag_smoothed(v, m, problem, OMEGA, xi, recip)
@@ -503,6 +504,6 @@ def solve_global(problem: GlobalProblem, tol: float = 1e-6):
         grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
     # the best norms are the KKT norms of the point returned
     final_norm, v, m = best
-    info = {"converged": final_norm <= tol, "kkt_norm": final_norm,
+    info = {"converged": final_norm <= KKT_TOL, "kkt_norm": final_norm,
             "newton_iterations": steps, "stalled": stalled_any}
     return v, m, info

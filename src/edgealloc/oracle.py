@@ -104,7 +104,8 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
     """Global minimum over every feasible hard assignment.
 
     A depth-first branch and bound over the tasks, branches in order, with
-    the bounds of `branch_bounds`; each tuple it reaches is priced by
+    the bounds of `branch_bounds` and no SBS hosting more than
+    `ScenarioConfig.max_per_sbs` tasks; each tuple it reaches is priced by
     `costs.price_tuple` and its utility re-evaluated through the placement
     pricer, so that solver and oracle are compared on identical terms.
     Instances above `max_tasks` tasks or `MAX_STATIONS` stations raise
@@ -117,7 +118,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
 
     weights_obj = weights if isinstance(weights, UtilityWeights) else UtilityWeights(weights)
     alpha = weights_obj.alpha
-    cap = int(np.floor(1.0 / scenario.config.h_min + 1e-9))
+    cap = scenario.config.max_per_sbs
 
     base_tables = costs.build_cost_tables(
         scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
@@ -149,7 +150,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
             if util < best_util and costs.check_feasibility(placement, scenario):
                 best_util = util
                 best_placement = placement
-                best_branches = [placement.branch_of(j) for j in range(n)]
+                best_branches = placement.branches()
             return
         for b in range(s + 2):
             if 0 < b <= s and hosted[b] == cap:
@@ -183,8 +184,7 @@ def compare(solver_placement: Placement, solver_utility: float,
     gap = ((solver_utility - oracle_result.utility)
            / max(abs(oracle_result.utility), 1e-300))
     feas = costs.check_feasibility(solver_placement, scenario)
-    solver_branches = [solver_placement.branch_of(j)
-                       for j in range(len(solver_placement.y))]
+    solver_branches = solver_placement.branches()
     agreement = sum(1 for a, b in zip(solver_branches, oracle_result.branch_table)
                     if a == b)
     return {

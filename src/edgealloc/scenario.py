@@ -277,6 +277,17 @@ class ScenarioConfig:
         """Noise in watts over the configured bandwidth (input is dBm/Hz)."""
         return 10 ** ((self.noise_dbm_per_hz - 30.0) / 10.0) * self.bandwidth
 
+    @property
+    def max_per_sbs(self) -> int:
+        """The most tasks one SBS can host: the largest k whose equal share
+        1/k is at least `h_min`, tested in floating point as the shares are
+        (a rounded 1 / h_min can be one more where h_min sits a hair above
+        1/k).  The pricer, rounding, the oracle and the baseline read it."""
+        k = int(1.0 / self.h_min) + 1
+        while 1.0 / k < self.h_min:
+            k -= 1
+        return k
+
 
 @dataclass(frozen=True)
 class Scenario:

@@ -1,5 +1,5 @@
-"""Print SHA-256 fingerprints of a source tree's solver and oracle outputs,
-or compare two trees' outputs instance by instance.
+"""Print SHA-256 fingerprints of a source tree's solver, oracle and
+experiment outputs, or compare two trees' outputs instance by instance.
 
     python tests/fingerprint.py [TREE]
     python tests/fingerprint.py --compare BASE [TREE]
@@ -8,7 +8,8 @@ TREE is a checkout of this repository; it defaults to the one holding
 this script.  Each instance runs in a child process with TREE/src first on
 its path: `edgealloc generate --config` writes the scenario, then
 `edgealloc solve --no-timing` solves it, or `edgealloc oracle` enumerates
-its optimum.  One line per output gives instance, output and digest:
+its optimum; the two experiment instances call `edgealloc.experiments`
+directly.  One line per output gives instance, output and digest:
 
 - `trace.csv` and `placement.json` as written;
 - `trace.utility`, the `iter` and `utility` columns of the trace alone;
@@ -20,10 +21,16 @@ its optimum.  One line per output gives instance, output and digest:
   six-task, two-station ones, loose and tight, where the oracle's pruning
   has the most tuples to skip, and a tight five-task, one-station one
   whose optimum holds a split that misses its deadline at an
-  intermediate share.
+  intermediate share;
+- `baseline.json`, `run_baseline` on criterion 10's five 20-task, 3-SBS
+  scenarios at seeds 0-99: every placement with its utility, or the
+  tasks a run names as it raises;
+- `profile.json`, the rows of `placement_profile` over criterion 11's
+  size sweep.
 
-That is 92 digests: five for each of the 17 solves in `SOLVES`, one for
-each of the 7 oracle instances.
+That is 94 digests: five for each of the 17 solves in `SOLVES`, one for
+each of the 7 oracle instances and one for each of the 2 experiment
+instances in `EXPERIMENTS`.
 
 Running it on two trees and diffing the outputs checks a claim that a
 change leaves these results byte-identical.  `--compare BASE` runs every
@@ -36,12 +43,12 @@ counts, both totals of Newton steps and of CBGP sweeps (BASE first in
 each), and over the iterations both traces have, the
 largest relative change of the `utility` and `primal_res` columns and the
 largest absolute change of `dual_res`, which sits near 0 once the
-iterates settle; for an oracle instance, whether `oracle.json` is
-byte-identical.  It exits 1 when any output of any instance moved and 0
+iterates settle; for an oracle or experiment instance, whether its one
+output is byte-identical.  It exits 1 when any output of any instance moved and 0
 when none did, so the exit status alone checks a bit-identity claim.
 
 It is not a test module, so pytest does not collect it.  A two-tree
-`--compare` of the whole set takes about 30 s on two cores.
+`--compare` of the whole set takes about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -92,6 +99,22 @@ ORACLES = {
 }
 
 
+# name -> (mode, arguments) of the experiment instances: criterion 10's
+# baseline scenarios and seeds, and criterion 11's placement profile
+EXPERIMENTS = {
+    "criterion10": ("baseline", {
+        "scenarios": [dict(n_tasks=20, n_sbs=3, seed=11, c_range=(size, size))
+                      for size in (5e3, 1e4, 1.5e4, 2e4, 2.5e4)],
+        "seeds": 100}),
+    "criterion11": ("profile", {
+        "scenario": dict(n_tasks=1, n_sbs=2, seed=3, t_max_range=(20.0, 20.0)),
+        "sizes": [1e4, 1e5, 1e6, 4e6, 2e7, 5e7, 9e7, 8e6],
+        "solver": dict(max_iter=80, cbgp_rounds=40)}),
+}
+# modes whose instance writes one output, `<mode>.json`
+ONE_OUTPUT = ("oracle", "baseline", "profile")
+
+
 def oracle_small_configs(n: int = 4) -> list:
     """The first n scenarios of the criterion-3 stream, as the
     `oracle_small` benchmark workload draws them."""
@@ -107,35 +130,57 @@ def oracle_small_configs(n: int = 4) -> list:
     return out
 
 
-# runs in the child: argv is src, scenario config JSON, mode, work dir
+# runs in the child: argv is src, scenario config (or experiment
+# arguments) JSON, mode, work dir
 CHILD = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
-from edgealloc import admm, cli
+from edgealloc import admm, cli, experiments
+from edgealloc.admm import SolverConfig
+from edgealloc.costs import UtilityWeights
+from edgealloc.errors import InfeasibleTaskError
+from edgealloc.scenario import ScenarioConfig, from_config, generate_scenario
 config, mode, work = json.loads(sys.argv[2]), sys.argv[3], sys.argv[4]
-path = os.path.join(work, "config.json")
-with open(path, "w") as fh:
-    json.dump(config, fh)
-scenario = os.path.join(work, "scenario.json")
-cli.main(["generate", "--config", path, "--out", scenario])
-if mode == "oracle":
-    cli.main(["oracle", "--scenario", scenario,
-              "--out", os.path.join(work, "oracle.json")])
+def write(name, doc):
+    with open(os.path.join(work, name), "w") as fh:
+        json.dump(doc, fh)
+if mode == "baseline":
+    runs = []
+    for fields in config["scenarios"]:
+        instance = generate_scenario(from_config(ScenarioConfig, fields, "scenario"))
+        for seed in range(config["seeds"]):
+            try:
+                placement, util = experiments.run_baseline(
+                    instance, UtilityWeights(0.5), seed)
+                runs.append({"utility": util, "placement": placement.to_dict()})
+            except InfeasibleTaskError as exc:
+                runs.append({"raised": exc.tasks})
+    write("baseline.json", runs)
+elif mode == "profile":
+    write("profile.json", experiments.placement_profile(
+        from_config(ScenarioConfig, config["scenario"], "scenario"),
+        config["sizes"], solver_config=SolverConfig(**config["solver"])))
 else:
-    traces = []
-    run = admm.run
-    def kept(*args, **kwargs):
-        placement, trace = run(*args, **kwargs)
-        traces.append(trace)
-        return placement, trace
-    admm.run = kept
-    cli.main(["solve", "--scenario", scenario, "--no-timing",
-              "--out", work] + json.loads(mode))
-    with open(os.path.join(work, "global_unconverged.json"), "w") as fh:
-        json.dump(traces[0].global_unconverged, fh)
-    with open(os.path.join(work, "counters.json"), "w") as fh:
-        json.dump({name: getattr(traces[0], name) for name in
-                   ("newton_steps", "cbgp_sweeps", "split_repairs")}, fh)
+    write("config.json", config)
+    scenario = os.path.join(work, "scenario.json")
+    cli.main(["generate", "--config", os.path.join(work, "config.json"),
+              "--out", scenario])
+    if mode == "oracle":
+        cli.main(["oracle", "--scenario", scenario,
+                  "--out", os.path.join(work, "oracle.json")])
+    else:
+        traces = []
+        run = admm.run
+        def kept(*args, **kwargs):
+            placement, trace = run(*args, **kwargs)
+            traces.append(trace)
+            return placement, trace
+        admm.run = kept
+        cli.main(["solve", "--scenario", scenario, "--no-timing",
+                  "--out", work] + json.loads(mode))
+        write("global_unconverged.json", traces[0].global_unconverged)
+        write("counters.json", {name: getattr(traces[0], name) for name in
+                                ("newton_steps", "cbgp_sweeps", "split_repairs")})
 """
 
 
@@ -148,8 +193,8 @@ def _outputs(work: str, mode: str) -> dict:
         with open(os.path.join(work, name), "rb") as fh:
             return fh.read()
 
-    if mode == "oracle":
-        return {"oracle.json": read("oracle.json")}
+    if mode in ONE_OUTPUT:
+        return {f"{mode}.json": read(f"{mode}.json")}
     trace = read("trace.csv")
     columns = b"\n".join(b",".join(line.split(b",")[:2])
                          for line in trace.splitlines())
@@ -165,6 +210,8 @@ def _jobs() -> list:
     jobs += [(f"oracle_small-{k}", config, "oracle")
              for k, config in enumerate(oracle_small_configs())]
     jobs += [(name, config, "oracle") for name, config in ORACLES.items()]
+    jobs += [(name, config, mode)
+             for name, (mode, config) in EXPERIMENTS.items()]
     return jobs
 
 
@@ -201,13 +248,14 @@ def compare(base: str, tree: str):
     TREE and a line saying what moved."""
     for name, config, mode in _jobs():
         old, new = _run(base, config, mode), _run(tree, config, mode)
-        if mode != "oracle":
+        if mode not in ONE_OUTPUT:
             old["placement.json"], new["placement.json"] = (
                 _rounded(out["placement.json"]) for out in (old, new))
         same = {key: "same" if old[key] == new[key] else "moved" for key in old}
         moved = old != new
-        if mode == "oracle":
-            yield moved, f"{name:18s} oracle.json {same['oracle.json']}"
+        if mode in ONE_OUTPUT:
+            output = f"{mode}.json"
+            yield moved, f"{name:18s} {output} {same[output]}"
             continue
         a, b = _trace_columns(old["trace.csv"]), _trace_columns(new["trace.csv"])
         work = [json.loads(out["counters"]) for out in (old, new)]

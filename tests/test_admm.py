@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from edgealloc import admm, costs, oracle
-from edgealloc.admm import (ConsensusState, SolverConfig, Trace, TraceRecord,
-                            dual_update, init_state, residuals,
-                            round_to_feasible, run)
+from edgealloc.admm import (SolverConfig, Trace, TraceRecord, dual_update,
+                            init_state, residuals, round_to_feasible, run)
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
-from edgealloc.local_blocks import CbgpVars
 from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
 from lagrangian_rise import lagrangian_rises
 from lattice_split import lattice_split, split_cost
@@ -117,31 +115,33 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
 def test_round_to_feasible_dominant_coordinate():
     state, scen = _blank_state(1, 1)
     state.v[:, 0] = [0.05, 0.05, 0.9]  # SBS, macro, terminal
-    placement = round_to_feasible(state, scen, SolverConfig())
+    placement = round_to_feasible(state.v, scen, 0.5)
     assert placement.z[0] == 1.0
 
 
 def test_round_to_feasible_tie_prefers_terminal_then_sbs():
     state, scen = _blank_state(1, 1)
     state.v[:, 0] = [0.0, 0.5, 0.5]
-    placement = round_to_feasible(state, scen, SolverConfig())
+    placement = round_to_feasible(state.v, scen, 0.5)
     assert placement.z[0] == 1.0
 
     state.v[:, 0] = [0.5, 0.5, 0.0]
-    placement = round_to_feasible(state, scen, SolverConfig())
+    placement = round_to_feasible(state.v, scen, 0.5)
     assert placement.x[0, 0] == 1.0
 
 
-def test_round_to_feasible_demotes_over_capacity_tasks():
+# at either floor at most two tasks fit on a station; just above 1/3 an
+# equal three-way share misses the floor by about 1e-12
+@pytest.mark.parametrize("h_min", [0.4, 1.0 / 3.0 + 1e-12],
+                         ids=["0.4", "third+1e-12"])
+def test_round_to_feasible_demotes_over_capacity_tasks(h_min):
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
-                                            h_min=0.4))  # at most 2 fit
-    state = init_state(scen, SolverConfig())
-    state.v[:] = np.array([0.9, 0.05, 0.05])[:, None]
+                                            h_min=h_min))
+    v = np.array([0.9, 0.05, 0.05])[:, None].repeat(3, axis=1)
     # middle task has the weakest margin
-    state.v[:2, 1] = [0.5, 0.4]
-    placement = round_to_feasible(state, scen, SolverConfig())
-    assert placement.x.sum() == 2.0
-    assert placement.y[1] == 1.0
+    v[:2, 1] = [0.5, 0.4]
+    placement = round_to_feasible(v, scen, 0.5)
+    assert placement.branches() == ["sbs1", "mbs", "sbs1"]
     assert costs.check_feasibility(placement, scen).ok
 
 
@@ -151,7 +151,7 @@ def test_round_to_feasible_promotes_deadline_violator():
                                             t_max_range=(0.01, 0.01)))
     state = init_state(scen, SolverConfig())
     state.v[:, 0] = [0.0, 1.0]  # macro, terminal
-    placement = round_to_feasible(state, scen, SolverConfig())
+    placement = round_to_feasible(state.v, scen, 0.5)
     assert placement.y[0] == 1.0
     assert costs.check_feasibility(placement, scen).ok
 
@@ -161,41 +161,27 @@ def test_round_to_feasible_raises_when_nothing_fits():
                                             t_max_range=(1e-9, 1e-9)))
     state = init_state(scen, SolverConfig())
     with pytest.raises(InfeasibleTaskError) as err:
-        round_to_feasible(state, scen, SolverConfig())
+        round_to_feasible(state.v, scen, 0.5)
     assert err.value.tasks == [0]
 
 
-def _relaxed_state(scen, v, c1, r):
-    zero = np.zeros_like(c1)
-    split = CbgpVars.start(v[:len(c1)].copy(), zero.copy(), zero, c1,
-                           zero.copy())
-    return ConsensusState(v=v, v_hat=v.copy(), dual=np.zeros_like(v),
-                          split=split, r=r, rho=1.0)
-
-
 def _random_relaxed_case(rng):
-    """A small scenario, loose or (70%) tight, and a relaxed state with
-    simplex rows, random shares and forwarded parts that are often zero or
-    small, so that rounding prices splits against a light relay."""
+    """A small scenario, loose or (70%) tight, and a relaxed global
+    iterate with simplex rows."""
     n, s = int(rng.integers(2, 9)), int(rng.integers(1, 4))
     config = dict(n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 10**6)))
     if rng.uniform() < 0.7:
         config["t_max_range"] = (0.02, 0.08)
     scen = generate_scenario(ScenarioConfig(**config))
-    v = rng.dirichlet(np.full(s + 2, 0.5), size=n).T.copy()
-    c1 = rng.uniform(0, 1, (s, n)) * scen.c_array()[None, :]
-    c1[rng.uniform(size=(s, n)) < 0.5] = 0.0
-    c1 *= rng.choice([0.0, 0.01, 0.1, 1.0])
-    r = rng.uniform(1.0, 1.0 / scen.config.h_min, (s, n))
-    return scen, _relaxed_state(scen, v, c1, r)
+    return scen, rng.dirichlet(np.full(s + 2, 0.5), size=n).T.copy()
 
 
 def test_round_to_feasible_returns_feasible_placement_or_raises():
-    # no state here raises; pricing on tables frozen at the dominant choice
+    # no iterate here raises; pricing on tables frozen at the dominant choice
     # raised on k = 128 (5 tasks, 1 SBS, task 0)
     for k in range(300):
-        scen, state = _random_relaxed_case(np.random.default_rng([0, k]))
-        placement = round_to_feasible(state, scen, SolverConfig())
+        scen, v = _random_relaxed_case(np.random.default_rng([0, k]))
+        placement = round_to_feasible(v, scen, 0.5)
         report = costs.check_feasibility(placement, scen)
         assert report.ok, (k, report.violations)
 
@@ -210,8 +196,7 @@ def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
     v = np.array([[0.50, 0.39, 0.11],   # one task per row: SBS, macro,
                   [0.09, 0.25, 0.66],   # terminal
                   [0.55, 0.09, 0.36]]).T.copy()
-    state = _relaxed_state(scen, v, np.zeros((1, 3)), np.ones((1, 3)))
-    placement = round_to_feasible(state, scen, SolverConfig())
+    placement = round_to_feasible(v, scen, 0.5)
     assert costs.check_feasibility(placement, scen).ok
     assert [placement.branch_of(j) for j in range(3)] == ["sbs1", "mbs", "sbs1"]
     util = costs.utility(placement, scen, UtilityWeights(0.5))
@@ -228,7 +213,7 @@ def test_round_to_feasible_names_every_task_on_an_over_budget_station(
     monkeypatch.setattr(costs, "floored_proportions",
                         lambda raw, floor: dict.fromkeys(raw, 1.0))
     with pytest.raises(InfeasibleTaskError) as err:
-        round_to_feasible(state, scen, SolverConfig())
+        round_to_feasible(state.v, scen, 0.5)
     assert err.value.tasks == [0, 2]
 
 
@@ -255,7 +240,7 @@ def _slow_exact_branches(h_min, late_t_max=None):
 def test_round_to_feasible_promotes_to_first_open_sbs(h_min, branch):
     # at h_min 0.5 SBS 1 holds its two tasks and is full
     scen, state = _slow_exact_branches(h_min)
-    placement = round_to_feasible(state, scen, SolverConfig())
+    placement = round_to_feasible(state.v, scen, 0.5)
     assert [placement.branch_of(j) for j in range(3)] == ["sbs1", "sbs1", branch]
     assert costs.check_feasibility(placement, scen).ok
 
@@ -263,7 +248,7 @@ def test_round_to_feasible_promotes_to_first_open_sbs(h_min, branch):
 def test_round_to_feasible_names_a_task_no_sbs_can_take():
     scen, state = _slow_exact_branches(0.05, late_t_max=1e-6)
     with pytest.raises(InfeasibleTaskError) as err:
-        round_to_feasible(state, scen, SolverConfig())
+        round_to_feasible(state.v, scen, 0.5)
     assert err.value.tasks == [2]
 
 
@@ -276,14 +261,14 @@ def test_round_to_feasible_names_a_promoted_task_that_misses_again(
     state.v[:] = np.array([0.05, 0.05, 0.9])[:, None]
     check = costs.check_feasibility
 
-    def late(placement, scenario, tol=1e-9):
-        report = check(placement, scenario, tol)
+    def late(placement, scenario):
+        report = check(placement, scenario)
         report.deadline_ok[0] = False
         return report
 
     monkeypatch.setattr(costs, "check_feasibility", late)
     with pytest.raises(InfeasibleTaskError) as err:
-        round_to_feasible(state, scen, SolverConfig())
+        round_to_feasible(state.v, scen, 0.5)
     assert err.value.tasks == [0]
 
 

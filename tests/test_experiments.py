@@ -3,15 +3,15 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import edgealloc
-from edgealloc import cli, costs
+from edgealloc import admm, cli, costs
 from edgealloc.admm import SolverConfig
-from edgealloc.costs import UtilityWeights
+from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
 from edgealloc.experiments import (ExperimentSpec, apply_axis,
                                    oracle_gap_study, placement_profile,
@@ -106,7 +106,6 @@ def test_run_experiment_layout_and_summary(tmp_path):
 def test_sweep_records_infeasible_points_and_raises_other_errors(tmp_path, monkeypatch):
     # a point whose rounding finds no feasible placement becomes a NaN row
     # and the sweep goes on; any other error is a fault and propagates
-    from edgealloc import admm
     solve = admm.run
 
     def run(scenario, config):
@@ -143,7 +142,6 @@ def test_summary_utility_matches_cost_model(tmp_path):
         axis="alpha", values=[0.5], outdir=str(tmp_path / "out"),
         solver=SolverConfig(max_iter=20, cbgp_rounds=10, record_timing=False))
     rows = run_experiment(spec)
-    from edgealloc import admm
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=8))
     placement, _ = admm.run(scen, SolverConfig(max_iter=20, cbgp_rounds=10,
                                                alpha=0.5, record_timing=False))
@@ -187,7 +185,6 @@ def test_baseline_raises_when_no_branch_meets_the_deadline():
 
 
 def test_baseline_mean_dominated_by_solver(small_scenario):
-    from edgealloc import admm
     placement, _ = admm.run(small_scenario,
                             SolverConfig(max_iter=40, cbgp_rounds=20))
     solver_util = costs.utility(placement, small_scenario, UtilityWeights(0.5))
@@ -207,7 +204,6 @@ def test_larger_step_reaches_plateau_no_later():
                 return start
         return len(u)
 
-    from edgealloc import admm
     starts = {}
     for rho in (1.0, 1.2):
         cfg = SolverConfig(rho=rho, max_iter=80, cbgp_rounds=25,
@@ -215,6 +211,160 @@ def test_larger_step_reaches_plateau_no_later():
         _, trace = admm.run(scen, cfg)
         starts[rho] = plateau_start(trace.utilities())
     assert starts[1.2] <= starts[1.0]
+
+
+# -- referees of the array rewrite ---------------------------------------------
+
+def _reference_run_baseline(scenario, weights, seed):
+    """`run_baseline` as it was before it read the one-hot arrays: each
+    branch checked alone by a per-task closure of scalar `split_price`
+    calls, capacity overflows demoted station by station, at
+    floor(1 / h_min + 1e-9) tasks per station."""
+    rng = np.random.default_rng(seed)
+    s, n = scenario.n_sbs, scenario.n_tasks
+    t_max = scenario.t_max_array()
+    h_min = scenario.config.h_min
+    cap = int(np.floor(1.0 / h_min + 1e-9))
+
+    tables = costs.build_cost_tables(scenario, weights.alpha,
+                                     np.zeros((s, n)), np.zeros((s, n)))
+    c = scenario.c_array()
+
+    def standalone_ok(branch, j):
+        if branch == 0:
+            return tables.t_local[j] <= t_max[j]
+        if branch == s + 1:
+            return tables.t_mbs[j] <= t_max[j]
+        i = branch - 1
+        third = c[j] / 3.0
+        delay, _ = tables.split_price(third, third, c[j] - third - third, 1.0,
+                                      i, j)
+        return delay <= t_max[j]
+
+    feasible_sets = []
+    for j in range(n):
+        branches = [b for b in range(s + 2) if standalone_ok(b, j)]
+        if not branches:
+            branches = [int(np.argmin(
+                [tables.t_local[j]] + [np.inf] * s + [tables.t_mbs[j]]))]
+        feasible_sets.append(branches)
+
+    choice = np.array([rng.choice(feasible_sets[j]) for j in range(n)])
+
+    for _ in range(5):
+        for i in range(s):
+            members = np.nonzero(choice == i + 1)[0]
+            if len(members) > cap:
+                for j in members[cap:]:
+                    choice[j] = (s + 1 if (s + 1) in feasible_sets[j]
+                                 else feasible_sets[j][0])
+        placement = _reference_assemble_baseline(scenario, choice)
+        report = costs.check_feasibility(placement, scenario)
+        if report.ok:
+            break
+        violated = {j for kind, j in report.violations if kind == "deadline"}
+        if not violated:
+            break
+        for j in violated:
+            others = [b for b in feasible_sets[j] if b != choice[j]]
+            choice[j] = rng.choice(others) if others else feasible_sets[j][0]
+    else:
+        placement = _reference_assemble_baseline(scenario, choice)
+        late = ~costs.check_feasibility(placement, scenario).deadline_ok
+        choice[late] = np.where(tables.t_local <= tables.t_mbs, 0, s + 1)[late]
+        placement = _reference_assemble_baseline(scenario, choice)
+        report = costs.check_feasibility(placement, scenario)
+    if not report.ok:
+        raise InfeasibleTaskError(np.flatnonzero(~report.deadline_ok).tolist())
+    return placement, costs.utility(placement, scenario, weights)
+
+
+def _reference_assemble_baseline(scenario, choice):
+    """`_assemble_baseline` with its station loop for the shares."""
+    s, n = scenario.n_sbs, scenario.n_tasks
+    c = scenario.c_array()
+    x, y, z = costs.hard_assignment(choice, s)
+    third = x * (c / 3.0)[None, :]
+    h = np.ones((s, n))
+    for i in range(s):
+        members = np.nonzero(x[i] > 0)[0]
+        if len(members):
+            h[i, members] = min(1.0, 1.0 / len(members))
+    return Placement(x=x, y=y, z=z, c0=third, c1=third.copy(),
+                     ci=third.copy(), h=h)
+
+
+def _reference_placement_profile(scenario_config, sizes, solver_config):
+    """`placement_profile` as it was: each task's branch label parsed back
+    to find its station and split."""
+    rows = []
+    for size in sizes:
+        cfg = replace(scenario_config, c_range=(float(size), float(size)))
+        scenario = generate_scenario(cfg)
+        placement, _ = admm.run(scenario, solver_config)
+        n = scenario.n_tasks
+        branches = [placement.branch_of(j) for j in range(n)]
+        frac_local = np.zeros(n)
+        frac_mbs = np.zeros(n)
+        frac_sbs = np.zeros(n)
+        for j, b in enumerate(branches):
+            if b == "local":
+                frac_local[j] = 1.0
+            elif b == "mbs":
+                frac_mbs[j] = 1.0
+            else:
+                i = int(b[3:]) - 1
+                c = scenario.tasks[j].c
+                frac_local[j] = placement.c0[i, j] / c
+                frac_mbs[j] = placement.c1[i, j] / c
+                frac_sbs[j] = placement.ci[i, j] / c
+        rows.append({"size": float(size),
+                     "branches": branches,
+                     "frac_local": float(frac_local.mean()),
+                     "frac_mbs": float(frac_mbs.mean()),
+                     "frac_sbs": float(frac_sbs.mean())})
+    return rows
+
+
+def _baseline_outcome(scenario, seed, baseline):
+    """The placement's arrays and utility, or the tasks named as raised."""
+    try:
+        placement, util = baseline(scenario, UtilityWeights(0.5), seed)
+    except InfeasibleTaskError as exc:
+        return exc.tasks
+    return [getattr(placement, f.name).tobytes() for f in fields(placement)], util
+
+
+def test_run_baseline_matches_reference():
+    # 0-4 SBSs; loose and tight deadlines, a range where some tasks meet
+    # their deadline nowhere, so raised task lists are compared too, and
+    # tight ones with a slow macro station, whose over-capacity tasks fall
+    # to their first feasible branch; floors of 20, 3 and 2 tasks per station
+    variants = [dict(), dict(t_max_range=(0.02, 0.08)),
+                dict(t_max_range=(0.001, 0.01)),
+                dict(t_max_range=(0.02, 0.08), f_mbs=1e9)]
+    raised = 0
+    for k in range(60):
+        rng = np.random.default_rng([38, k])
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=int(rng.integers(4, 16)), n_sbs=k % 5,
+            seed=int(rng.integers(0, 10**6)), h_min=(0.05, 0.3, 0.5)[k // 20],
+            **variants[k // 5 % 4]))
+        for seed in range(8):
+            got = _baseline_outcome(scen, seed, run_baseline)
+            assert got == _baseline_outcome(scen, seed,
+                                            _reference_run_baseline), (k, seed)
+            raised += isinstance(got, list)
+    assert raised > 0
+
+
+def test_placement_profile_matches_reference():
+    profile_cfg = ScenarioConfig(n_tasks=1, n_sbs=2, seed=3,
+                                 t_max_range=(20.0, 20.0))
+    solver_cfg = SolverConfig(max_iter=80, cbgp_rounds=40)
+    sizes = [1e4, 1e5, 1e6, 4e6, 2e7, 5e7, 9e7, 8e6]  # criterion 11's
+    assert (placement_profile(profile_cfg, sizes, solver_config=solver_cfg)
+            == _reference_placement_profile(profile_cfg, sizes, solver_cfg))
 
 
 def test_placement_profile_reports_branch_and_fractions():

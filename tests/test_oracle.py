@@ -46,6 +46,19 @@ def test_capacity_limits_station_occupancy():
     assert on_sbs <= 1
 
 
+@pytest.mark.parametrize("h_min", [0.4, 1.0 / 3.0 + 1e-12],
+                         ids=["0.4", "third+1e-12"])
+def test_enumerate_optimum_skips_tuples_over_station_capacity(h_min):
+    # at most two tasks fit on the station at either floor.  As at the
+    # default floor the bound prunes every tuple with a macro branch, and
+    # of the 2**3 tuples left the one with all three tasks on the station
+    # is skipped, not priced
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
+                                            h_min=h_min))
+    result = enumerate_optimum(scen, UtilityWeights(0.5))
+    assert result.n_priced == 2**3 - 1
+
+
 def test_size_guard():
     scen = generate_scenario(ScenarioConfig(n_tasks=7, n_sbs=1, seed=0))
     with pytest.raises(InstanceTooLargeError):

@@ -55,6 +55,16 @@ def test_invalid_range_raises_configuration_error():
         ScenarioConfig(h_min=0.0)
 
 
+@pytest.mark.parametrize("h_min, hosted", [
+    (0.05, 20), (0.4, 2), (0.5, 2), (0.5 + 5e-13, 1), (1.0 / 3.0, 3),
+    (1.0, 1)])
+def test_max_per_sbs_is_the_pricers_equal_share_test(h_min, hosted):
+    config = ScenarioConfig(h_min=h_min)
+    assert config.max_per_sbs == hosted
+    # the largest count whose equal share keeps the floor
+    assert min(1.0, 1.0 / hosted) >= h_min > 1.0 / (hosted + 1)
+
+
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: Task(id=3, c=1e4, t_max=0.0, u=1.0),
                  r"task 3: c, t_max, u must be positive", id="task"),
