@@ -89,8 +89,7 @@ def init_state(scenario: Scenario, config: SolverConfig) -> ConsensusState:
     thirds splits, full resource share."""
     s, n = scenario.n_sbs, scenario.n_tasks
     share = 1.0 / (s + 2)
-    c = scenario.c_array()
-    third = np.tile(c / 3.0, (s, 1)) if s else np.zeros((0, n))
+    third = np.tile(scenario.pricing.c / 3.0, (s, 1))
     v = np.full((s + 2, n), share)
     split = local_blocks.CbgpVars.start(
         v[:s].copy(), np.full((s, n), share), third.copy(), third.copy(),
@@ -190,14 +189,13 @@ def augmented_lagrangian(state: ConsensusState, tables: CostTables,
 
 
 def _relaxed_placement(state: ConsensusState) -> Placement:
+    """The relaxed state as a placement of views into it, to be priced
+    before the state moves on; `run` keeps each r in [1, 1 / h_min]."""
     sp = state.split
     s = sp.c0.shape[0]
-    with np.errstate(divide="ignore"):
-        h = np.where(state.r > 0, 1.0 / state.r, 1.0)
-    h = np.broadcast_to(h, sp.c0.shape).copy()
-    return Placement(x=state.v[:s].copy(), y=state.v[s].copy(),
-                     z=state.v[s + 1].copy(), c0=sp.c0.copy(),
-                     c1=sp.c1.copy(), ci=sp.ci.copy(), h=h)
+    return Placement(x=state.v[:s], y=state.v[s], z=state.v[s + 1],
+                     c0=sp.c0, c1=sp.c1, ci=sp.ci,
+                     h=np.broadcast_to(1.0 / state.r, sp.c0.shape))
 
 
 def _trace_utility(state: ConsensusState, scenario: Scenario,
@@ -372,9 +370,9 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
     and say whether one was found.  The terminal and macro delays are j's
     own and move no other task, so j takes the faster of the two that
     meets the deadline, ties to the terminal.  Only when neither does is
-    each SBS hosting fewer than `cap` tasks tried, in index order: the
-    first where repricing the whole tuple with j on it meets j's deadline
-    is kept."""
+    each SBS hosting fewer than `cap` tasks tried: the whole tuple with j
+    on it is repriced, and of the SBSs where it meets j's deadline j takes
+    the one whose tuple has the least utility, ties to the lower index."""
     s = scenario.n_sbs
     pc = scenario.pricing
     exact = [(delay, b) for delay, b in ((pc.t_local[j], 0),
@@ -384,14 +382,16 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
         choice[j] = min(exact)[1]
         return True
     hosted = np.bincount(choice[choice > 0], minlength=s + 2)[1:s + 1]
+    weights = UtilityWeights(alpha)
+    priced = []
     for i in np.flatnonzero(hosted < cap):
         choice[j] = i + 1
         placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
         if (placement is not None
                 and costs.check_feasibility(placement, scenario).deadline_ok[j]):
-            return True
-    choice[j] = -1
-    return False
+            priced.append((costs.utility(placement, scenario, weights), i + 1))
+    choice[j] = min(priced)[1] if priced else -1
+    return bool(priced)
 
 
 def round_to_feasible(v: np.ndarray, scenario: Scenario,
@@ -404,8 +404,8 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
     deadline there (named by the pricer, on an overdue terminal or macro
     branch, or overdue in the priced placement) is promoted by `_promote`:
     to its faster terminal or macro branch that meets the deadline, else
-    to the first open SBS where the repriced tuple meets it.  The tuple is
-    priced again until no task misses.
+    to the open SBS where the repriced tuple meets it at the least
+    utility.  The tuple is priced again until no task misses.
 
     The result passes `costs.check_feasibility`; otherwise
     `InfeasibleTaskError` names the violating tasks: those with no feasible

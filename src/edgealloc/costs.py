@@ -1,16 +1,16 @@
 """Delay and energy pricing of allocations, and the weighted utility.
 
-The vectorized `CostTables` bundle prices every branch, with congestion
-and interference frozen at the moment the tables are built;
-`CostTables.split_price` is the one pricer of the split branch, at the
-resource shares each caller passes.  What pricing
-needs from the scenario alone -- per-task vectors, SBS radio and compute
-constants and the relay incidence -- is the read-only `PricingConstants`
-bundle that each scenario builds once, on first use, as
-`Scenario.pricing`; every other function here is pure.  `best_splits` is
-the one split optimizer, which the solver's repairs also call, and
-`price_tuple` the one pricer of a hard branch tuple, which rounding and
-the oracle share.
+What pricing needs from the scenario alone -- per-task vectors, SBS
+radio and compute constants, the smallest share and the relay incidence
+-- is the read-only `PricingConstants` bundle that each scenario builds
+once, on first use, as `Scenario.pricing`.  `CostTables` extends it,
+sharing every one of its arrays, with the coefficients that depend on
+alpha or on the congestion and interference frozen when the tables are
+built; `CostTables.split_price` is the one pricer of the split branch, at
+the resource shares each caller passes.  Every other function here is
+pure.  `best_splits` is the one split optimizer, which the solver's
+repairs also call, and `price_tuple` the one pricer of a hard branch
+tuple, which rounding and the oracle share.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class PricingConstants:
 
     Built once per scenario, on first use, as `Scenario.pricing`.  The
     arrays are read-only because every `CostTables` built from the
-    scenario shares them.  Per-task vectors are (n,); SBS power and
-    bandwidth are (s, 1) columns; `gain_s`, `u_over_fs` and `e_sbs` are
-    (s, n).
+    scenario shares them.  Per-task vectors are (n,) and per-(SBS, task)
+    arrays (s, n); `power` and `bandwidth` hold one value per SBS, as
+    broadcast views.  `h_min` is the smallest resource share.
     """
 
     c: np.ndarray
@@ -178,6 +178,7 @@ class PricingConstants:
     u_over_fs: np.ndarray
     e_sbs: np.ndarray
     relay: RelayIncidence
+    h_min: float
 
     @classmethod
     def of(cls, scenario: Scenario) -> "PricingConstants":
@@ -192,8 +193,11 @@ class PricingConstants:
         rate_m = np.maximum(mbs.bandwidth * np.log2(1.0 + snr_m), _TINY_RATE)
         uplink = c / rate_m
 
-        def column(attr):
-            return np.array([getattr(st, attr) for st in sbs]).reshape(-1, 1)
+        gain_s = scenario.channel.gain[1:, :]
+
+        def per_sbs(attr):
+            return np.broadcast_to(
+                np.array([getattr(st, attr) for st in sbs])[:, None], gain_s.shape)
 
         arrays = dict(
             c=c, u=u, t_max=scenario.t_max_array(),
@@ -202,37 +206,32 @@ class PricingConstants:
             e_mbs_task=dev.tx_power * uplink + c * u * mbs.e_cycle,
             d_c0=u / dev.f_local, d_mbs_exec=u / mbs.f,
             e_c0=u * dev.e_local, e_mbs_exec=u * mbs.e_cycle,
-            gain_s=scenario.channel.gain[1:, :],
-            power=column("tx_power_density"), bandwidth=column("bandwidth"),
-            u_over_fs=u[None, :] / column("f"), e_sbs=u[None, :] * column("e_cycle"),
+            gain_s=gain_s,
+            power=per_sbs("tx_power_density"), bandwidth=per_sbs("bandwidth"),
+            u_over_fs=u[None, :] / per_sbs("f"), e_sbs=u[None, :] * per_sbs("e_cycle"),
         )
         return cls(**{k: _read_only(v) for k, v in arrays.items()},
-                   relay=RelayIncidence.of(scenario))
+                   relay=RelayIncidence.of(scenario), h_min=scenario.config.h_min)
 
 
 # -- vectorized pricing ------------------------------------------------------
 
-def interference_matrix(x: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Co-channel interference seen at each SBS for each task's upload,
-    weighted by the current (possibly fractional) SBS assignments of the
-    other tasks on the other cells."""
-    pc = scenario.pricing
-    other_cell_mass = x.sum(axis=0)[None, :] - x
-    w = pc.gain_s * other_cell_mass
-    return pc.power * (w.sum(axis=1, keepdims=True) - w)
-
-
 def sbs_rate_matrix(x: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Shannon rate of each (SBS, task) upload under frozen interference."""
+    """Shannon rate of each (SBS, task) upload under co-channel
+    interference frozen at the current (possibly fractional) SBS
+    assignments x of the other tasks on the other cells."""
     pc = scenario.pricing
-    interf = interference_matrix(x, scenario)
+    w = pc.gain_s * (x.sum(axis=0)[None, :] - x)
+    interf = pc.power * (w.sum(axis=1, keepdims=True) - w)
     snr = pc.power * pc.gain_s / (scenario.channel.noise_power + interf)
     return np.maximum(pc.bandwidth * np.log2(1.0 + snr), _TINY_RATE)
 
 
-@dataclass
-class CostTables:
-    """Per-branch pricing coefficients with congestion state frozen.
+@dataclass(frozen=True, eq=False)
+class CostTables(PricingConstants):
+    """The scenario's `PricingConstants`, shared, plus the per-branch
+    coefficients that depend on alpha or on the congestion state frozen
+    when the tables were built.
 
     Wired relay delay for pair (i, j) is the quadratic
     w2 * c1^2 + w1 * c1 + w0, valid around the frozen loads; it is charged
@@ -241,28 +240,14 @@ class CostTables:
     """
 
     alpha: float
-    c: np.ndarray
-    u: np.ndarray
-    t_max: np.ndarray
-    t_local: np.ndarray
-    e_local_task: np.ndarray
-    t_mbs: np.ndarray
-    e_mbs_task: np.ndarray
     k_local: np.ndarray
     k_mbs: np.ndarray
     rate: np.ndarray
-    d_c0: np.ndarray
-    d_mbs_exec: np.ndarray
-    u_over_fs: np.ndarray
-    e_c0: np.ndarray
     e_up: np.ndarray
-    e_sbs: np.ndarray
-    e_mbs_exec: np.ndarray
     w2: np.ndarray
     w1: np.ndarray
     w0: np.ndarray
     transfer_coef: np.ndarray
-    h_min: float
 
     def split_price(self, c0, c1, ci, r, i=slice(None), j=slice(None)):
         """(delay, energy) of the split branch: the terminal runs c0, the
@@ -434,8 +419,7 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     in one `best_splits` call.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    h_min = scenario.config.h_min
-    t_max = scenario.pricing.t_max
+    h_min, t_max = scenario.pricing.h_min, scenario.pricing.t_max
     hard_x, y, z = hard_assignment(choice, s)
     c0, c1, ci = np.zeros((s, n)), np.zeros((s, n)), np.zeros((s, n))
     h = np.ones((s, n))
@@ -490,26 +474,15 @@ def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
     them per call."""
     pc = scenario.pricing
     rate = sbs_rate_matrix(x_weight, scenario)
-
     w2, w1, w0 = pc.relay.wired_coefficients(x_weight, c1_frozen)
     wired_frozen = wired_delay(w2, w1, w0, c1_frozen)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        transfer_coef = np.where(
-            pc.c[None, :] > 0,
-            scenario.channel.offload_power_sbs_mbs * wired_frozen / pc.c[None, :], 0.0)
-
     return CostTables(
-        alpha=alpha, c=pc.c, u=pc.u, t_max=pc.t_max,
-        t_local=pc.t_local, e_local_task=pc.e_local_task,
-        t_mbs=pc.t_mbs, e_mbs_task=pc.e_mbs_task,
+        **vars(pc), alpha=alpha,
         k_local=alpha * pc.t_local + (1.0 - alpha) * pc.e_local_task,
         k_mbs=alpha * pc.t_mbs + (1.0 - alpha) * pc.e_mbs_task,
-        rate=rate, d_c0=pc.d_c0, d_mbs_exec=pc.d_mbs_exec,
-        u_over_fs=pc.u_over_fs,
-        e_c0=pc.e_c0, e_up=scenario.device.tx_power / rate,
-        e_sbs=pc.e_sbs, e_mbs_exec=pc.e_mbs_exec,
-        w2=w2, w1=w1, w0=w0, transfer_coef=transfer_coef,
-        h_min=scenario.config.h_min,
+        rate=rate, e_up=scenario.device.tx_power / rate, w2=w2, w1=w1, w0=w0,
+        transfer_coef=(scenario.channel.offload_power_sbs_mbs * wired_frozen
+                       / pc.c[None, :]),
     )
 
 
@@ -559,7 +532,7 @@ def check_feasibility(placement: Placement, scenario: Scenario) -> FeasibilityRe
     deadline, per-SBS resource budget, and one branch per task."""
     tol = 1e-9  # relative and absolute slack of every check
     delay, _ = placement_costs(placement, scenario)
-    t_max = scenario.t_max_array()
+    t_max = scenario.pricing.t_max
     deadline_ok = delay <= t_max * (1.0 + tol) + tol
 
     shares = (placement.h * placement.x).sum(axis=1) if scenario.n_sbs else np.zeros(0)

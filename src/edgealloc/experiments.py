@@ -153,7 +153,7 @@ def placement_profile(scenario_config: ScenarioConfig, sizes,
         cfg = replace(scenario_config, c_range=(float(size), float(size)))
         scenario = generate_scenario(cfg)
         p, _ = admm.run(scenario, solver_config)
-        c = scenario.c_array()
+        c = scenario.pricing.c
         frac_local = p.z + (p.x * p.c0).sum(axis=0) / c
         frac_mbs = p.y + (p.x * p.c1).sum(axis=0) / c
         frac_sbs = (p.x * p.ci).sum(axis=0) / c
@@ -271,7 +271,7 @@ def _assemble_baseline(scenario: Scenario, choice: np.ndarray) -> Placement:
     """The hard placement of `choice` with the naive thirds split on each
     chosen SBS and equal shares among each station's tasks."""
     x, y, z = costs.hard_assignment(choice, scenario.n_sbs)
-    third = x * (scenario.c_array() / 3.0)[None, :]
+    third = x * (scenario.pricing.c / 3.0)[None, :]
     hosted = x.sum(axis=1, keepdims=True)
     h = np.where(x > 0, 1.0 / np.maximum(hosted, 1.0), 1.0)
     return Placement(x=x, y=y, z=z, c0=third, c1=third.copy(),

@@ -7,7 +7,8 @@ forwards through SBS i crosses that station's one relay route to the MBS,
 so the graph holds one route per SBS, shared by every task.  Scenarios
 are immutable after generation and serialize to a JSON document so that
 solver and oracle consume byte-identical inputs; loading rejects a
-document whose routes do not match its stations and graph.
+document whose stations are not one MBS followed by SBSs, or whose
+routes do not match its stations and graph.
 """
 
 from __future__ import annotations
@@ -357,12 +358,21 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         """Read a `to_dict` document; raise ConfigurationError when the keys
         of its config, a task, a station, the device, the channel or a
-        graph element are not exactly that entry's fields."""
+        graph element are not exactly that entry's fields, or when the
+        stations are not one MBS followed by SBSs."""
         config = _build(ScenarioConfig, doc["config"], "scenario config")
         tasks = tuple(_build(Task, d, f"task {k}")
                       for k, d in enumerate(doc["tasks"]))
         stations = tuple(_build(Station, d, f"station {k}")
                          for k, d in enumerate(doc["stations"]))
+        # pricing reads the roles by position: the MBS first, then the SBSs
+        if not stations:
+            raise ConfigurationError("no stations; the first must be the MBS")
+        for k, st in enumerate(stations):
+            if st.kind != (SBS if k else MBS):
+                raise ConfigurationError(
+                    f"station {st.id}: kind {st.kind} at position {k}; "
+                    f"stations are one MBS followed by SBSs")
         device = _build(LocalDevice, doc["device"], "device")
         ch = doc["channel"]
         _check_keys("channel", ch, (f.name for f in fields(ChannelMatrix)))
@@ -371,8 +381,8 @@ class Scenario:
             noise_power=ch["noise_power"],
             offload_power_sbs_mbs=ch["offload_power_sbs_mbs"],
         )
-        graph = NetworkGraph.from_dict(
-            doc["graph"], [st.id for st in stations if st.kind == SBS])
+        graph = NetworkGraph.from_dict(doc["graph"],
+                                       [st.id for st in stations[1:]])
         return cls(config=config, tasks=tasks, stations=stations, device=device,
                    channel=channel, graph=graph,
                    task_positions=np.asarray(doc["task_positions"], dtype=float))

@@ -44,8 +44,10 @@ each), and over the iterations both traces have, the
 largest relative change of the `utility` and `primal_res` columns and the
 largest absolute change of `dual_res`, which sits near 0 once the
 iterates settle; for an oracle or experiment instance, whether its one
-output is byte-identical.  It exits 1 when any output of any instance moved and 0
-when none did, so the exit status alone checks a bit-identity claim.
+output is byte-identical.  It ends with the line count of each tree's
+`src` Python files and the difference, TREE minus BASE.  It exits 1 when
+any output of any instance moved and 0 when none did, so the exit status
+alone checks a bit-identity claim.
 
 It is not a test module, so pytest does not collect it.  A two-tree
 `--compare` of the whole set takes about 40 s on two cores.
@@ -276,14 +278,28 @@ def compare(base: str, tree: str):
                       f"dual_res {change[:, 2].max(initial=0.0):.2g}")
 
 
+def src_lines(tree: str) -> int:
+    """Lines of the Python files under TREE/src."""
+    total = 0
+    for root, _, names in os.walk(os.path.join(tree, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if argv and argv[0] == "--compare":
+        base, tree = argv[1], argv[2] if len(argv) > 2 else here
         status = 0
-        for moved, line in compare(argv[1], argv[2] if len(argv) > 2 else here):
+        for moved, line in compare(base, tree):
             print(line, flush=True)
             status |= moved
+        old, new = src_lines(base), src_lines(tree)
+        print(f"src lines {old} -> {new} ({new - old:+d})")
         return status
     for name, output, digest in fingerprint(argv[0] if argv else here):
         print(f"{name:18s} {output:18s} {digest}", flush=True)

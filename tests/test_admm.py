@@ -236,9 +236,11 @@ def _slow_exact_branches(h_min, late_t_max=None):
     return scen, state
 
 
-@pytest.mark.parametrize("h_min, branch", [(0.05, "sbs1"), (0.5, "sbs2")])
-def test_round_to_feasible_promotes_to_first_open_sbs(h_min, branch):
-    # at h_min 0.5 SBS 1 holds its two tasks and is full
+@pytest.mark.parametrize("h_min, branch", [(0.05, "sbs2"), (0.5, "sbs2")])
+def test_round_to_feasible_promotes_to_cheapest_open_sbs(h_min, branch):
+    # at h_min 0.05 task 2 meets its deadline on either SBS and the tuple
+    # costs less with it on SBS 2; at h_min 0.5 SBS 1 holds its two tasks
+    # and is full
     scen, state = _slow_exact_branches(h_min)
     placement = round_to_feasible(state.v, scen, 0.5)
     assert [placement.branch_of(j) for j in range(3)] == ["sbs1", "sbs1", branch]

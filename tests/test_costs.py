@@ -358,9 +358,27 @@ def test_pricing_is_lazy_and_survives_json_round_trip():
     a = costs.build_cost_tables(scen, 0.4, x, c1)
     b = costs.build_cost_tables(copy, 0.4, x, c1)
     assert scen.pricing is scen.pricing
-    for name in costs.CostTables.__dataclass_fields__:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # each scenario builds its own relay incidence, so its arrays are compared
+    for one, other in ((a, b), (a.relay, b.relay)):
+        for f in dataclasses.fields(one):
+            if f.name != "relay":
+                assert np.array_equal(getattr(one, f.name),
+                                      getattr(other, f.name)), f.name
     assert scen.to_json() == doc
+
+
+def test_cost_tables_share_the_scenarios_constants():
+    scen = generate_scenario(ScenarioConfig(n_tasks=5, n_sbs=3, seed=4))
+    x, c1 = _random_state(scen, np.random.default_rng(4))
+    tables = costs.build_cost_tables(scen, 0.3, x, c1)
+    for f in dataclasses.fields(costs.PricingConstants):
+        assert getattr(tables, f.name) is getattr(scen.pricing, f.name), f.name
+    for f in dataclasses.fields(tables):
+        value = getattr(tables, f.name)
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            assert value.shape == (3, 5), f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tables, f.name, value)
 
 
 def test_price_tuple_names_first_task_of_an_over_capacity_station():

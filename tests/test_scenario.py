@@ -176,6 +176,38 @@ def test_malformed_relay_routes_rejected_at_load(small_scenario, defect, message
         Scenario.from_dict(doc)
 
 
+def _swapped_roles(doc):
+    # the route of station 1 moves with its kind, so the routes still match
+    doc["stations"][0]["kind"], doc["stations"][1]["kind"] = "SBS", "MBS"
+    doc["graph"]["relay_routes"][0]["sbs"] = 0
+
+
+def _second_mbs(doc):
+    doc["stations"][2]["kind"] = "MBS"
+    del doc["graph"]["relay_routes"][1]
+
+
+def _no_stations(doc):
+    doc["stations"], doc["graph"]["relay_routes"] = [], []
+
+
+MISPLACED_ROLES = [
+    (_swapped_roles, "station 0: kind SBS at position 0"),
+    (_second_mbs, "station 2: kind MBS at position 2"),
+    (_no_stations, "no stations"),
+]
+
+
+@pytest.mark.parametrize("defect, message", MISPLACED_ROLES,
+                         ids=[d.__name__.strip("_") for d, _ in MISPLACED_ROLES])
+def test_station_roles_rejected_at_load(small_scenario, defect, message):
+    # pricing reads the MBS and the SBSs by position
+    doc = small_scenario.to_dict()
+    defect(doc)
+    with pytest.raises(ConfigurationError, match=message):
+        Scenario.from_dict(doc)
+
+
 def test_config_keys_must_match_the_config_fields(small_scenario):
     # a missing key would otherwise load as its default without a word
     doc = small_scenario.to_dict()
