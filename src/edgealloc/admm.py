@@ -285,13 +285,11 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             sweeps = len(history) - 1
             state.v_hat[:s] = split.x_hat
 
-        state.v_hat[s] = local_blocks.solve_bit_branch(
-            tables.k_mbs / cost_scale, state.v[s], state.dual[s],
-            config.rho, feasible=tables.t_mbs <= tables.t_max)
-        state.v_hat[s + 1] = local_blocks.solve_bit_branch(
-            tables.k_local / cost_scale, state.v[s + 1],
-            state.dual[s + 1], config.rho,
-            feasible=tables.t_local <= tables.t_max)
+        for row, k, delay in ((s, tables.k_mbs, tables.t_mbs),
+                              (s + 1, tables.k_local, tables.t_local)):
+            state.v_hat[row] = local_blocks.solve_bit_branch(
+                k / cost_scale, state.v[row], state.dual[row], config.rho,
+                feasible=costs.meets_deadline(delay, tables.t_max))
 
         repairs = 0
         price_in = (tables, state.r, split.c0, split.c1, split.ci)
@@ -301,7 +299,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             # into the coupled block would cap its assignment against a
             # fictitious branch, so such splits are projected onto the
             # deadline-feasible cost optimum at the frozen share
-            overdue = np.argwhere(t3 > tables.t_max[None, :] * (1 + 1e-12))
+            overdue = np.argwhere(~costs.meets_deadline(t3, tables.t_max))
             if len(overdue):
                 i, j = overdue.T
                 c0, c1, _, ok = costs.best_splits(tables, i, j,
@@ -369,15 +367,16 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
     """Move unplaced task j (choice -1) to a branch that meets its deadline
     and say whether one was found.  The terminal and macro delays are j's
     own and move no other task, so j takes the faster of the two that
-    meets the deadline, ties to the terminal.  Only when neither does is
-    each SBS hosting fewer than `cap` tasks tried: the whole tuple with j
-    on it is repriced, and of the SBSs where it meets j's deadline j takes
-    the one whose tuple has the least utility, ties to the lower index."""
+    `costs.meets_deadline` admits, ties to the terminal.  Only when neither
+    does is each SBS hosting fewer than `cap` tasks tried: the whole tuple
+    with j on it is repriced, and of the SBSs where it meets j's deadline j
+    takes the one whose tuple has the least utility, ties to the lower
+    index."""
     s = scenario.n_sbs
     pc = scenario.pricing
     exact = [(delay, b) for delay, b in ((pc.t_local[j], 0),
                                          (pc.t_mbs[j], s + 1))
-             if delay <= pc.t_max[j]]
+             if costs.meets_deadline(delay, pc.t_max[j])]
     if exact:
         choice[j] = min(exact)[1]
         return True
@@ -401,11 +400,12 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
     prefer terminal, then SBS, then MBS), and the weakest-margin tasks over
     `ScenarioConfig.max_per_sbs` on an SBS are demoted to the MBS.  The
     tuple is priced by `costs.price_tuple`; every task that misses its
-    deadline there (named by the pricer, on an overdue terminal or macro
-    branch, or overdue in the priced placement) is promoted by `_promote`:
-    to its faster terminal or macro branch that meets the deadline, else
-    to the open SBS where the repriced tuple meets it at the least
-    utility.  The tuple is priced again until no task misses.
+    deadline there (named by the pricer, on a terminal or macro branch
+    `costs.meets_deadline` refuses, or late in the priced placement by
+    `costs.check_feasibility`) is promoted by `_promote`: to its faster
+    terminal or macro branch that meets the deadline, else to the open SBS
+    where the repriced tuple meets it at the least utility.  The tuple is
+    priced again until no task misses.
 
     The result passes `costs.check_feasibility`; otherwise
     `InfeasibleTaskError` names the violating tasks: those with no feasible
@@ -429,12 +429,12 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
                 choice[weakest[: len(members) - cap]] = s + 1
 
     pc = scenario.pricing
+    late = ~costs.meets_deadline(np.vstack([pc.t_local, pc.t_mbs]), pc.t_max)
     memo = {}
     promoted = np.zeros(n, dtype=bool)
     while True:
         placement, named = costs.price_tuple(scenario, alpha, choice, memo)
-        miss = (((choice == 0) & (pc.t_local > pc.t_max))
-                | ((choice == s + 1) & (pc.t_mbs > pc.t_max)))
+        miss = ((choice == 0) & late[0]) | ((choice == s + 1) & late[1])
         if placement is None:
             miss[named] = True
         else:

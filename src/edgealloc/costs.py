@@ -11,6 +11,12 @@ the resource shares each caller passes.  Every other function here is
 pure.  `best_splits` is the one split optimizer, which the solver's
 repairs also call, and `price_tuple` the one pricer of a hard branch
 tuple, which rounding and the oracle share.
+
+Two deadline rules: `meets_deadline` is the one test of every branch or
+split that the solver, rounding, the oracle or the baseline chooses, and
+`check_feasibility` the one check of a placement, whose 1e-9 slack admits
+every delay `meets_deadline` does.  The global block's comparisons with
+`t_max` stay exact: they locate the relaxed deadline row, not a delay.
 """
 
 from __future__ import annotations
@@ -67,6 +73,12 @@ class Placement:
     def branch_of(self, task_index: int) -> str:
         """Task `task_index`'s label in `branches`."""
         return self.branches()[task_index]
+
+
+def meets_deadline(delay, t_max):
+    """Whether a priced delay meets its deadline, up to the rounding of
+    the split optimizer's closed-form candidates."""
+    return delay <= t_max * (1.0 + 1e-12) + 1e-15
 
 
 def hard_assignment(choice, n_sbs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,7 +174,6 @@ class PricingConstants:
     """
 
     c: np.ndarray
-    u: np.ndarray
     t_max: np.ndarray
     t_local: np.ndarray
     e_local_task: np.ndarray
@@ -200,7 +211,7 @@ class PricingConstants:
                 np.array([getattr(st, attr) for st in sbs])[:, None], gain_s.shape)
 
         arrays = dict(
-            c=c, u=u, t_max=scenario.t_max_array(),
+            c=c, t_max=scenario.t_max_array(),
             t_local=c * u / dev.f_local, e_local_task=c * u * dev.e_local,
             t_mbs=uplink + c * u / mbs.f,
             e_mbs_task=dev.tx_power * uplink + c * u * mbs.e_cycle,
@@ -367,7 +378,7 @@ def _price_splits(tables: CostTables, i, j, h):
     c1a = np.minimum(c1a, c - c0a)
     delay, energy = tables.split_price(c0a, c1a, c - c0a - c1a, r, i, j)
     cost = a * delay + (1.0 - a) * energy
-    feas = keep & (delay <= t_max * (1.0 + 1e-12) + 1e-15)
+    feas = keep & meets_deadline(delay, t_max)
     # argmin takes the first minimum, so ties go to the earlier candidate
     k = np.argmin(np.where(feas, cost, np.inf), axis=1)[:, None]
     feasible = feas.any(axis=1)
@@ -415,19 +426,19 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     intermediate share is weighted as if the SBS ran all of it.  A second
     sweep reprices the relay with the first one's forwarded parts, when it
     forwarded any.  `memo` keeps each split search by every input that can
-    change for a fixed scenario and alpha; each station's misses are priced
-    in one `best_splits` call.
+    change for a fixed scenario and alpha (j fixes `t_max[j]`, the rate
+    `e_up`); each station's misses are priced in one `best_splits` call.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    h_min, t_max = scenario.pricing.h_min, scenario.pricing.t_max
+    h_min = scenario.pricing.h_min
     hard_x, y, z = hard_assignment(choice, s)
     c0, c1, ci = np.zeros((s, n)), np.zeros((s, n)), np.zeros((s, n))
     h = np.ones((s, n))
 
     def splits(tables, i, members, shares):
-        keys = [(i, j, shares[j], t_max[j], tables.rate[i, j],
-                 tables.e_up[i, j], tables.w2[i, j], tables.w1[i, j],
-                 tables.w0[i, j], tables.transfer_coef[i, j]) for j in members]
+        keys = [(i, j, shares[j], tables.rate[i, j], tables.w2[i, j],
+                 tables.w1[i, j], tables.w0[i, j], tables.transfer_coef[i, j])
+                for j in members]
         new = [key for key in keys if key not in memo]
         if new:
             found = best_splits(tables, np.full(len(new), i),
@@ -519,8 +530,6 @@ def utility(placement: Placement, scenario: Scenario,
 class FeasibilityReport:
     ok: bool
     deadline_ok: np.ndarray
-    capacity_ok: np.ndarray
-    assignment_ok: np.ndarray
     violations: list
 
     def __bool__(self):
@@ -534,20 +543,11 @@ def check_feasibility(placement: Placement, scenario: Scenario) -> FeasibilityRe
     delay, _ = placement_costs(placement, scenario)
     t_max = scenario.pricing.t_max
     deadline_ok = delay <= t_max * (1.0 + tol) + tol
-
     shares = (placement.h * placement.x).sum(axis=1) if scenario.n_sbs else np.zeros(0)
-    capacity_ok = shares <= 1.0 + tol
-
     mass = placement.x.sum(axis=0) + placement.y + placement.z
-    assignment_ok = np.abs(mass - 1.0) <= tol
-
-    violations = []
-    for j in np.nonzero(~deadline_ok)[0]:
-        violations.append(("deadline", int(j)))
-    for i in np.nonzero(~capacity_ok)[0]:
-        violations.append(("capacity", int(i)))
-    for j in np.nonzero(~assignment_ok)[0]:
-        violations.append(("assignment", int(j)))
+    checks = (("deadline", deadline_ok), ("capacity", shares <= 1.0 + tol),
+              ("assignment", np.abs(mass - 1.0) <= tol))
+    violations = [(kind, int(k)) for kind, ok in checks
+                  for k in np.flatnonzero(~ok)]
     return FeasibilityReport(ok=not violations, deadline_ok=deadline_ok,
-                             capacity_ok=capacity_ok, assignment_ok=assignment_ok,
                              violations=violations)

@@ -71,20 +71,20 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     tuple, columns in branch order: terminal, SBS 1..s, macro.
 
     The terminal and macro columns are `k_local` and `k_mbs`, or +inf where
-    the branch misses the deadline; `base_tables` must be the tables with
-    no SBS task.  SBS i's column is the cheapest deadline-feasible split at
-    h = 1, or +inf where none exists, on tables with row i of x all ones
-    and nothing forwarded: station i then sees no interference, which
-    comes from the other cells, and no relay base load.  A tuple only adds
-    interference, relay load and co-hosted sharing, and at a fixed split
-    each of them only raises the delay and the cost, so a split that misses
-    its deadline alone misses it in every tuple.
+    `costs.meets_deadline` refuses the branch; `base_tables` must be the
+    tables with no SBS task.  SBS i's column is the cheapest
+    deadline-feasible split at h = 1, or +inf where none exists, on tables
+    with row i of x all ones and nothing forwarded: station i then sees no
+    interference, which comes from the other cells, and no relay base load.
+    A tuple only adds interference, relay load and co-hosted sharing, and
+    at a fixed split each of them only raises the delay and the cost, so a
+    split that misses its deadline alone misses it in every tuple.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
     t = base_tables
     bound = np.empty((n, s + 2))
-    bound[:, 0] = np.where(t.t_local > t.t_max, np.inf, t.k_local)
-    bound[:, s + 1] = np.where(t.t_mbs > t.t_max, np.inf, t.k_mbs)
+    for b, delay, k in ((0, t.t_local, t.k_local), (s + 1, t.t_mbs, t.k_mbs)):
+        bound[:, b] = np.where(costs.meets_deadline(delay, t.t_max), k, np.inf)
     tasks, whole = np.arange(n), np.ones(n)
     for i in range(s):
         x = np.zeros((s, n))
@@ -116,8 +116,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
         raise InstanceTooLargeError(
             f"oracle search capped at {max_tasks} tasks / {MAX_STATIONS} stations")
 
-    weights_obj = weights if isinstance(weights, UtilityWeights) else UtilityWeights(weights)
-    alpha = weights_obj.alpha
+    alpha = weights.alpha
     cap = scenario.config.max_per_sbs
 
     base_tables = costs.build_cost_tables(
@@ -144,7 +143,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
             placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
             if placement is None:
                 return
-            util = costs.utility(placement, scenario, weights_obj)
+            util = costs.utility(placement, scenario, weights)
             # only a tuple that would improve the best needs its
             # feasibility check
             if util < best_util and costs.check_feasibility(placement, scenario):

@@ -8,8 +8,9 @@ TREE is a checkout of this repository; it defaults to the one holding
 this script.  Each instance runs in a child process with TREE/src first on
 its path: `edgealloc generate --config` writes the scenario, then
 `edgealloc solve --no-timing` solves it, or `edgealloc oracle` enumerates
-its optimum; the two experiment instances call `edgealloc.experiments`
-directly.  One line per output gives instance, output and digest:
+its optimum; the experiment instances call `edgealloc.experiments` or
+`edgealloc.admm` directly.  One line per output gives instance, output
+and digest:
 
 - `trace.csv` and `placement.json` as written;
 - `trace.utility`, the `iter` and `utility` columns of the trace alone;
@@ -26,10 +27,14 @@ directly.  One line per output gives instance, output and digest:
   scenarios at seeds 0-99: every placement with its utility, or the
   tasks a run names as it raises;
 - `profile.json`, the rows of `placement_profile` over criterion 11's
-  size sweep.
+  size sweep;
+- `solves.json`, `admm.run` on the four `oracle_small` scenarios at that
+  workload's solver settings (120 iterations, 30 CBGP rounds, no
+  timing): each solve's trace CSV, placement and work counters, or the
+  tasks its rounding names as it raises.
 
-That is 94 digests: five for each of the 17 solves in `SOLVES`, one for
-each of the 7 oracle instances and one for each of the 2 experiment
+That is 95 digests: five for each of the 17 solves in `SOLVES`, one for
+each of the 7 oracle instances and one for each of the 3 experiment
 instances in `EXPERIMENTS`.
 
 Running it on two trees and diffing the outputs checks a claim that a
@@ -101,22 +106,6 @@ ORACLES = {
 }
 
 
-# name -> (mode, arguments) of the experiment instances: criterion 10's
-# baseline scenarios and seeds, and criterion 11's placement profile
-EXPERIMENTS = {
-    "criterion10": ("baseline", {
-        "scenarios": [dict(n_tasks=20, n_sbs=3, seed=11, c_range=(size, size))
-                      for size in (5e3, 1e4, 1.5e4, 2e4, 2.5e4)],
-        "seeds": 100}),
-    "criterion11": ("profile", {
-        "scenario": dict(n_tasks=1, n_sbs=2, seed=3, t_max_range=(20.0, 20.0)),
-        "sizes": [1e4, 1e5, 1e6, 4e6, 2e7, 5e7, 9e7, 8e6],
-        "solver": dict(max_iter=80, cbgp_rounds=40)}),
-}
-# modes whose instance writes one output, `<mode>.json`
-ONE_OUTPUT = ("oracle", "baseline", "profile")
-
-
 def oracle_small_configs(n: int = 4) -> list:
     """The first n scenarios of the criterion-3 stream, as the
     `oracle_small` benchmark workload draws them."""
@@ -132,6 +121,27 @@ def oracle_small_configs(n: int = 4) -> list:
     return out
 
 
+# name -> (mode, arguments) of the experiment instances: criterion 10's
+# baseline scenarios and seeds, criterion 11's placement profile, and the
+# solves of the `oracle_small` workload, whose solver settings the CLI
+# cannot set
+EXPERIMENTS = {
+    "criterion10": ("baseline", {
+        "scenarios": [dict(n_tasks=20, n_sbs=3, seed=11, c_range=(size, size))
+                      for size in (5e3, 1e4, 1.5e4, 2e4, 2.5e4)],
+        "seeds": 100}),
+    "criterion11": ("profile", {
+        "scenario": dict(n_tasks=1, n_sbs=2, seed=3, t_max_range=(20.0, 20.0)),
+        "sizes": [1e4, 1e5, 1e6, 4e6, 2e7, 5e7, 9e7, 8e6],
+        "solver": dict(max_iter=80, cbgp_rounds=40)}),
+    "oracle_small-solves": ("solves", {
+        "scenarios": oracle_small_configs(4),
+        "solver": dict(max_iter=120, cbgp_rounds=30, record_timing=False)}),
+}
+# modes whose instance writes one output, `<mode>.json`
+ONE_OUTPUT = ("oracle", "baseline", "profile", "solves")
+
+
 # runs in the child: argv is src, scenario config (or experiment
 # arguments) JSON, mode, work dir
 CHILD = """
@@ -143,10 +153,23 @@ from edgealloc.costs import UtilityWeights
 from edgealloc.errors import InfeasibleTaskError
 from edgealloc.scenario import ScenarioConfig, from_config, generate_scenario
 config, mode, work = json.loads(sys.argv[2]), sys.argv[3], sys.argv[4]
+COUNTERS = ("newton_steps", "cbgp_sweeps", "split_repairs")
 def write(name, doc):
     with open(os.path.join(work, name), "w") as fh:
         json.dump(doc, fh)
-if mode == "baseline":
+if mode == "solves":
+    runs = []
+    for fields in config["scenarios"]:
+        instance = generate_scenario(from_config(ScenarioConfig, fields, "scenario"))
+        try:
+            placement, trace = admm.run(instance, SolverConfig(**config["solver"]))
+        except InfeasibleTaskError as exc:
+            runs.append({"raised": exc.tasks})
+            continue
+        runs.append({"trace": trace.to_csv(), "placement": placement.to_dict(),
+                     **{name: getattr(trace, name) for name in COUNTERS}})
+    write("solves.json", runs)
+elif mode == "baseline":
     runs = []
     for fields in config["scenarios"]:
         instance = generate_scenario(from_config(ScenarioConfig, fields, "scenario"))
@@ -181,8 +204,8 @@ else:
         cli.main(["solve", "--scenario", scenario, "--no-timing",
                   "--out", work] + json.loads(mode))
         write("global_unconverged.json", traces[0].global_unconverged)
-        write("counters.json", {name: getattr(traces[0], name) for name in
-                                ("newton_steps", "cbgp_sweeps", "split_repairs")})
+        write("counters.json", {name: getattr(traces[0], name)
+                                for name in COUNTERS})
 """
 
 

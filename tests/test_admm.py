@@ -186,6 +186,40 @@ def test_round_to_feasible_returns_feasible_placement_or_raises():
         assert report.ok, (k, report.violations)
 
 
+# deadline and data-size regimes of the small random instances
+REGIMES = {"tight": dict(t_max_range=(0.02, 0.08)), "loose": {},
+           "mixed": dict(c_range=(4e6, 2e7))}
+
+
+def test_round_to_feasible_chooses_by_the_deadline_rule():
+    # any relaxed iterate rounds to a placement that passes the checking
+    # rule, or raises; every terminal or macro branch it keeps meets the
+    # choosing rule
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), s=st.integers(0, 2),
+           seed=st.integers(0, 100000), regime=st.sampled_from(sorted(REGIMES)),
+           alpha=st.floats(0.0, 1.0), draw=st.integers(0, 2**32 - 1))
+    def check(n, s, seed, regime, alpha, draw):
+        scen = generate_scenario(ScenarioConfig(n_tasks=n, n_sbs=s, seed=seed,
+                                                **REGIMES[regime]))
+        v = np.random.default_rng(draw).dirichlet(np.full(s + 2, 0.5),
+                                                  size=n).T.copy()
+        try:
+            placement = round_to_feasible(v, scen, alpha)
+        except InfeasibleTaskError:
+            return
+        assert costs.check_feasibility(placement, scen).ok
+        pc = scen.pricing
+        exact = placement.z + placement.y > 0
+        delay = placement.z * pc.t_local + placement.y * pc.t_mbs
+        assert costs.meets_deadline(delay, pc.t_max)[exact].all()
+
+    check()
+
+
 def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
     # task 1 misses its deadline on the terminal and is promoted.  Its
     # macro branch meets the deadline, so it goes there and no SBS is

@@ -334,7 +334,7 @@ def test_shared_pricing_arrays_are_read_only():
     pricing = scen.pricing
     shared = [v for v in vars(pricing).values() if isinstance(v, np.ndarray)]
     shared += [v for v in vars(pricing.relay).values() if isinstance(v, np.ndarray)]
-    assert len(shared) == 22
+    assert len(shared) == 21
     for arr in shared:
         with pytest.raises(ValueError):
             arr[...] = 0

@@ -5,12 +5,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from edgealloc import costs, oracle
+from edgealloc import admm, costs, oracle
 from edgealloc.costs import floored_proportions
 from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import InstanceTooLargeError
 from edgealloc.oracle import compare, enumerate_optimum
-from edgealloc.scenario import ScenarioConfig, generate_scenario
+from edgealloc.scenario import Scenario, ScenarioConfig, generate_scenario
 from lattice_split import lattice_split, split_cost
 
 
@@ -35,6 +35,34 @@ def test_deadline_forces_macro_station():
     result = enumerate_optimum(scen, UtilityWeights(0.5))
     assert result.feasible
     assert result.branch_table == ["mbs"]
+
+
+def test_terminal_within_the_deadline_rule_is_chosen_everywhere():
+    # task 0's deadline sits 1e-13 below its terminal delay, inside
+    # `meets_deadline`'s slack, so the oracle's bound, the oracle and the
+    # solver's rounding all take the terminal.  A strict comparison refused
+    # it while the split optimizer admitted c0 = c, so both put the task
+    # "on sbs1" with every cycle run on the terminal anyway
+    doc = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=3)).to_dict()
+    base = Scenario.from_dict(doc)
+    doc["tasks"][0]["t_max"] = float(base.pricing.t_local[0] * (1 - 1e-13))
+    scen = Scenario.from_dict(doc)
+    tables = costs.build_cost_tables(scen, 0.5, np.zeros((1, 2)),
+                                     np.zeros((1, 2)))
+    assert oracle.branch_bounds(scen, tables)[0, 0] == tables.k_local[0]
+    assert enumerate_optimum(scen, UtilityWeights(0.5)).branch_table[0] == "local"
+    placement, _ = admm.run(scen, admm.SolverConfig())
+    assert placement.branches()[0] == "local"
+
+
+@pytest.mark.parametrize("t_max", [1e-300, 0.02, 1.0, 25.0, 1e6])
+def test_meets_deadline_at_its_boundary_floats(t_max):
+    edge = t_max * (1.0 + 1e-12) + 1e-15
+    assert costs.meets_deadline(edge, t_max)
+    assert not costs.meets_deadline(np.nextafter(edge, np.inf), t_max)
+    delays = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    assert costs.meets_deadline(delays, np.full(3, t_max)).tolist() == [
+        True, True, False]
 
 
 def test_capacity_limits_station_occupancy():
@@ -288,10 +316,12 @@ def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split,
         n_enumerated += 1
         ok = True
         for j, b in enumerate(tup):
-            if b == 0 and base_tables.t_local[j] > t_max[j]:
+            if b == 0 and not costs.meets_deadline(base_tables.t_local[j],
+                                                   t_max[j]):
                 ok = False
                 break
-            if b == s + 1 and base_tables.t_mbs[j] > t_max[j]:
+            if b == s + 1 and not costs.meets_deadline(base_tables.t_mbs[j],
+                                                       t_max[j]):
                 ok = False
                 break
         if not ok:
