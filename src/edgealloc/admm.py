@@ -302,14 +302,14 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             overdue = np.argwhere(~costs.meets_deadline(t3, tables.t_max))
             if len(overdue):
                 i, j = overdue.T
-                c0, c1, _, ok = costs.best_splits(tables, i, j,
-                                                  1.0 / state.r[i, 0])
-                i, j, c0, c1 = i[ok], j[ok], c0[ok], c1[ok]
+                c0, c1, ci, _, _, ok = costs.best_splits(tables, i, j,
+                                                         1.0 / state.r[i, 0])
+                i, j = i[ok], j[ok]
                 # fresh arrays, so no phase's key changes under it
                 split.c0, split.c1, split.ci = (
                     split.c0.copy(), split.c1.copy(), split.ci.copy())
-                split.c0[i, j], split.c1[i, j] = c0, c1
-                split.ci[i, j] = tables.c[j] - c0 - c1
+                split.c0[i, j], split.c1[i, j], split.ci[i, j] = (
+                    c0[ok], c1[ok], ci[ok])
                 repairs = int(ok.sum())
                 t3, _ = tables.split_price(split.c0, split.c1, split.ci,
                                            state.r)

@@ -8,9 +8,9 @@ sharing every one of its arrays, with the coefficients that depend on
 alpha or on the congestion and interference frozen when the tables are
 built; `CostTables.split_price` is the one pricer of the split branch, at
 the resource shares each caller passes.  Every other function here is
-pure.  `best_splits` is the one split optimizer, which the solver's
-repairs also call, and `price_tuple` the one pricer of a hard branch
-tuple, which rounding and the oracle share.
+pure.  `best_splits` is the one split optimizer, whose record is the
+whole optimum its callers read, and `price_tuple` the one pricer of a
+hard branch tuple, which rounding and the oracle share.
 
 Two deadline rules: `meets_deadline` is the one test of every branch or
 split that the solver, rounding, the oracle or the baseline chooses, and
@@ -299,10 +299,11 @@ def best_splits(tables: CostTables, i, j, h):
     the forwarded part, so each constrained optimum is one of finitely
     many analytic candidates: simplex corners, the two stationary
     forwarded parts (free and along the full-offload edge), the points
-    where the deadline binds, and the fastest split.  Returns the arrays
-    (c0, c1, delay, feasible); rows whose fastest split misses the
-    deadline are infeasible and hold NaN.  Rows are independent, so they
-    are priced in blocks of `SPLIT_BLOCK_ROWS`.
+    where the deadline binds, and the fastest split.  Returns the record
+    (c0, c1, ci, delay, cost, feasible) of each chosen split as priced;
+    rows whose fastest split misses the deadline are infeasible and hold
+    NaN.  Rows are independent, so they are priced in blocks of
+    `SPLIT_BLOCK_ROWS`.
     """
     b = SPLIT_BLOCK_ROWS
     parts = [_price_splits(tables, i[k:k + b], j[k:k + b], h[k:k + b])
@@ -330,16 +331,13 @@ def _price_splits(tables: CostTables, i, j, h):
     k_c1 = (a * d1 + (1.0 - a) * (tables.transfer_coef[i, j]
                                   + tables.e_mbs_exec[j] - tables.e_sbs[i, j]))
     curved, tilted = w2 > 0, q != 0
-    nan = np.full(c.shape, np.nan)
 
+    # at alpha = 0 or w2 = 0 some divide by zero, and isfinite drops them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c1_cands = [np.zeros(c.shape), c]
-        if a > 0:
-            c1_cands.append(-k_c1 / (2.0 * a * w2))          # free stationary
-            c1_cands.append((k_c0 - k_c1) / (2.0 * a * w2))  # along c0 = c - c1
-        else:
-            c1_cands += [nan, nan]
-        c1_cands.append(-d1 / (2.0 * w2))                    # fastest forwarded part
+        c1_cands = [np.zeros(c.shape), c,
+                    -k_c1 / (2.0 * a * w2),          # free stationary
+                    (k_c0 - k_c1) / (2.0 * a * w2),  # along c0 = c - c1
+                    -d1 / (2.0 * w2)]                # fastest forwarded part
         ab = w2 * (a - k_c0 / q)
         bb = k_c1 - k_c0 * d1 / q
         # along the deadline face
@@ -350,7 +348,6 @@ def _price_splits(tables: CostTables, i, j, h):
             root = np.where(disc >= 0, np.sqrt(disc), np.nan)
             c1_cands.append((-shift - root) / (2.0 * w2))
             c1_cands.append((-shift + root) / (2.0 * w2))
-        c1_cands[2:] = [np.where(curved, v, np.nan) for v in c1_cands[2:]]
 
         c0_cols, c1_cols = [], []
         for c1 in c1_cands:
@@ -384,7 +381,9 @@ def _price_splits(tables: CostTables, i, j, h):
     feasible = feas.any(axis=1)
     pick = lambda m: np.where(feasible, np.take_along_axis(m, k, axis=1)[:, 0],
                               np.nan)
-    return pick(c0a), pick(c1a), pick(delay), feasible
+    c0, c1 = pick(c0a), pick(c1a)
+    # ci by the candidates' own subtraction, on the chosen parts alone
+    return c0, c1, c[:, 0] - c0 - c1, pick(delay), pick(cost), feasible
 
 
 def floored_proportions(raw: dict, floor: float) -> dict:
@@ -444,8 +443,8 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
             found = best_splits(tables, np.full(len(new), i),
                                 np.array([key[1] for key in new]),
                                 np.array([key[2] for key in new]))
-            for key, a, b, _, ok in zip(new, *found):
-                memo[key] = (a, b) if ok else None
+            for key, a, b, c, _, _, ok in zip(new, *found):
+                memo[key] = (a, b, c) if ok else None
         return [memo[key] for key in keys]
 
     stations = [np.flatnonzero(row).tolist() for row in hard_x]
@@ -462,16 +461,14 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
             for _ in range(2 if len(members) > 1 else 0):
                 weights = {}
                 for j, split in zip(members, splits(tables, i, members, shares)):
-                    cij = (tables.c[j] if split is None
-                           else tables.c[j] - split[0] - split[1])
+                    cij = tables.c[j] if split is None else split[2]
                     weights[j] = float(np.sqrt(max(
                         tables.alpha * tables.u_over_fs[i, j] * cij, 1e-30)))
                 shares = floored_proportions(weights, h_min)
             for j, split in zip(members, splits(tables, i, members, shares)):
                 if split is None:
                     return None, j
-                c0[i, j], c1[i, j] = split
-                ci[i, j] = tables.c[j] - split[0] - split[1]
+                c0[i, j], c1[i, j], ci[i, j] = split
                 h[i, j] = shares[j]
     return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h), None
 
@@ -498,14 +495,17 @@ def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
 
 
 def placement_costs(placement: Placement, scenario: Scenario,
-                    alpha: float = 0.5, tables: CostTables | None = None
+                    tables: CostTables | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-task (delay, energy) totals weighted by the assignment values,
     with congestion and interference consistent with the placement itself.
     `tables`, when given, must be `build_cost_tables`' at the placement's
-    x and c1; the SBSs run at the placement's shares h."""
+    x and c1; the SBSs run at the placement's shares h.  Delay and energy
+    read no coefficient that depends on alpha, so tables built here take
+    the default weights' alpha."""
     if tables is None:
-        tables = build_cost_tables(scenario, alpha, placement.x, placement.c1)
+        tables = build_cost_tables(scenario, UtilityWeights().alpha,
+                                   placement.x, placement.c1)
     with np.errstate(divide="ignore"):
         r = np.where(placement.h > 0, 1.0 / placement.h, 1.0)
     t3, e3 = tables.split_price(placement.c0, placement.c1, placement.ci, r)
@@ -520,7 +520,7 @@ def utility(placement: Placement, scenario: Scenario,
             weights: UtilityWeights, tables: CostTables | None = None) -> float:
     """Weighted objective alpha * total delay + (1 - alpha) * total energy;
     `tables` as for `placement_costs`."""
-    delay, energy = placement_costs(placement, scenario, weights.alpha, tables)
+    delay, energy = placement_costs(placement, scenario, tables)
     return float(weights.alpha * delay.sum() + (1.0 - weights.alpha) * energy.sum())
 
 

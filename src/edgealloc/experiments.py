@@ -142,12 +142,9 @@ def run_experiment(spec: ExperimentSpec) -> list:
 
 
 def placement_profile(scenario_config: ScenarioConfig, sizes,
-                      weights: UtilityWeights | None = None,
-                      solver_config: SolverConfig | None = None) -> list:
+                      solver_config: SolverConfig) -> list:
     """Solve single-size scenarios across a data-size sweep and report the
     chosen branch with the split fractions at each size."""
-    weights = weights or UtilityWeights()
-    solver_config = solver_config or SolverConfig(alpha=weights.alpha)
     rows = []
     for size in sizes:
         cfg = replace(scenario_config, c_range=(float(size), float(size)))

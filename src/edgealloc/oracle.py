@@ -12,11 +12,12 @@ Econometrica 28, 1960).  Adding tasks only raises interference, relay
 congestion and co-hosted load, so a task's cost on a branch in any tuple
 is at least its cost there alone: the terminal and macro costs are exact,
 and an SBS branch is bounded by the task's cheapest deadline-feasible
-split at the whole station with no interference and no relay base load.  A
-prefix whose bounds, plus the cheapest bound of every task still open,
-reach the best utility found cannot hold a strictly better tuple and is
-skipped.  Branches are tried in order, so the result, ties included, is
-the first best tuple of the exhaustive lexicographic order.
+split at the whole station with no interference and no relay base load,
+the `best_splits` cost of every (station, task) pair on one lone-task
+table.  A prefix whose bounds, plus the cheapest bound of every task
+still open, reach the best utility found cannot hold a strictly better
+tuple and is skipped.  Branches are tried in order, so the result, ties
+included, is the first best tuple of the exhaustive lexicographic order.
 
 The pricer's split memo lives for one `enumerate_optimum` call: tuples
 that differ only in which tasks run locally or on the macro station leave
@@ -25,7 +26,7 @@ the SBS tables unchanged and ask for the same split searches again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,12 +73,11 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
 
     The terminal and macro columns are `k_local` and `k_mbs`, or +inf where
     `costs.meets_deadline` refuses the branch; `base_tables` must be the
-    tables with no SBS task.  SBS i's column is the cheapest
-    deadline-feasible split at h = 1, or +inf where none exists, on tables
-    with row i of x all ones and nothing forwarded: station i then sees no
-    interference, which comes from the other cells, and no relay base load.
-    A tuple only adds interference, relay load and co-hosted sharing, and
-    at a fixed split each of them only raises the delay and the cost, so a
+    tables with no SBS task.  Each SBS column is the `best_splits` cost of
+    the task alone at h = 1, or +inf where no split meets the deadline,
+    all (station, task) pairs priced at once on one lone-task table.  A
+    tuple only adds interference, relay load and co-hosted sharing, and at
+    a fixed split each of them only raises the delay and the cost, so a
     split that misses its deadline alone misses it in every tuple.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
@@ -85,17 +85,15 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     bound = np.empty((n, s + 2))
     for b, delay, k in ((0, t.t_local, t.k_local), (s + 1, t.t_mbs, t.k_mbs)):
         bound[:, b] = np.where(costs.meets_deadline(delay, t.t_max), k, np.inf)
-    tasks, whole = np.arange(n), np.ones(n)
-    for i in range(s):
-        x = np.zeros((s, n))
-        x[i] = 1.0
-        alone = costs.build_cost_tables(scenario, t.alpha, x, np.zeros((s, n)))
-        rows = np.full(n, i)
-        c0, c1, _, ok = costs.best_splits(alone, rows, tasks, whole)
-        delay, energy = alone.split_price(c0, c1, alone.c - c0 - c1, 1.0,
-                                          rows, tasks)
-        bound[:, i + 1] = np.where(
-            ok, t.alpha * delay + (1.0 - t.alpha) * energy, np.inf)
+    # one table is a lone task's on every station: at x = 0 no SBS sees
+    # interference, as a lone task does, and the relay terms at unit
+    # assignment with nothing forwarded are a lone task's
+    w2, w1, w0 = scenario.pricing.relay.wired_coefficients(np.ones((s, n)),
+                                                           np.zeros((s, n)))
+    alone = replace(t, w2=w2, w1=w1, w0=w0)
+    i, j = (a.ravel() for a in np.indices((s, n)))
+    *_, cost, ok = costs.best_splits(alone, i, j, np.ones(s * n))
+    bound[:, 1:s + 1] = np.where(ok, cost, np.inf).reshape(s, n).T
     return bound
 
 

@@ -31,10 +31,13 @@ and digest:
 - `solves.json`, `admm.run` on the four `oracle_small` scenarios at that
   workload's solver settings (120 iterations, 30 CBGP rounds, no
   timing): each solve's trace CSV, placement and work counters, or the
-  tasks its rounding names as it raises.
+  tasks its rounding names as it raises;
+- `optima.json`, `oracle.enumerate_optimum` on the 50 scenarios of the
+  criterion-3 stream: each result's `to_dict()` with its `n_priced`, so
+  a bit-identity claim also covers how many tuples the bound pruned.
 
-That is 95 digests: five for each of the 17 solves in `SOLVES`, one for
-each of the 7 oracle instances and one for each of the 3 experiment
+That is 96 digests: five for each of the 17 solves in `SOLVES`, one for
+each of the 7 oracle instances and one for each of the 4 experiment
 instances in `EXPERIMENTS`.
 
 Running it on two trees and diffing the outputs checks a claim that a
@@ -122,9 +125,10 @@ def oracle_small_configs(n: int = 4) -> list:
 
 
 # name -> (mode, arguments) of the experiment instances: criterion 10's
-# baseline scenarios and seeds, criterion 11's placement profile, and the
+# baseline scenarios and seeds, criterion 11's placement profile, the
 # solves of the `oracle_small` workload, whose solver settings the CLI
-# cannot set
+# cannot set, and the oracle on the whole criterion-3 stream, with the
+# count of tuples it priced, which the CLI does not write
 EXPERIMENTS = {
     "criterion10": ("baseline", {
         "scenarios": [dict(n_tasks=20, n_sbs=3, seed=11, c_range=(size, size))
@@ -137,9 +141,10 @@ EXPERIMENTS = {
     "oracle_small-solves": ("solves", {
         "scenarios": oracle_small_configs(4),
         "solver": dict(max_iter=120, cbgp_rounds=30, record_timing=False)}),
+    "criterion3-optima": ("optima", {"scenarios": oracle_small_configs(50)}),
 }
 # modes whose instance writes one output, `<mode>.json`
-ONE_OUTPUT = ("oracle", "baseline", "profile", "solves")
+ONE_OUTPUT = ("oracle", "baseline", "profile", "solves", "optima")
 
 
 # runs in the child: argv is src, scenario config (or experiment
@@ -147,7 +152,7 @@ ONE_OUTPUT = ("oracle", "baseline", "profile", "solves")
 CHILD = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
-from edgealloc import admm, cli, experiments
+from edgealloc import admm, cli, experiments, oracle
 from edgealloc.admm import SolverConfig
 from edgealloc.costs import UtilityWeights
 from edgealloc.errors import InfeasibleTaskError
@@ -169,6 +174,13 @@ if mode == "solves":
         runs.append({"trace": trace.to_csv(), "placement": placement.to_dict(),
                      **{name: getattr(trace, name) for name in COUNTERS}})
     write("solves.json", runs)
+elif mode == "optima":
+    runs = []
+    for fields in config["scenarios"]:
+        instance = generate_scenario(from_config(ScenarioConfig, fields, "scenario"))
+        result = oracle.enumerate_optimum(instance, UtilityWeights(0.5))
+        runs.append({**result.to_dict(), "n_priced": result.n_priced})
+    write("optima.json", runs)
 elif mode == "baseline":
     runs = []
     for fields in config["scenarios"]:

@@ -357,7 +357,7 @@ def test_optimize_branch_split_matches_oracle_split_search():
     checked = 0
     for tables, i, j, h in _random_split_pairs(rng, 24):
         c = tables.c
-        c0, c1, delay, feasible = costs.best_splits(tables, i, j, h)
+        c0, c1, _, delay, _, feasible = costs.best_splits(tables, i, j, h)
         for k in range(len(i)):
             ref = lattice_split(tables, i[k], j[k], h[k])
             assert (not feasible[k]) == (ref is None), (i[k], j[k], h[k])
@@ -491,7 +491,7 @@ def _random_split_pairs(rng, n_scenarios):
 def _assert_matches_scalar(tables, i, j, h):
     """Batched rows equal the scalar reference bit for bit; returns the
     rows' feasibility."""
-    c0, c1, delay, feasible = costs.best_splits(tables, i, j, h)
+    c0, c1, _, delay, _, feasible = costs.best_splits(tables, i, j, h)
     for k in range(len(i)):
         ref = _scalar_optimize_branch_split(tables, i[k], j[k], h[k])
         assert feasible[k] == (ref is not None), (i[k], j[k], h[k])
@@ -525,7 +525,7 @@ def test_batched_split_pricer_bit_identical_to_scalar_reference():
             tables, alpha=0.0, e_c0=zero[0], e_mbs_exec=zero[0], e_up=zero,
             e_sbs=zero, transfer_coef=zero)
         feasible = _assert_matches_scalar(flat, i, j, h)
-        c0, c1, _, _ = costs.best_splits(flat, i, j, h)
+        c0, c1, *_ = costs.best_splits(flat, i, j, h)
         tied += int(((c0 == 0.0) & (c1 == 0.0) & feasible).sum())
     assert tied >= 100
 
@@ -543,8 +543,46 @@ def test_batched_split_pricer_rows_are_independent(monkeypatch):
             assert a[perm].tobytes() == b.tobytes()
             assert a.tobytes() == c.tobytes()
         empty = costs.best_splits(tables, i[:0], j[:0], h[:0])
-        assert [a.shape for a in empty] == [(0,)] * 4
-        assert empty[3].dtype == bool
+        assert [a.shape for a in empty] == [(0,)] * 6
+        assert empty[5].dtype == bool
+
+
+def test_split_record_is_the_chosen_split_as_priced():
+    # every feasible row of `best_splits` holds ci = c - c0 - c1 and the
+    # alpha-weighted `split_price` of its split, bit for bit, and every
+    # infeasible row NaN; alpha runs through 0 and 1, and a share of the
+    # pairs is unassigned, so their relay carries no quadratic term
+    rng = np.random.default_rng(33)
+    rows = flat_rows = 0
+    alphas = set()
+    for trial in range(40):
+        n, s = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000)),
+            t_max_range=[(15.0, 30.0), (0.02, 0.08), (0.005, 0.03)][trial % 3]))
+        x = rng.uniform(0.0, 1.0, (s, n))
+        x[rng.uniform(size=(s, n)) < 0.4] = 0.0
+        c1_frozen = rng.uniform(0.0, 1.0, (s, n)) * scen.c_array()[None, :]
+        c1_frozen[rng.uniform(size=(s, n)) < 0.3] = 0.0
+        alpha = [0.0, 1.0, 0.5, float(rng.uniform())][trial % 4]
+        tables = costs.build_cost_tables(scen, alpha, x, c1_frozen)
+        i, j = (a.ravel() for a in np.indices((s, n)))
+        h = rng.uniform(scen.config.h_min, 1.0, len(i))
+        h[::2] = 1.0
+        c0, c1, ci, delay, cost, ok = costs.best_splits(tables, i, j, h)
+        assert np.isnan(np.array([c0, c1, ci, delay, cost])[:, ~ok]).all()
+        c0, c1, ci, delay, cost = (a[ok] for a in (c0, c1, ci, delay, cost))
+        i, j, h = i[ok], j[ok], h[ok]
+        assert ci.tobytes() == (tables.c[j] - c0 - c1).tobytes()
+        d, e = tables.split_price(c0, c1, ci, 1.0 / h, i, j)
+        assert delay.tobytes() == d.tobytes()
+        assert cost.tobytes() == (alpha * d + (1.0 - alpha) * e).tobytes()
+        rows += len(i)
+        flat_rows += int((tables.w2[i, j] == 0).sum())
+        if len(i):
+            alphas.add(alpha)
+    assert rows >= 300 and flat_rows >= 100
+    assert 0.0 in alphas and 1.0 in alphas
 
 
 def test_reference_run_newton_steps_and_utility(monkeypatch):

@@ -303,7 +303,8 @@ def test_cost_tables_bit_identical_to_per_element_loop():
 def test_split_price_gathers_pairs_and_placement_costs_take_given_tables():
     # `split_price` at gathered (SBS, task) index arrays prices every pair
     # bit for bit as over all pairs, and `placement_costs` on the tables the
-    # consensus loop carries into its next iteration equals its own build
+    # consensus loop carries into its next iteration equals its own build,
+    # whatever alpha either was built at
     rng = np.random.default_rng(12)
     for s, n in ((1, 1), (2, 5), (3, 8)):
         scen = generate_scenario(ScenarioConfig(n_tasks=n, n_sbs=s, seed=s))
@@ -323,8 +324,9 @@ def test_split_price_gathers_pairs_and_placement_costs_take_given_tables():
                                       i, j)
         for whole, pairs in zip(every, gathered):
             assert np.array_equal(whole.ravel(), pairs)
-        given = costs.placement_costs(placement, scen, 0.3, tables)
-        built = costs.placement_costs(placement, scen, 0.3)
+        # the given tables are at alpha 0.3, the built ones at the default
+        given = costs.placement_costs(placement, scen, tables)
+        built = costs.placement_costs(placement, scen)
         for a, b in zip(given, built):
             assert np.array_equal(a, b)
 

@@ -174,7 +174,7 @@ def test_lone_task_split_is_cheapest_at_whole_station():
                                          np.ones((1, 1)), np.zeros((1, 1)))
         hs = np.concatenate([[1.0], rng.uniform(scen.config.h_min, 1.0, 5)])
         rows = np.zeros(len(hs), dtype=np.intp)
-        c0, c1, _, ok = costs.best_splits(tables, rows, rows, hs)
+        c0, c1, *_, ok = costs.best_splits(tables, rows, rows, hs)
         _, cost = split_cost(tables, 0, 0, c0, c1, 1.0 / hs)
         for k in range(1, len(hs)):
             if not ok[k]:
@@ -242,8 +242,8 @@ def test_compare_report_fields():
 
 def _fresh_split(tables, i, j, h):
     """One uncached row of the shared pricer, in the oracle's form."""
-    c0, c1, _, ok = costs.best_splits(tables, np.array([i]), np.array([j]),
-                                      np.array([h]))
+    c0, c1, *_, ok = costs.best_splits(tables, np.array([i]), np.array([j]),
+                                       np.array([h]))
     return (c0[0], c1[0]) if ok[0] else None
 
 
@@ -499,13 +499,13 @@ def test_oracle_skips_redundant_table_builds(monkeypatch):
     builds.clear()
     result = enumerate_optimum(one_sbs, weights)
     n_builds = len(builds)
-    # the base tables and one bound table per station come first.  The
-    # first tuple, all terminal, is the optimum, and a macro branch costs
-    # each task more than the whole tuple, so the bound prunes every tuple
-    # that uses it.  Of the 2**3 tuples left, 2**3 - 1 put a task on the
+    # the base tables come first, and the bounds build none.  The first
+    # tuple, all terminal, is the optimum, and a macro branch costs each
+    # task more than the whole tuple, so the bound prunes every tuple that
+    # uses it.  Of the 2**3 tuples left, 2**3 - 1 put a task on the
     # station; no split here forwards work, so each of them takes one sweep
     assert result.n_priced == 2**3
-    assert n_builds == 1 + 1 + 2**3 - 1
+    assert n_builds == 1 + 2**3 - 1
     builds.clear()
     fresh = _reference_enumerate_optimum(one_sbs, weights)
     assert n_builds < len(builds)
@@ -519,6 +519,54 @@ def _bounds(scen, alpha):
     base = costs.build_cost_tables(scen, alpha, np.zeros((s, n)),
                                    np.zeros((s, n)))
     return oracle.branch_bounds(scen, base)
+
+
+def _per_station_bounds(scen, base):
+    """`branch_bounds` built station by station: one table per SBS with
+    that station's row of x all ones and nothing forwarded, and the chosen
+    split re-priced on it."""
+    s, n = scen.n_sbs, scen.n_tasks
+    a = base.alpha
+    bound = np.empty((n, s + 2))
+    for b, delay, k in ((0, base.t_local, base.k_local),
+                        (s + 1, base.t_mbs, base.k_mbs)):
+        bound[:, b] = np.where(costs.meets_deadline(delay, base.t_max), k,
+                               np.inf)
+    tasks = np.arange(n)
+    for i in range(s):
+        x = np.zeros((s, n))
+        x[i] = 1.0
+        alone = costs.build_cost_tables(scen, a, x, np.zeros((s, n)))
+        rows = np.full(n, i)
+        c0, c1, *_, ok = costs.best_splits(alone, rows, tasks, np.ones(n))
+        delay, energy = alone.split_price(c0, c1, alone.c - c0 - c1, 1.0,
+                                          rows, tasks)
+        bound[:, i + 1] = np.where(ok, a * delay + (1.0 - a) * energy, np.inf)
+    return bound
+
+
+def test_branch_bounds_equal_the_per_station_rebuild():
+    # the one lone-task table prices every SBS column bit for bit as one
+    # table per station does, over 0-2 stations, tight, loose and mixed
+    # instances, and alpha at 0, 1 and in between
+    rng = np.random.default_rng(14)
+    regimes = (dict(t_max_range=(0.02, 0.08)), dict(),
+               dict(c_range=(4e6, 2e7)))
+    finite = infinite = 0
+    for trial in range(36):
+        s, n = trial % 3, int(rng.integers(1, 7))
+        alpha = [0.0, 1.0, 0.5, float(rng.uniform())][trial % 4]
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000)),
+            f_sbs=10 ** rng.uniform(8.0, 10.5), o1=10 ** rng.uniform(-12, -6),
+            **regimes[trial // 3 % 3]))
+        base = costs.build_cost_tables(scen, alpha, np.zeros((s, n)),
+                                       np.zeros((s, n)))
+        got = oracle.branch_bounds(scen, base)
+        assert got.tobytes() == _per_station_bounds(scen, base).tobytes()
+        finite += int(np.isfinite(got[:, 1:s + 1]).sum())
+        infinite += int(np.isinf(got[:, 1:s + 1]).sum())
+    assert finite >= 60 and infinite >= 10
 
 
 def test_branch_bounds_are_admissible():
