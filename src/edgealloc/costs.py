@@ -10,7 +10,10 @@ built; `CostTables.split_price` is the one pricer of the split branch, at
 the resource shares each caller passes.  Every other function here is
 pure.  `best_splits` is the one split optimizer, whose record is the
 whole optimum its callers read, and `price_tuple` the one pricer of a
-hard branch tuple, which rounding and the oracle share.
+hard branch tuple, which rounding and the oracle share.  Its placements
+are canonical: a split that uploads nothing is the terminal branch, so an
+SBS task whose chosen split runs every cycle on the terminal is placed
+there, and every placement has one tuple.
 
 Two deadline rules: `meets_deadline` is the one test of every branch or
 split that the solver, rounding, the oracle or the baseline chooses, and
@@ -427,12 +430,27 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     forwarded any.  `memo` keeps each split search by every input that can
     change for a fixed scenario and alpha (j fixes `t_max[j]`, the rate
     `e_up`); each station's misses are priced in one `best_splits` call.
+
+    Each placement has one canonical branch tuple: an SBS member whose
+    chosen split uploads nothing (c0 = c, so c1 = ci = 0) runs on the
+    terminal, and the tuple is priced again without it on the station.
+    The result is the placement of the tuple with those tasks on the
+    terminal, every array bit for bit.  `choice` is not written.
     """
+    return price_tuple_tables(scenario, alpha, choice, memo)[:2]
+
+
+def price_tuple_tables(scenario: Scenario, alpha: float, choice, memo: dict):
+    """`price_tuple`, plus the cost tables its last sweep built when they
+    are at the placement's own x and c1, so that `utility` and
+    `check_feasibility` can read them; None when the tuple puts no task on
+    an SBS or the last sweep moved a forwarded part."""
     s, n = scenario.n_sbs, scenario.n_tasks
     h_min = scenario.pricing.h_min
     hard_x, y, z = hard_assignment(choice, s)
     c0, c1, ci = np.zeros((s, n)), np.zeros((s, n)), np.zeros((s, n))
     h = np.ones((s, n))
+    tables = frozen = None
 
     def splits(tables, i, members, shares):
         keys = [(i, j, shares[j], tables.rate[i, j], tables.w2[i, j],
@@ -451,12 +469,13 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     for sweep in range(2 if hard_x.any() else 0):
         if sweep and not c1.any():
             break
-        tables = build_cost_tables(scenario, alpha, hard_x, c1)
+        frozen = c1.copy()
+        tables = build_cost_tables(scenario, alpha, hard_x, frozen)
         for i, members in enumerate(stations):
             if not members:
                 continue
             if len(members) > scenario.config.max_per_sbs:
-                return None, members[0]
+                return None, members[0], None
             shares = dict.fromkeys(members, min(1.0, 1.0 / len(members)))
             for _ in range(2 if len(members) > 1 else 0):
                 weights = {}
@@ -467,10 +486,16 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
                 shares = floored_proportions(weights, h_min)
             for j, split in zip(members, splits(tables, i, members, shares)):
                 if split is None:
-                    return None, j
+                    return None, j, None
                 c0[i, j], c1[i, j], ci[i, j] = split
                 h[i, j] = shares[j]
-    return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h), None
+    idle = ((hard_x > 0) & (c0 == scenario.pricing.c)).any(axis=0)
+    if idle.any():
+        return price_tuple_tables(scenario, alpha,
+                                  np.where(idle, 0, choice), memo)
+    if frozen is not None and not np.array_equal(frozen, c1):
+        tables = None
+    return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h), None, tables
 
 
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
@@ -536,11 +561,13 @@ class FeasibilityReport:
         return self.ok
 
 
-def check_feasibility(placement: Placement, scenario: Scenario) -> FeasibilityReport:
+def check_feasibility(placement: Placement, scenario: Scenario,
+                      tables: CostTables | None = None) -> FeasibilityReport:
     """Validate the three hard constraints of an allocation: per-task
-    deadline, per-SBS resource budget, and one branch per task."""
+    deadline, per-SBS resource budget, and one branch per task; `tables`
+    as for `placement_costs`."""
     tol = 1e-9  # relative and absolute slack of every check
-    delay, _ = placement_costs(placement, scenario)
+    delay, _ = placement_costs(placement, scenario, tables)
     t_max = scenario.pricing.t_max
     deadline_ok = delay <= t_max * (1.0 + tol) + tol
     shares = (placement.h * placement.x).sum(axis=1) if scenario.n_sbs else np.zeros(0)

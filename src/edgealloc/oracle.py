@@ -5,7 +5,10 @@ the weighted objective.  Its independence from the consensus solver lies
 in the search: every branch tuple is priced or proven no better than one
 already priced, where the solver relaxes, iterates and rounds.  Each tuple
 is priced by `costs.price_tuple`, the pricer the solver's rounding uses;
-the tests cross-check its splits against a brute-force search.
+the tests cross-check its splits against a brute-force search.  The
+pricer is canonical: an SBS task whose split uploads nothing runs on the
+terminal, so a tuple holding one is priced as the tuple with that task on
+the terminal.
 
 The search is a depth-first branch and bound over the tasks (Land & Doig,
 Econometrica 28, 1960).  Adding tasks only raises interference, relay
@@ -14,10 +17,24 @@ is at least its cost there alone: the terminal and macro costs are exact,
 and an SBS branch is bounded by the task's cheapest deadline-feasible
 split at the whole station with no interference and no relay base load,
 the `best_splits` cost of every (station, task) pair on one lone-task
-table.  A prefix whose bounds, plus the cheapest bound of every task
-still open, reach the best utility found cannot hold a strictly better
-tuple and is skipped.  Branches are tried in order, so the result, ties
-included, is the first best tuple of the exhaustive lexicographic order.
+table, or exactly its terminal cost where that split uploads nothing.  A
+prefix whose bounds, plus the cheapest bound of every task still open,
+reach the best utility found cannot hold a strictly better tuple and is
+skipped.
+
+Before the search each task is decided by dominance where it can be
+(variable fixing in MIP preprocessing; Savelsbergh, ORSA J. Computing 6,
+1994): its SBS branches are never tried when its least SBS bound is at
+least its terminal cost and the terminal is no dearer than the macro
+station, since moving it to the terminal gives a tuple no dearer and
+earlier in the order, or when that bound is strictly above its macro
+cost, since moving it there gives a strictly cheaper tuple.  Branches are
+tried in order, so the result, ties included, is the first best tuple of
+the exhaustive order of canonical tuples.  The rule assumes that dropping
+a task from a station never raises the other tasks' priced cost.  Less
+interference and less relay load satisfy it by construction; the shares
+of the remaining co-hosted tasks satisfy it only as far as
+`price_tuple`'s square-root share heuristic does.
 
 The pricer's split memo lives for one `enumerate_optimum` call: tuples
 that differ only in which tasks run locally or on the macro station leave
@@ -78,7 +95,9 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     all (station, task) pairs priced at once on one lone-task table.  A
     tuple only adds interference, relay load and co-hosted sharing, and at
     a fixed split each of them only raises the delay and the cost, so a
-    split that misses its deadline alone misses it in every tuple.
+    split that misses its deadline alone misses it in every tuple.  Where
+    the lone split uploads nothing, `costs.price_tuple` runs the task on
+    the terminal, and the entry is exactly `k_local`.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
     t = base_tables
@@ -92,22 +111,25 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
                                                            np.zeros((s, n)))
     alone = replace(t, w2=w2, w1=w1, w0=w0)
     i, j = (a.ravel() for a in np.indices((s, n)))
-    *_, cost, ok = costs.best_splits(alone, i, j, np.ones(s * n))
+    c0, *_, cost, ok = costs.best_splits(alone, i, j, np.ones(s * n))
+    cost = np.where(c0 == t.c[j], t.k_local[j], cost)
     bound[:, 1:s + 1] = np.where(ok, cost, np.inf).reshape(s, n).T
     return bound
 
 
 def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
                       max_tasks: int = MAX_TASKS) -> OracleResult:
-    """Global minimum over every feasible hard assignment.
+    """Global minimum over every feasible hard assignment: the first best
+    tuple of the exhaustive order of canonical tuples.
 
     A depth-first branch and bound over the tasks, branches in order, with
-    the bounds of `branch_bounds` and no SBS hosting more than
-    `ScenarioConfig.max_per_sbs` tasks; each tuple it reaches is priced by
-    `costs.price_tuple` and its utility re-evaluated through the placement
-    pricer, so that solver and oracle are compared on identical terms.
-    Instances above `max_tasks` tasks or `MAX_STATIONS` stations raise
-    `InstanceTooLargeError`; the search grows as (s + 2)^n.
+    the bounds of `branch_bounds`, the dominance rule of the module
+    docstring and no SBS hosting more than `ScenarioConfig.max_per_sbs`
+    tasks; each tuple it reaches is priced by `costs.price_tuple` and its
+    utility re-evaluated through the placement pricer, on the tables the
+    pricer built, so that solver and oracle are compared on identical
+    terms.  Instances above `max_tasks` tasks or `MAX_STATIONS` stations
+    raise `InstanceTooLargeError`; the search grows as (s + 2)^n.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
     if n > max_tasks or len(scenario.stations) > MAX_STATIONS:
@@ -123,6 +145,13 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
     # rest[k]: the cheapest bound of every task from k on
     rest = np.append(np.cumsum(bound.min(axis=1)[::-1])[::-1], 0.0).tolist()
     bound = bound.tolist()
+    # the branches each task may take: none of its SBSs where dominance
+    # decides it for the terminal or the macro station
+    options = []
+    for local, *sbs, macro in bound:
+        least = min(sbs, default=np.inf)
+        decided = least >= local and local <= macro or least > macro
+        options.append([0, s + 1] if decided else list(range(s + 2)))
 
     # the split searches of `costs.price_tuple`, kept for this call only
     memo = {}
@@ -138,18 +167,22 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
         nonlocal best_util, best_placement, best_branches, n_priced
         if k == n:
             n_priced += 1
-            placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
+            placement, _, tables = costs.price_tuple_tables(
+                scenario, alpha, choice, memo)
             if placement is None:
                 return
-            util = costs.utility(placement, scenario, weights)
+            if not placement.x.any():
+                tables = base_tables
+            util = costs.utility(placement, scenario, weights, tables)
             # only a tuple that would improve the best needs its
             # feasibility check
-            if util < best_util and costs.check_feasibility(placement, scenario):
+            if util < best_util and costs.check_feasibility(placement, scenario,
+                                                            tables):
                 best_util = util
                 best_placement = placement
                 best_branches = placement.branches()
             return
-        for b in range(s + 2):
+        for b in options[k]:
             if 0 < b <= s and hosted[b] == cap:
                 continue
             low = prefix_bound + bound[k][b]

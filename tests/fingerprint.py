@@ -19,10 +19,11 @@ and digest:
   `split_repairs` of `Trace`, as one JSON object, so a bit-identity claim
   also covers how much work each block did;
 - `oracle.json` as written, for the four `oracle_small` scenarios, two
-  six-task, two-station ones, loose and tight, where the oracle's pruning
-  has the most tuples to skip, and a tight five-task, one-station one
-  whose optimum holds a split that misses its deadline at an
-  intermediate share;
+  six-task, two-station ones, loose and tight, whose exhaustive order
+  holds 4096 tuples (the dominance rule decides every loose task for the
+  terminal before the search, and leaves the tight one a contested SBS
+  task), and a tight five-task, one-station one whose optimum holds a
+  split that misses its deadline at an intermediate share;
 - `baseline.json`, `run_baseline` on criterion 10's five 20-task, 3-SBS
   scenarios at seeds 0-99: every placement with its utility, or the
   tasks a run names as it raises;
@@ -52,7 +53,9 @@ each), and over the iterations both traces have, the
 largest relative change of the `utility` and `primal_res` columns and the
 largest absolute change of `dual_res`, which sits near 0 once the
 iterates settle; for an oracle or experiment instance, whether its one
-output is byte-identical.  It ends with the line count of each tree's
+output is byte-identical, and for `criterion3-optima` also both trees'
+total `n_priced` and how many of its 50 optima moved apart from that
+count.  It ends with the line count of each tree's
 `src` Python files and the difference, TREE minus BASE.  It exits 1 when
 any output of any instance moved and 0 when none did, so the exit status
 alone checks a bit-identity claim.
@@ -101,7 +104,7 @@ SOLVES = {
 
 
 # name -> ScenarioConfig fields of the oracle instances beyond
-# `oracle_small`; each one's best tuple puts a task on a station
+# `oracle_small`; the tight ones' best tuples put a task on a station
 ORACLES = {
     "oracle6-loose-2": dict(n_tasks=6, n_sbs=2, seed=2),
     "oracle6-tight-4": dict(n_tasks=6, n_sbs=2, seed=4, t_max_range=TIGHT),
@@ -280,6 +283,18 @@ def _rounded(placement: bytes) -> tuple:
     return document["placement"], document["utility"]
 
 
+def _optima_moves(old: bytes, new: bytes) -> str:
+    """Both trees' total `n_priced` over the optima, and how many optima
+    moved apart from it."""
+    runs = [json.loads(out) for out in (old, new)]
+    priced = [sum(run["n_priced"] for run in side) for side in runs]
+    strip = [[{k: v for k, v in run.items() if k != "n_priced"} for run in side]
+             for side in runs]
+    moved = sum(a != b for a, b in zip(*strip))
+    return (f"  n_priced {priced[0]} -> {priced[1]}  "
+            f"moved {moved} of {len(strip[1])}")
+
+
 def compare(base: str, tree: str):
     """Yield, per instance, whether any of its outputs moved from BASE to
     TREE and a line saying what moved."""
@@ -292,7 +307,10 @@ def compare(base: str, tree: str):
         moved = old != new
         if mode in ONE_OUTPUT:
             output = f"{mode}.json"
-            yield moved, f"{name:18s} {output} {same[output]}"
+            line = f"{name:18s} {output} {same[output]}"
+            if mode == "optima":
+                line += _optima_moves(old[output], new[output])
+            yield moved, line
             continue
         a, b = _trace_columns(old["trace.csv"]), _trace_columns(new["trace.csv"])
         work = [json.loads(out["counters"]) for out in (old, new)]

@@ -125,18 +125,26 @@ def test_round_to_feasible_tie_prefers_terminal_then_sbs():
     placement = round_to_feasible(state.v, scen, 0.5)
     assert placement.z[0] == 1.0
 
+    # on a loose instance the task's split uploads nothing, so the
+    # placement runs it on the terminal; a mixed one's split offloads
+    scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=1, seed=0,
+                                            c_range=(4e6, 2e7)))
     state.v[:, 0] = [0.5, 0.5, 0.0]
     placement = round_to_feasible(state.v, scen, 0.5)
     assert placement.x[0, 0] == 1.0
+    assert placement.c0[0, 0] < scen.pricing.c[0]
 
 
 # at either floor at most two tasks fit on a station; just above 1/3 an
-# equal three-way share misses the floor by about 1e-12
+# equal three-way share misses the floor by about 1e-12.  At tight
+# deadlines the tasks kept on the station offload, where at loose ones
+# their splits would upload nothing and run on the terminal
 @pytest.mark.parametrize("h_min", [0.4, 1.0 / 3.0 + 1e-12],
                          ids=["0.4", "third+1e-12"])
 def test_round_to_feasible_demotes_over_capacity_tasks(h_min):
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
-                                            h_min=h_min))
+                                            h_min=h_min,
+                                            t_max_range=(0.02, 0.08)))
     v = np.array([0.9, 0.05, 0.05])[:, None].repeat(3, axis=1)
     # middle task has the weakest margin
     v[:2, 1] = [0.5, 0.4]
@@ -224,7 +232,9 @@ def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
     # task 1 misses its deadline on the terminal and is promoted.  Its
     # macro branch meets the deadline, so it goes there and no SBS is
     # tried; a split priced on tables that leave its own relay route
-    # unloaded forwards every bit, 0.213 s against a 0.0242 s deadline
+    # unloaded forwards every bit, 0.213 s against a 0.0242 s deadline.
+    # The splits of tasks 0 and 2 on the SBS upload nothing, so they run
+    # on the terminal
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=863431,
                                             t_max_range=(0.02, 0.08)))
     v = np.array([[0.50, 0.39, 0.11],   # one task per row: SBS, macro,
@@ -232,7 +242,7 @@ def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
                   [0.55, 0.09, 0.36]]).T.copy()
     placement = round_to_feasible(v, scen, 0.5)
     assert costs.check_feasibility(placement, scen).ok
-    assert [placement.branch_of(j) for j in range(3)] == ["sbs1", "mbs", "sbs1"]
+    assert [placement.branch_of(j) for j in range(3)] == ["local", "mbs", "local"]
     util = costs.utility(placement, scen, UtilityWeights(0.5))
     # the oracle's optimum, 0.116564, puts task 1 alone on the SBS
     assert util == pytest.approx(0.150890, abs=1e-6)
@@ -240,7 +250,9 @@ def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
 
 def test_round_to_feasible_names_every_task_on_an_over_budget_station(
         monkeypatch):
-    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0))
+    # tight deadlines, so that the tasks on the station offload
+    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
+                                            t_max_range=(0.02, 0.08)))
     state = init_state(scen, SolverConfig())
     state.v[:] = np.array([0.9, 0.05, 0.05])[:, None]
     state.v[:, 1] = [0.05, 0.05, 0.9]

@@ -388,3 +388,26 @@ def test_price_tuple_names_first_task_of_an_over_capacity_station():
     scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=1, seed=0,
                                             h_min=0.4))
     assert costs.price_tuple(scen, 0.5, np.array([0, 1, 1, 1]), {}) == (None, 1)
+
+
+def test_price_tuple_runs_a_split_that_uploads_nothing_on_the_terminal():
+    # a lone task whose best split on the station runs every cycle on the
+    # terminal: the SBS tuple prices as the terminal tuple, bit for bit,
+    # and the pricer leaves its argument as it was
+    scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=1, seed=2))
+    alone = costs.build_cost_tables(scen, 0.5, np.ones((1, 1)),
+                                    np.zeros((1, 1)))
+    rows = np.zeros(1, dtype=np.intp)
+    c0, *_, ok = costs.best_splits(alone, rows, rows, np.ones(1))
+    assert ok[0] and c0[0] == scen.pricing.c[0]
+
+    choice = [1]
+    on_sbs, missed = costs.price_tuple(scen, 0.5, choice, {})
+    assert missed is None and choice == [1]
+    local, _ = costs.price_tuple(scen, 0.5, [0], {})
+    for f in dataclasses.fields(Placement):
+        assert (getattr(on_sbs, f.name).tobytes()
+                == getattr(local, f.name).tobytes()), f.name
+    weights = UtilityWeights(0.5)
+    assert utility(on_sbs, scen, weights) == utility(local, scen, weights)
+    assert on_sbs.branches() == ["local"]

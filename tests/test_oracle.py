@@ -18,8 +18,8 @@ def test_small_task_prefers_terminal():
     scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=1, seed=2))
     result = enumerate_optimum(scen, UtilityWeights(0.5))
     assert result.feasible
-    # the split branch can mimic the terminal exactly, so accept either
-    # label as long as the utility equals the pure-terminal value
+    # a split that runs everything on the terminal is the terminal branch
+    assert result.branch_table == ["local"]
     z_only = Placement(x=np.zeros((1, 1)), y=np.zeros(1), z=np.ones(1),
                        c0=np.zeros((1, 1)), c1=np.zeros((1, 1)),
                        ci=np.zeros((1, 1)), h=np.ones((1, 1)))
@@ -74,17 +74,47 @@ def test_capacity_limits_station_occupancy():
     assert on_sbs <= 1
 
 
+def _priced_tuples(monkeypatch):
+    """The list that records every tuple `enumerate_optimum` prices."""
+    priced = []
+    price = costs.price_tuple_tables
+
+    def recording(scenario, alpha, choice, memo):
+        priced.append(tuple(choice))
+        return price(scenario, alpha, choice, memo)
+
+    monkeypatch.setattr(costs, "price_tuple_tables", recording)
+    return priced
+
+
+# mixed seed 28, three tasks on one station: no terminal meets its
+# deadline and every task's SBS bound is below its macro cost, so no task
+# is decided before the search, and at the default floor the search prices
+# the tuple with all three on the station
+CONTESTED = dict(n_tasks=3, n_sbs=1, seed=28, c_range=(4e6, 2e7))
+
+
 @pytest.mark.parametrize("h_min", [0.4, 1.0 / 3.0 + 1e-12],
                          ids=["0.4", "third+1e-12"])
-def test_enumerate_optimum_skips_tuples_over_station_capacity(h_min):
-    # at most two tasks fit on the station at either floor.  As at the
-    # default floor the bound prunes every tuple with a macro branch, and
-    # of the 2**3 tuples left the one with all three tasks on the station
-    # is skipped, not priced
-    scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
-                                            h_min=h_min))
+def test_enumerate_optimum_skips_tuples_over_station_capacity(h_min,
+                                                              monkeypatch):
+    # at most two tasks fit on the station at either floor, so of the
+    # default floor's priced tuples the one with all three tasks on the
+    # station is skipped, not priced
+    priced = _priced_tuples(monkeypatch)
+    scen = generate_scenario(ScenarioConfig(**CONTESTED))
+    tables = costs.build_cost_tables(scen, 0.5, np.zeros((1, 3)),
+                                     np.zeros((1, 3)))
+    bound = oracle.branch_bounds(scen, tables)
+    assert np.isinf(bound[:, 0]).all() and (bound[:, 1] < bound[:, 2]).all()
+    enumerate_optimum(scen, UtilityWeights(0.5))
+    assert priced == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+
+    priced.clear()
+    scen = generate_scenario(ScenarioConfig(**CONTESTED, h_min=h_min))
     result = enumerate_optimum(scen, UtilityWeights(0.5))
-    assert result.n_priced == 2**3 - 1
+    assert priced == [(1, 1, 2), (1, 2, 1), (1, 2, 2)]
+    assert result.n_priced == 3
 
 
 def test_size_guard():
@@ -188,13 +218,23 @@ def test_lone_task_split_is_cheapest_at_whole_station():
 def test_pricer_weighs_a_member_that_misses_at_an_intermediate_share():
     # tasks 0 and 2 have no feasible split at the equal start share 1/3;
     # weighted as if the SBS ran all of them they take most of the station,
-    # and at the refined shares every split meets its deadline.  Rejecting
-    # the tuple at the start share would leave it unpriced
+    # and at the refined shares 0.445, 0.05 and 0.505 every split meets its
+    # deadline.  Task 1's split there uploads nothing, so the canonical
+    # placement runs it on the terminal and shares the station between
+    # tasks 0 and 2.  Rejecting the tuple at the start share would leave
+    # it unpriced
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
                                             t_max_range=(0.02, 0.08)))
-    placement, missed = costs.price_tuple(scen, 0.5, [1, 1, 1], {})
+    memo = {}
+    placement, missed = costs.price_tuple(scen, 0.5, [1, 1, 1], memo)
     assert missed is None
-    assert placement.h[0] == pytest.approx([0.445, 0.05, 0.505], abs=1e-3)
+    # the memo keys a split search by (station, task, share, ...)
+    found = {(key[1], round(key[2], 3)): split for key, split in memo.items()
+             if split is not None}
+    assert {(0, 0.445), (1, 0.05), (2, 0.505)} <= found.keys()
+    assert found[1, 0.05][0] == scen.pricing.c[1]
+    assert placement.branches() == ["sbs1", "local", "sbs1"]
+    assert placement.h[0, [0, 2]] == pytest.approx([0.479, 0.521], abs=1e-3)
     assert costs.check_feasibility(placement, scen).ok
 
 
@@ -291,18 +331,57 @@ def _reference_share_allocation(tables, members, i, h_min, split_search):
     return shares
 
 
+def _reference_price(scenario, alpha, tup, split_search):
+    """The placement of one tuple as `costs.price_tuple` prices it, without
+    its memo and its shortcuts: a fresh `split_search` call for every
+    request, two table sweeps, and the canonical rule applied by pricing
+    the whole tuple again with every SBS task whose split uploads nothing
+    on the terminal.  None where a split misses its deadline or a station
+    is over its floor."""
+    s, n = scenario.n_sbs, scenario.n_tasks
+    h_min = scenario.config.h_min
+    hard_x, y, z = costs.hard_assignment(tup, s)
+    c0 = np.zeros((s, n))
+    c1 = np.zeros((s, n))
+    ci = np.zeros((s, n))
+    h = np.ones((s, n))
+    for _ in range(2):
+        tables = costs.build_cost_tables(scenario, alpha, hard_x, c1)
+        for i in range(s):
+            members = [j for j, b in enumerate(tup) if b == i + 1]
+            if not members:
+                continue
+            shares = _reference_share_allocation(tables, members, i, h_min,
+                                                 split_search)
+            if shares is None:
+                return None
+            for j in members:
+                split = split_search(tables, i, j, shares[j])
+                if split is None:
+                    return None
+                c0[i, j], c1[i, j] = split[0], split[1]
+                ci[i, j] = tables.c[j] - split[0] - split[1]
+                h[i, j] = shares[j]
+    idle = [0 < b <= s and c0[b - 1, j] == tables.c[j]
+            for j, b in enumerate(tup)]
+    if any(idle):
+        return _reference_price(scenario, alpha,
+                                [0 if k else b for k, b in zip(idle, tup)],
+                                split_search)
+    return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
+
+
 def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split,
                                  priced=None):
     """`oracle.enumerate_optimum` as it was before the memo and the
-    pruning: every tuple in lexicographic order, with a fresh
-    `split_search` call for every request, two table sweeps for every tuple
-    and a feasibility check before the utility of every tuple.  Each
-    (tuple, utility) it computes is appended to `priced` when given."""
+    pruning: every tuple in lexicographic order, priced by
+    `_reference_price`, with a feasibility check before the utility of
+    every tuple.  Each (tuple, utility) it computes is appended to `priced`
+    when given."""
     s, n = scenario.n_sbs, scenario.n_tasks
     alpha = weights.alpha
     t_max = scenario.t_max_array()
-    h_min = scenario.config.h_min
-    cap = int(np.floor(1.0 / h_min + 1e-9))
+    cap = int(np.floor(1.0 / scenario.config.h_min + 1e-9))
 
     base_tables = costs.build_cost_tables(
         scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
@@ -330,41 +409,8 @@ def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split,
         if any(cnt > cap for cnt in counts):
             continue
 
-        hard_x, y, z = costs.hard_assignment(tup, s)
-
-        c0 = np.zeros((s, n))
-        c1 = np.zeros((s, n))
-        ci = np.zeros((s, n))
-        h = np.ones((s, n))
-        feasible = True
-        for sweep in range(2):
-            tables = costs.build_cost_tables(scenario, alpha, hard_x, c1)
-            for i in range(s):
-                members = [j for j, b in enumerate(tup) if b == i + 1]
-                if not members:
-                    continue
-                shares = _reference_share_allocation(tables, members, i, h_min,
-                                                     split_search)
-                if shares is None:
-                    feasible = False
-                    break
-                for j in members:
-                    split = split_search(tables, i, j, shares[j])
-                    if split is None:
-                        feasible = False
-                        break
-                    c0[i, j], c1[i, j] = split[0], split[1]
-                    ci[i, j] = tables.c[j] - split[0] - split[1]
-                    h[i, j] = shares[j]
-                if not feasible:
-                    break
-            if not feasible:
-                break
-        if not feasible:
-            continue
-
-        placement = Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
-        if not costs.check_feasibility(placement, scenario):
+        placement = _reference_price(scenario, alpha, tup, split_search)
+        if placement is None or not costs.check_feasibility(placement, scenario):
             continue
         util = costs.utility(placement, scenario, weights)
         if priced is not None:
@@ -480,36 +526,78 @@ def test_split_memo_lives_for_one_call(monkeypatch):
 def test_oracle_skips_redundant_table_builds(monkeypatch):
     # a tuple with no SBS task builds no tables, and a second sweep runs
     # only after a first one that forwarded work to the macro station;
-    # pricing a placement builds its own tables, which do not count here
+    # a placement's utility and feasibility are priced on the tables its
+    # pricing built, or on the base tables when no task is on an SBS
     builds = []
     build = costs.build_cost_tables
 
     def counting(*args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "placement_costs":
-            builds.append(args)
+        builds.append(args)
         return build(*args, **kwargs)
 
     monkeypatch.setattr(costs, "build_cost_tables", counting)
+    priced = _priced_tuples(monkeypatch)
     weights = UtilityWeights(0.5)
     macro_only = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=0, seed=0))
     assert enumerate_optimum(macro_only, weights).feasible
     assert len(builds) == 1  # the base tables
 
-    one_sbs = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0))
+    contested = generate_scenario(ScenarioConfig(**CONTESTED))
     builds.clear()
-    result = enumerate_optimum(one_sbs, weights)
+    priced.clear()
+    result = enumerate_optimum(contested, weights)
     n_builds = len(builds)
-    # the base tables come first, and the bounds build none.  The first
-    # tuple, all terminal, is the optimum, and a macro branch costs each
-    # task more than the whole tuple, so the bound prunes every tuple that
-    # uses it.  Of the 2**3 tuples left, 2**3 - 1 put a task on the
-    # station; no split here forwards work, so each of them takes one sweep
-    assert result.n_priced == 2**3
-    assert n_builds == 1 + 2**3 - 1
+    # the base tables come first, and the bounds build none.  Every tuple
+    # priced puts a task on the station, and no split here forwards work,
+    # so each of them takes one sweep and its tables price the placement
+    assert len(priced) == result.n_priced == 4
+    assert n_builds == 1 + 4
     builds.clear()
-    fresh = _reference_enumerate_optimum(one_sbs, weights)
+    fresh = _reference_enumerate_optimum(contested, weights)
     assert n_builds < len(builds)
     _assert_same_result(result, fresh)
+
+
+def test_dominance_prune_keeps_the_exhaustive_canonical_optimum():
+    # the bound and the dominance rule skip no tuple that the exhaustive
+    # search over canonical tuples would return: same utility bit for bit,
+    # same branch table, same placement, at up to 4**5 tuples.  At the
+    # default SBS speed and energy a station beats a task's terminal only
+    # where the terminal misses its deadline; a faster or more frugal one
+    # also beats a terminal that meets it, which the rule must not prune,
+    # and it hosts several tasks, whose shares the rule assumes
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    regimes = {"tight": dict(t_max_range=(0.02, 0.08)), "loose": dict(),
+               "mixed": dict(c_range=(4e6, 2e7))}
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), s=st.integers(0, 2),
+           seed=st.integers(0, 100000), regime=st.sampled_from(sorted(regimes)),
+           f_sbs=st.sampled_from([2e10, 1e11]),
+           e_sbs=st.sampled_from([1.5e-9, 3e-10, 1e-10]),
+           alpha=st.floats(0.0, 1.0))
+    def check(n, s, seed, regime, f_sbs, e_sbs, alpha):
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=seed, f_sbs=f_sbs, e_sbs=e_sbs,
+            **regimes[regime]))
+        weights = UtilityWeights(alpha)
+        _assert_same_result(
+            enumerate_optimum(scen, weights),
+            _reference_enumerate_optimum(scen, weights, _row_cached_split()))
+
+    check()
+
+
+def test_loose_eight_tasks_price_one_tuple():
+    # every task of a loose instance is decided for the terminal before the
+    # search, so the oracle prices the all-terminal tuple alone; the
+    # exhaustive order holds 3**8 = 6561 terminal-and-SBS tuples
+    scen = generate_scenario(ScenarioConfig(n_tasks=8, n_sbs=2, seed=0))
+    result = enumerate_optimum(scen, UtilityWeights(0.5), max_tasks=8)
+    assert result.n_priced == 1
+    assert result.branch_table == ["local"] * 8
 
 
 # -- the pruning bound -------------------------------------------------------
@@ -524,7 +612,7 @@ def _bounds(scen, alpha):
 def _per_station_bounds(scen, base):
     """`branch_bounds` built station by station: one table per SBS with
     that station's row of x all ones and nothing forwarded, and the chosen
-    split re-priced on it."""
+    split re-priced on it, or `k_local` where it uploads nothing."""
     s, n = scen.n_sbs, scen.n_tasks
     a = base.alpha
     bound = np.empty((n, s + 2))
@@ -541,7 +629,8 @@ def _per_station_bounds(scen, base):
         c0, c1, *_, ok = costs.best_splits(alone, rows, tasks, np.ones(n))
         delay, energy = alone.split_price(c0, c1, alone.c - c0 - c1, 1.0,
                                           rows, tasks)
-        bound[:, i + 1] = np.where(ok, a * delay + (1.0 - a) * energy, np.inf)
+        cost = np.where(c0 == alone.c, alone.k_local, a * delay + (1.0 - a) * energy)
+        bound[:, i + 1] = np.where(ok, cost, np.inf)
     return bound
 
 
