@@ -1,8 +1,8 @@
 """Command line harness.
 
 Subcommands: `generate` (scenario JSON from a config), `solve` (one
-consensus run with trace and placement outputs), `oracle` (optimum of
-a small instance by branch and bound), `sweep` (experiment spec), `baseline`
+consensus run with trace and placement outputs), `oracle` (optimum over
+the tasks dominance leaves contested), `sweep` (experiment spec), `baseline`
 (random feasible placement).  All file formats are JSON except the trace
 and summary CSVs.
 """
@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 
-from . import admm, costs, experiments, oracle
+from . import admm, costs, errors, experiments, oracle
 from .admm import SolverConfig
 from .costs import UtilityWeights
 from .scenario import (Scenario, ScenarioConfig, from_config,
@@ -56,7 +57,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = Scenario.from_json(args.scenario)
-    result = oracle.enumerate_optimum(scenario, UtilityWeights(args.alpha))
+    try:
+        result = oracle.enumerate_optimum(scenario, UtilityWeights(args.alpha))
+    except errors.InstanceTooLargeError as err:
+        print(f"edgealloc oracle: {err}", file=sys.stderr)
+        return 2
     result.to_json(args.out)
     if result.feasible:
         print(f"optimum {result.utility:.6g} over {result.n_enumerated} "
@@ -109,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("oracle", help="optimum of a small instance")
+    p = sub.add_parser("oracle", help="exact optimum; exit 2 over its tuple cap")
     p.add_argument("--scenario", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--out", required=True)

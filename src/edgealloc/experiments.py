@@ -170,9 +170,8 @@ def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
                      weights: UtilityWeights | None = None) -> list:
     """Relative utility gap of the rounded consensus placement to the
     oracle's optimum, per size, deadline range and scenario seed, with the
-    oracle's wall time and the tuples it priced.  The oracle's task cap is
-    lifted to the largest size, so the largest sizes take seconds per
-    instance.  A solve whose rounding raises is reported with a NaN gap."""
+    oracle's wall time, the tasks it left contested and the tuples it
+    priced.  A solve whose rounding raises is reported with a NaN gap."""
     weights = weights or UtilityWeights()
     solver_config = SolverConfig(alpha=weights.alpha, max_iter=120,
                                  cbgp_rounds=30)
@@ -183,8 +182,7 @@ def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
                 scenario = generate_scenario(ScenarioConfig(
                     n_tasks=n, n_sbs=n_sbs, seed=seed, t_max_range=t_max_range))
                 t0 = time.perf_counter()
-                best = oracle.enumerate_optimum(scenario, weights,
-                                                max_tasks=max(sizes))
+                best = oracle.enumerate_optimum(scenario, weights)
                 oracle_s = time.perf_counter() - t0
                 try:
                     placement, _ = admm.run(scenario, solver_config)
@@ -197,6 +195,7 @@ def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
                              "solver_utility": util,
                              "oracle_utility": best.utility, "gap": gap,
                              "oracle_s": oracle_s, "priced": best.n_priced,
+                             "contested": best.n_contested,
                              "tuples": best.n_enumerated})
     return rows
 

@@ -1,40 +1,36 @@
-"""Reference solver for desk-scale instances.
+"""Exact reference solver: the true optimum of the weighted objective
+over every hard branch assignment, for instances with few contested tasks.
 
-Searches every hard branch assignment and reports the true optimum of
-the weighted objective.  Its independence from the consensus solver lies
-in the search: every branch tuple is priced or proven no better than one
-already priced, where the solver relaxes, iterates and rounds.  Each tuple
-is priced by `costs.price_tuple`, the pricer the solver's rounding uses;
-the tests cross-check its splits against a brute-force search.  The
-pricer is canonical: an SBS task whose split uploads nothing runs on the
-terminal, so a tuple holding one is priced as the tuple with that task on
-the terminal.
+Its independence from the consensus solver lies in the search: every
+branch tuple is priced or proven no better than one already priced, where
+the solver relaxes, iterates and rounds.  Each tuple is priced by
+`costs.price_tuple`, the pricer the solver's rounding uses; the tests
+cross-check its splits against a brute-force search.  The pricer is
+canonical: an SBS task whose split uploads nothing runs on the terminal.
 
-The search is a depth-first branch and bound over the tasks (Land & Doig,
-Econometrica 28, 1960).  Adding tasks only raises interference, relay
-congestion and co-hosted load, so a task's cost on a branch in any tuple
-is at least its cost there alone: the terminal and macro costs are exact,
-and an SBS branch is bounded by the task's cheapest deadline-feasible
-split at the whole station with no interference and no relay base load,
-the `best_splits` cost of every (station, task) pair on one lone-task
-table, or exactly its terminal cost where that split uploads nothing.  A
-prefix whose bounds, plus the cheapest bound of every task still open,
-reach the best utility found cannot hold a strictly better tuple and is
-skipped.
+Adding tasks only raises interference, relay congestion and co-hosted
+load, so a task's cost on a branch in any tuple is at least its cost there
+alone (`branch_bounds`); the terminal and macro costs are exact and move
+no other task.  So each task needs one exact branch, the cheaper of the
+two, the terminal on a tie: the other gives a tuple that is dearer, or
+equal and later in the order.  Dominance fixes a task on its exact branch
+before the search (Savelsbergh, ORSA J. Computing 6, 1994) when its least
+SBS bound is above the exact cost, or equal to it with the terminal
+exact: moving it there from an SBS gives a tuple no dearer and, if equal,
+earlier.  That assumes dropping a task from a station never raises the
+others' priced cost: true of interference and relay load, and of the
+co-hosted shares as far as `price_tuple`'s square-root heuristic is.
 
-Before the search each task is decided by dominance where it can be
-(variable fixing in MIP preprocessing; Savelsbergh, ORSA J. Computing 6,
-1994): its SBS branches are never tried when its least SBS bound is at
-least its terminal cost and the terminal is no dearer than the macro
-station, since moving it to the terminal gives a tuple no dearer and
-earlier in the order, or when that bound is strictly above its macro
-cost, since moving it there gives a strictly cheaper tuple.  Branches are
-tried in order, so the result, ties included, is the first best tuple of
-the exhaustive order of canonical tuples.  The rule assumes that dropping
-a task from a station never raises the other tasks' priced cost.  Less
-interference and less relay load satisfy it by construction; the shares
-of the remaining co-hosted tasks satisfy it only as far as
-`price_tuple`'s square-root share heuristic does.
+The contested tasks, those left open, are searched depth first, each over
+its exact branch and its SBSs in branch order (Land & Doig, Econometrica
+28, 1960).  A prefix whose bounds, plus the cheapest bound of every task
+still open, reach the best utility found cannot hold a strictly better
+tuple and is skipped.  The result, ties included, is the first best tuple
+of the exhaustive order of canonical tuples.  The contested tasks, not n,
+set the cost: the search is refused when their (s + 1)^k tuples exceed
+`MAX_TUPLES` = 5^6, the exhaustive order of 6 tasks on 3 SBSs, so every
+instance of at most 6 tasks on at most 3 SBSs, (s + 1)^n <= 4^6, and of 8
+tasks on 2 SBSs, 3^8, is admitted.
 
 The pricer's split memo lives for one `enumerate_optimum` call: tuples
 that differ only in which tasks run locally or on the macro station leave
@@ -52,8 +48,8 @@ from .costs import Placement, UtilityWeights
 from .errors import InstanceTooLargeError
 from .scenario import Scenario, write_json
 
-MAX_TASKS = 6
-MAX_STATIONS = 4
+# the most tuples of contested tasks the search may reach
+MAX_TUPLES = 5 ** 6
 
 # relative slack of the pruning test: the bound and the placement pricer
 # add the same nonnegative terms in different orders
@@ -64,7 +60,8 @@ BOUND_MARGIN = 1e-9
 class OracleResult:
     """The optimum found.  `n_enumerated` counts the whole tuple space,
     (s + 2)^n, pruned tuples included; `n_priced` counts the tuples whose
-    splits were priced and is not part of the JSON."""
+    splits were priced and `n_contested` the tasks dominance left open,
+    and neither is part of the JSON."""
 
     placement: Placement | None
     utility: float
@@ -72,6 +69,7 @@ class OracleResult:
     n_enumerated: int
     feasible: bool
     n_priced: int = 0
+    n_contested: int = 0
 
     def to_dict(self) -> dict:
         doc = {"utility": self.utility, "branch_table": self.branch_table,
@@ -117,55 +115,52 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     return bound
 
 
-def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
-                      max_tasks: int = MAX_TASKS) -> OracleResult:
+def enumerate_optimum(scenario: Scenario, weights: UtilityWeights) -> OracleResult:
     """Global minimum over every feasible hard assignment: the first best
-    tuple of the exhaustive order of canonical tuples.
-
-    A depth-first branch and bound over the tasks, branches in order, with
-    the bounds of `branch_bounds`, the dominance rule of the module
-    docstring and no SBS hosting more than `ScenarioConfig.max_per_sbs`
-    tasks; each tuple it reaches is priced by `costs.price_tuple` and its
-    utility re-evaluated through the placement pricer, on the tables the
-    pricer built, so that solver and oracle are compared on identical
-    terms.  Instances above `max_tasks` tasks or `MAX_STATIONS` stations
-    raise `InstanceTooLargeError`; the search grows as (s + 2)^n.
+    tuple of the exhaustive order of canonical tuples, searched as the
+    module docstring says, no SBS hosting more than
+    `ScenarioConfig.max_per_sbs` tasks.  Each tuple reached is priced by
+    `costs.price_tuple`, and its utility and feasibility read the tables
+    that pricing built, so solver and oracle compare on identical terms.
+    `InstanceTooLargeError` is raised before any tuple is priced when the
+    contested tasks give more than `MAX_TUPLES` tuples.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    if n > max_tasks or len(scenario.stations) > MAX_STATIONS:
-        raise InstanceTooLargeError(
-            f"oracle search capped at {max_tasks} tasks / {MAX_STATIONS} stations")
-
     alpha = weights.alpha
     cap = scenario.config.max_per_sbs
 
     base_tables = costs.build_cost_tables(
         scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
     bound = branch_bounds(scenario, base_tables)
-    # rest[k]: the cheapest bound of every task from k on
-    rest = np.append(np.cumsum(bound.min(axis=1)[::-1])[::-1], 0.0).tolist()
+    # each task's exact branch, and the tasks dominance leaves open
+    exact = np.where(bound[:, 0] <= bound[:, s + 1], 0, s + 1)
+    on_exact = bound[np.arange(n), exact]
+    least = bound[:, 1:s + 1].min(axis=1, initial=np.inf)
+    contested = (least < on_exact) | ((least == on_exact) & (exact > 0))
+    tasks = np.flatnonzero(contested).tolist()
+    n_tuples = (s + 1) ** len(tasks)
+    if n_tuples > MAX_TUPLES:
+        raise InstanceTooLargeError(
+            f"{len(tasks)} contested tasks give {n_tuples} tuples, "
+            f"over the oracle's cap of {MAX_TUPLES}")
+    choice = exact.tolist()
+    options = [sorted([choice[j], *range(1, s + 1)]) for j in tasks]
+    # rest[k]: the cheapest bound of every contested task from the k-th on
+    rest = np.append(np.cumsum(bound[tasks].min(axis=1)[::-1])[::-1],
+                     0.0).tolist()
     bound = bound.tolist()
-    # the branches each task may take: none of its SBSs where dominance
-    # decides it for the terminal or the macro station
-    options = []
-    for local, *sbs, macro in bound:
-        least = min(sbs, default=np.inf)
-        decided = least >= local and local <= macro or least > macro
-        options.append([0, s + 1] if decided else list(range(s + 2)))
 
     # the split searches of `costs.price_tuple`, kept for this call only
     memo = {}
 
     best_util = np.inf
     best_placement = None
-    best_branches = None
     n_priced = 0
-    choice = [0] * n
     hosted = [0] * (s + 2)  # tasks on each branch of the current prefix
 
     def descend(k, prefix_bound):
-        nonlocal best_util, best_placement, best_branches, n_priced
-        if k == n:
+        nonlocal best_util, best_placement, n_priced
+        if k == len(tasks):
             n_priced += 1
             placement, _, tables = costs.price_tuple_tables(
                 scenario, alpha, choice, memo)
@@ -180,31 +175,32 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights,
                                                             tables):
                 best_util = util
                 best_placement = placement
-                best_branches = placement.branches()
             return
+        j = tasks[k]
         for b in options[k]:
             if 0 < b <= s and hosted[b] == cap:
                 continue
-            low = prefix_bound + bound[k][b]
+            low = prefix_bound + bound[j][b]
             # every completion costs at least low + rest[k + 1], so with
             # the margin none is strictly below the best
             if (low + rest[k + 1]) * (1.0 - BOUND_MARGIN) >= best_util:
                 continue
-            choice[k] = b
+            choice[j] = b
             hosted[b] += 1
             descend(k + 1, low)
             hosted[b] -= 1
 
-    descend(0, 0.0)
+    # a decided task that meets no deadline leaves no tuple to price
+    decided = float(on_exact[~contested].sum())
+    if decided < np.inf:
+        descend(0, decided)
 
-    n_enumerated = (s + 2) ** n
-    if best_placement is None:
-        return OracleResult(placement=None, utility=np.inf, branch_table=[],
-                            n_enumerated=n_enumerated, feasible=False,
-                            n_priced=n_priced)
-    return OracleResult(placement=best_placement, utility=float(best_util),
-                        branch_table=best_branches, n_enumerated=n_enumerated,
-                        feasible=True, n_priced=n_priced)
+    feasible = best_placement is not None
+    return OracleResult(
+        placement=best_placement, utility=float(best_util),
+        branch_table=best_placement.branches() if feasible else [],
+        n_enumerated=(s + 2) ** n, feasible=feasible, n_priced=n_priced,
+        n_contested=len(tasks))
 
 
 def compare(solver_placement: Placement, solver_utility: float,

@@ -20,10 +20,11 @@ and digest:
   also covers how much work each block did;
 - `oracle.json` as written, for the four `oracle_small` scenarios, two
   six-task, two-station ones, loose and tight, whose exhaustive order
-  holds 4096 tuples (the dominance rule decides every loose task for the
-  terminal before the search, and leaves the tight one a contested SBS
-  task), and a tight five-task, one-station one whose optimum holds a
-  split that misses its deadline at an intermediate share;
+  holds 4096 tuples (the dominance rule fixes every loose task on its
+  exact branch, the terminal, before the search, and leaves the tight one
+  one contested task, searched over both SBSs and the macro station), and a
+  tight five-task, one-station one, two tasks contested, whose optimum
+  holds a split that misses its deadline at an intermediate share;
 - `baseline.json`, `run_baseline` on criterion 10's five 20-task, 3-SBS
   scenarios at seeds 0-99: every placement with its utility, or the
   tasks a run names as it raises;

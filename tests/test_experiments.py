@@ -386,7 +386,8 @@ def test_oracle_gap_study_rows():
         (2, "loose"), (2, "tight"), (3, "loose"), (3, "tight")]
     for r in rows:
         assert r["tuples"] == 3 ** r["n_tasks"]
-        assert 0 < r["priced"] <= r["tuples"]
+        assert 0 < r["priced"] <= 2 ** r["contested"]
+        assert r["contested"] <= r["n_tasks"]
         if np.isfinite(r["gap"]):
             assert r["gap"] >= -1e-12
 
@@ -419,6 +420,27 @@ def test_cli_generate_solve_oracle_baseline(tmp_path, capsys):
     line = capsys.readouterr().out.strip().split("\n")[-1]
     payload = json.loads(line)
     assert "utility" in payload
+
+
+def test_cli_oracle_refusal_is_one_line_and_exit_2(tmp_path, capsys):
+    # mixed 20 tasks on two SBSs leaves 10 tasks contested: 3**10 tuples,
+    # over the oracle's cap, so the command refuses without a traceback
+    # and writes nothing
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n_tasks": 20, "n_sbs": 2, "seed": 0,
+                                       "c_range": [4e6, 2e7]}))
+    scen_path = str(tmp_path / "scenario.json")
+    assert cli.main(["generate", "--config", str(config_path),
+                     "--out", scen_path]) == 0
+    capsys.readouterr()
+    oracle_path = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--scenario", scen_path,
+                     "--out", str(oracle_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("edgealloc oracle: 10 contested tasks give 59049 "
+                            "tuples, over the oracle's cap of 15625\n")
+    assert not oracle_path.exists()
 
 
 def test_cli_generate_config_names_unknown_keys(tmp_path):

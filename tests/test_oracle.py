@@ -117,13 +117,45 @@ def test_enumerate_optimum_skips_tuples_over_station_capacity(h_min,
     assert result.n_priced == 3
 
 
-def test_size_guard():
-    scen = generate_scenario(ScenarioConfig(n_tasks=7, n_sbs=1, seed=0))
-    with pytest.raises(InstanceTooLargeError):
-        enumerate_optimum(scen, UtilityWeights(0.5))
-    scen = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=4, seed=0))
-    with pytest.raises(InstanceTooLargeError):
-        enumerate_optimum(scen, UtilityWeights(0.5))
+def test_size_guard(monkeypatch):
+    # the cap counts the tuples of the contested tasks, not n or s: 7 loose
+    # tasks on one SBS and 2 tasks on four SBSs, which task and station caps
+    # refused, are decided before the search and match the exhaustive
+    # reference.  Mixed 20 tasks on two SBSs leaves 10 tasks open, 3**10
+    # tuples over the cap of 5**6, and is refused before any is priced
+    weights = UtilityWeights(0.5)
+    for config in (dict(n_tasks=7, n_sbs=1, seed=0), dict(n_tasks=2, n_sbs=4, seed=0)):
+        scen = generate_scenario(ScenarioConfig(**config))
+        _assert_same_result(
+            enumerate_optimum(scen, weights),
+            _reference_enumerate_optimum(scen, weights, _row_cached_split()))
+    priced = _priced_tuples(monkeypatch)
+    scen = generate_scenario(ScenarioConfig(n_tasks=20, n_sbs=2, seed=0,
+                                            c_range=(4e6, 2e7)))
+    with pytest.raises(InstanceTooLargeError,
+                       match="10 contested tasks give 59049 tuples"):
+        enumerate_optimum(scen, weights)
+    assert priced == []
+
+
+def test_exact_branch_rule_never_prices_the_dearer_exact_branch(monkeypatch):
+    # at alpha 0.9 with a frugal SBS both tasks meet their deadlines on the
+    # terminal, yet the macro station is cheaper and the SBS bound cheaper
+    # still, so both stay contested on the macro station and the SBS.  A
+    # search that also tried the terminal would price tuples holding it
+    priced = _priced_tuples(monkeypatch)
+    scen = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=0,
+                                            t_max_range=(0.02, 0.08),
+                                            e_sbs=3e-10))
+    weights = UtilityWeights(0.9)
+    bound = _bounds(scen, weights.alpha)
+    assert np.isfinite(bound).all()
+    assert (bound[:, 1] < bound[:, 2]).all() and (bound[:, 2] < bound[:, 0]).all()
+    result = enumerate_optimum(scen, weights)
+    assert result.n_contested == 2
+    assert priced and all(0 not in tup for tup in priced)
+    assert result.branch_table == ["mbs", "sbs1"]
+    _assert_same_result(result, _reference_enumerate_optimum(scen, weights))
 
 
 def test_infeasible_instance_reports_rather_than_raises():
@@ -595,9 +627,18 @@ def test_loose_eight_tasks_price_one_tuple():
     # search, so the oracle prices the all-terminal tuple alone; the
     # exhaustive order holds 3**8 = 6561 terminal-and-SBS tuples
     scen = generate_scenario(ScenarioConfig(n_tasks=8, n_sbs=2, seed=0))
-    result = enumerate_optimum(scen, UtilityWeights(0.5), max_tasks=8)
-    assert result.n_priced == 1
+    result = enumerate_optimum(scen, UtilityWeights(0.5))
+    assert result.n_priced == 1 and result.n_contested == 0
     assert result.branch_table == ["local"] * 8
+
+
+def test_loose_thousand_tasks_price_the_all_terminal_tuple():
+    # the 1000-task, 5-SBS benchmark scenario: dominance decides every task,
+    # so the search has no depth and prices the all-terminal tuple alone
+    scen = generate_scenario(ScenarioConfig(n_tasks=1000, n_sbs=5, seed=42))
+    result = enumerate_optimum(scen, UtilityWeights(0.5))
+    assert result.n_priced == 1 and result.n_contested == 0
+    assert result.branch_table == ["local"] * 1000
 
 
 # -- the pruning bound -------------------------------------------------------
