@@ -353,7 +353,7 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             converged = True
             break
 
-    # free the last tables before rounding, which builds its own
+    # free the last tables; rounding builds its own for SBS tasks alone
     del tables
     trace.converged = converged
     placement = round_to_feasible(state.v, scenario, config.alpha)
@@ -369,9 +369,9 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
     own and move no other task, so j takes the faster of the two that
     `costs.meets_deadline` admits, ties to the terminal.  Only when neither
     does is each SBS hosting fewer than `cap` tasks tried: the whole tuple
-    with j on it is repriced, and of the SBSs where it meets j's deadline j
-    takes the one whose tuple has the least utility, ties to the lower
-    index."""
+    with j on it is repriced, and of the SBSs where its record meets j's
+    deadline j takes the one whose tuple has the least utility, ties to
+    the lower index."""
     s = scenario.n_sbs
     pc = scenario.pricing
     exact = [(delay, b) for delay, b in ((pc.t_local[j], 0),
@@ -381,14 +381,12 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
         choice[j] = min(exact)[1]
         return True
     hosted = np.bincount(choice[choice > 0], minlength=s + 2)[1:s + 1]
-    weights = UtilityWeights(alpha)
     priced = []
     for i in np.flatnonzero(hosted < cap):
         choice[j] = i + 1
-        placement, _ = costs.price_tuple(scenario, alpha, choice, memo)
-        if (placement is not None
-                and costs.check_feasibility(placement, scenario).deadline_ok[j]):
-            priced.append((costs.utility(placement, scenario, weights), i + 1))
+        placement, _, util, report = costs.price_tuple(scenario, alpha, choice, memo)
+        if placement is not None and report.deadline_ok[j]:
+            priced.append((util, i + 1))
     choice[j] = min(priced)[1] if priced else -1
     return bool(priced)
 
@@ -401,8 +399,8 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
     `ScenarioConfig.max_per_sbs` on an SBS are demoted to the MBS.  The
     tuple is priced by `costs.price_tuple`; every task that misses its
     deadline there (named by the pricer, on a terminal or macro branch
-    `costs.meets_deadline` refuses, or late in the priced placement by
-    `costs.check_feasibility`) is promoted by `_promote`: to its faster
+    `costs.meets_deadline` refuses, or late by the feasibility report of
+    the pricer's record) is promoted by `_promote`: to its faster
     terminal or macro branch that meets the deadline, else to the open SBS
     where the repriced tuple meets it at the least utility.  The tuple is
     priced again until no task misses.
@@ -433,12 +431,11 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
     memo = {}
     promoted = np.zeros(n, dtype=bool)
     while True:
-        placement, named = costs.price_tuple(scenario, alpha, choice, memo)
+        placement, named, _, report = costs.price_tuple(scenario, alpha, choice, memo)
         miss = ((choice == 0) & late[0]) | ((choice == s + 1) & late[1])
         if placement is None:
             miss[named] = True
         else:
-            report = costs.check_feasibility(placement, scenario)
             miss |= ~report.deadline_ok
         if not miss.any():
             break

@@ -10,10 +10,14 @@ built; `CostTables.split_price` is the one pricer of the split branch, at
 the resource shares each caller passes.  Every other function here is
 pure.  `best_splits` is the one split optimizer, whose record is the
 whole optimum its callers read, and `price_tuple` the one pricer of a
-hard branch tuple, which rounding and the oracle share.  Its placements
-are canonical: a split that uploads nothing is the terminal branch, so an
-SBS task whose chosen split runs every cycle on the terminal is placed
-there, and every placement has one tuple.
+hard branch tuple, which rounding and the oracle share; its record holds
+the placement, its utility and its feasibility report, priced on tables
+chosen here alone.  Its placements are canonical: a split that uploads
+nothing is the terminal branch, so an SBS task whose chosen split runs
+every cycle on the terminal is placed there, and every placement has one
+tuple.  A placement with no SBS task is priced on no table: there the
+table path's split terms x * t3 and x * e3 add exact zeros, since rates
+are floored at `_TINY_RATE` and t3 and e3 are finite.
 
 Two deadline rules: `meets_deadline` is the one test of every branch or
 split that the solver, rounding, the oracle or the baseline chooses, and
@@ -417,9 +421,11 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     """Hard placement of one branch tuple, the one pricer of the solver's
     rounding and the oracle.  `choice[j]` is task j's branch: 0 the
     terminal, 1..s an SBS, s + 1 the MBS; any other value leaves j unplaced.
-    Returns (placement, None), or (None, j) for the first task whose split
-    misses its deadline at its final share, or for the first member of a
-    station hosting more than `ScenarioConfig.max_per_sbs` tasks.
+    Returns (placement, None, utility, report), its utility at `alpha` and
+    its report bit for bit those of `utility` and `check_feasibility`, or
+    (None, j, inf, None) for the first task whose split misses its deadline
+    at its final share, or for the first member of a station hosting more
+    than `ScenarioConfig.max_per_sbs` tasks.
 
     A lone task runs at h = 1: the share only scales the SBS execution
     term, so no split is cheaper or faster at a smaller one.  Co-hosted
@@ -430,21 +436,15 @@ def price_tuple(scenario: Scenario, alpha: float, choice, memo: dict):
     forwarded any.  `memo` keeps each split search by every input that can
     change for a fixed scenario and alpha (j fixes `t_max[j]`, the rate
     `e_up`); each station's misses are priced in one `best_splits` call.
+    Utility and report come from one `placement_costs` call, on the last
+    sweep's tables unless that sweep moved a forwarded part.
 
     Each placement has one canonical branch tuple: an SBS member whose
     chosen split uploads nothing (c0 = c, so c1 = ci = 0) runs on the
     terminal, and the tuple is priced again without it on the station.
-    The result is the placement of the tuple with those tasks on the
+    The result is the record of the tuple with those tasks on the
     terminal, every array bit for bit.  `choice` is not written.
     """
-    return price_tuple_tables(scenario, alpha, choice, memo)[:2]
-
-
-def price_tuple_tables(scenario: Scenario, alpha: float, choice, memo: dict):
-    """`price_tuple`, plus the cost tables its last sweep built when they
-    are at the placement's own x and c1, so that `utility` and
-    `check_feasibility` can read them; None when the tuple puts no task on
-    an SBS or the last sweep moved a forwarded part."""
     s, n = scenario.n_sbs, scenario.n_tasks
     h_min = scenario.pricing.h_min
     hard_x, y, z = hard_assignment(choice, s)
@@ -475,7 +475,7 @@ def price_tuple_tables(scenario: Scenario, alpha: float, choice, memo: dict):
             if not members:
                 continue
             if len(members) > scenario.config.max_per_sbs:
-                return None, members[0], None
+                return None, members[0], np.inf, None
             shares = dict.fromkeys(members, min(1.0, 1.0 / len(members)))
             for _ in range(2 if len(members) > 1 else 0):
                 weights = {}
@@ -486,16 +486,17 @@ def price_tuple_tables(scenario: Scenario, alpha: float, choice, memo: dict):
                 shares = floored_proportions(weights, h_min)
             for j, split in zip(members, splits(tables, i, members, shares)):
                 if split is None:
-                    return None, j, None
+                    return None, j, np.inf, None
                 c0[i, j], c1[i, j], ci[i, j] = split
                 h[i, j] = shares[j]
     idle = ((hard_x > 0) & (c0 == scenario.pricing.c)).any(axis=0)
     if idle.any():
-        return price_tuple_tables(scenario, alpha,
-                                  np.where(idle, 0, choice), memo)
-    if frozen is not None and not np.array_equal(frozen, c1):
-        tables = None
-    return Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h), None, tables
+        return price_tuple(scenario, alpha, np.where(idle, 0, choice), memo)
+    placement = Placement(x=hard_x, y=y, z=z, c0=c0, c1=c1, ci=ci, h=h)
+    own = frozen is not None and np.array_equal(frozen, c1)
+    delay, energy = placement_costs(placement, scenario, tables if own else None)
+    return (placement, None, _weighted_sum(alpha, delay, energy),
+            _feasibility(placement, scenario, delay))
 
 
 def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
@@ -527,26 +528,32 @@ def placement_costs(placement: Placement, scenario: Scenario,
     `tables`, when given, must be `build_cost_tables`' at the placement's
     x and c1; the SBSs run at the placement's shares h.  Delay and energy
     read no coefficient that depends on alpha, so tables built here take
-    the default weights' alpha."""
+    the default weights' alpha.  With no SBS task the terminal and macro
+    terms alone are the totals, bit for bit, and no table is read."""
+    pc = scenario.pricing
+    delay = placement.z * pc.t_local + placement.y * pc.t_mbs
+    energy = placement.z * pc.e_local_task + placement.y * pc.e_mbs_task
+    if not placement.x.any():
+        return delay, energy
     if tables is None:
         tables = build_cost_tables(scenario, UtilityWeights().alpha,
                                    placement.x, placement.c1)
     with np.errstate(divide="ignore"):
         r = np.where(placement.h > 0, 1.0 / placement.h, 1.0)
     t3, e3 = tables.split_price(placement.c0, placement.c1, placement.ci, r)
-    delay = (placement.z * tables.t_local + placement.y * tables.t_mbs
-             + (placement.x * t3).sum(axis=0))
-    energy = (placement.z * tables.e_local_task + placement.y * tables.e_mbs_task
-              + (placement.x * e3).sum(axis=0))
-    return delay, energy
+    return (delay + (placement.x * t3).sum(axis=0),
+            energy + (placement.x * e3).sum(axis=0))
+
+
+def _weighted_sum(alpha: float, delay: np.ndarray, energy: np.ndarray) -> float:
+    return float(alpha * delay.sum() + (1.0 - alpha) * energy.sum())
 
 
 def utility(placement: Placement, scenario: Scenario,
             weights: UtilityWeights, tables: CostTables | None = None) -> float:
     """Weighted objective alpha * total delay + (1 - alpha) * total energy;
     `tables` as for `placement_costs`."""
-    delay, energy = placement_costs(placement, scenario, tables)
-    return float(weights.alpha * delay.sum() + (1.0 - weights.alpha) * energy.sum())
+    return _weighted_sum(weights.alpha, *placement_costs(placement, scenario, tables))
 
 
 # -- feasibility -------------------------------------------------------------
@@ -561,13 +568,15 @@ class FeasibilityReport:
         return self.ok
 
 
-def check_feasibility(placement: Placement, scenario: Scenario,
-                      tables: CostTables | None = None) -> FeasibilityReport:
+def check_feasibility(placement: Placement, scenario: Scenario) -> FeasibilityReport:
     """Validate the three hard constraints of an allocation: per-task
-    deadline, per-SBS resource budget, and one branch per task; `tables`
-    as for `placement_costs`."""
+    deadline, per-SBS resource budget, and one branch per task."""
+    return _feasibility(placement, scenario, placement_costs(placement, scenario)[0])
+
+
+def _feasibility(placement: Placement, scenario: Scenario,
+                 delay: np.ndarray) -> FeasibilityReport:
     tol = 1e-9  # relative and absolute slack of every check
-    delay, _ = placement_costs(placement, scenario, tables)
     t_max = scenario.pricing.t_max
     deadline_ok = delay <= t_max * (1.0 + tol) + tol
     shares = (placement.h * placement.x).sum(axis=1) if scenario.n_sbs else np.zeros(0)

@@ -4,9 +4,10 @@ over every hard branch assignment, for instances with few contested tasks.
 Its independence from the consensus solver lies in the search: every
 branch tuple is priced or proven no better than one already priced, where
 the solver relaxes, iterates and rounds.  Each tuple is priced by
-`costs.price_tuple`, the pricer the solver's rounding uses; the tests
-cross-check its splits against a brute-force search.  The pricer is
-canonical: an SBS task whose split uploads nothing runs on the terminal.
+`costs.price_tuple`, the pricer the solver's rounding uses, with its
+utility and feasibility; the tests cross-check its splits against a
+brute-force search.  The pricer is canonical: an SBS task whose split
+uploads nothing runs on the terminal.
 
 Adding tasks only raises interference, relay congestion and co-hosted
 load, so a task's cost on a branch in any tuple is at least its cost there
@@ -82,15 +83,15 @@ class OracleResult:
         return write_json(self.to_dict(), path)
 
 
-def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarray:
-    """(n, s + 2) lower bound on each task's cost on each branch of any
-    tuple, columns in branch order: terminal, SBS 1..s, macro.
+def branch_bounds(scenario: Scenario, alpha: float) -> np.ndarray:
+    """(n, s + 2) lower bound on each task's cost at `alpha` on each branch
+    of any tuple, columns in branch order: terminal, SBS 1..s, macro.
 
-    The terminal and macro columns are `k_local` and `k_mbs`, or +inf where
-    `costs.meets_deadline` refuses the branch; `base_tables` must be the
-    tables with no SBS task.  Each SBS column is the `best_splits` cost of
-    the task alone at h = 1, or +inf where no split meets the deadline,
-    all (station, task) pairs priced at once on one lone-task table.  A
+    The terminal and macro columns are `k_local` and `k_mbs` of one table
+    built at zero assignment, or +inf where `costs.meets_deadline` refuses
+    the branch.  Each SBS column is the `best_splits` cost of the task
+    alone at h = 1, or +inf where no split meets the deadline, all
+    (station, task) pairs priced at once on that table as a lone task's.  A
     tuple only adds interference, relay load and co-hosted sharing, and at
     a fixed split each of them only raises the delay and the cost, so a
     split that misses its deadline alone misses it in every tuple.  Where
@@ -98,7 +99,8 @@ def branch_bounds(scenario: Scenario, base_tables: costs.CostTables) -> np.ndarr
     the terminal, and the entry is exactly `k_local`.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    t = base_tables
+    t = costs.build_cost_tables(scenario, alpha, np.zeros((s, n)),
+                                np.zeros((s, n)))
     bound = np.empty((n, s + 2))
     for b, delay, k in ((0, t.t_local, t.k_local), (s + 1, t.t_mbs, t.k_mbs)):
         bound[:, b] = np.where(costs.meets_deadline(delay, t.t_max), k, np.inf)
@@ -120,8 +122,8 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights) -> OracleResu
     tuple of the exhaustive order of canonical tuples, searched as the
     module docstring says, no SBS hosting more than
     `ScenarioConfig.max_per_sbs` tasks.  Each tuple reached is priced by
-    `costs.price_tuple`, and its utility and feasibility read the tables
-    that pricing built, so solver and oracle compare on identical terms.
+    `costs.price_tuple`, with its utility and feasibility, so solver and
+    oracle compare on identical terms.
     `InstanceTooLargeError` is raised before any tuple is priced when the
     contested tasks give more than `MAX_TUPLES` tuples.
     """
@@ -129,9 +131,7 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights) -> OracleResu
     alpha = weights.alpha
     cap = scenario.config.max_per_sbs
 
-    base_tables = costs.build_cost_tables(
-        scenario, alpha, np.zeros((s, n)), np.zeros((s, n)))
-    bound = branch_bounds(scenario, base_tables)
+    bound = branch_bounds(scenario, alpha)
     # each task's exact branch, and the tasks dominance leaves open
     exact = np.where(bound[:, 0] <= bound[:, s + 1], 0, s + 1)
     on_exact = bound[np.arange(n), exact]
@@ -162,17 +162,10 @@ def enumerate_optimum(scenario: Scenario, weights: UtilityWeights) -> OracleResu
         nonlocal best_util, best_placement, n_priced
         if k == len(tasks):
             n_priced += 1
-            placement, _, tables = costs.price_tuple_tables(
-                scenario, alpha, choice, memo)
-            if placement is None:
-                return
-            if not placement.x.any():
-                tables = base_tables
-            util = costs.utility(placement, scenario, weights, tables)
-            # only a tuple that would improve the best needs its
-            # feasibility check
-            if util < best_util and costs.check_feasibility(placement, scenario,
-                                                            tables):
+            placement, _, util, report = costs.price_tuple(scenario, alpha,
+                                                           choice, memo)
+            # a miss prices at +inf, above any best
+            if util < best_util and report.ok:
                 best_util = util
                 best_placement = placement
             return

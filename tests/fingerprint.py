@@ -33,13 +33,17 @@ and digest:
 - `solves.json`, `admm.run` on the four `oracle_small` scenarios at that
   workload's solver settings (120 iterations, 30 CBGP rounds, no
   timing): each solve's trace CSV, placement and work counters, or the
-  tasks its rounding names as it raises;
+  tasks its rounding names as it raises; and at the same settings on two
+  scenarios whose terminal and macro station run at 1 MHz, so rounding
+  promotes tasks by trying them on each open SBS: 20 tasks on 2 SBSs at
+  seed 2 and h_min 0.1, which solves after 4 SBS trials, and 12 tasks
+  at seed 0 and h_min 0.2, whose rounding names tasks 10 and 11 after 2;
 - `optima.json`, `oracle.enumerate_optimum` on the 50 scenarios of the
   criterion-3 stream: each result's `to_dict()` with its `n_priced`, so
   a bit-identity claim also covers how many tuples the bound pruned.
 
-That is 96 digests: five for each of the 17 solves in `SOLVES`, one for
-each of the 7 oracle instances and one for each of the 4 experiment
+That is 97 digests: five for each of the 17 solves in `SOLVES`, one for
+each of the 7 oracle instances and one for each of the 5 experiment
 instances in `EXPERIMENTS`.
 
 Running it on two trees and diffing the outputs checks a claim that a
@@ -131,8 +135,10 @@ def oracle_small_configs(n: int = 4) -> list:
 # name -> (mode, arguments) of the experiment instances: criterion 10's
 # baseline scenarios and seeds, criterion 11's placement profile, the
 # solves of the `oracle_small` workload, whose solver settings the CLI
-# cannot set, and the oracle on the whole criterion-3 stream, with the
-# count of tuples it priced, which the CLI does not write
+# cannot set, two solves whose rounding promotes a task to an SBS (terminal
+# and macro station at 1 MHz miss every deadline, so `admm._promote` prices
+# the tuple on each open SBS), and the oracle on the whole criterion-3
+# stream, with the count of tuples it priced, which the CLI does not write
 EXPERIMENTS = {
     "criterion10": ("baseline", {
         "scenarios": [dict(n_tasks=20, n_sbs=3, seed=11, c_range=(size, size))
@@ -144,6 +150,12 @@ EXPERIMENTS = {
         "solver": dict(max_iter=80, cbgp_rounds=40)}),
     "oracle_small-solves": ("solves", {
         "scenarios": oracle_small_configs(4),
+        "solver": dict(max_iter=120, cbgp_rounds=30, record_timing=False)}),
+    "promotion-solves": ("solves", {
+        "scenarios": [dict(n_tasks=20, n_sbs=2, seed=2, h_min=0.1,
+                           f_local=1e6, f_mbs=1e6),
+                      dict(n_tasks=12, n_sbs=2, seed=0, h_min=0.2,
+                           f_local=1e6, f_mbs=1e6)],
         "solver": dict(max_iter=120, cbgp_rounds=30, record_timing=False)}),
     "criterion3-optima": ("optima", {"scenarios": oracle_small_configs(50)}),
 }

@@ -293,6 +293,48 @@ def test_round_to_feasible_promotes_to_cheapest_open_sbs(h_min, branch):
     assert costs.check_feasibility(placement, scen).ok
 
 
+def _counting_builds(monkeypatch):
+    """The list of every table build, each entry saying whether it ran
+    inside a `costs.price_tuple` call."""
+    builds, depth = [], [0]
+    build, price = costs.build_cost_tables, costs.price_tuple
+
+    def counting_build(*args):
+        builds.append(depth[0] > 0)
+        return build(*args)
+
+    def pricing(*args):
+        depth[0] += 1
+        try:
+            return price(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(costs, "build_cost_tables", counting_build)
+    monkeypatch.setattr(costs, "price_tuple", pricing)
+    return builds
+
+
+def test_round_to_feasible_builds_tables_only_in_the_pricers_sweeps(
+        monkeypatch):
+    # an all-terminal iterate rounds without a table; a promotion that
+    # tries both SBSs builds only the pricer's own sweeps, none for the
+    # utility or the feasibility of a candidate
+    builds = _counting_builds(monkeypatch)
+    scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=2, seed=0))
+    state = init_state(scen, SolverConfig())
+    state.v[:] = np.array([0.05, 0.05, 0.0, 0.9])[:, None]
+    placement = round_to_feasible(state.v, scen, 0.5)
+    assert placement.branches() == ["local"] * 4
+    assert builds == []
+
+    scen, state = _slow_exact_branches(0.05)
+    placement = round_to_feasible(state.v, scen, 0.5)
+    assert placement.branches() == ["sbs1", "sbs1", "sbs2"]
+    # the first tuple, one per SBS tried for task 2, and the last
+    assert len(builds) >= 4 and all(builds)
+
+
 def test_round_to_feasible_names_a_task_no_sbs_can_take():
     scen, state = _slow_exact_branches(0.05, late_t_max=1e-6)
     with pytest.raises(InfeasibleTaskError) as err:
@@ -302,19 +344,19 @@ def test_round_to_feasible_names_a_task_no_sbs_can_take():
 
 def test_round_to_feasible_names_a_promoted_task_that_misses_again(
         monkeypatch):
-    # task 0 meets its deadline on the terminal, but every check reports it
-    # late, so its promotion back to the terminal misses again
+    # task 0 meets its deadline on the terminal, but every priced record
+    # reports it late, so its promotion back to the terminal misses again
     scen = generate_scenario(ScenarioConfig(n_tasks=2, n_sbs=1, seed=0))
     state = init_state(scen, SolverConfig())
     state.v[:] = np.array([0.05, 0.05, 0.9])[:, None]
-    check = costs.check_feasibility
+    price = costs.price_tuple
 
-    def late(placement, scenario):
-        report = check(placement, scenario)
+    def late(scenario, alpha, choice, memo):
+        placement, named, util, report = price(scenario, alpha, choice, memo)
         report.deadline_ok[0] = False
-        return report
+        return placement, named, util, report
 
-    monkeypatch.setattr(costs, "check_feasibility", late)
+    monkeypatch.setattr(costs, "price_tuple", late)
     with pytest.raises(InfeasibleTaskError) as err:
         round_to_feasible(state.v, scen, 0.5)
     assert err.value.tasks == [0]

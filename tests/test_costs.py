@@ -387,7 +387,8 @@ def test_price_tuple_names_first_task_of_an_over_capacity_station():
     # h_min 0.4: at most two tasks fit on a station
     scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=1, seed=0,
                                             h_min=0.4))
-    assert costs.price_tuple(scen, 0.5, np.array([0, 1, 1, 1]), {}) == (None, 1)
+    assert costs.price_tuple(scen, 0.5, np.array([0, 1, 1, 1]), {}) == (
+        None, 1, np.inf, None)
 
 
 def test_price_tuple_runs_a_split_that_uploads_nothing_on_the_terminal():
@@ -402,12 +403,104 @@ def test_price_tuple_runs_a_split_that_uploads_nothing_on_the_terminal():
     assert ok[0] and c0[0] == scen.pricing.c[0]
 
     choice = [1]
-    on_sbs, missed = costs.price_tuple(scen, 0.5, choice, {})
+    on_sbs, missed, *_ = costs.price_tuple(scen, 0.5, choice, {})
     assert missed is None and choice == [1]
-    local, _ = costs.price_tuple(scen, 0.5, [0], {})
+    local, *_ = costs.price_tuple(scen, 0.5, [0], {})
     for f in dataclasses.fields(Placement):
         assert (getattr(on_sbs, f.name).tobytes()
                 == getattr(local, f.name).tobytes()), f.name
     weights = UtilityWeights(0.5)
     assert utility(on_sbs, scen, weights) == utility(local, scen, weights)
     assert on_sbs.branches() == ["local"]
+
+
+# deadline and data-size regimes of the small random instances
+REGIMES = {"tight": dict(t_max_range=(0.02, 0.08)), "loose": {},
+           "mixed": dict(c_range=(4e6, 2e7))}
+
+
+def test_price_tuple_record_equals_fresh_utility_and_feasibility():
+    # the record's utility and report are fresh `utility` and
+    # `check_feasibility` of its placement, bit for bit, whichever tables
+    # the pricer read them on: its last sweep's, fresh ones after a sweep
+    # that moved a forwarded part (a slow station or a flat relay makes
+    # splits forward; the first example), or none with no SBS task.  At a
+    # floor of 0.4 a station holds two tasks, so some tuples are over
+    # capacity (the second example); loose tuples hold SBS splits that
+    # upload nothing and run on the terminal (the third).  Entry k of
+    # `raw` is task k's choice mod s + 3, less one: -1 leaves the task
+    # unplaced, as rounding's promotion does
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5), s=st.integers(0, 3),
+           seed=st.integers(0, 100000), regime=st.sampled_from(sorted(REGIMES)),
+           alpha=st.floats(0.0, 1.0), h_min=st.sampled_from([0.05, 0.4]),
+           f_sbs=st.sampled_from([2e10, 1e9]),
+           o1=st.sampled_from([1e-12, 1e-9, 1e-7]),
+           raw=st.lists(st.integers(0, 5), min_size=5, max_size=5))
+    @example(n=4, s=2, seed=8, regime="mixed", alpha=0.5, h_min=0.05,
+             f_sbs=2e10, o1=1e-12, raw=[2, 3, 1, 2, 0])
+    @example(n=4, s=1, seed=0, regime="tight", alpha=0.5, h_min=0.4,
+             f_sbs=2e10, o1=1e-9, raw=[1, 2, 2, 2, 0])
+    @example(n=1, s=1, seed=2, regime="loose", alpha=0.5, h_min=0.05,
+             f_sbs=2e10, o1=1e-9, raw=[2, 0, 0, 0, 0])
+    def check(n, s, seed, regime, alpha, h_min, f_sbs, o1, raw):
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=seed, h_min=h_min, f_sbs=f_sbs, o1=o1,
+            **REGIMES[regime]))
+        choice = [k % (s + 3) - 1 for k in raw[:n]]
+        placement, missed, util, report = costs.price_tuple(scen, alpha,
+                                                            choice, {})
+        if placement is None:
+            assert util == np.inf and report is None
+            assert 0 < choice[missed] <= s
+            return
+        assert missed is None
+        assert util == utility(placement, scen, UtilityWeights(alpha))
+        fresh = check_feasibility(placement, scen)
+        assert (report.ok, report.violations) == (fresh.ok, fresh.violations)
+        assert report.deadline_ok.tobytes() == fresh.deadline_ok.tobytes()
+
+    check()
+
+
+def test_placement_with_no_sbs_task_is_priced_without_tables(monkeypatch):
+    # a hard all-exact tuple, and a placement whose x is zeroed but whose
+    # splits and shares are kept, as the benchmark's gate builds one: delay
+    # and energy equal the table formula on explicitly built tables, bit
+    # for bit, and neither pricing, utility nor check builds a table
+    # mixed seed 8 with a flat relay: of three SBS tasks one forwards
+    scen = generate_scenario(ScenarioConfig(n_tasks=4, n_sbs=2, seed=8,
+                                            o1=1e-12, c_range=(4e6, 2e7)))
+    exact = costs.price_tuple(scen, 0.5, [0, 3, 0, 3], {})[0]
+    on_sbs = costs.price_tuple(scen, 0.5, [1, 2, 0, 1], {})[0]
+    assert on_sbs.c1.any() and on_sbs.ci.any() and on_sbs.x.sum() == 3
+    zeroed = dataclasses.replace(on_sbs, x=on_sbs.x * 0.0)
+    expected = {}
+    for name, placement in (("exact", exact), ("zeroed", zeroed)):
+        tables = costs.build_cost_tables(scen, 0.5, placement.x, placement.c1)
+        r = np.where(placement.h > 0, 1.0 / placement.h, 1.0)
+        t3, e3 = tables.split_price(placement.c0, placement.c1, placement.ci, r)
+        expected[name] = (
+            placement.z * tables.t_local + placement.y * tables.t_mbs
+            + (placement.x * t3).sum(axis=0),
+            placement.z * tables.e_local_task + placement.y * tables.e_mbs_task
+            + (placement.x * e3).sum(axis=0))
+
+    builds = []
+    build = costs.build_cost_tables
+    monkeypatch.setattr(costs, "build_cost_tables",
+                        lambda *args: builds.append(args) or build(*args))
+    _, missed, util, report = costs.price_tuple(scen, 0.5, [0, 3, 0, 3], {})
+    assert missed is None
+    for name, placement in (("exact", exact), ("zeroed", zeroed)):
+        got = costs.placement_costs(placement, scen)
+        for a, b in zip(got, expected[name]):
+            assert a.tobytes() == b.tobytes(), name
+        costs.utility(placement, scen, UtilityWeights(0.5))
+        check_feasibility(placement, scen)
+    assert util == costs.utility(exact, scen, UtilityWeights(0.5))
+    assert not check_feasibility(zeroed, scen).ok
+    assert builds == []

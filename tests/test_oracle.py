@@ -49,7 +49,7 @@ def test_terminal_within_the_deadline_rule_is_chosen_everywhere():
     scen = Scenario.from_dict(doc)
     tables = costs.build_cost_tables(scen, 0.5, np.zeros((1, 2)),
                                      np.zeros((1, 2)))
-    assert oracle.branch_bounds(scen, tables)[0, 0] == tables.k_local[0]
+    assert oracle.branch_bounds(scen, 0.5)[0, 0] == tables.k_local[0]
     assert enumerate_optimum(scen, UtilityWeights(0.5)).branch_table[0] == "local"
     placement, _ = admm.run(scen, admm.SolverConfig())
     assert placement.branches()[0] == "local"
@@ -77,13 +77,13 @@ def test_capacity_limits_station_occupancy():
 def _priced_tuples(monkeypatch):
     """The list that records every tuple `enumerate_optimum` prices."""
     priced = []
-    price = costs.price_tuple_tables
+    price = costs.price_tuple
 
     def recording(scenario, alpha, choice, memo):
         priced.append(tuple(choice))
         return price(scenario, alpha, choice, memo)
 
-    monkeypatch.setattr(costs, "price_tuple_tables", recording)
+    monkeypatch.setattr(costs, "price_tuple", recording)
     return priced
 
 
@@ -103,9 +103,7 @@ def test_enumerate_optimum_skips_tuples_over_station_capacity(h_min,
     # station is skipped, not priced
     priced = _priced_tuples(monkeypatch)
     scen = generate_scenario(ScenarioConfig(**CONTESTED))
-    tables = costs.build_cost_tables(scen, 0.5, np.zeros((1, 3)),
-                                     np.zeros((1, 3)))
-    bound = oracle.branch_bounds(scen, tables)
+    bound = oracle.branch_bounds(scen, 0.5)
     assert np.isinf(bound[:, 0]).all() and (bound[:, 1] < bound[:, 2]).all()
     enumerate_optimum(scen, UtilityWeights(0.5))
     assert priced == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
@@ -148,7 +146,7 @@ def test_exact_branch_rule_never_prices_the_dearer_exact_branch(monkeypatch):
                                             t_max_range=(0.02, 0.08),
                                             e_sbs=3e-10))
     weights = UtilityWeights(0.9)
-    bound = _bounds(scen, weights.alpha)
+    bound = oracle.branch_bounds(scen, weights.alpha)
     assert np.isfinite(bound).all()
     assert (bound[:, 1] < bound[:, 2]).all() and (bound[:, 2] < bound[:, 0]).all()
     result = enumerate_optimum(scen, weights)
@@ -258,7 +256,7 @@ def test_pricer_weighs_a_member_that_misses_at_an_intermediate_share():
     scen = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=1, seed=0,
                                             t_max_range=(0.02, 0.08)))
     memo = {}
-    placement, missed = costs.price_tuple(scen, 0.5, [1, 1, 1], memo)
+    placement, missed, *_ = costs.price_tuple(scen, 0.5, [1, 1, 1], memo)
     assert missed is None
     # the memo keys a split search by (station, task, share, ...)
     found = {(key[1], round(key[2], 3)): split for key, split in memo.items()
@@ -273,7 +271,7 @@ def test_pricer_weighs_a_member_that_misses_at_an_intermediate_share():
 def test_pricer_names_the_first_task_whose_split_misses():
     scen = generate_scenario(ScenarioConfig(n_tasks=1, n_sbs=1, seed=0,
                                             t_max_range=(1e-9, 1e-9)))
-    assert costs.price_tuple(scen, 0.5, [1], {}) == (None, 0)
+    assert costs.price_tuple(scen, 0.5, [1], {}) == (None, 0, np.inf, None)
 
 
 def test_tight_five_task_optimum_shares_the_station():
@@ -559,7 +557,7 @@ def test_oracle_skips_redundant_table_builds(monkeypatch):
     # a tuple with no SBS task builds no tables, and a second sweep runs
     # only after a first one that forwarded work to the macro station;
     # a placement's utility and feasibility are priced on the tables its
-    # pricing built, or on the base tables when no task is on an SBS
+    # pricing built, or on none when no task is on an SBS
     builds = []
     build = costs.build_cost_tables
 
@@ -572,14 +570,15 @@ def test_oracle_skips_redundant_table_builds(monkeypatch):
     weights = UtilityWeights(0.5)
     macro_only = generate_scenario(ScenarioConfig(n_tasks=3, n_sbs=0, seed=0))
     assert enumerate_optimum(macro_only, weights).feasible
-    assert len(builds) == 1  # the base tables
+    assert len(builds) == 1  # the bounds' tables
 
     contested = generate_scenario(ScenarioConfig(**CONTESTED))
     builds.clear()
     priced.clear()
     result = enumerate_optimum(contested, weights)
     n_builds = len(builds)
-    # the base tables come first, and the bounds build none.  Every tuple
+    # the bounds' tables come first, and nothing else builds before the
+    # search.  Every tuple
     # priced puts a task on the station, and no split here forwards work,
     # so each of them takes one sweep and its tables price the placement
     assert len(priced) == result.n_priced == 4
@@ -643,13 +642,6 @@ def test_loose_thousand_tasks_price_the_all_terminal_tuple():
 
 # -- the pruning bound -------------------------------------------------------
 
-def _bounds(scen, alpha):
-    s, n = scen.n_sbs, scen.n_tasks
-    base = costs.build_cost_tables(scen, alpha, np.zeros((s, n)),
-                                   np.zeros((s, n)))
-    return oracle.branch_bounds(scen, base)
-
-
 def _per_station_bounds(scen, base):
     """`branch_bounds` built station by station: one table per SBS with
     that station's row of x all ones and nothing forwarded, and the chosen
@@ -692,7 +684,7 @@ def test_branch_bounds_equal_the_per_station_rebuild():
             **regimes[trial // 3 % 3]))
         base = costs.build_cost_tables(scen, alpha, np.zeros((s, n)),
                                        np.zeros((s, n)))
-        got = oracle.branch_bounds(scen, base)
+        got = oracle.branch_bounds(scen, alpha)
         assert got.tobytes() == _per_station_bounds(scen, base).tobytes()
         finite += int(np.isfinite(got[:, 1:s + 1]).sum())
         infinite += int(np.isinf(got[:, 1:s + 1]).sum())
@@ -715,7 +707,7 @@ def test_branch_bounds_are_admissible():
         scen = generate_scenario(ScenarioConfig(
             n_tasks=n, n_sbs=s, seed=seed, f_sbs=f_sbs, o1=o1,
             t_max_range=(0.02, 0.08) if tight else (15.0, 30.0)))
-        bound = _bounds(scen, alpha)
+        bound = oracle.branch_bounds(scen, alpha)
         priced = []
         _reference_enumerate_optimum(scen, UtilityWeights(alpha),
                                      _row_cached_split(), priced)
@@ -740,7 +732,7 @@ def test_sbs_bound_is_the_deadline_feasible_split_optimum_alone():
             n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000)),
             f_sbs=10 ** rng.uniform(8.0, 10.5), o1=10 ** rng.uniform(-12, -6),
             t_max_range=(0.02, 0.08) if trial % 2 else (15.0, 30.0)))
-        bound = _bounds(scen, alpha)
+        bound = oracle.branch_bounds(scen, alpha)
         for i in range(s):
             x = np.zeros((s, n))
             x[i] = 1.0
