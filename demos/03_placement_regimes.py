@@ -31,7 +31,7 @@ lt_base = ScenarioConfig(n_tasks=4, n_sbs=1, seed=9, c_range=(2e6, 6e6),
 for f_local in (1e9, 3e9, 6e9, 2e10):
     scen = generate_scenario(replace(lt_base, f_local=f_local))
     placement, _ = run(scen, SolverConfig(max_iter=100, cbgp_rounds=30))
-    n_local = sum(1 for j in range(4) if placement.branch_of(j) == "local")
+    n_local = placement.branches().count("local")
     print(f"  f_local={f_local:8.1e} cycles/s -> {n_local} of 4 tasks stay local")
 
 print("\nsmall-cell capacity sweep (4 tasks of 6.5-12 Mbit):")
@@ -40,8 +40,7 @@ sbs_base = ScenarioConfig(n_tasks=4, n_sbs=1, seed=9, c_range=(6.5e6, 1.2e7),
 for f_sbs in (2e9, 8e9, 2e10, 6e10, 2e11):
     scen = generate_scenario(replace(sbs_base, f_sbs=f_sbs))
     placement, _ = run(scen, SolverConfig(max_iter=100, cbgp_rounds=30))
-    hosted = sum(1 for j in range(4)
-                 if placement.branch_of(j).startswith("sbs"))
+    hosted = sum(b.startswith("sbs") for b in placement.branches())
     print(f"  f_sbs={f_sbs:8.1e} cycles/s -> {hosted} of 4 tasks hosted on "
           f"the small cell")
 print("\nthe hosted count saturates once the cell absorbs every task that "

@@ -4,7 +4,8 @@ A numpy library built around three pieces: a cost model pricing any
 (possibly fractional) allocation in weighted delay plus energy, a
 parallel multi-block consensus solver that relaxes the binary placement
 and drives it back to corners through log-barrier smoothing, and a
-branch-and-bound oracle for validating the solver at desk scale.
+branch-and-bound oracle for validating the solver, whose cost grows with
+the tasks it cannot decide up front, not with the instance size.
 """
 
 from .admm import (ConsensusState, SolverConfig, Trace, TraceRecord,

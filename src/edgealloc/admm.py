@@ -285,11 +285,11 @@ def run(scenario: Scenario, config: SolverConfig) -> tuple[Placement, Trace]:
             sweeps = len(history) - 1
             state.v_hat[:s] = split.x_hat
 
-        for row, k, delay in ((s, tables.k_mbs, tables.t_mbs),
-                              (s + 1, tables.k_local, tables.t_local)):
+        for row, k, ok in ((s, tables.k_mbs, tables.exact_ok[1]),
+                           (s + 1, tables.k_local, tables.exact_ok[0])):
             state.v_hat[row] = local_blocks.solve_bit_branch(
                 k / cost_scale, state.v[row], state.dual[row], config.rho,
-                feasible=costs.meets_deadline(delay, tables.t_max))
+                feasible=ok)
 
         repairs = 0
         price_in = (tables, state.r, split.c0, split.c1, split.ci)
@@ -367,16 +367,16 @@ def _promote(scenario: Scenario, alpha: float, choice: np.ndarray, j: int,
     """Move unplaced task j (choice -1) to a branch that meets its deadline
     and say whether one was found.  The terminal and macro delays are j's
     own and move no other task, so j takes the faster of the two that
-    `costs.meets_deadline` admits, ties to the terminal.  Only when neither
+    `PricingConstants.exact_ok` admits, ties to the terminal.  Only when neither
     does is each SBS hosting fewer than `cap` tasks tried: the whole tuple
     with j on it is repriced, and of the SBSs where its record meets j's
     deadline j takes the one whose tuple has the least utility, ties to
     the lower index."""
     s = scenario.n_sbs
     pc = scenario.pricing
-    exact = [(delay, b) for delay, b in ((pc.t_local[j], 0),
-                                         (pc.t_mbs[j], s + 1))
-             if costs.meets_deadline(delay, pc.t_max[j])]
+    exact = [(delay, b) for delay, b, ok in zip((pc.t_local[j], pc.t_mbs[j]),
+                                                (0, s + 1), pc.exact_ok[:, j])
+             if ok]
     if exact:
         choice[j] = min(exact)[1]
         return True
@@ -399,7 +399,7 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
     `ScenarioConfig.max_per_sbs` on an SBS are demoted to the MBS.  The
     tuple is priced by `costs.price_tuple`; every task that misses its
     deadline there (named by the pricer, on a terminal or macro branch
-    `costs.meets_deadline` refuses, or late by the feasibility report of
+    `PricingConstants.exact_ok` refuses, or late by the feasibility report of
     the pricer's record) is promoted by `_promote`: to its faster
     terminal or macro branch that meets the deadline, else to the open SBS
     where the repriced tuple meets it at the least utility.  The tuple is
@@ -426,8 +426,7 @@ def round_to_feasible(v: np.ndarray, scenario: Scenario,
                 weakest = members[np.argsort(margin[members], kind="stable")]
                 choice[weakest[: len(members) - cap]] = s + 1
 
-    pc = scenario.pricing
-    late = ~costs.meets_deadline(np.vstack([pc.t_local, pc.t_mbs]), pc.t_max)
+    late = ~scenario.pricing.exact_ok
     memo = {}
     promoted = np.zeros(n, dtype=bool)
     while True:

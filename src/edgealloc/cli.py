@@ -63,12 +63,11 @@ def _cmd_oracle(args) -> int:
         print(f"edgealloc oracle: {err}", file=sys.stderr)
         return 2
     result.to_json(args.out)
-    if result.feasible:
-        print(f"optimum {result.utility:.6g} over {result.n_enumerated} "
-              f"assignments; wrote {args.out}")
-        return 0
-    print(f"no feasible assignment among {result.n_enumerated}; wrote {args.out}")
-    return 1
+    outcome = (f"optimum {result.utility:.6g}" if result.feasible
+               else "no feasible assignment")
+    print(f"{outcome} (contested tasks {result.n_contested}, tuples priced "
+          f"{result.n_priced}); wrote {args.out}")
+    return 0 if result.feasible else 1
 
 
 def _cmd_sweep(args) -> int:

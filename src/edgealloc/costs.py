@@ -22,7 +22,9 @@ are floored at `_TINY_RATE` and t3 and e3 are finite.
 Two deadline rules: `meets_deadline` is the one test of every branch or
 split that the solver, rounding, the oracle or the baseline chooses, and
 `check_feasibility` the one check of a placement, whose 1e-9 slack admits
-every delay `meets_deadline` does.  The global block's comparisons with
+every delay `meets_deadline` does.  The verdicts of `meets_deadline` on
+the terminal and macro branches depend on the scenario alone: they are
+`PricingConstants.exact_ok`.  The global block's comparisons with
 `t_max` stay exact: they locate the relaxed deadline row, not a delay.
 """
 
@@ -76,10 +78,6 @@ class Placement:
         labels = ["local", *(f"sbs{i}" for i in range(1, len(self.x) + 1)), "mbs"]
         dominant = np.argmax(np.vstack([self.z, self.x, self.y]), axis=0)
         return [labels[k] for k in dominant]
-
-    def branch_of(self, task_index: int) -> str:
-        """Task `task_index`'s label in `branches`."""
-        return self.branches()[task_index]
 
 
 def meets_deadline(delay, t_max):
@@ -177,7 +175,9 @@ class PricingConstants:
     arrays are read-only because every `CostTables` built from the
     scenario shares them.  Per-task vectors are (n,) and per-(SBS, task)
     arrays (s, n); `power` and `bandwidth` hold one value per SBS, as
-    broadcast views.  `h_min` is the smallest resource share.
+    broadcast views.  `exact_ok` (2, n) is `meets_deadline` of each task's
+    terminal (row 0) and macro (row 1) delay.  `h_min` is the smallest
+    resource share.
     """
 
     c: np.ndarray
@@ -186,6 +186,7 @@ class PricingConstants:
     e_local_task: np.ndarray
     t_mbs: np.ndarray
     e_mbs_task: np.ndarray
+    exact_ok: np.ndarray
     d_c0: np.ndarray
     d_mbs_exec: np.ndarray
     e_c0: np.ndarray
@@ -228,6 +229,8 @@ class PricingConstants:
             power=per_sbs("tx_power_density"), bandwidth=per_sbs("bandwidth"),
             u_over_fs=u[None, :] / per_sbs("f"), e_sbs=u[None, :] * per_sbs("e_cycle"),
         )
+        arrays["exact_ok"] = meets_deadline(
+            np.vstack([arrays["t_local"], arrays["t_mbs"]]), arrays["t_max"])
         return cls(**{k: _read_only(v) for k, v in arrays.items()},
                    relay=RelayIncidence.of(scenario), h_min=scenario.config.h_min)
 

@@ -203,12 +203,13 @@ def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
 def run_baseline(scenario: Scenario, weights: UtilityWeights,
                  seed: int) -> tuple[Placement, float]:
     """Random feasible placement: each task draws uniformly among the
-    branches `costs.meets_deadline` admits for it alone (terminal, MBS, any
-    SBS where a naive thirds split at full share meets it), an SBS's tasks
-    beyond `ScenarioConfig.max_per_sbs`, in index order, are demoted to the
-    MBS, and tasks violated by congestion are redrawn up to a fixed budget.
-    A task still late after the budget falls back to the faster of its
-    terminal and macro branches.  The placement passes
+    branches that meet its deadline alone (terminal and MBS by
+    `PricingConstants.exact_ok`, any SBS where a naive thirds split at full
+    share passes `costs.meets_deadline`), an SBS's tasks beyond
+    `ScenarioConfig.max_per_sbs`, in index order, are demoted to the MBS,
+    and tasks violated by congestion are redrawn in index order up to a
+    fixed budget.  A task still late after the budget falls back to the
+    faster of its terminal and macro branches.  The placement passes
     `costs.check_feasibility`; otherwise `InfeasibleTaskError` names the
     tasks still late."""
     rng = np.random.default_rng(seed)
@@ -220,8 +221,9 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
     third = tables.c / 3.0
     split_delay, _ = tables.split_price(third, third, tables.c - third - third, 1.0)
     # rows: terminal, SBS 1..s, MBS
-    ok = costs.meets_deadline(np.vstack([tables.t_local, split_delay,
-                                         tables.t_mbs]), tables.t_max)
+    ok = np.vstack([tables.exact_ok[0],
+                    costs.meets_deadline(split_delay, tables.t_max),
+                    tables.exact_ok[1]])
     # a task with no feasible branch keeps the faster exact one
     fastest = np.where(tables.t_local <= tables.t_mbs, 0, s + 1)
     first = np.where(ok.any(axis=0), ok.argmax(axis=0), fastest)
@@ -241,8 +243,7 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
         report = costs.check_feasibility(placement, scenario)
         if report.ok:
             break
-        # in the set's iteration order, which fixes the draws
-        for j in {j for kind, j in report.violations if kind == "deadline"}:
+        for j in np.flatnonzero(~report.deadline_ok):
             others = [b for b in feasible_sets[j] if b != choice[j]]
             choice[j] = rng.choice(others) if others else feasible_sets[j][0]
     else:

@@ -105,22 +105,17 @@ def _smoothed_objective(v, m, problem: GlobalProblem, omega, xi):
     return prox_part + barrier + penalty
 
 
-def barrier_reciprocals(v):
-    """1 / v and 1 / (1 - v), which the barrier's gradient and curvature
-    share; a Newton step forms them once and passes them to both."""
-    return 1.0 / v, 1.0 / (1.0 - v)
-
-
-def grad_smoothed(v, m, problem: GlobalProblem, omega, xi, recip=None):
-    inv, inv_c = barrier_reciprocals(v) if recip is None else recip
+def grad_smoothed(v, m, problem: GlobalProblem, omega, xi):
+    """Gradient (grad_v, grad_m) of `smoothed_objective` at (v, m)."""
     grad_v = (-problem.dual - problem.rho * (problem.prox - v)
-              - omega * (inv - inv_c) + xi * (1.0 - 2.0 * v))
+              - omega * (1.0 / v - 1.0 / (1.0 - v)) + xi * (1.0 - 2.0 * v))
     grad_m = -omega / m
     return grad_v, grad_m
 
 
-def hess_diag_smoothed(v, m, problem: GlobalProblem, omega, xi, recip=None):
-    inv, inv_c = barrier_reciprocals(v) if recip is None else recip
+def hess_diag_smoothed(v, m, problem: GlobalProblem, omega, xi):
+    """The Hessian of `smoothed_objective` at (v, m), a diagonal."""
+    inv, inv_c = 1.0 / v, 1.0 / (1.0 - v)
     hess_v = problem.rho + omega * (inv * inv + inv_c * inv_c) - 2.0 * xi
     hess_m = omega / (m * m)
     return hess_v, hess_m
@@ -465,8 +460,7 @@ def solve_global(problem: GlobalProblem):
     start = np.where(limit > 0, limit, np.clip(lift, CORNER_WEIGHT_FLOOR, CORNER_WEIGHT))
     start /= start.sum(axis=0)
     v, m = interior_init(problem, np.where(np.isnan(start), problem.prox, start), slack)
-    recip = barrier_reciprocals(v)
-    grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
+    grad = grad_smoothed(v, m, problem, OMEGA, xi)
     nu = -grad[1]
     sig = -(grad[0] + problem.tcoef * nu).mean(axis=0)
     stalled_any = np.zeros(problem.n_tasks, dtype=bool)
@@ -483,7 +477,7 @@ def solve_global(problem: GlobalProblem):
         active = (norm > KKT_TOL) & ~stalled_any
         if steps == MAX_INNER or not active.any():
             break
-        hess_v, hess_m = hess_diag_smoothed(v, m, problem, OMEGA, xi, recip)
+        hess_v, hess_m = hess_diag_smoothed(v, m, problem, OMEGA, xi)
         dv, dm, dnu, dsig, _ = nullspace_cg_solve(hess_v, hess_m,
                                                   problem.tcoef, res)
         idle = ~active
@@ -500,8 +494,7 @@ def solve_global(problem: GlobalProblem):
         nu = nu + t * dnu
         sig = sig + t * dsig
         steps += 1
-        recip = barrier_reciprocals(v)
-        grad = grad_smoothed(v, m, problem, OMEGA, xi, recip)
+        grad = grad_smoothed(v, m, problem, OMEGA, xi)
     # the best norms are the KKT norms of the point returned
     final_norm, v, m = best
     info = {"converged": final_norm <= KKT_TOL, "kkt_norm": final_norm,

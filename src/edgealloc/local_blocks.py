@@ -48,12 +48,12 @@ def project_interval(v, lo, hi):
                     nearest)
 
 
-def majorize_penalty(x_prev, x):
-    """Linear upper bound of the concave corner penalty x - x^2, tangent
-    at x_prev: x - x_prev^2 - 2 * x_prev * (x - x_prev)."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return x - x_prev * x_prev - 2.0 * x_prev * (x - x_prev)
+def majorize_penalty(delta, x_prev):
+    """(slope, intercept) of the tangent at x_prev of the concave corner
+    penalty delta * (x - x^2): slope * x + intercept bounds it from above
+    and meets it at x = x_prev.  The split block's sweep and
+    `block_objective` price the penalty by this line."""
+    return delta * (1.0 - 2.0 * x_prev), delta * x_prev * x_prev
 
 
 @dataclass
@@ -169,18 +169,20 @@ def _sweep_terms(problem: LocalProblem, x_prev: np.ndarray) -> tuple:
     """The terms of `_sweep` that no sweep of one solve changes, each a
     group the sweep's expressions form as a unit (a parenthesised group or
     a left-associative prefix), so forming it once changes no bit; then
-    the constant parts of `block_objective`."""
+    the constant parts of `block_objective`.  The corner penalty's slope
+    and intercept are `majorize_penalty`'s tangent at x_prev."""
     p, a = problem, problem.alpha
     inv = 1.0 / p.h_min
     c_row = p.c[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         x_break = np.where(inv > 1.0, (inv - p.r) / (inv - 1.0), 1.0)
     x_break = np.minimum(np.maximum(x_break, 0.0), 1.0)
+    penalty_slope, penalty_at_prev = majorize_penalty(p.delta, x_prev)
     return (a * p.sbs_cycle,
             a * (p.d_c0[None, :] - p.d_up) + (1.0 - a) * (p.e_c0[None, :] - p.e_up),
-            c_row, c_row * c_row, p.delta * (1.0 - 2.0 * x_prev), x_break,
+            c_row, c_row * c_row, penalty_slope, x_break,
             p.rho * (x_break - p.x_global),
-            1.0 - p.r, p.r - inv, p.delta * x_prev * x_prev)
+            1.0 - p.r, p.r - inv, penalty_at_prev)
 
 
 def _sweep(problem: LocalProblem, vars: CbgpVars, terms: tuple,

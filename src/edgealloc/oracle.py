@@ -61,8 +61,9 @@ BOUND_MARGIN = 1e-9
 class OracleResult:
     """The optimum found.  `n_enumerated` counts the whole tuple space,
     (s + 2)^n, pruned tuples included; `n_priced` counts the tuples whose
-    splits were priced and `n_contested` the tasks dominance left open,
-    and neither is part of the JSON."""
+    splits were priced and `n_contested` the tasks dominance left open.
+    None is part of the JSON, where (s + 2)^n at thousands of tasks would
+    exceed Python's limit on the digits of an int converted to text."""
 
     placement: Placement | None
     utility: float
@@ -74,7 +75,7 @@ class OracleResult:
 
     def to_dict(self) -> dict:
         doc = {"utility": self.utility, "branch_table": self.branch_table,
-               "n_enumerated": self.n_enumerated, "feasible": self.feasible}
+               "feasible": self.feasible}
         if self.placement is not None:
             doc["placement"] = self.placement.to_dict()
         return doc
@@ -88,22 +89,22 @@ def branch_bounds(scenario: Scenario, alpha: float) -> np.ndarray:
     of any tuple, columns in branch order: terminal, SBS 1..s, macro.
 
     The terminal and macro columns are `k_local` and `k_mbs` of one table
-    built at zero assignment, or +inf where `costs.meets_deadline` refuses
-    the branch.  Each SBS column is the `best_splits` cost of the task
-    alone at h = 1, or +inf where no split meets the deadline, all
-    (station, task) pairs priced at once on that table as a lone task's.  A
-    tuple only adds interference, relay load and co-hosted sharing, and at
-    a fixed split each of them only raises the delay and the cost, so a
-    split that misses its deadline alone misses it in every tuple.  Where
-    the lone split uploads nothing, `costs.price_tuple` runs the task on
-    the terminal, and the entry is exactly `k_local`.
+    built at zero assignment, or +inf where `exact_ok` refuses the branch.
+    Each SBS column is the `best_splits` cost of the task alone at h = 1,
+    or +inf where no split meets the deadline, all (station, task) pairs
+    priced at once on that table as a lone task's.  A tuple only adds
+    interference, relay load and co-hosted sharing, and at a fixed split
+    each of them only raises the delay and the cost, so a split that
+    misses its deadline alone misses it in every tuple.  Where the lone
+    split uploads nothing, `costs.price_tuple` runs the task on the
+    terminal, and the entry is exactly `k_local`.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
     t = costs.build_cost_tables(scenario, alpha, np.zeros((s, n)),
                                 np.zeros((s, n)))
     bound = np.empty((n, s + 2))
-    for b, delay, k in ((0, t.t_local, t.k_local), (s + 1, t.t_mbs, t.k_mbs)):
-        bound[:, b] = np.where(costs.meets_deadline(delay, t.t_max), k, np.inf)
+    bound[:, 0] = np.where(t.exact_ok[0], t.k_local, np.inf)
+    bound[:, s + 1] = np.where(t.exact_ok[1], t.k_mbs, np.inf)
     # one table is a lone task's on every station: at x = 0 no SBS sees
     # interference, as a lone task does, and the relay terms at unit
     # assignment with nothing forwarded are a lone task's

@@ -22,9 +22,12 @@ and digest:
   six-task, two-station ones, loose and tight, whose exhaustive order
   holds 4096 tuples (the dominance rule fixes every loose task on its
   exact branch, the terminal, before the search, and leaves the tight one
-  one contested task, searched over both SBSs and the macro station), and a
+  one contested task, searched over both SBSs and the macro station), a
   tight five-task, one-station one, two tasks contested, whose optimum
-  holds a split that misses its deadline at an intermediate share;
+  holds a split that misses its deadline at an intermediate share, and a
+  three-task, two-station one with fast, frugal SBSs, where `price_tuple`
+  six times finds a split that uploads nothing and prices the tuple again
+  with that task on the terminal;
 - `baseline.json`, `run_baseline` on criterion 10's five 20-task, 3-SBS
   scenarios at seeds 0-99: every placement with its utility, or the
   tasks a run names as it raises;
@@ -42,8 +45,8 @@ and digest:
   criterion-3 stream: each result's `to_dict()` with its `n_priced`, so
   a bit-identity claim also covers how many tuples the bound pruned.
 
-That is 97 digests: five for each of the 17 solves in `SOLVES`, one for
-each of the 7 oracle instances and one for each of the 5 experiment
+That is 98 digests: five for each of the 17 solves in `SOLVES`, one for
+each of the 8 oracle instances and one for each of the 5 experiment
 instances in `EXPERIMENTS`.
 
 Running it on two trees and diffing the outputs checks a claim that a
@@ -109,11 +112,14 @@ SOLVES = {
 
 
 # name -> ScenarioConfig fields of the oracle instances beyond
-# `oracle_small`; the tight ones' best tuples put a task on a station
+# `oracle_small`; the tight ones' best tuples put a task on a station, and
+# the fast-SBS one reaches the pricer's canonical re-pricing
 ORACLES = {
     "oracle6-loose-2": dict(n_tasks=6, n_sbs=2, seed=2),
     "oracle6-tight-4": dict(n_tasks=6, n_sbs=2, seed=4, t_max_range=TIGHT),
     "oracle5-tight-19": dict(n_tasks=5, n_sbs=1, seed=19, t_max_range=TIGHT),
+    "oracle3-fastsbs-0": dict(n_tasks=3, n_sbs=2, seed=0, f_sbs=1e11,
+                              e_sbs=1e-10),
 }
 
 

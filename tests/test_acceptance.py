@@ -107,12 +107,15 @@ def test_criterion_5_majorization_bound():
     rng = np.random.default_rng(12)
     x_prev = rng.uniform(0, 1, 10_000)
     x = rng.uniform(0, 1, 10_000)
-    bound = local_blocks.majorize_penalty(x_prev, x)
-    assert np.all(bound >= x - x * x - 1e-12)
-    tangent = local_blocks.majorize_penalty(x_prev, x_prev)
-    assert np.all(np.abs(tangent - (x_prev - x_prev ** 2)) <= 1e-12)
-    print("\ncriterion 5 PASS: linearized penalty dominates x - x^2 on 10^4 "
-          "samples, tangency within 1e-12")
+    # the tangent the split block prices its corner penalty by
+    for delta in (0.3, 1.0, 2.0):
+        slope, intercept = local_blocks.majorize_penalty(delta, x_prev)
+        true = delta * (x - x * x)
+        assert np.all(slope * x + intercept >= true - 1e-12)
+        tangent = slope * x_prev + intercept
+        assert np.all(np.abs(tangent - delta * (x_prev - x_prev ** 2)) <= 1e-12)
+    print("\ncriterion 5 PASS: linearized penalty dominates delta (x - x^2) "
+          "on 10^4 samples at delta 0.3, 1 and 2, tangency within 1e-12")
 
 
 def test_criterion_6_gradient_hessian_fidelity():
@@ -316,8 +319,7 @@ def test_criterion_11_placement_regimes():
     for f_local in (1e9, 3e9, 6e9, 2e10):
         scen = generate_scenario(replace(lt_base, f_local=f_local))
         placement, _ = run(scen, SolverConfig(max_iter=100, cbgp_rounds=30))
-        lt_counts.append(sum(1 for j in range(4)
-                             if placement.branch_of(j) == "local"))
+        lt_counts.append(placement.branches().count("local"))
     assert all(b >= a for a, b in zip(lt_counts, lt_counts[1:]))
 
     sbs_base = ScenarioConfig(n_tasks=4, n_sbs=1, seed=9,
@@ -326,8 +328,8 @@ def test_criterion_11_placement_regimes():
     for f_sbs in (2e9, 8e9, 2e10, 6e10, 2e11, 6e11):
         scen = generate_scenario(replace(sbs_base, f_sbs=f_sbs))
         placement, _ = run(scen, SolverConfig(max_iter=100, cbgp_rounds=30))
-        sbs_counts.append(sum(1 for j in range(4)
-                              if placement.branch_of(j).startswith("sbs")))
+        sbs_counts.append(sum(b.startswith("sbs")
+                              for b in placement.branches()))
     assert all(b >= a for a, b in zip(sbs_counts, sbs_counts[1:]))
     assert sbs_counts[-1] == sbs_counts[-2], "expected saturation at the top"
     print(f"\ncriterion 11 PASS: local below 4 Mbit, macro above 20 Mbit, "

@@ -242,7 +242,7 @@ def test_round_to_feasible_rejects_promoted_split_on_unpriced_relay():
                   [0.55, 0.09, 0.36]]).T.copy()
     placement = round_to_feasible(v, scen, 0.5)
     assert costs.check_feasibility(placement, scen).ok
-    assert [placement.branch_of(j) for j in range(3)] == ["local", "mbs", "local"]
+    assert placement.branches() == ["local", "mbs", "local"]
     util = costs.utility(placement, scen, UtilityWeights(0.5))
     # the oracle's optimum, 0.116564, puts task 1 alone on the SBS
     assert util == pytest.approx(0.150890, abs=1e-6)
@@ -289,7 +289,7 @@ def test_round_to_feasible_promotes_to_cheapest_open_sbs(h_min, branch):
     # and is full
     scen, state = _slow_exact_branches(h_min)
     placement = round_to_feasible(state.v, scen, 0.5)
-    assert [placement.branch_of(j) for j in range(3)] == ["sbs1", "sbs1", branch]
+    assert placement.branches() == ["sbs1", "sbs1", branch]
     assert costs.check_feasibility(placement, scen).ok
 
 

@@ -336,7 +336,7 @@ def test_shared_pricing_arrays_are_read_only():
     pricing = scen.pricing
     shared = [v for v in vars(pricing).values() if isinstance(v, np.ndarray)]
     shared += [v for v in vars(pricing.relay).values() if isinstance(v, np.ndarray)]
-    assert len(shared) == 21
+    assert len(shared) == 22
     for arr in shared:
         with pytest.raises(ValueError):
             arr[...] = 0
@@ -347,6 +347,23 @@ def test_shared_pricing_arrays_are_read_only():
     for arr in (tables.c, tables.t_local, tables.u_over_fs, problem.c):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_exact_ok_is_each_exact_branch_alone_against_its_deadline():
+    for config in (ScenarioConfig(n_tasks=30, n_sbs=3, seed=1),
+                   ScenarioConfig(n_tasks=30, n_sbs=3, seed=1,
+                                  t_max_range=(0.02, 0.08)),
+                   ScenarioConfig(n_tasks=30, n_sbs=0, seed=2,
+                                  t_max_range=(0.02, 0.08))):
+        pc = generate_scenario(config).pricing
+        want = [costs.meets_deadline(delay, pc.t_max)
+                for delay in (pc.t_local, pc.t_mbs)]
+        assert pc.exact_ok.shape == (2, 30)
+        assert np.array_equal(pc.exact_ok, want)
+        with pytest.raises(ValueError):
+            pc.exact_ok[0, 0] = not pc.exact_ok[0, 0]
+    # the last, tight, scenario refuses some exact branches and admits others
+    assert 0 < pc.exact_ok.sum() < pc.exact_ok.size
 
 
 def test_pricing_is_lazy_and_survives_json_round_trip():
@@ -378,7 +395,8 @@ def test_cost_tables_share_the_scenarios_constants():
     for f in dataclasses.fields(tables):
         value = getattr(tables, f.name)
         if isinstance(value, np.ndarray) and value.ndim == 2:
-            assert value.shape == (3, 5), f.name
+            assert value.shape == ((2, 5) if f.name == "exact_ok"
+                                   else (3, 5)), f.name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(tables, f.name, value)
 

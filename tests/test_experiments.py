@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import edgealloc
-from edgealloc import admm, cli, costs
+from edgealloc import admm, cli, costs, oracle
 from edgealloc.admm import SolverConfig
 from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
@@ -262,8 +262,8 @@ def _reference_run_baseline(scenario, weights, seed):
         report = costs.check_feasibility(placement, scenario)
         if report.ok:
             break
-        violated = {j for kind, j in report.violations if kind == "deadline"}
-        if not violated:
+        violated = np.flatnonzero(~report.deadline_ok)
+        if not len(violated):
             break
         for j in violated:
             others = [b for b in feasible_sets[j] if b != choice[j]]
@@ -303,7 +303,7 @@ def _reference_placement_profile(scenario_config, sizes, solver_config):
         scenario = generate_scenario(cfg)
         placement, _ = admm.run(scenario, solver_config)
         n = scenario.n_tasks
-        branches = [placement.branch_of(j) for j in range(n)]
+        branches = placement.branches()
         frac_local = np.zeros(n)
         frac_mbs = np.zeros(n)
         frac_sbs = np.zeros(n)
@@ -420,6 +420,31 @@ def test_cli_generate_solve_oracle_baseline(tmp_path, capsys):
     line = capsys.readouterr().out.strip().split("\n")[-1]
     payload = json.loads(line)
     assert "utility" in payload
+
+
+def test_cli_oracle_writes_the_optimum_of_thousands_of_tasks(tmp_path, capsys):
+    # a loose 5200-task instance is decided without a search, and its
+    # JSON holds no count of the whole tuple space, 7**5200, which has
+    # more digits than Python writes as a string
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n_tasks": 5200, "n_sbs": 5,
+                                       "seed": 42}))
+    scen_path = str(tmp_path / "scenario.json")
+    assert cli.main(["generate", "--config", str(config_path),
+                     "--out", scen_path]) == 0
+    result = oracle.enumerate_optimum(Scenario.from_json(scen_path),
+                                      UtilityWeights(0.5))
+    assert json.loads(result.to_json()) == result.to_dict()
+    capsys.readouterr()
+    oracle_path = str(tmp_path / "oracle.json")
+    assert cli.main(["oracle", "--scenario", scen_path,
+                     "--out", oracle_path]) == 0
+    assert capsys.readouterr().out.startswith(
+        "optimum 105.38 (contested tasks 0, tuples priced 1)")
+    with open(oracle_path) as fh:
+        doc = json.load(fh)
+    assert doc["utility"] == result.utility
+    assert doc["branch_table"] == ["local"] * 5200
 
 
 def test_cli_oracle_refusal_is_one_line_and_exit_2(tmp_path, capsys):

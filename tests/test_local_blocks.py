@@ -73,21 +73,26 @@ def test_rlt_bounds_rounding_gives_near_empty_interval_at_full_share():
 # -- corner penalty majorization ----------------------------------------------
 
 def test_majorize_penalty_examples():
-    assert majorize_penalty(0.5, 0.5) == pytest.approx(0.25)
-    assert majorize_penalty(0.5, 0.8) == pytest.approx(0.25)
-    assert majorize_penalty(0.5, 0.8) >= 0.8 - 0.64
-    assert majorize_penalty(0.0, 1.0) == pytest.approx(1.0)
+    # (slope, intercept) of the tangent of delta * (x - x^2) at x_prev
+    slope, intercept = majorize_penalty(1.0, 0.5)
+    assert (slope, intercept) == pytest.approx((0.0, 0.25))
+    assert slope * 0.8 + intercept >= 0.8 - 0.64
+    slope, intercept = majorize_penalty(1.0, 0.0)
+    assert slope * 1.0 + intercept == pytest.approx(1.0)
+    assert majorize_penalty(0.3, 0.25) == pytest.approx((0.15, 0.01875))
 
 
 def test_majorize_penalty_upper_bounds_true_penalty():
     rng = np.random.default_rng(1)
     x_prev = rng.uniform(0, 1, 10_000)
     x = rng.uniform(0, 1, 10_000)
-    bound = majorize_penalty(x_prev, x)
-    true = x - x * x
-    assert np.all(bound >= true - 1e-12)
-    at_tangent = majorize_penalty(x_prev, x_prev)
-    assert np.allclose(at_tangent, x_prev - x_prev ** 2, atol=1e-12)
+    for delta in (0.3, 1.0, 2.0):
+        slope, intercept = majorize_penalty(delta, x_prev)
+        true = delta * (x - x * x)
+        assert np.all(slope * x + intercept >= true - 1e-12)
+        at_tangent = slope * x_prev + intercept
+        assert np.allclose(at_tangent, delta * (x_prev - x_prev ** 2),
+                           atol=1e-12)
 
 
 # -- binary branch blocks ------------------------------------------------------
@@ -197,10 +202,10 @@ def test_block_objective_is_the_objective_plus_each_envelope_row_times_its_multi
         x_prev = rng.uniform(0, 1, shape)
         x, R, r, p = vars.x_hat, vars.R, problem.r, problem
         gap = x - p.x_global
+        slope, intercept = majorize_penalty(p.delta, x_prev)
         terms = [x * p.branch_cost(vars.c0, vars.c1, vars.ci),
                  p.alpha * p.sbs_cycle * vars.ci * R, p.dual * x,
-                 0.5 * p.rho * gap * gap,
-                 p.delta * majorize_penalty(x_prev, x),
+                 0.5 * p.rho * gap * gap, slope * x + intercept,
                  vars.mu_env_lo * (x - R), vars.mu_env_hi * (R - x * inv),
                  vars.mu_shift_hi * (R - r - x + 1.0),
                  vars.mu_shift_lo * (r + x * inv - inv - R)]

@@ -326,7 +326,10 @@ def _row_cached_split():
 
     def split(tables, i, j, h):
         key = [i, j, h]
+        # `exact_ok` is (2, n), not per (SBS, task); j fixes its column
         for f in fields(tables):
+            if f.name == "exact_ok":
+                continue
             value = getattr(tables, f.name)
             key.append(value[i, j] if np.ndim(value) == 2
                        else value[j] if np.ndim(value) == 1 else value)
@@ -448,7 +451,7 @@ def _reference_enumerate_optimum(scenario, weights, split_search=_fresh_split,
         if util < best_util:
             best_util = util
             best_placement = placement
-            best_branches = [placement.branch_of(j) for j in range(n)]
+            best_branches = placement.branches()
 
     if best_placement is None:
         return oracle.OracleResult(placement=None, utility=np.inf,
