@@ -7,17 +7,18 @@ once, on first use, as `Scenario.pricing`.  `CostTables` extends it,
 sharing every one of its arrays, with the coefficients that depend on
 alpha or on the congestion and interference frozen when the tables are
 built; `CostTables.split_price` is the one pricer of the split branch, at
-the resource shares each caller passes.  Every other function here is
-pure.  `best_splits` is the one split optimizer, whose record is the
-whole optimum its callers read, and `price_tuple` the one pricer of a
-hard branch tuple, which rounding and the oracle share; its record holds
-the placement, its utility and its feasibility report, priced on tables
-chosen here alone.  Its placements are canonical: a split that uploads
-nothing is the terminal branch, so an SBS task whose chosen split runs
-every cycle on the terminal is placed there, and every placement has one
-tuple.  A placement with no SBS task is priced on no table: there the
-table path's split terms x * t3 and x * e3 add exact zeros, since rates
-are floored at `_TINY_RATE` and t3 and e3 are finite.
+the resource shares each caller passes.  `lone_tables` are the tables of
+every task alone, which the oracle's bounds and the baseline read.  Every
+other function here is pure.  `best_splits` is the one split optimizer,
+whose record is the whole optimum its callers read, and `price_tuple` the
+one pricer of a hard branch tuple, which rounding and the oracle share;
+its record holds the placement, its utility and its feasibility report,
+priced on tables chosen here alone.  Its placements are canonical: a
+split that uploads nothing is the terminal branch, so an SBS task whose
+chosen split runs every cycle on the terminal is placed there, and every
+placement has one tuple.  A placement with no SBS task is priced on no
+table: there the table path's split terms x * t3 and x * e3 add exact
+zeros, since rates are floored at `_TINY_RATE` and t3 and e3 are finite.
 
 Two deadline rules: `meets_deadline` is the one test of every branch or
 split that the solver, rounding, the oracle or the baseline chooses, and
@@ -30,7 +31,7 @@ the terminal and macro branches depend on the scenario alone: they are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -521,6 +522,20 @@ def build_cost_tables(scenario: Scenario, alpha: float, x_weight: np.ndarray,
         transfer_coef=(scenario.channel.offload_power_sbs_mbs * wired_frozen
                        / pc.c[None, :]),
     )
+
+
+def lone_tables(scenario: Scenario, alpha: float) -> CostTables:
+    """The tables of every task alone: SBS rates at zero assignment, so no
+    interference, and each relay route loaded by its task alone, at unit
+    assignment with nothing forwarded.  A tuple only adds interference,
+    relay load and co-hosted sharing, each of which only raises the delay
+    and the cost at a fixed split, and charges forwarded bits the transfer
+    energy that `transfer_coef`, zero here, leaves out: every delay and
+    cost read here is at most the task's in any tuple."""
+    zero = np.zeros((scenario.n_sbs, scenario.n_tasks))
+    w2, w1, w0 = scenario.pricing.relay.wired_coefficients(zero + 1.0, zero)
+    return replace(build_cost_tables(scenario, alpha, zero, zero),
+                   w2=w2, w1=w1, w0=w0)
 
 
 def placement_costs(placement: Placement, scenario: Scenario,

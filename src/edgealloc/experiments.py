@@ -203,9 +203,10 @@ def oracle_gap_study(sizes=(5, 6, 7, 8), n_sbs: int = 2, seeds=(0,),
 def run_baseline(scenario: Scenario, weights: UtilityWeights,
                  seed: int) -> tuple[Placement, float]:
     """Random feasible placement: each task draws uniformly among the
-    branches that meet its deadline alone (terminal and MBS by
-    `PricingConstants.exact_ok`, any SBS where a naive thirds split at full
-    share passes `costs.meets_deadline`), an SBS's tasks beyond
+    branches that meet its deadline alone on `costs.lone_tables` (terminal
+    and MBS by `PricingConstants.exact_ok`, any SBS where a naive thirds
+    split at full share, its forwarded third charged the relay delay of the
+    task alone, passes `costs.meets_deadline`), an SBS's tasks beyond
     `ScenarioConfig.max_per_sbs`, in index order, are demoted to the MBS,
     and tasks violated by congestion are redrawn in index order up to a
     fixed budget.  A task still late after the budget falls back to the
@@ -213,11 +214,10 @@ def run_baseline(scenario: Scenario, weights: UtilityWeights,
     `costs.check_feasibility`; otherwise `InfeasibleTaskError` names the
     tasks still late."""
     rng = np.random.default_rng(seed)
-    s, n = scenario.n_sbs, scenario.n_tasks
+    s = scenario.n_sbs
     cap = scenario.config.max_per_sbs
 
-    tables = costs.build_cost_tables(scenario, weights.alpha,
-                                     np.zeros((s, n)), np.zeros((s, n)))
+    tables = costs.lone_tables(scenario, weights.alpha)
     third = tables.c / 3.0
     split_delay, _ = tables.split_price(third, third, tables.c - third - third, 1.0)
     # rows: terminal, SBS 1..s, MBS

@@ -40,7 +40,7 @@ the SBS tables unchanged and ask for the same split searches again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class OracleResult:
     """The optimum found.  `n_enumerated` counts the whole tuple space,
     (s + 2)^n, pruned tuples included; `n_priced` counts the tuples whose
     splits were priced and `n_contested` the tasks dominance left open.
-    None is part of the JSON, where (s + 2)^n at thousands of tasks would
-    exceed Python's limit on the digits of an int converted to text."""
+    `to_dict` writes none of the three: (s + 2)^n at thousands of tasks
+    would exceed Python's limit on the digits of an int converted to text."""
 
     placement: Placement | None
     utility: float
@@ -86,33 +86,23 @@ class OracleResult:
 
 def branch_bounds(scenario: Scenario, alpha: float) -> np.ndarray:
     """(n, s + 2) lower bound on each task's cost at `alpha` on each branch
-    of any tuple, columns in branch order: terminal, SBS 1..s, macro.
+    of any tuple, read on `costs.lone_tables`; columns in branch order:
+    terminal, SBS 1..s, macro.
 
-    The terminal and macro columns are `k_local` and `k_mbs` of one table
-    built at zero assignment, or +inf where `exact_ok` refuses the branch.
-    Each SBS column is the `best_splits` cost of the task alone at h = 1,
-    or +inf where no split meets the deadline, all (station, task) pairs
-    priced at once on that table as a lone task's.  A tuple only adds
-    interference, relay load and co-hosted sharing, and at a fixed split
-    each of them only raises the delay and the cost, so a split that
+    The terminal and macro columns are `k_local` and `k_mbs`, or +inf where
+    `exact_ok` refuses the branch.  Each SBS column is the `best_splits`
+    cost at h = 1, or +inf where no split meets the deadline: a split that
     misses its deadline alone misses it in every tuple.  Where the lone
     split uploads nothing, `costs.price_tuple` runs the task on the
     terminal, and the entry is exactly `k_local`.
     """
     s, n = scenario.n_sbs, scenario.n_tasks
-    t = costs.build_cost_tables(scenario, alpha, np.zeros((s, n)),
-                                np.zeros((s, n)))
+    t = costs.lone_tables(scenario, alpha)
     bound = np.empty((n, s + 2))
     bound[:, 0] = np.where(t.exact_ok[0], t.k_local, np.inf)
     bound[:, s + 1] = np.where(t.exact_ok[1], t.k_mbs, np.inf)
-    # one table is a lone task's on every station: at x = 0 no SBS sees
-    # interference, as a lone task does, and the relay terms at unit
-    # assignment with nothing forwarded are a lone task's
-    w2, w1, w0 = scenario.pricing.relay.wired_coefficients(np.ones((s, n)),
-                                                           np.zeros((s, n)))
-    alone = replace(t, w2=w2, w1=w1, w0=w0)
     i, j = (a.ravel() for a in np.indices((s, n)))
-    c0, *_, cost, ok = costs.best_splits(alone, i, j, np.ones(s * n))
+    c0, *_, cost, ok = costs.best_splits(t, i, j, np.ones(s * n))
     cost = np.where(c0 == t.c[j], t.k_local[j], cost)
     bound[:, 1:s + 1] = np.where(ok, cost, np.inf).reshape(s, n).T
     return bound

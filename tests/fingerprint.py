@@ -29,7 +29,9 @@ and digest:
   six times finds a split that uploads nothing and prices the tuple again
   with that task on the terminal;
 - `baseline.json`, `run_baseline` on criterion 10's five 20-task, 3-SBS
-  scenarios at seeds 0-99: every placement with its utility, or the
+  scenarios at seeds 0-99, and on five tight 20-task, 3-SBS scenarios
+  (scenario seeds 0-4) at seeds 0-19, where the lone-task relay delay
+  refuses some stations: every placement with its utility, or the
   tasks a run names as it raises;
 - `profile.json`, the rows of `placement_profile` over criterion 11's
   size sweep;
@@ -45,8 +47,8 @@ and digest:
   criterion-3 stream: each result's `to_dict()` with its `n_priced`, so
   a bit-identity claim also covers how many tuples the bound pruned.
 
-That is 98 digests: five for each of the 17 solves in `SOLVES`, one for
-each of the 8 oracle instances and one for each of the 5 experiment
+That is 99 digests: five for each of the 17 solves in `SOLVES`, one for
+each of the 8 oracle instances and one for each of the 6 experiment
 instances in `EXPERIMENTS`.
 
 Running it on two trees and diffing the outputs checks a claim that a
@@ -139,7 +141,8 @@ def oracle_small_configs(n: int = 4) -> list:
 
 
 # name -> (mode, arguments) of the experiment instances: criterion 10's
-# baseline scenarios and seeds, criterion 11's placement profile, the
+# baseline scenarios and seeds, the baseline on tight scenarios, whose
+# admissions refuse stations, criterion 11's placement profile, the
 # solves of the `oracle_small` workload, whose solver settings the CLI
 # cannot set, two solves whose rounding promotes a task to an SBS (terminal
 # and macro station at 1 MHz miss every deadline, so `admm._promote` prices
@@ -150,6 +153,10 @@ EXPERIMENTS = {
         "scenarios": [dict(n_tasks=20, n_sbs=3, seed=11, c_range=(size, size))
                       for size in (5e3, 1e4, 1.5e4, 2e4, 2.5e4)],
         "seeds": 100}),
+    "baseline-tight": ("baseline", {
+        "scenarios": [dict(n_tasks=20, n_sbs=3, seed=seed, t_max_range=TIGHT)
+                      for seed in range(5)],
+        "seeds": 20}),
     "criterion11": ("profile", {
         "scenario": dict(n_tasks=1, n_sbs=2, seed=3, t_max_range=(20.0, 20.0)),
         "sizes": [1e4, 1e5, 1e6, 4e6, 2e7, 5e7, 9e7, 8e6],

@@ -300,6 +300,53 @@ def test_cost_tables_bit_identical_to_per_element_loop():
                         f"{name} differs at s={s}, n={n}")
 
 
+def test_lone_tables_price_each_task_alone():
+    # rates with no interference, relay coefficients of a route loaded by
+    # its task alone, and no transfer energy: the loop reference at zero
+    # assignment, with w2/w1/w0 at unit assignment, nothing forwarded
+    rng = np.random.default_rng(16)
+    for s, n in ((0, 3), (1, 1), (2, 5), (3, 8)):
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=n, n_sbs=s, seed=int(rng.integers(0, 100000))))
+        for variant in (scen, _rewired(scen, rng)):
+            alpha = float(rng.uniform())
+            zero = np.zeros((s, n))
+            lone = costs.lone_tables(variant, alpha)
+            want = _reference_tables(variant, alpha, zero, zero)
+            relay = _reference_tables(variant, alpha, zero + 1.0, zero)
+            want.update({k: relay[k] for k in ("w2", "w1", "w0")})
+            for name, value in want.items():
+                assert np.array_equal(getattr(lone, name), value), name
+            assert not lone.transfer_coef.any()
+
+
+def test_lone_share_curve_never_rises_with_the_share():
+    # a lone task is priced at h = 1 by `price_tuple` and bounded there by
+    # `oracle.branch_bounds`: on the lone table a larger share must never
+    # make the best split dearer, beyond the rounding of the closed-form
+    # candidates (up to 2.4e-14 relative on tight seeds 15 and 19), or
+    # refuse a split a smaller one admits
+    checked = 0
+    for regime in (dict(), dict(t_max_range=(0.02, 0.08)),
+                   dict(c_range=(4e6, 2e7))):
+        for seed in range(30):
+            scen = generate_scenario(ScenarioConfig(n_tasks=10, n_sbs=3,
+                                                    seed=seed, **regime))
+            shares = np.linspace(scen.config.h_min, 1.0, 40)
+            i, j, k = (a.ravel() for a in np.indices((3, 10, 40)))
+            for alpha in (0.1, 0.5, 0.9):
+                *_, cost, ok = costs.best_splits(
+                    costs.lone_tables(scen, alpha), i, j, shares[k])
+                cost, ok = cost.reshape(30, 40), ok.reshape(30, 40)
+                assert not (ok[:, :-1] & ~ok[:, 1:]).any(), (regime, seed)
+                both = ok[:, :-1] & ok[:, 1:]
+                prev = cost[:, :-1][both]
+                assert (cost[:, 1:][both] <= prev + 1e-12 * prev).all(), (
+                    regime, seed, alpha)
+                checked += 2 * both.sum()
+    assert checked > 100000
+
+
 def test_split_price_gathers_pairs_and_placement_costs_take_given_tables():
     # `split_price` at gathered (SBS, task) index arrays prices every pair
     # bit for bit as over all pairs, and `placement_costs` on the tables the

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import edgealloc
-from edgealloc import admm, cli, costs, oracle
+from edgealloc import admm, cli, costs, experiments, oracle
 from edgealloc.admm import SolverConfig
 from edgealloc.costs import Placement, UtilityWeights
 from edgealloc.errors import ConfigurationError, InfeasibleTaskError
@@ -166,14 +166,73 @@ def test_baseline_single_feasible_branch():
 
 
 def test_baseline_late_tasks_fall_back_to_a_feasible_branch():
-    # tight deadlines: with baseline seed 0 task 8 is still late when the
-    # redraw budget runs out, and it meets its deadline on the terminal or
-    # macro branch
+    # tight deadlines: baseline seed 2 spends the redraw budget and reaches
+    # the fallback, where its last redraw already meets every deadline
     scen = generate_scenario(ScenarioConfig(n_tasks=20, n_sbs=3, seed=3,
                                             t_max_range=(0.02, 0.08)))
     for seed in range(3):
         placement, _ = run_baseline(scen, UtilityWeights(0.5), seed)
         assert costs.check_feasibility(placement, scen).ok
+
+
+def _assembled_baselines(monkeypatch):
+    """Every choice `run_baseline` assembles from now on, as drawn."""
+    choices = []
+    assemble = experiments._assemble_baseline
+
+    def kept(scenario, choice):
+        choices.append(choice.copy())
+        return assemble(scenario, choice)
+
+    monkeypatch.setattr(experiments, "_assemble_baseline", kept)
+    return choices
+
+
+def test_baseline_fallback_moves_the_tasks_still_late(monkeypatch):
+    # same scenario, baseline seed 8: five redraws leave tasks 1 and 14
+    # late, and the fallback moves them to their faster exact branch
+    scen = generate_scenario(ScenarioConfig(n_tasks=20, n_sbs=3, seed=3,
+                                            t_max_range=(0.02, 0.08)))
+    assemble = experiments._assemble_baseline
+    choices = _assembled_baselines(monkeypatch)
+    placement, _ = run_baseline(scen, UtilityWeights(0.5), 8)
+    assert len(choices) == 7
+    spent = assemble(scen, choices[5])
+    late = np.flatnonzero(~costs.check_feasibility(spent, scen).deadline_ok)
+    assert late.tolist() == [1, 14]
+    pc = scen.pricing
+    assert choices[6][late].tolist() == np.where(
+        pc.t_local <= pc.t_mbs, 0, scen.n_sbs + 1)[late].tolist()
+    assert costs.check_feasibility(placement, scen).ok
+
+
+def test_baseline_draws_only_stations_a_lone_task_meets_its_deadline_on(
+        monkeypatch):
+    # tight deadlines: an SBS is drawn only where the naive thirds split at
+    # full share meets the deadline on `costs.lone_tables`, which charges
+    # the forwarded third the relay delay of the task alone; a table that
+    # leaves the relay unpriced admits every pair here
+    choices = _assembled_baselines(monkeypatch)
+    drawn = refused = 0
+    for scenario_seed in range(10):
+        scen = generate_scenario(ScenarioConfig(
+            n_tasks=20, n_sbs=3, seed=scenario_seed, t_max_range=(0.02, 0.08)))
+        lone = costs.lone_tables(scen, 0.5)
+        third = lone.c / 3.0
+        delay, _ = lone.split_price(third, third, lone.c - third - third, 1.0)
+        admitted = costs.meets_deadline(delay, lone.t_max)
+        refused += int((~admitted).sum())
+        for seed in range(5):
+            choices.clear()
+            try:
+                run_baseline(scen, UtilityWeights(0.5), seed)
+            except InfeasibleTaskError:
+                pass
+            for choice in choices:
+                j = np.flatnonzero((choice >= 1) & (choice <= scen.n_sbs))
+                assert admitted[choice[j] - 1, j].all(), (scenario_seed, seed)
+                drawn += len(j)
+    assert refused > 0 and drawn > 0
 
 
 def test_baseline_raises_when_no_branch_meets_the_deadline():
@@ -218,16 +277,15 @@ def test_larger_step_reaches_plateau_no_later():
 def _reference_run_baseline(scenario, weights, seed):
     """`run_baseline` as it was before it read the one-hot arrays: each
     branch checked alone by a per-task closure of scalar `split_price`
-    calls, capacity overflows demoted station by station, at
-    floor(1 / h_min + 1e-9) tasks per station."""
+    calls on the lone-task table, capacity overflows demoted station by
+    station, at floor(1 / h_min + 1e-9) tasks per station."""
     rng = np.random.default_rng(seed)
     s, n = scenario.n_sbs, scenario.n_tasks
     t_max = scenario.t_max_array()
     h_min = scenario.config.h_min
     cap = int(np.floor(1.0 / h_min + 1e-9))
 
-    tables = costs.build_cost_tables(scenario, weights.alpha,
-                                     np.zeros((s, n)), np.zeros((s, n)))
+    tables = costs.lone_tables(scenario, weights.alpha)
     c = scenario.c_array()
 
     def standalone_ok(branch, j):
